@@ -10,6 +10,7 @@ import numpy as np
 from ..linalg import DEFAULT_TOL
 from ..mesh import build_geometry, read_mesh
 from ..models import Discretization, InsConfig, InsDriver, SweConfig, SweDriver
+from ..timeint import TimeIntError
 from .errors import ErrorReport, error_norms, observed_orders
 from .output import write_error_csv, write_ledger, write_vtk
 
@@ -47,14 +48,15 @@ def design_ledger(case, disc, driver, extra=None) -> dict:
         "edge_flux_gauss_points": disc.k + 1,
         "interior_quadrature_degree": 2 * disc.k,
         "coefficient_quadrature_degree": 2 * disc.k + 2,
-        "gmres_tol": driver.tol,
-        "gmres_restart": driver.restart,
-        "gmres_jacobi": driver.jacobi,
+        "solver": "preconditioned conjugate gradients, increment form",
+        "solver_tol": driver.tol,
         "stiffness_stabilization": "dimensionless dof-dof (|P| factor dropped; mass keeps |P|)",
         "swe_wave_equation_form": "SPD (M + dt^2 g K), printed signs treated as typos",
         "ins_helmholtz_viscosity": "nu restored in (M + dt nu K)",
         "tgv_pressure_sign": "momentum-consistent (+) orientation",
     }
+    for system, precond in driver.preconditioners.items():
+        led[f"solver_preconditioner_{system.replace('-', '_')}"] = precond
     if isinstance(driver, SweDriver):
         led["swe_mass_update"] = driver.mass_update
         led["gravity"] = driver.config.g
@@ -130,7 +132,10 @@ def _ins_error_fields(case, disc, driver, state):
 
 def run_case(case, out_prefix: str | None = None, quiet: bool = False,
              mesh_file: str | None = None, max_steps: int = 100_000) -> RunResult:
-    """Deterministic single-case run with error report and design ledger."""
+    """Deterministic single-case run with error report and design ledger.
+
+    Raises TimeIntError when `max_steps` steps do not reach the end time.
+    """
     t0 = time.time()
     if mesh_file:
         mesh = read_mesh(mesh_file)
@@ -140,9 +145,13 @@ def run_case(case, out_prefix: str | None = None, quiet: bool = False,
     disc = Discretization(mesh, geom, k=case.k)
     driver = build_driver(case, disc)
     state = initial_state(case, driver)
+    t1 = time.time()
     t_end = case.t_end
     steps = 0
-    while state.time < t_end - 1e-13 and steps < max_steps:
+    while state.time < t_end - 1e-13:
+        if steps == max_steps:
+            raise TimeIntError(f"{case.name}: step limit {max_steps} reached at "
+                               f"t = {state.time:.6g}, before the end time {t_end:g}")
         dt = driver.compute_dt(state)
         if case.dt is not None:
             dt = min(case.dt, dt) if case.model == "swe" and case.name.startswith(
@@ -152,7 +161,7 @@ def run_case(case, out_prefix: str | None = None, quiet: bool = False,
         steps += 1
         if not quiet and steps % 50 == 0:
             print(f"  [{case.name}] step {steps}  t = {state.time:.5f}")
-    runtime = time.time() - t0
+    setup_s, steps_s = t1 - t0, time.time() - t1
     if case.model == "swe":
         fields, exacts = _swe_error_fields(case, disc, driver, state)
     else:
@@ -161,13 +170,13 @@ def run_case(case, out_prefix: str | None = None, quiet: bool = False,
         report = error_norms(disc, fields, exacts, state.time, float(geom.h.max()))
     else:
         report = ErrorReport(float(geom.h.max()), {})
-    report.runtime = runtime
+    report.runtime = setup_s + steps_s
     report.steps = steps
     report.solver_iterations = driver.stats.iterations
     ledger = design_ledger(case, disc, driver, extra={
-        "steps": steps, "runtime_s": round(runtime, 3),
-        "gmres_iterations_total": driver.stats.iterations,
-        "gmres_last_residual": driver.stats.last_residual,
+        "steps": steps, "setup_s": round(setup_s, 3), "steps_s": round(steps_s, 3),
+        "solver_iterations_total": driver.stats.iterations,
+        "solver_last_residual": driver.stats.last_residual,
     })
     result = RunResult(case, report, state, driver, disc, ledger)
     gate = getattr(case, "gate", None)
@@ -189,7 +198,7 @@ def run_case(case, out_prefix: str | None = None, quiet: bool = False,
         write_ledger(lpath, ledger)
         result.outputs = [vtk, lpath]
     if not quiet:
-        print(f"[{case.name}] steps={steps} runtime={runtime:.1f}s "
+        print(f"[{case.name}] steps={steps} setup={setup_s:.1f}s stepping={steps_s:.1f}s "
               f"iters={driver.stats.iterations}")
         for name, (l2, linf) in report.errors.items():
             print(f"  L2({name}) = {l2:.6e}   Linf({name}) = {linf:.6e}")

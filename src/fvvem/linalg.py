@@ -1,4 +1,10 @@
-"""Sparse matrices and the restarted GMRES solver used for all implicit systems."""
+"""Sparse matrices and the one solver used for every implicit system.
+
+All implicit systems (pressure Poisson, viscous Helmholtz, free surface) are
+symmetric positive (semi-)definite, and Dirichlet elimination keeps them so:
+they are solved by preconditioned conjugate gradients (`pcg`), with either a
+Jacobi preconditioner or the sparse LU factor of an operator that stays fixed.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 class SolverError(Exception):
-    """Arnoldi breakdown or other unrecoverable solver failure."""
+    """Indefinite operator or other unrecoverable solver failure."""
 
 
 DEFAULT_TOL = 1e-12     # iterative-solve stopping tolerance (relative residual)
@@ -96,101 +103,76 @@ def spmv(A: SparseMatrix, x: np.ndarray) -> np.ndarray:
     return A.to_scipy() @ x
 
 
-def gmres_solve(A: SparseMatrix, b: np.ndarray, x0: np.ndarray | None = None,
-                tol: float = DEFAULT_TOL, restart: int = 50, maxiter: int = 10_000,
-                jacobi: bool = False) -> tuple[np.ndarray, SolverReport]:
-    """Restarted GMRES(m) with modified Gram-Schmidt.
+def pcg(A: SparseMatrix, b: np.ndarray, precond=None, x0: np.ndarray | None = None,
+        tol: float = DEFAULT_TOL, maxiter: int = 10_000) -> tuple[np.ndarray, SolverReport]:
+    """Preconditioned conjugate gradients for a symmetric positive (semi-)definite A.
 
-    Stops when ||b - A x||_2 / ||b||_2 <= tol; returns x0 immediately when it
-    already satisfies the tolerance.  Optional Jacobi (diagonal) right
-    preconditioning; the reported residual is always the unpreconditioned one.
+    `precond(r)` applies an SPD approximation of A^{-1} (None: identity).
+    Stops when the true residual satisfies ||b - A x||_2 <= tol ||b||_2; the
+    recursive residual is replaced by the true one whenever it claims
+    convergence.  Returns x0 immediately when it already satisfies the
+    tolerance.  A search direction with p^T A p <= 0 raises SolverError.
     """
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
-        raise ValueError("gmres requires a square matrix")
+        raise ValueError("pcg requires a square matrix")
     b = np.asarray(b, dtype=float)
     if b.shape[0] != n:
         raise ValueError("right-hand side length mismatch")
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         return np.zeros(n), SolverReport(0, 0.0, True)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     Asp = A.to_scipy()
-    dinv = None
-    if jacobi:
-        d = A.diagonal()
-        if np.any(d == 0.0):
-            raise SolverError("Jacobi preconditioning requires a nonzero diagonal")
-        dinv = 1.0 / d
-
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - Asp @ x
-    beta = float(np.linalg.norm(r))
-    if beta / nb <= tol:
-        return x, SolverReport(0, beta / nb, True)
-
-    total_it = 0
-    V = np.empty((restart + 1, n))
-    H = np.zeros((restart + 1, restart))
-    while total_it < maxiter:
-        V[0] = r / beta
-        g = np.zeros(restart + 1)
-        g[0] = beta
-        cs = np.zeros(restart)
-        sn = np.zeros(restart)
-        j = 0
-        while j < restart and total_it < maxiter:
-            w = V[j] * dinv if dinv is not None else V[j]
-            w = Asp @ w
-            # classical Gram-Schmidt with one re-orthogonalization (CGS2):
-            # numerically on par with MGS but fully vectorized
-            coeffs = V[:j + 1] @ w
-            w -= V[:j + 1].T @ coeffs
-            corr = V[:j + 1] @ w
-            w -= V[:j + 1].T @ corr
-            H[:j + 1, j] = coeffs + corr
-            hnext = float(np.linalg.norm(w))
-            H[j + 1, j] = hnext
-            total_it += 1
-            if hnext <= 1e-32 * beta:
-                if abs(g[j]) > 10.0 * tol * nb and not _solvable(H, g, j):
-                    raise SolverError("Arnoldi breakdown: basis norm underflow")
-                j += 1
-                break
-            V[j + 1] = w / hnext
-            # Givens rotations keep the residual norm available cheaply
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
-            H[j, j] = denom
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            j += 1
-            if abs(g[j]) / nb <= 0.9 * tol:
-                break
-        y = np.linalg.solve(np.triu(H[:j, :j]), g[:j]) if j else np.zeros(0)
-        dx = V[:j].T @ y
-        if dinv is not None:
-            dx *= dinv
-        x = x + dx
-        r = b - Asp @ x
-        beta = float(np.linalg.norm(r))
-        if beta / nb <= tol:
-            return x, SolverReport(total_it, beta / nb, True)
-        H[:] = 0.0
-    return x, SolverReport(total_it, beta / nb, False)
+    res = float(np.linalg.norm(r))
+    it = 0
+    while res > tol * nb:
+        if it == maxiter:
+            return x, SolverReport(it, res / nb, False)
+        z = r if precond is None else precond(r)
+        rz_new = float(r @ z)
+        p = z if it == 0 else z + (rz_new / rz) * p
+        rz = rz_new
+        Ap = Asp @ p
+        pAp = float(p @ Ap)
+        if not pAp > 0.0:
+            raise SolverError(f"p^T A p = {pAp:.3e} <= 0: matrix not positive definite")
+        alpha = rz / pAp
+        x += alpha * p
+        r = r - alpha * Ap
+        it += 1
+        res = float(np.linalg.norm(r))
+        if res <= tol * nb:
+            r = b - Asp @ x
+            res = float(np.linalg.norm(r))
+    return x, SolverReport(it, res / nb, True)
 
 
-def _solvable(H, g, j) -> bool:
-    """Lucky-breakdown check: the reduced system still yields the residual."""
-    try:
-        np.linalg.solve(np.triu(H[:j + 1, :j + 1]), g[:j + 1])
-        return True
-    except np.linalg.LinAlgError:
-        return False
+def jacobi(A: SparseMatrix):
+    """Diagonal (Jacobi) preconditioner r -> r / diag(A)."""
+    d = A.diagonal()
+    if np.any(d <= 0.0):
+        raise SolverError("Jacobi preconditioning requires a positive diagonal")
+    dinv = 1.0 / d
+    return lambda r: r * dinv
+
+
+def factorized(A: SparseMatrix, pin: int | None = None):
+    """Sparse LU factor of a symmetric A as the preconditioner r -> A^{-1} r.
+
+    For a positive semidefinite A whose null space is one vector n with
+    n[pin] != 0 (a pure-Neumann or periodic stiffness matrix), the factored
+    copy adds A[pin, pin] to that diagonal entry.  The copy is definite, and
+    for a compatible r (n . r = 0) it returns the solution of A z = r with
+    z[pin] = 0, so CG on A itself converges in one iteration.
+    """
+    S = A.to_scipy().tocsc()
+    if pin is not None:
+        S = S + sp.csc_matrix(([S[pin, pin]], ([pin], [pin])), shape=S.shape)
+    lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    return lu.solve
 
 
 def apply_dirichlet(A: SparseMatrix, b: np.ndarray, dofs: np.ndarray,

@@ -16,7 +16,8 @@ import numpy as np
 from . import fv as fvmod
 from . import transfer as trmod
 from . import vem as vemod
-from .linalg import DEFAULT_TOL, SparseMatrix, apply_dirichlet, gmres_solve
+from .linalg import (DEFAULT_TOL, SolverReport, SparseMatrix, apply_dirichlet,
+                     factorized, jacobi, pcg)
 from .mesh import GeometryCache, PolyMesh, polygon_quadrature
 from .timeint import compute_dt, imex_advance, tableau
 from .vem import n_poly
@@ -232,8 +233,6 @@ class _Group:
         self.meanm = H[:, 0, :] / self.area[:, None]
         dxh = dx_unit[None] / self.h[:, None, None]
         dyh = dy_unit[None] / self.h[:, None, None]
-        self.VX = np.einsum("gad,gab,gbc->gdc", self.pis0, dxh, H)  # (g, ndof, nk)
-        self.VY = np.einsum("gad,gab,gbc->gdc", self.pis0, dyh, H)
         self.dxT = dxh.transpose(0, 2, 1)      # monomial gradient coefficient maps
         self.dyT = dyh.transpose(0, 2, 1)
         nodes, weights, mono = [], [], []
@@ -638,11 +637,13 @@ class SweDriver:
     """Semi-implicit shallow-water stepper on a Discretization."""
 
     kind = "swe"
+    # M + tau^2 g K_H follows the state: reassembled every stage
+    preconditioners = {"free-surface": "jacobi"}
 
     def __init__(self, disc: Discretization, config: SweConfig, bcs: BoundarySet,
                  scheme: str = "LSDIRK222", cfl: float = 0.9,
-                 bathymetry=None, tol: float = DEFAULT_TOL, restart: int = 50,
-                 jacobi: bool = True, mass_update: str = "divergence"):
+                 bathymetry=None, tol: float = DEFAULT_TOL,
+                 mass_update: str = "divergence"):
         self.disc = disc
         self.config = config
         self.model = SweModel(config.g)
@@ -651,8 +652,6 @@ class SweDriver:
         self.pair = tableau(scheme)
         self.cfl = cfl
         self.tol = tol
-        self.restart = restart
-        self.jacobi = jacobi
         self.stats = SolveStats()
         b_fun = bathymetry or (lambda p: np.zeros(len(p)))
         self.b_coeffs, self.b_dofs = evaluate_bathymetry(disc, b_fun)
@@ -702,8 +701,8 @@ class SweDriver:
         x0 = QI.aux.get("eta_dofs")
         if x0 is None:
             x0 = disc.fv_to_vem(coeffs_I[0])
-        eta_dofs = solve_implicit(A, rhs, x0, self.tol, self.restart,
-                                  self.jacobi, self.stats, "free-surface")
+        eta_dofs = solve_implicit(A, rhs, x0, self.tol, None, None, self.stats,
+                                  "free-surface")
         eta_poly = disc.vem_to_fv(eta_dofs)
         grad_eta = disc.gradient_depth_weighted(eta_poly, h_dofs)
         q_new = Fq - tau * g * grad_eta
@@ -782,17 +781,6 @@ class SweDriver:
                 out[c, grp.idx] = np.linalg.solve(grp.T, monoc[:, :, None])[:, :, 0]
         return out
 
-    def _volume_flux_term(self, field_coeffs: np.ndarray) -> np.ndarray:
-        disc = self.disc
-        out = np.zeros(disc.layout.n_dofs)
-        for grp in disc.groups:
-            mx = np.einsum("gab,gb->ga", grp.T, field_coeffs[0, grp.idx])
-            my = np.einsum("gab,gb->ga", grp.T, field_coeffs[1, grp.idx])
-            local = (np.einsum("gdb,gb->gd", grp.VX, mx)
-                     + np.einsum("gdb,gb->gd", grp.VY, my))
-            np.add.at(out, grp.dofs, local)
-        return out
-
     # -- time stepping --------------------------------------------------------
 
     def max_conv_eig(self, state: FlowState) -> np.ndarray:
@@ -811,14 +799,72 @@ class SweDriver:
         return imex_advance(state, self.pair, self.stage, dt)
 
 
+class _ConstrainedSystem:
+    """One implicit system of a driver with its Dirichlet dofs eliminated.
+
+    Caches what lasts as long as the operator does: the constrained matrix,
+    the fixed dofs, the columns coupling them to the free dofs and the
+    preconditioner, plus the boundary values when every condition is static.
+    `operator(key, build)` rebuilds only when `key` changes.  A `constant`
+    operator (the same for the driver's life) is factored once and the
+    factor preconditions CG; any other gets Jacobi.
+    """
+
+    def __init__(self, disc: Discretization, bcs: BoundarySet, tags, samplers,
+                 static: bool, constant: bool = False):
+        self.disc, self.bcs, self.tags = disc, bcs, tags
+        self.samplers = samplers        # per component: (tag, pts, t) -> values
+        self.fixed = np.empty(0, dtype=np.int64)
+        if tags:
+            self.fixed, _ = disc.tagged_dirichlet(bcs, tags, samplers[0], 0.0)
+        self.static_values = {} if static else None
+        self.constant = constant
+        self.key = None
+        self.A = self.cols = self.precond = None
+
+    def operator(self, key, build) -> SparseMatrix:
+        if self.A is None or key != self.key:
+            A = build()
+            self.key, self.A, self.cols = key, A, None
+            if len(self.fixed):
+                self.cols = A.to_scipy()[:, self.fixed].tocsr()
+                self.A, _ = apply_dirichlet(A, np.zeros(A.shape[0]), self.fixed,
+                                            np.zeros(len(self.fixed)))
+            if self.constant:
+                # without fixed dofs the operator is singular (pure Neumann):
+                # pin a dof where the constant field is nonzero in the factor
+                pin = None if len(self.fixed) else int(np.argmax(np.abs(self.disc.ones)))
+                self.precond = factorized(self.A, pin)
+            else:
+                self.precond = jacobi(self.A)
+        return self.A
+
+    def rhs(self, load: np.ndarray, comp: int, t: float) -> np.ndarray:
+        """Right-hand side with the fixed dofs set to their boundary values."""
+        if not len(self.fixed):
+            return load
+        vals = None if self.static_values is None else self.static_values.get(comp)
+        if vals is None:
+            _, vals = self.disc.tagged_dirichlet(self.bcs, self.tags,
+                                                 self.samplers[comp], t)
+            if self.static_values is not None:
+                self.static_values[comp] = vals
+        rhs = load - self.cols @ vals
+        rhs[self.fixed] = vals
+        return rhs
+
+
 class InsDriver:
     """Projection-method INS stepper on a Discretization."""
 
     kind = "ins"
+    # M + tau nu K follows the CFL-limited tau; K never changes
+    preconditioners = {"viscous": "jacobi",
+                       "pressure": "sparse LU of the fixed operator, factored once"}
 
     def __init__(self, disc: Discretization, config: InsConfig, bcs: BoundarySet,
                  scheme: str = "LSDIRK222", cfl: float = 0.9,
-                 tol: float = DEFAULT_TOL, restart: int = 50, jacobi: bool = True):
+                 tol: float = DEFAULT_TOL):
         self.disc = disc
         self.config = config
         self.model = InsModel(config.nu)
@@ -826,17 +872,19 @@ class InsDriver:
         self.pair = tableau(scheme)
         self.cfl = cfl
         self.tol = tol
-        self.restart = restart
-        self.jacobi = jacobi
         self.stats = SolveStats()
         self.vel_dirichlet = bcs.tags_of_kind("dirichlet", "wall")
         self.p_dirichlet = [tag for tag, bc in sorted(bcs.table.items())
                             if bc.pressure is not None]
         self.div_residuals = []
-        self._div_rhs0 = None
-        self._helmholtz_cache = {}
-        self._pressure_cache = None
-        self._static_vel_vals = {}
+        table = bcs.table
+        self._viscous = _ConstrainedSystem(
+            disc, bcs, self.vel_dirichlet, [self._vel_sampler(0), self._vel_sampler(1)],
+            static=all(table[tag].static or table[tag].kind == "wall"
+                       for tag in self.vel_dirichlet))
+        self._pressure = _ConstrainedSystem(
+            disc, bcs, self.p_dirichlet, [lambda tag, pts, t: table[tag].pressure(pts, t)],
+            static=all(table[tag].static for tag in self.p_dirichlet), constant=True)
 
     def _ghost(self, tag, pts, normals, wL, t):
         return self.bcs.fv_ghost(self.model, tag, pts, normals, wL, t)
@@ -868,23 +916,10 @@ class InsDriver:
             Fv = Fv + tau * np.array([[fx], [fy]])
         p_dofs = QI.aux["p_dofs"]
         p_coeffs = QI.aux["p_coeffs"]
-        # Helmholtz operator for the provisional velocity (cached per tau;
-        # the Dirichlet dof set is geometric and fixed)
-        key = round(tau, 14)
-        if key not in self._helmholtz_cache:
-            A = disc.M.combine(1.0, disc.K, tau * nu)
-            fixed = np.empty(0, dtype=np.int64)
-            Amod = A
-            cols = None
-            if self.vel_dirichlet:
-                fixed, _ = disc.tagged_dirichlet(self.bcs, self.vel_dirichlet,
-                                                 self._vel_sampler(0), 0.0)
-                if len(fixed):
-                    Amod, _ = apply_dirichlet(A, np.zeros(A.shape[0]), fixed,
-                                              np.zeros(len(fixed)))
-                    cols = A.to_scipy()[:, fixed].tocsr()
-            self._helmholtz_cache = {key: (A, Amod, fixed, cols)}
-        A, Amod, fixed, cols = self._helmholtz_cache[key]
+        # Helmholtz operator for the provisional velocity, rebuilt when tau
+        # changes (the Dirichlet dof set is geometric and fixed)
+        Ac = self._viscous.operator(round(tau, 14),
+                                    lambda: disc.M.combine(1.0, disc.K, tau * nu))
         gradp = self._pressure_gradient_coeffs(p_coeffs)          # monomial coeffs
         loads = []
         for comp in range(2):
@@ -896,31 +931,17 @@ class InsDriver:
         # not iterated down relative to its own roundoff
         atol = self.tol * max(np.linalg.norm(loads[0]), np.linalg.norm(loads[1]))
         vstar = np.empty((2, disc.layout.n_dofs))
-        all_static = all(self.bcs.table[tag].static or self.bcs.table[tag].kind == "wall"
-                         for tag in self.vel_dirichlet)
         rhss, x0s = [], []
-        Ac = Amod if len(fixed) else A
         for comp in range(2):
-            rhs = loads[comp]
-            if len(fixed):
-                if all_static and comp in self._static_vel_vals:
-                    vals = self._static_vel_vals[comp]
-                else:
-                    _, vals = disc.tagged_dirichlet(self.bcs, self.vel_dirichlet,
-                                                    self._vel_sampler(comp), t)
-                    if all_static:
-                        self._static_vel_vals[comp] = vals
-                rhs = rhs - cols @ vals
-                rhs[fixed] = vals
             x0 = QI.aux.get(f"vstar{comp}")
             if x0 is None:
                 x0 = disc.fv_to_vem(coeffs_I[comp])
-            rhss.append(rhs)
+            rhss.append(self._viscous.rhs(loads[comp], comp, t))
             x0s.append(x0)
         r0pair = np.stack(rhss, axis=1) - Ac.to_scipy() @ np.stack(x0s, axis=1)
         for comp in range(2):
-            vstar[comp] = solve_implicit(Ac, rhss[comp], x0s[comp], self.tol,
-                                         self.restart, self.jacobi, self.stats,
+            vstar[comp] = solve_implicit(Ac, rhss[comp], x0s[comp], self.tol, None,
+                                         self._viscous.precond, self.stats,
                                          "viscous", atol=atol,
                                          r0=r0pair[:, comp])
         # pressure projection: K p = K p_old - Div(v*)/tau  (gauge-fixed)
@@ -930,32 +951,11 @@ class InsDriver:
         rhs_p = Kp_old - div / tau
         # solvability of the pure-Neumann problem: rhs must annihilate constants
         self.last_compatibility = float(disc.ones @ rhs_p) / disc.area_total
-        if self.p_dirichlet:
-            sampler = lambda tag, pts, tt: self.bcs.table[tag].pressure(pts, tt)
-            if self._pressure_cache is None:
-                pfixed, _ = disc.tagged_dirichlet(self.bcs, self.p_dirichlet,
-                                                  sampler, 0.0)
-                Kmod, _ = apply_dirichlet(disc.K, np.zeros(disc.layout.n_dofs),
-                                          pfixed, np.zeros(len(pfixed)))
-                kcols = disc.K.to_scipy()[:, pfixed].tocsr()
-                self._pressure_cache = (pfixed, Kmod, kcols)
-            pfixed, Kmod, kcols = self._pressure_cache
-            if all(self.bcs.table[tag].static for tag in self.p_dirichlet) \
-                    and "pvals" in self.__dict__:
-                pvals = self.pvals
-            else:
-                _, pvals = disc.tagged_dirichlet(self.bcs, self.p_dirichlet,
-                                                 sampler, t)
-                if all(self.bcs.table[tag].static for tag in self.p_dirichlet):
-                    self.pvals = pvals
-            bp = rhs_p - kcols @ pvals
-            bp[pfixed] = pvals
-            Ap = Kmod
-        else:
-            # pure-Neumann/periodic: solve the singular consistent system
-            # directly and fix the gauge afterwards (mean of p held constant)
-            pfixed = np.empty(0, dtype=np.int64)
-            Ap, bp = disc.K, rhs_p
+        # pure-Neumann/periodic (no fixed dofs): CG solves the singular
+        # consistent system and the gauge is fixed afterwards (mean of p held)
+        Ap = self._pressure.operator(None, lambda: disc.K)
+        bp = self._pressure.rhs(rhs_p, 0, t)
+        pfixed = self._pressure.fixed
         r0 = np.linalg.norm(bp - Ap.to_scipy() @ p_dofs)
         scale = 1.0 + np.linalg.norm(Kp_old) + np.linalg.norm(p_dofs)
         # near-stationary skip: an increment within 25x of the stopping
@@ -965,8 +965,8 @@ class InsDriver:
         if p_skipped:
             p_new = p_dofs.copy()
         else:
-            p_new = solve_implicit(Ap, bp, p_dofs, self.tol, self.restart,
-                                   self.jacobi, self.stats, "pressure")
+            p_new = solve_implicit(Ap, bp, p_dofs, self.tol, None,
+                                   self._pressure.precond, self.stats, "pressure")
         if not self.p_dirichlet:
             p_new = p_new + (disc.field_mean(p_dofs) - disc.field_mean(p_new))
         # weak divergence residual of the corrected velocity (free dofs)
@@ -1013,10 +1013,10 @@ class InsDriver:
         return imex_advance(state, self.pair, self.stage, dt)
 
 
-def solve_implicit(A: SparseMatrix, b: np.ndarray, x0, tol, restart, jacobi,
+def solve_implicit(A: SparseMatrix, b: np.ndarray, x0, tol, restart, precond,
                    stats: SolveStats, what: str, atol: float = 0.0,
                    r0: np.ndarray = None) -> np.ndarray:
-    """GMRES in increment form with a stagnation retry.
+    """Preconditioned CG (`linalg.pcg`) in increment form.
 
     Solves A d = b - A x0 to the tolerance that guarantees the ORIGINAL
     stopping criterion ||b - A x|| <= max(tol * ||b||, atol); when the warm
@@ -1025,6 +1025,11 @@ def solve_implicit(A: SparseMatrix, b: np.ndarray, x0, tol, restart, jacobi,
     ground down relative to themselves.  Plateaus within 100x of the
     tolerance are accepted (double-precision conditioning floor) and show in
     the statistics.
+
+    `precond` is a callable r -> M^{-1} r, such as the `linalg.factorized`
+    operator of a matrix that stays fixed; anything else (None, or True)
+    selects Jacobi on A's diagonal.  `restart` is ignored: the slot keeps
+    the positional order in which the benchmark's solve monitor calls.
     """
     x0 = np.zeros(A.shape[0]) if x0 is None else np.asarray(x0, dtype=float)
     if r0 is None:
@@ -1035,27 +1040,18 @@ def solve_implicit(A: SparseMatrix, b: np.ndarray, x0, tol, restart, jacobi,
     if nb == 0.0 and atol == 0.0:
         target = tol * nr0
     if nr0 <= target or nr0 == 0.0:
-        stats.add(SolverReportLike(0, 0.0 if nb == 0 else nr0 / nb, True))
+        stats.add(SolverReport(0, 0.0 if nb == 0 else nr0 / nb, True))
         return x0
     tol_eff = min(target / nr0, 0.5)
-    d, rep = gmres_solve(A, r0, x0=None, tol=tol_eff, restart=restart,
-                         jacobi=jacobi, maxiter=5_000)
-    if not rep.converged:
-        d, rep = gmres_solve(A, r0, x0=d, tol=tol_eff, restart=4 * restart,
-                             maxiter=15_000, jacobi=jacobi)
+    if not callable(precond):
+        precond = jacobi(A)
+    d, rep = pcg(A, r0, precond, tol=tol_eff, maxiter=20_000)
     achieved = rep.residual * nr0
     if not rep.converged and achieved > 100.0 * target:
         raise ModelError(f"{what} solve failed to converge "
                          f"(residual {achieved / max(nb, 1e-300):.2e})")
-    stats.add(SolverReportLike(rep.iterations, achieved / max(nb, achieved), True))
+    stats.add(SolverReport(rep.iterations, achieved / max(nb, achieved), rep.converged))
     return x0 + d
-
-
-class SolverReportLike:
-    def __init__(self, iterations, residual, converged):
-        self.iterations = iterations
-        self.residual = residual
-        self.converged = converged
 
 
 def _cell_edge_eig(disc: Discretization, model, Qfull: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import erf
 
 from fvvem import mesh as fm
+from fvvem import models
 from fvvem.models import (BoundaryCondition, BoundarySet, Discretization,
                           DryStateError, FlowState, InsConfig, InsDriver,
                           SweConfig, SweDriver, evaluate_bathymetry,
@@ -268,6 +269,30 @@ class TestInsStages:
         rhs_bad = disc.load_from_taylor(coeffs)
         compat = float(disc.ones @ rhs_bad) / disc.area_total
         assert compat == pytest.approx(d, rel=1e-10)
+
+    def test_pressure_factored_once_per_driver(self, monkeypatch):
+        factors = []
+
+        def counting(A, pin=None):
+            factors.append(pin)
+            return real(A, pin)
+        real = models.factorized
+        monkeypatch.setattr(models, "factorized", counting)
+        drv, state, vel, pres, g = tgv_setup(n=120, k=1)
+        for _ in range(3):
+            state = drv.step(state, drv.compute_dt(state))
+        assert len(factors) == 1 and factors[0] is not None   # pinned: periodic
+
+    def test_changing_dt_matches_fresh_driver(self):
+        # the Helmholtz operator M + tau nu K must follow dt
+        drv, state, vel, pres, g = tgv_setup(n=120, k=1)
+        s1 = drv.step(state, 0.05)
+        s2 = drv.step(s1, 0.03)
+        fresh = InsDriver(drv.disc, drv.config, drv.bcs, scheme="LSDIRK222")
+        s2f = fresh.step(s1, 0.03)
+        assert np.abs(s2.Q - s2f.Q).max() <= 1e-12 * np.abs(s2f.Q).max()
+        p, pf = s2.aux["p_dofs"], s2f.aux["p_dofs"]
+        assert np.abs(p - pf).max() <= 1e-12 * np.abs(pf).max()
 
     def test_stokes_first_problem_profile(self):
         nu, v0 = 1e-3, 0.1

@@ -3,7 +3,7 @@ import pytest
 
 from fvvem import mesh as fm
 from fvvem import vem
-from fvvem.linalg import gmres_solve
+from fvvem.linalg import jacobi, pcg
 
 
 def single_cell_mesh(pts):
@@ -257,8 +257,8 @@ class TestGlobalAssembly:
         sysm = vem.assemble_global(m, layout, mats, loads,
                                    boundary_values=lambda p: exact(p),
                                    boundary_tags=set(m.boundary_tags.values()))
-        x, rep = gmres_solve(sysm.matrix, sysm.rhs, tol=1e-15, maxiter=8000,
-                             jacobi=True)
+        x, rep = pcg(sysm.matrix, sysm.rhs, jacobi(sysm.matrix), tol=1e-15,
+                     maxiter=8000)
         return x, layout
 
     def test_one_cell_equals_element(self):

@@ -10,6 +10,8 @@ global one.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,12 +39,14 @@ class QuadRule:
 _MAX_TRI_DEGREE = 30
 
 
+@functools.lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature on the unit triangle {x,y >= 0, x+y <= 1}, exact to `degree`.
 
     Collapsed (Duffy) construction: Gauss-Jacobi(1,0) in the collapsed
     direction absorbs the Jacobian, so ceil((degree+1)/2) points per direction
-    suffice for exactness.
+    suffice for exactness.  Memoized: every call with one degree returns the
+    same read-only arrays.
     """
     if degree < 0 or degree > _MAX_TRI_DEGREE:
         raise MeshError(f"triangle rule degree {degree} unsupported (max {_MAX_TRI_DEGREE})")
@@ -56,6 +60,8 @@ def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     uu, vv = np.meshgrid(u, v, indexing="ij")
     pts = np.column_stack([uu.ravel(), (vv * (1.0 - uu)).ravel()])
     w = (wu[:, None] * wv[None, :]).ravel()
+    pts.flags.writeable = False
+    w.flags.writeable = False
     return pts, w
 
 
@@ -63,21 +69,17 @@ def polygon_quadrature(vertices: np.ndarray, barycenter: np.ndarray, degree: int
     """Interior rule on a star-shaped polygon via the barycenter fan.
 
     Exact for polynomials up to `degree`; weights sum to the polygon area.
+    Nodes and weights are ordered fan triangle by fan triangle.
     """
     ref_pts, ref_w = triangle_rule(degree)
-    n = len(vertices)
-    nodes = []
-    weights = []
-    for a in range(n):
-        v0 = barycenter
-        v1 = vertices[a]
-        v2 = vertices[(a + 1) % n]
-        j = (v1 - v0)[0] * (v2 - v0)[1] - (v1 - v0)[1] * (v2 - v0)[0]
-        if j <= 0.0:
-            raise MeshError("cell not star-shaped w.r.t. barycenter (fan triangle flipped)")
-        nodes.append(v0 + ref_pts[:, :1] * (v1 - v0) + ref_pts[:, 1:] * (v2 - v0))
-        weights.append(ref_w * j)
-    return QuadRule(np.vstack(nodes), np.concatenate(weights), degree)
+    e1 = vertices - barycenter
+    e2 = np.roll(vertices, -1, axis=0) - barycenter
+    j = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    if np.any(j <= 0.0):
+        raise MeshError("cell not star-shaped w.r.t. barycenter (fan triangle flipped)")
+    nodes = (barycenter + ref_pts[None, :, :1] * e1[:, None, :]
+             + ref_pts[None, :, 1:] * e2[:, None, :])
+    return QuadRule(nodes.reshape(-1, 2), (j[:, None] * ref_w[None, :]).ravel(), degree)
 
 
 # Gauss-Lobatto nodes/weights on [-1, 1], indexed by point count.
@@ -119,14 +121,6 @@ def edge_gauss_lobatto(va: np.ndarray, vb: np.ndarray, k: int) -> QuadRule:
     return QuadRule(nodes, 0.5 * length * w, 2 * k - 1)
 
 
-def edge_gauss(va: np.ndarray, vb: np.ndarray, npts: int) -> QuadRule:
-    """Gauss-Legendre rule along segment va->vb; exactness 2*npts-1."""
-    t, w = roots_legendre(npts)
-    nodes = va[None, :] + 0.5 * (t[:, None] + 1.0) * (vb - va)[None, :]
-    length = float(np.hypot(*(vb - va)))
-    return QuadRule(nodes, 0.5 * length * w, 2 * npts - 1)
-
-
 def monomial_integral_greens(vertices: np.ndarray, p: int, q: int) -> float:
     """Integral of x^p y^q over a polygon via Green's theorem on the boundary.
 
@@ -151,6 +145,29 @@ def monomial_integral_greens(vertices: np.ndarray, p: int, q: int) -> float:
 def _signed_area(pts: np.ndarray) -> float:
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def polygon_areas_centroids(polys) -> tuple[np.ndarray, np.ndarray]:
+    """Signed areas (NP,) and centroids (NP, 2) of a list of (n, 2) polygons.
+
+    The shoelace formulas run once per vertex count n, along axis 1 of the
+    stacked (g, n, 2) polygons: bitwise equal to `_signed_area` per polygon.
+    """
+    counts = np.fromiter((len(p) for p in polys), dtype=np.int64, count=len(polys))
+    area = np.empty(len(polys))
+    centroid = np.empty((len(polys), 2))
+    for n in np.unique(counts):
+        idx = np.flatnonzero(counts == n)
+        pts = np.stack([polys[i] for i in idx])
+        x, y = pts[..., 0], pts[..., 1]
+        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+        cross = x * yn - xn * y
+        a = 0.5 * np.sum(cross, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            centroid[idx, 0] = np.sum((x + xn) * cross, axis=1) / (6.0 * a)
+            centroid[idx, 1] = np.sum((y + yn) * cross, axis=1) / (6.0 * a)
+        area[idx] = a
+    return area, centroid
 
 
 # ---------------------------------------------------------------------------
@@ -241,26 +258,20 @@ class PolyMesh:
         self.cell_edges = cell_edges
         self.cell_edge_sign = cell_sign
 
-    def cell_polygon(self, ci: int) -> np.ndarray:
-        return self.cell_coords[ci]
-
     def validate(self, domain_area: float | None = None):
         """Check the PolyMesh invariants; raise MeshError on violation."""
-        total = 0.0
-        for ci in range(self.n_cells):
-            pts = self.cell_coords[ci]
-            area = _signed_area(pts)
-            if area <= 0.0:
-                raise MeshError(f"cell {ci} is not counter-clockwise (signed area {area:.3e})")
+        area, _ = polygon_areas_centroids(self.cell_coords)
+        for ci, pts in enumerate(self.cell_coords):
+            if area[ci] <= 0.0:
+                raise MeshError(f"cell {ci} is not counter-clockwise (signed area {area[ci]:.3e})")
             if not _is_simple(pts):
                 raise MeshError(f"cell {ci} vertex loop self-intersects")
-            total += area
         for e in range(self.n_edges):
             if self.edge_cells[e, 1] < 0 and e not in self.boundary_tags:
                 raise MeshError(f"boundary edge {e} carries no tag")
         if domain_area is not None:
-            if abs(total - domain_area) > 1e-12 * max(domain_area, 1.0):
-                raise MeshError(f"cell areas sum to {total!r}, expected {domain_area!r}")
+            if abs(area.sum() - domain_area) > 1e-12 * max(domain_area, 1.0):
+                raise MeshError(f"cell areas sum to {area.sum()!r}, expected {domain_area!r}")
 
     def connectivity_hash(self) -> int:
         """Order-stable hash of the full connectivity (round-trip checks)."""
@@ -319,20 +330,10 @@ def build_geometry(mesh: PolyMesh) -> GeometryCache:
 
     Raises MeshError for non-CCW or zero-area cells.
     """
-    nc = mesh.n_cells
-    area = np.empty(nc)
-    bary = np.empty((nc, 2))
-    for ci in range(nc):
-        pts = mesh.cell_coords[ci]
-        a = _signed_area(pts)
-        if a <= 0.0:
-            raise MeshError(f"cell {ci} degenerate or mis-oriented (area {a:.3e})")
-        x, y = pts[:, 0], pts[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        cross = x * yn - xn * y
-        bary[ci, 0] = np.sum((x + xn) * cross) / (6.0 * a)
-        bary[ci, 1] = np.sum((y + yn) * cross) / (6.0 * a)
-        area[ci] = a
+    area, bary = polygon_areas_centroids(mesh.cell_coords)
+    bad = np.flatnonzero(area <= 0.0)
+    if len(bad):
+        raise MeshError(f"cell {bad[0]} degenerate or mis-oriented (area {area[bad[0]]:.3e})")
     va = mesh.edge_coords[:, 0, :]
     vb = mesh.edge_coords[:, 1, :]
     tang = vb - va
@@ -474,42 +475,58 @@ def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius
             scale = 2.0 * hole_radius / r[near] - 1.0
             mirrors.append(hole_center + (seeds[near] - hole_center) * scale[:, None])
     vor = Voronoi(np.vstack(mirrors))
-    polys = []
+    regions = [vor.regions[r] for r in vor.point_region[:n]]
+    if any(-1 in reg or len(reg) < 3 for reg in regions):
+        raise MeshError("unbounded Voronoi cell; mirror construction failed")
+    flat = np.fromiter(itertools.chain.from_iterable(regions), dtype=np.int64)
+    starts = np.cumsum([0] + [len(reg) for reg in regions[:-1]])
+    polys = np.split(vor.vertices[flat], starts[1:])
+    area, _ = polygon_areas_centroids(polys)
+    # (n, c) of the half-planes n.x <= c of the non-periodic sides; a polygon
+    # strictly inside all of them passes every clip unchanged, so it skips them
+    sides = [(np.array(nrm), c) for nrm, c, axis in (
+        ([-1.0, 0.0], -xlo, 0), ([1.0, 0.0], xhi, 0), ([0.0, -1.0], -ylo, 1),
+        ([0.0, 1.0], yhi, 1)) if not periodic[axis]]
+    inside = np.ones(len(vor.vertices), dtype=bool)
+    for nrm, c in sides:
+        inside &= vor.vertices @ nrm - c < -1e-9 * max(lx, ly)
+    unclipped = np.logical_and.reduceat(inside[flat], starts)
     for i in range(n):
-        reg = vor.regions[vor.point_region[i]]
-        if -1 in reg or len(reg) < 3:
-            raise MeshError("unbounded Voronoi cell; mirror construction failed")
-        poly = vor.vertices[reg]
-        if _signed_area(poly) < 0.0:
-            poly = poly[::-1]
-        if not periodic[0]:
-            poly = _clip_to_halfplane(poly, np.array([-1.0, 0.0]), -xlo)
-            poly = _clip_to_halfplane(poly, np.array([1.0, 0.0]), xhi)
-        if not periodic[1]:
-            poly = _clip_to_halfplane(poly, np.array([0.0, -1.0]), -ylo)
-            poly = _clip_to_halfplane(poly, np.array([0.0, 1.0]), yhi)
-        if len(poly) < 3:
-            raise MeshError("cell vanished while clipping to the box")
+        poly = polys[i][::-1] if area[i] < 0.0 else polys[i]
+        if not unclipped[i]:
+            for nrm, c in sides:
+                poly = _clip_to_halfplane(poly, nrm, c)
+            if len(poly) < 3:
+                raise MeshError("cell vanished while clipping to the box")
         if hole_center is not None:
             poly = _clip_cell_outside_circle(poly, np.asarray(hole_center), hole_radius)
-        polys.append(poly)
+        polys[i] = poly
     return polys
 
 
-def _polygon_centroid(poly: np.ndarray) -> np.ndarray:
-    a = _signed_area(poly)
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    return np.array([np.sum((x + xn) * cross), np.sum((y + yn) * cross)]) / (6.0 * a)
+def _weighted_centroid(poly: np.ndarray, centroid: np.ndarray, density) -> np.ndarray:
+    """Density-weighted centroid, by a degree-2 fan rule about `centroid`.
 
-
-def _weighted_centroid(poly: np.ndarray, density) -> np.ndarray:
-    if density is None:
-        return _polygon_centroid(poly)
-    rule = polygon_quadrature(poly, _polygon_centroid(poly), 2)
+    Edges shorter than 1e-12 of the longest are dropped first: the box clip
+    repeats a vertex that lies on a clip line (or emits a near-copy of it),
+    and the fan triangle on such an edge can flip.
+    """
+    d = np.roll(poly, -1, axis=0) - poly
+    length = np.hypot(d[:, 0], d[:, 1])
+    rule = polygon_quadrature(poly[length > 1e-12 * length.max()], centroid, 2)
     w = rule.weights * np.maximum(density(rule.nodes[:, 0], rule.nodes[:, 1]), 1e-14)
     return (rule.nodes * w[:, None]).sum(axis=0) / w.sum()
+
+
+def _canon(p, box, periodic) -> np.ndarray:
+    """Copy of point p with its periodic coordinates wrapped into the box."""
+    xlo, xhi, ylo, yhi = box
+    q = np.array(p, dtype=float)
+    if periodic[0]:
+        q[0] = xlo + np.mod(q[0] - xlo, xhi - xlo)
+    if periodic[1]:
+        q[1] = ylo + np.mod(q[1] - ylo, yhi - ylo)
+    return q
 
 
 class _VertexMerger:
@@ -522,17 +539,8 @@ class _VertexMerger:
         self.coords: list[np.ndarray] = []
         self._grid: dict = {}
 
-    def _canon(self, p):
-        xlo, xhi, ylo, yhi = self.box
-        q = np.array(p, dtype=float)
-        if self.periodic[0]:
-            q[0] = xlo + np.mod(q[0] - xlo, xhi - xlo)
-        if self.periodic[1]:
-            q[1] = ylo + np.mod(q[1] - ylo, yhi - ylo)
-        return q
-
     def lookup(self, p) -> int:
-        q = self._canon(p)
+        q = _canon(p, self.box, self.periodic)
         xlo, xhi, ylo, yhi = self.box
         probes = [q]
         # points within tol of a periodic seam also probe the wrapped image
@@ -596,14 +604,6 @@ def _collapse_short_edges(cells, coords, vertices, box, periodic, tol,
     xlo, xhi, ylo, yhi = box
     lx, ly = xhi - xlo, yhi - ylo
 
-    def canon(p):
-        q = np.array(p, dtype=float)
-        if periodic[0]:
-            q[0] = xlo + np.mod(q[0] - xlo, lx)
-        if periodic[1]:
-            q[1] = ylo + np.mod(q[1] - ylo, ly)
-        return q
-
     for _ in range(passes):
         parent = np.arange(len(vertices))
 
@@ -616,14 +616,11 @@ def _collapse_short_edges(cells, coords, vertices, box, periodic, tol,
 
         target = {}
         merged_any = False
-        for loop, pts in zip(cells, coords):
-            n = len(loop)
-            h = np.sqrt(abs(_signed_area(pts)))
-            for a in range(n):
-                b = (a + 1) % n
-                length = np.hypot(*(pts[b] - pts[a]))
-                if length >= theta * h:
-                    continue
+        cell_h = np.sqrt(np.abs(polygon_areas_centroids(coords)[0]))
+        for loop, pts, h in zip(cells, coords, cell_h):
+            d = np.roll(pts, -1, axis=0) - pts
+            for a in np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) < theta * h):
+                b = (a + 1) % len(loop)
                 ra, rb = find(loop[a]), find(loop[b])
                 if ra == rb:
                     continue
@@ -648,7 +645,7 @@ def _collapse_short_edges(cells, coords, vertices, box, periodic, tol,
                             tgt[1] = val
                 else:
                     root, child = ra, rb
-                    tgt = canon(0.5 * (pts[a] + pts[b]))  # frame midpoint, wrap-safe
+                    tgt = _canon(0.5 * (pts[a] + pts[b]), box, periodic)  # wrap-safe midpoint
                     for kind, val in ca:
                         if kind == "x":
                             tgt[0] = val
@@ -729,7 +726,7 @@ def _assemble_mesh(polys: list[np.ndarray], box, periodic, scale: float,
     # edge matching: vertex-pair candidate lists, resolved by canonical-midpoint
     # distance (periodic wrap aware); robust against quantisation splits
     def canon_sep(a, b):
-        d = np.abs(merger._canon(a) - merger._canon(b))
+        d = np.abs(_canon(a, box, periodic) - _canon(b, box, periodic))
         if periodic[0]:
             d[0] = min(d[0], (xhi - xlo) - d[0])
         if periodic[1]:
@@ -845,7 +842,9 @@ def generate_voronoi(box, n_seeds: int, lloyd_iters: int = 20, seed: int = 0,
         raise MeshError("duplicate seeds after sampling")
     for _ in range(lloyd_iters):
         polys = _voronoi_polygons(pts, box, periodic, hole_center, hole_radius)
-        new = np.array([_weighted_centroid(p, density) for p in polys])
+        _, new = polygon_areas_centroids(polys)
+        if density is not None:
+            new = np.array([_weighted_centroid(p, c, density) for p, c in zip(polys, new)])
         if periodic[0]:
             new[:, 0] = xlo + np.mod(new[:, 0] - xlo, xhi - xlo)
         if periodic[1]:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fvvem import mesh as fm
+from fvvem.harness import cases
 
 
 def unit_square():
@@ -67,6 +68,34 @@ class TestGeometry:
             for e, s in zip(m.cell_edges[ci], m.cell_edge_sign[ci]):
                 acc += s * g.edge_length[e] * g.edge_normal[e]
             assert np.abs(acc).max() < 1e-13
+
+
+@st.composite
+def star_polygons(draw):
+    """Simple polygon with 3-12 vertices: sorted angles about a centre, either
+    orientation."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    cx, cy = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    ang = 2.0 * np.pi * np.cumsum(gaps) / gaps.sum()
+    pts = np.column_stack([cx + radii * np.cos(ang), cy + radii * np.sin(ang)])
+    return pts[::-1] if draw(st.booleans()) else pts
+
+
+class TestGroupedShoelace:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(star_polygons(), min_size=1, max_size=20))
+    def test_equals_the_per_polygon_formula_bitwise(self, polys):
+        area, centroid = fm.polygon_areas_centroids(polys)
+        for i, pts in enumerate(polys):
+            x, y = pts[:, 0], pts[:, 1]
+            xn, yn = np.roll(x, -1), np.roll(y, -1)
+            cross = x * yn - xn * y
+            a = fm._signed_area(pts)
+            c = np.array([np.sum((x + xn) * cross), np.sum((y + yn) * cross)]) / (6.0 * a)
+            assert area[i] == a
+            assert np.array_equal(centroid[i], c)
 
 
 class TestRegularity:
@@ -134,6 +163,33 @@ class TestInteriorQuadrature:
                     val = np.sum(rule.weights * rule.nodes[:, 0] ** p * rule.nodes[:, 1] ** q)
                     ref = fm.monomial_integral_greens(pts, p, q)
                     assert val == pytest.approx(ref, rel=1e-13, abs=1e-14), (d, p, q)
+
+    @settings(max_examples=50, deadline=None)
+    @given(star_polygons(), st.integers(min_value=0, max_value=6))
+    def test_fan_rule_equals_triangle_by_triangle_bitwise(self, pts, degree):
+        v0 = fm.polygon_areas_centroids([pts])[1][0]
+        ref_pts, ref_w = fm.triangle_rule(degree)
+        nodes, weights = [], []
+        for a in range(len(pts)):
+            v1, v2 = pts[a], pts[(a + 1) % len(pts)]
+            j = (v1 - v0)[0] * (v2 - v0)[1] - (v1 - v0)[1] * (v2 - v0)[0]
+            nodes.append(v0 + ref_pts[:, :1] * (v1 - v0) + ref_pts[:, 1:] * (v2 - v0))
+            weights.append(ref_w * j)
+        if min(w[0] for w in weights) <= 0.0:
+            with pytest.raises(fm.MeshError, match="star-shaped"):
+                fm.polygon_quadrature(pts, v0, degree)
+            return
+        rule = fm.polygon_quadrature(pts, v0, degree)
+        assert np.array_equal(rule.nodes, np.vstack(nodes))
+        assert np.array_equal(rule.weights, np.concatenate(weights))
+
+    def test_triangle_rule_is_memoized_read_only(self):
+        pts, w = fm.triangle_rule(4)
+        again = fm.triangle_rule(4)
+        assert again[0] is pts and again[1] is w
+        assert not pts.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
 
     def test_degree_cap(self):
         m = unit_square()
@@ -224,6 +280,53 @@ class TestVoronoi:
     def test_voronoi_invariants_property(self, seed):
         m = fm.generate_voronoi((0, 1, 0, 1), 24, lloyd_iters=3, seed=seed)
         m.validate(domain_area=1.0)
+
+    # recorded before the Lloyd loop was vectorized: connectivity_hash, edge
+    # count and the float.hex of the sum of every cell coordinate
+    @pytest.mark.parametrize("kwargs, golden", [
+        (dict(box=(0, 3, 0, 2), n_seeds=77, lloyd_iters=4, seed=9),
+         (-954481171058398105, 229, "0x1.114babe4d679cp+10")),
+        (dict(box=(0, 1, 0, 1), n_seeds=40, lloyd_iters=8, seed=6, periodic=(True, True)),
+         (-5738978768466291501, 118, "0x1.ed0c5dc17132fp+7")),
+        (dict(box=(0, 2, 0, 1), n_seeds=30, lloyd_iters=6, seed=8, periodic=(False, True)),
+         (6435408977088644933, 89, "0x1.dfe1e54dd99eep+7")),
+        (dict(box=(-4, 4, -4, 4), n_seeds=150, lloyd_iters=5, seed=12,
+              hole_center=(0.0, 0.0), hole_radius=1.0),
+         (-388066279371428011, 449, "0x1.10c78bfbb4ecfp+8")),
+        (dict(box=(-16, 16, -16, 16), n_seeds=200, lloyd_iters=4, seed=1,
+              hole_center=(0.0, 0.0), hole_radius=1.0,
+              density=lambda x, y: 1.0 / np.clip(
+                  0.05 + 0.45 * (np.hypot(x, y) - 1.0) / 15.0, 0.05, 0.5) ** 2),
+         (-4120039959164601083, 589, "-0x1.1c82a66d785b0p+7")),
+    ], ids=["box", "torus", "one_axis", "hole", "density"])
+    def test_golden_fingerprint(self, kwargs, golden):
+        m = fm.generate_voronoi(**kwargs)
+        coord_sum = float(np.concatenate(m.cell_coords).sum()).hex()
+        assert (m.connectivity_hash(), m.n_edges, coord_sum) == golden
+
+    @pytest.mark.parametrize("make", [
+        *(lambda s=s: cases.get_case("ins_cylinder", seed=s, n_cells=400).make_mesh()
+          for s in range(8)),
+        lambda: cases.get_case("ins_cylinder", seed=0, n_cells=1500).make_mesh(),
+        lambda: cases.get_case("swe_cylinder", seed=5, n_cells=400).make_mesh(),
+        lambda: fm.generate_voronoi((0, 1, 0, 1), 120, lloyd_iters=5, seed=2,
+                                    density=lambda x, y: 1 + 4 * x),
+    ], ids=[*(f"ins_cylinder_400_seed{s}" for s in range(8)), "ins_cylinder_1500_seed0",
+            "swe_cylinder_400_seed5", "box_density_seed2"])
+    def test_graded_mesh_builds(self, make):
+        # the box clip repeats vertices on the clip lines; the density
+        # centroids used to fail on their zero-length fan triangles
+        m = make()
+        m.validate()
+        assert fm.validate_regularity(m, fm.build_geometry(m), 0.05).all_passed
+
+    def test_weighted_centroid_ignores_repeated_vertex(self):
+        pts = regular_polygon(6, radius=2.0, center=(1.0, -1.0))
+        repeated = np.insert(pts, 2, pts[2] + [1e-17, 0.0], axis=0)
+        dens = lambda x, y: 1.0 + x * x
+        c = np.array([1.0, -1.0])
+        assert np.array_equal(fm._weighted_centroid(repeated, c, dens),
+                              fm._weighted_centroid(pts, c, dens))
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(fm.MeshError):

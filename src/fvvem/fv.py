@@ -1,36 +1,31 @@
 """Explicit finite-volume machinery on polygonal meshes.
 
-Cell-average storage, conservative Taylor modal basis, CWENO reconstruction,
-Rusanov fluxes and the explicit convective operator.  Everything that depends
-only on the mesh is precomputed once in FvOperators and reused across stages;
-per-stage work is batched numpy over cells and edges.
+Conservative Taylor modal basis, CWENO reconstruction, Rusanov fluxes and the
+explicit convective operator.  Everything that depends only on the mesh is
+precomputed once in FvOperators and reused across stages.  The set-up works
+on stacked arrays: Taylor corrections per vertex-count group of cells, edge
+basis tables over all edges at once, and the least-squares stencil fits over
+all (cell, member, shift) triples, with one pseudo-inverse per stencil size.
+Per-stage work is batched numpy over cells and edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_legendre
 
 from .mesh import GeometryCache, PolyMesh, polygon_quadrature
-from .vem import MonomialBasis, multi_indices, n_poly
+from .vem import MonomialBasis, n_poly
+
+# stencil member quadrature evaluations per batch: bounds the (pairs, nodes,
+# basis) temporary of the fit rows at a few MB
+_FIT_CHUNK = 2048
 
 
 class FvError(Exception):
     """Reconstruction failure or inadmissible state."""
-
-
-@dataclass
-class FvField:
-    """Per-cell conserved averages: component rows, cell columns."""
-
-    Q: np.ndarray           # (ncomp, ncell)
-    time: float = 0.0
-    names: tuple = ()
-
-    def copy(self) -> "FvField":
-        return FvField(self.Q.copy(), self.time, self.names)
 
 
 @dataclass
@@ -49,7 +44,9 @@ class TaylorBasis:
     """Conservative Taylor basis: scaled monomials minus their cell means.
 
     beta_1 = 1; for l >= 2, beta_l = m_l - mean(m_l), so the cell average of
-    any expansion equals its first coefficient.
+    any expansion equals its first coefficient.  The means (`corrections`)
+    of each vertex-count group come from one monomial evaluation on the
+    stacked fan rules of its cells.
     """
 
     def __init__(self, mesh: PolyMesh, geom: GeometryCache, k: int):
@@ -57,30 +54,26 @@ class TaylorBasis:
         self.nk = n_poly(k)
         self.mesh = mesh
         self.geom = geom
-        nc = mesh.n_cells
-        self.corrections = np.zeros((nc, self.nk))
-        self._bases = []
-        for ci in range(nc):
-            basis = MonomialBasis(k, geom.barycenter[ci], geom.h[ci])
-            self._bases.append(basis)
-            rule = polygon_quadrature(mesh.cell_coords[ci], geom.barycenter[ci],
+        self.corrections = np.zeros((mesh.n_cells, self.nk))
+        for idx in mesh.vertex_count_groups():
+            rule = polygon_quadrature(mesh.stacked_coords(idx), geom.barycenter[idx],
                                       max(2 * k, 2))
-            means = (rule.weights @ basis.values(rule.nodes)) / geom.area[ci]
-            self.corrections[ci, 1:] = means[1:]
+            vals = self.cell_basis(idx).values(rule.nodes)
+            means = (rule.weights[:, None, :] @ vals)[:, 0] / geom.area[idx, None]
+            self.corrections[idx, 1:] = means[:, 1:]
 
-    def cell_basis(self, ci: int) -> MonomialBasis:
-        return self._bases[ci]
+    def cell_basis(self, cells) -> MonomialBasis:
+        """Monomial basis of one cell, or the stacked basis of an id array."""
+        return MonomialBasis(self.k, self.geom.barycenter[cells], self.geom.h[cells])
 
-    def values(self, ci: int, pts: np.ndarray, shift=None) -> np.ndarray:
-        """(npts, nk) Taylor basis values; `shift` maps pts into ci's frame."""
+    def values(self, cells, pts: np.ndarray, shift=None) -> np.ndarray:
+        """Taylor basis values: (npts, nk) for one cell id and (npts, 2)
+        points, (g, npts, nk) for g ids and (g, npts, 2) points.  `shift`
+        maps the points into the cells' frames."""
         pts = np.atleast_2d(pts)
         if shift is not None:
             pts = pts + shift
-        return self._bases[ci].values(pts) - self.corrections[ci]
-
-
-def taylor_basis(mesh: PolyMesh, geom: GeometryCache, k: int) -> TaylorBasis:
-    return TaylorBasis(mesh, geom, k)
+        return self.cell_basis(cells).values(pts) - self.corrections[cells][..., None, :]
 
 
 def rusanov_flux(wL, wR, n, model):
@@ -107,37 +100,13 @@ def rusanov_flux(wL, wR, n, model):
 
 @dataclass
 class _StencilGroup:
-    cells: np.ndarray        # (ng,) cell ids
-    members: np.ndarray      # (ng, nst) stencil member cell ids
-    pinv: np.ndarray         # (ng, nk-1, nst)
-    res_q: np.ndarray        # (ng, nst, nst) residual factor (A P - I)
-    pinv1: np.ndarray = None  # unused for central
+    """Least-squares fits of stencils zero-padded to a common width; padded
+    members repeat the first member and get zero weights."""
 
-
-@dataclass
-class _SectorGroup:
-    cells: np.ndarray        # (np,) owner cell of each sector
-    members: np.ndarray      # (np, ns)
-    pinv: np.ndarray         # (np, 2, ns)
-    res_q: np.ndarray        # (np, ns, ns)
-
-
-def _pad_group(entries, nrow, cls):
-    """Stack (cell, members, pinv, res_q) tuples zero-padded to a common
-    stencil width; padded members repeat the first member (zero weights)."""
-    width = max(len(e[1]) for e in entries)
-    n = len(entries)
-    cells = np.array([e[0] for e in entries])
-    members = np.empty((n, width), dtype=np.int64)
-    pinv = np.zeros((n, nrow, width))
-    res_q = np.zeros((n, width, width))
-    for i, (_, mem, P, RQ) in enumerate(entries):
-        m = len(mem)
-        members[i, :m] = mem
-        members[i, m:] = mem[0]
-        pinv[i, :, :m] = P
-        res_q[i, :m, :m] = RQ
-    return cls(cells, members, pinv, res_q)
+    cells: np.ndarray        # (n,) owner cell of each stencil
+    members: np.ndarray      # (n, nst) stencil member cell ids
+    pinv: np.ndarray         # (n, ncols, nst)
+    res_q: np.ndarray        # (n, nst, nst) residual factor (A P - I)
 
 
 class FvOperators:
@@ -153,6 +122,10 @@ class FvOperators:
         self._adjacency()
         self._edge_tables()
         if self.k >= 1:
+            self._member_rules = [
+                (idx, polygon_quadrature(mesh.stacked_coords(idx), geom.barycenter[idx],
+                                         max(self.k, 1)))
+                for idx in mesh.vertex_count_groups()]
             self._central_stencils()
             self._sector_stencils()
 
@@ -189,28 +162,26 @@ class FvOperators:
         self.interior = np.where(mesh.edge_cells[:, 1] >= 0)[0]
         self.boundary = np.where(mesh.edge_cells[:, 1] < 0)[0]
         ne = mesh.n_edges
-        self.basis_L = np.zeros((ne, ng, self.nk))
-        self.basis_R = np.zeros((ne, ng, self.nk))
-        for e in range(ne):
-            L, R = mesh.edge_cells[e]
-            self.basis_L[e] = self.taylor.values(L, pts[e])
-            if R >= 0:
-                self.basis_R[e] = self.taylor.values(R, pts[e], shift=mesh.edge_shift[e])
+        L = mesh.edge_cells[:, 0]
+        R = mesh.edge_cells[:, 1]
+        inte = self.interior
+        self.basis_L = self.taylor.values(L, pts)                 # (NE, ng, nk)
+        self.basis_R = np.zeros_like(self.basis_L)
+        self.basis_R[inte] = self.taylor.values(R[inte], pts[inte],
+                                                shift=mesh.edge_shift[inte, None, :])
         self.by_tag = {}
         for e in self.boundary:
             self.by_tag.setdefault(mesh.boundary_tags[int(e)], []).append(int(e))
         self.by_tag = {tag: np.array(es, dtype=np.int64)
                        for tag, es in sorted(self.by_tag.items())}
         import scipy.sparse as sp
-        L = mesh.edge_cells[:, 0]
-        R = mesh.edge_cells[:, 1]
-        rows = np.concatenate([L, R[self.interior]])
-        cols = np.concatenate([np.arange(ne), self.interior])
-        sgn = np.concatenate([np.ones(ne), -np.ones(len(self.interior))])
+        rows = np.concatenate([L, R[inte]])
+        cols = np.concatenate([np.arange(ne), inte])
+        sgn = np.concatenate([np.ones(ne), -np.ones(len(inte))])
         self._edge_incidence = sp.coo_matrix((sgn, (rows, cols)),
                                              shape=(mesh.n_cells, ne)).tocsr()
 
-    # -- central stencils -----------------------------------------------------
+    # -- stencil fits ---------------------------------------------------------
 
     def _grow_stencil(self, ci: int, target: int):
         """Breadth-first (cell, shift) stencil around ci, whole layers."""
@@ -231,41 +202,61 @@ class FvOperators:
             frontier = nxt
         return out
 
-    def _fit_rows(self, ci: int, members) -> np.ndarray:
-        """LSQ rows: mean of cell ci's Taylor basis (l >= 2) over each member."""
+    def _fit_rows(self, owner: np.ndarray, members: np.ndarray,
+                  shifts: np.ndarray) -> np.ndarray:
+        """LSQ rows (n, nk-1): the mean over cell members[i], moved by
+        -shifts[i] into owner[i]'s frame, of owner[i]'s Taylor basis l >= 2.
+
+        Members are taken by vertex-count group, so that each batch reads
+        the stacked member rules of one group."""
         rows = np.empty((len(members), self.nk - 1))
-        for r, (cj, s) in enumerate(members):
-            rule = self._member_rule(cj)
-            vals = self.taylor.values(ci, rule.nodes, shift=-s)
-            rows[r] = (rule.weights @ vals[:, 1:]) / self.geom.area[cj]
+        for idx, rule in self._member_rules:
+            sel = np.flatnonzero(np.isin(members, idx))
+            for chunk in np.array_split(sel, max(1, -(-len(sel) // _FIT_CHUNK))):
+                local = np.searchsorted(idx, members[chunk])
+                nodes = rule.nodes[local] - shifts[chunk, None, :]
+                vals = self.taylor.values(owner[chunk], nodes)[..., 1:]
+                means = (rule.weights[local][:, None, :] @ vals)[:, 0]
+                rows[chunk] = means / self.geom.area[members[chunk], None]
         return rows
 
-    def _member_rule(self, cj: int):
-        if not hasattr(self, "_rules"):
-            self._rules = {}
-        if cj not in self._rules:
-            self._rules[cj] = polygon_quadrature(self.mesh.cell_coords[cj],
-                                                 self.geom.barycenter[cj],
-                                                 max(self.k, 1))
-        return self._rules[cj]
+    def _fit(self, cells, stencils, ncols: int) -> _StencilGroup:
+        """Fit each stencil (a list of (cell, shift) members) of its owner in
+        `cells` to the first `ncols` non-constant Taylor functions; one
+        pseudo-inverse runs on the stack of each stencil size, each matrix
+        with its own rcond cutoff."""
+        sizes = np.array([len(s) for s in stencils])
+        members = np.array([c for s in stencils for c, _ in s], dtype=np.int64)
+        shifts = np.array([sh for s in stencils for _, sh in s]).reshape(-1, 2)
+        rows = self._fit_rows(np.repeat(cells, sizes), members, shifts)[:, :ncols]
+        start = np.cumsum(sizes) - sizes
+        n, width = len(cells), sizes.max()
+        padded = np.empty((n, width), dtype=np.int64)
+        pinv = np.zeros((n, ncols, width))
+        res_q = np.zeros((n, width, width))
+        for m in np.unique(sizes):
+            sel = np.flatnonzero(sizes == m)
+            ids = start[sel, None] + np.arange(m)
+            A = rows[ids]
+            P = np.linalg.pinv(A, rcond=1e-10)
+            pinv[sel, :, :m] = P
+            res_q[sel, :m, :m] = A @ P - np.eye(m)
+            padded[sel, :m] = members[ids]
+            padded[sel, m:] = members[ids[:, :1]]
+        return _StencilGroup(np.asarray(cells), padded, pinv, res_q)
 
     def _central_stencils(self):
         target = max(int(np.ceil(self.cfg.growth * self.nk)), self.nk + 2)
-        entries = []
-        self.central_members = []
-        for ci in range(self.mesh.n_cells):
-            members = self._grow_stencil(ci, target)
-            if len(members) < self.nk - 1:
-                raise FvError(f"cell {ci}: stencil of {len(members)} cells cannot "
-                              f"determine a degree-{self.k} polynomial")
-            A = self._fit_rows(ci, members)
-            P = np.linalg.pinv(A, rcond=1e-10)
-            Mres = A @ P - np.eye(len(members))
-            entries.append((ci, np.array([m[0] for m in members]), P, Mres))
-            self.central_members.append(members)
-        # zero-pad all stencils to a common width: one batched group keeps the
-        # per-call numpy dispatch overhead flat
-        self.central_groups = [_pad_group(entries, self.nk - 1, _StencilGroup)]
+        nc = self.mesh.n_cells
+        stencils = [self._grow_stencil(ci, target) for ci in range(nc)]
+        sizes = np.array([len(s) for s in stencils])
+        small = np.flatnonzero(sizes < self.nk - 1)
+        if len(small):
+            ci = small[0]
+            raise FvError(f"cell {ci}: stencil of {sizes[ci]} cells cannot "
+                          f"determine a degree-{self.k} polynomial")
+        # one zero-padded group keeps the per-call numpy dispatch overhead flat
+        self.central_groups = [self._fit(np.arange(nc), stencils, self.nk - 1)]
 
     def _finalize_scatter(self):
         """Sparse owner-cell scatter for all sector pairs (fast reductions)."""
@@ -283,48 +274,42 @@ class FvOperators:
             (np.ones(npairs), (cells, np.arange(npairs))),
             shape=(self.mesh.n_cells, max(npairs, 1))).tocsr()
 
-    def _sector_stencils(self):
-        per_size = {}
-        n_sectors = np.zeros(self.mesh.n_cells, dtype=np.int64)
-        # entries are grouped by stencil size first, then padded into one batch
-        for ci in range(self.mesh.n_cells):
-            loop = set(int(v) for v in self.mesh.cells[ci])
-            for nb, s in sorted(self.neighbors[ci], key=lambda p: (p[0], p[1][0], p[1][1])):
-                members = [(nb, s)]
-                wedge = set(int(v) for v in self.mesh.cells[nb])
-                for v in sorted(loop):
-                    for cj, _pt in self._vert_cells.get(v, ()):
-                        if cj == ci or cj == nb:
-                            continue
-                        if v in wedge:
-                            cand = self._shift_of(ci, cj, v)
-                            if cand is not None and not any(
-                                    m[0] == cj and np.allclose(m[1], cand) for m in members):
-                                members.append((cj, cand))
-                if len(members) < 2:
-                    for nb2, s2 in sorted(self.neighbors[nb], key=lambda p: p[0]):
-                        if nb2 != ci and not any(m[0] == nb2 for m in members):
-                            members.append((nb2, s + s2))
-                        if len(members) >= 2:
-                            break
-                A = self._fit_rows_linear(ci, members)
-                P = np.linalg.pinv(A, rcond=1e-10)
-                Mres = A @ P - np.eye(len(members))
-                per_size.setdefault(len(members), []).append(
-                    (ci, np.array([m[0] for m in members]), P, Mres))
-                n_sectors[ci] += 1
-        self.n_sectors = n_sectors
-        entries = [e for _, group in sorted(per_size.items()) for e in group]
-        self.sector_groups = [_pad_group(entries, 2, _SectorGroup)] if entries else []
-        self._finalize_scatter()
+    def _sector_members(self, ci: int) -> list:
+        """One (cell, shift) member list per neighbor of ci: the neighbor,
+        then the cells sharing a vertex with both, else second neighbors."""
+        loop = set(int(v) for v in self.mesh.cells[ci])
+        sectors = []
+        for nb, s in sorted(self.neighbors[ci], key=lambda p: (p[0], p[1][0], p[1][1])):
+            members = [(nb, s)]
+            wedge = set(int(v) for v in self.mesh.cells[nb])
+            for v in sorted(loop):
+                for cj, _pt in self._vert_cells.get(v, ()):
+                    if cj == ci or cj == nb:
+                        continue
+                    if v in wedge:
+                        cand = self._shift_of(ci, cj, v)
+                        if cand is not None and not any(
+                                m[0] == cj and np.allclose(m[1], cand) for m in members):
+                            members.append((cj, cand))
+            if len(members) < 2:
+                for nb2, s2 in sorted(self.neighbors[nb], key=lambda p: p[0]):
+                    if nb2 != ci and not any(m[0] == nb2 for m in members):
+                        members.append((nb2, s + s2))
+                    if len(members) >= 2:
+                        break
+            sectors.append(members)
+        return sectors
 
-    def _fit_rows_linear(self, ci: int, members) -> np.ndarray:
-        rows = np.empty((len(members), 2))
-        for r, (cj, s) in enumerate(members):
-            rule = self._member_rule(cj)
-            vals = self.taylor.values(ci, rule.nodes, shift=-s)
-            rows[r] = (rule.weights @ vals[:, 1:3]) / self.geom.area[cj]
-        return rows
+    def _sector_stencils(self):
+        sectors = [(ci, members) for ci in range(self.mesh.n_cells)
+                   for members in self._sector_members(ci)]
+        self.n_sectors = np.bincount(np.array([ci for ci, _ in sectors], dtype=np.int64),
+                                     minlength=self.mesh.n_cells)
+        # one group ordered by stencil size, cell order within a size
+        sectors.sort(key=lambda p: len(p[1]))
+        self.sector_groups = [self._fit(np.array([ci for ci, _ in sectors]),
+                                        [m for _, m in sectors], 2)] if sectors else []
+        self._finalize_scatter()
 
     def _shift_of(self, ci: int, cj: int, shared_vertex: int):
         """Frame shift s of cj relative to ci (x_in_cj = x_in_ci + s)."""
@@ -410,10 +395,11 @@ class FvOperators:
     def cell_means_of_field(self, func, degree: int) -> np.ndarray:
         """Cell averages of an analytic function (quadrature of given degree)."""
         out = np.empty(self.mesh.n_cells)
-        for ci in range(self.mesh.n_cells):
-            rule = polygon_quadrature(self.mesh.cell_coords[ci],
-                                      self.geom.barycenter[ci], degree)
-            out[ci] = rule.weights @ func(rule.nodes) / self.geom.area[ci]
+        for idx in self.mesh.vertex_count_groups():
+            rule = polygon_quadrature(self.mesh.stacked_coords(idx),
+                                      self.geom.barycenter[idx], degree)
+            vals = func(rule.nodes.reshape(-1, 2)).reshape(rule.weights.shape)
+            out[idx] = np.sum(rule.weights * vals, axis=1) / self.geom.area[idx]
         return out
 
 
@@ -443,7 +429,3 @@ def explicit_operator(ops: FvOperators, model, coeffs_E: np.ndarray,
     expl = model.explicit_components(Qbar_I)
     return expl - dt / geom.area[None, :] * acc
 
-
-def cweno_reconstruct(ops: FvOperators, fieldQ: np.ndarray) -> np.ndarray:
-    """Spec-facing alias of FvOperators.reconstruct."""
-    return ops.reconstruct(fieldQ)

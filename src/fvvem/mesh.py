@@ -66,20 +66,29 @@ def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def polygon_quadrature(vertices: np.ndarray, barycenter: np.ndarray, degree: int) -> QuadRule:
-    """Interior rule on a star-shaped polygon via the barycenter fan.
+    """Interior rule on star-shaped polygons via the barycenter fan.
 
-    Exact for polynomials up to `degree`; weights sum to the polygon area.
-    Nodes and weights are ordered fan triangle by fan triangle.
+    `vertices` is one (nv, 2) polygon with its (2,) barycenter, or a stack
+    (g, nv, 2) of polygons with equal vertex count and their (g, 2)
+    barycenters; nodes come back as (..., nv * nq, 2) and weights as
+    (..., nv * nq), ordered fan triangle by fan triangle within each polygon.
+    Exact for polynomials up to `degree`; each polygon's weights sum to its
+    area.
     """
     ref_pts, ref_w = triangle_rule(degree)
-    e1 = vertices - barycenter
-    e2 = np.roll(vertices, -1, axis=0) - barycenter
-    j = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if np.any(j <= 0.0):
-        raise MeshError("cell not star-shaped w.r.t. barycenter (fan triangle flipped)")
-    nodes = (barycenter + ref_pts[None, :, :1] * e1[:, None, :]
-             + ref_pts[None, :, 1:] * e2[:, None, :])
-    return QuadRule(nodes.reshape(-1, 2), (j[:, None] * ref_w[None, :]).ravel(), degree)
+    center = np.asarray(barycenter)[..., None, :]
+    e1 = vertices - center
+    e2 = np.roll(vertices, -1, axis=-2) - center
+    j = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+    flipped = np.any(j <= 0.0, axis=-1)
+    if np.any(flipped):
+        where = f" (polygon {np.flatnonzero(flipped)[0]} of the stack)" if flipped.ndim else ""
+        raise MeshError(f"cell not star-shaped w.r.t. barycenter (fan triangle flipped){where}")
+    nodes = (center[..., None, :] + ref_pts[:, :1] * e1[..., None, :]
+             + ref_pts[:, 1:] * e2[..., None, :])
+    lead = j.shape[:-1]
+    return QuadRule(nodes.reshape(*lead, -1, 2),
+                    (j[..., None] * ref_w).reshape(*lead, -1), degree)
 
 
 # Gauss-Lobatto nodes/weights on [-1, 1], indexed by point count.
@@ -222,6 +231,16 @@ class PolyMesh:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    def vertex_count_groups(self) -> list[np.ndarray]:
+        """Cell ids grouped by vertex count, counts ascending, ids ascending."""
+        counts = np.fromiter((len(c) for c in self.cells), dtype=np.int64,
+                             count=self.n_cells)
+        return [np.flatnonzero(counts == n) for n in np.unique(counts)]
+
+    def stacked_coords(self, cells) -> np.ndarray:
+        """(g, n, 2) polygons of cells that all have n vertices."""
+        return np.stack([self.cell_coords[ci] for ci in cells])
 
     def _build_edges(self):
         """Derive edges from shared vertex pairs (non-periodic construction)."""

@@ -208,61 +208,56 @@ class FlowState:
 # ---------------------------------------------------------------------------
 
 class _Group:
-    """Cells with equal vertex count, stacked for batched linear algebra."""
+    """Cells with equal vertex count, stacked for batched linear algebra.
 
-    def __init__(self, idx, elems, taylor, layout, mesh, geom, k, edge_points):
-        self.idx = np.asarray(idx)
+    Built from the group's stacked VEM element `elem`, its Taylor-to-monomial
+    changes of basis T and its transfer operators Vp/Cp.
+    """
+
+    def __init__(self, elem, T, Vp, Cp, layout, mesh, k, edge_points):
+        idx = self.idx = elem.cells
         nkm1 = n_poly(k - 1)
         self.dofs = np.stack([layout.cell_dofs[ci] for ci in idx])
-        self.area = geom.area[self.idx]
-        self.h = geom.h[self.idx]
-        self.T = np.stack([trmod.taylor_to_monomial(taylor, ci) for ci in idx])
-        self.Ct_mono = np.stack([elems[ci].C.T for ci in idx])     # (g, ndof, nk)
-        self.CT = np.einsum("gda,gab->gdb", self.Ct_mono, self.T)
-        self.pis0 = np.stack([elems[ci].pis_0 for ci in idx])
-        self.pis0x = np.stack([elems[ci].pis_0x for ci in idx])
-        self.pis0y = np.stack([elems[ci].pis_0y for ci in idx])
-        self.cp_km1 = np.stack([elems[ci].C[:nkm1] for ci in idx])  # (g, nkm1, ndof)
-        self.stab = np.stack([elems[ci].stab_nabla for ci in idx])
-        self.mass = np.stack([elems[ci].mass for ci in idx])
-        b0 = elems[idx[0]].basis
-        dx_unit = b0.derivative_coeffs(0) * b0.h
-        dy_unit = b0.derivative_coeffs(1) * b0.h
-        H = np.stack([elems[ci].H for ci in idx])
-        self.Hm = H
-        self.meanm = H[:, 0, :] / self.area[:, None]
-        dxh = dx_unit[None] / self.h[:, None, None]
-        dyh = dy_unit[None] / self.h[:, None, None]
-        self.dxT = dxh.transpose(0, 2, 1)      # monomial gradient coefficient maps
-        self.dyT = dyh.transpose(0, 2, 1)
-        nodes, weights, mono = [], [], []
-        for ci in idx:
-            rule = polygon_quadrature(mesh.cell_coords[ci], geom.barycenter[ci],
-                                      2 * k + 2)
-            nodes.append(rule.nodes)
-            weights.append(rule.weights)
-            mono.append(elems[ci].basis.values(rule.nodes))
-        self.qnodes = np.stack(nodes)
-        self.qw = np.stack(weights)
-        self.qmono = np.stack(mono)                                 # (g, nq, nk)
+        self.area = elem.area
+        self.T = T
+        self.Vp, self.Cp = Vp, Cp
+        self.Ct_mono = elem.C.transpose(0, 2, 1)                   # (g, ndof, nk)
+        self.CT = self.Ct_mono @ T
+        self.pis0 = elem.pis_0
+        self.pis0x = elem.pis_0x
+        self.pis0y = elem.pis_0y
+        self.cp_km1 = elem.C[:, :nkm1]                              # (g, nkm1, ndof)
+        self.stab = elem.stab_nabla
+        self.mass = elem.mass
+        self.const_dofs = elem.D[:, :, 0]                           # dofs of the constant 1
+        self.basis = elem.basis
+        self.Hm = elem.H
+        self.meanm = elem.H[:, 0, :] / self.area[:, None]
+        # monomial gradient coefficient maps
+        self.dxT = elem.basis.derivative_coeffs(0).transpose(0, 2, 1)
+        self.dyT = elem.basis.derivative_coeffs(1).transpose(0, 2, 1)
+        rule = polygon_quadrature(mesh.stacked_coords(idx), elem.basis.center, 2 * k + 2)
+        self.qnodes = rule.nodes
+        self.qw = rule.weights
+        self.qmono = elem.basis.values(rule.nodes)                 # (g, nq, nk)
         self.side_edges = np.stack([mesh.cell_edges[ci] for ci in idx])
         self.side_signs = np.stack([mesh.cell_edge_sign[ci] for ci in idx])
-        ng = edge_points.shape[1]
-        p0e = np.empty((len(idx), self.side_edges.shape[1], ng, self.mass.shape[1]))
-        for gi, ci in enumerate(idx):
-            elem = elems[ci]
-            for a, e in enumerate(mesh.cell_edges[ci]):
-                pts = edge_points[e]
-                if mesh.edge_cells[e, 0] != ci:        # traversed as the right cell
-                    pts = pts + mesh.edge_shift[e]
-                p0e[gi, a] = elem.basis.values(pts) @ elem.pis_0
-        self.p0_edge = p0e
-        self.Vp = None
-        self.Cp = None
+        # Pi0 of every dof's basis function at the flux Gauss points of each
+        # side, points moved into the cell's frame where it is the right cell
+        g, nv = self.side_edges.shape
+        pts = edge_points[self.side_edges]                          # (g, nv, ng, 2)
+        right = mesh.edge_cells[self.side_edges, 0] != idx[:, None]
+        pts = pts + np.where(right[..., None], mesh.edge_shift[self.side_edges], 0.0)[:, :, None, :]
+        vals = elem.basis.values(pts.reshape(g, -1, 2)) @ elem.pis_0
+        self.p0_edge = vals.reshape(g, nv, pts.shape[2], -1)
 
 
 class Discretization:
-    """Mesh + order bundle: VEM elements, FV operators, transfers, tables."""
+    """Mesh + order bundle: VEM elements, FV operators, transfers, tables.
+
+    Everything is built per vertex-count group of cells (`groups`), as stacked
+    arrays: one VEM element build, one transfer build and one _Group each.
+    """
 
     def __init__(self, mesh: PolyMesh, geom: GeometryCache, k: int,
                  cweno: fvmod.CwenoConfig | None = None):
@@ -278,24 +273,19 @@ class Discretization:
         self.cweno_cfg = cfg
         self.fvops = fvmod.FvOperators(mesh, geom, cfg)
         self.layout = vemod.build_dof_layout(mesh, geom, k)
-        self.elems = [vemod.build_element(mesh, geom, ci, k)
-                      for ci in range(mesh.n_cells)]
-        self.transfer = trmod.build_transfer(self.elems, self.fvops.taylor, self.layout)
-        self.M = vemod.scatter_matrix(self.layout, [e.mass for e in self.elems])
-        self.K = vemod.scatter_matrix(self.layout, [e.stiffness for e in self.elems])
+        self.groups, stiffness = [], []
+        for idx in mesh.vertex_count_groups():
+            elem = vemod.build_element(mesh, geom, idx, k)
+            T = trmod.taylor_to_monomial(self.fvops.taylor, idx)
+            Vp, Cp = trmod.build_transfer(elem, T)
+            self.groups.append(_Group(elem, T, Vp, Cp, self.layout, mesh, k,
+                                      self.fvops.edge_points))
+            stiffness.append(elem.stiffness)
+        cells = [grp.idx for grp in self.groups]
+        self.M = vemod.scatter_matrix(self.layout, [grp.mass for grp in self.groups], cells)
+        self.K = vemod.scatter_matrix(self.layout, stiffness, cells)
         self.ones = self._constant_dof_vector()
         self.area_total = float(np.sum(geom.area))
-        by_nv = {}
-        for ci, loop in enumerate(mesh.cells):
-            by_nv.setdefault(len(loop), []).append(ci)
-        self.groups = [
-            _Group(idx, self.elems, self.fvops.taylor, self.layout, mesh, geom, k,
-                   self.fvops.edge_points)
-            for _, idx in sorted(by_nv.items())
-        ]
-        for grp in self.groups:
-            grp.Vp = np.stack([self.transfer.V[ci] for ci in grp.idx])
-            grp.Cp = np.stack([self.transfer.C[ci] for ci in grp.idx])
         self._build_edge_trace_tables()
         self._build_global_operators()
 
@@ -326,10 +316,14 @@ class Discretization:
                  + np.arange(nk)[None, None, :] + np.zeros((1, ndof, 1), dtype=np.int64))
             return r, c, None
 
-        # fv_to_vem: dofs = Vglob @ coeffs.ravel() (multiplicity included)
+        # fv_to_vem: dofs = Vglob @ coeffs.ravel(); a dof shared by several
+        # cells takes the mean of their candidates
+        multiplicity = np.bincount(np.concatenate([grp.dofs.ravel() for grp in self.groups]),
+                                   minlength=nd).astype(float)
+
         def v_entries(grp):
             r, c, _ = cellcol(grp)
-            v = grp.Vp / self.transfer.multiplicity[grp.dofs][:, :, None]
+            v = grp.Vp / multiplicity[grp.dofs][:, :, None]
             return r, c, v
         self._Vglob = build(v_entries, nd, nc * nk)
 
@@ -397,11 +391,11 @@ class Discretization:
 
     def _constant_dof_vector(self) -> np.ndarray:
         ones = np.zeros(self.layout.n_dofs)
-        for ci, elem in enumerate(self.elems):
-            ones[self.layout.cell_dofs[ci]] = elem.D[:, 0]
+        for grp in self.groups:
+            ones[grp.dofs] = grp.const_dofs
         return ones
 
-    # -- field plumbing (sparse-operator fast paths of the transfer module) --
+    # -- field plumbing (sparse transfer operators) ---------------------------
 
     def fv_to_vem(self, coeffs):
         coeffs = np.asarray(coeffs)
@@ -446,15 +440,13 @@ class Discretization:
         for grp in self.groups:
             if degree is None:
                 nodes, qw, qmono = grp.qnodes, grp.qw, grp.qmono
-                vals = np.stack([f(nodes[gi]) for gi in range(len(grp.idx))])
-                mom = np.einsum("gq,gqa->ga", vals * qw, qmono)
             else:
-                mom = np.empty((len(grp.idx), self.nk))
-                for gi, ci in enumerate(grp.idx):
-                    rule = polygon_quadrature(self.mesh.cell_coords[ci],
-                                              self.geom.barycenter[ci], degree)
-                    mono = self.elems[ci].basis.values(rule.nodes)
-                    mom[gi] = mono.T @ (rule.weights * f(rule.nodes))
+                rule = polygon_quadrature(self.mesh.stacked_coords(grp.idx),
+                                          grp.basis.center, degree)
+                nodes, qw = rule.nodes, rule.weights
+                qmono = grp.basis.values(nodes)
+            vals = np.stack([f(nodes[gi]) for gi in range(len(grp.idx))])
+            mom = np.einsum("gq,gqa->ga", vals * qw, qmono)
             monoc = np.linalg.solve(grp.Hm, mom[:, :, None])[:, :, 0]
             coeffs[grp.idx] = np.linalg.solve(grp.T, monoc[:, :, None])[:, :, 0]
         return coeffs

@@ -1,109 +1,50 @@
-"""L2 projection operators between the FV modal space and the VEM space."""
+"""L2 projection operators between the FV modal space and the VEM space.
+
+Built per vertex-count group: for the g cells of a group, V_P is a
+(g, N_dof, n_k) stack and C_P a (g, n_k, N_dof) stack.  The Discretization
+assembles them into the sparse operators that apply the transfers.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fv import TaylorBasis
-from .vem import ElementVem, VemDofLayout
+from .vem import ElementVem, solve_cells
 
 
 class TransferError(Exception):
     pass
 
 
-@dataclass
-class TransferOps:
-    """Per-cell V_P (N_dof x n_k) and C_P (n_k x N_dof) with C_P V_P = I.
-
-    V_P maps FV modal (Taylor) coefficients to VEM dofs in the L2 sense;
-    C_P maps VEM dofs back to modal coefficients.  Shared vertex/edge dofs
-    are reconciled by averaging the incident-cell candidates.
-    """
-
-    V: list            # per cell (N_dof, n_k)
-    C: list            # per cell (n_k, N_dof)
-    layout: VemDofLayout
-    multiplicity: np.ndarray   # (n_dofs,) number of contributing cells
-    nk: int
-
-
-def taylor_to_monomial(taylor: TaylorBasis, ci: int) -> np.ndarray:
-    """Change of basis T with beta_l = sum_a T[a, l] m_a."""
-    nk = taylor.nk
-    T = np.eye(nk)
-    T[0, 1:] = -taylor.corrections[ci, 1:]
+def taylor_to_monomial(taylor: TaylorBasis, cells) -> np.ndarray:
+    """Changes of basis T (g, n_k, n_k) with beta_l = sum_a T[a, l] m_a."""
+    T = np.tile(np.eye(taylor.nk), (len(cells), 1, 1))
+    T[:, 0, 1:] = -taylor.corrections[cells, 1:]
     return T
 
 
-def _solve_refined(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Dense solve with one step of iterative refinement (k=4 Gram matrices
-    are ill-conditioned enough that plain LU loses a digit past 1e-11)."""
-    X = np.linalg.solve(A, B)
+def _solve_refined(A: np.ndarray, B: np.ndarray, cells, what: str) -> np.ndarray:
+    """Stacked dense solve with one step of iterative refinement (k=4 Gram
+    matrices are ill-conditioned enough that plain LU loses a digit past
+    1e-11); a singular matrix raises TransferError naming its cell."""
+    X = solve_cells(A, B, cells, TransferError, what)
     X += np.linalg.solve(A, B - A @ X)
     return X
 
 
-def build_transfer(elems: list[ElementVem], taylor: TaylorBasis,
-                   layout: VemDofLayout) -> TransferOps:
-    """Assemble both per-cell operators and the shared-dof multiplicity."""
-    V, C = [], []
-    nk = taylor.nk
-    mult = np.zeros(layout.n_dofs)
-    for ci, elem in enumerate(elems):
-        T = taylor_to_monomial(taylor, ci)
-        moments = elem.C.T @ T                      # integral of Pi0 phi_i * beta_l
-        try:
-            Vp = _solve_refined(elem.mass, moments)
-        except np.linalg.LinAlgError as exc:
-            raise TransferError(f"cell {ci}: singular VEM mass matrix") from exc
-        gram = T.T @ elem.H @ T
-        try:
-            Cp = _solve_refined(gram, T.T @ elem.C)
-        except np.linalg.LinAlgError as exc:
-            raise TransferError(f"cell {ci}: singular Taylor Gram matrix") from exc
-        # consistency enforcement: replace C_P by the exact left inverse of
-        # V_P on the modal space; the adjustment is O(conditioning roundoff),
-        # below the operators' own truncation level
-        Cp = np.linalg.solve(Cp @ Vp, Cp)
-        V.append(Vp)
-        C.append(Cp)
-        mult[layout.cell_dofs[ci]] += 1.0
-    return TransferOps(V, C, layout, mult, nk)
+def build_transfer(elem: ElementVem, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V_P (g, N_dof, n_k) and C_P (g, n_k, N_dof) of a group, with C_P V_P = I.
 
-
-def fv_to_vem(coeffs: np.ndarray, ops: TransferOps) -> np.ndarray:
-    """Per-cell V_P application; shared dofs take the mean of all candidates.
-
-    coeffs: (ncomp, ncell, nk) modal coefficients -> (ncomp, n_dofs).
+    V_P maps FV modal (Taylor) coefficients to VEM dofs in the L2 sense; C_P
+    maps VEM dofs back to modal coefficients.  `elem` is the group's stacked
+    element and T its Taylor-to-monomial changes of basis.
     """
-    coeffs = np.asarray(coeffs)
-    squeeze = coeffs.ndim == 2
-    if squeeze:
-        coeffs = coeffs[None]
-    ncomp = coeffs.shape[0]
-    out = np.zeros((ncomp, ops.layout.n_dofs))
-    for ci, Vp in enumerate(ops.V):
-        local = np.einsum("dl,cl->cd", Vp, coeffs[:, ci, :])
-        np.add.at(out.T, ops.layout.cell_dofs[ci], local.T)
-    out /= ops.multiplicity[None, :]
-    return out[0] if squeeze else out
-
-
-def vem_to_fv(dofs: np.ndarray, ops: TransferOps) -> np.ndarray:
-    """Per-cell C_P application: VEM dof vector -> modal coefficients.
-
-    The first coefficient of each cell is the Pi0 cell mean of the field.
-    """
-    dofs = np.asarray(dofs)
-    squeeze = dofs.ndim == 1
-    if squeeze:
-        dofs = dofs[None]
-    ncomp = dofs.shape[0]
-    nc = len(ops.V)
-    out = np.empty((ncomp, nc, ops.nk))
-    for ci, Cp in enumerate(ops.C):
-        out[:, ci, :] = dofs[:, ops.layout.cell_dofs[ci]] @ Cp.T
-    return out[0] if squeeze else out
+    Tt = T.transpose(0, 2, 1)
+    moments = elem.C.transpose(0, 2, 1) @ T         # integral of Pi0 phi_i * beta_l
+    Vp = _solve_refined(elem.mass, moments, elem.cells, "VEM mass matrix")
+    Cp = _solve_refined(Tt @ elem.H @ T, Tt @ elem.C, elem.cells, "Taylor Gram matrix")
+    # consistency enforcement: replace C_P by the exact left inverse of V_P on
+    # the modal space; the adjustment is O(conditioning roundoff), below the
+    # operators' own truncation level
+    return Vp, np.linalg.solve(Cp @ Vp, Cp)

@@ -1,14 +1,17 @@
 """Conforming virtual element space of order k on polygons.
 
-Per-element projector matrices, stabilized mass/stiffness operators, load
-projection and global assembly.  Orders k = 1..4 are supported.  All element
-quantities are computed in the cell's own coordinate frame with the scaled
-monomial basis centred at the barycenter.
+Projector matrices (D, G, B, H, C, E, Pi-nabla, Pi0), stabilized mass and
+stiffness operators, load projection and global assembly.  Orders k = 1..4
+are supported.  Elements are built per group of cells with equal vertex
+count: every element array is stacked along a leading cell axis, so that one
+batched product or solve serves the whole group.  All element quantities are
+computed in each cell's own coordinate frame with the scaled monomial basis
+centred at its barycenter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,66 +40,67 @@ def multi_indices(k: int) -> list[tuple[int, int]]:
 
 
 class MonomialBasis:
-    """Scaled monomials ((x - xc)/h)^kappa up to total degree k on one cell."""
+    """Scaled monomials ((x - xc)/h)^kappa up to total degree k.
 
-    def __init__(self, k: int, center: np.ndarray, h: float):
+    One cell (center (2,), scalar h; points (npts, 2)) or a stack of cells
+    (centers (g, 2), sizes (g,); points (g, npts, 2)).  Values and maps carry
+    the same leading axes.
+    """
+
+    def __init__(self, k: int, center: np.ndarray, h):
         self.k = k
         self.center = np.asarray(center, dtype=float)
-        self.h = float(h)
+        self.h = np.asarray(h, dtype=float)
         self.indices = multi_indices(k)
         self.n = len(self.indices)
 
     def values(self, pts: np.ndarray, upto: int | None = None) -> np.ndarray:
-        """(npts, n) monomial values; `upto` truncates the degree."""
+        """(..., npts, n) monomial values; `upto` truncates the degree."""
         pts = np.atleast_2d(pts)
-        xi = (pts[:, 0] - self.center[0]) / self.h
-        et = (pts[:, 1] - self.center[1]) / self.h
+        xi = (pts[..., 0] - self.center[..., None, 0]) / self.h[..., None]
+        et = (pts[..., 1] - self.center[..., None, 1]) / self.h[..., None]
         deg = self.k if upto is None else upto
-        cols = []
         pow_x = [np.ones_like(xi)]
         pow_y = [np.ones_like(et)]
         for d in range(1, deg + 1):
             pow_x.append(pow_x[-1] * xi)
             pow_y.append(pow_y[-1] * et)
-        for a, b in multi_indices(deg):
-            cols.append(pow_x[a] * pow_y[b])
-        return np.column_stack(cols)
+        return np.stack([pow_x[a] * pow_y[b] for a, b in multi_indices(deg)], axis=-1)
 
     def gradients(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(npts, n) arrays of d m_alpha / dx and / dy."""
-        pts = np.atleast_2d(pts)
+        """(..., npts, n) arrays of d m_alpha / dx and / dy."""
         vals = self.values(pts)
         gx = np.zeros_like(vals)
         gy = np.zeros_like(vals)
         pos = {idx: i for i, idx in enumerate(self.indices)}
         for i, (a, b) in enumerate(self.indices):
             if a > 0:
-                gx[:, i] = a / self.h * vals[:, pos[(a - 1, b)]]
+                gx[..., i] = (a / self.h)[..., None] * vals[..., pos[(a - 1, b)]]
             if b > 0:
-                gy[:, i] = b / self.h * vals[:, pos[(a, b - 1)]]
+                gy[..., i] = (b / self.h)[..., None] * vals[..., pos[(a, b - 1)]]
         return gx, gy
 
     def laplacian_coeffs(self) -> np.ndarray:
-        """(n, n) map L with Delta m_alpha = sum_beta L[alpha, beta] m_beta."""
+        """(..., n, n) map L with Delta m_alpha = sum_beta L[alpha, beta] m_beta."""
         L = np.zeros((self.n, self.n))
         pos = {idx: i for i, idx in enumerate(self.indices)}
         for i, (a, b) in enumerate(self.indices):
             if a >= 2:
-                L[i, pos[(a - 2, b)]] += a * (a - 1) / self.h ** 2
+                L[i, pos[(a - 2, b)]] += a * (a - 1)
             if b >= 2:
-                L[i, pos[(a, b - 2)]] += b * (b - 1) / self.h ** 2
-        return L
+                L[i, pos[(a, b - 2)]] += b * (b - 1)
+        return L / (self.h ** 2)[..., None, None]
 
     def derivative_coeffs(self, axis: int) -> np.ndarray:
-        """(n, n) map Dx with d m_alpha/dx = sum_beta Dx[alpha, beta] m_beta."""
+        """(..., n, n) map Dx with d m_alpha/dx = sum_beta Dx[alpha, beta] m_beta."""
         D = np.zeros((self.n, self.n))
         pos = {idx: i for i, idx in enumerate(self.indices)}
         for i, (a, b) in enumerate(self.indices):
             if axis == 0 and a > 0:
-                D[i, pos[(a - 1, b)]] = a / self.h
+                D[i, pos[(a - 1, b)]] = a
             if axis == 1 and b > 0:
-                D[i, pos[(a, b - 1)]] = b / self.h
-        return D
+                D[i, pos[(a, b - 1)]] = b
+        return D / self.h[..., None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +177,19 @@ def build_dof_layout(mesh: PolyMesh, geom: GeometryCache, k: int) -> VemDofLayou
 
 @dataclass
 class ElementVem:
-    """All per-element VEM operators for one cell at order k."""
+    """The VEM operators of a group of cells with equal vertex count, at order k.
+
+    Every array is stacked along a leading axis over `cells` (the shapes below
+    are those of one cell); `basis` is the stacked monomial basis and `area`
+    the (g,) cell areas.  An element built for a single cell id carries the
+    unstacked arrays of that cell.
+    """
 
     k: int
     n_dof: int
+    cells: np.ndarray        # (g,) cell ids
     basis: MonomialBasis
-    area: float
+    area: np.ndarray         # (g,)
     D: np.ndarray            # (N_dof, n_k) dofs of monomials
     G: np.ndarray            # (n_k, n_k)
     B: np.ndarray            # (n_k, N_dof)
@@ -201,154 +212,151 @@ class ElementVem:
     quad_monomials: np.ndarray   # (nq, n_k) monomial values at quad nodes
     edge_gl_nodes: np.ndarray    # (n_edges, k+1, 2) Gauss-Lobatto points per side
 
+    def cell(self, i: int) -> "ElementVem":
+        """The unstacked element of the i-th cell of the group."""
+        parts = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in parts.items():
+            if isinstance(value, np.ndarray):
+                parts[name] = value[i]
+        parts["basis"] = MonomialBasis(self.k, self.basis.center[i], self.basis.h[i])
+        parts["area"] = float(self.area[i])
+        return ElementVem(**parts)
 
-def build_element(mesh: PolyMesh, geom: GeometryCache, ci: int, k: int) -> ElementVem:
-    """Construct every projector and stabilized matrix for one cell."""
+
+def solve_cells(A: np.ndarray, B: np.ndarray, cells, error, what: str) -> np.ndarray:
+    """Stacked dense solve; a singular matrix raises `error` naming its cell.
+
+    A stacked np.linalg.solve fails as a whole, so on failure the matrices are
+    tried one by one to find the first singular one.
+    """
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        for Ai, Bi, ci in zip(A, B, cells):
+            try:
+                np.linalg.solve(Ai, Bi)
+            except np.linalg.LinAlgError as exc:
+                raise error(f"cell {ci}: singular {what}") from exc
+        raise
+
+
+def _fold_sides(vals: np.ndarray) -> np.ndarray:
+    """(g, nv, k+1, m) values at the Gauss-Lobatto nodes of each side ->
+    (g, nv*k, m) sums over the boundary dofs: vertex a gathers node 0 of
+    side a and node k of side a-1; interior nodes are their own dofs."""
+    g, nv, kp1, m = vals.shape
+    out = np.empty((g, nv * (kp1 - 1), m))
+    out[:, :nv] = vals[:, :, 0] + np.roll(vals[:, :, -1], 1, axis=1)
+    out[:, nv:] = vals[:, :, 1:-1].reshape(g, -1, m)
+    return out
+
+
+def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> ElementVem:
+    """Construct every projector and stabilized matrix of a group of cells.
+
+    `cells` is an array of ids of cells with equal vertex count; every array
+    is stacked over it.  A single integer id builds a batch of one and
+    returns that cell's element unstacked.
+    """
     if not 1 <= k <= MAX_ORDER:
         raise VemError(f"order k={k} outside the supported range 1..{MAX_ORDER}")
-    pts = mesh.cell_coords[ci]
-    nv = len(pts)
-    area = geom.area[ci]
-    xc, h = geom.barycenter[ci], geom.h[ci]
-    basis = MonomialBasis(k, xc, h)
+    idx = np.atleast_1d(cells)
+    pts = mesh.stacked_coords(idx)                          # (g, nv, 2)
+    g, nv = pts.shape[:2]
+    area = geom.area[idx]
+    xc = geom.barycenter[idx]
+    basis = MonomialBasis(k, xc, geom.h[idx])
     nk = basis.n
     nkm1, nkm2 = n_poly(k - 1), n_poly(k - 2)
-    ndof = nv * k + nkm2
+    nb = nv * k                                             # boundary dofs
+    ndof = nb + nkm2
+    ar = area[:, None, None]
 
     rule = polygon_quadrature(pts, xc, max(2 * k, 2))
-    qm = basis.values(rule.nodes)
-    w = rule.weights
-
-    H = qm.T @ (qm * w[:, None])
+    qm = basis.values(rule.nodes)                           # (g, nq, nk)
+    w = rule.weights[..., None]
+    H = qm.transpose(0, 2, 1) @ (qm * w)
 
     # Gauss-Lobatto nodes per side; node 0 / node k are the side's endpoints
     tgl, wgl = gauss_lobatto_reference(k)
-    sides = np.stack([pts, np.roll(pts, -1, axis=0)], axis=1)   # (nv, 2, 2)
-    gl = sides[:, 0:1, :] + 0.5 * (tgl[None, :, None] + 1.0) * (sides[:, 1:2, :] - sides[:, 0:1, :])
-    side_len = np.hypot(*(sides[:, 1, :] - sides[:, 0, :]).T)
+    side = np.roll(pts, -1, axis=1) - pts
+    gl = pts[:, :, None, :] + 0.5 * (tgl[:, None] + 1.0) * side[:, :, None, :]
+    side_len = np.hypot(side[..., 0], side[..., 1])                      # (g, nv)
     # outward normal of side a (CCW polygon: tangent rotated by -90 degrees)
-    tangents = (sides[:, 1, :] - sides[:, 0, :]) / side_len[:, None]
-    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-
-    # local dof ids of the k+1 Gauss-Lobatto nodes along side a
-    def side_dofs(a):
-        ids = np.empty(k + 1, dtype=np.int64)
-        ids[0] = a
-        ids[k] = (a + 1) % nv
-        if k > 1:
-            ids[1:k] = nv + a * (k - 1) + np.arange(k - 1)
-        return ids
+    tangents = side / side_len[..., None]
+    normals = np.stack([tangents[..., 1], -tangents[..., 0]], axis=-1)
+    wside = 0.5 * side_len[..., None] * wgl                              # (g, nv, k+1)
+    gl_flat = gl.reshape(g, -1, 2)
+    mgl = basis.values(gl_flat).reshape(g, nv, k + 1, nk)
 
     # D: dofs of the monomials
-    D = np.zeros((ndof, nk))
-    D[:nv] = basis.values(pts)
-    if k > 1:
-        for a in range(nv):
-            D[nv + a * (k - 1): nv + (a + 1) * (k - 1)] = basis.values(gl[a, 1:k])
+    D = np.zeros((g, ndof, nk))
+    D[:, :nv] = mgl[:, :, 0]
+    D[:, nv:nb] = mgl[:, :, 1:k].reshape(g, -1, nk)
     if nkm2:
-        D[nv * k:] = (qm[:, :nkm2].T @ (qm * w[:, None])) / area
+        D[:, nb:] = H[:, :nkm2] / ar
 
     # G: P0 row plus gradient Gram rows
     gx, gy = basis.gradients(rule.nodes)
-    G = gx.T @ (gx * w[:, None]) + gy.T @ (gy * w[:, None])
-    if k == 1:
-        G[0] = basis.values(pts).mean(axis=0)
-    else:
-        G[0] = H[0] / area
+    G = gx.transpose(0, 2, 1) @ (gx * w) + gy.transpose(0, 2, 1) @ (gy * w)
+    G[:, 0] = D[:, :nv].mean(axis=1) if k == 1 else H[:, 0] / area[:, None]
 
     # B rows alpha >= 1 via integration by parts
-    B = np.zeros((nk, ndof))
-    if k == 1:
-        B[0, :nv] = 1.0 / nv
-    else:
-        B[0, nv * k] = 1.0
-    lap = basis.laplacian_coeffs()
+    B = np.zeros((g, nk, ndof))
     if nkm2:
-        B[:, nv * k:] -= lap[:, :nkm2] * area          # -(Delta m_alpha, phi_i)
-    for a in range(nv):
-        gxa, gya = basis.gradients(gl[a])
-        dn = gxa * normals[a, 0] + gya * normals[a, 1]  # (k+1, nk)
-        wside = 0.5 * side_len[a] * wgl
-        cols = side_dofs(a)
-        np.add.at(B.T, cols, dn * wside[:, None])
-    B[0] = 0.0
+        B[:, :, nb:] -= basis.laplacian_coeffs()[:, :, :nkm2] * ar     # -(Delta m_alpha, phi_i)
+    gxs, gys = (v.reshape(g, nv, k + 1, nk) for v in basis.gradients(gl_flat))
+    dn = gxs * normals[:, :, None, 0:1] + gys * normals[:, :, None, 1:2]
+    B[:, :, :nb] += _fold_sides(dn * wside[..., None]).transpose(0, 2, 1)
+    B[:, 0] = 0.0
     if k == 1:
-        B[0, :nv] = 1.0 / nv
+        B[:, 0, :nv] = 1.0 / nv
     else:
-        B[0, nv * k] = 1.0
+        B[:, 0, nb] = 1.0
 
-    try:
-        pis_nabla = np.linalg.solve(G, B)
-    except np.linalg.LinAlgError as exc:
-        raise VemError(f"cell {ci}: singular G matrix") from exc
+    pis_nabla = solve_cells(G, B, idx, VemError, "G matrix")
     pi_nabla = D @ pis_nabla
 
     # C: known moments where available, elliptic projection above
-    C = np.zeros((nk, ndof))
+    C = np.zeros((g, nk, ndof))
     if nkm2:
-        C[:nkm2, nv * k:] = area * np.eye(nkm2)
-    C[nkm2:] = H[nkm2:] @ pis_nabla
-    try:
-        pis_0 = np.linalg.solve(H, C)
-    except np.linalg.LinAlgError as exc:
-        raise VemError(f"cell {ci}: singular H matrix") from exc
+        C[:, :nkm2, nb:] = ar * np.eye(nkm2)
+    C[:, nkm2:] = H[:, nkm2:] @ pis_nabla
+    pis_0 = solve_cells(H, C, idx, VemError, "H matrix")
     pi_0 = D @ pis_0
-    pis_0_km1 = np.linalg.solve(H[:nkm1, :nkm1], C[:nkm1])
+    Hkm1 = H[:, :nkm1, :nkm1]
+    pis_0_km1 = np.linalg.solve(Hkm1, C[:, :nkm1])
 
     # E matrices: moments of the first derivatives of the basis functions
-    Ex = np.zeros((nkm1, ndof))
-    Ey = np.zeros((nkm1, ndof))
-    dx_map = basis.derivative_coeffs(0)[:nkm1, :nkm2] if nkm2 else None
-    dy_map = basis.derivative_coeffs(1)[:nkm1, :nkm2] if nkm2 else None
+    Ex = np.zeros((g, nkm1, ndof))
+    Ey = np.zeros((g, nkm1, ndof))
     if nkm2:
-        Ex[:, nv * k:] -= dx_map * area
-        Ey[:, nv * k:] -= dy_map * area
-    for a in range(nv):
-        mvals = basis.values(gl[a], upto=k - 1)         # (k+1, nkm1)
-        wside = 0.5 * side_len[a] * wgl
-        cols = side_dofs(a)
-        np.add.at(Ex.T, cols, mvals * (wside * normals[a, 0])[:, None])
-        np.add.at(Ey.T, cols, mvals * (wside * normals[a, 1])[:, None])
-    pis_0x = np.linalg.solve(H[:nkm1, :nkm1], Ex)
-    pis_0y = np.linalg.solve(H[:nkm1, :nkm1], Ey)
+        Ex[:, :, nb:] -= basis.derivative_coeffs(0)[:, :nkm1, :nkm2] * ar
+        Ey[:, :, nb:] -= basis.derivative_coeffs(1)[:, :nkm1, :nkm2] * ar
+    mk = mgl[..., :nkm1]
+    for E, n in ((Ex, normals[..., 0]), (Ey, normals[..., 1])):
+        E[:, :, :nb] += _fold_sides(mk * (wside * n[..., None])[..., None]).transpose(0, 2, 1)
+    pis_0x = np.linalg.solve(Hkm1, Ex)
+    pis_0y = np.linalg.solve(Hkm1, Ey)
 
     eye = np.eye(ndof)
     d0 = eye - pi_0
-    mass = C.T @ pis_0 + area * d0.T @ d0
-    mass = 0.5 * (mass + mass.T)
+    mass = C.transpose(0, 2, 1) @ pis_0 + (ar * d0.transpose(0, 2, 1)) @ d0
+    mass = 0.5 * (mass + mass.transpose(0, 2, 1))
     Gt = G.copy()
-    Gt[0] = 0.0
+    Gt[:, 0] = 0.0
     dn_ = eye - pi_nabla
-    stab_nabla = dn_.T @ dn_
+    stab_nabla = dn_.transpose(0, 2, 1) @ dn_
     # dimensionless dof-dof stabilization: the gradient consistency term is
     # itself O(1) in the cell size, so no |P| factor here (unlike the mass)
-    stiffness = pis_nabla.T @ Gt @ pis_nabla + stab_nabla
-    stiffness = 0.5 * (stiffness + stiffness.T)
+    stiffness = pis_nabla.transpose(0, 2, 1) @ Gt @ pis_nabla + stab_nabla
+    stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
 
-    return ElementVem(k, ndof, basis, float(area), D, G, B, H, C, Ex, Ey,
+    elem = ElementVem(k, ndof, idx, basis, area, D, G, B, H, C, Ex, Ey,
                       pis_nabla, pi_nabla, pis_0, pi_0, pis_0_km1,
                       pis_0x, pis_0y, mass, stiffness, stab_nabla,
-                      rule.nodes, w, qm, gl)
-
-
-# spec-facing wrappers ------------------------------------------------------
-
-def build_elliptic_projector(elem: ElementVem):
-    """(G, B, D, Pi*nabla, Pi_nabla) of a built element."""
-    return elem.G, elem.B, elem.D, elem.pis_nabla, elem.pi_nabla
-
-
-def build_l2_projectors(elem: ElementVem):
-    """(H, C, Pi*0, Pi0, Pi*0_{k-1}, Ex, Ey) of a built element."""
-    return elem.H, elem.C, elem.pis_0, elem.pi_0, elem.pis_0_km1, elem.Ex, elem.Ey
-
-
-def build_mass_matrix(elem: ElementVem) -> np.ndarray:
-    return elem.mass
-
-
-def build_stiffness_matrix(elem: ElementVem) -> np.ndarray:
-    return elem.stiffness
+                      rule.nodes, rule.weights, qm, gl)
+    return elem.cell(0) if np.ndim(cells) == 0 else elem
 
 
 def build_variable_stiffness(elem: ElementVem, coeff_values: np.ndarray,
@@ -394,19 +402,26 @@ class SparseSystem:
     constrained: np.ndarray   # dof indices that were eliminated
 
 
-def scatter_matrix(layout: VemDofLayout, element_matrices) -> SparseMatrix:
-    """Scatter-add per-cell dense matrices into a global sparse matrix."""
+def scatter_matrix(layout: VemDofLayout, element_matrices, cells=None) -> SparseMatrix:
+    """Scatter-add dense element matrices into a global sparse matrix.
+
+    element_matrices[i] is the (N_dof, N_dof) matrix of cell cells[i], or the
+    (g, N_dof, N_dof) stack of a group of cells cells[i] with equal dof
+    counts; `cells` defaults to 0, 1, 2, ...
+    """
+    if cells is None:
+        cells = range(len(element_matrices))
     rows, cols, vals = [], [], []
-    for ci, Ke in enumerate(element_matrices):
-        dofs = layout.cell_dofs[ci]
-        if Ke.shape != (len(dofs), len(dofs)):
-            raise VemError(f"cell {ci}: element matrix shape {Ke.shape} does not "
-                           f"match dof count {len(dofs)}")
-        r = np.repeat(dofs, len(dofs))
-        c = np.tile(dofs, len(dofs))
-        rows.append(r)
-        cols.append(c)
-        vals.append(Ke.ravel())
+    for ids, Ke in zip(cells, element_matrices):
+        ids = np.atleast_1d(ids)
+        dofs = np.stack([layout.cell_dofs[ci] for ci in ids])
+        nd = dofs.shape[1]
+        if np.shape(Ke)[-2:] != (nd, nd) or np.size(Ke) != len(ids) * nd * nd:
+            raise VemError(f"cell {ids[0]}: element matrix shape {np.shape(Ke)} does not "
+                           f"match dof count {nd}")
+        rows.append(np.repeat(dofs, nd, axis=1).ravel())
+        cols.append(np.tile(dofs, (1, nd)).ravel())
+        vals.append(np.ravel(Ke))
     return SparseMatrix.from_coo(np.concatenate(rows), np.concatenate(cols),
                                  np.concatenate(vals), (layout.n_dofs, layout.n_dofs))
 

@@ -1,0 +1,275 @@
+"""Discretization set-up: golden fingerprints, batched-versus-per-cell
+oracles, and the errors of degenerate cells inside healthy groups."""
+
+import copy
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fvvem import fv as fvmod
+from fvvem import mesh as fm
+from fvvem import transfer as trmod
+from fvvem import vem
+from fvvem.models import Discretization
+
+# name -> (generate_voronoi arguments, order k)
+FINGERPRINT_MESHES = {
+    "k1_periodic": (dict(box=(0, 1, 0, 1), n_seeds=30, lloyd_iters=5, seed=7,
+                         periodic=(True, True)), 1),
+    "k2_dirichlet": (dict(box=(0, 1, 0, 1), n_seeds=40, lloyd_iters=5, seed=8), 2),
+    "k3_strip": (dict(box=(0, 2, 0, 1), n_seeds=60, lloyd_iters=5, seed=9,
+                      periodic=(False, True)), 3),
+}
+
+
+def _fingerprint(a) -> tuple:
+    """(2-norm, 1-norm, weighted checksum) of an array."""
+    a = np.asarray(a, dtype=float).ravel()
+    w = np.cos(0.7 * np.arange(a.size))
+    return (float(np.linalg.norm(a)), float(np.abs(a).sum()), float(a @ w))
+
+
+def fingerprints(name) -> dict:
+    args, k = FINGERPRINT_MESHES[name]
+    m = fm.generate_voronoi(**args)
+    disc = Discretization(m, fm.build_geometry(m), k=k)
+    fv = disc.fvops
+    arrays = {"M": disc.M.to_dense(), "K": disc.K.to_dense(),
+              "corrections": fv.taylor.corrections,
+              "basis_L": fv.basis_L, "basis_R": fv.basis_R}
+    for op in ("_Vglob", "_Cglob", "_CTglob", "_DIVglob"):
+        arrays[op] = getattr(disc, op).toarray()
+    for kind in ("central", "sector"):
+        (grp,) = getattr(fv, f"{kind}_groups")
+        for attr in ("cells", "members", "pinv", "res_q"):
+            arrays[f"{kind}.{attr}"] = getattr(grp, attr)
+    return {key: _fingerprint(a) for key, a in arrays.items()}
+
+
+# recorded on the per-cell set-up code that the grouped build replaced
+GOLDEN = {
+    'k1_periodic': {
+        'M': (0.5510948320970399, 9.095006371142361, 0.14509011424556495),
+        'K': (21.327485128016516, 313.2833421562992, 10.01749615458873),
+        'corrections': (1.1788969098184874e-14, 5.4052668842916286e-14, -3.303732832194798e-15),
+        'basis_L': (15.573478651526258, 316.95853878201336, 2.0922227889808873),
+        'basis_R': (15.596488921669051, 316.92626334400705, -7.249561634198189),
+        '_Vglob': (5.346788095989941, 111.35765866092092, 2.491469032126673),
+        '_Cglob': (7.836231474929828, 155.53280145478556, 2.1278026699882333),
+        '_CTglob': (0.07829465528685743, 1.3412911246860393, -0.005128773476971659),
+        '_DIVglob': (0.461956548652965, 15.808873745369556, -0.3216993519478379),
+        'central.cells': (92.49324299644812, 435.0, 39.30553228129523),
+        'central.members': (227.7081465385022, 2799.0, -25.12162685067966),
+        'central.pinv': (4.192971044000378, 70.37489445270693, -1.9288890140538815),
+        'central.res_q': (10.954451150103322, 290.8459294743044, 4.573743740260088),
+        'sector.cells': (225.42404485768594, 2604.0, -1.5278878786576446),
+        'sector.members': (390.44589894119775, 7812.0, -162.36796989607112),
+        'sector.pinv': (14.82035899562418, 434.12065312598077, 7.110855804211474),
+        'sector.res_q': (13.416407864998737, 524.4567335984027, -125.68283417410937),
+    },
+    'k2_dirichlet': {
+        'M': (1.4784540397494403, 46.14772105716335, -0.3636748303780705),
+        'K': (214.72355746615804, 4827.196075177535, -59.34717308547623),
+        'corrections': (0.782333559575585, 7.228972957927754, -0.06895486515025556),
+        'basis_L': (22.85611550423179, 777.4696985773292, 4.784855519094356),
+        'basis_R': (20.201355192854482, 609.683192021448, 3.259739130909558),
+        '_Vglob': (13.925559942938891, 473.9718739411603, -5.360571913674004),
+        '_Cglob': (65.80192503366787, 1574.6898632258071, -71.011002814716),
+        '_CTglob': (0.16773096013631988, 1.5703754154555698, 0.0012338396196678904),
+        '_DIVglob': (1.8740939414378452, 84.0880158558995, -1.6035551019939471),
+        'central.cells': (143.31782861877304, 780.0, 29.922156505189538),
+        'central.members': (542.3430648583975, 12376.0, 94.65369154458463),
+        'central.pinv': (7.465931579648337, 232.01282333035758, 2.5245412916080836),
+        'central.res_q': (17.804493814764857, 909.2266727080226, -8.640877697950089),
+        'sector.cells': (309.127805284481, 3710.0, -25.056397201467366),
+        'sector.members': (618.255610568962, 14840.0, 121.25172267181559),
+        'sector.pinv': (16.884130257092707, 472.34845465125863, -10.269977957094262),
+        'sector.res_q': (12.884098726725126, 470.34651291582577, -4.1354867843361),
+    },
+    'k3_strip': {
+        'M': (141.44238982647192, 2692.158168165311, -22.693021692425134),
+        'K': (12797.91823267385, 208851.38929880777, -5268.351508132455),
+        'corrections': (0.9683299104588758, 11.674022668451965, -0.062025832113714624),
+        'basis_L': (32.691237546016005, 1755.070055298709, 5.978801204949221),
+        'basis_R': (31.509560000683784, 1631.1866804145707, -3.9952357938802456),
+        '_Vglob': (19.984064455163875, 1231.8993691925903, 5.06766725947557),
+        '_Cglob': (2528.4889860796, 60384.20960516679, -980.5960190107703),
+        '_CTglob': (0.46556414331643037, 7.592898725125683, 0.18318527072364996),
+        '_DIVglob': (39.890053759303676, 1745.1230467390133, -2.048575022504175),
+        'central.cells': (264.9716966017314, 1770.0, -66.30179146834553),
+        'central.members': (1189.0437334261512, 37131.0, 42.33531881841388),
+        'central.pinv': (10.404148824768113, 620.2829451127357, -0.9426575402104382),
+        'central.res_q': (24.1039415863879, 2197.8423482018125, 10.861078497636367),
+        'sector.cells': (638.6853685501179, 10081.0, 105.91811601256668),
+        'sector.members': (1277.3707371002358, 40324.0, -207.25025229708567),
+        'sector.pinv': (20.896911882272853, 812.3575385192062, -19.778160532905886),
+        'sector.res_q': (18.110770276274835, 934.7319421978214, 4.3961927044036715),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINT_MESHES))
+def test_golden_fingerprints(name):
+    got = fingerprints(name)
+    assert got.keys() == GOLDEN[name].keys()
+    for key, (l2, l1, checksum) in GOLDEN[name].items():
+        g2, g1, gc = got[key]
+        # a correction is the mean of a scaled monomial, O(1) by construction;
+        # at k=1 all of them are roundoff, so they are compared on that scale
+        floor = 1.0 if key == "corrections" else 0.0
+        assert abs(g2 - l2) <= 1e-12 * max(l2, floor), key
+        assert abs(g1 - l1) <= 1e-12 * max(l1, floor), key
+        assert abs(gc - checksum) <= 1e-12 * max(l1, floor), key
+
+
+# ---------------------------------------------------------------------------
+# batched VEM elements against the element of one cell
+# ---------------------------------------------------------------------------
+
+@st.composite
+def convex_polygons(draw):
+    """CCW convex polygon of 3-8 vertices on a circle of random size/place."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    gaps = np.array(draw(st.lists(st.floats(0.4, 1.0), min_size=n, max_size=n)))
+    ang = 2.0 * np.pi * np.cumsum(gaps) / gaps.sum() + draw(st.floats(0.0, 6.3))
+    radius = draw(st.floats(0.05, 3.0))
+    cx, cy = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
+    return np.column_stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang)])
+
+
+def disjoint_cells_mesh(polys):
+    """One mesh whose cells are the given polygons, sharing no vertex."""
+    start = np.cumsum([0] + [len(p) for p in polys])
+    cells = [np.arange(a, b) for a, b in zip(start[:-1], start[1:])]
+    m = fm.PolyMesh(np.vstack(polys), cells)
+    m.boundary_tags = {e: "outer" for e in range(m.n_edges)}
+    return m
+
+
+ELEMENT_ARRAYS = [f.name for f in fields(vem.ElementVem)
+                  if f.name not in ("k", "n_dof", "cells", "basis", "area")]
+
+
+class TestBatchedElements:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(convex_polygons(), min_size=2, max_size=16),
+           st.integers(min_value=1, max_value=4))
+    def test_group_build_equals_cell_build(self, polys, k):
+        m = disjoint_cells_mesh(polys)
+        g = fm.build_geometry(m)
+        for idx in m.vertex_count_groups():
+            group = vem.build_element(m, g, idx, k)
+            assert np.array_equal(group.cells, idx)
+            for i, ci in enumerate(idx):
+                one = vem.build_element(m, g, int(ci), k)
+                assert group.area[i] == one.area
+                for name in ELEMENT_ARRAYS:
+                    a, b = getattr(group, name)[i], getattr(one, name)
+                    assert a.shape == b.shape, name
+                    assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), (name, ci)
+
+
+# ---------------------------------------------------------------------------
+# batched stencil fits against a per-cell oracle
+# ---------------------------------------------------------------------------
+
+def oracle_fit(ops, ci, members, ncols):
+    """Per-cell least-squares fit: rows, pinv and residual factor."""
+    rows = np.empty((len(members), ncols))
+    for r, (cj, s) in enumerate(members):
+        rule = fm.polygon_quadrature(ops.mesh.cell_coords[cj], ops.geom.barycenter[cj],
+                                     max(ops.k, 1))
+        vals = ops.taylor.values(ci, rule.nodes, shift=-s)
+        rows[r] = (rule.weights @ vals[:, 1:1 + ncols]) / ops.geom.area[cj]
+    P = np.linalg.pinv(rows, rcond=1e-10)
+    return P, rows @ P - np.eye(len(members))
+
+
+def assert_group_row(grp, row, ci, members, P, R):
+    n = len(members)
+    assert grp.cells[row] == ci
+    assert np.array_equal(grp.members[row, :n], [c for c, _ in members])
+    assert np.all(grp.members[row, n:] == members[0][0])
+    assert np.abs(grp.pinv[row, :, :n] - P).max() <= 1e-13 * np.abs(P).max()
+    assert np.abs(grp.res_q[row, :n, :n] - R).max() <= 1e-13 * max(1.0, np.abs(R).max())
+    assert not grp.pinv[row, :, n:].any() and not grp.res_q[row, n:].any()
+    assert not grp.res_q[row, :, n:].any()
+
+
+@pytest.mark.parametrize("k, periodic", [(1, (True, True)), (2, (True, False)),
+                                         (3, (False, False))])
+def test_stencil_fits_equal_the_per_cell_oracle(k, periodic):
+    m = fm.generate_voronoi((0, 1, 0, 1), 45, lloyd_iters=5, seed=11, periodic=periodic)
+    ops = fvmod.FvOperators(m, fm.build_geometry(m), fvmod.CwenoConfig(k=k))
+    target = max(int(np.ceil(ops.cfg.growth * ops.nk)), ops.nk + 2)
+    (central,) = ops.central_groups
+    for ci in range(m.n_cells):
+        members = ops._grow_stencil(ci, target)
+        assert_group_row(central, ci, ci, members, *oracle_fit(ops, ci, members, ops.nk - 1))
+    sectors = [(ci, mem) for ci in range(m.n_cells) for mem in ops._sector_members(ci)]
+    sectors.sort(key=lambda p: len(p[1]))
+    (sector,) = ops.sector_groups
+    assert len(sector.cells) == len(sectors)
+    for row, (ci, members) in enumerate(sectors):
+        assert_group_row(sector, row, ci, members, *oracle_fit(ops, ci, members, 2))
+
+
+# ---------------------------------------------------------------------------
+# a degenerate cell inside a group of healthy cells is named by its error
+# ---------------------------------------------------------------------------
+
+def voronoi_group(seed=4):
+    """A Voronoi mesh, its geometry, and a vertex-count group of >= 3 cells
+    with the id of a cell in its middle."""
+    m = fm.generate_voronoi((0, 1, 0, 1), 40, lloyd_iters=5, seed=seed)
+    idx = max(m.vertex_count_groups(), key=len)
+    assert len(idx) >= 3
+    return m, fm.build_geometry(m), idx, int(idx[len(idx) // 2])
+
+
+class TestDegenerateCellErrors:
+    def test_singular_g_names_the_cell(self):
+        m, g, idx, bad = voronoi_group()
+        g = copy.deepcopy(g)
+        g.h[bad] = np.inf          # every scaled monomial is constant on it
+        with pytest.raises(vem.VemError, match=f"^cell {bad}: singular G matrix$"):
+            vem.build_element(m, g, idx, 2)
+
+    def test_singular_h_names_the_cell(self, monkeypatch):
+        m, g, idx, bad = voronoi_group()
+        pos = int(np.flatnonzero(idx == bad)[0])
+        real = vem.polygon_quadrature
+
+        def collapsed(vertices, barycenter, degree):
+            # the bad cell's rule puts all its weight on its barycenter
+            rule = real(vertices, barycenter, degree)
+            rule.nodes[pos] = barycenter[pos]
+            return rule
+
+        monkeypatch.setattr(vem, "polygon_quadrature", collapsed)
+        with pytest.raises(vem.VemError, match=f"^cell {bad}: singular H matrix$"):
+            vem.build_element(m, g, idx, 1)
+
+    @pytest.mark.parametrize("array, what", [("mass", "VEM mass matrix"),
+                                             ("H", "Taylor Gram matrix")])
+    def test_singular_transfer_matrix_names_the_cell(self, array, what):
+        m, g, idx, bad = voronoi_group()
+        elem = vem.build_element(m, g, idx, 2)
+        getattr(elem, array)[idx == bad] = 0.0
+        T = trmod.taylor_to_monomial(fvmod.TaylorBasis(m, g, 2), idx)
+        with pytest.raises(trmod.TransferError, match=f"^cell {bad}: singular {what}$"):
+            trmod.build_transfer(elem, T)
+
+    def test_isolated_cell_stencil_names_the_cell(self):
+        # a 3 x 3 grid of unit squares with a detached square as cell 4
+        grid = fm.generate_rect((0, 3, 0, 3), 3, 3)
+        far = np.array([[10.0, 10.0], [11.0, 10.0], [11.0, 11.0], [10.0, 11.0]])
+        nv = grid.n_vertices
+        m = fm.PolyMesh(np.vstack([grid.vertices, far]),
+                        grid.cells[:4] + [np.arange(nv, nv + 4)] + grid.cells[4:])
+        m.boundary_tags = {e: "outer" for e in range(m.n_edges) if m.edge_cells[e, 1] < 0}
+        assert len(m.vertex_count_groups()) == 1
+        with pytest.raises(fvmod.FvError, match="^cell 4: stencil of 0 cells"):
+            fvmod.FvOperators(m, fm.build_geometry(m), fvmod.CwenoConfig(k=1))

@@ -1,131 +1,126 @@
 import numpy as np
 import pytest
 
-from fvvem import fv as fvmod
 from fvvem import mesh as fm
-from fvvem import transfer as tr
 from fvvem import vem
+from fvvem.models import Discretization
 
 
 def make_setup(k, n=40, seed=3, periodic=(False, False)):
     m = fm.generate_voronoi((0, 1, 0, 1), n, lloyd_iters=8, seed=seed,
                             periodic=periodic)
     g = fm.build_geometry(m)
-    taylor = fvmod.TaylorBasis(m, g, k)
-    layout = vem.build_dof_layout(m, g, k)
-    elems = [vem.build_element(m, g, ci, k) for ci in range(m.n_cells)]
-    ops = tr.build_transfer(elems, taylor, layout)
-    return m, g, taylor, layout, elems, ops
+    return m, g, Discretization(m, g, k=k)
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_cp_vp_identity(self, k):
-        m, g, taylor, layout, elems, ops = make_setup(k)
-        nk = taylor.nk
-        for ci in range(m.n_cells):
-            P = ops.C[ci] @ ops.V[ci]
-            assert np.abs(P - np.eye(nk)).max() < 1e-11
+        m, g, disc = make_setup(k)
+        for grp in disc.groups:
+            P = grp.Cp @ grp.Vp
+            assert np.abs(P - np.eye(disc.nk)).max() < 1e-11
 
     def test_constant_round_trip(self):
-        m, g, taylor, layout, elems, ops = make_setup(2)
-        coeffs = np.zeros((m.n_cells, taylor.nk))
+        m, g, disc = make_setup(2)
+        layout = disc.layout
+        coeffs = np.zeros((m.n_cells, disc.nk))
         coeffs[:, 0] = 3.25
-        dofs = tr.fv_to_vem(coeffs, ops)
-        moment_ids = np.where(layout.is_moment)[0]
+        dofs = disc.fv_to_vem(coeffs)
         point_ids = np.where(~layout.is_moment)[0]
         assert np.abs(dofs[point_ids] - 3.25).max() < 1e-12
-        back = tr.vem_to_fv(dofs, ops)
+        back = disc.vem_to_fv(dofs)
         assert np.abs(back[:, 0] - 3.25).max() < 1e-12
         assert np.abs(back[:, 1:]).max() < 1e-12
 
     def test_m2_polynomial_round_trip(self):
-        m, g, taylor, layout, elems, ops = make_setup(2, n=25)
+        m, g, disc = make_setup(2, n=25)
         rng = np.random.default_rng(1)
         # per-cell polynomial with the cell's own scaled-m2 coefficient
         coeffs = np.zeros((m.n_cells, 6))
         coeffs[:, 3] = rng.uniform(0.5, 1.5, m.n_cells)
-        for ci in range(m.n_cells):
-            back = ops.C[ci] @ (ops.V[ci] @ coeffs[ci])
-            assert np.abs(back - coeffs[ci]).max() < 1e-11
+        for grp in disc.groups:
+            c = coeffs[grp.idx, :, None]
+            back = grp.Cp @ (grp.Vp @ c)
+            assert np.abs(back - c).max() < 1e-11
 
 
 class TestFvToVem:
     def test_global_linear_field_vertex_values(self):
-        m, g, taylor, layout, elems, ops = make_setup(2, n=50)
+        m, g, disc = make_setup(2, n=50)
         lin = lambda p: 1.0 + 2.0 * p[:, 0] - 0.5 * p[:, 1]
-        coeffs = np.zeros((m.n_cells, taylor.nk))
-        for ci in range(m.n_cells):
-            basis = taylor.cell_basis(ci)
-            coeffs[ci, 0] = lin(g.barycenter[ci][None])[0]
-            coeffs[ci, 1] = 2.0 * basis.h
-            coeffs[ci, 2] = -0.5 * basis.h
-        dofs = tr.fv_to_vem(coeffs, ops)
-        nb = layout.moment_base
-        exact = lin(layout.dof_coords[:nb])
+        coeffs = np.zeros((m.n_cells, disc.nk))
+        coeffs[:, 0] = lin(g.barycenter)
+        coeffs[:, 1] = 2.0 * g.h
+        coeffs[:, 2] = -0.5 * g.h
+        dofs = disc.fv_to_vem(coeffs)
+        nb = disc.layout.moment_base
+        exact = lin(disc.layout.dof_coords[:nb])
         assert np.abs(dofs[:nb] - exact).max() < 1e-10
 
     def test_discontinuous_field_shared_dof_mean(self):
-        verts = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], float)
-        cells = [np.array([0, 1, 4, 5]), np.array([1, 2, 3, 4])]
-        m = fm.PolyMesh(verts, cells)
-        m.boundary_tags = {e: "o" for e in range(m.n_edges) if m.edge_cells[e, 1] < 0}
+        # a 3 x 3 grid: vertices shared by 1, 2 or 4 cells; every dof takes
+        # the mean of the constants of the cells around it
+        m = fm.generate_rect((0, 3, 0, 3), 3, 3)
         g = fm.build_geometry(m)
-        taylor = fvmod.TaylorBasis(m, g, 1)
-        layout = vem.build_dof_layout(m, g, 1)
-        elems = [vem.build_element(m, g, ci, 1) for ci in range(2)]
-        ops = tr.build_transfer(elems, taylor, layout)
-        coeffs = np.zeros((2, 3))
-        coeffs[0, 0], coeffs[1, 0] = 1.0, 3.0
-        dofs = tr.fv_to_vem(coeffs, ops)
-        shared = np.intersect1d(layout.cell_dofs[0], layout.cell_dofs[1])
-        assert np.abs(dofs[shared] - 2.0).max() < 1e-13
+        disc = Discretization(m, g, k=1)
+        values = 1.0 + 2.0 * np.arange(m.n_cells)
+        coeffs = np.zeros((m.n_cells, 3))
+        coeffs[:, 0] = values
+        dofs = disc.fv_to_vem(coeffs)
+        total = np.zeros(disc.layout.n_dofs)
+        count = np.zeros(disc.layout.n_dofs)
+        for ci, ids in enumerate(disc.layout.cell_dofs):
+            total[ids] += values[ci]
+            count[ids] += 1
+        assert set(count) == {1.0, 2.0, 4.0}
+        assert np.abs(dofs - total / count).max() < 1e-13
 
 
 class TestVemToFv:
     def test_zero(self):
-        m, g, taylor, layout, elems, ops = make_setup(2, n=20)
-        back = tr.vem_to_fv(np.zeros(layout.n_dofs), ops)
+        m, g, disc = make_setup(2, n=20)
+        back = disc.vem_to_fv(np.zeros(disc.layout.n_dofs))
         assert np.array_equal(back, np.zeros_like(back))
 
     def test_constant_dofs(self):
-        m, g, taylor, layout, elems, ops = make_setup(3, n=20)
+        m, g, disc = make_setup(3, n=20)
         c = -1.7
-        dofs = np.zeros(layout.n_dofs)
-        for ci, elem in enumerate(elems):
-            dofs[layout.cell_dofs[ci]] = c * elem.D[:, 0]
-        back = tr.vem_to_fv(dofs, ops)
+        dofs = np.zeros(disc.layout.n_dofs)
+        for ci, ids in enumerate(disc.layout.cell_dofs):
+            dofs[ids] = c * vem.build_element(m, g, ci, 3).D[:, 0]
+        back = disc.vem_to_fv(dofs)
         assert np.abs(back[:, 0] - c).max() < 1e-12
         assert np.abs(back[:, 1:]).max() < 1e-12
 
     def test_linear_field_gradient(self):
-        m, g, taylor, layout, elems, ops = make_setup(2, n=30)
+        m, g, disc = make_setup(2, n=30)
+        layout = disc.layout
         lin = lambda p: 0.3 + 1.2 * p[:, 0] + 0.8 * p[:, 1]
         dofs = np.zeros(layout.n_dofs)
         nb = layout.moment_base
         dofs[:nb] = lin(layout.dof_coords[:nb])
-        for ci, elem in enumerate(elems):
-            ids = layout.cell_dofs[ci]
+        for ci, ids in enumerate(layout.cell_dofs):
             mom = ids[ids >= nb]
             if len(mom):
                 rule = fm.interior_quadrature(m, g, ci, 4)
-                mvals = elem.basis.values(rule.nodes)
+                mvals = disc.fvops.taylor.cell_basis(ci).values(rule.nodes)
                 for j, dof in enumerate(mom):
                     dofs[dof] = rule.weights @ (lin(rule.nodes) * mvals[:, j]) / g.area[ci]
-        back = tr.vem_to_fv(dofs, ops)
+        back = disc.vem_to_fv(dofs)
         for ci in range(m.n_cells):
-            h = taylor.cell_basis(ci).h
+            h = g.h[ci]
             assert back[ci, 1] / h == pytest.approx(1.2, abs=1e-10)
             assert back[ci, 2] / h == pytest.approx(0.8, abs=1e-10)
 
     def test_mean_preservation(self):
         # first modal coefficient equals the Pi0 cell mean of the VEM field
-        m, g, taylor, layout, elems, ops = make_setup(2, n=30, seed=9)
+        m, g, disc = make_setup(2, n=30, seed=9)
         rng = np.random.default_rng(2)
-        dofs = rng.standard_normal(layout.n_dofs)
-        back = tr.vem_to_fv(dofs, ops)
-        for ci, elem in enumerate(elems):
-            local = dofs[layout.cell_dofs[ci]]
-            pi0 = elem.pis_0 @ local
+        dofs = rng.standard_normal(disc.layout.n_dofs)
+        back = disc.vem_to_fv(dofs)
+        for ci, ids in enumerate(disc.layout.cell_dofs):
+            elem = vem.build_element(m, g, ci, 2)
+            pi0 = elem.pis_0 @ dofs[ids]
             mean = (elem.quad_weights @ (elem.quad_monomials @ pi0)) / g.area[ci]
             assert back[ci, 0] == pytest.approx(mean, abs=1e-12)

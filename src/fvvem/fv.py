@@ -28,16 +28,14 @@ class FvError(Exception):
     """Reconstruction failure or inadmissible state."""
 
 
-@dataclass
-class CwenoConfig:
-    """CWENO parameters; the defaults are the shipped scheme constants."""
-
-    k: int = 2
-    growth: float = 1.5          # central stencil target = max(growth*nk, nk+2)
-    lambda_central: float = 1e5
-    lambda_sector: float = 1.0
-    eps: float = 1e-14
-    power: int = 4
+# CWENO constants: the central stencil grows to max(GROWTH * nk, nk + 2)
+# cells; LAMBDA_* are the linear weights of the central and the sector
+# polynomials, EPS and POWER shape the nonlinear weights
+GROWTH = 1.5
+LAMBDA_CENTRAL = 1e5
+LAMBDA_SECTOR = 1.0
+EPS = 1e-14
+POWER = 4
 
 
 class TaylorBasis:
@@ -112,13 +110,12 @@ class _StencilGroup:
 class FvOperators:
     """Per-mesh tables: stencil fits, edge basis values and flux scatter maps."""
 
-    def __init__(self, mesh: PolyMesh, geom: GeometryCache, cfg: CwenoConfig):
+    def __init__(self, mesh: PolyMesh, geom: GeometryCache, k: int):
         self.mesh = mesh
         self.geom = geom
-        self.cfg = cfg
-        self.k = cfg.k
-        self.nk = n_poly(cfg.k)
-        self.taylor = TaylorBasis(mesh, geom, cfg.k)
+        self.k = k
+        self.nk = n_poly(k)
+        self.taylor = TaylorBasis(mesh, geom, k)
         self._adjacency()
         self._edge_tables()
         if self.k >= 1:
@@ -246,7 +243,7 @@ class FvOperators:
         return _StencilGroup(np.asarray(cells), padded, pinv, res_q)
 
     def _central_stencils(self):
-        target = max(int(np.ceil(self.cfg.growth * self.nk)), self.nk + 2)
+        target = max(int(np.ceil(GROWTH * self.nk)), self.nk + 2)
         nc = self.mesh.n_cells
         stencils = [self._grow_stencil(ci, target) for ci in range(nc)]
         sizes = np.array([len(s) for s in stencils])
@@ -303,8 +300,6 @@ class FvOperators:
     def _sector_stencils(self):
         sectors = [(ci, members) for ci in range(self.mesh.n_cells)
                    for members in self._sector_members(ci)]
-        self.n_sectors = np.bincount(np.array([ci for ci, _ in sectors], dtype=np.int64),
-                                     minlength=self.mesh.n_cells)
         # one group ordered by stencil size, cell order within a size
         sectors.sort(key=lambda p: len(p[1]))
         self.sector_groups = [self._fit(np.array([ci for ci, _ in sectors]),
@@ -333,7 +328,6 @@ class FvOperators:
         """
         Qbar = np.atleast_2d(Qbar)
         ncomp, nc = Qbar.shape
-        cfg = self.cfg
         if self.k == 0:
             coeffs = np.zeros((ncomp, nc, 1))
             coeffs[:, :, 0] = Qbar
@@ -348,8 +342,7 @@ class FvOperators:
             p_opt[:, grp.cells, 1:] = (grp.pinv @ dT).transpose(2, 0, 1)
             r = grp.res_q @ dT
             rho0[:, grp.cells] = (r * r).sum(axis=1).T
-        lam0 = cfg.lambda_central
-        alpha0 = lam0 / (cfg.eps + rho0) ** cfg.power                    # (ncomp, nc)
+        alpha0 = LAMBDA_CENTRAL / (EPS + rho0) ** POWER                 # (ncomp, nc)
         npairs = len(self._pair_cells)
         alpha_flat = np.empty((ncomp, npairs))
         slope_flat = np.empty((ncomp, npairs, 2))
@@ -360,7 +353,7 @@ class FvOperators:
             r = grp.res_q @ dT
             rho = (r * r).sum(axis=1).T
             sigma = slopes[..., 0] ** 2 + slopes[..., 1] ** 2 + rho
-            alpha_flat[:, sl] = cfg.lambda_sector / (cfg.eps + sigma) ** cfg.power
+            alpha_flat[:, sl] = LAMBDA_SECTOR / (EPS + sigma) ** POWER
             slope_flat[:, sl] = slopes
         denom = alpha0 + (self._scatter @ alpha_flat.T).T
         coeffs = p_opt * (alpha0 / denom)[:, :, None]
@@ -374,11 +367,6 @@ class FvOperators:
             coeffs[:, :, :3] += summed.reshape(nc, ncomp, 3).transpose(1, 0, 2)
         return coeffs
 
-    def evaluate(self, coeffs: np.ndarray, ci: int, pts: np.ndarray) -> np.ndarray:
-        """Evaluate reconstruction polynomials of one cell at points."""
-        vals = self.taylor.values(ci, pts)
-        return np.einsum("cl,pl->cp", coeffs[:, ci, :], vals)
-
     def edge_states(self, coeffs: np.ndarray):
         """wL, wR (ncomp, NE, ng) at the edge Gauss points; wR on boundary
         edges is filled with wL (callers overwrite it from boundary data)."""
@@ -391,16 +379,6 @@ class FvOperators:
         wR[:, inte] = (self.basis_R[inte] @ coeffs[:, R[inte], :]
                        .transpose(1, 2, 0)).transpose(2, 0, 1)
         return wL, wR
-
-    def cell_means_of_field(self, func, degree: int) -> np.ndarray:
-        """Cell averages of an analytic function (quadrature of given degree)."""
-        out = np.empty(self.mesh.n_cells)
-        for idx in self.mesh.vertex_count_groups():
-            rule = polygon_quadrature(self.mesh.stacked_coords(idx),
-                                      self.geom.barycenter[idx], degree)
-            vals = func(rule.nodes.reshape(-1, 2)).reshape(rule.weights.shape)
-            out[idx] = np.sum(rule.weights * vals, axis=1) / self.geom.area[idx]
-        return out
 
 
 def explicit_operator(ops: FvOperators, model, coeffs_E: np.ndarray,

@@ -68,6 +68,7 @@ class CaseBase:
 
     exact = None                  # override: exact(p, t) -> state rows
     gate = None                   # override: callable(report) -> (ok, message)
+    dt_caps_cfl = False           # a given dt only caps the CFL step (else replaces it)
 
     def bathymetry(self):
         return None
@@ -77,9 +78,6 @@ class CaseBase:
 
     def pressure_exact(self):
         return None
-
-    def describe(self):
-        return f"{self.name}: k={self.k} scheme={self.scheme} t_end={self.t_end}"
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +168,7 @@ def _riemann_case(cname, etaL, uL, bL, etaR, uR, bR, xl, xr, tf, hdef):
     class _RP(CaseBase):
         name = cname
         model = "swe"
+        dt_caps_cfl = True
         g0: float = 9.81
         k: int = 1
         scheme: str = "LSDIRK222"

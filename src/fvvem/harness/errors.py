@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..mesh import sample_at
+
 
 @dataclass
 class ErrorReport:
@@ -43,7 +45,7 @@ def error_norms(disc, coeffs_by_name: dict, exact_by_name: dict, t: float,
             else:
                 mono = np.einsum("gab,gb->ga", grp.T, coeffs[grp.idx])
                 vals = np.einsum("gqa,ga->gq", grp.qmono, mono)
-            ex = np.stack([exact(grp.qnodes[gi], t) for gi in range(len(grp.idx))])
+            ex = sample_at(lambda p: exact(p, t), grp.qnodes)
             diff = vals - ex
             tot += float(np.sum(grp.qw * diff * diff))
             worst = max(worst, float(np.abs(diff).max()))
@@ -58,7 +60,3 @@ def observed_orders(reports: list) -> None:
             e1, e2 = prev.l2(name), cur.l2(name)
             if e1 > 0 and e2 > 0:
                 cur.orders[name] = float(np.log(e1 / e2) / np.log(prev.h / cur.h))
-
-
-def l1_cell_error(geom, values: np.ndarray, exact_values: np.ndarray) -> float:
-    return float(np.sum(geom.area * np.abs(values - exact_values)))

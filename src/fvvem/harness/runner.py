@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import fv
 from ..linalg import DEFAULT_TOL
 from ..mesh import build_geometry, read_mesh
 from ..models import Discretization, InsConfig, InsDriver, SweConfig, SweDriver
@@ -30,7 +31,6 @@ class RunResult:
 
 def design_ledger(case, disc, driver, extra=None) -> dict:
     """Every tunable/design parameter in effect for auditability."""
-    cfg = disc.cweno_cfg
     led = {
         "case": case.name,
         "order_k": disc.k,
@@ -39,11 +39,11 @@ def design_ledger(case, disc, driver, extra=None) -> dict:
         "mesh_cells": disc.mesh.n_cells,
         "mesh_h_max": float(disc.geom.h.max()),
         "mesh_h_min": float(disc.geom.h.min()),
-        "cweno_lambda_central": cfg.lambda_central,
-        "cweno_lambda_sector": cfg.lambda_sector,
-        "cweno_eps": cfg.eps,
-        "cweno_power": cfg.power,
-        "cweno_stencil_target": f"max({cfg.growth}*nk, nk+2)",
+        "cweno_lambda_central": fv.LAMBDA_CENTRAL,
+        "cweno_lambda_sector": fv.LAMBDA_SECTOR,
+        "cweno_eps": fv.EPS,
+        "cweno_power": fv.POWER,
+        "cweno_stencil_target": f"max({fv.GROWTH}*nk, nk+2)",
         "cweno_central_indicator": "stencil-fit residual (exact polynomial reproduction)",
         "edge_flux_gauss_points": disc.k + 1,
         "interior_quadrature_degree": 2 * disc.k,
@@ -154,8 +154,7 @@ def run_case(case, out_prefix: str | None = None, quiet: bool = False,
                                f"t = {state.time:.6g}, before the end time {t_end:g}")
         dt = driver.compute_dt(state)
         if case.dt is not None:
-            dt = min(case.dt, dt) if case.model == "swe" and case.name.startswith(
-                "swe_rp") else case.dt
+            dt = min(case.dt, dt) if case.dt_caps_cfl else case.dt
         dt = min(dt, t_end - state.time)
         state = driver.step(state, dt)
         steps += 1

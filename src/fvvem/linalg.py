@@ -80,27 +80,12 @@ class SparseMatrix:
     def to_dense(self) -> np.ndarray:
         return self._m.toarray()
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self._m.T.tocsr())
-
-    def is_structurally_symmetric(self) -> bool:
-        d = (self._m != 0) - (self._m.T != 0)
-        return d.nnz == 0
-
     def symmetry_error(self) -> float:
         d = self._m - self._m.T
         return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
     def combine(self, coeff_self: float, other: "SparseMatrix", coeff_other: float) -> "SparseMatrix":
         return SparseMatrix((coeff_self * self._m + coeff_other * other._m).tocsr())
-
-
-def spmv(A: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """y = A @ x with an explicit dimension check."""
-    x = np.asarray(x)
-    if x.shape[0] != A.shape[1]:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, x has {x.shape[0]} rows")
-    return A.to_scipy() @ x
 
 
 def pcg(A: SparseMatrix, b: np.ndarray, precond=None, x0: np.ndarray | None = None,

@@ -91,6 +91,12 @@ def polygon_quadrature(vertices: np.ndarray, barycenter: np.ndarray, degree: int
                     (j[..., None] * ref_w).reshape(*lead, -1), degree)
 
 
+def sample_at(func, nodes: np.ndarray) -> np.ndarray:
+    """Values (...,) of a pointwise function of (n, 2) points at the stacked
+    points (..., 2), such as the rules of a vertex-count group: one call."""
+    return func(nodes.reshape(-1, 2)).reshape(nodes.shape[:-1])
+
+
 # Gauss-Lobatto nodes/weights on [-1, 1], indexed by point count.
 _GL_NODES = {
     2: np.array([-1.0, 1.0]),

@@ -18,7 +18,7 @@ from . import transfer as trmod
 from . import vem as vemod
 from .linalg import (DEFAULT_TOL, SolverReport, SparseMatrix, apply_dirichlet,
                      factorized, jacobi, pcg)
-from .mesh import GeometryCache, PolyMesh, polygon_quadrature
+from .mesh import GeometryCache, PolyMesh, polygon_quadrature, sample_at
 from .timeint import compute_dt, imex_advance, tableau
 from .vem import n_poly
 
@@ -62,11 +62,6 @@ class SweModel:
         u, v = self.velocity(w)
         return 2.0 * np.abs(u * n[..., 0] + v * n[..., 1])
 
-    def max_eig_full(self, w, n):
-        u, v = self.velocity(w)
-        H = w[0] - w[3]
-        return np.abs(u * n[..., 0] + v * n[..., 1]) + np.sqrt(self.g * H)
-
 
 class InsModel:
     """Incompressible Navier-Stokes: state rows (u, v); convective fluxes."""
@@ -87,21 +82,6 @@ class InsModel:
         return np.abs(w[0] * n[..., 0] + w[1] * n[..., 1])
 
 
-def model_eigenvalue(w, n, kind: str) -> np.ndarray:
-    """Largest convective eigenvalue |lambda| of the explicit subsystem."""
-    w = np.asarray(w, dtype=float)
-    n = np.asarray(n, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ModelError("non-finite state")
-    if kind == "swe":
-        H = w[0] - w[3]
-        vn = (w[1] * n[..., 0] + w[2] * n[..., 1]) / H
-        return np.maximum(np.abs(vn), 2.0 * np.abs(vn))
-    if kind == "ins":
-        return np.abs(w[0] * n[..., 0] + w[1] * n[..., 1])
-    raise ModelError(f"unknown model kind '{kind}'")
-
-
 # ---------------------------------------------------------------------------
 # configuration and boundary conditions
 # ---------------------------------------------------------------------------
@@ -109,7 +89,6 @@ def model_eigenvalue(w, n, kind: str) -> np.ndarray:
 @dataclass
 class SweConfig:
     g: float = 9.81
-    froude: float | None = None      # recorded for scaled runs (g = 1/Fr^2)
 
     def __post_init__(self):
         if self.g <= 0.0:
@@ -119,7 +98,6 @@ class SweConfig:
 @dataclass
 class InsConfig:
     nu: float = 1e-2
-    reynolds: float | None = None    # recorded for scaled runs (nu = 1/Re)
     body_force: object = None        # callable t -> (fx, fy), explicit source
 
     def __post_init__(self):
@@ -214,7 +192,7 @@ class _Group:
     changes of basis T and its transfer operators Vp/Cp.
     """
 
-    def __init__(self, elem, T, Vp, Cp, layout, mesh, k, edge_points):
+    def __init__(self, elem, T, Vp, Cp, layout, mesh, k):
         idx = self.idx = elem.cells
         nkm1 = n_poly(k - 1)
         self.dofs = np.stack([layout.cell_dofs[ci] for ci in idx])
@@ -240,16 +218,12 @@ class _Group:
         self.qnodes = rule.nodes
         self.qw = rule.weights
         self.qmono = elem.basis.values(rule.nodes)                 # (g, nq, nk)
-        self.side_edges = np.stack([mesh.cell_edges[ci] for ci in idx])
-        self.side_signs = np.stack([mesh.cell_edge_sign[ci] for ci in idx])
-        # Pi0 of every dof's basis function at the flux Gauss points of each
-        # side, points moved into the cell's frame where it is the right cell
-        g, nv = self.side_edges.shape
-        pts = edge_points[self.side_edges]                          # (g, nv, ng, 2)
-        right = mesh.edge_cells[self.side_edges, 0] != idx[:, None]
-        pts = pts + np.where(right[..., None], mesh.edge_shift[self.side_edges], 0.0)[:, :, None, :]
-        vals = elem.basis.values(pts.reshape(g, -1, 2)) @ elem.pis_0
-        self.p0_edge = vals.reshape(g, nv, pts.shape[2], -1)
+
+    def monomial_gradient(self, taylor_coeffs: np.ndarray):
+        """Monomial coefficients (g, nk) of the x and y derivatives of the
+        group's polynomials, given by their Taylor coefficients (g, nk)."""
+        mono = np.einsum("gab,gb->ga", self.T, taylor_coeffs)
+        return np.einsum("gab,gb->ga", self.dxT, mono), np.einsum("gab,gb->ga", self.dyT, mono)
 
 
 class Discretization:
@@ -259,27 +233,21 @@ class Discretization:
     arrays: one VEM element build, one transfer build and one _Group each.
     """
 
-    def __init__(self, mesh: PolyMesh, geom: GeometryCache, k: int,
-                 cweno: fvmod.CwenoConfig | None = None):
+    def __init__(self, mesh: PolyMesh, geom: GeometryCache, k: int):
         self.mesh = mesh
         self.geom = geom
         self.k = k
         self.nk = n_poly(k)
         self.nkm1 = n_poly(k - 1)
         self.nkm2 = n_poly(k - 2)
-        cfg = cweno or fvmod.CwenoConfig(k=k)
-        if cfg.k != k:
-            raise ModelError("CWENO order must match the space order")
-        self.cweno_cfg = cfg
-        self.fvops = fvmod.FvOperators(mesh, geom, cfg)
+        self.fvops = fvmod.FvOperators(mesh, geom, k)
         self.layout = vemod.build_dof_layout(mesh, geom, k)
         self.groups, stiffness = [], []
         for idx in mesh.vertex_count_groups():
             elem = vemod.build_element(mesh, geom, idx, k)
             T = trmod.taylor_to_monomial(self.fvops.taylor, idx)
             Vp, Cp = trmod.build_transfer(elem, T)
-            self.groups.append(_Group(elem, T, Vp, Cp, self.layout, mesh, k,
-                                      self.fvops.edge_points))
+            self.groups.append(_Group(elem, T, Vp, Cp, self.layout, mesh, k))
             stiffness.append(elem.stiffness)
         cells = [grp.idx for grp in self.groups]
         self.M = vemod.scatter_matrix(self.layout, [grp.mass for grp in self.groups], cells)
@@ -425,7 +393,7 @@ class Discretization:
         out[:nb] = func(self.layout.dof_coords[:nb])
         if self.nkm2:
             for grp in self.groups:
-                vals = np.stack([func(grp.qnodes[gi]) for gi in range(len(grp.idx))])
+                vals = sample_at(func, grp.qnodes)
                 moms = np.einsum("gq,gqa,g->ga", vals * grp.qw, grp.qmono[:, :, :self.nkm2],
                                  1.0 / grp.area)
                 base = self.layout.moment_base
@@ -445,7 +413,7 @@ class Discretization:
                                           grp.basis.center, degree)
                 nodes, qw = rule.nodes, rule.weights
                 qmono = grp.basis.values(nodes)
-            vals = np.stack([f(nodes[gi]) for gi in range(len(grp.idx))])
+            vals = sample_at(f, nodes)
             mom = np.einsum("gq,gqa->ga", vals * qw, qmono)
             monoc = np.linalg.solve(grp.Hm, mom[:, :, None])[:, :, 0]
             coeffs[grp.idx] = np.linalg.solve(grp.T, monoc[:, :, None])[:, :, 0]
@@ -458,18 +426,19 @@ class Discretization:
     def load_from_monomial(self, mono_coeffs: np.ndarray) -> np.ndarray:
         return self._Cmglob @ mono_coeffs.ravel()
 
-    def monomial_coeffs(self, taylor_coeffs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(taylor_coeffs)
+    def gradient_coeffs(self, taylor_coeffs: np.ndarray) -> np.ndarray:
+        """Monomial coefficients (2, ncell, nk) of the x and y derivatives of
+        per-cell polynomials given by their Taylor coefficients."""
+        out = np.empty((2,) + taylor_coeffs.shape)
         for grp in self.groups:
-            out[grp.idx] = np.einsum("gab,gb->ga", grp.T, taylor_coeffs[grp.idx])
+            out[:, grp.idx] = grp.monomial_gradient(taylor_coeffs[grp.idx])
         return out
 
     def cell_means(self, func, time=None) -> np.ndarray:
         f = (lambda p: func(p, time)) if time is not None else func
         out = np.empty(self.mesh.n_cells)
         for grp in self.groups:
-            vals = np.stack([f(grp.qnodes[gi]) for gi in range(len(grp.idx))])
-            out[grp.idx] = np.einsum("gq,gq->g", vals, grp.qw) / grp.area
+            out[grp.idx] = np.einsum("gq,gq->g", sample_at(f, grp.qnodes), grp.qw) / grp.area
         return out
 
     def divergence_load(self, vx_dofs: np.ndarray, vy_dofs: np.ndarray) -> np.ndarray:
@@ -480,9 +449,7 @@ class Discretization:
         """Cell averages of the gradient of per-cell polynomials: (2, ncell)."""
         out = np.empty((2, self.mesh.n_cells))
         for grp in self.groups:
-            mono = np.einsum("gab,gb->ga", grp.T, taylor_coeffs[grp.idx])
-            gx = np.einsum("gab,gb->ga", grp.dxT, mono)
-            gy = np.einsum("gab,gb->ga", grp.dyT, mono)
+            gx, gy = grp.monomial_gradient(taylor_coeffs[grp.idx])
             out[0, grp.idx] = np.einsum("ga,ga->g", grp.meanm, gx)
             out[1, grp.idx] = np.einsum("ga,ga->g", grp.meanm, gy)
         return out
@@ -517,9 +484,7 @@ class Discretization:
         """Cell averages of H * grad(eta_poly), H evaluated via its Pi0 polynomial."""
         out = np.empty((2, self.mesh.n_cells))
         for grp in self.groups:
-            mono = np.einsum("gab,gb->ga", grp.T, eta_coeffs[grp.idx])
-            gx = np.einsum("gab,gb->ga", grp.dxT, mono)
-            gy = np.einsum("gab,gb->ga", grp.dyT, mono)
+            gx, gy = grp.monomial_gradient(eta_coeffs[grp.idx])
             hpoly = np.einsum("gad,gd->ga", grp.pis0, h_dofs[grp.dofs])
             hvals = np.einsum("gqa,ga->gq", grp.qmono, hpoly)
             gxv = np.einsum("gqa,ga->gq", grp.qmono, gx)
@@ -544,36 +509,6 @@ class Discretization:
             return np.empty(0, dtype=np.int64), np.empty(0)
         dofs = np.array(sorted(values), dtype=np.int64)
         return dofs, np.array([values[d] for d in dofs])
-
-    def edge_normal_trace(self, field_coeffs: np.ndarray, boundary_rule) -> np.ndarray:
-        """Single-valued normal trace (NE, ng) of a vector field on all edges.
-
-        Interior edges take the average of the two cell traces;
-        boundary_rule(tag, edges, wL, pts) may override boundary edges
-        (None keeps the one-sided interior trace).
-        """
-        fvops = self.fvops
-        wL, wR = fvops.edge_states(field_coeffs)
-        n = self.geom.edge_normal
-        fhat = 0.5 * ((wL[0] + wR[0]) * n[:, None, 0] + (wL[1] + wR[1]) * n[:, None, 1])
-        for tag, edges in fvops.by_tag.items():
-            override = boundary_rule(tag, edges,
-                                     wL[:, edges], fvops.edge_points[edges])
-            if override is not None:
-                fhat[edges] = override
-        return fhat
-
-    def edge_flux_load(self, fhat: np.ndarray) -> np.ndarray:
-        """Load of an edge-trace field: sum over cell boundaries of
-        (fhat * n-orientation sign) against Pi0 phi_i."""
-        out = np.zeros(self.layout.n_dofs)
-        wq = self.fvops.edge_weights
-        for grp in self.groups:
-            f_side = fhat[grp.side_edges] * wq[grp.side_edges]          # (g, nv, ng)
-            f_side = f_side * grp.side_signs[:, :, None]
-            local = np.einsum("gsq,gsqd->gd", f_side, grp.p0_edge)
-            np.add.at(out, grp.dofs, local)
-        return out
 
     def divergence_update(self, fhat: np.ndarray) -> np.ndarray:
         """Per-cell (1/|P|) * sum of integrated edge normal fluxes."""
@@ -717,12 +652,7 @@ class SweDriver:
     def _depth_gradient_trace(self, eta_poly: np.ndarray, h_dofs: np.ndarray) -> np.ndarray:
         """Single-valued edge trace of H * grad(eta) . n (central average)."""
         disc = self.disc
-        mono = disc.monomial_coeffs(eta_poly)
-        gx = np.empty_like(mono)
-        gy = np.empty_like(mono)
-        for grp in disc.groups:
-            gx[grp.idx] = np.einsum("gab,gb->ga", grp.dxT, mono[grp.idx])
-            gy[grp.idx] = np.einsum("gab,gb->ga", grp.dyT, mono[grp.idx])
+        gx, gy = disc.gradient_coeffs(eta_poly)
         hpoly = disc.pi0_poly(h_dofs)
         hL, hR = disc.edge_values_mono(hpoly)
         gxL, gxR = disc.edge_values_mono(gx)
@@ -912,13 +842,13 @@ class InsDriver:
         # changes (the Dirichlet dof set is geometric and fixed)
         Ac = self._viscous.operator(round(tau, 14),
                                     lambda: disc.M.combine(1.0, disc.K, tau * nu))
-        gradp = self._pressure_gradient_coeffs(p_coeffs)          # monomial coeffs
+        gradp = disc.gradient_coeffs(p_coeffs)
         loads = []
         for comp in range(2):
             f_field = coeffs_I[comp].copy()
             f_field[:, 0] = Fv[comp]
             loads.append(disc.load_from_taylor(f_field)
-                         - tau * self._monomial_load(gradp[comp]))
+                         - tau * disc.load_from_monomial(gradp[comp]))
         # one absolute scale for both components so a quiescent component is
         # not iterated down relative to its own roundoff
         atol = self.tol * max(np.linalg.norm(loads[0]), np.linalg.norm(loads[1]))
@@ -978,18 +908,6 @@ class InsDriver:
         aux = {"p_dofs": p_new, "p_coeffs": disc.vem_to_fv(p_new),
                "vstar0": vstar[0], "vstar1": vstar[1]}
         return FlowState(Qn, t, aux)
-
-    def _pressure_gradient_coeffs(self, p_coeffs: np.ndarray) -> np.ndarray:
-        disc = self.disc
-        out = np.empty((2, disc.mesh.n_cells, disc.nk))
-        for grp in disc.groups:
-            mono = np.einsum("gab,gb->ga", grp.T, p_coeffs[grp.idx])
-            out[0, grp.idx] = np.einsum("gab,gb->ga", grp.dxT, mono)
-            out[1, grp.idx] = np.einsum("gab,gb->ga", grp.dyT, mono)
-        return out
-
-    def _monomial_load(self, mono_coeffs: np.ndarray) -> np.ndarray:
-        return self.disc.load_from_monomial(mono_coeffs)
 
     def max_conv_eig(self, state: FlowState) -> np.ndarray:
         return _cell_edge_eig(self.disc, self.model, state.Q)

@@ -1,12 +1,14 @@
 """Conforming virtual element space of order k on polygons.
 
 Projector matrices (D, G, B, H, C, E, Pi-nabla, Pi0), stabilized mass and
-stiffness operators, load projection and global assembly.  Orders k = 1..4
-are supported.  Elements are built per group of cells with equal vertex
-count: every element array is stacked along a leading cell axis, so that one
-batched product or solve serves the whole group.  All element quantities are
-computed in each cell's own coordinate frame with the scaled monomial basis
-centred at its barycenter.
+stiffness operators, the global dof numbering, the scatter of element
+matrices into global sparse matrices and the Dirichlet dofs of tagged
+boundaries.  Loads are assembled by the Discretization (models.py) from its
+transfer operators.  Orders k = 1..4 are supported.  Elements are built per
+group of cells with equal vertex count: every element array is stacked along
+a leading cell axis, so that one batched product or solve serves the whole
+group.  All element quantities are computed in each cell's own coordinate
+frame with the scaled monomial basis centred at its barycenter.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import SparseMatrix, apply_dirichlet
+from .linalg import SparseMatrix
 from .mesh import GeometryCache, PolyMesh, gauss_lobatto_reference, polygon_quadrature
 
 MAX_ORDER = 4
@@ -125,10 +127,6 @@ class VemDofLayout:
     vertex_dof: np.ndarray   # (NV,) global ids
     moment_base: int
 
-    def cell_dof_count(self, mesh: PolyMesh, ci: int) -> int:
-        nv = len(mesh.cells[ci])
-        return nv * self.k + (self.k - 1) * self.k // 2
-
 
 def build_dof_layout(mesh: PolyMesh, geom: GeometryCache, k: int) -> VemDofLayout:
     """Number the degrees of freedom of the order-k space over the mesh."""
@@ -207,10 +205,6 @@ class ElementVem:
     mass: np.ndarray         # (N_dof, N_dof) stabilized M^h
     stiffness: np.ndarray    # (N_dof, N_dof) stabilized K^h
     stab_nabla: np.ndarray   # (N_dof, N_dof) (I - Pi_nabla)^T (I - Pi_nabla)
-    quad_nodes: np.ndarray   # interior rule of degree 2k (used for loads)
-    quad_weights: np.ndarray
-    quad_monomials: np.ndarray   # (nq, n_k) monomial values at quad nodes
-    edge_gl_nodes: np.ndarray    # (n_edges, k+1, 2) Gauss-Lobatto points per side
 
     def cell(self, i: int) -> "ElementVem":
         """The unstacked element of the i-th cell of the group."""
@@ -354,53 +348,13 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
 
     elem = ElementVem(k, ndof, idx, basis, area, D, G, B, H, C, Ex, Ey,
                       pis_nabla, pi_nabla, pis_0, pi_0, pis_0_km1,
-                      pis_0x, pis_0y, mass, stiffness, stab_nabla,
-                      rule.nodes, rule.weights, qm, gl)
+                      pis_0x, pis_0y, mass, stiffness, stab_nabla)
     return elem.cell(0) if np.ndim(cells) == 0 else elem
-
-
-def build_variable_stiffness(elem: ElementVem, coeff_values: np.ndarray,
-                             quad_weights: np.ndarray,
-                             quad_monomials_km1: np.ndarray) -> np.ndarray:
-    """Stiffness with a spatially varying positive coefficient.
-
-    coeff_values are the coefficient samples (its projected polynomial
-    evaluated) at a quadrature rule of degree 2k+2, with matching weights and
-    degree-(k-1) monomial values.  Raises VemError when the coefficient is
-    not strictly positive at the quadrature nodes (dry cell).
-    """
-    coeff = np.asarray(coeff_values)
-    if np.any(coeff <= 0.0):
-        raise VemError("non-positive diffusion coefficient (dry cell)")
-    wH = quad_weights * coeff
-    HH = quad_monomials_km1.T @ (quad_monomials_km1 * wH[:, None])
-    cbar = float(wH.sum() / elem.area)
-    Kc = elem.pis_0x.T @ HH @ elem.pis_0x + elem.pis_0y.T @ HH @ elem.pis_0y
-    K = Kc + cbar * elem.stab_nabla
-    return 0.5 * (K + K.T)
-
-
-def project_load(elem: ElementVem, f) -> np.ndarray:
-    """Load vector (F)_i = integral of f * Pi0 phi_i over the cell.
-
-    `f` is a callable of an (n, 2) point array or an array of values at the
-    element's degree-2k quadrature nodes.
-    """
-    vals = f(elem.quad_nodes) if callable(f) else np.asarray(f)
-    moments = elem.quad_monomials.T @ (elem.quad_weights * vals)
-    return elem.pis_0.T @ moments
 
 
 # ---------------------------------------------------------------------------
 # global assembly
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SparseSystem:
-    matrix: SparseMatrix
-    rhs: np.ndarray
-    constrained: np.ndarray   # dof indices that were eliminated
-
 
 def scatter_matrix(layout: VemDofLayout, element_matrices, cells=None) -> SparseMatrix:
     """Scatter-add dense element matrices into a global sparse matrix.
@@ -426,13 +380,6 @@ def scatter_matrix(layout: VemDofLayout, element_matrices, cells=None) -> Sparse
                                  np.concatenate(vals), (layout.n_dofs, layout.n_dofs))
 
 
-def scatter_vector(layout: VemDofLayout, element_vectors) -> np.ndarray:
-    out = np.zeros(layout.n_dofs)
-    for ci, fe in enumerate(element_vectors):
-        np.add.at(out, layout.cell_dofs[ci], fe)
-    return out
-
-
 def dirichlet_dofs(mesh: PolyMesh, layout: VemDofLayout, tags) -> np.ndarray:
     """Vertex and edge dofs on boundary edges whose tag is in `tags`."""
     out = []
@@ -444,24 +391,3 @@ def dirichlet_dofs(mesh: PolyMesh, layout: VemDofLayout, tags) -> np.ndarray:
         out.append(layout.vertex_dof[b])
         out.extend(layout.edge_dofs[e])
     return np.unique(np.asarray(out, dtype=np.int64)) if out else np.empty(0, dtype=np.int64)
-
-
-def assemble_global(mesh: PolyMesh, layout: VemDofLayout, element_matrices,
-                    element_vectors=None, boundary_values=None,
-                    boundary_tags=None) -> SparseSystem:
-    """Assemble the global system and eliminate Dirichlet dofs.
-
-    boundary_values: callable (n,2) points -> values, sampled at vertex/edge
-    dof locations on edges whose tag is in boundary_tags; moment dofs are
-    never constrained.
-    """
-    A = scatter_matrix(layout, element_matrices)
-    b = (scatter_vector(layout, element_vectors) if element_vectors is not None
-         else np.zeros(layout.n_dofs))
-    fixed = np.empty(0, dtype=np.int64)
-    if boundary_values is not None and boundary_tags:
-        fixed = dirichlet_dofs(mesh, layout, set(boundary_tags))
-        if len(fixed):
-            vals = boundary_values(layout.dof_coords[fixed])
-            A, b = apply_dirichlet(A, b, fixed, vals)
-    return SparseSystem(A, b, fixed)

@@ -202,8 +202,8 @@ def assert_group_row(grp, row, ci, members, P, R):
                                          (3, (False, False))])
 def test_stencil_fits_equal_the_per_cell_oracle(k, periodic):
     m = fm.generate_voronoi((0, 1, 0, 1), 45, lloyd_iters=5, seed=11, periodic=periodic)
-    ops = fvmod.FvOperators(m, fm.build_geometry(m), fvmod.CwenoConfig(k=k))
-    target = max(int(np.ceil(ops.cfg.growth * ops.nk)), ops.nk + 2)
+    ops = fvmod.FvOperators(m, fm.build_geometry(m), k)
+    target = max(int(np.ceil(fvmod.GROWTH * ops.nk)), ops.nk + 2)
     (central,) = ops.central_groups
     for ci in range(m.n_cells):
         members = ops._grow_stencil(ci, target)
@@ -272,4 +272,4 @@ class TestDegenerateCellErrors:
         m.boundary_tags = {e: "outer" for e in range(m.n_edges) if m.edge_cells[e, 1] < 0}
         assert len(m.vertex_count_groups()) == 1
         with pytest.raises(fvmod.FvError, match="^cell 4: stencil of 0 cells"):
-            fvmod.FvOperators(m, fm.build_geometry(m), fvmod.CwenoConfig(k=1))
+            fvmod.FvOperators(m, fm.build_geometry(m), 1)

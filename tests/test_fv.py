@@ -3,13 +3,23 @@ import pytest
 
 from fvvem import fv as fvmod
 from fvvem import mesh as fm
-from fvvem.models import InsModel, SweModel
+from fvvem.models import Discretization, InsModel, SweModel
+
+
+def voronoi_mesh(n, seed, periodic, box):
+    m = fm.generate_voronoi(box, n, lloyd_iters=8, seed=seed, periodic=periodic)
+    return m, fm.build_geometry(m)
 
 
 def voronoi_ops(k, n=80, seed=3, periodic=(True, True), box=(0, 1, 0, 1)):
-    m = fm.generate_voronoi(box, n, lloyd_iters=8, seed=seed, periodic=periodic)
-    g = fm.build_geometry(m)
-    return fvmod.FvOperators(m, g, fvmod.CwenoConfig(k=k)), m, g
+    m, g = voronoi_mesh(n, seed, periodic, box)
+    return fvmod.FvOperators(m, g, k), m, g
+
+
+def voronoi_disc(k, n=80, seed=3, periodic=(True, True), box=(0, 1, 0, 1)):
+    """A Discretization, for tests that take cell means of a function."""
+    m, g = voronoi_mesh(n, seed, periodic, box)
+    return Discretization(m, g, k), m, g
 
 
 class TestTaylorBasis:
@@ -53,19 +63,21 @@ class TestTaylorBasis:
 class TestCweno:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_linear_reproduction(self, k):
-        ops, m, g = voronoi_ops(k, n=60, periodic=(False, False))
+        disc, m, g = voronoi_disc(k, n=60, periodic=(False, False))
+        ops = disc.fvops
         lin = lambda p: 2.0 + 3.0 * p[:, 0] - 1.5 * p[:, 1]
-        Q = ops.cell_means_of_field(lin, 2)
+        Q = disc.cell_means(lin)
         coeffs = ops.reconstruct(Q)
         for ci in range(0, m.n_cells, 7):
             pts = m.cell_coords[ci]
-            vals = ops.evaluate(coeffs, ci, pts)[0]
+            vals = ops.taylor.values(ci, pts) @ coeffs[0, ci]
             assert np.abs(vals - lin(pts)).max() < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_polynomial_reproduction_invariant(self, k):
         # globally degree-k data reconstructed exactly (1e-11)
-        ops, m, g = voronoi_ops(k, n=70, seed=11, periodic=(False, False))
+        disc, m, g = voronoi_disc(k, n=70, seed=11, periodic=(False, False))
+        ops = disc.fvops
         rng = np.random.default_rng(k)
         cs = rng.standard_normal((k + 1) * (k + 2) // 2)
 
@@ -78,12 +90,12 @@ class TestCweno:
                     i += 1
             return out
 
-        Q = ops.cell_means_of_field(poly, 2 * k + 2)
+        Q = disc.cell_means(poly)           # a rule of degree 2k+2
         coeffs = ops.reconstruct(Q)
         worst = 0.0
         for ci in range(m.n_cells):
             pts = np.vstack([m.cell_coords[ci], g.barycenter[ci][None]])
-            vals = ops.evaluate(coeffs, ci, pts)[0]
+            vals = ops.taylor.values(ci, pts) @ coeffs[0, ci]
             worst = max(worst, np.abs(vals - poly(pts)).max())
         assert worst < 1e-11 * max(1.0, np.abs(cs).max())
 
@@ -96,7 +108,7 @@ class TestCweno:
         # first Taylor coefficient IS the cell average by basis construction
         for ci in range(0, m.n_cells, 9):
             rule = fm.interior_quadrature(m, g, ci, 6)
-            vals = ops.evaluate(coeffs, ci, rule.nodes)[0]
+            vals = ops.taylor.values(ci, rule.nodes) @ coeffs[0, ci]
             assert rule.weights @ vals / g.area[ci] == pytest.approx(Q[ci], abs=1e-13)
 
     def test_step_data_stays_in_stencil_bounds(self):
@@ -116,7 +128,7 @@ class TestCweno:
         m = fm.PolyMesh(pts, [np.arange(4)], boundary_tags={e: "o" for e in range(4)})
         g = fm.build_geometry(m)
         with pytest.raises(fvmod.FvError):
-            fvmod.FvOperators(m, g, fvmod.CwenoConfig(k=2))
+            fvmod.FvOperators(m, g, 2)
 
 
 class TestRusanov:
@@ -162,10 +174,11 @@ class TestExplicitOperator:
         assert np.abs(F - Q).max() < 1e-13
 
     def test_swe_rest_over_bump_zero_update(self):
-        ops, m, g = voronoi_ops(2, n=50, seed=4)
+        disc, m, g = voronoi_disc(2, n=50, seed=4)
+        ops = disc.fvops
         model = SweModel(g=9.81)
-        b = ops.cell_means_of_field(
-            lambda p: 0.3 * np.exp(-10 * ((p[:, 0] - 0.5) ** 2 + (p[:, 1] - 0.5) ** 2)), 6)
+        b = disc.cell_means(      # a rule of degree 6
+            lambda p: 0.3 * np.exp(-10 * ((p[:, 0] - 0.5) ** 2 + (p[:, 1] - 0.5) ** 2)))
         eta = np.ones(m.n_cells)
         Q = np.stack([eta, np.zeros_like(eta), np.zeros_like(eta)])
         bco = np.zeros((m.n_cells, ops.nk))

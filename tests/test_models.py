@@ -6,28 +6,29 @@ from fvvem import mesh as fm
 from fvvem import models
 from fvvem.models import (BoundaryCondition, BoundarySet, Discretization,
                           DryStateError, FlowState, InsConfig, InsDriver,
-                          SweConfig, SweDriver, evaluate_bathymetry,
-                          model_eigenvalue)
+                          InsModel, SweConfig, SweDriver, SweModel,
+                          evaluate_bathymetry)
+from fvvem.timeint import TimeIntError, compute_dt
 
 
 class TestModelEigenvalue:
     def test_zero_velocity(self):
         w = np.array([1.0, 0.0, 0.0, 0.0])
-        assert model_eigenvalue(w, np.array([1.0, 0.0]), "swe") == 0.0
+        assert SweModel(9.81).max_eig(w, np.array([1.0, 0.0])) == 0.0
 
     def test_swe_unit_velocity(self):
         w = np.array([1.0, 1.0, 0.0, 0.0])    # H=1, u=1
-        assert model_eigenvalue(w, np.array([1.0, 0.0]), "swe") == pytest.approx(2.0)
+        assert SweModel(9.81).max_eig(w, np.array([1.0, 0.0])) == pytest.approx(2.0)
 
     def test_ins_dot_product(self):
         w = np.array([3.0, 4.0])
         n = np.array([0.6, 0.8])
-        assert model_eigenvalue(w, n, "ins") == pytest.approx(5.0)
+        assert InsModel(0.0).max_eig(w, n) == pytest.approx(5.0)
 
     def test_nonfinite_raises(self):
-        from fvvem.models import ModelError
-        with pytest.raises(ModelError):
-            model_eigenvalue(np.array([np.inf, 0.0]), np.array([1.0, 0.0]), "ins")
+        lam = InsModel(0.0).max_eig(np.array([[np.inf], [0.0]]), np.array([[1.0, 0.0]]))
+        with pytest.raises(TimeIntError, match="non-finite"):
+            compute_dt(np.ones(1), lam, 0.9)
 
 
 def wb_setup(n=150, k=2, delta=0.0, seed=3):

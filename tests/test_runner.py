@@ -1,8 +1,19 @@
 import pytest
 
 from fvvem.harness import cli, runner
-from fvvem.harness.cases import get_case
+from fvvem.harness.cases import case_names, get_case
 from fvvem.timeint import TimeIntError
+
+# the CWENO constants the ledger reports, as recorded before they became
+# module constants of fvvem.fv
+CWENO_LEDGER = {
+    "cweno_lambda_central": 1e5,
+    "cweno_lambda_sector": 1.0,
+    "cweno_eps": 1e-14,
+    "cweno_power": 4,
+    "cweno_stencil_target": "max(1.5*nk, nk+2)",
+    "cweno_central_indicator": "stencil-fit residual (exact polynomial reproduction)",
+}
 
 
 def tiny_tgv(t_end):
@@ -19,6 +30,7 @@ def test_ledger_records_solver_and_phase_times():
     assert led["solver_iterations_total"] == res.driver.stats.iterations > 0
     assert led["setup_s"] > 0.0 and led["steps_s"] > 0.0
     assert "runtime_s" not in led
+    assert {key: v for key, v in led.items() if key.startswith("cweno_")} == CWENO_LEDGER
 
 
 def test_step_limit_raises():
@@ -34,3 +46,51 @@ def test_cli_exits_1_at_step_limit(monkeypatch, capsys):
                      "--tend", "1", "--quiet"])
     assert code == 1
     assert "step limit" in capsys.readouterr().err
+
+
+def record_dt(monkeypatch):
+    """Make run_case's drivers record, per step, the CFL dt and the dt taken."""
+    steps = []
+    build = runner.build_driver
+
+    def recording_driver(case, disc):
+        driver = build(case, disc)
+        compute_dt, step = driver.compute_dt, driver.step
+
+        def cfl_dt(state):
+            steps.append([compute_dt(state)])
+            return steps[-1][0]
+
+        def take(state, dt):
+            steps[-1].append(dt)
+            return step(state, dt)
+
+        driver.compute_dt, driver.step = cfl_dt, take
+        return driver
+
+    monkeypatch.setattr(runner, "build_driver", recording_driver)
+    return steps
+
+
+def test_given_dt_replaces_the_cfl_step(monkeypatch):
+    steps = record_dt(monkeypatch)
+    case = get_case("ins_tgv", h=0.9, t_end=0.05, dt=0.05, cfl=0.01)
+    assert not case.dt_caps_cfl
+    runner.run_case(case, quiet=True)
+    ((cfl_dt, taken),) = steps
+    assert cfl_dt < taken == case.dt
+
+
+def test_dt_caps_cfl_takes_the_smaller_step(monkeypatch):
+    steps = record_dt(monkeypatch)
+    case = get_case("ins_tgv", h=0.9, t_end=0.05, dt=0.05, cfl=0.01)
+    monkeypatch.setattr(type(case), "dt_caps_cfl", True)
+    runner.run_case(case, quiet=True)
+    assert len(steps) > 1
+    for cfl_dt, taken in steps[:-1]:
+        assert taken == cfl_dt < case.dt
+
+
+def test_only_the_riemann_cases_cap_dt():
+    for name in case_names():
+        assert get_case(name).dt_caps_cfl == name.startswith("swe_rp"), name

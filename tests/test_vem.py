@@ -3,7 +3,8 @@ import pytest
 
 from fvvem import mesh as fm
 from fvvem import vem
-from fvvem.linalg import jacobi, pcg
+from fvvem.linalg import apply_dirichlet, jacobi, pcg
+from fvvem.models import Discretization, DryStateError
 
 
 def single_cell_mesh(pts):
@@ -175,90 +176,92 @@ class TestMassStiffness:
         assert ev[1] > 1e-8 * ev[-1]           # and only one
 
 
-class TestVariableStiffness:
-    def rule_pack(self, m, g, elem, k):
-        rule = fm.interior_quadrature(m, g, 0, 2 * k + 2)
-        mono = elem.basis.values(rule.nodes)
-        return rule, mono
+def small_disc(k, n=30, seed=4):
+    m = fm.generate_voronoi((0, 2, 0, 1), n, lloyd_iters=5, seed=seed)
+    return Discretization(m, fm.build_geometry(m), k)
 
+
+def scatter_loads(m, g, k, layout, f):
+    """Per-cell oracle of the global load (f, Pi0 phi_i), each cell's by a
+    rule of degree 2k."""
+    out = np.zeros(layout.n_dofs)
+    for ci in range(m.n_cells):
+        elem = vem.build_element(m, g, ci, k)
+        rule = fm.interior_quadrature(m, g, ci, max(2 * k, 2))
+        moments = elem.basis.values(rule.nodes).T @ (rule.weights * f(rule.nodes))
+        np.add.at(out, layout.cell_dofs[ci], elem.pis_0.T @ moments)
+    return out
+
+
+def discretization_load(disc, f):
+    """(f, Pi0 phi_i) through the Discretization: L2 projection onto the
+    cells' polynomials, then their load."""
+    return disc.load_from_taylor(disc.project_field(f))
+
+
+class TestVariableStiffness:
     def test_unit_coeff_k1_matches_constant(self):
-        elem, m, g = build_one([[0, 0], [2, 0], [2, 1], [0, 1]], 1)
-        rule, mono = self.rule_pack(m, g, elem, 1)
-        K = vem.build_variable_stiffness(elem, np.ones(len(rule.weights)),
-                                         rule.weights, mono[:, :1])
-        assert np.abs(K - elem.stiffness).max() < 1e-12 * max(1.0, np.abs(elem.stiffness).max())
+        disc = small_disc(1)
+        K = disc.variable_stiffness_global(np.ones(disc.layout.n_dofs)).to_dense()
+        K0 = disc.K.to_dense()
+        assert np.abs(K - K0).max() < 1e-12 * max(1.0, np.abs(K0).max())
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_constants_in_kernel_any_coeff(self, k):
-        rng = np.random.default_rng(3 + k)
-        pts = random_star_polygon(rng)
-        elem, m, g = build_one(pts, k)
-        rule = fm.interior_quadrature(m, g, 0, 2 * k + 2)
-        mono = elem.basis.values(rule.nodes)
-        coeff = 2.0 + np.sin(rule.nodes[:, 0]) * np.cos(rule.nodes[:, 1])
-        K = vem.build_variable_stiffness(elem, coeff, rule.weights,
-                                         mono[:, :vem.n_poly(k - 1)])
-        ones = elem.D[:, 0]
-        assert np.abs(K @ ones).max() < 1e-11 * max(1.0, np.abs(K).max())
+        disc = small_disc(k, seed=3 + k)
+        coeff = disc.interpolate_dofs(lambda p: 2.0 + np.sin(p[:, 0]) * np.cos(p[:, 1]))
+        K = disc.variable_stiffness_global(coeff)
+        assert np.abs(K.to_scipy() @ disc.ones).max() < 1e-11 * max(1.0, np.abs(K.data).max())
 
     def test_linearity_in_coefficient(self):
-        elem, m, g = build_one([[0, 0], [1, 0], [1, 1], [0, 1]], 1)
-        rule, mono = self.rule_pack(m, g, elem, 1)
-        ones = np.ones(len(rule.weights))
-        K1 = vem.build_variable_stiffness(elem, ones, rule.weights, mono[:, :1])
-        K3 = vem.build_variable_stiffness(elem, 3.0 * ones, rule.weights, mono[:, :1])
-        assert np.abs(K3 - 3.0 * K1).max() < 1e-12
+        disc = small_disc(1)
+        ones = np.ones(disc.layout.n_dofs)
+        K1 = disc.variable_stiffness_global(ones).to_dense()
+        K3 = disc.variable_stiffness_global(3.0 * ones).to_dense()
+        assert np.abs(K3 - 3.0 * K1).max() < 1e-12 * max(1.0, np.abs(K1).max())
 
     def test_dry_cell_error(self):
-        elem, m, g = build_one([[0, 0], [1, 0], [1, 1], [0, 1]], 1)
-        rule, mono = self.rule_pack(m, g, elem, 1)
-        coeff = np.ones(len(rule.weights))
-        coeff[0] = -0.1
-        with pytest.raises(vem.VemError, match="dry"):
-            vem.build_variable_stiffness(elem, coeff, rule.weights, mono[:, :1])
+        disc = small_disc(1)
+        coeff = np.ones(disc.layout.n_dofs)
+        coeff[disc.layout.cell_dofs[0]] = -0.1
+        with pytest.raises(DryStateError, match="dry"):
+            disc.variable_stiffness_global(coeff)
 
 
 class TestProjectLoad:
     def test_zero(self):
-        elem, _, _ = build_one([[0, 0], [1, 0], [1, 1], [0, 1]], 2)
-        F = vem.project_load(elem, lambda p: np.zeros(len(p)))
-        assert np.array_equal(F, np.zeros(elem.n_dof))
+        disc = small_disc(2)
+        F = discretization_load(disc, lambda p: np.zeros(len(p)))
+        assert np.array_equal(F, np.zeros(disc.layout.n_dofs))
 
     def test_constant_partition(self):
-        rng = np.random.default_rng(31)
-        pts = random_star_polygon(rng)
-        elem, _, _ = build_one(pts, 3)
-        F = vem.project_load(elem, lambda p: np.ones(len(p)))
-        # sum_i F_i = integral of Pi0(1) = |P| via constant reproduction
-        ones = elem.D[:, 0]
-        assert ones @ (elem.mass @ np.linalg.solve(elem.mass, F)) == pytest.approx(
-            elem.area, rel=1e-12)
-        assert F.sum() == pytest.approx(
-            np.sum([vem_phi_integral for vem_phi_integral in elem.pis_0.T @ (
-                elem.quad_monomials.T @ elem.quad_weights)]), rel=1e-12)
+        disc = small_disc(3, seed=31)
+        F = discretization_load(disc, lambda p: np.ones(len(p)))
+        # integral of Pi0(1) * 1 = |Omega| via constant reproduction
+        assert disc.ones @ F == pytest.approx(disc.area_total, rel=1e-12)
+        oracle = scatter_loads(disc.mesh, disc.geom, 3, disc.layout, lambda p: np.ones(len(p)))
+        assert F.sum() == pytest.approx(oracle.sum(), rel=1e-12)
 
     def test_monomial_vs_quadrature_oracle(self):
-        elem, m, g = build_one([[0, 0], [1, 0], [1, 1], [0, 1]], 2)
-        f = lambda p: elem.basis.values(p)[:, 1]         # the x scaled monomial
-        F = vem.project_load(elem, f)
-        rule = fm.interior_quadrature(m, g, 0, 8)
-        vals = elem.basis.values(rule.nodes)
-        pi0_phi = vals @ elem.pis_0                       # (nq, ndof)
-        oracle = pi0_phi.T @ (rule.weights * f(rule.nodes))
-        assert np.abs(F - oracle).max() < 1e-13
+        disc = small_disc(2)
+        # a quadratic: its projection onto each cell's polynomials is exact,
+        # and the oracle's degree-4 rule integrates it times Pi0 phi_i exactly
+        f = lambda p: 1.0 + p[:, 0] - 2.0 * p[:, 1] + 0.5 * p[:, 0] ** 2 + p[:, 0] * p[:, 1]
+        F = discretization_load(disc, f)
+        oracle = scatter_loads(disc.mesh, disc.geom, 2, disc.layout, f)
+        assert np.abs(F - oracle).max() < 1e-13 * np.abs(oracle).max()
 
 
 class TestGlobalAssembly:
     def poisson_system(self, m, g, k, exact, rhs_f):
         layout = vem.build_dof_layout(m, g, k)
-        elems = [vem.build_element(m, g, ci, k) for ci in range(m.n_cells)]
-        mats = [e.stiffness for e in elems]
-        loads = [vem.project_load(e, rhs_f) for e in elems]
-        sysm = vem.assemble_global(m, layout, mats, loads,
-                                   boundary_values=lambda p: exact(p),
-                                   boundary_tags=set(m.boundary_tags.values()))
-        x, rep = pcg(sysm.matrix, sysm.rhs, jacobi(sysm.matrix), tol=1e-15,
-                     maxiter=8000)
+        groups = m.vertex_count_groups()
+        mats = [vem.build_element(m, g, idx, k).stiffness for idx in groups]
+        A = vem.scatter_matrix(layout, mats, groups)
+        b = scatter_loads(m, g, k, layout, rhs_f)
+        fixed = vem.dirichlet_dofs(m, layout, set(m.boundary_tags.values()))
+        A, b = apply_dirichlet(A, b, fixed, exact(layout.dof_coords[fixed]))
+        x, rep = pcg(A, b, jacobi(A), tol=1e-15, maxiter=8000)
         return x, layout
 
     def test_one_cell_equals_element(self):

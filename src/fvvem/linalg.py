@@ -30,10 +30,13 @@ class SolverReport:
 
 
 class SparseMatrix:
-    """Square-or-rectangular CSR matrix; finalized on construction.
+    """Square-or-rectangular CSR matrix.
 
-    Column indices are sorted and unique per row and explicit zeros are
-    dropped, so the structure is canonical.
+    Built from a scipy matrix it is finalized: column indices are sorted and
+    unique per row and explicit zeros are dropped, so the structure is
+    canonical.  `on_pattern` instead wraps data on a given canonical
+    pattern, explicit zeros included, so operators refilled on one pattern
+    keep identical `indptr` and `indices`.
     """
 
     def __init__(self, csr: sp.csr_matrix):
@@ -44,12 +47,12 @@ class SparseMatrix:
         self._m = csr
 
     @classmethod
-    def from_coo(cls, rows, cols, vals, shape) -> "SparseMatrix":
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr())
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(sp.identity(n, format="csr"))
+    def on_pattern(cls, indptr, indices, data, shape) -> "SparseMatrix":
+        """`data` on a canonical CSR pattern; the arrays are shared, not copied."""
+        out = cls.__new__(cls)
+        out._m = sp.csr_matrix((data, indices, indptr), shape=shape, copy=False)
+        out._m.has_canonical_format = True
+        return out
 
     @property
     def shape(self):
@@ -67,10 +70,6 @@ class SparseMatrix:
     def data(self):
         return self._m.data
 
-    @property
-    def nnz(self):
-        return self._m.nnz
-
     def diagonal(self):
         return self._m.diagonal()
 
@@ -79,13 +78,6 @@ class SparseMatrix:
 
     def to_dense(self) -> np.ndarray:
         return self._m.toarray()
-
-    def symmetry_error(self) -> float:
-        d = self._m - self._m.T
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
-
-    def combine(self, coeff_self: float, other: "SparseMatrix", coeff_other: float) -> "SparseMatrix":
-        return SparseMatrix((coeff_self * self._m + coeff_other * other._m).tocsr())
 
 
 def pcg(A: SparseMatrix, b: np.ndarray, precond=None, x0: np.ndarray | None = None,
@@ -160,47 +152,52 @@ def factorized(A: SparseMatrix, pin: int | None = None):
     return lu.solve
 
 
-def apply_dirichlet(A: SparseMatrix, b: np.ndarray, dofs: np.ndarray,
-                    values: np.ndarray) -> tuple[SparseMatrix, np.ndarray]:
+class DirichletSet:
+    """Dirichlet dofs of one canonical CSR pattern (anything with `indptr`,
+    `indices` and `shape`), with the data positions of their rows and columns
+    and of their diagonal entries, found once for every matrix on it."""
+
+    def __init__(self, pattern, dofs):
+        self.dofs = np.unique(np.asarray(dofs, dtype=np.int64))
+        mask = np.zeros(pattern.shape[0], dtype=bool)
+        mask[self.dofs] = True
+        rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+        self.cleared = np.flatnonzero(mask[rows] | mask[pattern.indices])
+        self.diagonal = self.cleared[rows[self.cleared] == pattern.indices[self.cleared]]
+        if len(self.diagonal) != len(self.dofs):
+            raise ValueError("a constrained dof has no diagonal entry in the pattern")
+
+    def rhs(self, A: SparseMatrix, b: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """b - A x_fix, with the values themselves in the constrained rows."""
+        xfix = np.zeros(A.shape[0])
+        xfix[self.dofs] = values
+        out = b - A.to_scipy() @ xfix
+        out[self.dofs] = values
+        return out
+
+
+def apply_dirichlet(A: SparseMatrix, b: np.ndarray, dofs, values: np.ndarray
+                    ) -> tuple[SparseMatrix, np.ndarray]:
     """Constrain dofs to values: identity rows plus symmetric column elimination.
 
-    Coupled columns are folded into b so a symmetric A stays symmetric.
-    Raises on duplicate indices with conflicting values.
+    `dofs` is a `DirichletSet` of A's pattern (values ordered as its `dofs`)
+    or dof indices, where a repeated dof must repeat its value.  The result
+    keeps A's pattern; coupled columns are folded into b so a symmetric A
+    stays symmetric.
     """
-    dofs = np.asarray(dofs, dtype=np.int64)
     values = np.asarray(values, dtype=float)
-    if len(dofs) != len(values):
-        raise ValueError("dofs and values length mismatch")
-    b = np.array(b, dtype=float)
-    n = A.shape[0]
-    if len(dofs) == 0:
-        return A, b
-    order = np.argsort(dofs, kind="stable")
-    ds, vs = dofs[order], values[order]
-    dup = ds[1:] == ds[:-1]
-    if np.any(dup):
-        if np.any(np.abs(vs[1:][dup] - vs[:-1][dup]) > 0.0):
-            bad = ds[1:][dup][np.abs(vs[1:][dup] - vs[:-1][dup]) > 0.0]
-            raise ValueError(f"conflicting Dirichlet values at dofs {np.unique(bad)[:5]}")
-        keep = np.concatenate([[True], ~dup])
-        ds, vs = ds[keep], vs[keep]
-    xfix = np.zeros(n)
-    xfix[ds] = vs
-    mask = np.zeros(n, dtype=bool)
-    mask[ds] = True
-
-    M = A.to_scipy().tocsr(copy=True)
-    b -= M @ xfix                     # move known values to the rhs
-    b[ds] = vs
-    # zero constrained rows and columns, then place unit diagonals
-    keep_rows = ~mask[_csr_row_of(M)]
-    keep_cols = ~mask[M.indices]
-    M.data[~(keep_rows & keep_cols)] = 0.0
-    M = M.tocsr()
-    M += sp.coo_matrix((np.ones(len(ds)), (ds, ds)), shape=M.shape).tocsr()
-    return SparseMatrix(M), b
-
-
-def _csr_row_of(M: sp.csr_matrix) -> np.ndarray:
-    counts = np.diff(M.indptr)
-    return np.repeat(np.arange(M.shape[0]), counts)
+    if not isinstance(dofs, DirichletSet):
+        dofs = np.asarray(dofs, dtype=np.int64)
+        if len(dofs) != len(values):
+            raise ValueError("dofs and values length mismatch")
+        ds, first = np.unique(dofs, return_index=True)
+        vs = values[first]
+        bad = values != vs[np.searchsorted(ds, dofs)]
+        if np.any(bad):
+            raise ValueError(f"conflicting Dirichlet values at dofs {np.unique(dofs[bad])[:5]}")
+        dofs, values = DirichletSet(A, ds), vs
+    data = A.data.copy()
+    data[dofs.cleared] = 0.0
+    data[dofs.diagonal] = 1.0
+    return (SparseMatrix.on_pattern(A.indptr, A.indices, data, A.shape),
+            dofs.rhs(A, b, values))

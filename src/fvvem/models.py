@@ -4,7 +4,10 @@ A stage couples the explicit FV convective operator with implicit VEM solves
 (free-surface wave equation for SWE; viscous Helmholtz plus pressure
 projection for INS) through the FV<->VEM transfer operators.  The
 Discretization object precomputes everything mesh-dependent, grouped by cell
-vertex count so per-stage work is batched numpy.
+vertex count so per-stage work is batched numpy.  Every implicit operator
+lives in one fixed CSR pattern (`vem.AssemblyPattern`): a stage refills its
+data (the free surface M + tau^2 g K(H) in every stage, the viscous
+M + tau nu K when tau changes) and never rebuilds its structure.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 from . import fv as fvmod
 from . import transfer as trmod
 from . import vem as vemod
-from .linalg import (DEFAULT_TOL, SolverReport, SparseMatrix, apply_dirichlet,
-                     factorized, jacobi, pcg)
+from .linalg import (DEFAULT_TOL, DirichletSet, SolverReport, SparseMatrix,
+                     apply_dirichlet, factorized, jacobi, pcg)
 from .mesh import GeometryCache, PolyMesh, polygon_quadrature, sample_at
 from .timeint import compute_dt, imex_advance, tableau
 from .vem import n_poly
@@ -218,6 +221,12 @@ class _Group:
         self.qnodes = rule.nodes
         self.qw = rule.weights
         self.qmono = elem.basis.values(rule.nodes)                 # (g, nq, nk)
+        # variable stiffness: Hc[a * nkm1 + b, c] = sum_q w_q m_a m_b m_c (a, b < nkm1)
+        mk = self.qmono[:, :, :nkm1]
+        wmm = (mk * self.qw[..., None])[:, :, :, None] * mk[:, :, None, :]   # (g, nq, a, b)
+        self.Hc = wmm.reshape(len(idx), -1, nkm1 * nkm1).transpose(0, 2, 1) @ self.qmono
+        # monomial moments -> Taylor coefficients of the L2 projection
+        self.projector = np.linalg.solve(T, np.linalg.inv(self.Hm))  # T^-1 H^-1
 
     def monomial_gradient(self, taylor_coeffs: np.ndarray):
         """Monomial coefficients (g, nk) of the x and y derivatives of the
@@ -249,9 +258,9 @@ class Discretization:
             Vp, Cp = trmod.build_transfer(elem, T)
             self.groups.append(_Group(elem, T, Vp, Cp, self.layout, mesh, k))
             stiffness.append(elem.stiffness)
-        cells = [grp.idx for grp in self.groups]
-        self.M = vemod.scatter_matrix(self.layout, [grp.mass for grp in self.groups], cells)
-        self.K = vemod.scatter_matrix(self.layout, stiffness, cells)
+        self.pattern = vemod.AssemblyPattern(self.layout, [grp.idx for grp in self.groups])
+        self.M = vemod.scatter_matrix(self.pattern, [grp.mass for grp in self.groups])
+        self.K = vemod.scatter_matrix(self.pattern, stiffness)
         self.ones = self._constant_dof_vector()
         self.area_total = float(np.sum(geom.area))
         self._build_edge_trace_tables()
@@ -316,22 +325,14 @@ class Discretization:
             return r, c, grp.Ct_mono
         self._Cmglob = build(cm_entries, nd, nc * nk)
 
-        # divergence load: out = DXglob @ vx + DYglob @ vy
-        def dx_entries(grp):
-            blocks = np.einsum("gad,gae->gde", grp.pis0x, grp.cp_km1)
-            g, ndof = grp.dofs.shape
-            r = np.repeat(grp.dofs[:, :, None], ndof, axis=2)
-            c = np.repeat(grp.dofs[:, None, :], ndof, axis=1)
-            return r, c, blocks.transpose(0, 2, 1)
-        def dy_entries(grp):
-            blocks = np.einsum("gad,gae->gde", grp.pis0y, grp.cp_km1)
-            g, ndof = grp.dofs.shape
-            r = np.repeat(grp.dofs[:, :, None], ndof, axis=2)
-            c = np.repeat(grp.dofs[:, None, :], ndof, axis=1)
-            return r, c, blocks.transpose(0, 2, 1)
-        self._DXglob = build(dx_entries, nd, nd)
-        self._DYglob = build(dy_entries, nd, nd)
-        self._DIVglob = sp.hstack([self._DXglob, self._DYglob]).tocsr()
+        # divergence load: out = DIVglob @ [vx, vy], each half on the assembly
+        # pattern with blocks (Pi0_{k-1} d phi_j / dx, Pi0 phi_i) (and d / dy)
+        def divergence_half(pis):
+            return vemod.scatter_matrix(self.pattern, [
+                np.einsum("gai,gaj->gij", grp.cp_km1, pis(grp)) for grp in self.groups])
+        DX = divergence_half(lambda grp: grp.pis0x)
+        DY = divergence_half(lambda grp: grp.pis0y)
+        self._DIVglob = sp.hstack([DX.to_scipy(), DY.to_scipy()]).tocsr()
 
     def _build_edge_trace_tables(self):
         """VEM edge traces: Lagrange map from the k+1 Gauss-Lobatto edge dofs
@@ -455,29 +456,23 @@ class Discretization:
         return out
 
     def variable_stiffness_global(self, coeff_dofs: np.ndarray) -> SparseMatrix:
-        """Assemble K^{n,h} for a positive VEM coefficient field (e.g. depth)."""
-        rows, cols, vals = [], [], []
+        """K^{n,h} of a positive VEM coefficient field (e.g. depth), on the
+        assembly pattern.  Per cell, with c the monomial coefficients of the
+        field's Pi0 projection, the Gram matrix of the degree-(k-1) monomials
+        weighted by it is W = Hc . c, and
+        K_E = Pi0x^T W Pi0x + Pi0y^T W Pi0y + mean(c) S_E."""
+        blocks = []
         for grp in self.groups:
-            local = coeff_dofs[grp.dofs]
-            cpoly = np.einsum("gad,gd->ga", grp.pis0, local)           # monomial coeffs
-            cvals = np.einsum("gqa,ga->gq", grp.qmono, cpoly)
-            if np.any(cvals <= 0.0):
+            cpoly = np.einsum("gad,gd->ga", grp.pis0, coeff_dofs[grp.dofs])
+            if np.any(np.einsum("gqa,ga->gq", grp.qmono, cpoly) <= 0.0):
                 raise DryStateError("coefficient not strictly positive at "
                                     "quadrature nodes (dry cell)")
-            wH = grp.qw * cvals
-            mk = grp.qmono[:, :, :self.nkm1]
-            HH = np.einsum("gqa,gq,gqb->gab", mk, wH, mk)
-            cbar = wH.sum(axis=1) / grp.area
-            Kc = (np.einsum("gad,gab,gbe->gde", grp.pis0x, HH, grp.pis0x)
-                  + np.einsum("gad,gab,gbe->gde", grp.pis0y, HH, grp.pis0y))
-            Kl = Kc + cbar[:, None, None] * grp.stab
-            nd = Kl.shape[1]
-            rows.append(np.repeat(grp.dofs, nd, axis=1).ravel())
-            cols.append(np.tile(grp.dofs, (1, nd)).ravel())
-            vals.append(Kl.ravel())
-        n = self.layout.n_dofs
-        return SparseMatrix.from_coo(np.concatenate(rows), np.concatenate(cols),
-                                     np.concatenate(vals), (n, n))
+            W = (grp.Hc @ cpoly[:, :, None]).reshape(len(cpoly), self.nkm1, self.nkm1)
+            cbar = np.einsum("ga,ga->g", grp.meanm, cpoly)
+            px, py = grp.pis0x, grp.pis0y
+            blocks.append(px.transpose(0, 2, 1) @ W @ px + py.transpose(0, 2, 1) @ W @ py
+                          + cbar[:, None, None] * grp.stab)
+        return self.pattern.matrix(self.pattern.scatter(blocks))
 
     def gradient_depth_weighted(self, eta_coeffs: np.ndarray,
                                 h_dofs: np.ndarray) -> np.ndarray:
@@ -492,23 +487,6 @@ class Discretization:
             out[0, grp.idx] = np.einsum("gq,gq->g", grp.qw * hvals, gxv) / grp.area
             out[1, grp.idx] = np.einsum("gq,gq->g", grp.qw * hvals, gyv) / grp.area
         return out
-
-    def tagged_dirichlet(self, bcs: "BoundarySet", tags, sampler, t: float):
-        """(dofs, values) for the union of tags; ties resolved tag-by-tag in
-        sorted order with 'wall' tags applied last (they win at corners)."""
-        values: dict[int, float] = {}
-        ordered = sorted(tags, key=lambda tag: (bcs.table[tag].kind == "wall", tag))
-        for tag in ordered:
-            dofs = vemod.dirichlet_dofs(self.mesh, self.layout, {tag})
-            if not len(dofs):
-                continue
-            vals = sampler(tag, self.layout.dof_coords[dofs], t)
-            for d, v in zip(dofs, vals):
-                values[int(d)] = float(v)
-        if not values:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        dofs = np.array(sorted(values), dtype=np.int64)
-        return dofs, np.array([values[d] for d in dofs])
 
     def divergence_update(self, fhat: np.ndarray) -> np.ndarray:
         """Per-cell (1/|P|) * sum of integrated edge normal fluxes."""
@@ -564,7 +542,7 @@ class SweDriver:
     """Semi-implicit shallow-water stepper on a Discretization."""
 
     kind = "swe"
-    # M + tau^2 g K_H follows the state: reassembled every stage
+    # M + tau^2 g K_H follows the state: refilled in the fixed pattern every stage
     preconditioners = {"free-surface": "jacobi"}
 
     def __init__(self, disc: Discretization, config: SweConfig, bcs: BoundarySet,
@@ -582,7 +560,10 @@ class SweDriver:
         self.stats = SolveStats()
         b_fun = bathymetry or (lambda p: np.zeros(len(p)))
         self.b_coeffs, self.b_dofs = evaluate_bathymetry(disc, b_fun)
-        self.eta_dirichlet = bcs.tags_of_kind("dirichlet")
+        eta_dirichlet = bcs.tags_of_kind("dirichlet")
+        self._free_surface = _ConstrainedSystem(
+            disc, bcs, eta_dirichlet, [lambda tag, pts, t: bcs.table[tag].state(pts, t)[0]],
+            static=all(bcs.table[tag].static for tag in eta_dirichlet))
 
     # FV ghost resolver over the 4-row state (eta, qx, qy, b)
     def _ghost(self, tag, pts, normals, wL, t):
@@ -609,7 +590,7 @@ class SweDriver:
         eta_E_dofs = disc.fv_to_vem(coeffs_E[0])
         h_dofs = eta_E_dofs - self.b_dofs
         Kn = disc.variable_stiffness_global(h_dofs)
-        A = disc.M.combine(1.0, Kn, tau * tau * g)
+        A = self._free_surface.operator(None, lambda: disc.M.data + tau * tau * g * Kn.data)
         # rhs: (eta_I - tau * div Fq, Pi0 phi), with Fq as the smooth field
         # q_I(x) - tau * P(div(v (x) q))(x) projected onto the VEM space; its
         # weak divergence is integrated by parts inside the E-matrix operator
@@ -617,19 +598,12 @@ class SweDriver:
         fq_field = coeffs_I[1:3] - tau * conv_poly
         fq_dofs = disc.fv_to_vem(fq_field)
         fq_div = disc.divergence_load(fq_dofs[0], fq_dofs[1])
-        rhs = disc.load_from_taylor(coeffs_I[0]) - tau * fq_div
-        fixed = np.empty(0, dtype=np.int64)
-        if self.eta_dirichlet:
-            fixed, vals = disc.tagged_dirichlet(
-                self.bcs, self.eta_dirichlet,
-                lambda tag, pts, tt: self.bcs.table[tag].state(pts, tt)[0], t)
-        if len(fixed):
-            A, rhs = apply_dirichlet(A, rhs, fixed, vals)
+        rhs = self._free_surface.rhs(disc.load_from_taylor(coeffs_I[0]) - tau * fq_div, 0, t)
         x0 = QI.aux.get("eta_dofs")
         if x0 is None:
             x0 = disc.fv_to_vem(coeffs_I[0])
-        eta_dofs = solve_implicit(A, rhs, x0, self.tol, None, None, self.stats,
-                                  "free-surface")
+        eta_dofs = solve_implicit(A, rhs, x0, self.tol, None, self._free_surface.precond,
+                                  self.stats, "free-surface")
         eta_poly = disc.vem_to_fv(eta_dofs)
         grad_eta = disc.gradient_depth_weighted(eta_poly, h_dofs)
         q_new = Fq - tau * g * grad_eta
@@ -678,29 +652,26 @@ class SweDriver:
         disc = self.disc
         out = np.empty((2, disc.mesh.n_cells, disc.nk))
         for grp in disc.groups:
-            mono = np.einsum("gab,cgb->cga", grp.T, full_coeffs[:, grp.idx])
-            vals = np.einsum("gqa,cga->cgq", grp.qmono, mono)
-            dx = np.einsum("gab,cgb->cga", grp.dxT, mono)
-            dy = np.einsum("gab,cgb->cga", grp.dyT, mono)
-            dxv = np.einsum("gqa,cga->cgq", grp.qmono, dx)
-            dyv = np.einsum("gqa,cga->cgq", grp.qmono, dy)
-            H = vals[0] - vals[3]
+            mono = grp.T @ full_coeffs[:, grp.idx].transpose(1, 2, 0)      # (g, nk, 4)
+            # values and x/y derivatives at the nodes, (g, nq, 4) each
+            vals, dxv, dyv = np.split(grp.qmono @ np.concatenate(
+                [mono, grp.dxT @ mono, grp.dyT @ mono], axis=2), 3, axis=2)
+            H = vals[..., 0] - vals[..., 3]
             if np.any(H <= 0.0):
                 raise DryStateError("dry cell in convective field evaluation")
-            Hx = dxv[0] - dxv[3]
-            Hy = dyv[0] - dyv[3]
-            qx, qy = vals[1], vals[2]
-            qxx, qxy = dxv[1], dyv[1]
-            qyx, qyy = dxv[2], dyv[2]
+            Hx = dxv[..., 0] - dxv[..., 3]
+            Hy = dyv[..., 0] - dyv[..., 3]
+            qx, qy = vals[..., 1], vals[..., 2]
+            qxx, qxy = dxv[..., 1], dyv[..., 1]
+            qyx, qyy = dxv[..., 2], dyv[..., 2]
             # div components of q (x) q / H
             div_x = ((2.0 * qx * qxx + qx * qyy + qy * qxy) / H
                      - qx * (qx * Hx + qy * Hy) / H ** 2)
             div_y = ((qx * qyx + qy * qxx + 2.0 * qy * qyy) / H
                      - qy * (qx * Hx + qy * Hy) / H ** 2)
-            for c, dv in enumerate((div_x, div_y)):
-                mom = np.einsum("gq,gqa->ga", dv * grp.qw, grp.qmono)
-                monoc = np.linalg.solve(grp.Hm, mom[:, :, None])[:, :, 0]
-                out[c, grp.idx] = np.linalg.solve(grp.T, monoc[:, :, None])[:, :, 0]
+            div = np.stack([div_x, div_y], axis=-1) * grp.qw[..., None]    # (g, nq, 2)
+            out[:, grp.idx] = (grp.projector @ (grp.qmono.transpose(0, 2, 1) @ div)
+                               ).transpose(2, 0, 1)
         return out
 
     # -- time stepping --------------------------------------------------------
@@ -724,34 +695,42 @@ class SweDriver:
 class _ConstrainedSystem:
     """One implicit system of a driver with its Dirichlet dofs eliminated.
 
-    Caches what lasts as long as the operator does: the constrained matrix,
-    the fixed dofs, the columns coupling them to the free dofs and the
-    preconditioner, plus the boundary values when every condition is static.
-    `operator(key, build)` rebuilds only when `key` changes.  A `constant`
-    operator (the same for the driver's life) is factored once and the
-    factor preconditions CG; any other gets Jacobi.
+    Fixed for its life: the Dirichlet dofs, the tag that sets each one's value
+    (sorted order with 'wall' tags last, the last one wins: walls win at
+    corners) and their positions in the Discretization's assembly pattern.
+    Values are sampled per right-hand side, or once when all are static.
+    `operator(key, build)` refills the operator from `build()`, its data on
+    the pattern, when `key` changes or is None, and keeps the unconstrained
+    matrix (for the right-hand sides) and the preconditioner.  A `constant`
+    operator is factored once and the factor preconditions CG; any other
+    gets Jacobi.
     """
 
     def __init__(self, disc: Discretization, bcs: BoundarySet, tags, samplers,
                  static: bool, constant: bool = False):
-        self.disc, self.bcs, self.tags = disc, bcs, tags
+        self.disc = disc
         self.samplers = samplers        # per component: (tag, pts, t) -> values
-        self.fixed = np.empty(0, dtype=np.int64)
-        if tags:
-            self.fixed, _ = disc.tagged_dirichlet(bcs, tags, samplers[0], 0.0)
+        ordered = sorted(tags, key=lambda tag: (bcs.table[tag].kind == "wall", tag))
+        owner = np.full(disc.layout.n_dofs, -1)
+        for i, tag in enumerate(ordered):
+            owner[vemod.dirichlet_dofs(disc.mesh, disc.layout, {tag})] = i
+        self.fixed = np.flatnonzero(owner >= 0)
+        self.coords = disc.layout.dof_coords[self.fixed]
+        won = [(tag, np.flatnonzero(owner[self.fixed] == i)) for i, tag in enumerate(ordered)]
+        self.by_tag = [(tag, pos) for tag, pos in won if len(pos)]
+        self.dirichlet = DirichletSet(disc.pattern, self.fixed) if len(self.fixed) else None
         self.static_values = {} if static else None
         self.constant = constant
         self.key = None
-        self.A = self.cols = self.precond = None
+        self.A = self.full = self.precond = None
 
     def operator(self, key, build) -> SparseMatrix:
-        if self.A is None or key != self.key:
-            A = build()
-            self.key, self.A, self.cols = key, A, None
-            if len(self.fixed):
-                self.cols = A.to_scipy()[:, self.fixed].tocsr()
-                self.A, _ = apply_dirichlet(A, np.zeros(A.shape[0]), self.fixed,
-                                            np.zeros(len(self.fixed)))
+        if self.A is None or key is None or key != self.key:
+            self.key = key
+            self.A = self.full = self.disc.pattern.matrix(build())
+            if self.dirichlet is not None:
+                self.A, _ = apply_dirichlet(self.full, np.zeros(self.full.shape[0]),
+                                            self.dirichlet, np.zeros(len(self.fixed)))
             if self.constant:
                 # without fixed dofs the operator is singular (pure Neumann):
                 # pin a dof where the constant field is nonzero in the factor
@@ -761,19 +740,23 @@ class _ConstrainedSystem:
                 self.precond = jacobi(self.A)
         return self.A
 
-    def rhs(self, load: np.ndarray, comp: int, t: float) -> np.ndarray:
-        """Right-hand side with the fixed dofs set to their boundary values."""
-        if not len(self.fixed):
-            return load
+    def values(self, comp: int, t: float) -> np.ndarray:
+        """Boundary values of component `comp` on the fixed dofs at time t."""
         vals = None if self.static_values is None else self.static_values.get(comp)
         if vals is None:
-            _, vals = self.disc.tagged_dirichlet(self.bcs, self.tags,
-                                                 self.samplers[comp], t)
+            vals = np.empty(len(self.fixed))
+            for tag, pos in self.by_tag:
+                vals[pos] = self.samplers[comp](tag, self.coords[pos], t)
             if self.static_values is not None:
                 self.static_values[comp] = vals
-        rhs = load - self.cols @ vals
-        rhs[self.fixed] = vals
-        return rhs
+        return vals
+
+    def rhs(self, load: np.ndarray, comp: int, t: float) -> np.ndarray:
+        """Right-hand side of the current operator with the fixed dofs set to
+        their boundary values."""
+        if self.dirichlet is None:
+            return load
+        return self.dirichlet.rhs(self.full, load, self.values(comp, t))
 
 
 class InsDriver:
@@ -838,10 +821,10 @@ class InsDriver:
             Fv = Fv + tau * np.array([[fx], [fy]])
         p_dofs = QI.aux["p_dofs"]
         p_coeffs = QI.aux["p_coeffs"]
-        # Helmholtz operator for the provisional velocity, rebuilt when tau
+        # Helmholtz operator for the provisional velocity, refilled when tau
         # changes (the Dirichlet dof set is geometric and fixed)
         Ac = self._viscous.operator(round(tau, 14),
-                                    lambda: disc.M.combine(1.0, disc.K, tau * nu))
+                                    lambda: disc.M.data + tau * nu * disc.K.data)
         gradp = disc.gradient_coeffs(p_coeffs)
         loads = []
         for comp in range(2):
@@ -875,7 +858,7 @@ class InsDriver:
         self.last_compatibility = float(disc.ones @ rhs_p) / disc.area_total
         # pure-Neumann/periodic (no fixed dofs): CG solves the singular
         # consistent system and the gauge is fixed afterwards (mean of p held)
-        Ap = self._pressure.operator(None, lambda: disc.K)
+        Ap = self._pressure.operator("K", lambda: disc.K.data)
         bp = self._pressure.rhs(rhs_p, 0, t)
         pfixed = self._pressure.fixed
         r0 = np.linalg.norm(bp - Ap.to_scipy() @ p_dofs)

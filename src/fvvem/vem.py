@@ -1,10 +1,11 @@
 """Conforming virtual element space of order k on polygons.
 
 Projector matrices (D, G, B, H, C, E, Pi-nabla, Pi0), stabilized mass and
-stiffness operators, the global dof numbering, the scatter of element
-matrices into global sparse matrices and the Dirichlet dofs of tagged
-boundaries.  Loads are assembled by the Discretization (models.py) from its
-transfer operators.  Orders k = 1..4 are supported.  Elements are built per
+stiffness operators, the global dof numbering, the assembly pattern (the CSR
+pattern of the element connectivity, with the scatter of element matrices
+into it) and the Dirichlet dofs of tagged boundaries.  Loads are assembled
+by the Discretization (models.py) from its transfer operators.  Orders
+k = 1..4 are supported.  Elements are built per
 group of cells with equal vertex count: every element array is stacked along
 a leading cell axis, so that one batched product or solve serves the whole
 group.  All element quantities are computed in each cell's own coordinate
@@ -355,39 +356,54 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
 # ---------------------------------------------------------------------------
 # global assembly
 # ---------------------------------------------------------------------------
+# The Discretization owns one AssemblyPattern, the global structure and the
+# scatter: M and K are scattered into it, and each stage refills it (K(h)).
 
-def scatter_matrix(layout: VemDofLayout, element_matrices, cells=None) -> SparseMatrix:
-    """Scatter-add dense element matrices into a global sparse matrix.
+class AssemblyPattern:
+    """CSR pattern of the element connectivity, and the scatter into it.
 
-    element_matrices[i] is the (N_dof, N_dof) matrix of cell cells[i], or the
-    (g, N_dof, N_dof) stack of a group of cells cells[i] with equal dof
-    counts; `cells` defaults to 0, 1, 2, ...
+    The pattern holds every pair of dofs of a common cell, so every global
+    operator assembled from dense element matrices (M, K, the variable
+    stiffness K(h) and their combinations) shares one `indptr`/`indices`.
+    `cells` lists the groups of cells whose element matrices are stacked
+    (g, N_dof, N_dof); `positions` sends each entry of those stacks, group
+    after group, to its slot in the pattern's data, so an assembly is one
+    `np.bincount`.
     """
-    if cells is None:
-        cells = range(len(element_matrices))
-    rows, cols, vals = [], [], []
-    for ids, Ke in zip(cells, element_matrices):
-        ids = np.atleast_1d(ids)
-        dofs = np.stack([layout.cell_dofs[ci] for ci in ids])
-        nd = dofs.shape[1]
-        if np.shape(Ke)[-2:] != (nd, nd) or np.size(Ke) != len(ids) * nd * nd:
-            raise VemError(f"cell {ids[0]}: element matrix shape {np.shape(Ke)} does not "
-                           f"match dof count {nd}")
-        rows.append(np.repeat(dofs, nd, axis=1).ravel())
-        cols.append(np.tile(dofs, (1, nd)).ravel())
-        vals.append(np.ravel(Ke))
-    return SparseMatrix.from_coo(np.concatenate(rows), np.concatenate(cols),
-                                 np.concatenate(vals), (layout.n_dofs, layout.n_dofs))
+
+    def __init__(self, layout: VemDofLayout, cells):
+        n = layout.n_dofs
+        keys = []
+        for ids in cells:
+            dofs = np.stack([layout.cell_dofs[ci] for ci in np.atleast_1d(ids)])
+            keys.append((dofs[:, :, None] * n + dofs[:, None, :]).ravel())
+        pairs, self.positions = np.unique(np.concatenate(keys), return_inverse=True)
+        self.shape = (n, n)
+        self.nnz = len(pairs)
+        index = np.int32 if max(n, self.nnz) < 2 ** 31 else np.int64
+        self.indices = (pairs % n).astype(index)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs // n, minlength=n))
+                                      ]).astype(index)
+
+    def scatter(self, element_matrices) -> np.ndarray:
+        """Pattern data of the sum of the groups' stacked element matrices."""
+        vals = np.concatenate([np.ravel(Ke) for Ke in element_matrices])
+        if vals.size != self.positions.size:
+            raise VemError(f"{vals.size} element matrix entries for a pattern "
+                           f"of {self.positions.size}")
+        return np.bincount(self.positions, weights=vals, minlength=self.nnz)
+
+    def matrix(self, data: np.ndarray) -> SparseMatrix:
+        return SparseMatrix.on_pattern(self.indptr, self.indices, data, self.shape)
+
+
+def scatter_matrix(pattern: AssemblyPattern, element_matrices) -> SparseMatrix:
+    """Scatter-add the groups' stacked element matrices into the pattern."""
+    return pattern.matrix(pattern.scatter(element_matrices))
 
 
 def dirichlet_dofs(mesh: PolyMesh, layout: VemDofLayout, tags) -> np.ndarray:
     """Vertex and edge dofs on boundary edges whose tag is in `tags`."""
-    out = []
-    for e, tag in sorted(mesh.boundary_tags.items()):
-        if tag not in tags:
-            continue
-        a, b = mesh.edges[e]
-        out.append(layout.vertex_dof[a])
-        out.append(layout.vertex_dof[b])
-        out.extend(layout.edge_dofs[e])
-    return np.unique(np.asarray(out, dtype=np.int64)) if out else np.empty(0, dtype=np.int64)
+    edges = np.array([e for e, tag in mesh.boundary_tags.items() if tag in tags], dtype=np.int64)
+    return np.unique(np.concatenate([layout.vertex_dof[mesh.edges[edges]].ravel(),
+                                     layout.edge_dofs[edges].ravel()]))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import erf
 
 from fvvem import mesh as fm
 from fvvem import models
+from fvvem import vem
+from fvvem.linalg import SparseMatrix
 from fvvem.models import (BoundaryCondition, BoundarySet, Discretization,
                           DryStateError, FlowState, InsConfig, InsDriver,
                           InsModel, SweConfig, SweDriver, SweModel,
@@ -373,3 +376,182 @@ class TestApBehaviour:
         assert abs(counts[0] - counts[1]) <= 1
         assert dts[0] == pytest.approx(dts[1], rel=1e-2)    # dt independent of Fr
         assert abs(errs[0] - errs[1]) / errs[0] < 0.12
+
+
+# ---------------------------------------------------------------------------
+# fixed-pattern implicit operators against the per-stage rebuild they replaced
+# ---------------------------------------------------------------------------
+
+def _rel(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+def dense_scatter(disc, blocks):
+    """Per-element dense assembly of the groups' stacked element matrices."""
+    n = disc.layout.n_dofs
+    out = np.zeros((n, n))
+    for grp, stack in zip(disc.groups, blocks):
+        for dofs, Ke in zip(grp.dofs, stack):
+            out[np.ix_(dofs, dofs)] += Ke
+    return out
+
+
+def variable_stiffness_oracle(disc, coeff_dofs):
+    """K(h) from the values of h's Pi0 polynomial at the quadrature nodes."""
+    blocks = []
+    for grp in disc.groups:
+        cpoly = np.einsum("gad,gd->ga", grp.pis0, coeff_dofs[grp.dofs])
+        wH = grp.qw * np.einsum("gqa,ga->gq", grp.qmono, cpoly)
+        mk = grp.qmono[:, :, :disc.nkm1]
+        HH = np.einsum("gqa,gq,gqb->gab", mk, wH, mk)
+        cbar = wH.sum(axis=1) / grp.area
+        blocks.append(np.einsum("gad,gab,gbe->gde", grp.pis0x, HH, grp.pis0x)
+                      + np.einsum("gad,gab,gbe->gde", grp.pis0y, HH, grp.pis0y)
+                      + cbar[:, None, None] * grp.stab)
+    return dense_scatter(disc, blocks)
+
+
+def tagged_dirichlet_oracle(disc, bcs, tags, sampler, t):
+    """Tag by tag in sorted order, 'wall' tags last; a later tag overwrites."""
+    values = {}
+    for tag in sorted(tags, key=lambda tag: (bcs.table[tag].kind == "wall", tag)):
+        dofs = vem.dirichlet_dofs(disc.mesh, disc.layout, {tag})
+        for d, v in zip(dofs, sampler(tag, disc.layout.dof_coords[dofs], t)):
+            values[int(d)] = float(v)
+    dofs = np.array(sorted(values), dtype=np.int64)
+    return dofs, np.array([values[d] for d in dofs])
+
+
+def dirichlet_oracle(A, b, dofs, values):
+    xfix = np.zeros(len(b))
+    xfix[dofs] = values
+    b = b - A @ xfix
+    b[dofs] = values
+    A = A.copy()
+    A[dofs, :] = 0.0
+    A[:, dofs] = 0.0
+    A[dofs, dofs] = 1.0
+    return A, b
+
+
+def swe_pattern_setup(k, periodic, n=30):
+    m = fm.generate_voronoi((0, 1, 0, 1), n, lloyd_iters=5, seed=6,
+                            periodic=(periodic, periodic))
+    disc = Discretization(m, fm.build_geometry(m), k=k)
+
+    def state(p, t):
+        x, y = p[:, 0], p[:, 1]
+        eta = 1.0 + 0.1 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) + t
+        return np.stack([eta, 0.2 * eta * np.cos(2 * np.pi * y),
+                         -0.1 * eta * np.sin(2 * np.pi * x), np.zeros(len(p))])
+
+    tags = [] if periodic else sorted(set(m.boundary_tags.values()))
+    bcs = BoundarySet({tag: BoundaryCondition("dirichlet", state=state) for tag in tags})
+    return SweDriver(disc, SweConfig(g=9.81), bcs, scheme="SADIRK343"), state
+
+
+class TestFixedPattern:
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_free_surface_operator_matches_dense_oracle(self, k, periodic):
+        drv, state = swe_pattern_setup(k, periodic)
+        disc = drv.disc
+        h = disc.interpolate_dofs(lambda p: 1.5 + 0.3 * np.sin(3 * p[:, 0]) * p[:, 1])
+        K = disc.variable_stiffness_global(h)
+        Kref = variable_stiffness_oracle(disc, h)
+        assert _rel(K.to_dense(), Kref) <= 1e-14
+        c = 0.37
+        system = drv._free_surface
+        A = system.operator(None, lambda: disc.M.data + c * K.data)
+        load = np.random.default_rng(k).standard_normal(disc.layout.n_dofs)
+        rhs = system.rhs(load, 0, 0.25)
+        fixed, vals = tagged_dirichlet_oracle(
+            disc, drv.bcs, list(drv.bcs.table), lambda tag, p, t: state(p, t)[0], 0.25)
+        assert np.array_equal(system.fixed, fixed) and (len(fixed) == 0) == periodic
+        Mref = dense_scatter(disc, [grp.mass for grp in disc.groups])
+        Aref, rhs_ref = dirichlet_oracle(Mref + c * Kref, load, fixed, vals)
+        assert _rel(A.to_dense(), Aref) <= 1e-14
+        assert _rel(rhs, rhs_ref) <= 1e-14
+
+    def test_wall_wins_at_corners(self):
+        m = fm.generate_voronoi((0, 1, 0, 1), 30, lloyd_iters=5, seed=6)
+        disc = Discretization(m, fm.build_geometry(m), k=2)
+        bcs = BoundarySet({"xmin": BoundaryCondition("dirichlet"),
+                           "xmax": BoundaryCondition("dirichlet"),
+                           "ymin": BoundaryCondition("wall"),
+                           "ymax": BoundaryCondition("dirichlet")})
+
+        def sample(tag, pts, t):
+            if bcs.table[tag].kind == "wall":
+                return np.zeros(len(pts))
+            return 2.0 + pts[:, 0] + len(tag) * pts[:, 1] + t
+
+        system = models._ConstrainedSystem(disc, bcs, sorted(bcs.table), [sample],
+                                           static=False)
+        for t in (0.0, 0.5):
+            dofs, vals = tagged_dirichlet_oracle(disc, bcs, sorted(bcs.table), sample, t)
+            assert np.array_equal(system.fixed, dofs)
+            assert np.array_equal(system.values(0, t), vals)
+        corners = disc.layout.dof_coords[dofs][:, 1] == 0.0
+        assert np.all(vals[corners] == 0.0) and np.all(vals[~corners] > 0.0)
+
+    def test_pattern_fixed_across_stages_and_steps(self, monkeypatch):
+        drv, state = swe_pattern_setup(2, periodic=False, n=40)
+        patterns = []
+
+        def recording(A, *args, **kwargs):
+            patterns.append((A.indptr.copy(), A.indices.copy()))
+            return real(A, *args, **kwargs)
+        real = models.solve_implicit
+        monkeypatch.setattr(models, "solve_implicit", recording)
+        Q = drv.initial_state(state)
+        for _ in range(2):
+            Q = drv.step(Q, 1e-3)
+        assert len(patterns) == 2 * drv.pair.stages
+        for indptr, indices in patterns:
+            assert np.array_equal(indptr, drv.disc.pattern.indptr)
+            assert np.array_equal(indices, drv.disc.pattern.indices)
+
+    def test_stage_makes_no_coo_conversion(self, monkeypatch):
+        drv, state = swe_pattern_setup(2, periodic=False, n=40)
+        Q = drv.initial_state(state)
+        calls = []
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+        counted(sp.coo_matrix, "tocsr")
+        counted(SparseMatrix, "__init__")       # the canonicalizing constructor
+        solves = drv.stats.solves
+        drv.step(Q, 1e-3)
+        assert drv.stats.solves == solves + drv.pair.stages
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_convective_projection_matches_solve_path(self, k):
+        drv, state = swe_pattern_setup(k, periodic=True)
+        disc = drv.disc
+        full = drv.full_coeffs(disc.fvops.reconstruct(drv.initial_state(state).Q))
+        got = drv._convective_divergence_poly(full)
+        ref = np.empty_like(got)
+        for grp in disc.groups:
+            mono = np.einsum("gab,cgb->cga", grp.T, full[:, grp.idx])
+            vals = np.einsum("gqa,cga->cgq", grp.qmono, mono)
+            dxv = np.einsum("gqa,cga->cgq", grp.qmono, np.einsum("gab,cgb->cga", grp.dxT, mono))
+            dyv = np.einsum("gqa,cga->cgq", grp.qmono, np.einsum("gab,cgb->cga", grp.dyT, mono))
+            H, Hx, Hy = vals[0] - vals[3], dxv[0] - dxv[3], dyv[0] - dyv[3]
+            qx, qy = vals[1], vals[2]
+            div_x = ((2.0 * qx * dxv[1] + qx * dyv[2] + qy * dyv[1]) / H
+                     - qx * (qx * Hx + qy * Hy) / H ** 2)
+            div_y = ((qx * dxv[2] + qy * dxv[1] + 2.0 * qy * dyv[2]) / H
+                     - qy * (qx * Hx + qy * Hy) / H ** 2)
+            for c, dv in enumerate((div_x, div_y)):
+                mom = np.einsum("gq,gqa->ga", dv * grp.qw, grp.qmono)
+                monoc = np.linalg.solve(grp.Hm, mom[:, :, None])[:, :, 0]
+                ref[c, grp.idx] = np.linalg.solve(grp.T, monoc[:, :, None])[:, :, 0]
+        assert np.abs(ref).max() > 1e-2          # the state moves
+        assert _rel(got, ref) <= 1e-13

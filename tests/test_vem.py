@@ -257,7 +257,7 @@ class TestGlobalAssembly:
         layout = vem.build_dof_layout(m, g, k)
         groups = m.vertex_count_groups()
         mats = [vem.build_element(m, g, idx, k).stiffness for idx in groups]
-        A = vem.scatter_matrix(layout, mats, groups)
+        A = vem.scatter_matrix(vem.AssemblyPattern(layout, groups), mats)
         b = scatter_loads(m, g, k, layout, rhs_f)
         fixed = vem.dirichlet_dofs(m, layout, set(m.boundary_tags.values()))
         A, b = apply_dirichlet(A, b, fixed, exact(layout.dof_coords[fixed]))
@@ -269,7 +269,7 @@ class TestGlobalAssembly:
         g = fm.build_geometry(m)
         layout = vem.build_dof_layout(m, g, 2)
         elem = vem.build_element(m, g, 0, 2)
-        A = vem.scatter_matrix(layout, [elem.stiffness])
+        A = vem.scatter_matrix(vem.AssemblyPattern(layout, [0]), [elem.stiffness])
         assert np.abs(A.to_dense() - elem.stiffness).max() < 1e-15
 
     def test_two_cell_additivity(self):
@@ -282,7 +282,8 @@ class TestGlobalAssembly:
         layout = vem.build_dof_layout(m, g, 1)
         e0 = vem.build_element(m, g, 0, 1)
         e1 = vem.build_element(m, g, 1, 1)
-        A = vem.scatter_matrix(layout, [e0.stiffness, e1.stiffness]).to_dense()
+        A = vem.scatter_matrix(vem.AssemblyPattern(layout, [0, 1]),
+                               [e0.stiffness, e1.stiffness]).to_dense()
         d0, d1 = layout.cell_dofs[0], layout.cell_dofs[1]
         expect = np.zeros_like(A)
         expect[np.ix_(d0, d0)] += e0.stiffness

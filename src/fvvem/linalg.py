@@ -2,8 +2,12 @@
 
 All implicit systems (pressure Poisson, viscous Helmholtz, free surface) are
 symmetric positive (semi-)definite, and Dirichlet elimination keeps them so:
-they are solved by preconditioned conjugate gradients (`pcg`), with either a
-Jacobi preconditioner or the sparse LU factor of an operator that stays fixed.
+they are solved by preconditioned conjugate gradients (`pcg`).  The
+preconditioner is the sparse LU factor (`factorized`) of the system's operator
+or of an earlier operator of the same system: CG on the exact factor takes
+one iteration, and a factor kept while the coefficients drift (the drivers in
+`models` refactor only when a solve needs more than
+`models.REFACTOR_ITERATIONS` iterations) still takes a few.
 """
 
 from __future__ import annotations
@@ -70,9 +74,6 @@ class SparseMatrix:
     def data(self):
         return self._m.data
 
-    def diagonal(self):
-        return self._m.diagonal()
-
     def to_scipy(self) -> sp.csr_matrix:
         return self._m
 
@@ -124,15 +125,6 @@ def pcg(A: SparseMatrix, b: np.ndarray, precond=None, x0: np.ndarray | None = No
             r = b - Asp @ x
             res = float(np.linalg.norm(r))
     return x, SolverReport(it, res / nb, True)
-
-
-def jacobi(A: SparseMatrix):
-    """Diagonal (Jacobi) preconditioner r -> r / diag(A)."""
-    d = A.diagonal()
-    if np.any(d <= 0.0):
-        raise SolverError("Jacobi preconditioning requires a positive diagonal")
-    dinv = 1.0 / d
-    return lambda r: r * dinv
 
 
 def factorized(A: SparseMatrix, pin: int | None = None):

@@ -7,7 +7,10 @@ Discretization object precomputes everything mesh-dependent, grouped by cell
 vertex count so per-stage work is batched numpy.  Every implicit operator
 lives in one fixed CSR pattern (`vem.AssemblyPattern`): a stage refills its
 data (the free surface M + tau^2 g K(H) in every stage, the viscous
-M + tau nu K when tau changes) and never rebuilds its structure.
+M + tau nu K when tau changes) and never rebuilds its structure.  Each
+implicit system is preconditioned by the sparse LU factor of its first
+operator, kept across refills until a solve takes more than
+REFACTOR_ITERATIONS CG iterations (`_ConstrainedSystem`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from . import fv as fvmod
 from . import transfer as trmod
 from . import vem as vemod
 from .linalg import (DEFAULT_TOL, DirichletSet, SolverReport, SparseMatrix,
-                     apply_dirichlet, factorized, jacobi, pcg)
+                     apply_dirichlet, factorized, pcg)
 from .mesh import GeometryCache, PolyMesh, polygon_quadrature, sample_at
 from .timeint import compute_dt, imex_advance, tableau
 from .vem import n_poly
@@ -455,15 +458,15 @@ class Discretization:
             out[1, grp.idx] = np.einsum("ga,ga->g", grp.meanm, gy)
         return out
 
-    def variable_stiffness_global(self, coeff_dofs: np.ndarray) -> SparseMatrix:
+    def variable_stiffness_global(self, coeff_poly: np.ndarray) -> SparseMatrix:
         """K^{n,h} of a positive VEM coefficient field (e.g. depth), on the
-        assembly pattern.  Per cell, with c the monomial coefficients of the
-        field's Pi0 projection, the Gram matrix of the degree-(k-1) monomials
-        weighted by it is W = Hc . c, and
+        assembly pattern, from the monomial coefficients c (ncell, nk) of the
+        field's Pi0 projection (`pi0_poly`).  Per cell the Gram matrix of the
+        degree-(k-1) monomials weighted by it is W = Hc . c, and
         K_E = Pi0x^T W Pi0x + Pi0y^T W Pi0y + mean(c) S_E."""
         blocks = []
         for grp in self.groups:
-            cpoly = np.einsum("gad,gd->ga", grp.pis0, coeff_dofs[grp.dofs])
+            cpoly = coeff_poly[grp.idx]
             if np.any(np.einsum("gqa,ga->gq", grp.qmono, cpoly) <= 0.0):
                 raise DryStateError("coefficient not strictly positive at "
                                     "quadrature nodes (dry cell)")
@@ -474,14 +477,14 @@ class Discretization:
                           + cbar[:, None, None] * grp.stab)
         return self.pattern.matrix(self.pattern.scatter(blocks))
 
-    def gradient_depth_weighted(self, eta_coeffs: np.ndarray,
-                                h_dofs: np.ndarray) -> np.ndarray:
-        """Cell averages of H * grad(eta_poly), H evaluated via its Pi0 polynomial."""
+    def gradient_depth_weighted(self, grad_coeffs: np.ndarray,
+                                h_poly: np.ndarray) -> np.ndarray:
+        """Cell averages of H * grad(eta), from the monomial coefficients of
+        grad(eta) (`gradient_coeffs`) and of H's Pi0 polynomial (`pi0_poly`)."""
         out = np.empty((2, self.mesh.n_cells))
         for grp in self.groups:
-            gx, gy = grp.monomial_gradient(eta_coeffs[grp.idx])
-            hpoly = np.einsum("gad,gd->ga", grp.pis0, h_dofs[grp.dofs])
-            hvals = np.einsum("gqa,ga->gq", grp.qmono, hpoly)
+            gx, gy = grad_coeffs[:, grp.idx]
+            hvals = np.einsum("gqa,ga->gq", grp.qmono, h_poly[grp.idx])
             gxv = np.einsum("gqa,ga->gq", grp.qmono, gx)
             gyv = np.einsum("gqa,ga->gq", grp.qmono, gy)
             out[0, grp.idx] = np.einsum("gq,gq->g", grp.qw * hvals, gxv) / grp.area
@@ -526,6 +529,20 @@ class Discretization:
 # solver drivers
 # ---------------------------------------------------------------------------
 
+# A system refactors its preconditioner at the next refill when its last solve
+# took more CG iterations than this.  A kept factor holds CG at 1-10
+# iterations per solve while the coefficients drift over a run (SWE depth,
+# the CFL-limited tau); more means the operator moved far from the factored
+# one (tau changed several-fold), and one factorization costs about as much
+# as 20-30 CG iterations with the factor.
+REFACTOR_ITERATIONS = 15
+
+
+# ledger entry of a system whose operator is refilled (`_ConstrainedSystem`)
+FROZEN_FACTOR = ("sparse LU of the first operator, refactored at the next refill "
+                 f"after a solve of more than {REFACTOR_ITERATIONS} CG iterations")
+
+
 @dataclass
 class SolveStats:
     iterations: int = 0
@@ -543,7 +560,7 @@ class SweDriver:
 
     kind = "swe"
     # M + tau^2 g K_H follows the state: refilled in the fixed pattern every stage
-    preconditioners = {"free-surface": "jacobi"}
+    preconditioners = {"free-surface": FROZEN_FACTOR}
 
     def __init__(self, disc: Discretization, config: SweConfig, bcs: BoundarySet,
                  scheme: str = "LSDIRK222", cfl: float = 0.9,
@@ -588,9 +605,9 @@ class SweDriver:
                                      self._ghost)
         # depth coefficient as a VEM field from the explicitly extrapolated state
         eta_E_dofs = disc.fv_to_vem(coeffs_E[0])
-        h_dofs = eta_E_dofs - self.b_dofs
-        Kn = disc.variable_stiffness_global(h_dofs)
-        A = self._free_surface.operator(None, lambda: disc.M.data + tau * tau * g * Kn.data)
+        h_poly = disc.pi0_poly(eta_E_dofs - self.b_dofs)
+        Kn = disc.variable_stiffness_global(h_poly)
+        self._free_surface.operator(None, lambda: disc.M.data + tau * tau * g * Kn.data)
         # rhs: (eta_I - tau * div Fq, Pi0 phi), with Fq as the smooth field
         # q_I(x) - tau * P(div(v (x) q))(x) projected onto the VEM space; its
         # weak divergence is integrated by parts inside the E-matrix operator
@@ -602,11 +619,10 @@ class SweDriver:
         x0 = QI.aux.get("eta_dofs")
         if x0 is None:
             x0 = disc.fv_to_vem(coeffs_I[0])
-        eta_dofs = solve_implicit(A, rhs, x0, self.tol, None, self._free_surface.precond,
-                                  self.stats, "free-surface")
+        eta_dofs = self._free_surface.solve(rhs, x0, self.tol, self.stats, "free-surface")
         eta_poly = disc.vem_to_fv(eta_dofs)
-        grad_eta = disc.gradient_depth_weighted(eta_poly, h_dofs)
-        q_new = Fq - tau * g * grad_eta
+        grad_eta = disc.gradient_coeffs(eta_poly)
+        q_new = Fq - tau * g * disc.gradient_depth_weighted(grad_eta, h_poly)
         # divergence-form mass update with the single-valued implicit flux
         # q^{new} . n = trace(Fq_vem) - tau g * avg(H grad eta^{new}) . n
         n = disc.geom.edge_normal
@@ -615,7 +631,7 @@ class SweDriver:
         for tag, edges in disc.fvops.by_tag.items():
             if self.bcs.table[tag].kind == "wall":
                 fq_hat[edges] = 0.0
-        q_hat = fq_hat - tau * g * self._depth_gradient_trace(eta_poly, h_dofs)
+        q_hat = fq_hat - tau * g * self._depth_gradient_trace(grad_eta, h_poly)
         if self.mass_update == "divergence":
             eta_new = QI.Q[0] - tau * disc.divergence_update(q_hat)
         else:
@@ -623,12 +639,12 @@ class SweDriver:
         Qn = np.vstack([eta_new[None], q_new])
         return FlowState(Qn, t, {"eta_dofs": eta_dofs})
 
-    def _depth_gradient_trace(self, eta_poly: np.ndarray, h_dofs: np.ndarray) -> np.ndarray:
-        """Single-valued edge trace of H * grad(eta) . n (central average)."""
+    def _depth_gradient_trace(self, grad_eta: np.ndarray, h_poly: np.ndarray) -> np.ndarray:
+        """Single-valued edge trace of H * grad(eta) . n (central average),
+        from the monomial coefficients of grad(eta) and of H's Pi0 polynomial."""
         disc = self.disc
-        gx, gy = disc.gradient_coeffs(eta_poly)
-        hpoly = disc.pi0_poly(h_dofs)
-        hL, hR = disc.edge_values_mono(hpoly)
+        gx, gy = grad_eta
+        hL, hR = disc.edge_values_mono(h_poly)
         gxL, gxR = disc.edge_values_mono(gx)
         gyL, gyR = disc.edge_values_mono(gy)
         n = disc.geom.edge_normal
@@ -701,13 +717,19 @@ class _ConstrainedSystem:
     Values are sampled per right-hand side, or once when all are static.
     `operator(key, build)` refills the operator from `build()`, its data on
     the pattern, when `key` changes or is None, and keeps the unconstrained
-    matrix (for the right-hand sides) and the preconditioner.  A `constant`
-    operator is factored once and the factor preconditions CG; any other
-    gets Jacobi.
+    matrix (for the right-hand sides).
+
+    Preconditioner: the sparse LU factor (`linalg.factorized`) of the
+    Dirichlet-eliminated operator, taken when the operator is first built
+    and kept across refills.  A refill refactors only when the last `solve`
+    took more than REFACTOR_ITERATIONS CG iterations, so the rule depends on
+    iteration counts alone and reruns are reproducible.  An operator that
+    `annihilates_constants` (a stiffness matrix) is singular when no dof is
+    fixed: its factor then pins the dof where the constant field is largest.
     """
 
     def __init__(self, disc: Discretization, bcs: BoundarySet, tags, samplers,
-                 static: bool, constant: bool = False):
+                 static: bool, annihilates_constants: bool = False):
         self.disc = disc
         self.samplers = samplers        # per component: (tag, pts, t) -> values
         ordered = sorted(tags, key=lambda tag: (bcs.table[tag].kind == "wall", tag))
@@ -720,9 +742,11 @@ class _ConstrainedSystem:
         self.by_tag = [(tag, pos) for tag, pos in won if len(pos)]
         self.dirichlet = DirichletSet(disc.pattern, self.fixed) if len(self.fixed) else None
         self.static_values = {} if static else None
-        self.constant = constant
+        self.pin = (int(np.argmax(np.abs(disc.ones)))
+                    if annihilates_constants and not len(self.fixed) else None)
         self.key = None
         self.A = self.full = self.precond = None
+        self.last_iterations = 0
 
     def operator(self, key, build) -> SparseMatrix:
         if self.A is None or key is None or key != self.key:
@@ -731,14 +755,21 @@ class _ConstrainedSystem:
             if self.dirichlet is not None:
                 self.A, _ = apply_dirichlet(self.full, np.zeros(self.full.shape[0]),
                                             self.dirichlet, np.zeros(len(self.fixed)))
-            if self.constant:
-                # without fixed dofs the operator is singular (pure Neumann):
-                # pin a dof where the constant field is nonzero in the factor
-                pin = None if len(self.fixed) else int(np.argmax(np.abs(self.disc.ones)))
-                self.precond = factorized(self.A, pin)
-            else:
-                self.precond = jacobi(self.A)
+            if self.precond is None or self.last_iterations > REFACTOR_ITERATIONS:
+                self.precond = None         # one factor in memory at a time
+                self.precond = factorized(self.A, self.pin)
+                self.last_iterations = 0
         return self.A
+
+    def solve(self, b, x0, tol, stats: SolveStats, what: str, atol: float = 0.0,
+              r0: np.ndarray = None) -> np.ndarray:
+        """`solve_implicit` on the current operator with the system's factor;
+        records the CG iterations the refactor rule reads."""
+        before = stats.iterations
+        x = solve_implicit(self.A, b, x0, tol, None, self.precond, stats, what,
+                           atol=atol, r0=r0)
+        self.last_iterations = stats.iterations - before
+        return x
 
     def values(self, comp: int, t: float) -> np.ndarray:
         """Boundary values of component `comp` on the fixed dofs at time t."""
@@ -763,8 +794,9 @@ class InsDriver:
     """Projection-method INS stepper on a Discretization."""
 
     kind = "ins"
-    # M + tau nu K follows the CFL-limited tau; K never changes
-    preconditioners = {"viscous": "jacobi",
+    # M + tau nu K follows the CFL-limited tau; K never changes, so its
+    # exact factor takes one iteration and is never refactored
+    preconditioners = {"viscous": FROZEN_FACTOR,
                        "pressure": "sparse LU of the fixed operator, factored once"}
 
     def __init__(self, disc: Discretization, config: InsConfig, bcs: BoundarySet,
@@ -789,7 +821,8 @@ class InsDriver:
                        for tag in self.vel_dirichlet))
         self._pressure = _ConstrainedSystem(
             disc, bcs, self.p_dirichlet, [lambda tag, pts, t: table[tag].pressure(pts, t)],
-            static=all(table[tag].static for tag in self.p_dirichlet), constant=True)
+            static=all(table[tag].static for tag in self.p_dirichlet),
+            annihilates_constants=True)
 
     def _ghost(self, tag, pts, normals, wL, t):
         return self.bcs.fv_ghost(self.model, tag, pts, normals, wL, t)
@@ -845,10 +878,8 @@ class InsDriver:
             x0s.append(x0)
         r0pair = np.stack(rhss, axis=1) - Ac.to_scipy() @ np.stack(x0s, axis=1)
         for comp in range(2):
-            vstar[comp] = solve_implicit(Ac, rhss[comp], x0s[comp], self.tol, None,
-                                         self._viscous.precond, self.stats,
-                                         "viscous", atol=atol,
-                                         r0=r0pair[:, comp])
+            vstar[comp] = self._viscous.solve(rhss[comp], x0s[comp], self.tol, self.stats,
+                                              "viscous", atol=atol, r0=r0pair[:, comp])
         # pressure projection: K p = K p_old - Div(v*)/tau  (gauge-fixed)
         div = disc.divergence_load(vstar[0], vstar[1])
         Ksp = disc.K.to_scipy()
@@ -870,8 +901,7 @@ class InsDriver:
         if p_skipped:
             p_new = p_dofs.copy()
         else:
-            p_new = solve_implicit(Ap, bp, p_dofs, self.tol, None,
-                                   self._pressure.precond, self.stats, "pressure")
+            p_new = self._pressure.solve(bp, p_dofs, self.tol, self.stats, "pressure")
         if not self.p_dirichlet:
             p_new = p_new + (disc.field_mean(p_dofs) - disc.field_mean(p_new))
         # weak divergence residual of the corrected velocity (free dofs)
@@ -920,9 +950,10 @@ def solve_implicit(A: SparseMatrix, b: np.ndarray, x0, tol, restart, precond,
     the statistics.
 
     `precond` is a callable r -> M^{-1} r, such as the `linalg.factorized`
-    operator of a matrix that stays fixed; anything else (None, or True)
-    selects Jacobi on A's diagonal.  `restart` is ignored: the slot keeps
-    the positional order in which the benchmark's solve monitor calls.
+    operator a `_ConstrainedSystem` keeps; anything else (None, or the True
+    the benchmark's own tests pass) runs CG unpreconditioned.  `restart` is
+    ignored: the slot keeps the positional order in which the benchmark's
+    solve monitor calls.
     """
     x0 = np.zeros(A.shape[0]) if x0 is None else np.asarray(x0, dtype=float)
     if r0 is None:
@@ -936,9 +967,8 @@ def solve_implicit(A: SparseMatrix, b: np.ndarray, x0, tol, restart, precond,
         stats.add(SolverReport(0, 0.0 if nb == 0 else nr0 / nb, True))
         return x0
     tol_eff = min(target / nr0, 0.5)
-    if not callable(precond):
-        precond = jacobi(A)
-    d, rep = pcg(A, r0, precond, tol=tol_eff, maxiter=20_000)
+    d, rep = pcg(A, r0, precond if callable(precond) else None, tol=tol_eff,
+                 maxiter=20_000)
     achieved = rep.residual * nr0
     if not rep.converged and achieved > 100.0 * target:
         raise ModelError(f"{what} solve failed to converge "

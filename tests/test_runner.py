@@ -1,5 +1,6 @@
 import pytest
 
+from fvvem import models
 from fvvem.harness import cli, runner
 from fvvem.harness.cases import case_names, get_case
 from fvvem.timeint import TimeIntError
@@ -25,7 +26,8 @@ def test_ledger_records_solver_and_phase_times():
     led = res.ledger
     assert res.state.time == pytest.approx(0.1)
     assert led["solver_tol"] == 1e-12
-    assert led["solver_preconditioner_viscous"] == "jacobi"
+    assert led["solver_preconditioner_viscous"] == models.FROZEN_FACTOR
+    assert f"more than {models.REFACTOR_ITERATIONS} CG iterations" in models.FROZEN_FACTOR
     assert "factored once" in led["solver_preconditioner_pressure"]
     assert led["solver_iterations_total"] == res.driver.stats.iterations > 0
     assert led["setup_s"] > 0.0 and led["steps_s"] > 0.0

@@ -15,7 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Voronoi
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import Voronoi, cKDTree
 from scipy.special import roots_jacobi, roots_legendre
 
 
@@ -126,35 +128,6 @@ def gauss_lobatto_reference(k: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _GL_NODES:
         raise MeshError(f"Gauss-Lobatto rule with {n} points not tabulated")
     return _GL_NODES[n], _GL_WEIGHTS[n]
-
-
-def edge_gauss_lobatto(va: np.ndarray, vb: np.ndarray, k: int) -> QuadRule:
-    """Gauss-Lobatto rule along segment va->vb: endpoints plus k-1 interior points."""
-    t, w = gauss_lobatto_reference(k)
-    nodes = va[None, :] + 0.5 * (t[:, None] + 1.0) * (vb - va)[None, :]
-    length = float(np.hypot(*(vb - va)))
-    return QuadRule(nodes, 0.5 * length * w, 2 * k - 1)
-
-
-def monomial_integral_greens(vertices: np.ndarray, p: int, q: int) -> float:
-    """Integral of x^p y^q over a polygon via Green's theorem on the boundary.
-
-    Independent path used as a quadrature oracle: the line integral of
-    x^{p+1} y^q / (p+1) dy is evaluated edge by edge with exact 1D Gauss rules.
-    """
-    total = 0.0
-    n = len(vertices)
-    deg = p + 1 + q
-    t, w = roots_legendre(deg // 2 + 1)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    for a in range(n):
-        v0, v1 = vertices[a], vertices[(a + 1) % n]
-        xs = v0[0] + t * (v1[0] - v0[0])
-        ys = v0[1] + t * (v1[1] - v0[1])
-        dy = v1[1] - v0[1]
-        total += np.sum(w * xs ** (p + 1) * ys ** q) * dy / (p + 1)
-    return float(total)
 
 
 def _signed_area(pts: np.ndarray) -> float:
@@ -398,11 +371,6 @@ def validate_regularity(mesh: PolyMesh, geom: GeometryCache, rho: float) -> Regu
     return RegularityReport(passed, ratio, star, float(ratio.min()), bool(passed.all()))
 
 
-def interior_quadrature(mesh: PolyMesh, geom: GeometryCache, cell: int, degree: int) -> QuadRule:
-    """Fan-triangulation interior rule for one cell (see polygon_quadrature)."""
-    return polygon_quadrature(mesh.cell_coords[cell], geom.barycenter[cell], degree)
-
-
 # ---------------------------------------------------------------------------
 # Voronoi generator
 # ---------------------------------------------------------------------------
@@ -464,68 +432,84 @@ def _circle_crossing(pa, pb, center, radius):
 def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius):
     """One clipped polygon per base seed.
 
-    Periodic axes contribute translated tiles (cells may straddle those
-    sides); non-periodic axes contribute mirror copies so the side becomes an
-    exact Voronoi boundary.  A circular hole is realised by radial mirror
-    seeds plus chord clipping.
+    The full image set holds, besides the seeds, their images across each
+    side: translates along periodic axes (cells may straddle those sides) and
+    mirrors across non-periodic ones, so that such a side is an exact Voronoi
+    boundary; corners get the images of both axes.  A circular hole is
+    realised by radial mirror seeds plus chord clipping.
+
+    qhull first gets only the images inside the box grown by a band of 2.5
+    mean seed spacings, as PolyMesher reflects only the seeds near the
+    boundary.  That diagram is accepted when every base region is bounded
+    and, around each vertex v of a base region, the disc through v's seed
+    lies inside the grown box: an image left out could only cut a region by
+    lying inside one of those empty discs, so the accepted regions are
+    exactly those of the full image set.  Otherwise (unrelaxed first
+    iterates, clustered seeds) the diagram is rebuilt from the full set.
+    Region vertices within 1e-9 of the box size of a non-periodic side are
+    snapped onto it before clipping, so that the clip neither keeps them off
+    the side nor splits the side at them.
     """
     xlo, xhi, ylo, yhi = box
     lx, ly = xhi - xlo, yhi - ylo
     n = len(seeds)
-    pts = [seeds]
-    sx = (-lx, 0.0, lx) if periodic[0] else (0.0,)
-    sy = (-ly, 0.0, ly) if periodic[1] else (0.0,)
-    for dx in sx:
-        for dy in sy:
-            if dx == 0.0 and dy == 0.0:
-                continue
-            pts.append(seeds + [dx, dy])
-    tiled = np.vstack(pts)
-    mirrors = [tiled]
-    if not periodic[0]:
-        for xs in (xlo, xhi):
-            m = tiled.copy()
-            m[:, 0] = 2.0 * xs - m[:, 0]
-            mirrors.append(m)
-    if not periodic[1]:
-        all_so_far = np.vstack(mirrors)
-        for ys in (ylo, yhi):
-            m = all_so_far.copy()
-            m[:, 1] = 2.0 * ys - m[:, 1]
-            mirrors.append(m)
+
+    def axis_images(v, lo, hi, wraps):
+        return (v, v - (hi - lo), v + (hi - lo)) if wraps else (v, 2.0 * lo - v, 2.0 * hi - v)
+
+    images = np.stack([np.column_stack([x, y])
+                       for x in axis_images(seeds[:, 0], xlo, xhi, periodic[0])
+                       for y in axis_images(seeds[:, 1], ylo, yhi, periodic[1])][1:])
+    hole_mirrors = np.empty((0, 2))
     if hole_center is not None:
         r = np.hypot(seeds[:, 0] - hole_center[0], seeds[:, 1] - hole_center[1])
         near = (r < 2.5 * hole_radius) & (r > hole_radius)
-        if np.any(near):
-            scale = 2.0 * hole_radius / r[near] - 1.0
-            mirrors.append(hole_center + (seeds[near] - hole_center) * scale[:, None])
-    vor = Voronoi(np.vstack(mirrors))
-    regions = [vor.regions[r] for r in vor.point_region[:n]]
-    if any(-1 in reg or len(reg) < 3 for reg in regions):
+        scale = 2.0 * hole_radius / r[near] - 1.0
+        hole_mirrors = hole_center + (seeds[near] - hole_center) * scale[:, None]
+    lo, hi = np.array([xlo, ylo]), np.array([xhi, yhi])
+    for band in (2.5 * np.sqrt(lx * ly / n), np.inf):
+        kept = np.all((images >= lo - band) & (images <= hi + band), axis=-1)
+        vor = Voronoi(np.vstack([seeds, images[kept], hole_mirrors]))
+        regions = [vor.regions[r] for r in vor.point_region[:n]]
+        if any(-1 in reg or len(reg) < 3 for reg in regions):
+            continue
+        flat = np.fromiter(itertools.chain.from_iterable(regions), dtype=np.int64)
+        counts = np.fromiter((len(reg) for reg in regions), dtype=np.int64, count=n)
+        verts = vor.vertices[flat]
+        radius = np.hypot(*(verts - np.repeat(seeds, counts, axis=0)).T)[:, None]
+        if np.all((verts - radius >= lo - band) & (verts + radius <= hi + band)):
+            break
+    else:
         raise MeshError("unbounded Voronoi cell; mirror construction failed")
-    flat = np.fromiter(itertools.chain.from_iterable(regions), dtype=np.int64)
-    starts = np.cumsum([0] + [len(reg) for reg in regions[:-1]])
-    polys = np.split(vor.vertices[flat], starts[1:])
-    area, _ = polygon_areas_centroids(polys)
+    tol = 1e-9 * max(lx, ly)
+    vertices = vor.vertices
+    for axis, ends in enumerate(((xlo, xhi), (ylo, yhi))):
+        if not periodic[axis]:
+            for side in ends:
+                vertices[np.abs(vertices[:, axis] - side) <= tol, axis] = side
+    pts = vertices[flat]
+    clockwise = _loop_areas(pts, counts) < 0.0
     # (n, c) of the half-planes n.x <= c of the non-periodic sides; a polygon
-    # strictly inside all of them passes every clip unchanged, so it skips them
+    # with no vertex outside any of them passes every clip unchanged, so it
+    # skips them
     sides = [(np.array(nrm), c) for nrm, c, axis in (
         ([-1.0, 0.0], -xlo, 0), ([1.0, 0.0], xhi, 0), ([0.0, -1.0], -ylo, 1),
         ([0.0, 1.0], yhi, 1)) if not periodic[axis]]
-    inside = np.ones(len(vor.vertices), dtype=bool)
+    inside = np.ones(len(vertices), dtype=bool)
     for nrm, c in sides:
-        inside &= vor.vertices @ nrm - c < -1e-9 * max(lx, ly)
-    unclipped = np.logical_and.reduceat(inside[flat], starts)
-    for i in range(n):
-        poly = polys[i][::-1] if area[i] < 0.0 else polys[i]
-        if not unclipped[i]:
+        inside &= vertices @ nrm - c <= 0.0
+    unclipped = np.logical_and.reduceat(inside[flat], np.cumsum(counts) - counts)
+    polys = []
+    for poly, reverse, skip in zip(_split_loops(pts, counts), clockwise, unclipped):
+        poly = poly[::-1] if reverse else poly
+        if not skip:
             for nrm, c in sides:
                 poly = _clip_to_halfplane(poly, nrm, c)
             if len(poly) < 3:
                 raise MeshError("cell vanished while clipping to the box")
         if hole_center is not None:
             poly = _clip_cell_outside_circle(poly, np.asarray(hole_center), hole_radius)
-        polys[i] = poly
+        polys.append(poly)
     return polys
 
 
@@ -544,57 +528,74 @@ def _weighted_centroid(poly: np.ndarray, centroid: np.ndarray, density) -> np.nd
 
 
 def _canon(p, box, periodic) -> np.ndarray:
-    """Copy of point p with its periodic coordinates wrapped into the box."""
+    """Copy of the points p (..., 2) with periodic coordinates wrapped into the box."""
     xlo, xhi, ylo, yhi = box
-    q = np.array(p, dtype=float)
-    if periodic[0]:
-        q[0] = xlo + np.mod(q[0] - xlo, xhi - xlo)
-    if periodic[1]:
-        q[1] = ylo + np.mod(q[1] - ylo, yhi - ylo)
-    return q
+    lo = np.array([xlo, ylo])
+    return np.where(periodic, lo + np.mod(p - lo, np.array([xhi - xlo, yhi - ylo])), p)
 
 
-class _VertexMerger:
-    """Cluster nearly coincident points; periodic axes identify modulo length."""
+def _merge_vertices(points: np.ndarray, box, periodic, tol):
+    """Vertex id of each point (N, 2), and the vertex coordinates.
 
-    def __init__(self, box, periodic, tol):
-        self.box = box
-        self.periodic = periodic
-        self.tol = tol
-        self.coords: list[np.ndarray] = []
-        self._grid: dict = {}
+    Points closer than tol in both coordinates (modulo the box on periodic
+    axes) are linked; each connected cluster is one vertex, numbered in the
+    order of its first point and placed at that point's wrapped coordinates.
+    """
+    xlo, xhi, ylo, yhi = box
+    size = np.array([xhi - xlo, yhi - ylo])
+    canon = _canon(points, box, periodic)
+    rel = canon - [xlo, ylo]
+    rel = np.where(periodic & (rel >= size), rel - size, rel)  # np.mod may round up to size
+    tree = cKDTree(rel, boxsize=np.where(periodic, size, 0.0))
+    pairs = tree.query_pairs(tol, p=np.inf, output_type="ndarray")
+    n = len(points)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    label = connected_components(graph, directed=False)[1]
+    first = np.unique(label, return_index=True)[1]
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[label], canon[first[order]]
 
-    def lookup(self, p) -> int:
-        q = _canon(p, self.box, self.periodic)
-        xlo, xhi, ylo, yhi = self.box
-        probes = [q]
-        # points within tol of a periodic seam also probe the wrapped image
-        if self.periodic[0]:
-            if q[0] - xlo < self.tol:
-                probes.append(q + [xhi - xlo, 0.0])
-            if xhi - q[0] < self.tol:
-                probes.append(q - [xhi - xlo, 0.0])
-        if self.periodic[1]:
-            base = list(probes)
-            for b in base:
-                if b[1] - ylo < self.tol:
-                    probes.append(b + [0.0, yhi - ylo])
-                if yhi - b[1] < self.tol:
-                    probes.append(b - [0.0, yhi - ylo])
-        inv = 1.0 / self.tol
-        for b in probes:
-            cx, cy = int(np.floor(b[0] * inv)), int(np.floor(b[1] * inv))
-            for gx in (cx - 1, cx, cx + 1):
-                for gy in (cy - 1, cy, cy + 1):
-                    for vi in self._grid.get((gx, gy), ()):
-                        c = self.coords[vi]
-                        if abs(c[0] - b[0]) < self.tol and abs(c[1] - b[1]) < self.tol:
-                            return vi
-        vi = len(self.coords)
-        self.coords.append(q)
-        cx, cy = int(np.floor(q[0] * inv)), int(np.floor(q[1] * inv))
-        self._grid.setdefault((cx, cy), []).append(vi)
-        return vi
+
+def _drop_repeats(ids: np.ndarray, sizes: np.ndarray, what: str):
+    """Mask of the points of concatenated vertex loops that stay when a point
+    repeating the vertex before it, and then a last point repeating the first,
+    are dropped; and the new loop sizes.  A loop left with < 3 raises."""
+    start = np.cumsum(sizes) - sizes
+    keep = np.ones(len(ids), dtype=bool)
+    keep[1:] = ids[1:] != ids[:-1]
+    keep[start] = True
+    kept = np.add.reduceat(keep, start)
+    first = np.cumsum(kept) - kept
+    kept_idx = np.flatnonzero(keep)
+    closes = ids[kept_idx[first + kept - 1]] == ids[kept_idx[first]]
+    keep[kept_idx[(first + kept - 1)[closes]]] = False
+    kept = kept - closes
+    if np.any(kept < 3):
+        raise MeshError(f"cell collapsed {what}")
+    return keep, kept
+
+
+def _next_in_loop(sizes: np.ndarray) -> np.ndarray:
+    """Index of the next point of each point's loop in concatenated loops."""
+    nxt = np.arange(1, sizes.sum() + 1)
+    end = np.cumsum(sizes)
+    nxt[end - 1] = end - sizes
+    return nxt
+
+
+def _split_loops(a: np.ndarray, sizes: np.ndarray) -> list:
+    """Per-loop views of concatenated loops (np.split costs 6x more here)."""
+    end = np.cumsum(sizes).tolist()
+    return [a[i:j] for i, j in zip([0] + end[:-1], end)]
+
+
+def _loop_areas(pts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Signed shoelace areas of concatenated loops of points (N, 2)."""
+    nxt = _next_in_loop(sizes)
+    cross = pts[:, 0] * pts[nxt, 1] - pts[nxt, 0] * pts[:, 1]
+    return 0.5 * np.add.reduceat(cross, np.cumsum(sizes) - sizes)
 
 
 def _vertex_constraints(p, box, periodic, tol, hole_center, hole_radius):
@@ -617,19 +618,25 @@ def _vertex_constraints(p, box, periodic, tol, hole_center, hole_radius):
     return cons
 
 
-def _collapse_short_edges(cells, coords, vertices, box, periodic, tol,
+def _collapse_short_edges(ids, pts, sizes, vertices, box, periodic, tol,
                           hole_center, hole_radius, theta=0.06, passes=4):
     """Merge polygon vertices joined by edges shorter than theta*h_cell.
 
-    Targets respect boundary constraints so box sides and the hole stay
-    exact.  Moves are applied through shared vertex ids, so the tessellation
-    stays conforming and gap-free.  Frame coordinates of periodic cells are
-    rebuilt as the lattice image nearest the old position.
+    The loops are concatenated: vertex ids (N,), frame coordinates (N, 2) and
+    loop sizes.  Short edges are found for all cells at once, and only they
+    are merged one by one.  Targets respect boundary constraints so box sides
+    and the hole stay exact.  Moves are applied through shared vertex ids, so
+    the tessellation stays conforming and gap-free.  Frame coordinates of
+    periodic cells are rebuilt as the lattice image nearest the old position.
     """
-    xlo, xhi, ylo, yhi = box
-    lx, ly = xhi - xlo, yhi - ylo
-
+    size = np.array([box[1] - box[0], box[3] - box[2]])
     for _ in range(passes):
+        nxt = _next_in_loop(sizes)
+        d = pts[nxt] - pts
+        cell_h = np.sqrt(np.abs(_loop_areas(pts, sizes)))
+        short = np.hypot(d[:, 0], d[:, 1]) < theta * np.repeat(cell_h, sizes)
+        if not short.any():
+            break
         parent = np.arange(len(vertices))
 
         def find(v):
@@ -640,189 +647,138 @@ def _collapse_short_edges(cells, coords, vertices, box, periodic, tol,
             return v
 
         target = {}
-        merged_any = False
-        cell_h = np.sqrt(np.abs(polygon_areas_centroids(coords)[0]))
-        for loop, pts, h in zip(cells, coords, cell_h):
-            d = np.roll(pts, -1, axis=0) - pts
-            for a in np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) < theta * h):
-                b = (a + 1) % len(loop)
-                ra, rb = find(loop[a]), find(loop[b])
-                if ra == rb:
-                    continue
-                ca = _vertex_constraints(vertices[ra], box, periodic, 100 * tol,
-                                         hole_center, hole_radius)
-                cb = _vertex_constraints(vertices[rb], box, periodic, 100 * tol,
-                                         hole_center, hole_radius)
-                if len(ca) >= 2 and len(cb) >= 2:
-                    continue                      # two pinned corners: leave alone
-                if len(ca) > len(cb):
-                    root, child, tgt = ra, rb, vertices[ra].copy()
-                elif len(cb) > len(ca):
-                    root, child, tgt = rb, ra, vertices[rb].copy()
-                elif len(ca) == 1 and ca != cb:
-                    # two different boundary lines: snap to their intersection
-                    root, child = ra, rb
-                    tgt = vertices[ra].copy()
-                    for kind, val in ca + cb:
-                        if kind == "x":
-                            tgt[0] = val
-                        elif kind == "y":
-                            tgt[1] = val
-                else:
-                    root, child = ra, rb
-                    tgt = _canon(0.5 * (pts[a] + pts[b]), box, periodic)  # wrap-safe midpoint
-                    for kind, val in ca:
-                        if kind == "x":
-                            tgt[0] = val
-                        elif kind == "y":
-                            tgt[1] = val
-                        elif kind == "hole":
-                            d = tgt - hole_center
-                            tgt = np.asarray(hole_center) + d * (hole_radius / np.hypot(*d))
-                parent[child] = root
-                target[int(root)] = tgt
-                merged_any = True
-        if not merged_any:
+        for a in np.flatnonzero(short):
+            b = nxt[a]
+            ra, rb = find(ids[a]), find(ids[b])
+            if ra == rb:
+                continue
+            ca = _vertex_constraints(vertices[ra], box, periodic, 100 * tol,
+                                     hole_center, hole_radius)
+            cb = _vertex_constraints(vertices[rb], box, periodic, 100 * tol,
+                                     hole_center, hole_radius)
+            if len(ca) >= 2 and len(cb) >= 2:
+                continue                      # two pinned corners: leave alone
+            if len(ca) > len(cb):
+                root, child, tgt = ra, rb, vertices[ra].copy()
+            elif len(cb) > len(ca):
+                root, child, tgt = rb, ra, vertices[rb].copy()
+            elif len(ca) == 1 and ca != cb:
+                # two different boundary lines: snap to their intersection
+                root, child = ra, rb
+                tgt = vertices[ra].copy()
+                for kind, val in ca + cb:
+                    if kind == "x":
+                        tgt[0] = val
+                    elif kind == "y":
+                        tgt[1] = val
+            else:
+                root, child = ra, rb
+                tgt = _canon(0.5 * (pts[a] + pts[b]), box, periodic)  # wrap-safe midpoint
+                for kind, val in ca:
+                    if kind == "x":
+                        tgt[0] = val
+                    elif kind == "y":
+                        tgt[1] = val
+                    elif kind == "hole":
+                        d = tgt - hole_center
+                        tgt = np.asarray(hole_center) + d * (hole_radius / np.hypot(*d))
+            parent[child] = root
+            target[int(root)] = tgt
+        if not target:
             break
-        roots = {int(r) for r in (find(v) for v in target)}
-        for r in roots:
-            vertices[r] = target.get(r, vertices[r])
-        new_cells, new_coords = [], []
-        for loop, pts in zip(cells, coords):
-            ids, fpts = [], []
-            for a in range(len(loop)):
-                v = find(loop[a])
-                if ids and v == ids[-1]:
-                    continue
-                p_old = pts[a]
-                if v in roots or int(loop[a]) != v or v in target:
-                    # nearest lattice image of the (possibly moved) canonical point
-                    p = vertices[v].copy()
-                    if periodic[0]:
-                        p[0] += np.round((p_old[0] - p[0]) / lx) * lx
-                    if periodic[1]:
-                        p[1] += np.round((p_old[1] - p[1]) / ly) * ly
-                else:
-                    p = p_old
-                ids.append(v)
-                fpts.append(p)
-            if len(ids) > 1 and ids[-1] == ids[0]:
-                ids.pop()
-                fpts.pop()
-            if len(ids) < 3:
-                raise MeshError("cell collapsed while removing short edges")
-            new_cells.append(np.array(ids, dtype=np.int64))
-            new_coords.append(np.array(fpts))
-        cells, coords = new_cells, new_coords
-    # compact vertex ids
-    used = sorted({int(v) for loop in cells for v in loop})
-    remap = {v: i for i, v in enumerate(used)}
-    vertices = vertices[used]
-    cells = [np.array([remap[int(v)] for v in loop], dtype=np.int64) for loop in cells]
-    return cells, coords, vertices
+        for r in {find(v) for v in target}:   # every final root is a target key
+            vertices[r] = target[r]
+        root = np.array([find(v) for v in range(len(vertices))])
+        new = root[ids]
+        # a moved or merged point goes to the lattice image of its vertex
+        # nearest its old position
+        shift = np.where(periodic, np.round((pts - vertices[new]) / size) * size, 0.0)
+        remap = (new != ids) | np.isin(new, list(target))
+        pts = np.where(remap[:, None], vertices[new] + shift, pts)
+        keep, sizes = _drop_repeats(new, sizes, "while removing short edges")
+        ids, pts = new[keep], pts[keep]
+    used, ids = np.unique(ids, return_inverse=True)
+    return ids, pts, sizes, vertices[used]
+
+
+def _canon_separation(a: np.ndarray, b: np.ndarray, box, periodic) -> np.ndarray:
+    """Max-norm distance of the points a and b (..., 2) modulo periodic axes."""
+    size = np.array([box[1] - box[0], box[3] - box[2]])
+    d = np.abs(_canon(a, box, periodic) - _canon(b, box, periodic))
+    return np.where(periodic, np.minimum(d, size - d), d).max(axis=-1)
 
 
 def _assemble_mesh(polys: list[np.ndarray], box, periodic, scale: float,
                    hole_center=None, hole_radius: float = 0.0) -> PolyMesh:
     """Build the PolyMesh (topology + frames + edges) from per-cell polygons."""
     xlo, xhi, ylo, yhi = box
+    periodic = tuple(bool(p) for p in periodic)
     tol = 1e-8 * scale
-    merger = _VertexMerger(box, periodic, tol)
-    cells = []
-    coords = []
-    for poly in polys:
-        ids = [merger.lookup(p) for p in poly]
-        loop, pts = [ids[0]], [poly[0]]
-        for v, p in zip(ids[1:], poly[1:]):
-            if v != loop[-1]:
-                loop.append(v)
-                pts.append(p)
-        if loop[-1] == loop[0]:
-            loop.pop()
-            pts.pop()
-        if len(loop) < 3:
-            raise MeshError("cell collapsed during vertex merge")
-        cells.append(np.array(loop, dtype=np.int64))
-        coords.append(np.array(pts))
-    vertices = np.array(merger.coords)
-    cells, coords, vertices = _collapse_short_edges(
-        cells, coords, vertices, box, periodic, tol, hole_center, hole_radius)
+    sizes = np.fromiter((len(p) for p in polys), dtype=np.int64, count=len(polys))
+    pts = np.concatenate(polys)
+    ids, vertices = _merge_vertices(pts, box, periodic, tol)
+    keep, sizes = _drop_repeats(ids, sizes, "during vertex merge")
+    ids, pts, sizes, vertices = _collapse_short_edges(
+        ids[keep], pts[keep], sizes, vertices, box, periodic, tol, hole_center, hole_radius)
 
-    # edge matching: vertex-pair candidate lists, resolved by canonical-midpoint
-    # distance (periodic wrap aware); robust against quantisation splits
-    def canon_sep(a, b):
-        d = np.abs(_canon(a, box, periodic) - _canon(b, box, periodic))
-        if periodic[0]:
-            d[0] = min(d[0], (xhi - xlo) - d[0])
-        if periodic[1]:
-            d[1] = min(d[1], (yhi - ylo) - d[1])
-        return float(max(d))
-
-    candidates: dict = {}
-    edges, edge_cells, edge_coords, edge_shift = [], [], [], []
-    cell_edges, cell_sign = [], []
-    for ci, (loop, pts) in enumerate(zip(cells, coords)):
-        n = len(loop)
-        ids = np.empty(n, dtype=np.int64)
-        sgn = np.empty(n, dtype=np.int64)
-        for a in range(n):
-            va, vb = int(loop[a]), int(loop[(a + 1) % n])
-            pa, pb = pts[a], pts[(a + 1) % n]
-            mid = 0.5 * (pa + pb)
-            key = (min(va, vb), max(va, vb))
-            match = -1
-            for e in candidates.get(key, ()):
-                if canon_sep(mid, 0.5 * (edge_coords[e][0] + edge_coords[e][1])) < tol:
-                    match = e
-                    break
-            if match < 0:
-                e = len(edges)
-                candidates.setdefault(key, []).append(e)
-                edges.append((va, vb))
-                edge_cells.append([ci, -1])
-                edge_coords.append((pa.copy(), pb.copy()))
-                edge_shift.append(np.zeros(2))
-                ids[a] = e
-                sgn[a] = 1
+    # edge matching: half-edges with one vertex pair, resolved by the
+    # separation of their midpoints (periodic wrap aware), so that two
+    # edges joining one pair of vertices across the seams stay apart
+    n = len(ids)
+    nxt = _next_in_loop(sizes)
+    cell = np.repeat(np.arange(len(sizes)), sizes)
+    mid = 0.5 * (pts + pts[nxt])
+    key = np.minimum(ids, ids[nxt]) * len(vertices) + np.maximum(ids, ids[nxt])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    group_start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    group_size = np.diff(np.append(group_start, n))
+    creator = np.arange(n)                       # the half-edge that made each one's edge
+    pair = group_start[group_size == 2]
+    first, second = order[pair], order[pair + 1]
+    same = _canon_separation(mid[first], mid[second], box, periodic) < tol
+    creator[second[same]] = first[same]
+    big = group_size > 2
+    for g, size in zip(group_start[big], group_size[big]):
+        made, matched = [], set()
+        for h in np.sort(order[g:g + size]):
+            e = next((e for e in made
+                      if _canon_separation(mid[h], mid[e], box, periodic) < tol), None)
+            if e is None:
+                made.append(h)
+            elif e in matched:
+                raise MeshError("edge shared by more than two cells")
             else:
-                e = match
-                if edge_cells[e][1] != -1:
-                    raise MeshError("edge shared by more than two cells")
-                edge_cells[e][1] = ci
-                # lattice shift mapping left-frame edge coords into this frame
-                s = mid - 0.5 * (edge_coords[e][0] + edge_coords[e][1])
-                s[np.abs(s) < tol] = 0.0
-                edge_shift[e] = s
-                ids[a] = e
-                sgn[a] = -1
-        cell_edges.append(ids)
-        cell_sign.append(sgn)
-    mesh = PolyMesh(vertices, cells, cell_coords=coords,
-                    edges=np.asarray(edges, dtype=np.int64),
-                    edge_coords=np.asarray(edge_coords),
-                    edge_cells=np.asarray(edge_cells, dtype=np.int64),
-                    edge_shift=np.asarray(edge_shift),
-                    cell_edges=cell_edges, cell_edge_sign=cell_sign,
-                    periodic=tuple(periodic))
+                matched.add(e)
+                creator[h] = e
+    made = creator == np.arange(n)
+    edge_of = np.cumsum(made) - 1
+    edge = edge_of[creator]
+    right = np.flatnonzero(~made)
+    edge_cells = np.column_stack([cell[made], np.full(made.sum(), -1)])
+    edge_cells[edge[right], 1] = cell[right]
+    edge_shift = np.zeros((made.sum(), 2))
+    # lattice shift mapping left-frame edge coords into the right cell's frame
+    s = mid[right] - mid[creator[right]]
+    edge_shift[edge[right]] = np.where(np.abs(s) < tol, 0.0, s)
+    mesh = PolyMesh(vertices, _split_loops(ids, sizes), cell_coords=_split_loops(pts, sizes),
+                    edges=np.column_stack([ids, ids[nxt]])[made],
+                    edge_coords=np.stack([pts, pts[nxt]], axis=1)[made],
+                    edge_cells=edge_cells, edge_shift=edge_shift,
+                    cell_edges=_split_loops(edge, sizes),
+                    cell_edge_sign=_split_loops(np.where(made, 1, -1), sizes),
+                    periodic=periodic)
     # boundary tags by geometric side
-    for e in range(mesh.n_edges):
-        if mesh.edge_cells[e, 1] >= 0:
-            continue
-        m = mesh.edge_coords[e].mean(axis=0)
-        if abs(m[0] - xlo) < tol:
-            tag = "xmin"
-        elif abs(m[0] - xhi) < tol:
-            tag = "xmax"
-        elif abs(m[1] - ylo) < tol:
-            tag = "ymin"
-        elif abs(m[1] - yhi) < tol:
-            tag = "ymax"
-        elif hole_center is not None and abs(
-                np.hypot(*(m - np.asarray(hole_center))) - hole_radius) < 0.3 * hole_radius:
-            tag = "hole"
-        else:
-            raise MeshError(f"boundary edge {e} lies on no tagged boundary")
-        mesh.boundary_tags[int(e)] = tag
+    bnd = np.flatnonzero(edge_cells[:, 1] < 0)
+    m = mesh.edge_coords[bnd].mean(axis=1)
+    on = [np.abs(m[:, 0] - xlo) < tol, np.abs(m[:, 0] - xhi) < tol,
+          np.abs(m[:, 1] - ylo) < tol, np.abs(m[:, 1] - yhi) < tol]
+    if hole_center is not None:
+        on.append(np.abs(np.hypot(*(m - hole_center).T) - hole_radius) < 0.3 * hole_radius)
+    tags = np.select(on, ["xmin", "xmax", "ymin", "ymax", "hole"][:len(on)], "")
+    if np.any(tags == ""):
+        raise MeshError(f"boundary edge {bnd[tags == ''][0]} lies on no tagged boundary")
+    mesh.boundary_tags = dict(zip(bnd.tolist(), tags.tolist()))
     return mesh
 
 
@@ -831,9 +787,15 @@ def generate_voronoi(box, n_seeds: int, lloyd_iters: int = 20, seed: int = 0,
                      hole_center=None, hole_radius: float = 0.0) -> PolyMesh:
     """Clipped (optionally periodic) Lloyd-relaxed Voronoi tessellation of a box.
 
-    Deterministic for a fixed rng seed.  `density` is an optional callable
-    rho(x, y) weighting the Lloyd centroids (graded meshes).  `hole_*` carves
-    a chord-polygon approximation of a circular obstacle.
+    Deterministic for a fixed rng seed with one numpy, scipy and qhull.
+    Cells come in seed order; vertex and edge numbers and the first vertex
+    of each cell loop follow qhull's output.  A diagram of the band images
+    equals that of the full image set only to roundoff, and Lloyd carries
+    such differences on, so other image sets or qhull builds move cell
+    centroids by up to about 1e-12 and may renumber vertices.  `density` is
+    an optional callable rho(x, y) weighting the Lloyd centroids (graded
+    meshes).  `hole_*` carves a chord-polygon approximation of a circular
+    obstacle.
     """
     if n_seeds < 4:
         raise MeshError("need at least 4 seeds")

@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import Voronoi
+from scipy.special import roots_legendre
 
 from fvvem import mesh as fm
 from fvvem.harness import cases
+
+MESHES = Path(__file__).parent / "meshes"
 
 
 def unit_square():
@@ -70,6 +76,35 @@ class TestGeometry:
             assert np.abs(acc).max() < 1e-13
 
 
+def edge_gauss_lobatto(va: np.ndarray, vb: np.ndarray, k: int) -> fm.QuadRule:
+    """Gauss-Lobatto rule along segment va->vb: endpoints plus k-1 interior points."""
+    t, w = fm.gauss_lobatto_reference(k)
+    nodes = va[None, :] + 0.5 * (t[:, None] + 1.0) * (vb - va)[None, :]
+    length = float(np.hypot(*(vb - va)))
+    return fm.QuadRule(nodes, 0.5 * length * w, 2 * k - 1)
+
+
+def monomial_integral_greens(vertices: np.ndarray, p: int, q: int) -> float:
+    """Integral of x^p y^q over a polygon via Green's theorem on the boundary.
+
+    Independent path used as a quadrature oracle: the line integral of
+    x^{p+1} y^q / (p+1) dy is evaluated edge by edge with exact 1D Gauss rules.
+    """
+    total = 0.0
+    n = len(vertices)
+    deg = p + 1 + q
+    t, w = roots_legendre(deg // 2 + 1)
+    t = 0.5 * (t + 1.0)
+    w = 0.5 * w
+    for a in range(n):
+        v0, v1 = vertices[a], vertices[(a + 1) % n]
+        xs = v0[0] + t * (v1[0] - v0[0])
+        ys = v0[1] + t * (v1[1] - v0[1])
+        dy = v1[1] - v0[1]
+        total += np.sum(w * xs ** (p + 1) * ys ** q) * dy / (p + 1)
+    return float(total)
+
+
 @st.composite
 def star_polygons(draw):
     """Simple polygon with 3-12 vertices: sorted angles about a centre, either
@@ -126,7 +161,7 @@ class TestInteriorQuadrature:
     def test_x2_on_unit_square(self):
         m = unit_square()
         g = fm.build_geometry(m)
-        rule = fm.interior_quadrature(m, g, 0, 2)
+        rule = fm.polygon_quadrature(m.cell_coords[0], g.barycenter[0], 2)
         val = np.sum(rule.weights * rule.nodes[:, 0] ** 2)
         assert val == pytest.approx(1.0 / 3.0, rel=1e-14)
 
@@ -134,7 +169,7 @@ class TestInteriorQuadrature:
         m = fm.generate_voronoi((0, 2, 0, 1), 40, lloyd_iters=5, seed=1)
         g = fm.build_geometry(m)
         for ci in range(m.n_cells):
-            rule = fm.interior_quadrature(m, g, ci, 3)
+            rule = fm.polygon_quadrature(m.cell_coords[ci], g.barycenter[ci], 3)
             assert np.sum(rule.weights) == pytest.approx(g.area[ci], rel=1e-14)
 
     def test_x3y2_on_hexagon_vs_refined_oracle(self):
@@ -142,7 +177,7 @@ class TestInteriorQuadrature:
         m = fm.PolyMesh(pts, [np.arange(6)],
                         boundary_tags={e: "outer" for e in range(6)})
         g = fm.build_geometry(m)
-        rule = fm.interior_quadrature(m, g, 0, 5)
+        rule = fm.polygon_quadrature(m.cell_coords[0], g.barycenter[0], 5)
         val = np.sum(rule.weights * rule.nodes[:, 0] ** 3 * rule.nodes[:, 1] ** 2)
         oracle = fm.polygon_quadrature(pts, g.barycenter[0], 12)
         ref = np.sum(oracle.weights * oracle.nodes[:, 0] ** 3 * oracle.nodes[:, 1] ** 2)
@@ -157,11 +192,11 @@ class TestInteriorQuadrature:
                         boundary_tags={e: "outer" for e in range(7)})
         g = fm.build_geometry(m)
         for d in range(0, 9):
-            rule = fm.interior_quadrature(m, g, 0, d)
+            rule = fm.polygon_quadrature(m.cell_coords[0], g.barycenter[0], d)
             for p in range(d + 1):
                 for q in range(d + 1 - p):
                     val = np.sum(rule.weights * rule.nodes[:, 0] ** p * rule.nodes[:, 1] ** q)
-                    ref = fm.monomial_integral_greens(pts, p, q)
+                    ref = monomial_integral_greens(pts, p, q)
                     assert val == pytest.approx(ref, rel=1e-13, abs=1e-14), (d, p, q)
 
     @settings(max_examples=50, deadline=None)
@@ -195,17 +230,17 @@ class TestInteriorQuadrature:
         m = unit_square()
         g = fm.build_geometry(m)
         with pytest.raises(fm.MeshError):
-            fm.interior_quadrature(m, g, 0, 99)
+            fm.polygon_quadrature(m.cell_coords[0], g.barycenter[0], 99)
 
 
 class TestEdgeGaussLobatto:
     def test_k1_trapezoid(self):
-        rule = fm.edge_gauss_lobatto(np.array([0.0, 0.0]), np.array([2.0, 0.0]), 1)
+        rule = edge_gauss_lobatto(np.array([0.0, 0.0]), np.array([2.0, 0.0]), 1)
         assert np.allclose(rule.nodes, [[0, 0], [2, 0]])
         assert np.allclose(rule.weights, [1.0, 1.0])
 
     def test_k2_simpson(self):
-        rule = fm.edge_gauss_lobatto(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 2)
+        rule = edge_gauss_lobatto(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 2)
         assert np.allclose(rule.nodes[:, 0], [0.0, 0.5, 1.0])
         assert np.allclose(rule.weights, [1 / 6, 4 / 6, 1 / 6])
 
@@ -213,7 +248,7 @@ class TestEdgeGaussLobatto:
         # nodes at +-1, +-1/sqrt(5) on the reference edge; integral of t^5 on
         # a generic segment matches the closed form
         va, vb = np.array([-1.0, 0.0]), np.array([1.0, 0.0])
-        rule = fm.edge_gauss_lobatto(va, vb, 3)
+        rule = edge_gauss_lobatto(va, vb, 3)
         assert np.allclose(np.sort(rule.nodes[:, 0]),
                            [-1.0, -1.0 / np.sqrt(5.0), 1.0 / np.sqrt(5.0), 1.0])
         for p in range(6):
@@ -224,6 +259,95 @@ class TestEdgeGaussLobatto:
     def test_k0_rejected(self):
         with pytest.raises(ValueError):
             fm.gauss_lobatto_reference(0)
+
+
+def full_image_polygons(seeds, box, periodic, hole_center, hole_radius):
+    """Oracle for fm._voronoi_polygons: the diagram of the seeds with every
+    periodic tile, every mirror across a non-periodic side (corners included)
+    and the hole mirrors, its base regions oriented and clipped."""
+    xlo, xhi, ylo, yhi = box
+    lx, ly = xhi - xlo, yhi - ylo
+    sx = (-lx, 0.0, lx) if periodic[0] else (0.0,)
+    sy = (-ly, 0.0, ly) if periodic[1] else (0.0,)
+    pts = np.vstack([seeds] + [seeds + [dx, dy] for dx in sx for dy in sy if dx or dy])
+    for axis, (lo, hi) in enumerate(((xlo, xhi), (ylo, yhi))):
+        if not periodic[axis]:
+            low, high = pts.copy(), pts.copy()
+            low[:, axis] = 2.0 * lo - pts[:, axis]
+            high[:, axis] = 2.0 * hi - pts[:, axis]
+            pts = np.vstack([pts, low, high])
+    if hole_center is not None:
+        r = np.hypot(*(seeds - hole_center).T)
+        near = (r < 2.5 * hole_radius) & (r > hole_radius)
+        scale = 2.0 * hole_radius / r[near] - 1.0
+        pts = np.vstack([pts, hole_center + (seeds[near] - hole_center) * scale[:, None]])
+    vor = Voronoi(pts)
+    sides = [(np.array(nrm), c) for nrm, c, axis in (
+        ([-1.0, 0.0], -xlo, 0), ([1.0, 0.0], xhi, 0), ([0.0, -1.0], -ylo, 1),
+        ([0.0, 1.0], yhi, 1)) if not periodic[axis]]
+    polys = []
+    for i in range(len(seeds)):
+        region = vor.regions[vor.point_region[i]]
+        if -1 in region:
+            raise fm.MeshError("unbounded Voronoi cell")
+        poly = vor.vertices[region]
+        if fm._signed_area(poly) < 0.0:
+            poly = poly[::-1]
+        for nrm, c in sides:
+            poly = fm._clip_to_halfplane(poly, nrm, c)
+        if hole_center is not None:
+            poly = fm._clip_cell_outside_circle(poly, np.asarray(hole_center), hole_radius)
+        polys.append(poly)
+    return polys
+
+
+def assert_same_cells(polys, oracle, tol=1e-12):
+    """Per-cell areas and centroids agree to tol."""
+    area, centroid = fm.polygon_areas_centroids(polys)
+    ref_area, ref_centroid = fm.polygon_areas_centroids(oracle)
+    assert np.abs(area - ref_area).max() <= tol
+    assert np.abs(centroid - ref_centroid).max() <= tol
+
+
+def spurious_side_vertices(m, box) -> list:
+    """Vertices on the box sides, corners aside, whose two side edges lie in one
+    cell: points that split a side without a neighbouring cell's edge there."""
+    xlo, xhi, ylo, yhi = box
+    cells = {}
+    for e, tag in m.boundary_tags.items():
+        for v in m.edges[e] if tag != "hole" else ():
+            cells.setdefault(int(v), []).append(int(m.edge_cells[e, 0]))
+    return [v for v, c in cells.items() if len(c) == 2 and c[0] == c[1]
+            and not (m.vertices[v, 0] in (xlo, xhi) and m.vertices[v, 1] in (ylo, yhi))]
+
+
+DOMAINS = {
+    "box": dict(box=(0.0, 3.0, 0.0, 2.0)),
+    "torus": dict(box=(0.0, 1.0, 0.0, 1.0), periodic=(True, True)),
+    "one_axis": dict(box=(0.0, 2.0, 0.0, 1.0), periodic=(False, True)),
+    "hole": dict(box=(-4.0, 4.0, -4.0, 4.0), hole_center=(0.0, 0.0), hole_radius=1.0),
+}
+
+
+def graded_density(x, y):
+    return 1.0 / np.clip(0.05 + 0.45 * (np.hypot(x, y) - 1.0) / 15.0, 0.05, 0.5) ** 2
+
+
+# name -> (generate_voronoi arguments, edge count of the generator before its
+# diagrams took band-limited images, spurious side vertices that generator
+# left in the mesh: each split a boundary side into one boundary edge more)
+GOLDEN_MESHES = {
+    "box": (dict(box=(0, 3, 0, 2), n_seeds=77, lloyd_iters=4, seed=9), 229, 1),
+    "torus": (dict(box=(0, 1, 0, 1), n_seeds=40, lloyd_iters=8, seed=6,
+                   periodic=(True, True)), 118, 0),
+    "one_axis": (dict(box=(0, 2, 0, 1), n_seeds=30, lloyd_iters=6, seed=8,
+                      periodic=(False, True)), 89, 0),
+    "hole": (dict(box=(-4, 4, -4, 4), n_seeds=150, lloyd_iters=5, seed=12,
+                  hole_center=(0.0, 0.0), hole_radius=1.0), 449, 0),
+    "density": (dict(box=(-16, 16, -16, 16), n_seeds=200, lloyd_iters=4, seed=1,
+                     hole_center=(0.0, 0.0), hole_radius=1.0, density=graded_density),
+                589, 0),
+}
 
 
 class TestVoronoi:
@@ -281,28 +405,91 @@ class TestVoronoi:
         m = fm.generate_voronoi((0, 1, 0, 1), 24, lloyd_iters=3, seed=seed)
         m.validate(domain_area=1.0)
 
-    # recorded before the Lloyd loop was vectorized: connectivity_hash, edge
-    # count and the float.hex of the sum of every cell coordinate
-    @pytest.mark.parametrize("kwargs, golden", [
-        (dict(box=(0, 3, 0, 2), n_seeds=77, lloyd_iters=4, seed=9),
-         (-954481171058398105, 229, "0x1.114babe4d679cp+10")),
-        (dict(box=(0, 1, 0, 1), n_seeds=40, lloyd_iters=8, seed=6, periodic=(True, True)),
-         (-5738978768466291501, 118, "0x1.ed0c5dc17132fp+7")),
-        (dict(box=(0, 2, 0, 1), n_seeds=30, lloyd_iters=6, seed=8, periodic=(False, True)),
-         (6435408977088644933, 89, "0x1.dfe1e54dd99eep+7")),
-        (dict(box=(-4, 4, -4, 4), n_seeds=150, lloyd_iters=5, seed=12,
-              hole_center=(0.0, 0.0), hole_radius=1.0),
-         (-388066279371428011, 449, "0x1.10c78bfbb4ecfp+8")),
-        (dict(box=(-16, 16, -16, 16), n_seeds=200, lloyd_iters=4, seed=1,
-              hole_center=(0.0, 0.0), hole_radius=1.0,
-              density=lambda x, y: 1.0 / np.clip(
-                  0.05 + 0.45 * (np.hypot(x, y) - 1.0) / 15.0, 0.05, 0.5) ** 2),
-         (-4120039959164601083, 589, "-0x1.1c82a66d785b0p+7")),
-    ], ids=["box", "torus", "one_axis", "hole", "density"])
-    def test_golden_fingerprint(self, kwargs, golden):
+    # cell count, per-cell areas and centroids (meshes/voronoi_goldens.npz)
+    # and edge counts of the generator before its diagrams took band-limited
+    # images; those do not depend on how vertices and edges are numbered
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
+    def test_golden_fingerprint(self, name):
+        kwargs, parent_edges, spurious = GOLDEN_MESHES[name]
         m = fm.generate_voronoi(**kwargs)
-        coord_sum = float(np.concatenate(m.cell_coords).sum()).hex()
-        assert (m.connectivity_hash(), m.n_edges, coord_sum) == golden
+        golden = np.load(MESHES / "voronoi_goldens.npz")
+        area, centroid = fm.polygon_areas_centroids(m.cell_coords)
+        assert m.n_cells == len(golden[f"{name}_area"])
+        assert np.abs(area - golden[f"{name}_area"]).max() <= 1e-12
+        assert np.abs(centroid - golden[f"{name}_centroid"]).max() <= 1e-12
+        assert not spurious_side_vertices(m, kwargs["box"])
+        assert m.n_edges == parent_edges - spurious
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(DOMAINS)), st.integers(min_value=8, max_value=80),
+           st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10_000))
+    def test_polygons_equal_the_full_image_oracle(self, domain, n, lloyd, seed):
+        args = DOMAINS[domain]
+        box, periodic = args["box"], args.get("periodic", (False, False))
+        hole = args.get("hole_center"), args.get("hole_radius", 0.0)
+        n += 60 if hole[0] is not None else 0
+        calls = []
+        real = fm._voronoi_polygons
+
+        def recording(seeds, *rest):
+            calls.append(seeds.copy())
+            return real(seeds, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "_voronoi_polygons", recording)
+            try:
+                fm.generate_voronoi(n_seeds=n, lloyd_iters=lloyd, seed=seed, **args)
+            except fm.MeshError:
+                pass      # each call up to the failing one is still compared
+        assert calls
+        for seeds in calls:
+            try:
+                oracle = full_image_polygons(seeds, box, periodic, *hole)
+            except fm.MeshError:
+                with pytest.raises(fm.MeshError):
+                    real(seeds, box, periodic, *hole)
+                continue
+            assert_same_cells(real(seeds, box, periodic, *hole), oracle)
+
+    @pytest.mark.parametrize("periodic, low, high", [
+        ((False, False), 0.4, 0.6),   # no image in the band: unbounded regions
+        ((True, True), 0.0, 0.25),    # bounded regions that a left-out image cuts
+    ], ids=["centre_cluster_box", "corner_cluster_torus"])
+    def test_clustered_seeds_fall_back_to_every_image(self, monkeypatch, periodic, low, high):
+        # most seeds packed in a small square, four spread over the box: the
+        # band of 2.5 mean spacings is too narrow for the sparse cells
+        rng = np.random.default_rng(0)
+        seeds = np.vstack([rng.uniform(low, high, (36, 2)), rng.uniform(0.0, 1.0, (4, 2))])
+        built = []
+
+        def counting(points):
+            built.append(len(points))
+            return Voronoi(points)
+
+        monkeypatch.setattr(fm, "Voronoi", counting)
+        polys = fm._voronoi_polygons(seeds, (0, 1, 0, 1), periodic, None, 0.0)
+        assert len(built) == 2 and built[1] == 9 * len(seeds) > built[0]
+        assert_same_cells(polys, full_image_polygons(seeds, (0, 1, 0, 1), periodic, None, 0.0))
+        # relaxed seeds take the band images alone
+        built.clear()
+        grid = (np.arange(7) + 0.5) / 7
+        relaxed = np.column_stack([np.repeat(grid, 7), np.tile(grid, 7)])
+        relaxed += rng.uniform(-0.02, 0.02, relaxed.shape)
+        polys = fm._voronoi_polygons(relaxed, (0, 1, 0, 1), periodic, None, 0.0)
+        assert len(built) == 1 and built[0] < 9 * len(relaxed)
+        assert_same_cells(polys, full_image_polygons(relaxed, (0, 1, 0, 1), periodic, None, 0.0))
+
+    def test_boundary_vertices_lie_on_their_side(self):
+        # a vertex within roundoff of a side used to be clipped as outside it,
+        # and the clip then split the cell's side at a spurious vertex
+        sides = {"xmin": (0, 0.0), "xmax": (0, 1.0), "ymin": (1, 0.0), "ymax": (1, 1.0)}
+        for seed in range(40):
+            m = fm.generate_voronoi((0, 1, 0, 1), 40, lloyd_iters=5, seed=seed)
+            assert not spurious_side_vertices(m, (0, 1, 0, 1)), seed
+            for e, tag in m.boundary_tags.items():
+                axis, value = sides[tag]
+                assert np.all(m.vertices[m.edges[e], axis] == value), seed
+                assert np.all(m.edge_coords[e][:, axis] == value), seed
 
     @pytest.mark.parametrize("make", [
         *(lambda s=s: cases.get_case("ins_cylinder", seed=s, n_cells=400).make_mesh()
@@ -345,6 +532,35 @@ class TestRect:
         g = fm.build_geometry(m)
         assert np.sum(g.area) == pytest.approx(1.0, rel=1e-13)
         assert set(m.boundary_tags.values()) == {"xmin", "xmax"}
+
+
+    def test_rect_torus_two_by_two(self):
+        # each pair of neighbours meets across two edges that join the same
+        # two vertices, told apart by their midpoints
+        m = fm.generate_rect((0, 1, 0, 1), 2, 2, periodic=(True, True))
+        g = fm.build_geometry(m)
+        assert m.n_vertices == 4 and m.n_edges == 8 and not m.boundary_tags
+        assert all(len(set(e.tolist())) == 4 for e in m.cell_edges)
+        pairs = {}
+        for e, (a, b) in enumerate(m.edge_cells):
+            pairs.setdefault((int(a), int(b)), []).append(e)
+        assert sorted(len(es) for es in pairs.values()) == [2, 2, 2, 2]
+        for es in pairs.values():
+            shift = np.abs(m.edge_shift[es]).max(axis=1)
+            assert sorted(shift) == [0.0, 1.0]
+        for ci in range(m.n_cells):
+            acc = sum(s * g.edge_length[e] * g.edge_normal[e]
+                      for e, s in zip(m.cell_edges[ci], m.cell_edge_sign[ci]))
+            assert np.abs(acc).max() < 1e-15
+
+
+    def test_rect_one_axis_two_rows(self):
+        # both xmin edges join the same two vertices, one of them across the
+        # seam: two boundary edges, not one edge shared by the two cells
+        m = fm.generate_rect((0, 1, 0, 1), 1, 2, periodic=(False, True))
+        assert m.n_vertices == 4 and m.n_edges == 6
+        assert sorted(m.boundary_tags.values()) == ["xmax", "xmax", "xmin", "xmin"]
+        assert np.all(m.edge_cells[[e for e in range(6) if e not in m.boundary_tags], 1] >= 0)
 
 
 class TestMeshIO:

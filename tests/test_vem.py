@@ -111,7 +111,7 @@ class TestProjectors:
 
     def test_g_vs_gradient_quadrature_oracle(self):
         elem, m, g = build_one([[0, 0], [1, 0], [1, 1], [0, 1]], 2)
-        rule = fm.interior_quadrature(m, g, 0, 6)
+        rule = fm.polygon_quadrature(m.cell_coords[0], g.barycenter[0], 6)
         gx, gy = elem.basis.gradients(rule.nodes)
         Goracle = gx.T @ (gx * rule.weights[:, None]) + gy.T @ (gy * rule.weights[:, None])
         assert np.abs(elem.G[1:] - Goracle[1:]).max() < 1e-13
@@ -187,7 +187,7 @@ def scatter_loads(m, g, k, layout, f):
     out = np.zeros(layout.n_dofs)
     for ci in range(m.n_cells):
         elem = vem.build_element(m, g, ci, k)
-        rule = fm.interior_quadrature(m, g, ci, max(2 * k, 2))
+        rule = fm.polygon_quadrature(m.cell_coords[ci], g.barycenter[ci], max(2 * k, 2))
         moments = elem.basis.values(rule.nodes).T @ (rule.weights * f(rule.nodes))
         np.add.at(out, layout.cell_dofs[ci], elem.pis_0.T @ moments)
     return out
@@ -334,7 +334,7 @@ class TestGlobalAssembly:
             total = 0.0
             for ci in range(m.n_cells):
                 elem = vem.build_element(m, g, ci, k)
-                rule = fm.interior_quadrature(m, g, ci, 2 * k + 2)
+                rule = fm.polygon_quadrature(m.cell_coords[ci], g.barycenter[ci], 2 * k + 2)
                 coeff = elem.pis_0 @ x[layout.cell_dofs[ci]]
                 uh = elem.basis.values(rule.nodes) @ coeff
                 total += np.sum(rule.weights * (uh - exact(rule.nodes)) ** 2)

@@ -3,8 +3,11 @@
 Conservative Taylor modal basis, CWENO reconstruction, Rusanov fluxes and the
 explicit convective operator.  Everything that depends only on the mesh is
 precomputed once in FvOperators and reused across stages.  The set-up works
-on stacked arrays: Taylor corrections per vertex-count group of cells, edge
-basis tables over all edges at once, and the least-squares stencil fits over
+on stacked arrays, with no Python loop per cell: Taylor corrections per
+vertex-count group of cells, edge basis tables over all edges at once, the
+CWENO stencils of every cell from one table of neighbour arcs (a
+breadth-first search advanced one layer at a time for all cells, and a join
+on shared vertices for the sectors), and the least-squares stencil fits over
 all (cell, member, shift) triples, with one pseudo-inverse per stencil size.
 Per-stage work is batched numpy over cells and edges.
 """
@@ -12,6 +15,7 @@ Per-stage work is batched numpy over cells and edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -107,8 +111,42 @@ class _StencilGroup:
     res_q: np.ndarray        # (n, nst, nst) residual factor (A P - I)
 
 
+class _Arcs(NamedTuple):
+    """Neighbour arcs src -> dst: a point x of src is x + shift in dst's
+    frame; the arcs of cell c are ptr[c]:ptr[c + 1]."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    shift: np.ndarray
+    ptr: np.ndarray
+
+
+def _expand(ptr: np.ndarray, rows: np.ndarray):
+    """Expand a CSR row pointer: for each entry r of `rows` in turn, the
+    positions ptr[r] .. ptr[r + 1] - 1.  Returns (index into rows, position)
+    for every expanded entry."""
+    count = ptr[rows + 1] - ptr[rows]
+    at = np.repeat(np.arange(len(rows)), count)
+    return at, ptr[rows][at] + np.arange(len(at)) - (np.cumsum(count) - count)[at]
+
+
+def _first_of_each_key(*keys) -> np.ndarray:
+    """Ascending indices of the first row of each distinct key tuple; keys
+    are given most significant first."""
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        k = key[order]
+        new[1:] |= k[1:] != k[:-1]
+    return np.sort(order[new])
+
+
 class FvOperators:
-    """Per-mesh tables: stencil fits, edge basis values and flux scatter maps."""
+    """Per-mesh tables: stencil fits, edge basis values and flux scatter maps.
+
+    The central and sector stencils of all cells are built as arrays from
+    one table of neighbour arcs, with no Python loop per cell."""
 
     def __init__(self, mesh: PolyMesh, geom: GeometryCache, k: int):
         self.mesh = mesh
@@ -116,34 +154,30 @@ class FvOperators:
         self.k = k
         self.nk = n_poly(k)
         self.taylor = TaylorBasis(mesh, geom, k)
-        self._adjacency()
         self._edge_tables()
         if self.k >= 1:
             self._member_rules = [
                 (idx, polygon_quadrature(mesh.stacked_coords(idx), geom.barycenter[idx],
                                          max(self.k, 1)))
                 for idx in mesh.vertex_count_groups()]
-            self._central_stencils()
-            self._sector_stencils()
+            arcs = self._arcs()
+            self._central_stencils(arcs)
+            self._sector_stencils(arcs)
 
     # -- connectivity -------------------------------------------------------
 
-    def _adjacency(self):
-        mesh = self.mesh
-        self.neighbors = [[] for _ in range(mesh.n_cells)]   # (cell, shift) pairs
-        for e in range(mesh.n_edges):
-            L, R = mesh.edge_cells[e]
-            if R < 0:
-                continue
-            s = mesh.edge_shift[e]
-            self.neighbors[L].append((int(R), s.copy()))
-            self.neighbors[R].append((int(L), -s))
-        vert_cells = {}
-        for ci, loop in enumerate(self.mesh.cells):
-            for a, v in enumerate(loop):
-                vert_cells.setdefault(int(v), []).append(
-                    (ci, self.mesh.cell_coords[ci][a]))
-        self._vert_cells = vert_cells
+    def _arcs(self) -> _Arcs:
+        """Both directions of every interior edge, grouped by source cell;
+        within a cell in edge order, a left-to-right arc before its reverse."""
+        inte = self.interior
+        L, R = self.mesh.edge_cells[inte].T
+        s = self.mesh.edge_shift[inte]
+        src = np.column_stack([L, R]).ravel()
+        order = np.argsort(src, kind="stable")
+        dst = np.column_stack([R, L]).ravel()[order]
+        shift = np.stack([s, -s], axis=1).reshape(-1, 2)[order]
+        src = src[order]
+        return _Arcs(src, dst, shift, np.searchsorted(src, np.arange(self.mesh.n_cells + 1)))
 
     # -- edge quadrature and basis tables ------------------------------------
 
@@ -180,25 +214,6 @@ class FvOperators:
 
     # -- stencil fits ---------------------------------------------------------
 
-    def _grow_stencil(self, ci: int, target: int):
-        """Breadth-first (cell, shift) stencil around ci, whole layers."""
-        seen = {(ci, (0.0, 0.0))}
-        out = []
-        frontier = [(ci, np.zeros(2))]
-        while len(out) + 1 < target and frontier:
-            nxt = []
-            for c, s in frontier:
-                for nb, ds in self.neighbors[c]:
-                    key = (nb, (round(float(s[0] + ds[0]), 9), round(float(s[1] + ds[1]), 9)))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    nxt.append((nb, s + ds))
-            nxt.sort(key=lambda p: (p[0], p[1][0], p[1][1]))
-            out.extend(nxt)
-            frontier = nxt
-        return out
-
     def _fit_rows(self, owner: np.ndarray, members: np.ndarray,
                   shifts: np.ndarray) -> np.ndarray:
         """LSQ rows (n, nk-1): the mean over cell members[i], moved by
@@ -217,14 +232,11 @@ class FvOperators:
                 rows[chunk] = means / self.geom.area[members[chunk], None]
         return rows
 
-    def _fit(self, cells, stencils, ncols: int) -> _StencilGroup:
-        """Fit each stencil (a list of (cell, shift) members) of its owner in
-        `cells` to the first `ncols` non-constant Taylor functions; one
-        pseudo-inverse runs on the stack of each stencil size, each matrix
-        with its own rcond cutoff."""
-        sizes = np.array([len(s) for s in stencils])
-        members = np.array([c for s in stencils for c, _ in s], dtype=np.int64)
-        shifts = np.array([sh for s in stencils for _, sh in s]).reshape(-1, 2)
+    def _fit(self, cells, sizes, members, shifts, ncols: int) -> _StencilGroup:
+        """Fit each stencil, sizes[i] consecutive (member, shift) entries of
+        the flat arrays owned by cells[i], to the first `ncols` non-constant
+        Taylor functions; one pseudo-inverse runs on the stack of each
+        stencil size, each matrix with its own rcond cutoff."""
         rows = self._fit_rows(np.repeat(cells, sizes), members, shifts)[:, :ncols]
         start = np.cumsum(sizes) - sizes
         n, width = len(cells), sizes.max()
@@ -242,24 +254,101 @@ class FvOperators:
             padded[sel, m:] = members[ids[:, :1]]
         return _StencilGroup(np.asarray(cells), padded, pinv, res_q)
 
-    def _central_stencils(self):
+    def _central_stencils(self, arcs: _Arcs):
+        """Breadth-first (cell, shift) stencils of every cell at once, whole
+        layers.  A layer keeps the first visit of each (cell, shift rounded
+        to 1e-9) that its owner has not seen, ordered by (cell, shift); an
+        owner stops growing once it and its stencil reach the target size."""
         target = max(int(np.ceil(GROWTH * self.nk)), self.nk + 2)
         nc = self.mesh.n_cells
-        stencils = [self._grow_stencil(ci, target) for ci in range(nc)]
-        sizes = np.array([len(s) for s in stencils])
-        small = np.flatnonzero(sizes < self.nk - 1)
+        owner = cell = np.arange(nc)
+        shift = np.zeros((nc, 2))
+        seen = [(owner, cell, shift)]
+        count = np.zeros(nc, dtype=np.int64)
+        while len(owner):
+            live = count[owner] + 1 < target
+            pos, arc = _expand(arcs.ptr, cell[live])
+            owner = owner[live][pos]
+            cell = arcs.dst[arc]
+            shift = shift[live][pos] + arcs.shift[arc]
+            o, c, sh = (np.concatenate(a) for a in zip(*seen, (owner, cell, shift)))
+            r = np.round(sh, 9)
+            new = _first_of_each_key(o, c, r[:, 0], r[:, 1]) - (len(o) - len(owner))
+            new = new[new >= 0]
+            new = new[np.lexsort((shift[new, 1], shift[new, 0], cell[new], owner[new]))]
+            owner, cell, shift = owner[new], cell[new], shift[new]
+            seen.append((owner, cell, shift))
+            count += np.bincount(owner, minlength=nc)
+        owner, cell, shift = (np.concatenate(a) for a in zip(*seen[1:]))
+        order = np.argsort(owner, kind="stable")
+        small = np.flatnonzero(count < self.nk - 1)
         if len(small):
             ci = small[0]
-            raise FvError(f"cell {ci}: stencil of {sizes[ci]} cells cannot "
+            raise FvError(f"cell {ci}: stencil of {count[ci]} cells cannot "
                           f"determine a degree-{self.k} polynomial")
         # one zero-padded group keeps the per-call numpy dispatch overhead flat
-        self.central_groups = [self._fit(np.arange(nc), stencils, self.nk - 1)]
+        self.central_groups = [self._fit(np.arange(nc), count, cell[order], shift[order],
+                                         self.nk - 1)]
+
+    def _sector_stencils(self, arcs: _Arcs):
+        """One stencil per arc ci -> nb: the neighbour, then every other cell
+        at a vertex that ci and nb share (vertices ascending, cells
+        ascending, the first of each (cell, shift rounded to 1e-9)), shifted
+        by p(cj, v) - p(ci, v) at the cells' first incidences of v; a sector
+        that finds none takes nb's first neighbour by id other than ci and
+        nb.  Sectors of a cell are ordered by (nb, shift)."""
+        mesh = self.mesh
+        nc, nv = mesh.n_cells, mesh.n_vertices
+        sec = np.lexsort((arcs.shift[:, 1], arcs.shift[:, 0], arcs.dst, arcs.src))
+        ci, nb, s = arcs.src[sec], arcs.dst[sec], arcs.shift[sec]
+        # the first incidence of each (cell, vertex) pair, by cell then by vertex
+        inc_cell = np.repeat(np.arange(nc), [len(loop) for loop in mesh.cells])
+        cv_key, first = np.unique(inc_cell * nv + np.concatenate(mesh.cells),
+                                  return_index=True)
+        cv_cell, cv_vert = np.divmod(cv_key, nv)
+        cv_pt = np.concatenate(mesh.cell_coords)[first]
+        by_vert = np.lexsort((cv_cell, cv_vert))
+        # the vertices of ci that nb shares, then every cell at each of them
+        pos, inc = _expand(np.searchsorted(cv_cell, np.arange(nc + 1)), ci)
+        want = nb[pos] * nv + cv_vert[inc]
+        hit = np.minimum(np.searchsorted(cv_key, want), len(cv_key) - 1)
+        shared = cv_key[hit] == want
+        pos, inc = pos[shared], inc[shared]
+        at, j = _expand(np.searchsorted(cv_vert[by_vert], np.arange(nv + 1)), cv_vert[inc])
+        j = by_vert[j]
+        cand_sec, cand_cell = pos[at], cv_cell[j]
+        cand_shift = cv_pt[j] - cv_pt[inc[at]]
+        other = (cand_cell != ci[cand_sec]) & (cand_cell != nb[cand_sec])
+        cand_sec, cand_cell, cand_shift = cand_sec[other], cand_cell[other], cand_shift[other]
+        r = np.round(cand_shift, 9)
+        keep = _first_of_each_key(cand_sec, cand_cell, r[:, 0], r[:, 1])
+        cand_sec, cand_cell, cand_shift = cand_sec[keep], cand_cell[keep], cand_shift[keep]
+        # second-neighbour fallback: arcs of nb by neighbour id, edge order on ties
+        lone = np.flatnonzero(np.bincount(cand_sec, minlength=len(sec)) == 0)
+        by_dst = np.lexsort((arcs.dst, arcs.src))
+        at, a = _expand(arcs.ptr, nb[lone])
+        a = by_dst[a]
+        ok = (arcs.dst[a] != ci[lone[at]]) & (arcs.dst[a] != nb[lone[at]])
+        at, a = at[ok], a[ok]
+        _, pick = np.unique(at, return_index=True)
+        fb_sec = lone[at[pick]]
+        a = a[pick]
+        # members: the neighbour, the vertex-sharing cells, the fallback
+        m_sec = np.concatenate([np.arange(len(sec)), cand_sec, fb_sec])
+        m_cell = np.concatenate([nb, cand_cell, arcs.dst[a]])
+        m_shift = np.concatenate([s, cand_shift, s[fb_sec] + arcs.shift[a]])
+        sizes = np.bincount(m_sec, minlength=len(sec))
+        # one group ordered by stencil size, cell order within a size
+        by_size = np.argsort(sizes, kind="stable")
+        order = np.argsort(np.argsort(by_size)[m_sec], kind="stable")
+        self.sector_groups = [self._fit(ci[by_size], sizes[by_size], m_cell[order],
+                                        m_shift[order], 2)]
+        self._finalize_scatter()
 
     def _finalize_scatter(self):
         """Sparse owner-cell scatter for all sector pairs (fast reductions)."""
         import scipy.sparse as sp
-        cells = np.concatenate([grp.cells for grp in self.sector_groups]) \
-            if self.sector_groups else np.zeros(0, dtype=np.int64)
+        cells = np.concatenate([grp.cells for grp in self.sector_groups])
         self._pair_cells = cells
         npairs = len(cells)
         self._pair_slices = []
@@ -270,53 +359,6 @@ class FvOperators:
         self._scatter = sp.coo_matrix(
             (np.ones(npairs), (cells, np.arange(npairs))),
             shape=(self.mesh.n_cells, max(npairs, 1))).tocsr()
-
-    def _sector_members(self, ci: int) -> list:
-        """One (cell, shift) member list per neighbor of ci: the neighbor,
-        then the cells sharing a vertex with both, else second neighbors."""
-        loop = set(int(v) for v in self.mesh.cells[ci])
-        sectors = []
-        for nb, s in sorted(self.neighbors[ci], key=lambda p: (p[0], p[1][0], p[1][1])):
-            members = [(nb, s)]
-            wedge = set(int(v) for v in self.mesh.cells[nb])
-            for v in sorted(loop):
-                for cj, _pt in self._vert_cells.get(v, ()):
-                    if cj == ci or cj == nb:
-                        continue
-                    if v in wedge:
-                        cand = self._shift_of(ci, cj, v)
-                        if cand is not None and not any(
-                                m[0] == cj and np.allclose(m[1], cand) for m in members):
-                            members.append((cj, cand))
-            if len(members) < 2:
-                for nb2, s2 in sorted(self.neighbors[nb], key=lambda p: p[0]):
-                    if nb2 != ci and not any(m[0] == nb2 for m in members):
-                        members.append((nb2, s + s2))
-                    if len(members) >= 2:
-                        break
-            sectors.append(members)
-        return sectors
-
-    def _sector_stencils(self):
-        sectors = [(ci, members) for ci in range(self.mesh.n_cells)
-                   for members in self._sector_members(ci)]
-        # one group ordered by stencil size, cell order within a size
-        sectors.sort(key=lambda p: len(p[1]))
-        self.sector_groups = [self._fit(np.array([ci for ci, _ in sectors]),
-                                        [m for _, m in sectors], 2)] if sectors else []
-        self._finalize_scatter()
-
-    def _shift_of(self, ci: int, cj: int, shared_vertex: int):
-        """Frame shift s of cj relative to ci (x_in_cj = x_in_ci + s)."""
-        pi = pj = None
-        for c, pt in self._vert_cells.get(shared_vertex, ()):
-            if c == ci and pi is None:
-                pi = pt
-            if c == cj and pj is None:
-                pj = pt
-        if pi is None or pj is None:
-            return None
-        return pj - pi
 
     # -- reconstruction -------------------------------------------------------
 

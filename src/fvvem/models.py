@@ -339,7 +339,8 @@ class Discretization:
 
     def _build_edge_trace_tables(self):
         """VEM edge traces: Lagrange map from the k+1 Gauss-Lobatto edge dofs
-        to the edge-flux Gauss points (reference interval)."""
+        to the edge-flux Gauss points (reference interval); monomial basis
+        values at those points from both sides of each edge."""
         from scipy.special import roots_legendre
         from .mesh import gauss_lobatto_reference
         k = self.k
@@ -356,6 +357,13 @@ class Discretization:
             ids.append(self.layout.edge_dofs)
         ids.append(self.layout.vertex_dof[self.mesh.edges[:, 1]][:, None])
         self.edge_trace_dofs = np.concatenate(ids, axis=1)   # (NE, k+1)
+        # the FV Taylor edge tables moved back to the monomial basis
+        fvops = self.fvops
+        corr = fvops.taylor.corrections
+        L, R = self.mesh.edge_cells.T
+        inte = fvops.interior
+        self._mono_L = fvops.basis_L + corr[L][:, None, :]            # (NE, ng, nk)
+        self._mono_R = fvops.basis_R[inte] + corr[R[inte]][:, None, :]
 
     def vem_edge_trace(self, dofs: np.ndarray) -> np.ndarray:
         """Single-valued (NE, ng) trace of a conforming field on all edges."""
@@ -511,17 +519,11 @@ class Discretization:
 
     def edge_values_mono(self, mono_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Left/right traces (NE, ng) of per-cell monomial-basis polynomials."""
-        fvops = self.fvops
-        corr = fvops.taylor.corrections
-        mesh = self.mesh
-        L = mesh.edge_cells[:, 0]
-        R = mesh.edge_cells[:, 1]
-        basL = fvops.basis_L + corr[L][:, None, :]       # Taylor -> monomial values
-        vL = np.einsum("el,egl->eg", mono_coeffs[L], basL)
+        L, R = self.mesh.edge_cells.T
+        vL = np.einsum("el,egl->eg", mono_coeffs[L], self._mono_L)
         vR = vL.copy()
-        inte = fvops.interior
-        basR = fvops.basis_R[inte] + corr[R[inte]][:, None, :]
-        vR[inte] = np.einsum("el,egl->eg", mono_coeffs[R[inte]], basR)
+        inte = self.fvops.interior
+        vR[inte] = np.einsum("el,egl->eg", mono_coeffs[R[inte]], self._mono_R)
         return vL, vR
 
 

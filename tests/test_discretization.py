@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fvvem import fv as fvmod
 from fvvem import mesh as fm
@@ -194,6 +194,99 @@ class TestBatchedElements:
 # batched stencil fits against a per-cell oracle
 # ---------------------------------------------------------------------------
 
+def oracle_adjacency(mesh):
+    """Per-cell (neighbour, shift) lists in edge order, and per vertex the
+    (cell, coordinates) of every incidence in cell order."""
+    neighbors = [[] for _ in range(mesh.n_cells)]
+    for e in range(mesh.n_edges):
+        L, R = mesh.edge_cells[e]
+        if R < 0:
+            continue
+        s = mesh.edge_shift[e]
+        neighbors[L].append((int(R), s.copy()))
+        neighbors[R].append((int(L), -s))
+    vert_cells = {}
+    for ci, loop in enumerate(mesh.cells):
+        for a, v in enumerate(loop):
+            vert_cells.setdefault(int(v), []).append((ci, mesh.cell_coords[ci][a]))
+    return neighbors, vert_cells
+
+
+def oracle_grow_stencil(neighbors, ci, target):
+    """Breadth-first (cell, shift) stencil around ci, whole layers."""
+    seen = {(ci, (0.0, 0.0))}
+    out = []
+    frontier = [(ci, np.zeros(2))]
+    while len(out) + 1 < target and frontier:
+        nxt = []
+        for c, s in frontier:
+            for nb, ds in neighbors[c]:
+                key = (nb, (round(float(s[0] + ds[0]), 9), round(float(s[1] + ds[1]), 9)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                nxt.append((nb, s + ds))
+        nxt.sort(key=lambda p: (p[0], p[1][0], p[1][1]))
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+def oracle_shift_of(vert_cells, ci, cj, shared_vertex):
+    """Frame shift s of cj relative to ci (x_in_cj = x_in_ci + s)."""
+    pi = pj = None
+    for c, pt in vert_cells.get(shared_vertex, ()):
+        if c == ci and pi is None:
+            pi = pt
+        if c == cj and pj is None:
+            pj = pt
+    if pi is None or pj is None:
+        return None
+    return pj - pi
+
+
+def oracle_sector_members(mesh, neighbors, vert_cells, ci):
+    """(members, fell back) per neighbour of ci: the (cell, shift) member
+    list is the neighbour, then the cells sharing a vertex with both, else
+    a second neighbour."""
+    loop = set(int(v) for v in mesh.cells[ci])
+    sectors = []
+    for nb, s in sorted(neighbors[ci], key=lambda p: (p[0], p[1][0], p[1][1])):
+        members = [(nb, s)]
+        wedge = set(int(v) for v in mesh.cells[nb])
+        for v in sorted(loop):
+            for cj, _pt in vert_cells.get(v, ()):
+                if cj == ci or cj == nb:
+                    continue
+                if v in wedge:
+                    cand = oracle_shift_of(vert_cells, ci, cj, v)
+                    if cand is not None and not any(
+                            m[0] == cj and np.allclose(m[1], cand) for m in members):
+                        members.append((cj, cand))
+        fell_back = len(members) < 2
+        if fell_back:
+            for nb2, s2 in sorted(neighbors[nb], key=lambda p: p[0]):
+                if nb2 != ci and not any(m[0] == nb2 for m in members):
+                    members.append((nb2, s + s2))
+                if len(members) >= 2:
+                    break
+        sectors.append((members, fell_back))
+    return sectors
+
+
+def oracle_stencils(mesh, k):
+    """The per-cell central stencils and the (owner, members, fell back)
+    sectors, ordered by size as the fits take them."""
+    neighbors, vert_cells = oracle_adjacency(mesh)
+    nk = vem.n_poly(k)
+    target = max(int(np.ceil(fvmod.GROWTH * nk)), nk + 2)
+    central = [oracle_grow_stencil(neighbors, ci, target) for ci in range(mesh.n_cells)]
+    sectors = [(ci, members, fell_back) for ci in range(mesh.n_cells)
+               for members, fell_back in oracle_sector_members(mesh, neighbors, vert_cells, ci)]
+    sectors.sort(key=lambda p: len(p[1]))
+    return central, sectors
+
+
 def oracle_fit(ops, ci, members, ncols):
     """Per-cell least-squares fit: rows, pinv and residual factor."""
     rows = np.empty((len(members), ncols))
@@ -222,17 +315,85 @@ def assert_group_row(grp, row, ci, members, P, R):
 def test_stencil_fits_equal_the_per_cell_oracle(k, periodic):
     m = fm.generate_voronoi((0, 1, 0, 1), 45, lloyd_iters=5, seed=11, periodic=periodic)
     ops = fvmod.FvOperators(m, fm.build_geometry(m), k)
-    target = max(int(np.ceil(fvmod.GROWTH * ops.nk)), ops.nk + 2)
-    (central,) = ops.central_groups
-    for ci in range(m.n_cells):
-        members = ops._grow_stencil(ci, target)
-        assert_group_row(central, ci, ci, members, *oracle_fit(ops, ci, members, ops.nk - 1))
-    sectors = [(ci, mem) for ci in range(m.n_cells) for mem in ops._sector_members(ci)]
-    sectors.sort(key=lambda p: len(p[1]))
+    central, sectors = oracle_stencils(m, k)
+    (central_group,) = ops.central_groups
+    for ci, members in enumerate(central):
+        assert_group_row(central_group, ci, ci, members,
+                         *oracle_fit(ops, ci, members, ops.nk - 1))
     (sector,) = ops.sector_groups
     assert len(sector.cells) == len(sectors)
-    for row, (ci, members) in enumerate(sectors):
+    for row, (ci, members, _) in enumerate(sectors):
         assert_group_row(sector, row, ci, members, *oracle_fit(ops, ci, members, 2))
+
+
+class RecordedFits(fvmod.FvOperators):
+    """FvOperators that keeps the flat (cells, sizes, members, shifts)
+    arrays of each fit: the central stencils first, then the sectors."""
+
+    def _fit(self, cells, sizes, members, shifts, ncols):
+        self.fits = getattr(self, "fits", []) + [(cells, sizes, members, shifts)]
+        return super()._fit(cells, sizes, members, shifts, ncols)
+
+
+def assert_stencils_equal(fit, owners, stencils):
+    """Owners, sizes, members in order and shifts bit for bit."""
+    cells, sizes, members, shifts = fit
+    assert np.array_equal(cells, owners)
+    assert np.array_equal(sizes, [len(st) for st in stencils])
+    assert np.array_equal(members, [c for st in stencils for c, _ in st])
+    expected = np.array([sh for st in stencils for _, sh in st]).reshape(-1, 2)
+    assert np.array_equal(shifts.view(np.int64), expected.view(np.int64))
+
+
+def assert_stencils_equal_the_oracle(m, k):
+    """The array stencils of m equal the per-cell loops bitwise, or both
+    find the same first cell whose stencil is too small; returns the
+    number of sectors that took the second-neighbour fallback."""
+    central, sectors = oracle_stencils(m, k)
+    small = [ci for ci, st in enumerate(central) if len(st) < vem.n_poly(k) - 1]
+    if small:
+        ci = small[0]
+        with pytest.raises(fvmod.FvError, match=f"^cell {ci}: stencil of "
+                                                f"{len(central[ci])} cells "):
+            RecordedFits(m, fm.build_geometry(m), k)
+        return 0
+    ops = RecordedFits(m, fm.build_geometry(m), k)
+    assert_stencils_equal(ops.fits[0], np.arange(m.n_cells), central)
+    assert_stencils_equal(ops.fits[1], [ci for ci, _, _ in sectors],
+                          [members for _, members, _ in sectors])
+    return sum(fell_back for _, _, fell_back in sectors)
+
+
+@st.composite
+def stencil_meshes(draw):
+    """Voronoi meshes of 6-60 cells: a box, a torus, periodic in x only,
+    or a box with a hole of one seed spacing."""
+    kind = draw(st.sampled_from(["box", "torus", "one-axis", "hole"]))
+    n = draw(st.integers(min_value=6, max_value=60))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    args = {"box": {}, "torus": {"periodic": (True, True)},
+            "one-axis": {"periodic": (True, False)},
+            "hole": {"hole_center": (0.5, 0.5), "hole_radius": n ** -0.5}}[kind]
+    try:
+        return fm.generate_voronoi((0, 1, 0, 1), n, lloyd_iters=3, seed=seed, **args)
+    except fm.MeshError:
+        # hole meshes: the generator rejects some hole boundaries
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stencil_meshes(), st.integers(min_value=1, max_value=3))
+def test_array_stencils_equal_the_per_cell_loops(m, k):
+    assert_stencils_equal_the_oracle(m, k)
+
+
+@pytest.mark.parametrize("box, nx, n_sectors", [((0, 3, 0, 1), 3, 6), ((0, 4, 0, 1), 4, 8)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_strip_sectors_take_the_second_neighbour(box, nx, n_sectors, k):
+    # one row of cells, periodic in x: two cells of a sector share only
+    # their own edge, so every sector falls back to a second neighbour
+    m = fm.generate_rect(box, nx, 1, periodic=(True, False))
+    assert assert_stencils_equal_the_oracle(m, k) == n_sectors
 
 
 # ---------------------------------------------------------------------------

@@ -641,3 +641,49 @@ class TestFrozenFactor:
             iters.clear()
         assert runs[0][0] == runs[1][0] and len(runs[0][0]) == 16
         assert np.array_equal(runs[0][1], runs[1][1])
+
+
+# ---------------------------------------------------------------------------
+# a stage's explicit and implicit inputs: one object or two equal ones
+# ---------------------------------------------------------------------------
+
+def periodic_flow(flow, scheme, seed=5):
+    """A driver factory and an initial state on a small periodic mesh: a
+    free-surface bump at rest (swe) or the Taylor-Green vortex (ins)."""
+    if flow == "ins":
+        drv, state, _, _, _ = tgv_setup(n=60, k=1, seed=seed, scheme=scheme)
+        return lambda: InsDriver(drv.disc, InsConfig(nu=1e-2), BoundarySet({}),
+                                 scheme=scheme), state
+    m = fm.generate_voronoi((0, 1, 0, 1), 60, lloyd_iters=6, seed=seed,
+                            periodic=(True, True))
+    g = fm.build_geometry(m)
+    disc = Discretization(m, g, k=2)
+    x, y = g.barycenter.T
+    z = np.zeros(m.n_cells)
+    state = FlowState(np.stack([2.0 + 0.1 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
+                                z, z]), 0.0, {})
+    return lambda: SweDriver(disc, SweConfig(g=9.81), BoundarySet({}), scheme=scheme), state
+
+
+class TestStageInputs:
+    @pytest.mark.parametrize("flow", ["swe", "ins"])
+    def test_equal_inputs_give_the_result_of_one_input(self, flow):
+        make, state = periodic_flow(flow, "LSDIRK222")
+        tau = 1e-2
+        one = make().stage(state, state, tau, tau)
+        two = make().stage(state.copy(), state.copy(), tau, tau)
+        assert np.array_equal(one.Q, two.Q)
+        assert one.aux.keys() == two.aux.keys()
+        for key in one.aux:
+            assert np.array_equal(one.aux[key], two.aux[key])
+
+    @pytest.mark.parametrize("flow", ["swe", "ins"])
+    def test_fixed_seed_rerun_is_bitwise_identical(self, flow):
+        runs = []
+        for _ in range(2):
+            make, state = periodic_flow(flow, "SADIRK343", seed=8)
+            drv = make()
+            for _ in range(3):
+                state = drv.step(state, 1e-2)
+            runs.append(state.Q)
+        assert np.array_equal(runs[0], runs[1])

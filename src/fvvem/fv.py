@@ -9,7 +9,10 @@ CWENO stencils of every cell from one table of neighbour arcs (a
 breadth-first search advanced one layer at a time for all cells, and a join
 on shared vertices for the sectors), and the least-squares stencil fits over
 all (cell, member, shift) triples, with one pseudo-inverse per stencil size.
-Per-stage work is batched numpy over cells and edges.
+Each stencil kind, central and sector, is one stack zero-padded to its
+widest stencil, so a reconstruction is a fixed handful of batched products.
+Per-stage work is batched numpy over cells and edges; every signed
+edge-to-cell sum goes through one incidence matrix (`FvOperators.edge_sum`).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import roots_legendre
 
 from .mesh import GeometryCache, PolyMesh, polygon_quadrature
@@ -102,8 +106,9 @@ def rusanov_flux(wL, wR, n, model):
 
 @dataclass
 class _StencilGroup:
-    """Least-squares fits of stencils zero-padded to a common width; padded
-    members repeat the first member and get zero weights."""
+    """Least-squares fits of the stencils of one kind, zero-padded to a
+    common width; padded members repeat the first member and get zero
+    weights."""
 
     cells: np.ndarray        # (n,) owner cell of each stencil
     members: np.ndarray      # (n, nst) stencil member cell ids
@@ -146,7 +151,10 @@ class FvOperators:
     """Per-mesh tables: stencil fits, edge basis values and flux scatter maps.
 
     The central and sector stencils of all cells are built as arrays from
-    one table of neighbour arcs, with no Python loop per cell."""
+    one table of neighbour arcs, with no Python loop per cell.  `central`
+    holds one stencil per cell in cell order, `sector` one per neighbour arc
+    (ordered by stencil size), and `_scatter` sums the sectors of each cell.
+    Orders k = 1..4 (the VEM orders)."""
 
     def __init__(self, mesh: PolyMesh, geom: GeometryCache, k: int):
         self.mesh = mesh
@@ -155,14 +163,12 @@ class FvOperators:
         self.nk = n_poly(k)
         self.taylor = TaylorBasis(mesh, geom, k)
         self._edge_tables()
-        if self.k >= 1:
-            self._member_rules = [
-                (idx, polygon_quadrature(mesh.stacked_coords(idx), geom.barycenter[idx],
-                                         max(self.k, 1)))
-                for idx in mesh.vertex_count_groups()]
-            arcs = self._arcs()
-            self._central_stencils(arcs)
-            self._sector_stencils(arcs)
+        self._member_rules = [
+            (idx, polygon_quadrature(mesh.stacked_coords(idx), geom.barycenter[idx], k))
+            for idx in mesh.vertex_count_groups()]
+        arcs = self._arcs()
+        self._central_stencils(arcs)
+        self._sector_stencils(arcs)
 
     # -- connectivity -------------------------------------------------------
 
@@ -205,7 +211,6 @@ class FvOperators:
             self.by_tag.setdefault(mesh.boundary_tags[int(e)], []).append(int(e))
         self.by_tag = {tag: np.array(es, dtype=np.int64)
                        for tag, es in sorted(self.by_tag.items())}
-        import scipy.sparse as sp
         rows = np.concatenate([L, R[inte]])
         cols = np.concatenate([np.arange(ne), inte])
         sgn = np.concatenate([np.ones(ne), -np.ones(len(inte))])
@@ -286,9 +291,7 @@ class FvOperators:
             ci = small[0]
             raise FvError(f"cell {ci}: stencil of {count[ci]} cells cannot "
                           f"determine a degree-{self.k} polynomial")
-        # one zero-padded group keeps the per-call numpy dispatch overhead flat
-        self.central_groups = [self._fit(np.arange(nc), count, cell[order], shift[order],
-                                         self.nk - 1)]
+        self.central = self._fit(np.arange(nc), count, cell[order], shift[order], self.nk - 1)
 
     def _sector_stencils(self, arcs: _Arcs):
         """One stencil per arc ci -> nb: the neighbour, then every other cell
@@ -338,27 +341,14 @@ class FvOperators:
         m_cell = np.concatenate([nb, cand_cell, arcs.dst[a]])
         m_shift = np.concatenate([s, cand_shift, s[fb_sec] + arcs.shift[a]])
         sizes = np.bincount(m_sec, minlength=len(sec))
-        # one group ordered by stencil size, cell order within a size
+        # ordered by stencil size, cell order within a size
         by_size = np.argsort(sizes, kind="stable")
         order = np.argsort(np.argsort(by_size)[m_sec], kind="stable")
-        self.sector_groups = [self._fit(ci[by_size], sizes[by_size], m_cell[order],
-                                        m_shift[order], 2)]
-        self._finalize_scatter()
-
-    def _finalize_scatter(self):
-        """Sparse owner-cell scatter for all sector pairs (fast reductions)."""
-        import scipy.sparse as sp
-        cells = np.concatenate([grp.cells for grp in self.sector_groups])
-        self._pair_cells = cells
-        npairs = len(cells)
-        self._pair_slices = []
-        start = 0
-        for grp in self.sector_groups:
-            self._pair_slices.append(slice(start, start + len(grp.cells)))
-            start += len(grp.cells)
-        self._scatter = sp.coo_matrix(
-            (np.ones(npairs), (cells, np.arange(npairs))),
-            shape=(self.mesh.n_cells, max(npairs, 1))).tocsr()
+        self.sector = self._fit(ci[by_size], sizes[by_size], m_cell[order], m_shift[order], 2)
+        # sums over the sectors of each owner cell
+        self._scatter = sp.csr_matrix((np.ones(len(sec)), (self.sector.cells,
+                                                           np.arange(len(sec)))),
+                                      shape=(nc, len(sec)))
 
     # -- reconstruction -------------------------------------------------------
 
@@ -370,43 +360,31 @@ class FvOperators:
         """
         Qbar = np.atleast_2d(Qbar)
         ncomp, nc = Qbar.shape
-        if self.k == 0:
-            coeffs = np.zeros((ncomp, nc, 1))
-            coeffs[:, :, 0] = Qbar
-            return coeffs
-        nk = self.nk
-        p_opt = np.zeros((ncomp, nc, nk))
+        central, sector = self.central, self.sector
+        p_opt = np.zeros((ncomp, nc, self.nk))
         p_opt[:, :, 0] = Qbar
-        rho0 = np.zeros((ncomp, nc))
-        for grp in self.central_groups:
-            d = Qbar[:, grp.members] - Qbar[:, grp.cells][:, :, None]   # (ncomp, ng, nst)
-            dT = d.transpose(1, 2, 0)                                   # (ng, nst, ncomp)
-            p_opt[:, grp.cells, 1:] = (grp.pinv @ dT).transpose(2, 0, 1)
-            r = grp.res_q @ dT
-            rho0[:, grp.cells] = (r * r).sum(axis=1).T
-        alpha0 = LAMBDA_CENTRAL / (EPS + rho0) ** POWER                 # (ncomp, nc)
-        npairs = len(self._pair_cells)
-        alpha_flat = np.empty((ncomp, npairs))
-        slope_flat = np.empty((ncomp, npairs, 2))
-        for grp, sl in zip(self.sector_groups, self._pair_slices):
-            d = Qbar[:, grp.members] - Qbar[:, grp.cells][:, :, None]
-            dT = d.transpose(1, 2, 0)
-            slopes = (grp.pinv @ dT).transpose(2, 0, 1)                  # (ncomp, np, 2)
-            r = grp.res_q @ dT
-            rho = (r * r).sum(axis=1).T
-            sigma = slopes[..., 0] ** 2 + slopes[..., 1] ** 2 + rho
-            alpha_flat[:, sl] = LAMBDA_SECTOR / (EPS + sigma) ** POWER
-            slope_flat[:, sl] = slopes
-        denom = alpha0 + (self._scatter @ alpha_flat.T).T
+        # one central stencil per cell, in cell order
+        d = Qbar[:, central.members] - Qbar[:, central.cells][:, :, None]   # (ncomp, nc, nst)
+        dT = d.transpose(1, 2, 0)                                           # (nc, nst, ncomp)
+        p_opt[:, :, 1:] = (central.pinv @ dT).transpose(2, 0, 1)
+        r = central.res_q @ dT
+        alpha0 = LAMBDA_CENTRAL / (EPS + (r * r).sum(axis=1).T) ** POWER    # (ncomp, nc)
+        d = Qbar[:, sector.members] - Qbar[:, sector.cells][:, :, None]
+        dT = d.transpose(1, 2, 0)
+        slopes = (sector.pinv @ dT).transpose(2, 0, 1)                      # (ncomp, np, 2)
+        r = sector.res_q @ dT
+        sigma = slopes[..., 0] ** 2 + slopes[..., 1] ** 2 + (r * r).sum(axis=1).T
+        alpha = LAMBDA_SECTOR / (EPS + sigma) ** POWER                      # (ncomp, np)
+        denom = alpha0 + (self._scatter @ alpha.T).T
         coeffs = p_opt * (alpha0 / denom)[:, :, None]
-        if npairs:
-            w = alpha_flat / denom[:, self._pair_cells]
-            contrib = np.zeros((ncomp, npairs, 3))
-            contrib[:, :, 0] = Qbar[:, self._pair_cells]
-            contrib[:, :, 1:] = slope_flat
-            contrib *= w[:, :, None]
-            summed = self._scatter @ contrib.transpose(1, 0, 2).reshape(npairs, -1)
-            coeffs[:, :, :3] += summed.reshape(nc, ncomp, 3).transpose(1, 0, 2)
+        npairs = len(sector.cells)
+        w = alpha / denom[:, sector.cells]
+        contrib = np.zeros((ncomp, npairs, 3))
+        contrib[:, :, 0] = Qbar[:, sector.cells]
+        contrib[:, :, 1:] = slopes
+        contrib *= w[:, :, None]
+        summed = self._scatter @ contrib.transpose(1, 0, 2).reshape(npairs, -1)
+        coeffs[:, :, :3] += summed.reshape(nc, ncomp, 3).transpose(1, 0, 2)
         return coeffs
 
     def edge_states(self, coeffs: np.ndarray):
@@ -421,6 +399,13 @@ class FvOperators:
         wR[:, inte] = (self.basis_R[inte] @ coeffs[:, R[inte], :]
                        .transpose(1, 2, 0)).transpose(2, 0, 1)
         return wL, wR
+
+    def edge_sum(self, values: np.ndarray) -> np.ndarray:
+        """(..., ncell) sums over each cell's edges of the integrals of
+        `values` (..., NE, ng), given at the edge Gauss points, signed + for
+        the edge's left cell and - for its right one."""
+        edge_int = np.einsum("...eg,eg->...e", values, self.edge_weights)
+        return (self._edge_incidence @ edge_int.T).T
 
 
 def explicit_operator(ops: FvOperators, model, coeffs_E: np.ndarray,
@@ -444,8 +429,6 @@ def explicit_operator(ops: FvOperators, model, coeffs_E: np.ndarray,
         wR[:, edges] = ext.reshape(wL.shape[0], len(edges), -1)
     # normals broadcast against the (NE, ng) point layout
     flux = rusanov_flux(wL, wR, geom.edge_normal[:, None, :], model)   # (nexp, NE, ng)
-    edge_int = np.einsum("feg,eg->fe", flux, ops.edge_weights)
-    acc = (ops._edge_incidence @ edge_int.T).T
     expl = model.explicit_components(Qbar_I)
-    return expl - dt / geom.area[None, :] * acc
+    return expl - dt / geom.area[None, :] * ops.edge_sum(flux)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from ..mesh import PolyMesh, build_geometry, generate_rect, generate_voronoi
+from ..mesh import build_geometry, generate_rect, generate_voronoi
 from ..models import BoundaryCondition, BoundarySet
 
 _REGISTRY = {}

@@ -168,28 +168,12 @@ class DirichletSet:
         return out
 
 
-def apply_dirichlet(A: SparseMatrix, b: np.ndarray, dofs, values: np.ndarray
-                    ) -> tuple[SparseMatrix, np.ndarray]:
-    """Constrain dofs to values: identity rows plus symmetric column elimination.
-
-    `dofs` is a `DirichletSet` of A's pattern (values ordered as its `dofs`)
-    or dof indices, where a repeated dof must repeat its value.  The result
-    keeps A's pattern; coupled columns are folded into b so a symmetric A
-    stays symmetric.
-    """
-    values = np.asarray(values, dtype=float)
-    if not isinstance(dofs, DirichletSet):
-        dofs = np.asarray(dofs, dtype=np.int64)
-        if len(dofs) != len(values):
-            raise ValueError("dofs and values length mismatch")
-        ds, first = np.unique(dofs, return_index=True)
-        vs = values[first]
-        bad = values != vs[np.searchsorted(ds, dofs)]
-        if np.any(bad):
-            raise ValueError(f"conflicting Dirichlet values at dofs {np.unique(dofs[bad])[:5]}")
-        dofs, values = DirichletSet(A, ds), vs
+def apply_dirichlet(A: SparseMatrix, dirichlet: DirichletSet) -> SparseMatrix:
+    """Constrain the dofs of a `DirichletSet` of A's pattern: identity rows and
+    symmetric column elimination, on A's pattern.  The right-hand side that
+    goes with it, with the coupled columns folded in so a symmetric A stays
+    symmetric, is `dirichlet.rhs`."""
     data = A.data.copy()
-    data[dofs.cleared] = 0.0
-    data[dofs.diagonal] = 1.0
-    return (SparseMatrix.on_pattern(A.indptr, A.indices, data, A.shape),
-            dofs.rhs(A, b, values))
+    data[dirichlet.cleared] = 0.0
+    data[dirichlet.diagonal] = 1.0
+    return SparseMatrix.on_pattern(A.indptr, A.indices, data, A.shape)

@@ -800,6 +800,14 @@ def generate_voronoi(box, n_seeds: int, lloyd_iters: int = 20, seed: int = 0,
     if n_seeds < 4:
         raise MeshError("need at least 4 seeds")
     xlo, xhi, ylo, yhi = box
+    if hole_center is not None:
+        # seeds are resampled until they lie at least 1.05 r from the centre;
+        # the box corner farthest from it bounds that distance
+        reach = max(np.hypot(x - hole_center[0], y - hole_center[1])
+                    for x in (xlo, xhi) for y in (ylo, yhi))
+        if reach <= 1.05 * hole_radius:
+            raise MeshError(f"the hole (radius {hole_radius:g}, seeds kept "
+                            f"{1.05 * hole_radius:g} from its centre) covers the box")
     rng = np.random.default_rng(seed)
 
     def sample(m):

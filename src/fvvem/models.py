@@ -4,10 +4,12 @@ A stage couples the explicit FV convective operator with implicit VEM solves
 (free-surface wave equation for SWE; viscous Helmholtz plus pressure
 projection for INS) through the FV<->VEM transfer operators.  The
 Discretization object precomputes everything mesh-dependent, grouped by cell
-vertex count so per-stage work is batched numpy.  Every implicit operator
-lives in one fixed CSR pattern (`vem.AssemblyPattern`): a stage refills its
-data (the free surface M + tau^2 g K(H) in every stage, the viscous
-M + tau nu K when tau changes) and never rebuilds its structure.  Each
+vertex count so per-stage work is batched numpy.  Every global operator is
+gathered from per-cell blocks through a `vem.AssemblyPattern`: the transfers
+and loads on rectangular patterns, and every implicit operator on one fixed
+dof pattern, where a stage refills its data (the free surface
+M + tau^2 g K(H) in every stage, the viscous M + tau nu K when tau changes)
+and never rebuilds its structure.  Each
 implicit system is preconditioned by the sparse LU factor of its first
 operator, kept across refills until a solve takes more than
 REFACTOR_ITERATIONS CG iterations (`_ConstrainedSystem`).
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fv as fvmod
 from . import transfer as trmod
@@ -156,32 +159,24 @@ class BoundarySet:
 class FlowState:
     """Conserved cell averages plus solver auxiliaries.
 
-    `aux` holds per-step data replaced wholesale (pressure dofs, warm starts);
-    `lin` holds auxiliary fields that transform linearly with the state under
-    Runge-Kutta combinations (e.g. the momentum divergence functional).
+    `aux` holds per-step data replaced wholesale (pressure dofs, warm starts).
     """
 
     Q: np.ndarray
     time: float = 0.0
     aux: dict = field(default_factory=dict)
-    lin: dict = field(default_factory=dict)
 
     def copy(self) -> "FlowState":
-        return FlowState(self.Q.copy(), self.time, dict(self.aux),
-                         {k: v.copy() for k, v in self.lin.items()})
+        return FlowState(self.Q.copy(), self.time, dict(self.aux))
 
     def lincomb(self, a, terms) -> "FlowState":
         Q = a * self.Q
-        lin = {key: a * val for key, val in self.lin.items()}
         for c, k in terms:
             Q = Q + c * k.Q
-            for key in lin:
-                lin[key] = lin[key] + c * k.lin[key]
-        return FlowState(Q, self.time, dict(self.aux), lin)
+        return FlowState(Q, self.time, dict(self.aux))
 
     def flux_from(self, base: "FlowState", tau: float) -> "FlowState":
-        lin = {key: (self.lin[key] - base.lin[key]) / tau for key in self.lin}
-        return FlowState((self.Q - base.Q) / tau, self.time, {}, lin)
+        return FlowState((self.Q - base.Q) / tau, self.time, {})
 
     def adopt_auxiliary(self, other: "FlowState"):
         self.aux = dict(other.aux)
@@ -243,6 +238,7 @@ class Discretization:
 
     Everything is built per vertex-count group of cells (`groups`), as stacked
     arrays: one VEM element build, one transfer build and one _Group each.
+    An order outside 1..4 raises `vem.VemError` before any FV set-up.
     """
 
     def __init__(self, mesh: PolyMesh, geom: GeometryCache, k: int):
@@ -252,8 +248,8 @@ class Discretization:
         self.nk = n_poly(k)
         self.nkm1 = n_poly(k - 1)
         self.nkm2 = n_poly(k - 2)
-        self.fvops = fvmod.FvOperators(mesh, geom, k)
         self.layout = vemod.build_dof_layout(mesh, geom, k)
+        self.fvops = fvmod.FvOperators(mesh, geom, k)
         self.groups, stiffness = [], []
         for idx in mesh.vertex_count_groups():
             elem = vemod.build_element(mesh, geom, idx, k)
@@ -261,81 +257,39 @@ class Discretization:
             Vp, Cp = trmod.build_transfer(elem, T)
             self.groups.append(_Group(elem, T, Vp, Cp, self.layout, mesh, k))
             stiffness.append(elem.stiffness)
-        self.pattern = vemod.AssemblyPattern(self.layout, [grp.idx for grp in self.groups])
+        # every global operator is gathered from the groups' stacked blocks
+        # through a vem.AssemblyPattern: the dof pattern (M, K, the divergence
+        # load and every implicit operator refilled on it), and the pattern of
+        # dofs against the ids cell * nk + l of the Taylor coefficients
+        nd, nck = self.layout.n_dofs, mesh.n_cells * self.nk
+        dofs = [grp.dofs for grp in self.groups]
+        modes = [grp.idx[:, None] * self.nk + np.arange(self.nk) for grp in self.groups]
+        self.pattern = vemod.AssemblyPattern(dofs, dofs, (nd, nd))
         self.M = vemod.scatter_matrix(self.pattern, [grp.mass for grp in self.groups])
         self.K = vemod.scatter_matrix(self.pattern, stiffness)
-        self.ones = self._constant_dof_vector()
+        # fv_to_vem: dofs = Vglob @ coeffs.ravel(), where a dof shared by
+        # several cells takes the mean of their candidates; the loads of
+        # Taylor (CTglob) and monomial (Cmglob) coefficients against Pi0 phi
+        multiplicity = np.bincount(np.concatenate([d.ravel() for d in dofs]), minlength=nd)
+        to_vem = vemod.AssemblyPattern(dofs, modes, (nd, nck))
+        self._Vglob, self._CTglob, self._Cmglob = (
+            vemod.scatter_matrix(to_vem, blocks).to_scipy() for blocks in (
+                [grp.Vp / multiplicity[grp.dofs][:, :, None] for grp in self.groups],
+                [grp.CT for grp in self.groups], [grp.Ct_mono for grp in self.groups]))
+        # vem_to_fv: coeffs.ravel() = Cglob @ dofs
+        self._Cglob = vemod.scatter_matrix(vemod.AssemblyPattern(modes, dofs, (nck, nd)),
+                                           [grp.Cp for grp in self.groups]).to_scipy()
+        # divergence load: out = DIVglob @ [vx, vy], each half on the dof
+        # pattern with blocks (Pi0_{k-1} d phi_j / dx, Pi0 phi_i) (and d / dy)
+        DX, DY = (vemod.scatter_matrix(self.pattern, [
+            np.einsum("gai,gaj->gij", grp.cp_km1, getattr(grp, pis)) for grp in self.groups])
+            for pis in ("pis0x", "pis0y"))
+        self._DIVglob = sp.hstack([DX.to_scipy(), DY.to_scipy()]).tocsr()
+        self.ones = np.zeros(nd)                    # the dofs of the constant 1
+        for grp in self.groups:
+            self.ones[grp.dofs] = grp.const_dofs
         self.area_total = float(np.sum(geom.area))
         self._build_edge_trace_tables()
-        self._build_global_operators()
-
-    def _build_global_operators(self):
-        """Precompute the per-cell operator scatters as sparse matrices; the
-        per-stage work then reduces to sparse matvecs."""
-        import scipy.sparse as sp
-        nd = self.layout.n_dofs
-        nc = self.mesh.n_cells
-        nk = self.nk
-
-        def build(entry_fn, out_rows, out_cols):
-            rows, cols, vals = [], [], []
-            for grp in self.groups:
-                r, c, v = entry_fn(grp)
-                rows.append(r.ravel())
-                cols.append(c.ravel())
-                vals.append(v.ravel())
-            return sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(out_rows, out_cols)).tocsr()
-
-        def cellcol(grp):
-            # (g, ndof, nk) value blocks indexed by [dof, cell*nk + l]
-            g, ndof = grp.dofs.shape
-            r = np.repeat(grp.dofs[:, :, None], nk, axis=2)
-            c = (grp.idx[:, None, None] * nk
-                 + np.arange(nk)[None, None, :] + np.zeros((1, ndof, 1), dtype=np.int64))
-            return r, c, None
-
-        # fv_to_vem: dofs = Vglob @ coeffs.ravel(); a dof shared by several
-        # cells takes the mean of their candidates
-        multiplicity = np.bincount(np.concatenate([grp.dofs.ravel() for grp in self.groups]),
-                                   minlength=nd).astype(float)
-
-        def v_entries(grp):
-            r, c, _ = cellcol(grp)
-            v = grp.Vp / multiplicity[grp.dofs][:, :, None]
-            return r, c, v
-        self._Vglob = build(v_entries, nd, nc * nk)
-
-        # vem_to_fv: coeffs.ravel() = Cglob @ dofs
-        def c_entries(grp):
-            g, ndof = grp.dofs.shape
-            r = (grp.idx[:, None, None] * nk + np.arange(nk)[None, :, None]
-                 + np.zeros((1, 1, ndof), dtype=np.int64))
-            c = np.repeat(grp.dofs[:, None, :], nk, axis=1)
-            return r, c, grp.Cp
-        self._Cglob = build(c_entries, nc * nk, nd)
-
-        # load_from_taylor: out = CTglob @ coeffs.ravel()
-        def ct_entries(grp):
-            r, c, _ = cellcol(grp)
-            return r, c, grp.CT
-        self._CTglob = build(ct_entries, nd, nc * nk)
-
-        # monomial load: out = Cmonoglob @ mono_coeffs.ravel()
-        def cm_entries(grp):
-            r, c, _ = cellcol(grp)
-            return r, c, grp.Ct_mono
-        self._Cmglob = build(cm_entries, nd, nc * nk)
-
-        # divergence load: out = DIVglob @ [vx, vy], each half on the assembly
-        # pattern with blocks (Pi0_{k-1} d phi_j / dx, Pi0 phi_i) (and d / dy)
-        def divergence_half(pis):
-            return vemod.scatter_matrix(self.pattern, [
-                np.einsum("gai,gaj->gij", grp.cp_km1, pis(grp)) for grp in self.groups])
-        DX = divergence_half(lambda grp: grp.pis0x)
-        DY = divergence_half(lambda grp: grp.pis0y)
-        self._DIVglob = sp.hstack([DX.to_scipy(), DY.to_scipy()]).tocsr()
 
     def _build_edge_trace_tables(self):
         """VEM edge traces: Lagrange map from the k+1 Gauss-Lobatto edge dofs
@@ -368,12 +322,6 @@ class Discretization:
     def vem_edge_trace(self, dofs: np.ndarray) -> np.ndarray:
         """Single-valued (NE, ng) trace of a conforming field on all edges."""
         return dofs[self.edge_trace_dofs] @ self.edge_lagrange.T
-
-    def _constant_dof_vector(self) -> np.ndarray:
-        ones = np.zeros(self.layout.n_dofs)
-        for grp in self.groups:
-            ones[grp.dofs] = grp.const_dofs
-        return ones
 
     # -- field plumbing (sparse transfer operators) ---------------------------
 
@@ -499,17 +447,6 @@ class Discretization:
             out[1, grp.idx] = np.einsum("gq,gq->g", grp.qw * hvals, gyv) / grp.area
         return out
 
-    def divergence_update(self, fhat: np.ndarray) -> np.ndarray:
-        """Per-cell (1/|P|) * sum of integrated edge normal fluxes."""
-        edge_int = np.einsum("eg,eg->e", fhat, self.fvops.edge_weights)
-        out = np.zeros(self.mesh.n_cells)
-        L = self.mesh.edge_cells[:, 0]
-        R = self.mesh.edge_cells[:, 1]
-        np.add.at(out, L, edge_int)
-        inte = self.fvops.interior
-        np.add.at(out, R[inte], -edge_int[inte])
-        return out / self.geom.area
-
     def pi0_poly(self, dofs: np.ndarray) -> np.ndarray:
         """Monomial coefficients (ncell, nk) of the Pi0 polynomial of a field."""
         out = np.empty((self.mesh.n_cells, self.nk))
@@ -627,15 +564,16 @@ class SweDriver:
         q_new = Fq - tau * g * disc.gradient_depth_weighted(grad_eta, h_poly)
         # divergence-form mass update with the single-valued implicit flux
         # q^{new} . n = trace(Fq_vem) - tau g * avg(H grad eta^{new}) . n
+        # (walls carry no normal discharge: zero there)
         n = disc.geom.edge_normal
         fq_hat = (disc.vem_edge_trace(fq_dofs[0]) * n[:, None, 0]
                   + disc.vem_edge_trace(fq_dofs[1]) * n[:, None, 1])
+        q_hat = fq_hat - tau * g * self._depth_gradient_trace(grad_eta, h_poly)
         for tag, edges in disc.fvops.by_tag.items():
             if self.bcs.table[tag].kind == "wall":
-                fq_hat[edges] = 0.0
-        q_hat = fq_hat - tau * g * self._depth_gradient_trace(grad_eta, h_poly)
+                q_hat[edges] = 0.0
         if self.mass_update == "divergence":
-            eta_new = QI.Q[0] - tau * disc.divergence_update(q_hat)
+            eta_new = QI.Q[0] - tau * (disc.fvops.edge_sum(q_hat) / disc.geom.area)
         else:
             eta_new = eta_poly[:, 0]          # transferred Pi0 cell means
         Qn = np.vstack([eta_new[None], q_new])
@@ -643,7 +581,9 @@ class SweDriver:
 
     def _depth_gradient_trace(self, grad_eta: np.ndarray, h_poly: np.ndarray) -> np.ndarray:
         """Single-valued edge trace of H * grad(eta) . n (central average),
-        from the monomial coefficients of grad(eta) and of H's Pi0 polynomial."""
+        from the monomial coefficients of grad(eta) and of H's Pi0 polynomial.
+        Boundary edges keep the one-sided trace (hR equals hL there); the
+        stage zeroes the whole discharge on walls."""
         disc = self.disc
         gx, gy = grad_eta
         hL, hR = disc.edge_values_mono(h_poly)
@@ -652,12 +592,6 @@ class SweDriver:
         n = disc.geom.edge_normal
         trace = 0.5 * (hL * (gxL * n[:, None, 0] + gyL * n[:, None, 1])
                        + hR * (gxR * n[:, None, 0] + gyR * n[:, None, 1]))
-        # boundary edges: walls carry no normal discharge at all; the Fq part
-        # is already zero there, so zero the implicit correction too.  Other
-        # kinds keep the one-sided trace (hR by construction equals hL there).
-        for tag, edges in disc.fvops.by_tag.items():
-            if self.bcs.table[tag].kind == "wall":
-                trace[edges] = 0.0
         return trace
 
     def _convective_divergence_poly(self, full_coeffs: np.ndarray) -> np.ndarray:
@@ -755,8 +689,7 @@ class _ConstrainedSystem:
             self.key = key
             self.A = self.full = self.disc.pattern.matrix(build())
             if self.dirichlet is not None:
-                self.A, _ = apply_dirichlet(self.full, np.zeros(self.full.shape[0]),
-                                            self.dirichlet, np.zeros(len(self.fixed)))
+                self.A = apply_dirichlet(self.full, self.dirichlet)
             if self.precond is None or self.last_iterations > REFACTOR_ITERATIONS:
                 self.precond = None         # one factor in memory at a time
                 self.precond = factorized(self.A, self.pin)

@@ -2,14 +2,14 @@
 
 Projector matrices (D, G, B, H, C, E, Pi-nabla, Pi0), stabilized mass and
 stiffness operators, the global dof numbering, the assembly pattern (the CSR
-pattern of the element connectivity, with the scatter of element matrices
-into it) and the Dirichlet dofs of tagged boundaries.  Loads are assembled
-by the Discretization (models.py) from its transfer operators.  Orders
-k = 1..4 are supported.  Elements are built per
-group of cells with equal vertex count: every element array is stacked along
-a leading cell axis, so that one batched product or solve serves the whole
-group.  All element quantities are computed in each cell's own coordinate
-frame with the scaled monomial basis centred at its barycenter.
+pattern of a gather of dense per-cell blocks, square or rectangular, with the
+scatter of the blocks into it: every global operator of the Discretization
+in models.py goes through one) and the Dirichlet dofs of tagged boundaries.
+Orders k = 1..4 are supported.  Elements are built per group of cells with
+equal vertex count: every element array is stacked along a leading cell
+axis, so that one batched product or solve serves the whole group.  All
+element quantities are computed in each cell's own coordinate frame with the
+scaled monomial basis centred at its barycenter.
 """
 
 from __future__ import annotations
@@ -57,18 +57,17 @@ class MonomialBasis:
         self.indices = multi_indices(k)
         self.n = len(self.indices)
 
-    def values(self, pts: np.ndarray, upto: int | None = None) -> np.ndarray:
-        """(..., npts, n) monomial values; `upto` truncates the degree."""
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        """(..., npts, n) monomial values."""
         pts = np.atleast_2d(pts)
         xi = (pts[..., 0] - self.center[..., None, 0]) / self.h[..., None]
         et = (pts[..., 1] - self.center[..., None, 1]) / self.h[..., None]
-        deg = self.k if upto is None else upto
         pow_x = [np.ones_like(xi)]
         pow_y = [np.ones_like(et)]
-        for d in range(1, deg + 1):
+        for d in range(1, self.k + 1):
             pow_x.append(pow_x[-1] * xi)
             pow_y.append(pow_y[-1] * et)
-        return np.stack([pow_x[a] * pow_y[b] for a, b in multi_indices(deg)], axis=-1)
+        return np.stack([pow_x[a] * pow_y[b] for a, b in self.indices], axis=-1)
 
     def gradients(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(..., npts, n) arrays of d m_alpha / dx and / dy."""
@@ -356,40 +355,38 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
 # ---------------------------------------------------------------------------
 # global assembly
 # ---------------------------------------------------------------------------
-# The Discretization owns one AssemblyPattern, the global structure and the
-# scatter: M and K are scattered into it, and each stage refills it (K(h)).
 
 class AssemblyPattern:
-    """CSR pattern of the element connectivity, and the scatter into it.
+    """CSR pattern of a gather of dense per-cell blocks, and the scatter into it.
 
-    The pattern holds every pair of dofs of a common cell, so every global
-    operator assembled from dense element matrices (M, K, the variable
-    stiffness K(h) and their combinations) shares one `indptr`/`indices`.
-    `cells` lists the groups of cells whose element matrices are stacked
-    (g, N_dof, N_dof); `positions` sends each entry of those stacks, group
+    `rows` and `cols` list, per group of cells, the (g, m) row ids and (g, n)
+    column ids of its stacked (g, m, n) blocks; a block entry [c, a, b] adds
+    to (rows[c, a], cols[c, b]).  The dof pattern, with the dofs of each cell
+    as both rows and columns, holds every pair of dofs of a common cell, so M,
+    K, the variable stiffness K(h) and their combinations share one
+    `indptr`/`indices`.  `positions` sends each entry of the stacks, group
     after group, to its slot in the pattern's data, so an assembly is one
-    `np.bincount`.
+    `np.bincount` that sums repeated (row, col) pairs.  The transfers and
+    loads gather dofs against the Taylor coefficient ids on rectangular
+    patterns.
     """
 
-    def __init__(self, layout: VemDofLayout, cells):
-        n = layout.n_dofs
-        keys = []
-        for ids in cells:
-            dofs = np.stack([layout.cell_dofs[ci] for ci in np.atleast_1d(ids)])
-            keys.append((dofs[:, :, None] * n + dofs[:, None, :]).ravel())
+    def __init__(self, rows, cols, shape):
+        nrows, ncols = self.shape = tuple(shape)
+        keys = [(r[:, :, None] * ncols + c[:, None, :]).ravel() for r, c in zip(rows, cols)]
         pairs, self.positions = np.unique(np.concatenate(keys), return_inverse=True)
-        self.shape = (n, n)
         self.nnz = len(pairs)
-        index = np.int32 if max(n, self.nnz) < 2 ** 31 else np.int64
-        self.indices = (pairs % n).astype(index)
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs // n, minlength=n))
+        index = np.int32 if max(nrows, ncols, self.nnz) < 2 ** 31 else np.int64
+        self.indices = (pairs % ncols).astype(index)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs // ncols,
+                                                                 minlength=nrows))
                                       ]).astype(index)
 
-    def scatter(self, element_matrices) -> np.ndarray:
-        """Pattern data of the sum of the groups' stacked element matrices."""
-        vals = np.concatenate([np.ravel(Ke) for Ke in element_matrices])
+    def scatter(self, blocks) -> np.ndarray:
+        """Pattern data of the sum of the groups' stacked blocks."""
+        vals = np.concatenate([np.ravel(b) for b in blocks])
         if vals.size != self.positions.size:
-            raise VemError(f"{vals.size} element matrix entries for a pattern "
+            raise VemError(f"{vals.size} block entries for a pattern "
                            f"of {self.positions.size}")
         return np.bincount(self.positions, weights=vals, minlength=self.nnz)
 
@@ -397,9 +394,9 @@ class AssemblyPattern:
         return SparseMatrix.on_pattern(self.indptr, self.indices, data, self.shape)
 
 
-def scatter_matrix(pattern: AssemblyPattern, element_matrices) -> SparseMatrix:
-    """Scatter-add the groups' stacked element matrices into the pattern."""
-    return pattern.matrix(pattern.scatter(element_matrices))
+def scatter_matrix(pattern: AssemblyPattern, blocks) -> SparseMatrix:
+    """Scatter-add the groups' stacked blocks into the pattern."""
+    return pattern.matrix(pattern.scatter(blocks))
 
 
 def dirichlet_dofs(mesh: PolyMesh, layout: VemDofLayout, tags) -> np.ndarray:

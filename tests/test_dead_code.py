@@ -1,9 +1,12 @@
-"""Every function and method defined in src/fvvem is named somewhere.
+"""Every function and method defined in src/fvvem is named somewhere, and
+every name a src/fvvem module imports is used there.
 
 A definition counts as used when its name appears in src/, tests/ or
 perfbench/ as a name, an attribute, an imported name or a string (a
-`getattr` or a monkeypatch target).  The sources are read with the standard
-library's `ast`; no linter is needed.
+`getattr` or a monkeypatch target).  An imported name counts as used when
+its module names it or lists it in `__all__`; `from __future__` imports are
+exempt.  The sources are read with the standard library's `ast`; no linter
+is needed.
 """
 
 import ast
@@ -59,3 +62,28 @@ def test_every_function_has_a_caller():
 def test_allowlist_names_real_functions():
     _, defined = names_and_definitions()
     assert ALLOWED <= {(rel, name) for rel, name, _ in defined}
+
+
+def unused_imports(module: ast.Module) -> list:
+    """(line, name) of each name the module imports and never uses."""
+    imported, used = [], set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted((ROOT / "src" / "fvvem").rglob("*.py")):
+        module = ast.parse(path.read_text(), filename=str(path))
+        rel = path.relative_to(ROOT).as_posix()
+        unused += [f"{rel}:{line} {name}" for line, name in unused_imports(module)]
+    assert not unused, "imported names that nothing uses:\n" + "\n".join(unused)

@@ -210,3 +210,30 @@ class TestExplicitOperator:
         F1 = fvmod.explicit_operator(ops, model, coeffs, Q, 0.5, 0.0, None)
         total = (g.area * (F1 - Q)).sum(axis=1)
         assert np.abs(total).max() < 1e-12
+
+
+def oracle_divergence_update(ops, fhat):
+    """Per-cell (1/|P|) * signed sum of the integrated edge values: the
+    np.add.at loop the SWE mass update used before `edge_sum`."""
+    edge_int = np.einsum("eg,eg->e", fhat, ops.edge_weights)
+    out = np.zeros(ops.mesh.n_cells)
+    L, R = ops.mesh.edge_cells.T
+    np.add.at(out, L, edge_int)
+    np.add.at(out, R[ops.interior], -edge_int[ops.interior])
+    return out / ops.geom.area
+
+
+class TestEdgeSum:
+    @pytest.mark.parametrize("k, periodic", [(1, (True, True)), (2, (False, False)),
+                                             (3, (True, False))])
+    def test_equals_the_per_edge_scatter(self, k, periodic):
+        ops, m, g = voronoi_ops(k, n=60, seed=7, periodic=periodic)
+        rng = np.random.default_rng(k)
+        fhat = rng.standard_normal((m.n_edges, k + 1))
+        want = oracle_divergence_update(ops, fhat)
+        got = ops.edge_sum(fhat) / g.area
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        # a stack of fields sums each one
+        both = ops.edge_sum(np.stack([fhat, -2.0 * fhat]))
+        assert np.array_equal(both[0], ops.edge_sum(fhat))
+        assert np.array_equal(both[1], ops.edge_sum(-2.0 * fhat))

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from fvvem.linalg import (SolverError, SparseMatrix, apply_dirichlet,
+from fvvem.linalg import (DirichletSet, SolverError, SparseMatrix, apply_dirichlet,
                           factorized, pcg)
 
 
@@ -152,24 +152,30 @@ class TestPcg:
         assert np.linalg.norm(b - Aspd @ x) <= 1e-12 * np.linalg.norm(b) * 1.0001
 
 
+def constrain(A, b, dofs, values):
+    """The constrained operator and right-hand side of dofs set to values."""
+    fixed = DirichletSet(A, dofs)
+    return apply_dirichlet(A, fixed), fixed.rhs(A, b, values)
+
+
 class TestDirichlet:
     def test_constrain_all(self):
         A = laplace_1d(6)
         vals = np.arange(6.0)
-        Am, bm = apply_dirichlet(A, np.zeros(6), np.arange(6), vals)
+        Am, bm = constrain(A, np.zeros(6), np.arange(6), vals)
         x, rep = pcg(Am, bm)
         assert np.allclose(x, vals, atol=1e-12)
 
     def test_constrain_none(self):
         A = laplace_1d(5)
         b = np.ones(5)
-        Am, bm = apply_dirichlet(A, b, np.array([], dtype=int), np.array([]))
+        Am, bm = constrain(A, b, np.array([], dtype=int), np.array([]))
         assert np.array_equal(bm, b)
         assert np.array_equal(Am.to_dense(), A.to_dense())
 
     def test_laplace_chain_linear_solution(self):
         A = laplace_1d(5)
-        Am, bm = apply_dirichlet(A, np.zeros(5), np.array([0, 4]), np.array([0.0, 1.0]))
+        Am, bm = constrain(A, np.zeros(5), np.array([0, 4]), np.array([0.0, 1.0]))
         x, rep = pcg(Am, bm)
         assert np.allclose(x, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
 
@@ -179,20 +185,10 @@ class TestDirichlet:
         Q = rng.standard_normal((n, n))
         S = sp.csr_matrix(Q + Q.T)
         A = SparseMatrix(S)
-        Am, _ = apply_dirichlet(A, np.zeros(n), np.array([3, 7, 20]), np.array([1.0, -1.0, 2.0]))
+        Am, _ = constrain(A, np.zeros(n), np.array([3, 7, 20]), np.array([1.0, -1.0, 2.0]))
         assert symmetry_error(Am) == 0.0
-
-    def test_conflicting_duplicates(self):
-        A = laplace_1d(4)
-        with pytest.raises(ValueError, match="conflicting"):
-            apply_dirichlet(A, np.zeros(4), np.array([1, 1]), np.array([0.0, 1.0]))
 
     def test_constrained_dof_needs_a_diagonal_entry(self):
         A = SparseMatrix(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]])))
         with pytest.raises(ValueError, match="no diagonal entry"):
-            apply_dirichlet(A, np.zeros(2), np.array([0]), np.array([1.0]))
-
-    def test_agreeing_duplicates_ok(self):
-        A = laplace_1d(4)
-        Am, bm = apply_dirichlet(A, np.zeros(4), np.array([1, 1]), np.array([0.5, 0.5]))
-        assert bm[1] == 0.5
+            constrain(A, np.zeros(2), np.array([0]), np.array([1.0]))

@@ -1,3 +1,4 @@
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +399,26 @@ class TestVoronoi:
         assert "hole" in set(m.boundary_tags.values())
         # tangent-chord hole slightly circumscribes the unit disc
         assert 64.0 - 1.1 * np.pi < np.sum(g.area) < 64.0 - 0.95 * np.pi
+
+    @pytest.mark.parametrize("radius, covers", [(0.82, True), (0.68, True), (0.6, False)])
+    def test_hole_that_covers_the_box_raises(self, radius, covers):
+        # seeds are resampled until they lie 1.05 r from the centre; at
+        # r >= 0.68 no point of the unit box does, and sampling never ended
+        def expired(*_):
+            raise TimeoutError("generate_voronoi still sampling after 20 s")
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(20)
+        try:
+            make = lambda: fm.generate_voronoi((0, 1, 0, 1), 6, lloyd_iters=3, seed=0,
+                                               hole_center=(0.5, 0.5), hole_radius=radius)
+            if covers:
+                with pytest.raises(fm.MeshError, match="covers the box"):
+                    make()
+            else:
+                assert make().n_cells == 6
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

@@ -3,7 +3,7 @@ import pytest
 
 from fvvem import mesh as fm
 from fvvem import vem
-from fvvem.linalg import apply_dirichlet, pcg
+from fvvem.linalg import DirichletSet, apply_dirichlet, pcg
 from fvvem.models import Discretization, DryStateError
 
 
@@ -72,6 +72,12 @@ class TestDofLayout:
         g = fm.build_geometry(m)
         with pytest.raises(vem.VemError):
             vem.build_dof_layout(m, g, 5)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_discretization_rejects_k_before_the_fv_setup(self, k):
+        m = fm.generate_voronoi((0, 1, 0, 1), 12, lloyd_iters=2, seed=1)
+        with pytest.raises(vem.VemError, match="outside the supported range"):
+            Discretization(m, fm.build_geometry(m), k)
 
     def test_shared_edge_dof_orientation(self):
         # global edge dofs must refer to the same physical points from both sides
@@ -253,24 +259,54 @@ class TestProjectLoad:
         assert np.abs(F - oracle).max() < 1e-13 * np.abs(oracle).max()
 
 
+def dof_pattern(layout, groups):
+    """The dof pattern of groups of cell ids (an int is a group of one)."""
+    dofs = [np.stack([layout.cell_dofs[ci] for ci in np.atleast_1d(ids)]) for ids in groups]
+    return vem.AssemblyPattern(dofs, dofs, (layout.n_dofs, layout.n_dofs))
+
+
 class TestGlobalAssembly:
     def poisson_system(self, m, g, k, exact, rhs_f):
         layout = vem.build_dof_layout(m, g, k)
         groups = m.vertex_count_groups()
         mats = [vem.build_element(m, g, idx, k).stiffness for idx in groups]
-        A = vem.scatter_matrix(vem.AssemblyPattern(layout, groups), mats)
+        pattern = dof_pattern(layout, groups)
+        A = vem.scatter_matrix(pattern, mats)
         b = scatter_loads(m, g, k, layout, rhs_f)
-        fixed = vem.dirichlet_dofs(m, layout, set(m.boundary_tags.values()))
-        A, b = apply_dirichlet(A, b, fixed, exact(layout.dof_coords[fixed]))
-        x, rep = pcg(A, b, tol=1e-15, maxiter=8000)
+        fixed = DirichletSet(pattern, vem.dirichlet_dofs(m, layout,
+                                                         set(m.boundary_tags.values())))
+        b = fixed.rhs(A, b, exact(layout.dof_coords[fixed.dofs]))
+        x, rep = pcg(apply_dirichlet(A, fixed), b, tol=1e-15, maxiter=8000)
         return x, layout
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rectangular_pattern_sums_repeated_pairs(self, seed):
+        # few distinct (row, col) pairs for many block entries: every pair repeats
+        rng = np.random.default_rng(seed)
+        shape = (7, 5)
+        rows = [rng.integers(0, 7, (4, 3)), rng.integers(0, 7, (2, 6))]
+        cols = [rng.integers(0, 5, (4, 2)), rng.integers(0, 5, (2, 4))]
+        blocks = [rng.standard_normal((len(r), r.shape[1], c.shape[1]))
+                  for r, c in zip(rows, cols)]
+        dense = np.zeros(shape)
+        for r, c, b in zip(rows, cols, blocks):
+            np.add.at(dense, (r[:, :, None], c[:, None, :]), b)
+        pattern = vem.AssemblyPattern(rows, cols, shape)
+        pairs = {(i, j) for r, c in zip(rows, cols)
+                 for rr, cc in zip(r, c) for i in rr for j in cc}
+        assert pattern.nnz == len(pairs) < pattern.positions.size
+        A = vem.scatter_matrix(pattern, blocks)
+        assert A.shape == shape
+        assert all(np.all(np.diff(A.indices[A.indptr[i]:A.indptr[i + 1]]) > 0)
+                   for i in range(shape[0]))
+        assert np.abs(A.to_dense() - dense).max() <= 1e-15 * np.abs(dense).max()
 
     def test_one_cell_equals_element(self):
         m = unit_square_mesh()
         g = fm.build_geometry(m)
         layout = vem.build_dof_layout(m, g, 2)
         elem = vem.build_element(m, g, 0, 2)
-        A = vem.scatter_matrix(vem.AssemblyPattern(layout, [0]), [elem.stiffness])
+        A = vem.scatter_matrix(dof_pattern(layout, [0]), [elem.stiffness])
         assert np.abs(A.to_dense() - elem.stiffness).max() < 1e-15
 
     def test_two_cell_additivity(self):
@@ -283,7 +319,7 @@ class TestGlobalAssembly:
         layout = vem.build_dof_layout(m, g, 1)
         e0 = vem.build_element(m, g, 0, 1)
         e1 = vem.build_element(m, g, 1, 1)
-        A = vem.scatter_matrix(vem.AssemblyPattern(layout, [0, 1]),
+        A = vem.scatter_matrix(dof_pattern(layout, [0, 1]),
                                [e0.stiffness, e1.stiffness]).to_dense()
         d0, d1 = layout.cell_dofs[0], layout.cell_dofs[1]
         expect = np.zeros_like(A)

@@ -388,16 +388,19 @@ class FvOperators:
         return coeffs
 
     def edge_states(self, coeffs: np.ndarray):
-        """wL, wR (ncomp, NE, ng) at the edge Gauss points; wR on boundary
-        edges is filled with wL (callers overwrite it from boundary data)."""
-        mesh = self.mesh
-        L = mesh.edge_cells[:, 0]
-        R = mesh.edge_cells[:, 1]
-        wL = (self.basis_L @ coeffs[:, L, :].transpose(1, 2, 0)).transpose(2, 0, 1)
-        wR = wL.copy()
+        """wL, wR (ncomp, NE, ng) at the edge Gauss points of per-cell Taylor
+        coefficients (ncomp, ncell, nk); wR on boundary edges is filled with
+        wL (callers overwrite it from boundary data).  One einsum per
+        component: a batched matmul makes one BLAS call per edge."""
+        L, R = self.mesh.edge_cells.T
         inte = self.interior
-        wR[:, inte] = (self.basis_R[inte] @ coeffs[:, R[inte], :]
-                       .transpose(1, 2, 0)).transpose(2, 0, 1)
+        basis_R, R = self.basis_R[inte], R[inte]
+        wL = np.empty((len(coeffs),) + self.basis_L.shape[:2])
+        wR = np.empty_like(wL)
+        for c, comp in enumerate(coeffs):
+            wL[c] = np.einsum("egl,el->eg", self.basis_L, comp[L])
+            wR[c] = wL[c]
+            wR[c, inte] = np.einsum("egl,el->eg", basis_R, comp[R])
         return wL, wR
 
     def edge_sum(self, values: np.ndarray) -> np.ndarray:

@@ -56,7 +56,7 @@ def _coerce(val: str):
     return val
 
 
-def _build_case(args, overrides):
+def _build_case(args):
     params = {}
     for spec in args.param or []:
         key, val = spec.split("=", 1)
@@ -69,9 +69,7 @@ def _build_case(args, overrides):
     if "n" in gen:
         params["n_cells"] = int(gen["n"])
     for key in ("order", "scheme", "cfl", "tend", "dt"):
-        val = getattr(args, key, None)
-        if val is None and key in overrides:
-            val = _coerce(overrides[key])
+        val = getattr(args, key)
         if val is not None:
             params[{"order": "k", "tend": "t_end"}.get(key, key)] = val
     case = case_lib.get_case(args.case, **params)
@@ -105,14 +103,16 @@ def main(argv=None) -> int:
                          help="comma-separated target h values")
 
     args = parser.parse_args(argv)
+    # a file key applies where no flag was given; its one `param` line is
+    # one --param entry
     overrides = _parse_config_file(args.config) if args.config else {}
     for key, val in overrides.items():
         if hasattr(args, key) and getattr(args, key) in (None, False):
-            setattr(args, key, _coerce(val))
+            setattr(args, key, [val] if key == "param" else _coerce(val))
 
     try:
         if args.command == "run":
-            case, mesh_file = _build_case(args, overrides)
+            case, mesh_file = _build_case(args)
             result = run_case(case, out_prefix=args.out, quiet=args.quiet,
                               mesh_file=mesh_file)
             return 0 if result.gate_passed else 2
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
 
         def factory(h):
             args.mesh = f"gen:h={h}"
-            case, _ = _build_case(args, overrides)
+            case, _ = _build_case(args)
             return case
 
         convergence_study(factory, hs, out_prefix=args.out, quiet=args.quiet)

@@ -99,24 +99,19 @@ def sample_at(func, nodes: np.ndarray) -> np.ndarray:
     return func(nodes.reshape(-1, 2)).reshape(nodes.shape[:-1])
 
 
-# Gauss-Lobatto nodes/weights on [-1, 1], indexed by point count.
+# Gauss-Lobatto nodes/weights on [-1, 1], indexed by point count: the k + 1
+# points of the VEM edge dofs, for the orders k = 1..4 (vem.MAX_ORDER).
 _GL_NODES = {
     2: np.array([-1.0, 1.0]),
     3: np.array([-1.0, 0.0, 1.0]),
     4: np.array([-1.0, -1.0 / np.sqrt(5.0), 1.0 / np.sqrt(5.0), 1.0]),
     5: np.array([-1.0, -np.sqrt(3.0 / 7.0), 0.0, np.sqrt(3.0 / 7.0), 1.0]),
-    6: np.array([-1.0, -np.sqrt(1.0 / 3.0 + 2.0 * np.sqrt(7.0) / 21.0),
-                 -np.sqrt(1.0 / 3.0 - 2.0 * np.sqrt(7.0) / 21.0),
-                 np.sqrt(1.0 / 3.0 - 2.0 * np.sqrt(7.0) / 21.0),
-                 np.sqrt(1.0 / 3.0 + 2.0 * np.sqrt(7.0) / 21.0), 1.0]),
 }
 _GL_WEIGHTS = {
     2: np.array([1.0, 1.0]),
     3: np.array([1.0, 4.0, 1.0]) / 3.0,
     4: np.array([1.0, 5.0, 5.0, 1.0]) / 6.0,
     5: np.array([0.1, 49.0 / 90.0, 32.0 / 45.0, 49.0 / 90.0, 0.1]),
-    6: np.array([1.0 / 15.0, (14.0 - np.sqrt(7.0)) / 30.0, (14.0 + np.sqrt(7.0)) / 30.0,
-                 (14.0 + np.sqrt(7.0)) / 30.0, (14.0 - np.sqrt(7.0)) / 30.0, 1.0 / 15.0]),
 }
 
 
@@ -177,6 +172,13 @@ class PolyMesh:
     edge_shift  : (NE, 2) lattice shift; a point x on the edge corresponds to
                   x + edge_shift in the right cell's frame.
     boundary_tags : edge index -> label for boundary-condition selection.
+    cell_edges, cell_edge_sign : per cell, the edge of each side (side a
+                  joins loop[a] and loop[a + 1]) and +1 where the cell is
+                  that edge's left cell, -1 where it is its right one.
+
+    Every mesh gets its edge tables from one half-edge matcher
+    (`_match_edges`): the generators pass them in, and a mesh built from
+    vertex loops alone (`read_mesh`, hand-built meshes) matches them here.
     """
 
     vertices: np.ndarray
@@ -197,7 +199,15 @@ class PolyMesh:
         if self.cell_coords is None:
             self.cell_coords = [self.vertices[c] for c in self.cells]
         if self.edges is None:
-            self._build_edges()
+            # built from vertex loops: the half-edges of one edge share both
+            # vertex coordinates, so any positive tolerance matches them
+            pts = np.concatenate(self.cell_coords)
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            sizes = np.array([len(c) for c in self.cells], dtype=np.int64)
+            for name, value in _match_edges(
+                    np.concatenate(self.cells), pts, sizes, self.n_vertices,
+                    (lo[0], hi[0], lo[1], hi[1]), (False, False), 1e-8 * max(hi - lo)).items():
+                setattr(self, name, value)
 
     @property
     def n_vertices(self) -> int:
@@ -221,41 +231,6 @@ class PolyMesh:
         """(g, n, 2) polygons of cells that all have n vertices."""
         return np.stack([self.cell_coords[ci] for ci in cells])
 
-    def _build_edges(self):
-        """Derive edges from shared vertex pairs (non-periodic construction)."""
-        edge_ids: dict = {}
-        edges = []
-        edge_cells = []
-        cell_edges = []
-        cell_sign = []
-        for ci, loop in enumerate(self.cells):
-            ids = np.empty(len(loop), dtype=np.int64)
-            sgn = np.empty(len(loop), dtype=np.int64)
-            for a in range(len(loop)):
-                va, vb = int(loop[a]), int(loop[(a + 1) % len(loop)])
-                key = (min(va, vb), max(va, vb))
-                if key not in edge_ids:
-                    edge_ids[key] = len(edges)
-                    edges.append((va, vb))
-                    edge_cells.append([ci, -1])
-                    ids[a] = edge_ids[key]
-                    sgn[a] = 1
-                else:
-                    e = edge_ids[key]
-                    if edge_cells[e][1] != -1:
-                        raise MeshError(f"edge {key} shared by more than two cells")
-                    edge_cells[e][1] = ci
-                    ids[a] = e
-                    sgn[a] = -1
-            cell_edges.append(ids)
-            cell_sign.append(sgn)
-        self.edges = np.asarray(edges, dtype=np.int64)
-        self.edge_cells = np.asarray(edge_cells, dtype=np.int64)
-        self.edge_coords = self.vertices[self.edges]
-        self.edge_shift = np.zeros((len(edges), 2))
-        self.cell_edges = cell_edges
-        self.cell_edge_sign = cell_sign
-
     def validate(self, domain_area: float | None = None):
         """Check the PolyMesh invariants; raise MeshError on violation."""
         area, _ = polygon_areas_centroids(self.cell_coords)
@@ -267,6 +242,8 @@ class PolyMesh:
         for e in range(self.n_edges):
             if self.edge_cells[e, 1] < 0 and e not in self.boundary_tags:
                 raise MeshError(f"boundary edge {e} carries no tag")
+            if self.edge_cells[e, 1] >= 0 and e in self.boundary_tags:
+                raise MeshError(f"interior edge {e} carries a boundary tag")
         if domain_area is not None:
             if abs(area.sum() - domain_area) > 1e-12 * max(domain_area, 1.0):
                 raise MeshError(f"cell areas sum to {area.sum()!r}, expected {domain_area!r}")
@@ -708,27 +685,24 @@ def _canon_separation(a: np.ndarray, b: np.ndarray, box, periodic) -> np.ndarray
     return np.where(periodic, np.minimum(d, size - d), d).max(axis=-1)
 
 
-def _assemble_mesh(polys: list[np.ndarray], box, periodic, scale: float,
-                   hole_center=None, hole_radius: float = 0.0) -> PolyMesh:
-    """Build the PolyMesh (topology + frames + edges) from per-cell polygons."""
-    xlo, xhi, ylo, yhi = box
-    periodic = tuple(bool(p) for p in periodic)
-    tol = 1e-8 * scale
-    sizes = np.fromiter((len(p) for p in polys), dtype=np.int64, count=len(polys))
-    pts = np.concatenate(polys)
-    ids, vertices = _merge_vertices(pts, box, periodic, tol)
-    keep, sizes = _drop_repeats(ids, sizes, "during vertex merge")
-    ids, pts, sizes, vertices = _collapse_short_edges(
-        ids[keep], pts[keep], sizes, vertices, box, periodic, tol, hole_center, hole_radius)
+def _match_edges(ids: np.ndarray, pts: np.ndarray, sizes: np.ndarray, n_vertices: int,
+                 box, periodic, tol: float) -> dict:
+    """The edge tables of a PolyMesh from its concatenated vertex loops: ids
+    (N,), frame coordinates (N, 2) and loop sizes.
 
-    # edge matching: half-edges with one vertex pair, resolved by the
-    # separation of their midpoints (periodic wrap aware), so that two
-    # edges joining one pair of vertices across the seams stay apart
+    Half-edges joining one vertex pair are matched by the separation of their
+    midpoints (periodic wrap aware, below tol), so that two edges joining one
+    pair of vertices across the seams stay apart.  Edges are numbered in the
+    order of their first half-edge, in cell order, which gives the edge its
+    direction and its left cell; the matched half-edge gets sign -1.  Returns
+    the PolyMesh fields edges, edge_coords, edge_cells, edge_shift,
+    cell_edges and cell_edge_sign.
+    """
     n = len(ids)
     nxt = _next_in_loop(sizes)
     cell = np.repeat(np.arange(len(sizes)), sizes)
     mid = 0.5 * (pts + pts[nxt])
-    key = np.minimum(ids, ids[nxt]) * len(vertices) + np.maximum(ids, ids[nxt])
+    key = np.minimum(ids, ids[nxt]) * n_vertices + np.maximum(ids, ids[nxt])
     order = np.argsort(key, kind="stable")
     key = key[order]
     group_start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
@@ -747,7 +721,7 @@ def _assemble_mesh(polys: list[np.ndarray], box, periodic, scale: float,
             if e is None:
                 made.append(h)
             elif e in matched:
-                raise MeshError("edge shared by more than two cells")
+                raise MeshError(f"edge ({ids[h]}, {ids[nxt[h]]}) shared by more than two cells")
             else:
                 matched.add(e)
                 creator[h] = e
@@ -761,15 +735,33 @@ def _assemble_mesh(polys: list[np.ndarray], box, periodic, scale: float,
     # lattice shift mapping left-frame edge coords into the right cell's frame
     s = mid[right] - mid[creator[right]]
     edge_shift[edge[right]] = np.where(np.abs(s) < tol, 0.0, s)
+    return dict(edges=np.column_stack([ids, ids[nxt]])[made],
+                edge_coords=np.stack([pts, pts[nxt]], axis=1)[made],
+                edge_cells=edge_cells, edge_shift=edge_shift,
+                cell_edges=_split_loops(edge, sizes),
+                cell_edge_sign=_split_loops(np.where(made, 1, -1), sizes))
+
+
+def _assemble_mesh(polys: list[np.ndarray], box, periodic, scale: float,
+                   hole_center=None, hole_radius: float = 0.0) -> PolyMesh:
+    """Build the PolyMesh (topology + frames + edges) from per-cell polygons:
+    merge their points into vertices, collapse short edges, match the edges
+    (`_match_edges`) and tag the boundary edges by side."""
+    xlo, xhi, ylo, yhi = box
+    periodic = tuple(bool(p) for p in periodic)
+    tol = 1e-8 * scale
+    sizes = np.fromiter((len(p) for p in polys), dtype=np.int64, count=len(polys))
+    pts = np.concatenate(polys)
+    ids, vertices = _merge_vertices(pts, box, periodic, tol)
+    keep, sizes = _drop_repeats(ids, sizes, "during vertex merge")
+    ids, pts, sizes, vertices = _collapse_short_edges(
+        ids[keep], pts[keep], sizes, vertices, box, periodic, tol, hole_center, hole_radius)
+
     mesh = PolyMesh(vertices, _split_loops(ids, sizes), cell_coords=_split_loops(pts, sizes),
-                    edges=np.column_stack([ids, ids[nxt]])[made],
-                    edge_coords=np.stack([pts, pts[nxt]], axis=1)[made],
-                    edge_cells=edge_cells, edge_shift=edge_shift,
-                    cell_edges=_split_loops(edge, sizes),
-                    cell_edge_sign=_split_loops(np.where(made, 1, -1), sizes),
-                    periodic=periodic)
+                    periodic=periodic,
+                    **_match_edges(ids, pts, sizes, len(vertices), box, periodic, tol))
     # boundary tags by geometric side
-    bnd = np.flatnonzero(edge_cells[:, 1] < 0)
+    bnd = np.flatnonzero(mesh.edge_cells[:, 1] < 0)
     m = mesh.edge_coords[bnd].mean(axis=1)
     on = [np.abs(m[:, 0] - xlo) < tol, np.abs(m[:, 0] - xhi) < tol,
           np.abs(m[:, 1] - ylo) < tol, np.abs(m[:, 1] - yhi) < tol]
@@ -894,7 +886,8 @@ def write_mesh(mesh: PolyMesh, path: str):
 
 
 def read_mesh(path: str) -> PolyMesh:
-    """Inverse of write_mesh; parse errors carry 1-based line numbers."""
+    """Inverse of write_mesh; parse errors carry 1-based line numbers, and a
+    mesh that fails `PolyMesh.validate` raises its MeshError."""
     with open(path) as f:
         lines = f.read().splitlines()
 
@@ -911,6 +904,8 @@ def read_mesh(path: str) -> PolyMesh:
     except ValueError:
         nv = nc = 0
         fail(1, "expected integer counts")
+    if nc < 1:
+        fail(1, "expected at least one cell")
     if len(lines) < 1 + nv + nc:
         fail(len(lines), "file truncated")
     verts = np.empty((nv, 2))
@@ -931,8 +926,6 @@ def read_mesh(path: str) -> PolyMesh:
         loop = np.array([int(p) for p in parts[1:]], dtype=np.int64)
         if np.any(loop < 0) or np.any(loop >= nv):
             fail(lineno + 1, "vertex index out of range")
-        if _signed_area(verts[loop]) <= 0.0:
-            fail(lineno + 1, "cell loop is not counter-clockwise")
         cells.append(loop)
     mesh = PolyMesh(verts, cells)
     pos = 1 + nv + nc
@@ -951,4 +944,8 @@ def read_mesh(path: str) -> PolyMesh:
             if key not in lookup:
                 fail(lineno + 1, f"no edge between vertices {a} and {b}")
             mesh.boundary_tags[lookup[key]] = parts[2]
+    try:
+        mesh.validate()
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
     return mesh

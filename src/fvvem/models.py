@@ -13,6 +13,12 @@ and never rebuilds its structure.  Each
 implicit system is preconditioned by the sparse LU factor of its first
 operator, kept across refills until a solve takes more than
 REFACTOR_ITERATIONS CG iterations (`_ConstrainedSystem`).
+
+Per-cell polynomials live in two bases: the FV Taylor basis and the scaled
+monomials of the VEM element (gradients, Pi0 polynomials).  Edge traces
+(`FvOperators.edge_states`) and loads (`Discretization.load_from_taylor`)
+take Taylor coefficients only; monomial ones are moved there first by
+`Discretization.to_taylor`, which changes the constant coefficient alone.
 """
 
 from __future__ import annotations
@@ -200,8 +206,7 @@ class _Group:
         self.area = elem.area
         self.T = T
         self.Vp, self.Cp = Vp, Cp
-        self.Ct_mono = elem.C.transpose(0, 2, 1)                   # (g, ndof, nk)
-        self.CT = self.Ct_mono @ T
+        self.CT = elem.C.transpose(0, 2, 1) @ T                   # (g, ndof, nk)
         self.pis0 = elem.pis_0
         self.pis0x = elem.pis_0x
         self.pis0y = elem.pis_0y
@@ -268,14 +273,14 @@ class Discretization:
         self.M = vemod.scatter_matrix(self.pattern, [grp.mass for grp in self.groups])
         self.K = vemod.scatter_matrix(self.pattern, stiffness)
         # fv_to_vem: dofs = Vglob @ coeffs.ravel(), where a dof shared by
-        # several cells takes the mean of their candidates; the loads of
-        # Taylor (CTglob) and monomial (Cmglob) coefficients against Pi0 phi
+        # several cells takes the mean of their candidates; the load of
+        # Taylor coefficients against Pi0 phi (CTglob)
         multiplicity = np.bincount(np.concatenate([d.ravel() for d in dofs]), minlength=nd)
         to_vem = vemod.AssemblyPattern(dofs, modes, (nd, nck))
-        self._Vglob, self._CTglob, self._Cmglob = (
+        self._Vglob, self._CTglob = (
             vemod.scatter_matrix(to_vem, blocks).to_scipy() for blocks in (
                 [grp.Vp / multiplicity[grp.dofs][:, :, None] for grp in self.groups],
-                [grp.CT for grp in self.groups], [grp.Ct_mono for grp in self.groups]))
+                [grp.CT for grp in self.groups]))
         # vem_to_fv: coeffs.ravel() = Cglob @ dofs
         self._Cglob = vemod.scatter_matrix(vemod.AssemblyPattern(modes, dofs, (nck, nd)),
                                            [grp.Cp for grp in self.groups]).to_scipy()
@@ -293,8 +298,8 @@ class Discretization:
 
     def _build_edge_trace_tables(self):
         """VEM edge traces: Lagrange map from the k+1 Gauss-Lobatto edge dofs
-        to the edge-flux Gauss points (reference interval); monomial basis
-        values at those points from both sides of each edge."""
+        to the edge-flux Gauss points (reference interval), and the dofs of
+        each edge's trace."""
         from scipy.special import roots_legendre
         from .mesh import gauss_lobatto_reference
         k = self.k
@@ -311,13 +316,6 @@ class Discretization:
             ids.append(self.layout.edge_dofs)
         ids.append(self.layout.vertex_dof[self.mesh.edges[:, 1]][:, None])
         self.edge_trace_dofs = np.concatenate(ids, axis=1)   # (NE, k+1)
-        # the FV Taylor edge tables moved back to the monomial basis
-        fvops = self.fvops
-        corr = fvops.taylor.corrections
-        L, R = self.mesh.edge_cells.T
-        inte = fvops.interior
-        self._mono_L = fvops.basis_L + corr[L][:, None, :]            # (NE, ng, nk)
-        self._mono_R = fvops.basis_R[inte] + corr[R[inte]][:, None, :]
 
     def vem_edge_trace(self, dofs: np.ndarray) -> np.ndarray:
         """Single-valued (NE, ng) trace of a conforming field on all edges."""
@@ -383,8 +381,16 @@ class Discretization:
         """Global load of a piecewise polynomial (Taylor coeffs) against Pi0 phi."""
         return self._CTglob @ taylor_coeffs.ravel()
 
-    def load_from_monomial(self, mono_coeffs: np.ndarray) -> np.ndarray:
-        return self._Cmglob @ mono_coeffs.ravel()
+    def to_taylor(self, mono_coeffs: np.ndarray) -> np.ndarray:
+        """Taylor coefficients (..., ncell, nk) of per-cell polynomials given
+        by their monomial coefficients, such as `gradient_coeffs` and
+        `pi0_poly` return.  The Taylor function l >= 1 is the monomial l less
+        its cell mean (`TaylorBasis.corrections`), so only the constant
+        changes: c_0 = m_0 + sum_{l >= 1} corrections_l m_l."""
+        out = np.array(mono_coeffs, dtype=float)
+        out[..., 0] += np.einsum("...cl,cl->...c", out[..., 1:],
+                                 self.fvops.taylor.corrections[:, 1:])
+        return out
 
     def gradient_coeffs(self, taylor_coeffs: np.ndarray) -> np.ndarray:
         """Monomial coefficients (2, ncell, nk) of the x and y derivatives of
@@ -453,15 +459,6 @@ class Discretization:
         for grp in self.groups:
             out[grp.idx] = np.einsum("gad,gd->ga", grp.pis0, dofs[grp.dofs])
         return out
-
-    def edge_values_mono(self, mono_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left/right traces (NE, ng) of per-cell monomial-basis polynomials."""
-        L, R = self.mesh.edge_cells.T
-        vL = np.einsum("el,egl->eg", mono_coeffs[L], self._mono_L)
-        vR = vL.copy()
-        inte = self.fvops.interior
-        vR[inte] = np.einsum("el,egl->eg", mono_coeffs[R[inte]], self._mono_R)
-        return vL, vR
 
 
 # ---------------------------------------------------------------------------
@@ -581,18 +578,16 @@ class SweDriver:
 
     def _depth_gradient_trace(self, grad_eta: np.ndarray, h_poly: np.ndarray) -> np.ndarray:
         """Single-valued edge trace of H * grad(eta) . n (central average),
-        from the monomial coefficients of grad(eta) and of H's Pi0 polynomial.
+        from the monomial coefficients of grad(eta) and of H's Pi0 polynomial,
+        traced together in the Taylor basis.
         Boundary edges keep the one-sided trace (hR equals hL there); the
         stage zeroes the whole discharge on walls."""
         disc = self.disc
-        gx, gy = grad_eta
-        hL, hR = disc.edge_values_mono(h_poly)
-        gxL, gxR = disc.edge_values_mono(gx)
-        gyL, gyR = disc.edge_values_mono(gy)
+        (hL, gxL, gyL), (hR, gxR, gyR) = disc.fvops.edge_states(
+            disc.to_taylor(np.concatenate([h_poly[None], grad_eta])))
         n = disc.geom.edge_normal
-        trace = 0.5 * (hL * (gxL * n[:, None, 0] + gyL * n[:, None, 1])
-                       + hR * (gxR * n[:, None, 0] + gyR * n[:, None, 1]))
-        return trace
+        return 0.5 * (hL * (gxL * n[:, None, 0] + gyL * n[:, None, 1])
+                      + hR * (gxR * n[:, None, 0] + gyR * n[:, None, 1]))
 
     def _convective_divergence_poly(self, full_coeffs: np.ndarray) -> np.ndarray:
         """Per-cell Taylor coefficients (2, ncell, nk) of P(div(v (x) q)).
@@ -632,13 +627,13 @@ class SweDriver:
         return _cell_edge_eig(self.disc, self.model,
                               np.vstack([state.Q, self.b_coeffs[None, :, 0]]))
 
-    def compute_dt(self, state: FlowState, cfl=None) -> float:
+    def compute_dt(self, state: FlowState) -> float:
         conv = self.max_conv_eig(state)
         H = state.Q[0] - self.b_coeffs[:, 0]
         if np.any(H <= 0.0):
             raise DryStateError("dry cell in dt computation")
         full = 0.5 * conv + np.sqrt(self.config.g * H)
-        return compute_dt(self.disc.geom.h, conv, cfl or self.cfl, full)
+        return compute_dt(self.disc.geom.h, conv, self.cfl, full)
 
     def step(self, state: FlowState, dt: float) -> FlowState:
         return imex_advance(state, self.pair, self.stage, dt)
@@ -793,13 +788,12 @@ class InsDriver:
         # changes (the Dirichlet dof set is geometric and fixed)
         Ac = self._viscous.operator(round(tau, 14),
                                     lambda: disc.M.data + tau * nu * disc.K.data)
-        gradp = disc.gradient_coeffs(p_coeffs)
-        loads = []
-        for comp in range(2):
-            f_field = coeffs_I[comp].copy()
-            f_field[:, 0] = Fv[comp]
-            loads.append(disc.load_from_taylor(f_field)
-                         - tau * disc.load_from_monomial(gradp[comp]))
+        # loads of f - tau grad p, with f the implicit stage field carrying
+        # the explicit cell means Fv
+        f_field = coeffs_I.copy()
+        f_field[:, :, 0] = Fv
+        f_field -= tau * disc.to_taylor(disc.gradient_coeffs(p_coeffs))
+        loads = [disc.load_from_taylor(f) for f in f_field]
         # one absolute scale for both components so a quiescent component is
         # not iterated down relative to its own roundoff
         atol = self.tol * max(np.linalg.norm(loads[0]), np.linalg.norm(loads[1]))
@@ -860,12 +854,12 @@ class InsDriver:
     def max_conv_eig(self, state: FlowState) -> np.ndarray:
         return _cell_edge_eig(self.disc, self.model, state.Q)
 
-    def compute_dt(self, state: FlowState, cfl=None) -> float:
+    def compute_dt(self, state: FlowState) -> float:
         conv = self.max_conv_eig(state)
         full = None
         if self.config.nu > 0.0:
             full = conv + 2.0 * self.config.nu / self.disc.geom.h
-        return compute_dt(self.disc.geom.h, conv, cfl or self.cfl, full)
+        return compute_dt(self.disc.geom.h, conv, self.cfl, full)
 
     def step(self, state: FlowState, dt: float) -> FlowState:
         return imex_advance(state, self.pair, self.stage, dt)

@@ -105,7 +105,6 @@ def imex_advance(state, pair: ButcherPair, stage_solver, dt: float):
         out.time = state.time + dt
         return out
     ks = []
-    final = None
     for i in range(s):
         QE = state.lincomb(1.0, [(dt * pair.A_expl[i, j], ks[j]) for j in range(i)])
         QI = state.lincomb(1.0, [(dt * pair.A_impl[i, j], ks[j]) for j in range(i)])
@@ -113,10 +112,8 @@ def imex_advance(state, pair: ButcherPair, stage_solver, dt: float):
         t_stage = state.time + pair.c_impl[i] * dt
         out = stage_solver(QE, QI, tau, t_stage)
         ks.append(out.flux_from(QI, tau))
-        final = out
     new = state.lincomb(1.0, [(dt * pair.b[i], ks[i]) for i in range(s)])
     new.time = state.time + dt
     # stiffly accurate pairs: adopt the last stage's auxiliary fields
-    if final is not None:
-        new.adopt_auxiliary(final)
+    new.adopt_auxiliary(out)
     return new

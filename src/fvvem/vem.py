@@ -193,12 +193,8 @@ class ElementVem:
     B: np.ndarray            # (n_k, N_dof)
     H: np.ndarray            # (n_k, n_k) monomial Gram matrix
     C: np.ndarray            # (n_k, N_dof)
-    Ex: np.ndarray           # (n_{k-1}, N_dof) moments of d phi/dx
-    Ey: np.ndarray           # (n_{k-1}, N_dof)
     pis_nabla: np.ndarray    # (n_k, N_dof)   Pi*nabla
-    pi_nabla: np.ndarray     # (N_dof, N_dof) Pi nabla
     pis_0: np.ndarray        # (n_k, N_dof)   Pi*0_k
-    pi_0: np.ndarray         # (N_dof, N_dof)
     pis_0_km1: np.ndarray    # (n_{k-1}, N_dof)
     pis_0x: np.ndarray       # (n_{k-1}, N_dof) projected x-derivative
     pis_0y: np.ndarray       # (n_{k-1}, N_dof)
@@ -346,9 +342,8 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     stiffness = pis_nabla.transpose(0, 2, 1) @ Gt @ pis_nabla + stab_nabla
     stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
 
-    elem = ElementVem(k, ndof, idx, basis, area, D, G, B, H, C, Ex, Ey,
-                      pis_nabla, pi_nabla, pis_0, pi_0, pis_0_km1,
-                      pis_0x, pis_0y, mass, stiffness, stab_nabla)
+    elem = ElementVem(k, ndof, idx, basis, area, D, G, B, H, C, pis_nabla, pis_0,
+                      pis_0_km1, pis_0x, pis_0y, mass, stiffness, stab_nabla)
     return elem.cell(0) if np.ndim(cells) == 0 else elem
 
 

@@ -18,10 +18,9 @@ TREES = ("src", "tests", "perfbench")
 # (module path under src/fvvem, function name) kept without a caller
 ALLOWED = {
     ("harness/cli.py", "main"),                    # the `fvvem` console script
-    # the Riemann references and the VTK reader wait on the harness oracles
+    # the Riemann references wait on the harness oracles
     ("harness/riemann.py", "exact_riemann_swe"),
     ("harness/riemann.py", "reference_fv_1d"),
-    ("harness/output.py", "read_vtk_cell_data"),
 }
 
 

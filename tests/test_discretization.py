@@ -58,7 +58,7 @@ def fingerprints(name) -> dict:
     arrays = {"M": disc.M.to_dense(), "K": disc.K.to_dense(),
               "corrections": fv.taylor.corrections,
               "basis_L": fv.basis_L, "basis_R": fv.basis_R}
-    for op in ("_Vglob", "_Cglob", "_CTglob", "_Cmglob", "_DIVglob"):
+    for op in ("_Vglob", "_Cglob", "_CTglob", "_DIVglob"):
         arrays[op] = getattr(disc, op).toarray()
     for kind in ("central", "sector"):
         grp = getattr(fv, kind)
@@ -67,8 +67,7 @@ def fingerprints(name) -> dict:
     return {key: _fingerprint(a) for key, a in arrays.items()}
 
 
-# recorded on the per-cell set-up code that the grouped build replaced;
-# _Cmglob on the grouped build, before it went through vem.AssemblyPattern
+# recorded on the per-cell set-up code that the grouped build replaced
 GOLDEN = {
     'k1_periodic': {
         'M': (0.5510948320970399, 9.095006371142361, 0.14509011424556495),
@@ -79,7 +78,6 @@ GOLDEN = {
         '_Vglob': (5.346788095989941, 111.35765866092092, 2.491469032126673),
         '_Cglob': (7.836231474929828, 155.53280145478556, 2.1278026699882333),
         '_CTglob': (0.07829465528685743, 1.3412911246860393, -0.005128773476971659),
-        '_Cmglob': (0.07829465528685745, 1.3412911246860393, -0.005128773476971797),
         '_DIVglob': (0.461956548652965, 15.808873745369556, -0.3216993519478379),
         'central.cells': (92.49324299644812, 435.0, 39.30553228129523),
         'central.members': (227.7081465385022, 2799.0, -25.12162685067966),
@@ -99,7 +97,6 @@ GOLDEN = {
         '_Vglob': (13.925559942938891, 473.9718739411603, -5.360571913674004),
         '_Cglob': (65.80192503366787, 1574.6898632258071, -71.011002814716),
         '_CTglob': (0.16773096013631988, 1.5703754154555698, 0.0012338396196678904),
-        '_Cmglob': (0.16800437384667424, 1.6102304920327113, -0.0036411311347677514),
         '_DIVglob': (1.8740939414378452, 84.0880158558995, -1.6035551019939471),
         'central.cells': (143.31782861877304, 780.0, 29.922156505189538),
         'central.members': (542.3430648583975, 12376.0, 94.65369154458463),
@@ -119,7 +116,6 @@ GOLDEN = {
         '_Vglob': (19.984064455163875, 1231.8993691925903, 5.06766725947557),
         '_Cglob': (2528.4889860796, 60384.20960516679, -980.5960190107703),
         '_CTglob': (0.46556414331643037, 7.592898725125683, 0.18318527072364996),
-        '_Cmglob': (0.46588514998663916, 7.688013115697626, 0.17499016896551722),
         '_DIVglob': (39.890053759303676, 1745.1230467390133, -2.048575022504175),
         'central.cells': (264.9716966017314, 1770.0, -66.30179146834553),
         'central.members': (1189.0437334261512, 37131.0, 42.33531881841388),

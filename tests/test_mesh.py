@@ -584,6 +584,95 @@ class TestRect:
         assert np.all(m.edge_cells[[e for e in range(6) if e not in m.boundary_tags], 1] >= 0)
 
 
+def oracle_edge_tables(vertices, cells) -> dict:
+    """The edge tables of a mesh built from vertex loops, by a dict over the
+    half-edges in cell order: an edge is numbered, directed and given its
+    left cell by its first half-edge; the second one gets sign -1."""
+    edge_ids, edges, edge_cells, cell_edges, cell_sign = {}, [], [], [], []
+    for ci, loop in enumerate(cells):
+        ids = np.empty(len(loop), dtype=np.int64)
+        sgn = np.empty(len(loop), dtype=np.int64)
+        for a in range(len(loop)):
+            va, vb = int(loop[a]), int(loop[(a + 1) % len(loop)])
+            key = (min(va, vb), max(va, vb))
+            if key not in edge_ids:
+                edge_ids[key] = len(edges)
+                edges.append((va, vb))
+                edge_cells.append([ci, -1])
+                ids[a], sgn[a] = edge_ids[key], 1
+            else:
+                e = edge_ids[key]
+                if edge_cells[e][1] != -1:
+                    raise fm.MeshError(f"edge {key} shared by more than two cells")
+                edge_cells[e][1] = ci
+                ids[a], sgn[a] = e, -1
+        cell_edges.append(ids)
+        cell_sign.append(sgn)
+    edges = np.asarray(edges, dtype=np.int64)
+    return dict(edges=edges, edge_coords=np.asarray(vertices, dtype=float)[edges],
+                edge_cells=np.asarray(edge_cells, dtype=np.int64),
+                edge_shift=np.zeros((len(edges), 2)),
+                cell_edges=cell_edges, cell_edge_sign=cell_sign)
+
+
+def assert_same_edge_tables(m, tables):
+    """Bitwise equal edge tables, dtypes included."""
+    for name, want in tables.items():
+        got = getattr(m, name)
+        if isinstance(want, list):
+            assert len(got) == len(want), name
+            pairs = list(zip(got, want))
+        else:
+            pairs = [(got, want)]
+        for a, b in pairs:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+NON_PERIODIC_MESHES = {
+    **{f"voronoi_{n}": (lambda n=n: fm.generate_voronoi((0, 1, 0, 1), n, lloyd_iters=5,
+                                                        seed=n))
+       for n in (10, 60, 400)},
+    **{name: (lambda args=args: fm.generate_voronoi(**args))
+       for name, (args, _, _) in GOLDEN_MESHES.items() if not args.get("periodic")},
+    "rect": lambda: fm.generate_rect((0, 2, 0, 1), 7, 5),
+    "swe_cylinder": lambda: cases.get_case("swe_cylinder", seed=5, n_cells=400).make_mesh(),
+    "swe_smooth_wave": lambda: cases.get_case("swe_smooth_wave", h=0.12, seed=3).make_mesh(),
+}
+
+
+class TestEdgeTables:
+    @pytest.mark.parametrize("name", sorted(NON_PERIODIC_MESHES))
+    def test_generated_and_loop_built_tables_equal_the_oracle(self, name):
+        m = NON_PERIODIC_MESHES[name]()
+        loop_built = fm.PolyMesh(m.vertices, m.cells)
+        tables = oracle_edge_tables(m.vertices, m.cells)
+        assert_same_edge_tables(loop_built, tables)
+        assert_same_edge_tables(m, tables)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 7), st.integers(2, 7), st.integers(0, 10 ** 6))
+    def test_relabelled_grid_equals_the_oracle(self, nx, ny, seed):
+        # vertex ids, cell order and each loop's first vertex shuffled
+        rng = np.random.default_rng(seed)
+        xs, ys = np.meshgrid(np.arange(nx + 1.0), np.arange(ny + 1.0), indexing="ij")
+        perm = rng.permutation((nx + 1) * (ny + 1))
+        vid = perm.reshape(nx + 1, ny + 1)
+        vertices = np.empty(((nx + 1) * (ny + 1), 2))
+        vertices[vid.ravel()] = np.column_stack([xs.ravel(), ys.ravel()])
+        cells = [np.roll([vid[i, j], vid[i + 1, j], vid[i + 1, j + 1], vid[i, j + 1]],
+                         rng.integers(4))
+                 for i in range(nx) for j in range(ny)]
+        cells = [cells[c] for c in rng.permutation(len(cells))]
+        assert_same_edge_tables(fm.PolyMesh(vertices, cells),
+                                oracle_edge_tables(vertices, cells))
+
+    def test_edge_of_three_cells_raises(self):
+        vertices = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]]
+        cells = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
+        with pytest.raises(fm.MeshError, match=r"edge \(0, 1\) shared by more than two"):
+            fm.PolyMesh(vertices, cells)
+
+
 class TestMeshIO:
     def test_round_trip_single_cell(self, tmp_path):
         m = unit_square()
@@ -600,10 +689,39 @@ class TestMeshIO:
         with pytest.raises(fm.MeshError, match="out of range"):
             fm.read_mesh(str(path))
 
+    def test_no_cells_rejected(self, tmp_path):
+        path = tmp_path / "empty.msh"
+        path.write_text("3 0\n0 0\n1 0\n0 1\n")
+        with pytest.raises(fm.MeshError, match="at least one cell"):
+            fm.read_mesh(str(path))
+
     def test_non_ccw_rejected(self, tmp_path):
         path = tmp_path / "cw.msh"
         path.write_text("3 1\n0 0\n1 0\n0 1\n3 0 2 1\n0\n")
         with pytest.raises(fm.MeshError, match="counter-clockwise"):
+            fm.read_mesh(str(path))
+
+    def test_missing_boundary_tags_rejected(self, tmp_path):
+        path = tmp_path / "untagged.msh"
+        path.write_text("3 1\n0 0\n1 0\n0 1\n3 0 1 2\n")
+        with pytest.raises(fm.MeshError, match="boundary edge 0 carries no tag"):
+            fm.read_mesh(str(path))
+
+    def test_tagged_interior_edge_rejected(self, tmp_path):
+        # a tag on the edge the two squares share would make its dofs Dirichlet
+        path = tmp_path / "two.msh"
+        path.write_text("6 2\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n4 0 1 4 3\n4 1 2 5 4\n"
+                        "7\n0 1 w\n1 2 w\n2 5 w\n5 4 w\n4 3 w\n3 0 w\n1 4 w\n")
+        with pytest.raises(fm.MeshError, match="interior edge 1 carries a boundary tag"):
+            fm.read_mesh(str(path))
+
+    def test_bow_tie_rejected(self, tmp_path):
+        # the loop crosses itself at (2, 2); its lobes' signed areas, 4 and
+        # -1, sum to a positive 3
+        path = tmp_path / "bowtie.msh"
+        path.write_text("4 1\n0 0\n4 0\n1 3\n3 3\n4 0 1 2 3\n"
+                        "4\n0 1 s\n1 2 s\n2 3 s\n3 0 s\n")
+        with pytest.raises(fm.MeshError, match="cell 0 vertex loop self-intersects"):
             fm.read_mesh(str(path))
 
     def test_voronoi_round_trip_hash(self, tmp_path):

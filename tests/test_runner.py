@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from fvvem import models
 from fvvem.harness import cli, runner
 from fvvem.harness.cases import case_names, get_case
+from fvvem.harness.output import read_vtk_cell_data
 from fvvem.timeint import TimeIntError
 
 # the CWENO constants the ledger reports, as recorded before they became
@@ -96,3 +100,45 @@ def test_dt_caps_cfl_takes_the_smaller_step(monkeypatch):
 def test_only_the_riemann_cases_cap_dt():
     for name in case_names():
         assert get_case(name).dt_caps_cfl == name.startswith("swe_rp"), name
+
+
+def test_vtk_round_trip(tmp_path):
+    res = runner.run_case(get_case("ins_tgv", h=0.9, t_end=0.1, dt=0.05), quiet=True,
+                          out_prefix=str(tmp_path / "run"))
+    assert res.report.steps == 2
+    data = read_vtk_cell_data(res.outputs[0])
+    assert sorted(data) == ["p", "u", "v"]
+    for name, written in (("u", res.state.Q[0]), ("v", res.state.Q[1]),
+                          ("p", res.state.aux["p_coeffs"][:, 0])):
+        assert np.array_equal(data[name], written), name
+
+
+def cli_cases(monkeypatch) -> list:
+    """Make `cli.main` record the cases it would run instead of running them."""
+    seen = []
+
+    def record(case, **_):
+        seen.append(case)
+        return SimpleNamespace(gate_passed=True)
+
+    monkeypatch.setattr(cli, "run_case", record)
+    return seen
+
+
+def test_config_file_param_is_applied(tmp_path, monkeypatch):
+    seen = cli_cases(monkeypatch)
+    cfg = tmp_path / "tgv.cfg"
+    cfg.write_text("param = nu=0.05\ntend = 0.3\n")
+    assert cli.main(["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet"]) == 0
+    (case,) = seen
+    assert case.nu == 0.05 and case.t_end == 0.3
+
+
+def test_param_flag_beats_the_config_file(tmp_path, monkeypatch):
+    seen = cli_cases(monkeypatch)
+    cfg = tmp_path / "tgv.cfg"
+    cfg.write_text("param = nu=0.05\ntend = 0.3\n")
+    assert cli.main(["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet",
+                     "--param", "nu=0.02", "--tend", "0.4"]) == 0
+    (case,) = seen
+    assert case.nu == 0.02 and case.t_end == 0.4

@@ -45,6 +45,35 @@ class TestRoundTrip:
             assert np.abs(back - c).max() < 1e-11
 
 
+class TestToTaylor:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_inverts_taylor_to_monomial(self, k):
+        m, g, disc = make_setup(k, periodic=(True, False))
+        taylor = np.random.default_rng(k).standard_normal((2, m.n_cells, disc.nk))
+        mono = np.empty_like(taylor)
+        for grp in disc.groups:
+            mono[:, grp.idx] = np.einsum("gab,cgb->cga", grp.T, taylor[:, grp.idx])
+        assert np.abs(disc.to_taylor(mono) - taylor).max() <= 1e-14 * np.abs(taylor).max()
+
+    def test_edge_traces_of_monomial_coefficients(self):
+        # the FV Taylor edge tables, through to_taylor, against the cells'
+        # monomials evaluated at the edge points in each side's frame
+        m, g, disc = make_setup(2, periodic=(True, False))
+        fv = disc.fvops
+        mono = np.random.default_rng(5).standard_normal((m.n_cells, disc.nk))
+        (wL,), (wR,) = fv.edge_states(disc.to_taylor(mono[None]))
+        L, R = m.edge_cells.T
+        inte = fv.interior
+        vL = np.einsum("egl,el->eg", fv.taylor.cell_basis(L).values(fv.edge_points), mono[L])
+        vR = vL.copy()
+        pts = fv.edge_points[inte] + m.edge_shift[inte, None, :]
+        vR[inte] = np.einsum("egl,el->eg", fv.taylor.cell_basis(R[inte]).values(pts),
+                             mono[R[inte]])
+        scale = np.abs(vL).max()
+        assert np.abs(wL - vL).max() <= 1e-14 * scale
+        assert np.abs(wR - vR).max() <= 1e-14 * scale
+
+
 class TestFvToVem:
     def test_global_linear_field_vertex_values(self):
         m, g, disc = make_setup(2, n=50)

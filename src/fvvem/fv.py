@@ -61,9 +61,8 @@ class TaylorBasis:
         self.mesh = mesh
         self.geom = geom
         self.corrections = np.zeros((mesh.n_cells, self.nk))
-        for idx in mesh.vertex_count_groups():
-            rule = polygon_quadrature(mesh.stacked_coords(idx), geom.barycenter[idx],
-                                      max(2 * k, 2))
+        for idx in mesh.vertex_count_groups:
+            rule = polygon_quadrature(mesh.cell_coords(idx), geom.barycenter[idx], max(2 * k, 2))
             vals = self.cell_basis(idx).values(rule.nodes)
             means = (rule.weights[:, None, :] @ vals)[:, 0] / geom.area[idx, None]
             self.corrections[idx, 1:] = means[:, 1:]
@@ -164,8 +163,8 @@ class FvOperators:
         self.taylor = TaylorBasis(mesh, geom, k)
         self._edge_tables()
         self._member_rules = [
-            (idx, polygon_quadrature(mesh.stacked_coords(idx), geom.barycenter[idx], k))
-            for idx in mesh.vertex_count_groups()]
+            (idx, polygon_quadrature(mesh.cell_coords(idx), geom.barycenter[idx], k))
+            for idx in mesh.vertex_count_groups]
         arcs = self._arcs()
         self._central_stencils(arcs)
         self._sector_stencils(arcs)
@@ -305,11 +304,10 @@ class FvOperators:
         sec = np.lexsort((arcs.shift[:, 1], arcs.shift[:, 0], arcs.dst, arcs.src))
         ci, nb, s = arcs.src[sec], arcs.dst[sec], arcs.shift[sec]
         # the first incidence of each (cell, vertex) pair, by cell then by vertex
-        inc_cell = np.repeat(np.arange(nc), [len(loop) for loop in mesh.cells])
-        cv_key, first = np.unique(inc_cell * nv + np.concatenate(mesh.cells),
-                                  return_index=True)
+        inc_cell = np.repeat(np.arange(nc), mesh.cell_sizes)
+        cv_key, first = np.unique(inc_cell * nv + mesh.loop_vertices, return_index=True)
         cv_cell, cv_vert = np.divmod(cv_key, nv)
-        cv_pt = np.concatenate(mesh.cell_coords)[first]
+        cv_pt = mesh.loop_coords[first]
         by_vert = np.lexsort((cv_cell, cv_vert))
         # the vertices of ci that nb shares, then every cell at each of them
         pos, inc = _expand(np.searchsorted(cv_cell, np.arange(nc + 1)), ci)

@@ -4,56 +4,31 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..mesh import format_loops
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
 def write_vtk(path: str, mesh, cell_data: dict, title: str = "fvvem fields"):
-    """Legacy ASCII VTK with POLYGONS and CELL_DATA scalars."""
-    verts = []
-    offsets = []
-    for ci in range(mesh.n_cells):
-        pts = mesh.cell_coords[ci]
-        offsets.append((len(verts), len(pts)))
-        verts.extend(pts)
+    """Legacy ASCII VTK with POLYGONS and CELL_DATA scalars; each cell's
+    polygon gets its own points, in its own frame."""
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
         f.write(title + "\n")
         f.write("ASCII\n")
         f.write("DATASET POLYDATA\n")
-        f.write(f"POINTS {len(verts)} double\n")
-        for x, y in verts:
+        f.write(f"POINTS {len(mesh.loop_coords)} double\n")
+        for x, y in mesh.loop_coords:
             f.write(f"{_fmt(x)} {_fmt(y)} 0\n")
-        size = sum(n + 1 for _, n in offsets)
-        f.write(f"POLYGONS {mesh.n_cells} {size}\n")
-        for start, n in offsets:
-            f.write(str(n) + " " + " ".join(str(start + i) for i in range(n)) + "\n")
+        f.write(f"POLYGONS {mesh.n_cells} {len(mesh.loop_coords) + mesh.n_cells}\n")
+        f.write(format_loops(mesh.cell_ptr, np.arange(len(mesh.loop_coords))))
         f.write(f"CELL_DATA {mesh.n_cells}\n")
         for name, values in cell_data.items():
             f.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
             for v in values:
                 f.write(_fmt(float(v)) + "\n")
-
-
-def read_vtk_cell_data(path: str) -> dict:
-    """Minimal reader for round-trip checks of write_vtk output."""
-    out = {}
-    with open(path) as f:
-        lines = f.read().splitlines()
-    i = 0
-    ncells = None
-    while i < len(lines):
-        parts = lines[i].split()
-        if parts[:1] == ["CELL_DATA"]:
-            ncells = int(parts[1])
-        elif parts[:1] == ["SCALARS"] and ncells is not None:
-            name = parts[1]
-            vals = [float(lines[i + 2 + j]) for j in range(ncells)]
-            out[name] = np.array(vals)
-            i += 1 + ncells
-        i += 1
-    return out
 
 
 def write_error_csv(path: str, reports: list, variables: tuple):

@@ -86,6 +86,15 @@ def initial_state(case, driver):
     return driver.initial_state(init, pexact)
 
 
+def next_dt(case, driver, state) -> float:
+    """The step run_case takes from `state`: the CFL step or case.dt (which
+    caps it with case.dt_caps_cfl), cut at t_end."""
+    dt = driver.compute_dt(state)
+    if case.dt is not None:
+        dt = min(case.dt, dt) if case.dt_caps_cfl else case.dt
+    return min(dt, case.t_end - state.time)
+
+
 def _swe_error_fields(case, disc, driver, state):
     coeffs = disc.fvops.reconstruct(state.Q)
     fields, exacts = {}, {}
@@ -152,11 +161,7 @@ def run_case(case, out_prefix: str | None = None, quiet: bool = False,
         if steps == max_steps:
             raise TimeIntError(f"{case.name}: step limit {max_steps} reached at "
                                f"t = {state.time:.6g}, before the end time {t_end:g}")
-        dt = driver.compute_dt(state)
-        if case.dt is not None:
-            dt = min(case.dt, dt) if case.dt_caps_cfl else case.dt
-        dt = min(dt, t_end - state.time)
-        state = driver.step(state, dt)
+        state = driver.step(state, next_dt(case, driver, state))
         steps += 1
         if not quiet and steps % 50 == 0:
             print(f"  [{case.name}] step {steps}  t = {state.time:.5f}")

@@ -6,6 +6,10 @@ coordinate frame (their polygon may extend past the box), and each edge
 stores the lattice shift that maps edge coordinates into the right cell's
 frame.  Non-periodic meshes have all shifts zero and cell frames equal to the
 global one.
+
+Cell loops are flat from the generator to the PolyMesh: offsets `cell_ptr`
+and loop-ordered arrays with one entry per cell corner, which `ragged_rows`
+gathers for one cell or stacks for cells of equal vertex count.
 """
 
 from __future__ import annotations
@@ -125,24 +129,22 @@ def gauss_lobatto_reference(k: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_NODES[n], _GL_WEIGHTS[n]
 
 
-def _signed_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def polygon_areas_centroids(polys) -> tuple[np.ndarray, np.ndarray]:
-    """Signed areas (NP,) and centroids (NP, 2) of a list of (n, 2) polygons.
+def polygon_areas_centroids(pts: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Signed areas (NP,) and centroids (NP, 2) of concatenated polygon loops:
+    points (N, 2) and the loop sizes (NP,).
 
     The shoelace formulas run once per vertex count n, along axis 1 of the
-    stacked (g, n, 2) polygons: bitwise equal to `_signed_area` per polygon.
+    stacked (g, n, 2) polygons, so a polygon's sums do not depend on the
+    others (Lloyd amplifies roundoff about tenfold).
     """
-    counts = np.fromiter((len(p) for p in polys), dtype=np.int64, count=len(polys))
-    area = np.empty(len(polys))
-    centroid = np.empty((len(polys), 2))
-    for n in np.unique(counts):
-        idx = np.flatnonzero(counts == n)
-        pts = np.stack([polys[i] for i in idx])
-        x, y = pts[..., 0], pts[..., 1]
+    sizes = np.asarray(sizes)
+    start = np.cumsum(sizes) - sizes
+    area = np.empty(len(sizes))
+    centroid = np.empty((len(sizes), 2))
+    for n in np.unique(sizes):
+        idx = np.flatnonzero(sizes == n)
+        p = pts[start[idx, None] + np.arange(n)]
+        x, y = p[..., 0], p[..., 1]
         xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
         cross = x * yn - xn * y
         a = 0.5 * np.sum(cross, axis=1)
@@ -151,6 +153,18 @@ def polygon_areas_centroids(polys) -> tuple[np.ndarray, np.ndarray]:
             centroid[idx, 1] = np.sum((y + yn) * cross, axis=1) / (6.0 * a)
         area[idx] = a
     return area, centroid
+
+
+def ragged_rows(ptr: np.ndarray, values: np.ndarray, cells) -> np.ndarray:
+    """The rows ptr[c]:ptr[c + 1] of `values` that belong to cell c: (n, ...)
+    for one cell id, (g, n, ...) for a non-empty array of ids of cells that
+    all own n rows."""
+    if np.ndim(cells) == 0:
+        return values[ptr[cells]:ptr[cells + 1]]
+    start, n = ptr[cells], np.diff(ptr)[cells]
+    if np.any(n != n[0]):
+        raise MeshError("stacked cells own unequal row counts")
+    return values[start[:, None] + np.arange(n[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -162,52 +176,51 @@ class PolyMesh:
     """Conforming polygonal tessellation (optionally on a periodic box).
 
     vertices    : (NV, 2) canonical coordinates, one per topological vertex.
-    cells       : list of CCW vertex-index loops (topology).
-    cell_coords : per-cell (n, 2) polygon coordinates in the cell's own frame;
-                  equal to vertices[loop] except for cells wrapping a periodic
+    cell_ptr    : (NP + 1,) offsets: cell c owns the corners
+                  cell_ptr[c]:cell_ptr[c + 1] of the loop-ordered arrays.
+    loop_vertices : (N,) vertex ids of every cell's CCW loop, cell after cell.
+    loop_coords : (N, 2) the same corners in their cell's own frame; equal to
+                  vertices[loop_vertices] except for cells wrapping a periodic
                   side, where entries may differ by a lattice shift.
     edges       : (NE, 2) vertex ids, direction keeps the left cell on its left.
     edge_coords : (NE, 2, 2) segment coordinates in the LEFT cell's frame.
     edge_cells  : (NE, 2) left/right cell ids; right = -1 on the boundary.
     edge_shift  : (NE, 2) lattice shift; a point x on the edge corresponds to
                   x + edge_shift in the right cell's frame.
+    loop_edges, loop_signs : (N,) the edge of side a (corner a to a + 1) of
+                  each cell, and +1 where the cell is its left cell, else -1.
     boundary_tags : edge index -> label for boundary-condition selection.
-    cell_edges, cell_edge_sign : per cell, the edge of each side (side a
-                  joins loop[a] and loop[a + 1]) and +1 where the cell is
-                  that edge's left cell, -1 where it is its right one.
 
-    Every mesh gets its edge tables from one half-edge matcher
-    (`_match_edges`): the generators pass them in, and a mesh built from
-    vertex loops alone (`read_mesh`, hand-built meshes) matches them here.
+    Every mesh is built by `_mesh_from_loops`, which gets the edge tables
+    from one half-edge matcher (`_match_edges`): the generators call it with
+    their frames and box, and meshes built from vertex loops alone
+    (`read_mesh`, hand-built meshes) through `PolyMesh.from_loops`.
     """
 
     vertices: np.ndarray
-    cells: list
-    cell_coords: list = None
-    edges: np.ndarray = None
-    edge_coords: np.ndarray = None
-    edge_cells: np.ndarray = None
-    edge_shift: np.ndarray = None
+    cell_ptr: np.ndarray
+    loop_vertices: np.ndarray
+    loop_coords: np.ndarray
+    edges: np.ndarray
+    edge_coords: np.ndarray
+    edge_cells: np.ndarray
+    edge_shift: np.ndarray
+    loop_edges: np.ndarray
+    loop_signs: np.ndarray
     boundary_tags: dict = field(default_factory=dict)
-    cell_edges: list = None
-    cell_edge_sign: list = None
     periodic: tuple = (False, False)
 
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        self.cells = [np.asarray(c, dtype=np.int64) for c in self.cells]
-        if self.cell_coords is None:
-            self.cell_coords = [self.vertices[c] for c in self.cells]
-        if self.edges is None:
-            # built from vertex loops: the half-edges of one edge share both
-            # vertex coordinates, so any positive tolerance matches them
-            pts = np.concatenate(self.cell_coords)
-            lo, hi = pts.min(axis=0), pts.max(axis=0)
-            sizes = np.array([len(c) for c in self.cells], dtype=np.int64)
-            for name, value in _match_edges(
-                    np.concatenate(self.cells), pts, sizes, self.n_vertices,
-                    (lo[0], hi[0], lo[1], hi[1]), (False, False), 1e-8 * max(hi - lo)).items():
-                setattr(self, name, value)
+    @staticmethod
+    def from_loops(vertices, loops, boundary_tags=None) -> "PolyMesh":
+        """Non-periodic mesh of vertex coordinates (NV, 2) and one CCW loop of
+        vertex ids per cell.  The half-edges of one edge share both vertex
+        coordinates, so any positive tolerance matches them."""
+        vertices = np.asarray(vertices, dtype=float)
+        ids = np.concatenate(loops).astype(np.int64)
+        lo, hi = vertices[ids].min(axis=0), vertices[ids].max(axis=0)
+        return _mesh_from_loops(vertices, ids, vertices[ids], np.array([len(c) for c in loops]),
+                                (lo[0], hi[0], lo[1], hi[1]), (False, False),
+                                1e-8 * max(hi - lo), boundary_tags)
 
     @property
     def n_vertices(self) -> int:
@@ -215,30 +228,36 @@ class PolyMesh:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.cell_ptr) - 1
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def vertex_count_groups(self) -> list[np.ndarray]:
-        """Cell ids grouped by vertex count, counts ascending, ids ascending."""
-        counts = np.fromiter((len(c) for c in self.cells), dtype=np.int64,
-                             count=self.n_cells)
-        return [np.flatnonzero(counts == n) for n in np.unique(counts)]
+    @property
+    def cell_sizes(self) -> np.ndarray:
+        """(NP,) vertex count of each cell."""
+        return np.diff(self.cell_ptr)
 
-    def stacked_coords(self, cells) -> np.ndarray:
-        """(g, n, 2) polygons of cells that all have n vertices."""
-        return np.stack([self.cell_coords[ci] for ci in cells])
+    @functools.cached_property
+    def vertex_count_groups(self) -> list[np.ndarray]:
+        """Cell ids grouped by vertex count (counts and ids ascending), once per mesh."""
+        order = np.argsort(self.cell_sizes, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(self.cell_sizes[order])) + 1)
+
+    def cell_coords(self, cells) -> np.ndarray:
+        """(n, 2) polygon of one cell in its frame, or (g, n, 2) of cells that
+        all have n vertices."""
+        return ragged_rows(self.cell_ptr, self.loop_coords, cells)
 
     def validate(self, domain_area: float | None = None):
         """Check the PolyMesh invariants; raise MeshError on violation."""
-        area, _ = polygon_areas_centroids(self.cell_coords)
-        for ci, pts in enumerate(self.cell_coords):
+        area, _ = polygon_areas_centroids(self.loop_coords, self.cell_sizes)
+        for ci in np.flatnonzero((area <= 0.0) | _self_crossing(self.loop_coords,
+                                                                self.cell_sizes))[:1]:
             if area[ci] <= 0.0:
                 raise MeshError(f"cell {ci} is not counter-clockwise (signed area {area[ci]:.3e})")
-            if not _is_simple(pts):
-                raise MeshError(f"cell {ci} vertex loop self-intersects")
+            raise MeshError(f"cell {ci} vertex loop self-intersects")
         for e in range(self.n_edges):
             if self.edge_cells[e, 1] < 0 and e not in self.boundary_tags:
                 raise MeshError(f"boundary edge {e} carries no tag")
@@ -248,36 +267,27 @@ class PolyMesh:
             if abs(area.sum() - domain_area) > 1e-12 * max(domain_area, 1.0):
                 raise MeshError(f"cell areas sum to {area.sum()!r}, expected {domain_area!r}")
 
-    def connectivity_hash(self) -> int:
-        """Order-stable hash of the full connectivity (round-trip checks)."""
-        h = hash((self.n_vertices, self.n_cells))
-        for loop in self.cells:
-            h = hash((h, tuple(int(v) for v in loop)))
-        return h
+
+def _orient(o, d, c) -> np.ndarray:
+    """Whether c lies left of the line from o to d (points (..., 2))."""
+    return (d - o)[..., 0] * (c - o)[..., 1] - (d - o)[..., 1] * (c - o)[..., 0] > 0.0
 
 
-def _is_simple(pts: np.ndarray) -> bool:
-    """Brute-force segment intersection test for small polygon loops."""
-    n = len(pts)
-    if n < 3:
-        return False
-    segs = [(pts[a], pts[(a + 1) % n]) for a in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if b == a or (b + 1) % n == a or (a + 1) % n == b:
-                continue
-            if _segments_cross(*segs[a], *segs[b]):
-                return False
-    return True
-
-
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+def _self_crossing(pts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mask of the concatenated loops, points (N, 2) and sizes (NP,), with
+    fewer than 3 points or two non-adjacent sides that cross."""
+    out = sizes < 3
+    start = np.cumsum(sizes) - sizes
+    for n in np.unique(sizes[sizes > 3]):
+        idx = np.flatnonzero(sizes == n)
+        a, b = np.triu_indices(n, 2)
+        a, b = a[(b + 1) % n != a], b[(b + 1) % n != a]
+        p = pts[start[idx, None] + np.arange(n)]
+        q = np.roll(p, -1, axis=1)
+        pa, qa, pb, qb = p[:, a], q[:, a], p[:, b], q[:, b]
+        out[idx] = np.any((_orient(pb, qb, pa) != _orient(pb, qb, qa))
+                          & (_orient(pa, qa, pb) != _orient(pa, qa, qb)), axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +307,6 @@ class GeometryCache:
     h: np.ndarray             # (NP,) = sqrt(area)
     edge_length: np.ndarray   # (NE,)
     edge_normal: np.ndarray   # (NE, 2) unit, left -> right
-    edge_midpoint: np.ndarray  # (NE, 2), in the left cell's frame
 
 
 def build_geometry(mesh: PolyMesh) -> GeometryCache:
@@ -305,20 +314,18 @@ def build_geometry(mesh: PolyMesh) -> GeometryCache:
 
     Raises MeshError for non-CCW or zero-area cells.
     """
-    area, bary = polygon_areas_centroids(mesh.cell_coords)
+    area, bary = polygon_areas_centroids(mesh.loop_coords, mesh.cell_sizes)
     bad = np.flatnonzero(area <= 0.0)
     if len(bad):
         raise MeshError(f"cell {bad[0]} degenerate or mis-oriented (area {area[bad[0]]:.3e})")
-    va = mesh.edge_coords[:, 0, :]
-    vb = mesh.edge_coords[:, 1, :]
-    tang = vb - va
+    tang = mesh.edge_coords[:, 1] - mesh.edge_coords[:, 0]
     length = np.hypot(tang[:, 0], tang[:, 1])
     if np.any(length == 0.0):
         raise MeshError("zero-length edge")
     # the edge keeps its left cell on the left, so rotating the tangent by
     # -90 degrees gives the left-outward normal
     normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
-    return GeometryCache(area, bary, np.sqrt(area), length, normal, 0.5 * (va + vb))
+    return GeometryCache(area, bary, np.sqrt(area), length, normal)
 
 
 @dataclass
@@ -334,16 +341,13 @@ class RegularityReport:
 
 def validate_regularity(mesh: PolyMesh, geom: GeometryCache, rho: float) -> RegularityReport:
     """Flag cells with edges shorter than rho*h_P or a barycenter outside the kernel."""
-    n = mesh.n_cells
-    ratio = np.empty(n)
-    star = np.empty(n, dtype=bool)
-    for ci in range(n):
-        pts = mesh.cell_coords[ci]
-        d = np.roll(pts, -1, axis=0) - pts
-        lengths = np.hypot(d[:, 0], d[:, 1])
-        ratio[ci] = lengths.min() / geom.h[ci]
-        rel = geom.barycenter[ci] - pts
-        star[ci] = bool(np.all(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] > 0.0))
+    sizes = mesh.cell_sizes
+    pts = mesh.loop_coords
+    d = pts[_next_in_loop(sizes)] - pts
+    rel = np.repeat(geom.barycenter, sizes, axis=0) - pts
+    ratio = np.minimum.reduceat(np.hypot(d[:, 0], d[:, 1]), mesh.cell_ptr[:-1]) / geom.h
+    star = np.logical_and.reduceat(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] > 0.0,
+                                   mesh.cell_ptr[:-1])
     passed = (ratio >= rho) & star
     return RegularityReport(passed, ratio, star, float(ratio.min()), bool(passed.all()))
 
@@ -387,7 +391,7 @@ def _clip_cell_outside_circle(pts: np.ndarray, center, radius) -> np.ndarray:
         if inside[a] != inside[b]:
             out.append(_circle_crossing(pa, pb, center, radius))
     res = np.array(out)
-    if len(res) < 3 or _signed_area(res) <= 0.0:
+    if len(res) < 3 or polygon_areas_centroids(res, [len(res)])[0][0] <= 0.0:
         raise MeshError("hole clipping produced a degenerate cell")
     return res
 
@@ -407,7 +411,8 @@ def _circle_crossing(pa, pb, center, radius):
 
 
 def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius):
-    """One clipped polygon per base seed.
+    """The clipped polygon of each base seed, concatenated: points (N, 2) and
+    the loop sizes (n,).
 
     The full image set holds, besides the seeds, their images across each
     side: translates along periodic axes (cells may straddle those sides) and
@@ -464,8 +469,12 @@ def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius
         if not periodic[axis]:
             for side in ends:
                 vertices[np.abs(vertices[:, axis] - side) <= tol, axis] = side
+    start = np.cumsum(counts) - counts
+    # clockwise regions are reversed
+    pos = np.arange(len(flat))
+    reverse = np.repeat(polygon_areas_centroids(vertices[flat], counts)[0] < 0.0, counts)
+    flat = flat[np.where(reverse, np.repeat(2 * start + counts - 1, counts) - pos, pos)]
     pts = vertices[flat]
-    clockwise = _loop_areas(pts, counts) < 0.0
     # (n, c) of the half-planes n.x <= c of the non-periodic sides; a polygon
     # with no vertex outside any of them passes every clip unchanged, so it
     # skips them
@@ -475,19 +484,24 @@ def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius
     inside = np.ones(len(vertices), dtype=bool)
     for nrm, c in sides:
         inside &= vertices @ nrm - c <= 0.0
-    unclipped = np.logical_and.reduceat(inside[flat], np.cumsum(counts) - counts)
-    polys = []
-    for poly, reverse, skip in zip(_split_loops(pts, counts), clockwise, unclipped):
-        poly = poly[::-1] if reverse else poly
-        if not skip:
+    unclipped = np.logical_and.reduceat(inside[flat], start)
+    todo = ~unclipped | (hole_center is not None)
+    kept = ~np.repeat(todo, counts)
+    clipped = [np.empty((0, 2))]
+    for ci in np.flatnonzero(todo):
+        poly = pts[start[ci]:start[ci] + counts[ci]]
+        if not unclipped[ci]:
             for nrm, c in sides:
                 poly = _clip_to_halfplane(poly, nrm, c)
             if len(poly) < 3:
                 raise MeshError("cell vanished while clipping to the box")
         if hole_center is not None:
             poly = _clip_cell_outside_circle(poly, np.asarray(hole_center), hole_radius)
-        polys.append(poly)
-    return polys
+        clipped.append(poly)
+        counts[ci] = len(poly)
+    # each clipped polygon goes in after the kept points of the cells before it
+    at = np.repeat((np.cumsum(kept) - kept)[start[todo]], counts[todo])
+    return np.insert(pts[kept], at, np.concatenate(clipped), axis=0), counts
 
 
 def _weighted_centroid(poly: np.ndarray, centroid: np.ndarray, density) -> np.ndarray:
@@ -562,19 +576,6 @@ def _next_in_loop(sizes: np.ndarray) -> np.ndarray:
     return nxt
 
 
-def _split_loops(a: np.ndarray, sizes: np.ndarray) -> list:
-    """Per-loop views of concatenated loops (np.split costs 6x more here)."""
-    end = np.cumsum(sizes).tolist()
-    return [a[i:j] for i, j in zip([0] + end[:-1], end)]
-
-
-def _loop_areas(pts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Signed shoelace areas of concatenated loops of points (N, 2)."""
-    nxt = _next_in_loop(sizes)
-    cross = pts[:, 0] * pts[nxt, 1] - pts[nxt, 0] * pts[:, 1]
-    return 0.5 * np.add.reduceat(cross, np.cumsum(sizes) - sizes)
-
-
 def _vertex_constraints(p, box, periodic, tol, hole_center, hole_radius):
     """Boundary lines a point sits on (used to pick edge-collapse targets)."""
     xlo, xhi, ylo, yhi = box
@@ -610,7 +611,7 @@ def _collapse_short_edges(ids, pts, sizes, vertices, box, periodic, tol,
     for _ in range(passes):
         nxt = _next_in_loop(sizes)
         d = pts[nxt] - pts
-        cell_h = np.sqrt(np.abs(_loop_areas(pts, sizes)))
+        cell_h = np.sqrt(np.abs(polygon_areas_centroids(pts, sizes)[0]))
         short = np.hypot(d[:, 0], d[:, 1]) < theta * np.repeat(cell_h, sizes)
         if not short.any():
             break
@@ -696,7 +697,7 @@ def _match_edges(ids: np.ndarray, pts: np.ndarray, sizes: np.ndarray, n_vertices
     order of their first half-edge, in cell order, which gives the edge its
     direction and its left cell; the matched half-edge gets sign -1.  Returns
     the PolyMesh fields edges, edge_coords, edge_cells, edge_shift,
-    cell_edges and cell_edge_sign.
+    loop_edges and loop_signs.
     """
     n = len(ids)
     nxt = _next_in_loop(sizes)
@@ -738,28 +739,32 @@ def _match_edges(ids: np.ndarray, pts: np.ndarray, sizes: np.ndarray, n_vertices
     return dict(edges=np.column_stack([ids, ids[nxt]])[made],
                 edge_coords=np.stack([pts, pts[nxt]], axis=1)[made],
                 edge_cells=edge_cells, edge_shift=edge_shift,
-                cell_edges=_split_loops(edge, sizes),
-                cell_edge_sign=_split_loops(np.where(made, 1, -1), sizes))
+                loop_edges=edge, loop_signs=np.where(made, 1, -1))
 
 
-def _assemble_mesh(polys: list[np.ndarray], box, periodic, scale: float,
+def _mesh_from_loops(vertices, ids, pts, sizes, box, periodic, tol,
+                     boundary_tags=None) -> PolyMesh:
+    """The PolyMesh of concatenated vertex loops: ids (N,), frame coordinates
+    (N, 2) and loop sizes, with the edge tables of `_match_edges`."""
+    return PolyMesh(vertices, np.concatenate([[0], np.cumsum(sizes)]), ids, pts,
+                    boundary_tags=boundary_tags or {}, periodic=periodic,
+                    **_match_edges(ids, pts, sizes, len(vertices), box, periodic, tol))
+
+
+def _assemble_mesh(pts: np.ndarray, sizes: np.ndarray, box, periodic, scale: float,
                    hole_center=None, hole_radius: float = 0.0) -> PolyMesh:
-    """Build the PolyMesh (topology + frames + edges) from per-cell polygons:
-    merge their points into vertices, collapse short edges, match the edges
-    (`_match_edges`) and tag the boundary edges by side."""
+    """Build the PolyMesh (topology + frames + edges) from concatenated
+    polygons, points (N, 2) and loop sizes: merge their points into
+    vertices, collapse short edges, match the edges (`_mesh_from_loops`) and
+    tag the boundary edges by side."""
     xlo, xhi, ylo, yhi = box
     periodic = tuple(bool(p) for p in periodic)
     tol = 1e-8 * scale
-    sizes = np.fromiter((len(p) for p in polys), dtype=np.int64, count=len(polys))
-    pts = np.concatenate(polys)
     ids, vertices = _merge_vertices(pts, box, periodic, tol)
     keep, sizes = _drop_repeats(ids, sizes, "during vertex merge")
     ids, pts, sizes, vertices = _collapse_short_edges(
         ids[keep], pts[keep], sizes, vertices, box, periodic, tol, hole_center, hole_radius)
-
-    mesh = PolyMesh(vertices, _split_loops(ids, sizes), cell_coords=_split_loops(pts, sizes),
-                    periodic=periodic,
-                    **_match_edges(ids, pts, sizes, len(vertices), box, periodic, tol))
+    mesh = _mesh_from_loops(vertices, ids, pts, sizes, box, periodic, tol)
     # boundary tags by geometric side
     bnd = np.flatnonzero(mesh.edge_cells[:, 1] < 0)
     m = mesh.edge_coords[bnd].mean(axis=1)
@@ -828,10 +833,12 @@ def generate_voronoi(box, n_seeds: int, lloyd_iters: int = 20, seed: int = 0,
     if len(np.unique(pts.round(12), axis=0)) != n_seeds:
         raise MeshError("duplicate seeds after sampling")
     for _ in range(lloyd_iters):
-        polys = _voronoi_polygons(pts, box, periodic, hole_center, hole_radius)
-        _, new = polygon_areas_centroids(polys)
+        polys, sizes = _voronoi_polygons(pts, box, periodic, hole_center, hole_radius)
+        _, new = polygon_areas_centroids(polys, sizes)
         if density is not None:
-            new = np.array([_weighted_centroid(p, c, density) for p, c in zip(polys, new)])
+            start = np.cumsum(sizes) - sizes
+            new = np.array([_weighted_centroid(polys[a:a + n], c, density)
+                            for a, n, c in zip(start, sizes, new)])
         if periodic[0]:
             new[:, 0] = xlo + np.mod(new[:, 0] - xlo, xhi - xlo)
         if periodic[1]:
@@ -842,8 +849,8 @@ def generate_voronoi(box, n_seeds: int, lloyd_iters: int = 20, seed: int = 0,
             close = r < 1.02 * hole_radius
             new[close] = hole_center + d[close] * (1.02 * hole_radius / r[close])[:, None]
         pts = new
-    polys = _voronoi_polygons(pts, box, periodic, hole_center, hole_radius)
-    return _assemble_mesh(polys, box, periodic, max(xhi - xlo, yhi - ylo),
+    polys, sizes = _voronoi_polygons(pts, box, periodic, hole_center, hole_radius)
+    return _assemble_mesh(polys, sizes, box, periodic, max(xhi - xlo, yhi - ylo),
                           hole_center, hole_radius)
 
 
@@ -852,17 +859,24 @@ def generate_rect(box, nx: int, ny: int, periodic=(False, False)) -> PolyMesh:
     xlo, xhi, ylo, yhi = box
     xs = np.linspace(xlo, xhi, nx + 1)
     ys = np.linspace(ylo, yhi, ny + 1)
-    polys = []
-    for j in range(ny):
-        for i in range(nx):
-            polys.append(np.array([[xs[i], ys[j]], [xs[i + 1], ys[j]],
-                                   [xs[i + 1], ys[j + 1]], [xs[i], ys[j + 1]]]))
-    return _assemble_mesh(polys, box, periodic, max(xhi - xlo, yhi - ylo))
+    j, i = np.divmod(np.arange(nx * ny), nx)         # cells row by row
+    pts = np.stack([xs[i[:, None] + [0, 1, 1, 0]], ys[j[:, None] + [0, 0, 1, 1]]], axis=-1)
+    return _assemble_mesh(pts.reshape(-1, 2), np.full(nx * ny, 4), box, periodic,
+                          max(xhi - xlo, yhi - ylo))
 
 
 # ---------------------------------------------------------------------------
 # file I/O
 # ---------------------------------------------------------------------------
+
+def format_loops(ptr: np.ndarray, ids: np.ndarray) -> str:
+    """Text lines `n i1 .. in`, one per loop of the concatenated integer
+    loops `ids` with offsets `ptr`."""
+    tokens = np.insert(ids.astype(str), ptr[:-1], np.diff(ptr).astype(str))
+    sep = np.full(len(tokens), " ")
+    sep[ptr[1:] + np.arange(len(ptr) - 1)] = "\n"      # after the last id of each loop
+    return "".join(np.char.add(tokens, sep))
+
 
 def write_mesh(mesh: PolyMesh, path: str):
     """Text format: `NV NP`; NV lines `x y`; NP lines `n i1 .. in`; optional
@@ -876,8 +890,7 @@ def write_mesh(mesh: PolyMesh, path: str):
         f.write(f"{mesh.n_vertices} {mesh.n_cells}\n")
         for x, y in mesh.vertices:
             f.write(f"{x:.17g} {y:.17g}\n")
-        for loop in mesh.cells:
-            f.write(str(len(loop)) + " " + " ".join(str(int(v)) for v in loop) + "\n")
+        f.write(format_loops(mesh.cell_ptr, mesh.loop_vertices))
         tags = sorted(mesh.boundary_tags.items())
         f.write(f"{len(tags)}\n")
         for e, tag in tags:
@@ -886,26 +899,29 @@ def write_mesh(mesh: PolyMesh, path: str):
 
 
 def read_mesh(path: str) -> PolyMesh:
-    """Inverse of write_mesh; parse errors carry 1-based line numbers, and a
-    mesh that fails `PolyMesh.validate` raises its MeshError."""
+    """Inverse of write_mesh.  Every malformed input raises MeshError with its
+    `path:line` (1-based), and a mesh that fails `PolyMesh.validate` raises
+    its MeshError prefixed by the path."""
     with open(path) as f:
         lines = f.read().splitlines()
 
     def fail(lineno, msg):
         raise MeshError(f"{path}:{lineno}: {msg}")
 
+    def parse(kind, token, lineno, what):
+        try:
+            return kind(token)
+        except ValueError:
+            fail(lineno, f"{what} {token!r} is not {'an integer' if kind is int else 'a number'}")
+
     if not lines:
         fail(1, "empty file")
     head = lines[0].split()
     if len(head) != 2:
         fail(1, "expected 'NV NP'")
-    try:
-        nv, nc = int(head[0]), int(head[1])
-    except ValueError:
-        nv = nc = 0
-        fail(1, "expected integer counts")
-    if nc < 1:
-        fail(1, "expected at least one cell")
+    nv, nc = (parse(int, t, 1, "count") for t in head)
+    if nv < 0 or nc < 1:
+        fail(1, "expected NV >= 0 vertices and at least one cell")
     if len(lines) < 1 + nv + nc:
         fail(len(lines), "file truncated")
     verts = np.empty((nv, 2))
@@ -913,36 +929,39 @@ def read_mesh(path: str) -> PolyMesh:
         parts = lines[1 + i].split()
         if len(parts) != 2:
             fail(2 + i, "expected 'x y'")
-        verts[i] = [float(parts[0]), float(parts[1])]
-    cells = []
-    for c in range(nc):
-        lineno = 1 + nv + c
-        parts = lines[lineno].split()
+        verts[i] = [parse(float, t, 2 + i, "coordinate") for t in parts]
+    loops = []
+    for lineno in range(2 + nv, 2 + nv + nc):
+        parts = lines[lineno - 1].split()
         if not parts:
-            fail(lineno + 1, "empty cell line")
-        n = int(parts[0])
-        if len(parts) != n + 1:
-            fail(lineno + 1, f"expected {n} vertex indices")
-        loop = np.array([int(p) for p in parts[1:]], dtype=np.int64)
+            fail(lineno, "empty cell line")
+        n = parse(int, parts[0], lineno, "vertex count")
+        if n < 3 or len(parts) != n + 1:
+            fail(lineno, f"expected a vertex count n >= 3 and n vertex indices, not {n}")
+        loop = np.array([parse(int, t, lineno, "vertex index") for t in parts[1:]],
+                        dtype=np.int64)
         if np.any(loop < 0) or np.any(loop >= nv):
-            fail(lineno + 1, "vertex index out of range")
-        cells.append(loop)
-    mesh = PolyMesh(verts, cells)
-    pos = 1 + nv + nc
+            fail(lineno, "vertex index out of range")
+        loops.append(loop)
+    try:
+        mesh = PolyMesh.from_loops(verts, loops)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
+    pos = 1 + nv + nc                       # 0-based index of the tag count line
     if pos < len(lines) and lines[pos].strip():
-        nb = int(lines[pos])
-        lookup = {}
-        for e, (a, b) in enumerate(mesh.edges):
-            lookup[(min(a, b), max(a, b))] = e
-        for t in range(nb):
-            lineno = pos + 1 + t
-            parts = lines[lineno].split()
+        nb = parse(int, lines[pos].strip(), pos + 1, "tag count")
+        if len(lines) < pos + 1 + nb:
+            fail(len(lines), f"file truncated: {nb} boundary tags announced, "
+                             f"{len(lines) - pos - 1} lines left")
+        lookup = {(min(a, b), max(a, b)): e for e, (a, b) in enumerate(mesh.edges.tolist())}
+        for lineno in range(pos + 2, pos + 2 + nb):
+            parts = lines[lineno - 1].split()
             if len(parts) != 3:
-                fail(lineno + 1, "expected 'vertexA vertexB tag'")
-            a, b = int(parts[0]), int(parts[1])
+                fail(lineno, "expected 'vertexA vertexB tag'")
+            a, b = (parse(int, t, lineno, "vertex index") for t in parts[:2])
             key = (min(a, b), max(a, b))
             if key not in lookup:
-                fail(lineno + 1, f"no edge between vertices {a} and {b}")
+                fail(lineno, f"no edge between vertices {a} and {b}")
             mesh.boundary_tags[lookup[key]] = parts[2]
     try:
         mesh.validate()

@@ -202,7 +202,7 @@ class _Group:
     def __init__(self, elem, T, Vp, Cp, layout, mesh, k):
         idx = self.idx = elem.cells
         nkm1 = n_poly(k - 1)
-        self.dofs = np.stack([layout.cell_dofs[ci] for ci in idx])
+        self.dofs = layout.cell_dofs(idx)
         self.area = elem.area
         self.T = T
         self.Vp, self.Cp = Vp, Cp
@@ -220,7 +220,7 @@ class _Group:
         # monomial gradient coefficient maps
         self.dxT = elem.basis.derivative_coeffs(0).transpose(0, 2, 1)
         self.dyT = elem.basis.derivative_coeffs(1).transpose(0, 2, 1)
-        rule = polygon_quadrature(mesh.stacked_coords(idx), elem.basis.center, 2 * k + 2)
+        rule = polygon_quadrature(mesh.cell_coords(idx), elem.basis.center, 2 * k + 2)
         self.qnodes = rule.nodes
         self.qw = rule.weights
         self.qmono = elem.basis.values(rule.nodes)                 # (g, nq, nk)
@@ -256,7 +256,7 @@ class Discretization:
         self.layout = vemod.build_dof_layout(mesh, geom, k)
         self.fvops = fvmod.FvOperators(mesh, geom, k)
         self.groups, stiffness = [], []
-        for idx in mesh.vertex_count_groups():
+        for idx in mesh.vertex_count_groups:
             elem = vemod.build_element(mesh, geom, idx, k)
             T = trmod.taylor_to_monomial(self.fvops.taylor, idx)
             Vp, Cp = trmod.build_transfer(elem, T)
@@ -275,7 +275,7 @@ class Discretization:
         # fv_to_vem: dofs = Vglob @ coeffs.ravel(), where a dof shared by
         # several cells takes the mean of their candidates; the load of
         # Taylor coefficients against Pi0 phi (CTglob)
-        multiplicity = np.bincount(np.concatenate([d.ravel() for d in dofs]), minlength=nd)
+        multiplicity = np.bincount(self.layout.dof_ids, minlength=nd)
         to_vem = vemod.AssemblyPattern(dofs, modes, (nd, nck))
         self._Vglob, self._CTglob = (
             vemod.scatter_matrix(to_vem, blocks).to_scipy() for blocks in (
@@ -354,9 +354,7 @@ class Discretization:
                 vals = sample_at(func, grp.qnodes)
                 moms = np.einsum("gq,gqa,g->ga", vals * grp.qw, grp.qmono[:, :, :self.nkm2],
                                  1.0 / grp.area)
-                base = self.layout.moment_base
-                ids = base + grp.idx[:, None] * self.nkm2 + np.arange(self.nkm2)[None, :]
-                out[ids.ravel()] = moms.ravel()
+                out[grp.dofs[:, -self.nkm2:]] = moms          # the last dofs of a cell
         return out
 
     def project_field(self, func, time=None, degree=None) -> np.ndarray:
@@ -367,7 +365,7 @@ class Discretization:
             if degree is None:
                 nodes, qw, qmono = grp.qnodes, grp.qw, grp.qmono
             else:
-                rule = polygon_quadrature(self.mesh.stacked_coords(grp.idx),
+                rule = polygon_quadrature(self.mesh.cell_coords(grp.idx),
                                           grp.basis.center, degree)
                 nodes, qw = rule.nodes, rule.weights
                 qmono = grp.basis.values(nodes)

@@ -1,10 +1,12 @@
 """Conforming virtual element space of order k on polygons.
 
 Projector matrices (D, G, B, H, C, E, Pi-nabla, Pi0), stabilized mass and
-stiffness operators, the global dof numbering, the assembly pattern (the CSR
-pattern of a gather of dense per-cell blocks, square or rectangular, with the
-scatter of the blocks into it: every global operator of the Discretization
-in models.py goes through one) and the Dirichlet dofs of tagged boundaries.
+stiffness operators, the global dof numbering (each cell's dofs stored flat
+behind one offset array, as the mesh stores its loops), the assembly pattern
+(the CSR pattern of a gather of dense per-cell blocks, square or rectangular,
+with the scatter of the blocks into it: every global operator of the
+Discretization in models.py goes through one) and the Dirichlet dofs of
+tagged boundaries.
 Orders k = 1..4 are supported.  Elements are built per group of cells with
 equal vertex count: every element array is stacked along a leading cell
 axis, so that one batched product or solve serves the whole group.  All
@@ -19,7 +21,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .linalg import SparseMatrix
-from .mesh import GeometryCache, PolyMesh, gauss_lobatto_reference, polygon_quadrature
+from .mesh import (GeometryCache, PolyMesh, gauss_lobatto_reference, polygon_quadrature,
+                   ragged_rows)
 
 MAX_ORDER = 4
 
@@ -115,17 +118,23 @@ class VemDofLayout:
 
     Edge interior dofs are ordered along the edge's canonical direction; cells
     traversing an edge backwards see them reversed.  Moments are scaled by
-    1/|P| so the first moment dof of a function is its cell mean.
+    1/|P| so the first moment dof of a function is its cell mean.  Cell c's
+    dofs are dof_ids[dof_ptr[c]:dof_ptr[c + 1]]: its vertex dofs and the k - 1
+    interior dofs of each side, both in loop order, then its moments.
     """
 
     k: int
     n_dofs: int
-    cell_dofs: list          # per cell: (N_dof,) global indices
+    dof_ptr: np.ndarray      # (NP + 1,) offsets into dof_ids
+    dof_ids: np.ndarray      # (sum of N_dof,) global ids, cell after cell
     dof_coords: np.ndarray   # (n_dofs, 2); moment dofs carry the barycenter
-    is_moment: np.ndarray    # (n_dofs,) bool
     edge_dofs: np.ndarray    # (NE, k-1) global ids of edge interior dofs
     vertex_dof: np.ndarray   # (NV,) global ids
     moment_base: int
+
+    def cell_dofs(self, cells) -> np.ndarray:
+        """(N_dof,) dofs of one cell, (g, N_dof) of cells of one vertex count."""
+        return ragged_rows(self.dof_ptr, self.dof_ids, cells)
 
 
 def build_dof_layout(mesh: PolyMesh, geom: GeometryCache, k: int) -> VemDofLayout:
@@ -141,31 +150,25 @@ def build_dof_layout(mesh: PolyMesh, geom: GeometryCache, k: int) -> VemDofLayou
     n_dofs = moment_base + nc * nkm2
     coords = np.zeros((n_dofs, 2))
     coords[:nv] = mesh.vertices
-    if k > 1:
-        t, _ = gauss_lobatto_reference(k)
-        t_int = t[1:-1]
-        va = mesh.edge_coords[:, 0, :]
-        vb = mesh.edge_coords[:, 1, :]
-        for j, tj in enumerate(t_int):
-            coords[edge_dofs[:, j]] = va + 0.5 * (tj + 1.0) * (vb - va)
-    is_moment = np.zeros(n_dofs, dtype=bool)
-    is_moment[moment_base:] = True
-    cell_dofs = []
-    for ci in range(nc):
-        loop = mesh.cells[ci]
-        n = len(loop)
-        ids = np.empty(n * k + nkm2, dtype=np.int64)
-        ids[:n] = vertex_dof[loop]
-        if k > 1:
-            for a in range(n):
-                e = mesh.cell_edges[ci][a]
-                fwd = mesh.cell_edge_sign[ci][a] > 0
-                d = edge_dofs[e] if fwd else edge_dofs[e][::-1]
-                ids[n + a * (k - 1): n + (a + 1) * (k - 1)] = d
-        ids[n * k:] = moment_base + ci * nkm2 + np.arange(nkm2)
-        cell_dofs.append(ids)
-        coords[moment_base + ci * nkm2: moment_base + (ci + 1) * nkm2] = geom.barycenter[ci]
-    return VemDofLayout(k, n_dofs, cell_dofs, coords, is_moment, edge_dofs,
+    t_int = gauss_lobatto_reference(k)[0][1:-1]
+    va, vb = mesh.edge_coords[:, :1], mesh.edge_coords[:, 1:]
+    coords[edge_dofs] = va + (0.5 * (t_int + 1.0))[:, None] * (vb - va)
+    coords[moment_base:] = np.repeat(geom.barycenter, nkm2, axis=0)
+    # corner a of a cell with n corners: its vertex dof at a, the interior
+    # dofs of side a (reversed in the edge's right cell) at n + a (k - 1)
+    sizes = mesh.cell_sizes
+    dof_ptr = np.concatenate([[0], np.cumsum(sizes * k + nkm2)])
+    cell = np.repeat(np.arange(nc), sizes)
+    corner = np.arange(len(cell)) - mesh.cell_ptr[cell]
+    at = dof_ptr[cell] + corner
+    dof_ids = np.empty(dof_ptr[-1], dtype=np.int64)
+    dof_ids[at] = vertex_dof[mesh.loop_vertices]
+    side = edge_dofs[mesh.loop_edges]
+    side = np.where(mesh.loop_signs[:, None] > 0, side, side[:, ::-1])
+    dof_ids[(at + sizes[cell] + corner * (k - 2))[:, None] + np.arange(k - 1)] = side
+    dof_ids[(dof_ptr[1:] - nkm2)[:, None] + np.arange(nkm2)] = (
+        moment_base + np.arange(nc * nkm2).reshape(nc, nkm2))
+    return VemDofLayout(k, n_dofs, dof_ptr, dof_ids, coords, edge_dofs,
                         vertex_dof, moment_base)
 
 
@@ -195,7 +198,6 @@ class ElementVem:
     C: np.ndarray            # (n_k, N_dof)
     pis_nabla: np.ndarray    # (n_k, N_dof)   Pi*nabla
     pis_0: np.ndarray        # (n_k, N_dof)   Pi*0_k
-    pis_0_km1: np.ndarray    # (n_{k-1}, N_dof)
     pis_0x: np.ndarray       # (n_{k-1}, N_dof) projected x-derivative
     pis_0y: np.ndarray       # (n_{k-1}, N_dof)
     mass: np.ndarray         # (N_dof, N_dof) stabilized M^h
@@ -251,7 +253,7 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     if not 1 <= k <= MAX_ORDER:
         raise VemError(f"order k={k} outside the supported range 1..{MAX_ORDER}")
     idx = np.atleast_1d(cells)
-    pts = mesh.stacked_coords(idx)                          # (g, nv, 2)
+    pts = mesh.cell_coords(idx)                             # (g, nv, 2)
     g, nv = pts.shape[:2]
     area = geom.area[idx]
     xc = geom.barycenter[idx]
@@ -315,7 +317,6 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     pis_0 = solve_cells(H, C, idx, VemError, "H matrix")
     pi_0 = D @ pis_0
     Hkm1 = H[:, :nkm1, :nkm1]
-    pis_0_km1 = np.linalg.solve(Hkm1, C[:, :nkm1])
 
     # E matrices: moments of the first derivatives of the basis functions
     Ex = np.zeros((g, nkm1, ndof))
@@ -343,7 +344,7 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
 
     elem = ElementVem(k, ndof, idx, basis, area, D, G, B, H, C, pis_nabla, pis_0,
-                      pis_0_km1, pis_0x, pis_0y, mass, stiffness, stab_nabla)
+                      pis_0x, pis_0y, mass, stiffness, stab_nabla)
     return elem.cell(0) if np.ndim(cells) == 0 else elem
 
 

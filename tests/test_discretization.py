@@ -31,15 +31,13 @@ FINGERPRINT_MESHES = {
 def load_mesh(name) -> fm.PolyMesh:
     """The frozen mesh meshes/<name>.npz."""
     f = np.load(Path(__file__).parent / "meshes" / f"{name}.npz")
-    split = np.cumsum(f["cell_sizes"])[:-1]
-    return fm.PolyMesh(f["vertices"], np.split(f["cells"], split),
-                       cell_coords=np.split(f["cell_coords"], split),
+    return fm.PolyMesh(f["vertices"], np.concatenate([[0], np.cumsum(f["cell_sizes"])]),
+                       f["cells"], f["cell_coords"],
                        edges=f["edges"], edge_coords=f["edge_coords"],
                        edge_cells=f["edge_cells"], edge_shift=f["edge_shift"],
+                       loop_edges=f["cell_edges"], loop_signs=f["cell_edge_sign"],
                        boundary_tags=dict(zip(f["tag_edges"].tolist(),
                                               f["tag_names"].tolist())),
-                       cell_edges=np.split(f["cell_edges"], split),
-                       cell_edge_sign=np.split(f["cell_edge_sign"], split),
                        periodic=tuple(f["periodic"].tolist()))
 
 
@@ -162,7 +160,7 @@ def disjoint_cells_mesh(polys):
     """One mesh whose cells are the given polygons, sharing no vertex."""
     start = np.cumsum([0] + [len(p) for p in polys])
     cells = [np.arange(a, b) for a, b in zip(start[:-1], start[1:])]
-    m = fm.PolyMesh(np.vstack(polys), cells)
+    m = fm.PolyMesh.from_loops(np.vstack(polys), cells)
     m.boundary_tags = {e: "outer" for e in range(m.n_edges)}
     return m
 
@@ -178,7 +176,7 @@ class TestBatchedElements:
     def test_group_build_equals_cell_build(self, polys, k):
         m = disjoint_cells_mesh(polys)
         g = fm.build_geometry(m)
-        for idx in m.vertex_count_groups():
+        for idx in m.vertex_count_groups:
             group = vem.build_element(m, g, idx, k)
             assert np.array_equal(group.cells, idx)
             for i, ci in enumerate(idx):
@@ -206,9 +204,9 @@ def oracle_adjacency(mesh):
         neighbors[L].append((int(R), s.copy()))
         neighbors[R].append((int(L), -s))
     vert_cells = {}
-    for ci, loop in enumerate(mesh.cells):
-        for a, v in enumerate(loop):
-            vert_cells.setdefault(int(v), []).append((ci, mesh.cell_coords[ci][a]))
+    cell_of = np.repeat(np.arange(mesh.n_cells), mesh.cell_sizes)
+    for ci, v, pt in zip(cell_of, mesh.loop_vertices, mesh.loop_coords):
+        vert_cells.setdefault(int(v), []).append((int(ci), pt))
     return neighbors, vert_cells
 
 
@@ -249,11 +247,11 @@ def oracle_sector_members(mesh, neighbors, vert_cells, ci):
     """(members, fell back) per neighbour of ci: the (cell, shift) member
     list is the neighbour, then the cells sharing a vertex with both, else
     a second neighbour."""
-    loop = set(int(v) for v in mesh.cells[ci])
+    loop = set(int(v) for v in fm.ragged_rows(mesh.cell_ptr, mesh.loop_vertices, ci))
     sectors = []
     for nb, s in sorted(neighbors[ci], key=lambda p: (p[0], p[1][0], p[1][1])):
         members = [(nb, s)]
-        wedge = set(int(v) for v in mesh.cells[nb])
+        wedge = set(int(v) for v in fm.ragged_rows(mesh.cell_ptr, mesh.loop_vertices, nb))
         for v in sorted(loop):
             for cj, _pt in vert_cells.get(v, ()):
                 if cj == ci or cj == nb:
@@ -291,8 +289,8 @@ def oracle_fit(ops, ci, members, ncols):
     """Per-cell least-squares fit: rows, pinv and residual factor."""
     rows = np.empty((len(members), ncols))
     for r, (cj, s) in enumerate(members):
-        rule = fm.polygon_quadrature(ops.mesh.cell_coords[cj], ops.geom.barycenter[cj],
-                                     max(ops.k, 1))
+        rule = fm.polygon_quadrature(ops.mesh.cell_coords(cj),
+                                     ops.geom.barycenter[cj], max(ops.k, 1))
         vals = ops.taylor.values(ci, rule.nodes, shift=-s)
         rows[r] = (rule.weights @ vals[:, 1:1 + ncols]) / ops.geom.area[cj]
     P = np.linalg.pinv(rows, rcond=1e-10)
@@ -403,7 +401,7 @@ def voronoi_group(seed=4):
     """A Voronoi mesh, its geometry, and a vertex-count group of >= 3 cells
     with the id of a cell in its middle."""
     m = fm.generate_voronoi((0, 1, 0, 1), 40, lloyd_iters=5, seed=seed)
-    idx = max(m.vertex_count_groups(), key=len)
+    idx = max(m.vertex_count_groups, key=len)
     assert len(idx) >= 3
     return m, fm.build_geometry(m), idx, int(idx[len(idx) // 2])
 
@@ -446,9 +444,11 @@ class TestDegenerateCellErrors:
         grid = fm.generate_rect((0, 3, 0, 3), 3, 3)
         far = np.array([[10.0, 10.0], [11.0, 10.0], [11.0, 11.0], [10.0, 11.0]])
         nv = grid.n_vertices
-        m = fm.PolyMesh(np.vstack([grid.vertices, far]),
-                        grid.cells[:4] + [np.arange(nv, nv + 4)] + grid.cells[4:])
+        loops = [fm.ragged_rows(grid.cell_ptr, grid.loop_vertices, ci)
+                 for ci in range(grid.n_cells)]
+        m = fm.PolyMesh.from_loops(np.vstack([grid.vertices, far]),
+                                   loops[:4] + [np.arange(nv, nv + 4)] + loops[4:])
         m.boundary_tags = {e: "outer" for e in range(m.n_edges) if m.edge_cells[e, 1] < 0}
-        assert len(m.vertex_count_groups()) == 1
+        assert len(m.vertex_count_groups) == 1
         with pytest.raises(fvmod.FvError, match="^cell 4: stencil of 0 cells"):
             fvmod.FvOperators(m, fm.build_geometry(m), 1)

@@ -27,14 +27,14 @@ class TestTaylorBasis:
         ops, m, g = voronoi_ops(2, n=30, periodic=(False, False))
         tb = ops.taylor
         for ci in range(m.n_cells):
-            rule = fm.polygon_quadrature(m.cell_coords[ci], g.barycenter[ci], 4)
+            rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci], 4)
             vals = tb.values(ci, rule.nodes)
             assert rule.weights @ vals[:, 0] == pytest.approx(g.area[ci], rel=1e-13)
 
     def test_odd_correction_zero_on_symmetric_cell(self):
         pts = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-        m = fm.PolyMesh(pts, [np.arange(4)],
-                        boundary_tags={e: "o" for e in range(4)})
+        m = fm.PolyMesh.from_loops(pts, [np.arange(4)],
+                                   boundary_tags={e: "o" for e in range(4)})
         g = fm.build_geometry(m)
         tb = fvmod.TaylorBasis(m, g, 2)
         # centered square: first-order monomials have zero mean
@@ -45,7 +45,7 @@ class TestTaylorBasis:
         ops, m, g = voronoi_ops(3, n=20, periodic=(False, False))
         tb = ops.taylor
         for ci in range(m.n_cells):
-            rule = fm.polygon_quadrature(m.cell_coords[ci], g.barycenter[ci], 8)
+            rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci], 8)
             basis = tb.cell_basis(ci)
             means = rule.weights @ basis.values(rule.nodes) / g.area[ci]
             assert np.abs(tb.corrections[ci, 1:] - means[1:]).max() < 1e-13
@@ -54,7 +54,7 @@ class TestTaylorBasis:
         ops, m, g = voronoi_ops(2, n=25, periodic=(False, False))
         tb = ops.taylor
         for ci in range(0, m.n_cells, 5):
-            rule = fm.polygon_quadrature(m.cell_coords[ci], g.barycenter[ci], 6)
+            rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci], 6)
             vals = tb.values(ci, rule.nodes)
             ints = rule.weights @ vals
             assert np.abs(ints[1:]).max() < 1e-13 * g.area[ci]
@@ -69,7 +69,7 @@ class TestCweno:
         Q = disc.cell_means(lin)
         coeffs = ops.reconstruct(Q)
         for ci in range(0, m.n_cells, 7):
-            pts = m.cell_coords[ci]
+            pts = m.cell_coords(ci)
             vals = ops.taylor.values(ci, pts) @ coeffs[0, ci]
             assert np.abs(vals - lin(pts)).max() < 1e-12
 
@@ -94,7 +94,7 @@ class TestCweno:
         coeffs = ops.reconstruct(Q)
         worst = 0.0
         for ci in range(m.n_cells):
-            pts = np.vstack([m.cell_coords[ci], g.barycenter[ci][None]])
+            pts = np.vstack([m.cell_coords(ci), g.barycenter[ci][None]])
             vals = ops.taylor.values(ci, pts) @ coeffs[0, ci]
             worst = max(worst, np.abs(vals - poly(pts)).max())
         assert worst < 1e-11 * max(1.0, np.abs(cs).max())
@@ -107,7 +107,7 @@ class TestCweno:
         assert np.abs(coeffs[0, :, 0] - Q).max() < 1e-13
         # first Taylor coefficient IS the cell average by basis construction
         for ci in range(0, m.n_cells, 9):
-            rule = fm.polygon_quadrature(m.cell_coords[ci], g.barycenter[ci], 6)
+            rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci], 6)
             vals = ops.taylor.values(ci, rule.nodes) @ coeffs[0, ci]
             assert rule.weights @ vals / g.area[ci] == pytest.approx(Q[ci], abs=1e-13)
 
@@ -125,7 +125,7 @@ class TestCweno:
 
     def test_too_small_mesh_raises(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        m = fm.PolyMesh(pts, [np.arange(4)], boundary_tags={e: "o" for e in range(4)})
+        m = fm.PolyMesh.from_loops(pts, [np.arange(4)], boundary_tags={e: "o" for e in range(4)})
         g = fm.build_geometry(m)
         with pytest.raises(fvmod.FvError):
             fvmod.FvOperators(m, g, 2)

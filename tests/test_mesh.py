@@ -14,9 +14,9 @@ MESHES = Path(__file__).parent / "meshes"
 
 
 def unit_square():
-    return fm.PolyMesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-                       [np.array([0, 1, 2, 3])],
-                       boundary_tags={0: "ymin", 1: "xmax", 2: "ymax", 3: "xmin"})
+    return fm.PolyMesh.from_loops(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                                  [np.array([0, 1, 2, 3])],
+                                  boundary_tags={0: "ymin", 1: "xmax", 2: "ymax", 3: "xmin"})
 
 
 def regular_polygon(n, radius=1.0, center=(0.0, 0.0)):
@@ -35,8 +35,8 @@ class TestGeometry:
 
     def test_regular_hexagon_area(self):
         pts = regular_polygon(6)
-        m = fm.PolyMesh(pts, [np.arange(6)],
-                        boundary_tags={e: "outer" for e in range(6)})
+        m = fm.PolyMesh.from_loops(pts, [np.arange(6)],
+                                   boundary_tags={e: "outer" for e in range(6)})
         g = fm.build_geometry(m)
         assert g.area[0] == pytest.approx(3.0 * np.sqrt(3.0) / 2.0, rel=1e-14)
 
@@ -45,8 +45,8 @@ class TestGeometry:
         ang = np.sort(rng.uniform(0, 2 * np.pi, 5))
         r = rng.uniform(0.5, 1.5, 5)
         pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-        m = fm.PolyMesh(pts, [np.arange(5)],
-                        boundary_tags={e: "outer" for e in range(5)})
+        m = fm.PolyMesh.from_loops(pts, [np.arange(5)],
+                                   boundary_tags={e: "outer" for e in range(5)})
         g = fm.build_geometry(m)
         # independent shoelace evaluation
         x, y = pts[:, 0], pts[:, 1]
@@ -54,16 +54,8 @@ class TestGeometry:
         assert g.area[0] == pytest.approx(shoelace, rel=1e-14)
 
     def test_degenerate_cell_raises(self):
-        m = fm.PolyMesh.__new__(fm.PolyMesh)  # bypass validation in __post_init__
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        m.vertices = pts
-        m.cells = [np.array([0, 1, 2])]
-        m.cell_coords = [pts]
-        m.edges = np.array([[0, 1], [1, 2], [2, 0]])
-        m.edge_coords = pts[m.edges]
-        m.edge_cells = np.array([[0, -1]] * 3)
-        m.edge_shift = np.zeros((3, 2))
-        m.periodic = (False, False)
+        m = fm.PolyMesh.from_loops(pts, [np.arange(3)])
         with pytest.raises(fm.MeshError):
             fm.build_geometry(m)
 
@@ -72,7 +64,8 @@ class TestGeometry:
         g = fm.build_geometry(m)
         for ci in range(m.n_cells):
             acc = np.zeros(2)
-            for e, s in zip(m.cell_edges[ci], m.cell_edge_sign[ci]):
+            for e, s in zip(fm.ragged_rows(m.cell_ptr, m.loop_edges, ci),
+                            fm.ragged_rows(m.cell_ptr, m.loop_signs, ci)):
                 acc += s * g.edge_length[e] * g.edge_normal[e]
             assert np.abs(acc).max() < 1e-13
 
@@ -123,18 +116,58 @@ class TestGroupedShoelace:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(star_polygons(), min_size=1, max_size=20))
     def test_equals_the_per_polygon_formula_bitwise(self, polys):
-        area, centroid = fm.polygon_areas_centroids(polys)
+        area, centroid = fm.polygon_areas_centroids(np.concatenate(polys),
+                                                    [len(p) for p in polys])
         for i, pts in enumerate(polys):
             x, y = pts[:, 0], pts[:, 1]
             xn, yn = np.roll(x, -1), np.roll(y, -1)
             cross = x * yn - xn * y
-            a = fm._signed_area(pts)
+            a = 0.5 * np.sum(cross)
             c = np.array([np.sum((x + xn) * cross), np.sum((y + yn) * cross)]) / (6.0 * a)
             assert area[i] == a
             assert np.array_equal(centroid[i], c)
 
 
+def is_simple(pts) -> bool:
+    """Per-polygon reference: no two non-adjacent sides cross (brute force)."""
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    n = len(pts)
+    for a in range(n):
+        for b in range(a + 2, n):
+            if (b + 1) % n == a:
+                continue
+            p1, p2, q1, q2 = pts[a], pts[(a + 1) % n], pts[b], pts[(b + 1) % n]
+            if ((orient(q1, q2, p1) > 0) != (orient(q1, q2, p2) > 0)
+                    and (orient(p1, p2, q1) > 0) != (orient(p1, p2, q2) > 0)):
+                return False
+    return n >= 3
+
+
 class TestRegularity:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(3, 9), min_size=1, max_size=12), st.integers(0, 10 ** 6))
+    def test_self_crossing_equals_the_per_polygon_test(self, sizes, seed):
+        # random vertex orders: many of the loops cross themselves
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.0, 1.0, (sum(sizes), 2))
+        start = np.cumsum([0] + sizes)
+        want = [not is_simple(pts[a:b]) for a, b in zip(start[:-1], start[1:])]
+        assert list(fm._self_crossing(pts, np.array(sizes))) == want
+
+    @pytest.mark.parametrize("periodic", [(False, False), (True, True)])
+    def test_report_equals_the_per_cell_loop(self, periodic):
+        m = fm.generate_voronoi((0, 1, 0, 1), 60, lloyd_iters=2, seed=3, periodic=periodic)
+        g = fm.build_geometry(m)
+        rep = fm.validate_regularity(m, g, 0.1)
+        for ci in range(m.n_cells):
+            pts = m.cell_coords(ci)
+            d = np.roll(pts, -1, axis=0) - pts
+            rel = g.barycenter[ci] - pts
+            assert rep.min_edge_ratio[ci] == np.hypot(d[:, 0], d[:, 1]).min() / g.h[ci]
+            assert rep.star_shaped[ci] == np.all(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] > 0)
+
     def test_square_passes(self):
         m = unit_square()
         g = fm.build_geometry(m)
@@ -144,8 +177,8 @@ class TestRegularity:
     def test_short_edge_fails(self):
         eps = 1e-9
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0 - eps], [1.0 - eps, 1.0], [0.0, 1.0]])
-        m = fm.PolyMesh(pts, [np.arange(5)],
-                        boundary_tags={e: "outer" for e in range(5)})
+        m = fm.PolyMesh.from_loops(pts, [np.arange(5)],
+                                   boundary_tags={e: "outer" for e in range(5)})
         g = fm.build_geometry(m)
         rep = fm.validate_regularity(m, g, 0.1)
         assert not rep.all_passed
@@ -162,7 +195,7 @@ class TestInteriorQuadrature:
     def test_x2_on_unit_square(self):
         m = unit_square()
         g = fm.build_geometry(m)
-        rule = fm.polygon_quadrature(m.cell_coords[0], g.barycenter[0], 2)
+        rule = fm.polygon_quadrature(m.cell_coords(0), g.barycenter[0], 2)
         val = np.sum(rule.weights * rule.nodes[:, 0] ** 2)
         assert val == pytest.approx(1.0 / 3.0, rel=1e-14)
 
@@ -170,15 +203,15 @@ class TestInteriorQuadrature:
         m = fm.generate_voronoi((0, 2, 0, 1), 40, lloyd_iters=5, seed=1)
         g = fm.build_geometry(m)
         for ci in range(m.n_cells):
-            rule = fm.polygon_quadrature(m.cell_coords[ci], g.barycenter[ci], 3)
+            rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci], 3)
             assert np.sum(rule.weights) == pytest.approx(g.area[ci], rel=1e-14)
 
     def test_x3y2_on_hexagon_vs_refined_oracle(self):
         pts = regular_polygon(6)
-        m = fm.PolyMesh(pts, [np.arange(6)],
-                        boundary_tags={e: "outer" for e in range(6)})
+        m = fm.PolyMesh.from_loops(pts, [np.arange(6)],
+                                   boundary_tags={e: "outer" for e in range(6)})
         g = fm.build_geometry(m)
-        rule = fm.polygon_quadrature(m.cell_coords[0], g.barycenter[0], 5)
+        rule = fm.polygon_quadrature(m.cell_coords(0), g.barycenter[0], 5)
         val = np.sum(rule.weights * rule.nodes[:, 0] ** 3 * rule.nodes[:, 1] ** 2)
         oracle = fm.polygon_quadrature(pts, g.barycenter[0], 12)
         ref = np.sum(oracle.weights * oracle.nodes[:, 0] ** 3 * oracle.nodes[:, 1] ** 2)
@@ -189,11 +222,11 @@ class TestInteriorQuadrature:
         ang = np.sort(rng.uniform(0, 2 * np.pi, 7))
         r = rng.uniform(0.85, 1.15, 7)
         pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-        m = fm.PolyMesh(pts, [np.arange(7)],
-                        boundary_tags={e: "outer" for e in range(7)})
+        m = fm.PolyMesh.from_loops(pts, [np.arange(7)],
+                                   boundary_tags={e: "outer" for e in range(7)})
         g = fm.build_geometry(m)
         for d in range(0, 9):
-            rule = fm.polygon_quadrature(m.cell_coords[0], g.barycenter[0], d)
+            rule = fm.polygon_quadrature(m.cell_coords(0), g.barycenter[0], d)
             for p in range(d + 1):
                 for q in range(d + 1 - p):
                     val = np.sum(rule.weights * rule.nodes[:, 0] ** p * rule.nodes[:, 1] ** q)
@@ -203,7 +236,7 @@ class TestInteriorQuadrature:
     @settings(max_examples=50, deadline=None)
     @given(star_polygons(), st.integers(min_value=0, max_value=6))
     def test_fan_rule_equals_triangle_by_triangle_bitwise(self, pts, degree):
-        v0 = fm.polygon_areas_centroids([pts])[1][0]
+        v0 = fm.polygon_areas_centroids(pts, [len(pts)])[1][0]
         ref_pts, ref_w = fm.triangle_rule(degree)
         nodes, weights = [], []
         for a in range(len(pts)):
@@ -231,7 +264,7 @@ class TestInteriorQuadrature:
         m = unit_square()
         g = fm.build_geometry(m)
         with pytest.raises(fm.MeshError):
-            fm.polygon_quadrature(m.cell_coords[0], g.barycenter[0], 99)
+            fm.polygon_quadrature(m.cell_coords(0), g.barycenter[0], 99)
 
 
 class TestEdgeGaussLobatto:
@@ -292,7 +325,7 @@ def full_image_polygons(seeds, box, periodic, hole_center, hole_radius):
         if -1 in region:
             raise fm.MeshError("unbounded Voronoi cell")
         poly = vor.vertices[region]
-        if fm._signed_area(poly) < 0.0:
+        if fm.polygon_areas_centroids(poly, [len(poly)])[0][0] < 0.0:
             poly = poly[::-1]
         for nrm, c in sides:
             poly = fm._clip_to_halfplane(poly, nrm, c)
@@ -303,9 +336,11 @@ def full_image_polygons(seeds, box, periodic, hole_center, hole_radius):
 
 
 def assert_same_cells(polys, oracle, tol=1e-12):
-    """Per-cell areas and centroids agree to tol."""
-    area, centroid = fm.polygon_areas_centroids(polys)
-    ref_area, ref_centroid = fm.polygon_areas_centroids(oracle)
+    """Per-cell areas and centroids of the concatenated polygons (points,
+    loop sizes) agree with those of the oracle's polygon list to tol."""
+    area, centroid = fm.polygon_areas_centroids(*polys)
+    ref_area, ref_centroid = fm.polygon_areas_centroids(np.concatenate(oracle),
+                                                        [len(p) for p in oracle])
     assert np.abs(area - ref_area).max() <= tol
     assert np.abs(centroid - ref_centroid).max() <= tol
 
@@ -381,7 +416,8 @@ class TestVoronoi:
         # every cell's discrete divergence of a constant closes despite shifts
         for ci in range(m.n_cells):
             acc = np.zeros(2)
-            for e, s in zip(m.cell_edges[ci], m.cell_edge_sign[ci]):
+            for e, s in zip(fm.ragged_rows(m.cell_ptr, m.loop_edges, ci),
+                            fm.ragged_rows(m.cell_ptr, m.loop_signs, ci)):
                 acc += s * g.edge_length[e] * g.edge_normal[e]
             assert np.abs(acc).max() < 1e-12
 
@@ -434,7 +470,7 @@ class TestVoronoi:
         kwargs, parent_edges, spurious = GOLDEN_MESHES[name]
         m = fm.generate_voronoi(**kwargs)
         golden = np.load(MESHES / "voronoi_goldens.npz")
-        area, centroid = fm.polygon_areas_centroids(m.cell_coords)
+        area, centroid = fm.polygon_areas_centroids(m.loop_coords, m.cell_sizes)
         assert m.n_cells == len(golden[f"{name}_area"])
         assert np.abs(area - golden[f"{name}_area"]).max() <= 1e-12
         assert np.abs(centroid - golden[f"{name}_centroid"]).max() <= 1e-12
@@ -561,7 +597,8 @@ class TestRect:
         m = fm.generate_rect((0, 1, 0, 1), 2, 2, periodic=(True, True))
         g = fm.build_geometry(m)
         assert m.n_vertices == 4 and m.n_edges == 8 and not m.boundary_tags
-        assert all(len(set(e.tolist())) == 4 for e in m.cell_edges)
+        assert all(len(set(fm.ragged_rows(m.cell_ptr, m.loop_edges, ci).tolist())) == 4
+                   for ci in range(m.n_cells))
         pairs = {}
         for e, (a, b) in enumerate(m.edge_cells):
             pairs.setdefault((int(a), int(b)), []).append(e)
@@ -571,7 +608,8 @@ class TestRect:
             assert sorted(shift) == [0.0, 1.0]
         for ci in range(m.n_cells):
             acc = sum(s * g.edge_length[e] * g.edge_normal[e]
-                      for e, s in zip(m.cell_edges[ci], m.cell_edge_sign[ci]))
+                      for e, s in zip(fm.ragged_rows(m.cell_ptr, m.loop_edges, ci),
+                                      fm.ragged_rows(m.cell_ptr, m.loop_signs, ci)))
             assert np.abs(acc).max() < 1e-15
 
 
@@ -588,10 +626,8 @@ def oracle_edge_tables(vertices, cells) -> dict:
     """The edge tables of a mesh built from vertex loops, by a dict over the
     half-edges in cell order: an edge is numbered, directed and given its
     left cell by its first half-edge; the second one gets sign -1."""
-    edge_ids, edges, edge_cells, cell_edges, cell_sign = {}, [], [], [], []
+    edge_ids, edges, edge_cells, loop_edges, loop_signs = {}, [], [], [], []
     for ci, loop in enumerate(cells):
-        ids = np.empty(len(loop), dtype=np.int64)
-        sgn = np.empty(len(loop), dtype=np.int64)
         for a in range(len(loop)):
             va, vb = int(loop[a]), int(loop[(a + 1) % len(loop)])
             key = (min(va, vb), max(va, vb))
@@ -599,33 +635,33 @@ def oracle_edge_tables(vertices, cells) -> dict:
                 edge_ids[key] = len(edges)
                 edges.append((va, vb))
                 edge_cells.append([ci, -1])
-                ids[a], sgn[a] = edge_ids[key], 1
+                loop_edges.append(edge_ids[key])
+                loop_signs.append(1)
             else:
                 e = edge_ids[key]
                 if edge_cells[e][1] != -1:
                     raise fm.MeshError(f"edge {key} shared by more than two cells")
                 edge_cells[e][1] = ci
-                ids[a], sgn[a] = e, -1
-        cell_edges.append(ids)
-        cell_sign.append(sgn)
+                loop_edges.append(e)
+                loop_signs.append(-1)
     edges = np.asarray(edges, dtype=np.int64)
     return dict(edges=edges, edge_coords=np.asarray(vertices, dtype=float)[edges],
                 edge_cells=np.asarray(edge_cells, dtype=np.int64),
                 edge_shift=np.zeros((len(edges), 2)),
-                cell_edges=cell_edges, cell_edge_sign=cell_sign)
+                loop_edges=np.asarray(loop_edges, dtype=np.int64),
+                loop_signs=np.asarray(loop_signs, dtype=np.int64))
 
 
 def assert_same_edge_tables(m, tables):
     """Bitwise equal edge tables, dtypes included."""
     for name, want in tables.items():
         got = getattr(m, name)
-        if isinstance(want, list):
-            assert len(got) == len(want), name
-            pairs = list(zip(got, want))
-        else:
-            pairs = [(got, want)]
-        for a, b in pairs:
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def vertex_loops(m) -> list:
+    """The vertex loop of each cell of a mesh."""
+    return [fm.ragged_rows(m.cell_ptr, m.loop_vertices, ci) for ci in range(m.n_cells)]
 
 
 NON_PERIODIC_MESHES = {
@@ -644,8 +680,8 @@ class TestEdgeTables:
     @pytest.mark.parametrize("name", sorted(NON_PERIODIC_MESHES))
     def test_generated_and_loop_built_tables_equal_the_oracle(self, name):
         m = NON_PERIODIC_MESHES[name]()
-        loop_built = fm.PolyMesh(m.vertices, m.cells)
-        tables = oracle_edge_tables(m.vertices, m.cells)
+        loop_built = fm.PolyMesh.from_loops(m.vertices, vertex_loops(m))
+        tables = oracle_edge_tables(m.vertices, vertex_loops(m))
         assert_same_edge_tables(loop_built, tables)
         assert_same_edge_tables(m, tables)
 
@@ -663,14 +699,14 @@ class TestEdgeTables:
                          rng.integers(4))
                  for i in range(nx) for j in range(ny)]
         cells = [cells[c] for c in rng.permutation(len(cells))]
-        assert_same_edge_tables(fm.PolyMesh(vertices, cells),
+        assert_same_edge_tables(fm.PolyMesh.from_loops(vertices, cells),
                                 oracle_edge_tables(vertices, cells))
 
     def test_edge_of_three_cells_raises(self):
         vertices = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]]
         cells = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
         with pytest.raises(fm.MeshError, match=r"edge \(0, 1\) shared by more than two"):
-            fm.PolyMesh(vertices, cells)
+            fm.PolyMesh.from_loops(vertices, cells)
 
 
 class TestMeshIO:
@@ -680,7 +716,8 @@ class TestMeshIO:
         fm.write_mesh(m, str(path))
         m2 = fm.read_mesh(str(path))
         assert np.array_equal(m.vertices, m2.vertices)
-        assert all(np.array_equal(a, b) for a, b in zip(m.cells, m2.cells))
+        assert np.array_equal(m.cell_ptr, m2.cell_ptr)
+        assert np.array_equal(m.loop_vertices, m2.loop_vertices)
         assert m2.boundary_tags == m.boundary_tags
 
     def test_bad_vertex_index(self, tmp_path):
@@ -724,10 +761,30 @@ class TestMeshIO:
         with pytest.raises(fm.MeshError, match="cell 0 vertex loop self-intersects"):
             fm.read_mesh(str(path))
 
+    @pytest.mark.parametrize("text, line, what", [
+        ("3 1\n0 0\n1 x\n0 1\n3 0 1 2\n", 3, "coordinate 'x' is not a number"),
+        ("3 1\n0 0\n1 0\n0 1\nthree 0 1 2\n", 5, "vertex count 'three' is not an integer"),
+        ("3 1\n0 0\n1 0\n0 1\n3 0 1 2.5\n", 5, "vertex index '2.5' is not an integer"),
+        ("3 1\n0 0\n1 0\n0 1\n3 0 1 2\n3\n0 1 s\n1 b s\n2 0 s\n", 8,
+         "vertex index 'b' is not an integer"),
+        ("3 1\n0 0\n1 0\n0 1\n3 0 1 2\nthree\n", 6, "tag count 'three' is not an integer"),
+        ("3 1\n0 0\n1 0\n0 1\n3 0 1 2\n5\n0 1 s\n1 2 s\n", 8,
+         "5 boundary tags announced, 2 lines left"),
+    ], ids=["vertex_token", "cell_count_token", "cell_vertex_token", "tag_vertex_token",
+            "tag_count_token", "tag_count_past_the_end"])
+    def test_malformed_input_names_path_and_line(self, tmp_path, text, line, what):
+        path = tmp_path / "bad.msh"
+        path.write_text(text)
+        with pytest.raises(fm.MeshError) as info:
+            fm.read_mesh(str(path))
+        assert str(info.value).startswith(f"{path}:{line}: ")
+        assert what in str(info.value)
+
     def test_voronoi_round_trip_hash(self, tmp_path):
         m = fm.generate_voronoi((0, 1, 0, 1), 600, lloyd_iters=3, seed=21)
         path = tmp_path / "vor.msh"
         fm.write_mesh(m, str(path))
         m2 = fm.read_mesh(str(path))
-        assert m.connectivity_hash() == m2.connectivity_hash()
+        assert np.array_equal(m.cell_ptr, m2.cell_ptr)
+        assert np.array_equal(m.loop_vertices, m2.loop_vertices)
         assert np.array_equal(m.vertices, m2.vertices)

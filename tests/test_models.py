@@ -162,7 +162,7 @@ class TestEvaluateBathymetry:
 
         coeffs, _ = evaluate_bathymetry(disc, bump)
         for ci in range(0, m.n_cells, 6):
-            rule = fm.polygon_quadrature(m.cell_coords[ci], g.barycenter[ci], 12)
+            rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci], 12)
             oracle = rule.weights @ bump(rule.nodes) / g.area[ci]
             assert coeffs[ci, 0] == pytest.approx(oracle, abs=1e-10)
 

@@ -6,7 +6,6 @@ import pytest
 from fvvem import models
 from fvvem.harness import cli, runner
 from fvvem.harness.cases import case_names, get_case
-from fvvem.harness.output import read_vtk_cell_data
 from fvvem.timeint import TimeIntError
 
 # the CWENO constants the ledger reports, as recorded before they became
@@ -100,6 +99,24 @@ def test_dt_caps_cfl_takes_the_smaller_step(monkeypatch):
 def test_only_the_riemann_cases_cap_dt():
     for name in case_names():
         assert get_case(name).dt_caps_cfl == name.startswith("swe_rp"), name
+
+
+def read_vtk_cell_data(path: str) -> dict:
+    """The CELL_DATA scalars of a legacy VTK file that write_vtk wrote."""
+    out = {}
+    with open(path) as f:
+        lines = f.read().splitlines()
+    i = 0
+    ncells = None
+    while i < len(lines):
+        parts = lines[i].split()
+        if parts[:1] == ["CELL_DATA"]:
+            ncells = int(parts[1])
+        elif parts[:1] == ["SCALARS"] and ncells is not None:
+            out[parts[1]] = np.array([float(lines[i + 2 + j]) for j in range(ncells)])
+            i += 1 + ncells
+        i += 1
+    return out
 
 
 def test_vtk_round_trip(tmp_path):

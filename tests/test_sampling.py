@@ -73,7 +73,7 @@ def oracle_projection(disc, f, degree=None):
     for grp in disc.groups:
         nodes, qw, qmono = grp.qnodes, grp.qw, grp.qmono
         if degree is not None:
-            rule = fm.polygon_quadrature(disc.mesh.stacked_coords(grp.idx),
+            rule = fm.polygon_quadrature(disc.mesh.cell_coords(grp.idx),
                                          grp.basis.center, degree)
             nodes, qw = rule.nodes, rule.weights
             qmono = grp.basis.values(nodes)

@@ -9,8 +9,8 @@ from fvvem.models import Discretization, DryStateError
 
 def single_cell_mesh(pts):
     n = len(pts)
-    return fm.PolyMesh(np.asarray(pts, float), [np.arange(n)],
-                       boundary_tags={e: "outer" for e in range(n)})
+    return fm.PolyMesh.from_loops(np.asarray(pts, float), [np.arange(n)],
+                                  boundary_tags={e: "outer" for e in range(n)})
 
 
 def unit_square_mesh():
@@ -40,7 +40,39 @@ def random_star_polygon(rng):
             return pts
 
 
+def oracle_cell_dofs(m, layout) -> list:
+    """Per-cell loop reference of each cell's dofs: vertex dofs in loop
+    order, each side's interior edge dofs (reversed where the cell is the
+    edge's right cell), then the cell's moments."""
+    k, nkm2 = layout.k, vem.n_poly(layout.k - 2)
+    out = []
+    for ci in range(m.n_cells):
+        loop = fm.ragged_rows(m.cell_ptr, m.loop_vertices, ci)
+        ids = list(layout.vertex_dof[loop])
+        for e, s in zip(fm.ragged_rows(m.cell_ptr, m.loop_edges, ci),
+                        fm.ragged_rows(m.cell_ptr, m.loop_signs, ci)):
+            ids += list(layout.edge_dofs[e] if s > 0 else layout.edge_dofs[e][::-1])
+        ids += list(layout.moment_base + ci * nkm2 + np.arange(nkm2))
+        out.append(np.array(ids, dtype=np.int64))
+    return out
+
+
 class TestDofLayout:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("periodic", [(False, False), (True, True), (False, True)])
+    def test_flat_dofs_equal_the_per_cell_loop(self, k, periodic):
+        m = fm.generate_voronoi((0, 1, 0, 1), 30, lloyd_iters=3, seed=5, periodic=periodic)
+        g = fm.build_geometry(m)
+        layout = vem.build_dof_layout(m, g, k)
+        oracle = oracle_cell_dofs(m, layout)
+        assert np.array_equal(layout.dof_ptr, np.cumsum([0] + [len(d) for d in oracle]))
+        assert layout.dof_ids.dtype == np.int64
+        assert np.array_equal(layout.dof_ids, np.concatenate(oracle))
+        for ci in range(m.n_cells):
+            assert np.array_equal(layout.cell_dofs(ci), oracle[ci])
+        moments = layout.dof_coords[layout.moment_base:]
+        assert np.array_equal(moments, np.repeat(g.barycenter, vem.n_poly(k - 2), axis=0))
+
     def test_square_k1(self):
         m = unit_square_mesh()
         g = fm.build_geometry(m)
@@ -52,19 +84,19 @@ class TestDofLayout:
         g = fm.build_geometry(m)
         layout = vem.build_dof_layout(m, g, 2)
         assert layout.n_dofs == 9
-        assert len(layout.cell_dofs[0]) == 9
+        assert len(layout.cell_dofs(0)) == 9
 
     def test_two_squares_shared_edge_k2(self):
         verts = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], float)
         cells = [np.array([0, 1, 4, 5]), np.array([1, 2, 3, 4])]
-        m = fm.PolyMesh(verts, cells,
-                        boundary_tags={e: "outer" for e in range(7)})
+        m = fm.PolyMesh.from_loops(verts, cells,
+                                   boundary_tags={e: "outer" for e in range(7)})
         m.boundary_tags = {e: "outer" for e in range(m.n_edges)
                            if m.edge_cells[e, 1] < 0}
         g = fm.build_geometry(m)
         layout = vem.build_dof_layout(m, g, 2)
         assert layout.n_dofs == 15
-        shared = np.intersect1d(layout.cell_dofs[0], layout.cell_dofs[1])
+        shared = np.intersect1d(layout.cell_dofs(0), layout.cell_dofs(1))
         assert len(shared) == 3   # two vertices + one edge dof
 
     def test_k_out_of_range(self):
@@ -83,7 +115,7 @@ class TestDofLayout:
         # global edge dofs must refer to the same physical points from both sides
         verts = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], float)
         cells = [np.array([0, 1, 4, 5]), np.array([1, 2, 3, 4])]
-        m = fm.PolyMesh(verts, cells)
+        m = fm.PolyMesh.from_loops(verts, cells)
         m.boundary_tags = {e: "outer" for e in range(m.n_edges)
                            if m.edge_cells[e, 1] < 0}
         g = fm.build_geometry(m)
@@ -91,9 +123,9 @@ class TestDofLayout:
         e0, e1 = vem.build_element(m, g, 0, 3), vem.build_element(m, g, 1, 3)
         # dofs of the global function x interpolate position: check consistency
         for elem, ci in ((e0, 0), (e1, 1)):
-            dofs = layout.cell_dofs[ci]
+            dofs = layout.cell_dofs(ci)
             coords = layout.dof_coords[dofs]
-            interior = ~layout.is_moment[dofs]
+            interior = dofs < layout.moment_base
             xvals = coords[interior, 0]
             dof_x = (elem.D @ np.array(
                 [0, elem.basis.h, 0, 0, 0, 0, 0, 0, 0, 0]))[interior] \
@@ -117,7 +149,7 @@ class TestProjectors:
 
     def test_g_vs_gradient_quadrature_oracle(self):
         elem, m, g = build_one([[0, 0], [1, 0], [1, 1], [0, 1]], 2)
-        rule = fm.polygon_quadrature(m.cell_coords[0], g.barycenter[0], 6)
+        rule = fm.polygon_quadrature(m.cell_coords(0), g.barycenter[0], 6)
         gx, gy = elem.basis.gradients(rule.nodes)
         Goracle = gx.T @ (gx * rule.weights[:, None]) + gy.T @ (gy * rule.weights[:, None])
         assert np.abs(elem.G[1:] - Goracle[1:]).max() < 1e-13
@@ -128,10 +160,11 @@ class TestProjectors:
         assert elem.H[0, 0] == pytest.approx(g.area[0], rel=1e-14)
 
     def test_reduced_projector_symbolic(self):
-        # k=2: dofs of m2 = x-monomial; reduced projector returns its coefficients
+        # k=2: dofs of m2 = x-monomial; the L2 projector onto P_{k-1},
+        # H_{k-1}^-1 C_{k-1}, returns its coefficients
         elem, _, _ = build_one([[0, 0], [1, 0], [1, 1], [0, 1]], 2)
         d_m2 = elem.D[:, 1]
-        coeffs = elem.pis_0_km1 @ d_m2
+        coeffs = np.linalg.solve(elem.H[:3, :3], elem.C[:3]) @ d_m2
         expect = np.zeros(3)
         expect[1] = 1.0
         assert np.allclose(coeffs, expect, atol=1e-12)
@@ -193,9 +226,10 @@ def scatter_loads(m, g, k, layout, f):
     out = np.zeros(layout.n_dofs)
     for ci in range(m.n_cells):
         elem = vem.build_element(m, g, ci, k)
-        rule = fm.polygon_quadrature(m.cell_coords[ci], g.barycenter[ci], max(2 * k, 2))
+        rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci],
+                                     max(2 * k, 2))
         moments = elem.basis.values(rule.nodes).T @ (rule.weights * f(rule.nodes))
-        np.add.at(out, layout.cell_dofs[ci], elem.pis_0.T @ moments)
+        np.add.at(out, layout.cell_dofs(ci), elem.pis_0.T @ moments)
     return out
 
 
@@ -230,7 +264,7 @@ class TestVariableStiffness:
     def test_dry_cell_error(self):
         disc = small_disc(1)
         coeff = np.ones(disc.layout.n_dofs)
-        coeff[disc.layout.cell_dofs[0]] = -0.1
+        coeff[disc.layout.cell_dofs(0)] = -0.1
         with pytest.raises(DryStateError, match="dry"):
             disc.variable_stiffness_global(disc.pi0_poly(coeff))
 
@@ -261,14 +295,14 @@ class TestProjectLoad:
 
 def dof_pattern(layout, groups):
     """The dof pattern of groups of cell ids (an int is a group of one)."""
-    dofs = [np.stack([layout.cell_dofs[ci] for ci in np.atleast_1d(ids)]) for ids in groups]
+    dofs = [layout.cell_dofs(np.atleast_1d(ids)) for ids in groups]
     return vem.AssemblyPattern(dofs, dofs, (layout.n_dofs, layout.n_dofs))
 
 
 class TestGlobalAssembly:
     def poisson_system(self, m, g, k, exact, rhs_f):
         layout = vem.build_dof_layout(m, g, k)
-        groups = m.vertex_count_groups()
+        groups = m.vertex_count_groups
         mats = [vem.build_element(m, g, idx, k).stiffness for idx in groups]
         pattern = dof_pattern(layout, groups)
         A = vem.scatter_matrix(pattern, mats)
@@ -312,7 +346,7 @@ class TestGlobalAssembly:
     def test_two_cell_additivity(self):
         verts = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], float)
         cells = [np.array([0, 1, 4, 5]), np.array([1, 2, 3, 4])]
-        m = fm.PolyMesh(verts, cells)
+        m = fm.PolyMesh.from_loops(verts, cells)
         m.boundary_tags = {e: "outer" for e in range(m.n_edges)
                            if m.edge_cells[e, 1] < 0}
         g = fm.build_geometry(m)
@@ -321,7 +355,7 @@ class TestGlobalAssembly:
         e1 = vem.build_element(m, g, 1, 1)
         A = vem.scatter_matrix(dof_pattern(layout, [0, 1]),
                                [e0.stiffness, e1.stiffness]).to_dense()
-        d0, d1 = layout.cell_dofs[0], layout.cell_dofs[1]
+        d0, d1 = layout.cell_dofs(0), layout.cell_dofs(1)
         expect = np.zeros_like(A)
         expect[np.ix_(d0, d0)] += e0.stiffness
         expect[np.ix_(d1, d1)] += e1.stiffness
@@ -352,7 +386,7 @@ class TestGlobalAssembly:
             return out
 
         x, layout = self.poisson_system(m, g, k, exact, minus_lap)
-        free = ~layout.is_moment
+        free = np.arange(layout.n_dofs) < layout.moment_base
         err = np.abs(x[free] - exact(layout.dof_coords[free])).max()
         assert err < 1e-10
 
@@ -370,8 +404,9 @@ class TestGlobalAssembly:
             total = 0.0
             for ci in range(m.n_cells):
                 elem = vem.build_element(m, g, ci, k)
-                rule = fm.polygon_quadrature(m.cell_coords[ci], g.barycenter[ci], 2 * k + 2)
-                coeff = elem.pis_0 @ x[layout.cell_dofs[ci]]
+                rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci],
+                                             2 * k + 2)
+                coeff = elem.pis_0 @ x[layout.cell_dofs(ci)]
                 uh = elem.basis.values(rule.nodes) @ coeff
                 total += np.sum(rule.weights * (uh - exact(rule.nodes)) ** 2)
             errs.append(np.sqrt(total))

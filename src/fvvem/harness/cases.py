@@ -15,6 +15,7 @@ from scipy.special import erf
 
 from ..mesh import build_geometry, generate_rect, generate_voronoi
 from ..models import BoundaryCondition, BoundarySet
+from .riemann import exact_riemann_swe
 
 _REGISTRY = {}
 
@@ -187,11 +188,17 @@ def _riemann_case(cname, etaL, uL, bL, etaR, uR, bR, xl, xr, tf, hdef):
             return blend
 
         def exact(self, p, t):
+            """The jump at t = 0.  Later, on a flat bottom, the exact
+            solution: no wave reaches the walls by t_end.  A bottom step
+            keeps the jump (the exact solver takes flat bottoms only)."""
+            HL, HR = etaL - bL, etaR - bR
+            z = np.zeros(len(p))
+            if t > 0.0 and not (bL or bR):
+                H, u = exact_riemann_swe(HL, uL, HR, uR, g=self.g0).sample(p[:, 0] / t)
+                return np.stack([H, H * u, z, z])
             left = p[:, 0] <= 0.0
             eta = np.where(left, etaL, etaR)
-            HL, HR = etaL - bL, etaR - bR
             q = np.where(left, HL * uL, HR * uR)
-            z = np.zeros(len(p))
             b = np.where(left, bL, bR) if (bL or bR) else z
             return np.stack([eta, q, z, b])
 

@@ -37,14 +37,15 @@ def error_norms(disc, coeffs_by_name: dict, exact_by_name: dict, t: float,
     errs = {}
     for name, coeffs in coeffs_by_name.items():
         exact = exact_by_name[name]
+        if coeffs.ndim == 2:
+            coeffs = disc.to_monomial(coeffs)
         tot = 0.0
         worst = 0.0
         for grp in disc.groups:
             if coeffs.ndim == 1:
                 vals = np.repeat(coeffs[grp.idx][:, None], grp.qw.shape[1], axis=1)
             else:
-                mono = np.einsum("gab,gb->ga", grp.T, coeffs[grp.idx])
-                vals = np.einsum("gqa,ga->gq", grp.qmono, mono)
+                vals = np.einsum("gqa,ga->gq", grp.qmono, coeffs[grp.idx])
             ex = sample_at(lambda p: exact(p, t), grp.qnodes)
             diff = vals - ex
             tot += float(np.sum(grp.qw * diff * diff))

@@ -15,10 +15,14 @@ operator, kept across refills until a solve takes more than
 REFACTOR_ITERATIONS CG iterations (`_ConstrainedSystem`).
 
 Per-cell polynomials live in two bases: the FV Taylor basis and the scaled
-monomials of the VEM element (gradients, Pi0 polynomials).  Edge traces
+monomials of the VEM element (gradients, Pi0 polynomials, L2 projections).
+The Taylor functions are the monomials less their cell means, so the two
+differ in the constant coefficient alone, and one shift pair changes between
+them: `Discretization.to_taylor` and its inverse `to_monomial`.  Edge traces
 (`FvOperators.edge_states`) and loads (`Discretization.load_from_taylor`)
-take Taylor coefficients only; monomial ones are moved there first by
-`Discretization.to_taylor`, which changes the constant coefficient alone.
+take Taylor coefficients only; gradients (`gradient_coeffs`) are the
+h = 1 derivative maps applied to monomial coefficients, over h; and the
+cell mean of a polynomial is its Taylor constant.
 """
 
 from __future__ import annotations
@@ -53,10 +57,7 @@ class DryStateError(ModelError):
 class SweModel:
     """Shallow water: state rows (eta, qx, qy, b); explicit momentum fluxes."""
 
-    n_explicit = 2
-
-    def __init__(self, g: float):
-        self.g = g
+    momentum = slice(1, 3)           # the rows (qx, qy)
 
     @staticmethod
     def velocity(w):
@@ -66,7 +67,7 @@ class SweModel:
         return w[1] / H, w[2] / H
 
     def explicit_components(self, w):
-        return w[1:3]
+        return w[self.momentum]
 
     def explicit_flux_normal(self, w, n):
         u, v = self.velocity(w)
@@ -81,13 +82,10 @@ class SweModel:
 class InsModel:
     """Incompressible Navier-Stokes: state rows (u, v); convective fluxes."""
 
-    n_explicit = 2
-
-    def __init__(self, nu: float):
-        self.nu = nu
+    momentum = slice(0, 2)           # the rows (u, v)
 
     def explicit_components(self, w):
-        return w[0:2]
+        return w[self.momentum]
 
     def explicit_flux_normal(self, w, n):
         vn = w[0] * n[..., 0] + w[1] * n[..., 1]
@@ -139,15 +137,11 @@ class BoundarySet:
         if bc.kind == "transmissive":
             return wL
         if bc.kind == "wall":
+            # reflect the momentum rows: the normal component changes sign
             w = wL.copy()
-            if isinstance(model, SweModel):
-                qn = wL[1] * normals[:, 0] + wL[2] * normals[:, 1]
-                w[1] -= 2.0 * qn * normals[:, 0]
-                w[2] -= 2.0 * qn * normals[:, 1]
-            else:
-                vn = wL[0] * normals[:, 0] + wL[1] * normals[:, 1]
-                w[0] -= 2.0 * vn * normals[:, 0]
-                w[1] -= 2.0 * vn * normals[:, 1]
+            qx, qy = wL[model.momentum]
+            qn = qx * normals[:, 0] + qy * normals[:, 1]
+            w[model.momentum] -= 2.0 * qn * normals.T
             return w
         if bc.kind == "dirichlet":
             return bc.state(pts, t)
@@ -204,7 +198,6 @@ class _Group:
         nkm1 = n_poly(k - 1)
         self.dofs = layout.cell_dofs(idx)
         self.area = elem.area
-        self.T = T
         self.Vp, self.Cp = Vp, Cp
         self.CT = elem.C.transpose(0, 2, 1) @ T                   # (g, ndof, nk)
         self.pis0 = elem.pis_0
@@ -216,10 +209,6 @@ class _Group:
         self.const_dofs = elem.D[:, :, 0]                           # dofs of the constant 1
         self.basis = elem.basis
         self.Hm = elem.H
-        self.meanm = elem.H[:, 0, :] / self.area[:, None]
-        # monomial gradient coefficient maps
-        self.dxT = elem.basis.derivative_coeffs(0).transpose(0, 2, 1)
-        self.dyT = elem.basis.derivative_coeffs(1).transpose(0, 2, 1)
         rule = polygon_quadrature(mesh.cell_coords(idx), elem.basis.center, 2 * k + 2)
         self.qnodes = rule.nodes
         self.qw = rule.weights
@@ -228,14 +217,8 @@ class _Group:
         mk = self.qmono[:, :, :nkm1]
         wmm = (mk * self.qw[..., None])[:, :, :, None] * mk[:, :, None, :]   # (g, nq, a, b)
         self.Hc = wmm.reshape(len(idx), -1, nkm1 * nkm1).transpose(0, 2, 1) @ self.qmono
-        # monomial moments -> Taylor coefficients of the L2 projection
-        self.projector = np.linalg.solve(T, np.linalg.inv(self.Hm))  # T^-1 H^-1
-
-    def monomial_gradient(self, taylor_coeffs: np.ndarray):
-        """Monomial coefficients (g, nk) of the x and y derivatives of the
-        group's polynomials, given by their Taylor coefficients (g, nk)."""
-        mono = np.einsum("gab,gb->ga", self.T, taylor_coeffs)
-        return np.einsum("gab,gb->ga", self.dxT, mono), np.einsum("gab,gb->ga", self.dyT, mono)
+        # monomial moments -> monomial coefficients of the L2 projection
+        self.Hinv = np.linalg.inv(self.Hm)
 
 
 class Discretization:
@@ -253,6 +236,10 @@ class Discretization:
         self.nk = n_poly(k)
         self.nkm1 = n_poly(k - 1)
         self.nkm2 = n_poly(k - 2)
+        # d/dx and d/dy of the monomials at h = 1: coefficient rows map
+        # c -> c @ D, and a cell of size h divides by h
+        ref = vemod.MonomialBasis(k, np.zeros(2), 1.0)
+        self.derivative_maps = np.stack([ref.derivative_coeffs(0), ref.derivative_coeffs(1)])
         self.layout = vemod.build_dof_layout(mesh, geom, k)
         self.fvops = fvmod.FvOperators(mesh, geom, k)
         self.groups, stiffness = [], []
@@ -371,9 +358,8 @@ class Discretization:
                 qmono = grp.basis.values(nodes)
             vals = sample_at(f, nodes)
             mom = np.einsum("gq,gqa->ga", vals * qw, qmono)
-            monoc = np.linalg.solve(grp.Hm, mom[:, :, None])[:, :, 0]
-            coeffs[grp.idx] = np.linalg.solve(grp.T, monoc[:, :, None])[:, :, 0]
-        return coeffs
+            coeffs[grp.idx] = np.linalg.solve(grp.Hm, mom[:, :, None])[:, :, 0]
+        return self.to_taylor(coeffs)
 
     def load_from_taylor(self, taylor_coeffs: np.ndarray) -> np.ndarray:
         """Global load of a piecewise polynomial (Taylor coeffs) against Pi0 phi."""
@@ -384,19 +370,27 @@ class Discretization:
         by their monomial coefficients, such as `gradient_coeffs` and
         `pi0_poly` return.  The Taylor function l >= 1 is the monomial l less
         its cell mean (`TaylorBasis.corrections`), so only the constant
-        changes: c_0 = m_0 + sum_{l >= 1} corrections_l m_l."""
+        changes: c_0 = m_0 + sum_{l >= 1} corrections_l m_l, the cell mean."""
         out = np.array(mono_coeffs, dtype=float)
         out[..., 0] += np.einsum("...cl,cl->...c", out[..., 1:],
                                  self.fvops.taylor.corrections[:, 1:])
         return out
 
-    def gradient_coeffs(self, taylor_coeffs: np.ndarray) -> np.ndarray:
-        """Monomial coefficients (2, ncell, nk) of the x and y derivatives of
-        per-cell polynomials given by their Taylor coefficients."""
-        out = np.empty((2,) + taylor_coeffs.shape)
-        for grp in self.groups:
-            out[:, grp.idx] = grp.monomial_gradient(taylor_coeffs[grp.idx])
+    def to_monomial(self, taylor_coeffs: np.ndarray) -> np.ndarray:
+        """Monomial coefficients (..., ncell, nk) of per-cell polynomials
+        given by their Taylor coefficients; the inverse of `to_taylor`:
+        m_0 = c_0 - sum_{l >= 1} corrections_l c_l."""
+        out = np.array(taylor_coeffs, dtype=float)
+        out[..., 0] -= np.einsum("...cl,cl->...c", out[..., 1:],
+                                 self.fvops.taylor.corrections[:, 1:])
         return out
+
+    def gradient_coeffs(self, taylor_coeffs: np.ndarray) -> np.ndarray:
+        """Monomial coefficients (2, ..., ncell, nk) of the x and y
+        derivatives of per-cell polynomials given by their Taylor
+        coefficients (..., ncell, nk)."""
+        mono = self.to_monomial(taylor_coeffs)
+        return np.stack([mono @ D for D in self.derivative_maps]) / self.geom.h[:, None]
 
     def cell_means(self, func, time=None) -> np.ndarray:
         f = (lambda p: func(p, time)) if time is not None else func
@@ -411,12 +405,7 @@ class Discretization:
 
     def gradient_cell_means(self, taylor_coeffs: np.ndarray) -> np.ndarray:
         """Cell averages of the gradient of per-cell polynomials: (2, ncell)."""
-        out = np.empty((2, self.mesh.n_cells))
-        for grp in self.groups:
-            gx, gy = grp.monomial_gradient(taylor_coeffs[grp.idx])
-            out[0, grp.idx] = np.einsum("ga,ga->g", grp.meanm, gx)
-            out[1, grp.idx] = np.einsum("ga,ga->g", grp.meanm, gy)
-        return out
+        return self.to_taylor(self.gradient_coeffs(taylor_coeffs))[..., 0]
 
     def variable_stiffness_global(self, coeff_poly: np.ndarray) -> SparseMatrix:
         """K^{n,h} of a positive VEM coefficient field (e.g. depth), on the
@@ -424,6 +413,7 @@ class Discretization:
         field's Pi0 projection (`pi0_poly`).  Per cell the Gram matrix of the
         degree-(k-1) monomials weighted by it is W = Hc . c, and
         K_E = Pi0x^T W Pi0x + Pi0y^T W Pi0y + mean(c) S_E."""
+        cmean = self.to_taylor(coeff_poly)[:, 0]
         blocks = []
         for grp in self.groups:
             cpoly = coeff_poly[grp.idx]
@@ -431,10 +421,9 @@ class Discretization:
                 raise DryStateError("coefficient not strictly positive at "
                                     "quadrature nodes (dry cell)")
             W = (grp.Hc @ cpoly[:, :, None]).reshape(len(cpoly), self.nkm1, self.nkm1)
-            cbar = np.einsum("ga,ga->g", grp.meanm, cpoly)
             px, py = grp.pis0x, grp.pis0y
             blocks.append(px.transpose(0, 2, 1) @ W @ px + py.transpose(0, 2, 1) @ W @ py
-                          + cbar[:, None, None] * grp.stab)
+                          + cmean[grp.idx, None, None] * grp.stab)
         return self.pattern.matrix(self.pattern.scatter(blocks))
 
     def gradient_depth_weighted(self, grad_coeffs: np.ndarray,
@@ -502,7 +491,7 @@ class SweDriver:
                  mass_update: str = "divergence"):
         self.disc = disc
         self.config = config
-        self.model = SweModel(config.g)
+        self.model = SweModel()
         self.mass_update = mass_update
         self.bcs = bcs
         self.pair = tableau(scheme)
@@ -595,12 +584,15 @@ class SweDriver:
         product/chain rule, and L2-projected back onto degree-k polynomials.
         """
         disc = self.disc
+        # monomial coefficients of the rows and of their x/y derivatives,
+        # (3, 4, ncell, nk)
+        mono = np.concatenate([disc.to_monomial(full_coeffs)[None],
+                               disc.gradient_coeffs(full_coeffs)])
         out = np.empty((2, disc.mesh.n_cells, disc.nk))
         for grp in disc.groups:
-            mono = grp.T @ full_coeffs[:, grp.idx].transpose(1, 2, 0)      # (g, nk, 4)
+            stack = mono[:, :, grp.idx].transpose(2, 3, 0, 1).reshape(len(grp.idx), disc.nk, -1)
             # values and x/y derivatives at the nodes, (g, nq, 4) each
-            vals, dxv, dyv = np.split(grp.qmono @ np.concatenate(
-                [mono, grp.dxT @ mono, grp.dyT @ mono], axis=2), 3, axis=2)
+            vals, dxv, dyv = np.split(grp.qmono @ stack, 3, axis=2)
             H = vals[..., 0] - vals[..., 3]
             if np.any(H <= 0.0):
                 raise DryStateError("dry cell in convective field evaluation")
@@ -615,9 +607,9 @@ class SweDriver:
             div_y = ((qx * qyx + qy * qxx + 2.0 * qy * qyy) / H
                      - qy * (qx * Hx + qy * Hy) / H ** 2)
             div = np.stack([div_x, div_y], axis=-1) * grp.qw[..., None]    # (g, nq, 2)
-            out[:, grp.idx] = (grp.projector @ (grp.qmono.transpose(0, 2, 1) @ div)
+            out[:, grp.idx] = (grp.Hinv @ (grp.qmono.transpose(0, 2, 1) @ div)
                                ).transpose(2, 0, 1)
-        return out
+        return disc.to_taylor(out)
 
     # -- time stepping --------------------------------------------------------
 
@@ -689,13 +681,11 @@ class _ConstrainedSystem:
                 self.last_iterations = 0
         return self.A
 
-    def solve(self, b, x0, tol, stats: SolveStats, what: str, atol: float = 0.0,
-              r0: np.ndarray = None) -> np.ndarray:
+    def solve(self, b, x0, tol, stats: SolveStats, what: str, atol: float = 0.0) -> np.ndarray:
         """`solve_implicit` on the current operator with the system's factor;
         records the CG iterations the refactor rule reads."""
         before = stats.iterations
-        x = solve_implicit(self.A, b, x0, tol, None, self.precond, stats, what,
-                           atol=atol, r0=r0)
+        x = solve_implicit(self.A, b, x0, tol, None, self.precond, stats, what, atol=atol)
         self.last_iterations = stats.iterations - before
         return x
 
@@ -732,7 +722,7 @@ class InsDriver:
                  tol: float = DEFAULT_TOL):
         self.disc = disc
         self.config = config
-        self.model = InsModel(config.nu)
+        self.model = InsModel()
         self.bcs = bcs
         self.pair = tableau(scheme)
         self.cfl = cfl
@@ -784,8 +774,7 @@ class InsDriver:
         p_coeffs = QI.aux["p_coeffs"]
         # Helmholtz operator for the provisional velocity, refilled when tau
         # changes (the Dirichlet dof set is geometric and fixed)
-        Ac = self._viscous.operator(round(tau, 14),
-                                    lambda: disc.M.data + tau * nu * disc.K.data)
+        self._viscous.operator(round(tau, 14), lambda: disc.M.data + tau * nu * disc.K.data)
         # loads of f - tau grad p, with f the implicit stage field carrying
         # the explicit cell means Fv
         f_field = coeffs_I.copy()
@@ -796,17 +785,12 @@ class InsDriver:
         # not iterated down relative to its own roundoff
         atol = self.tol * max(np.linalg.norm(loads[0]), np.linalg.norm(loads[1]))
         vstar = np.empty((2, disc.layout.n_dofs))
-        rhss, x0s = [], []
         for comp in range(2):
             x0 = QI.aux.get(f"vstar{comp}")
             if x0 is None:
                 x0 = disc.fv_to_vem(coeffs_I[comp])
-            rhss.append(self._viscous.rhs(loads[comp], comp, t))
-            x0s.append(x0)
-        r0pair = np.stack(rhss, axis=1) - Ac.to_scipy() @ np.stack(x0s, axis=1)
-        for comp in range(2):
-            vstar[comp] = self._viscous.solve(rhss[comp], x0s[comp], self.tol, self.stats,
-                                              "viscous", atol=atol, r0=r0pair[:, comp])
+            vstar[comp] = self._viscous.solve(self._viscous.rhs(loads[comp], comp, t), x0,
+                                              self.tol, self.stats, "viscous", atol=atol)
         # pressure projection: K p = K p_old - Div(v*)/tau  (gauge-fixed)
         div = disc.divergence_load(vstar[0], vstar[1])
         Ksp = disc.K.to_scipy()
@@ -864,8 +848,7 @@ class InsDriver:
 
 
 def solve_implicit(A: SparseMatrix, b: np.ndarray, x0, tol, restart, precond,
-                   stats: SolveStats, what: str, atol: float = 0.0,
-                   r0: np.ndarray = None) -> np.ndarray:
+                   stats: SolveStats, what: str, atol: float = 0.0) -> np.ndarray:
     """Preconditioned CG (`linalg.pcg`) in increment form.
 
     Solves A d = b - A x0 to the tolerance that guarantees the ORIGINAL
@@ -883,8 +866,7 @@ def solve_implicit(A: SparseMatrix, b: np.ndarray, x0, tol, restart, precond,
     solve monitor calls.
     """
     x0 = np.zeros(A.shape[0]) if x0 is None else np.asarray(x0, dtype=float)
-    if r0 is None:
-        r0 = b - A.to_scipy() @ x0
+    r0 = b - A.to_scipy() @ x0
     nb = float(np.linalg.norm(b))
     nr0 = float(np.linalg.norm(r0))
     target = max(tol * nb, atol)

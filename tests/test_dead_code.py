@@ -19,8 +19,7 @@ TREES = ("src", "tests", "perfbench")
 # (module path under src/fvvem, function name) kept without a caller; an
 # entry that gains a caller must leave the list
 ALLOWED = {
-    # the Riemann references wait on the harness oracles
-    ("harness/riemann.py", "exact_riemann_swe"),
+    # the 1D reference waits on the stepped-bottom Riemann oracles
     ("harness/riemann.py", "reference_fv_1d"),
 }
 

@@ -133,7 +133,7 @@ class TestCweno:
 
 class TestRusanov:
     def test_consistency(self):
-        model = SweModel(g=9.81)
+        model = SweModel()
         rng = np.random.default_rng(1)
         for _ in range(200):
             eta = rng.uniform(0.5, 2.0)
@@ -144,21 +144,21 @@ class TestRusanov:
             assert np.allclose(F, model.explicit_flux_normal(w, n), atol=1e-14)
 
     def test_swe_rest_state_zero_flux(self):
-        model = SweModel(g=9.81)
+        model = SweModel()
         wL = np.array([1.0, 0.0, 0.0, 0.2])
         wR = np.array([1.0, 0.0, 0.0, 0.1])
         F = fvmod.rusanov_flux(wL, wR, np.array([1.0, 0.0]), model)
         assert np.array_equal(F, np.zeros(2))
 
     def test_ins_hand_computed(self):
-        model = InsModel(nu=0.0)
+        model = InsModel()
         wL = np.array([1.0, 0.0])
         wR = np.array([0.0, 0.0])
         F = fvmod.rusanov_flux(wL, wR, np.array([1.0, 0.0]), model)
         assert F[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_nonfinite_state_raises(self):
-        model = InsModel(nu=0.0)
+        model = InsModel()
         with pytest.raises(fvmod.FvError):
             fvmod.rusanov_flux(np.array([np.nan, 0.0]), np.array([0.0, 0.0]),
                                np.array([1.0, 0.0]), model)
@@ -167,7 +167,7 @@ class TestRusanov:
 class TestExplicitOperator:
     def test_uniform_state_fixed_point(self):
         ops, m, g = voronoi_ops(2, n=50, seed=2)
-        model = InsModel(nu=0.0)
+        model = InsModel()
         Q = np.tile(np.array([[0.3], [-0.7]]), (1, m.n_cells))
         coeffs = ops.reconstruct(Q)
         F = fvmod.explicit_operator(ops, model, coeffs, Q, 0.1, 0.0, None)
@@ -176,7 +176,7 @@ class TestExplicitOperator:
     def test_swe_rest_over_bump_zero_update(self):
         disc, m, g = voronoi_disc(2, n=50, seed=4)
         ops = disc.fvops
-        model = SweModel(g=9.81)
+        model = SweModel()
         b = disc.cell_means(      # a rule of degree 6
             lambda p: 0.3 * np.exp(-10 * ((p[:, 0] - 0.5) ** 2 + (p[:, 1] - 0.5) ** 2)))
         eta = np.ones(m.n_cells)
@@ -190,7 +190,7 @@ class TestExplicitOperator:
     @pytest.mark.parametrize("k", [1, 2])
     def test_conservation_periodic(self, k):
         ops, m, g = voronoi_ops(k, n=60, seed=6)
-        model = InsModel(nu=0.0)
+        model = InsModel()
         rng = np.random.default_rng(3)
         Q = 0.5 + 0.1 * rng.standard_normal((2, m.n_cells))
         coeffs = ops.reconstruct(Q)
@@ -203,7 +203,7 @@ class TestExplicitOperator:
         # interior fluxes are evaluated once; the two cells see exactly
         # opposite contributions, so a zero-dt update sums signs to zero
         ops, m, g = voronoi_ops(1, n=40, seed=9)
-        model = InsModel(nu=0.0)
+        model = InsModel()
         rng = np.random.default_rng(5)
         Q = rng.standard_normal((2, m.n_cells))
         coeffs = ops.reconstruct(Q)

@@ -10,6 +10,7 @@ from fvvem import mesh as fm
 from fvvem.harness import cases
 from fvvem.harness.errors import error_norms
 from fvvem.models import Discretization
+from fvvem.transfer import taylor_to_monomial
 
 # a mesh of at most about 200 cells for every case
 SMALL = {"swe_vortex": dict(h=1.4), "swe_wellbalance": dict(n_cells=80),
@@ -79,7 +80,8 @@ def oracle_projection(disc, f, degree=None):
             qmono = grp.basis.values(nodes)
         mom = np.einsum("gq,gqa->ga", per_cell(f, nodes) * qw, qmono)
         monoc = np.linalg.solve(grp.Hm, mom[:, :, None])[:, :, 0]
-        out[grp.idx] = np.linalg.solve(grp.T, monoc[:, :, None])[:, :, 0]
+        T = taylor_to_monomial(disc.fvops.taylor, grp.idx)
+        out[grp.idx] = np.linalg.solve(T, monoc[:, :, None])[:, :, 0]
     return out
 
 
@@ -91,7 +93,8 @@ def oracle_errors(disc, values, f):
         if values.ndim == 1:
             vals = np.repeat(values[grp.idx][:, None], grp.qw.shape[1], axis=1)
         else:
-            mono = np.einsum("gab,gb->ga", grp.T, values[grp.idx])
+            T = taylor_to_monomial(disc.fvops.taylor, grp.idx)
+            mono = np.einsum("gab,gb->ga", T, values[grp.idx])
             vals = np.einsum("gqa,ga->gq", grp.qmono, mono)
         ex = per_cell(f, grp.qnodes)
         diff = vals - ex

@@ -3,6 +3,7 @@ import pytest
 
 from fvvem import mesh as fm
 from fvvem import vem
+from fvvem.transfer import taylor_to_monomial
 from fvvem.models import Discretization
 
 
@@ -48,12 +49,35 @@ class TestRoundTrip:
 class TestToTaylor:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_inverts_taylor_to_monomial(self, k):
+        # to_taylor inverts the dense change of basis T, and to_monomial
+        # applies it
         m, g, disc = make_setup(k, periodic=(True, False))
         taylor = np.random.default_rng(k).standard_normal((2, m.n_cells, disc.nk))
         mono = np.empty_like(taylor)
         for grp in disc.groups:
-            mono[:, grp.idx] = np.einsum("gab,cgb->cga", grp.T, taylor[:, grp.idx])
-        assert np.abs(disc.to_taylor(mono) - taylor).max() <= 1e-14 * np.abs(taylor).max()
+            T = taylor_to_monomial(disc.fvops.taylor, grp.idx)
+            mono[:, grp.idx] = np.einsum("gab,cgb->cga", T, taylor[:, grp.idx])
+        scale = np.abs(taylor).max()
+        assert np.abs(disc.to_taylor(mono) - taylor).max() <= 1e-14 * scale
+        assert np.abs(disc.to_monomial(taylor) - mono).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_gradient_of_a_stack(self, k):
+        # gradient_coeffs on a (4, ncell, nk) stack equals its per-row calls
+        # and the cells' own derivative maps applied through the dense T
+        m, g, disc = make_setup(k, periodic=(True, False))
+        taylor = np.random.default_rng(k).standard_normal((4, m.n_cells, disc.nk))
+        got = disc.gradient_coeffs(taylor)
+        assert got.shape == (2,) + taylor.shape
+        scale = np.abs(got).max()
+        for r in range(len(taylor)):
+            assert np.abs(got[:, r] - disc.gradient_coeffs(taylor[r])).max() <= 1e-15 * scale
+        for grp in disc.groups:
+            T = taylor_to_monomial(disc.fvops.taylor, grp.idx)
+            mono = np.einsum("gab,cgb->cga", T, taylor[:, grp.idx])
+            for axis in (0, 1):
+                want = np.einsum("gab,cga->cgb", grp.basis.derivative_coeffs(axis), mono)
+                assert np.abs(got[axis][:, grp.idx] - want).max() <= 1e-14 * scale
 
     def test_edge_traces_of_monomial_coefficients(self):
         # the FV Taylor edge tables, through to_taylor, against the cells'

@@ -10,7 +10,9 @@ breadth-first search advanced one layer at a time for all cells, and a join
 on shared vertices for the sectors), and the least-squares stencil fits over
 all (cell, member, shift) triples, with one pseudo-inverse per stencil size.
 Each stencil kind, central and sector, is one stack zero-padded to its
-widest stencil, so a reconstruction is a fixed handful of batched products.
+widest stencil, with its fit and residual factors stacked into one operator,
+so a reconstruction makes one batched product per kind on cell-major
+(stencil, member, component) differences.
 Per-stage work is batched numpy over cells and edges; every signed
 edge-to-cell sum goes through one incidence matrix (`FvOperators.edge_sum`).
 """
@@ -107,12 +109,31 @@ def rusanov_flux(wL, wR, n, model):
 class _StencilGroup:
     """Least-squares fits of the stencils of one kind, zero-padded to a
     common width; padded members repeat the first member and get zero
-    weights."""
+    weights.  `op` stacks, per stencil, the pseudo-inverse P (ncols rows)
+    over the residual factor A P - I (nst rows), so that one product with
+    the member differences gives the fit and its residual; `pinv` and
+    `res_q` are views of it."""
 
     cells: np.ndarray        # (n,) owner cell of each stencil
     members: np.ndarray      # (n, nst) stencil member cell ids
-    pinv: np.ndarray         # (n, ncols, nst)
-    res_q: np.ndarray        # (n, nst, nst) residual factor (A P - I)
+    op: np.ndarray           # (n, ncols + nst, nst)
+
+    @property
+    def pinv(self) -> np.ndarray:
+        """(n, ncols, nst) pseudo-inverses of the fits."""
+        return self.op[:, :self.op.shape[1] - self.op.shape[2]]
+
+    @property
+    def res_q(self) -> np.ndarray:
+        """(n, nst, nst) residual factors A P - I."""
+        return self.op[:, self.op.shape[1] - self.op.shape[2]:]
+
+    def apply(self, Qt: np.ndarray) -> np.ndarray:
+        """(n, ncols + nst, ncomp) fits over residuals of cell-major data
+        Qt (ncell, ncomp): one product of `op` with the member values less
+        the owner's, both gathered by rows."""
+        owner = np.broadcast_to(self.cells[:, None], self.members.shape)
+        return self.op @ (np.take(Qt, self.members, axis=0) - np.take(Qt, owner, axis=0))
 
 
 class _Arcs(NamedTuple):
@@ -245,18 +266,17 @@ class FvOperators:
         start = np.cumsum(sizes) - sizes
         n, width = len(cells), sizes.max()
         padded = np.empty((n, width), dtype=np.int64)
-        pinv = np.zeros((n, ncols, width))
-        res_q = np.zeros((n, width, width))
+        op = np.zeros((n, ncols + width, width))
         for m in np.unique(sizes):
             sel = np.flatnonzero(sizes == m)
             ids = start[sel, None] + np.arange(m)
             A = rows[ids]
             P = np.linalg.pinv(A, rcond=1e-10)
-            pinv[sel, :, :m] = P
-            res_q[sel, :m, :m] = A @ P - np.eye(m)
+            op[sel, :ncols, :m] = P
+            op[sel, ncols:ncols + m, :m] = A @ P - np.eye(m)
             padded[sel, :m] = members[ids]
             padded[sel, m:] = members[ids[:, :1]]
-        return _StencilGroup(np.asarray(cells), padded, pinv, res_q)
+        return _StencilGroup(np.asarray(cells), padded, op)
 
     def _central_stencils(self, arcs: _Arcs):
         """Breadth-first (cell, shift) stencils of every cell at once, whole
@@ -351,39 +371,41 @@ class FvOperators:
     # -- reconstruction -------------------------------------------------------
 
     def reconstruct(self, Qbar: np.ndarray) -> np.ndarray:
-        """CWENO modal coefficients (ncomp, ncell, nk) from cell averages.
+        """CWENO modal coefficients (ncomp, ncell, nk) from cell averages
+        (ncomp, ncell), or (ncell,) for one component.
 
         Exact on globally polynomial data of degree <= k; conservative by
-        construction (first coefficient equals the cell average).
+        construction (first coefficient equals the cell average).  The member
+        differences of each stencil kind are gathered cell-major, as
+        (stencils, nst, ncomp), and one product with the kind's stacked
+        operator gives the fits and their residuals; the smoothness
+        indicators, weights and sector sums run on (cells, ., ncomp) arrays.
         """
-        Qbar = np.atleast_2d(Qbar)
-        ncomp, nc = Qbar.shape
+        Qt = np.ascontiguousarray(np.atleast_2d(Qbar).T)                    # (nc, ncomp)
+        nc, ncomp = Qt.shape
+        ncols = self.nk - 1
         central, sector = self.central, self.sector
-        p_opt = np.zeros((ncomp, nc, self.nk))
-        p_opt[:, :, 0] = Qbar
-        # one central stencil per cell, in cell order
-        d = Qbar[:, central.members] - Qbar[:, central.cells][:, :, None]   # (ncomp, nc, nst)
-        dT = d.transpose(1, 2, 0)                                           # (nc, nst, ncomp)
-        p_opt[:, :, 1:] = (central.pinv @ dT).transpose(2, 0, 1)
-        r = central.res_q @ dT
-        alpha0 = LAMBDA_CENTRAL / (EPS + (r * r).sum(axis=1).T) ** POWER    # (ncomp, nc)
-        d = Qbar[:, sector.members] - Qbar[:, sector.cells][:, :, None]
-        dT = d.transpose(1, 2, 0)
-        slopes = (sector.pinv @ dT).transpose(2, 0, 1)                      # (ncomp, np, 2)
-        r = sector.res_q @ dT
-        sigma = slopes[..., 0] ** 2 + slopes[..., 1] ** 2 + (r * r).sum(axis=1).T
-        alpha = LAMBDA_SECTOR / (EPS + sigma) ** POWER                      # (ncomp, np)
-        denom = alpha0 + (self._scatter @ alpha.T).T
-        coeffs = p_opt * (alpha0 / denom)[:, :, None]
-        npairs = len(sector.cells)
-        w = alpha / denom[:, sector.cells]
-        contrib = np.zeros((ncomp, npairs, 3))
-        contrib[:, :, 0] = Qbar[:, sector.cells]
-        contrib[:, :, 1:] = slopes
-        contrib *= w[:, :, None]
-        summed = self._scatter @ contrib.transpose(1, 0, 2).reshape(npairs, -1)
-        coeffs[:, :, :3] += summed.reshape(nc, ncomp, 3).transpose(1, 0, 2)
-        return coeffs
+        # fits over residuals: one central stencil per cell, in cell order;
+        # a sector's smoothness indicator sums its slopes and its residual,
+        # every row of its product
+        fit = central.apply(Qt)                                             # (nc, ncols + nst, ncomp)
+        sfit = sector.apply(Qt)                                             # (np, 2 + nst, ncomp)
+        r = fit[:, ncols:]
+        alpha0 = LAMBDA_CENTRAL / (EPS + np.einsum("nic,nic->nc", r, r)) ** POWER
+        alpha = LAMBDA_SECTOR / (EPS + np.einsum("nic,nic->nc", sfit, sfit)) ** POWER
+        denom = alpha0 + self._scatter @ alpha
+        w0 = alpha0 / denom
+        w = alpha / denom[sector.cells]                                      # (np, ncomp)
+        coeffs = np.empty((nc, self.nk, ncomp))
+        coeffs[:, 0] = Qt * w0
+        coeffs[:, 1:] = fit[:, :ncols] * w0[:, None]
+        # each sector's linear polynomial, weighted, summed into its owner
+        contrib = np.empty((len(w), 3, ncomp))
+        contrib[:, 0] = Qt[sector.cells]
+        contrib[:, 1:] = sfit[:, :2]
+        contrib *= w[:, None]
+        coeffs[:, :3] += (self._scatter @ contrib.reshape(len(w), -1)).reshape(nc, 3, ncomp)
+        return np.ascontiguousarray(coeffs.transpose(2, 0, 1))
 
     def edge_states(self, coeffs: np.ndarray):
         """wL, wR (ncomp, NE, ng) at the edge Gauss points of per-cell Taylor

@@ -15,6 +15,8 @@ from .runner import convergence_study, run_case
 
 
 def _parse_config_file(path: str) -> dict:
+    """`key = value` lines; every `param` line is one --param entry, and any
+    other key may appear once."""
     out = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
@@ -24,12 +26,23 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = val
+            key = key.replace("-", "_")
+            if key == "param":
+                out.setdefault(key, []).append(val)
+            elif key in out:
+                raise ValueError(f"{path}:{lineno}: key '{key}' given twice")
+            else:
+                out[key] = val
     return out
 
 
+# keys of `--mesh gen:...` -> the case parameter each one sets
+GEN_KEYS = {"h": "h", "seed": "seed", "n": "n_cells"}
+
+
 def _parse_mesh_arg(arg: str):
-    """`file.msh` or `gen:h=0.2,seed=3`."""
+    """`file.msh` or `gen:h=0.2,seed=3[,n=400]`; returns the mesh file (or
+    None) and the case parameters that the generator keys set."""
     if arg is None:
         return None, {}
     if arg.startswith("gen:"):
@@ -37,8 +50,11 @@ def _parse_mesh_arg(arg: str):
         for part in arg[4:].split(","):
             if not part:
                 continue
-            key, val = part.split("=", 1)
-            opts[key.strip()] = float(val) if key.strip() != "seed" else int(val)
+            key, sep, val = (s.strip() for s in part.partition("="))
+            if key not in GEN_KEYS or not sep:
+                raise ValueError(f"--mesh gen: unknown key '{key}' "
+                                 f"(expected one of {', '.join(GEN_KEYS)}, as key=value)")
+            opts[GEN_KEYS[key]] = float(val) if key == "h" else int(val)
         return None, opts
     return arg, {}
 
@@ -62,12 +78,7 @@ def _build_case(args):
         key, val = spec.split("=", 1)
         params[key] = _coerce(val)
     mesh_file, gen = _parse_mesh_arg(args.mesh)
-    if "h" in gen:
-        params["h"] = gen["h"]
-    if "seed" in gen:
-        params["seed"] = int(gen["seed"])
-    if "n" in gen:
-        params["n_cells"] = int(gen["n"])
+    params.update(gen)
     for key in ("order", "scheme", "cfl", "tend", "dt"):
         val = getattr(args, key)
         if val is not None:
@@ -103,14 +114,14 @@ def main(argv=None) -> int:
                          help="comma-separated target h values")
 
     args = parser.parse_args(argv)
-    # a file key applies where no flag was given; its one `param` line is
-    # one --param entry
-    overrides = _parse_config_file(args.config) if args.config else {}
-    for key, val in overrides.items():
-        if hasattr(args, key) and getattr(args, key) in (None, False):
-            setattr(args, key, [val] if key == "param" else _coerce(val))
-
     try:
+        # a file key applies where no flag was given
+        overrides = _parse_config_file(args.config) if args.config else {}
+        for key, val in overrides.items():
+            if key in ("command", "config") or not hasattr(args, key):
+                raise ValueError(f"{args.config}: unknown key '{key}'")
+            if getattr(args, key) in (None, False):
+                setattr(args, key, val if key == "param" else _coerce(val))
         if args.command == "run":
             case, mesh_file = _build_case(args)
             result = run_case(case, out_prefix=args.out, quiet=args.quiet,

@@ -23,6 +23,14 @@ them: `Discretization.to_taylor` and its inverse `to_monomial`.  Edge traces
 take Taylor coefficients only; gradients (`gradient_coeffs`) are the
 h = 1 derivative maps applied to monomial coefficients, over h; and the
 cell mean of a polynomial is its Taylor constant.
+
+Work at the quadrature nodes (the convective polynomial, H grad(eta) and the
+positivity check of K(h)) runs per vertex-count group: the monomial
+coefficients of the fields are stacked cell-major, (g, nk, nfields), and one
+product with the group's node values `qmono` (g, nq, nk) evaluates them all;
+pointwise terms then run on field-major (nfields, g, nq) arrays, and an L2
+projection multiplies by qmono^T and H^-1.  The node temporaries live for
+one group at a time.
 """
 
 from __future__ import annotations
@@ -416,11 +424,11 @@ class Discretization:
         cmean = self.to_taylor(coeff_poly)[:, 0]
         blocks = []
         for grp in self.groups:
-            cpoly = coeff_poly[grp.idx]
-            if np.any(np.einsum("gqa,ga->gq", grp.qmono, cpoly) <= 0.0):
+            cpoly = coeff_poly[grp.idx][:, :, None]
+            if np.any(grp.qmono @ cpoly <= 0.0):
                 raise DryStateError("coefficient not strictly positive at "
                                     "quadrature nodes (dry cell)")
-            W = (grp.Hc @ cpoly[:, :, None]).reshape(len(cpoly), self.nkm1, self.nkm1)
+            W = (grp.Hc @ cpoly).reshape(len(cpoly), self.nkm1, self.nkm1)
             px, py = grp.pis0x, grp.pis0y
             blocks.append(px.transpose(0, 2, 1) @ W @ px + py.transpose(0, 2, 1) @ W @ py
                           + cmean[grp.idx, None, None] * grp.stab)
@@ -430,14 +438,13 @@ class Discretization:
                                 h_poly: np.ndarray) -> np.ndarray:
         """Cell averages of H * grad(eta), from the monomial coefficients of
         grad(eta) (`gradient_coeffs`) and of H's Pi0 polynomial (`pi0_poly`)."""
+        # cell-major (ncell, nk, 3): H, d eta / dx, d eta / dy
+        fields = np.stack([h_poly, grad_coeffs[0], grad_coeffs[1]], axis=-1)
         out = np.empty((2, self.mesh.n_cells))
         for grp in self.groups:
-            gx, gy = grad_coeffs[:, grp.idx]
-            hvals = np.einsum("gqa,ga->gq", grp.qmono, h_poly[grp.idx])
-            gxv = np.einsum("gqa,ga->gq", grp.qmono, gx)
-            gyv = np.einsum("gqa,ga->gq", grp.qmono, gy)
-            out[0, grp.idx] = np.einsum("gq,gq->g", grp.qw * hvals, gxv) / grp.area
-            out[1, grp.idx] = np.einsum("gq,gq->g", grp.qw * hvals, gyv) / grp.area
+            vals = grp.qmono @ np.take(fields, grp.idx, axis=0)            # (g, nq, 3)
+            wh = (grp.qw * vals[:, :, 0])[:, None, :]
+            out[:, grp.idx] = (wh @ vals[:, :, 1:])[:, 0].T / grp.area
         return out
 
     def pi0_poly(self, dofs: np.ndarray) -> np.ndarray:
@@ -478,6 +485,12 @@ class SolveStats:
         self.last_residual = report.residual
 
 
+# the SWE cell-mean update of eta: the divergence of the single-valued
+# implicit discharge on the edges, or the cell means of the transferred
+# VEM solution
+MASS_UPDATES = ("divergence", "transfer")
+
+
 class SweDriver:
     """Semi-implicit shallow-water stepper on a Discretization."""
 
@@ -489,6 +502,9 @@ class SweDriver:
                  scheme: str = "LSDIRK222", cfl: float = 0.9,
                  bathymetry=None, tol: float = DEFAULT_TOL,
                  mass_update: str = "divergence"):
+        if mass_update not in MASS_UPDATES:
+            raise ModelError(f"unknown mass_update '{mass_update}' "
+                             f"(expected one of {', '.join(MASS_UPDATES)})")
         self.disc = disc
         self.config = config
         self.model = SweModel()
@@ -582,33 +598,34 @@ class SweDriver:
         The momentum flux q (x) q / H is evaluated from the reconstruction
         polynomials at the 2k+2 quadrature pack, differentiated via the
         product/chain rule, and L2-projected back onto degree-k polynomials.
+        The depth H = eta - b is formed on the coefficients; per group, one
+        product of the node values `qmono` with the cell-major stack of the
+        9 fields (H, qx, qy and their x and y derivatives) evaluates them
+        all, laid out field-major for the pointwise terms.
         """
         disc = self.disc
-        # monomial coefficients of the rows and of their x/y derivatives,
-        # (3, 4, ncell, nk)
-        mono = np.concatenate([disc.to_monomial(full_coeffs)[None],
-                               disc.gradient_coeffs(full_coeffs)])
+        rows = np.concatenate([(full_coeffs[0] - full_coeffs[3])[None], full_coeffs[1:3]])
+        # monomial coefficients of (H, qx, qy), then their x and y
+        # derivatives, cell-major: (ncell, nk, 9)
+        fields = np.concatenate([disc.to_monomial(rows)[None], disc.gradient_coeffs(rows)])
+        fields = np.ascontiguousarray(fields.reshape(9, disc.mesh.n_cells, disc.nk)
+                                      .transpose(1, 2, 0))
         out = np.empty((2, disc.mesh.n_cells, disc.nk))
         for grp in disc.groups:
-            stack = mono[:, :, grp.idx].transpose(2, 3, 0, 1).reshape(len(grp.idx), disc.nk, -1)
-            # values and x/y derivatives at the nodes, (g, nq, 4) each
-            vals, dxv, dyv = np.split(grp.qmono @ stack, 3, axis=2)
-            H = vals[..., 0] - vals[..., 3]
+            vals = grp.qmono @ np.take(fields, grp.idx, axis=0)            # (g, nq, 9)
+            H, qx, qy, Hx, qxx, qyx, Hy, qxy, qyy = np.ascontiguousarray(
+                vals.transpose(2, 0, 1))
             if np.any(H <= 0.0):
                 raise DryStateError("dry cell in convective field evaluation")
-            Hx = dxv[..., 0] - dxv[..., 3]
-            Hy = dyv[..., 0] - dyv[..., 3]
-            qx, qy = vals[..., 1], vals[..., 2]
-            qxx, qxy = dxv[..., 1], dyv[..., 1]
-            qyx, qyy = dxv[..., 2], dyv[..., 2]
-            # div components of q (x) q / H
-            div_x = ((2.0 * qx * qxx + qx * qyy + qy * qxy) / H
-                     - qx * (qx * Hx + qy * Hy) / H ** 2)
-            div_y = ((qx * qyx + qy * qxx + 2.0 * qy * qyy) / H
-                     - qy * (qx * Hx + qy * Hy) / H ** 2)
-            div = np.stack([div_x, div_y], axis=-1) * grp.qw[..., None]    # (g, nq, 2)
-            out[:, grp.idx] = (grp.Hinv @ (grp.qmono.transpose(0, 2, 1) @ div)
-                               ).transpose(2, 0, 1)
+            # div components of q (x) q / H, with the velocity (u, v) = q / H
+            # and ugH = (u, v) . grad H
+            u, v = qx / H, qy / H
+            ugH = u * Hx + v * Hy
+            div = np.stack([u * (2.0 * qxx + qyy - ugH) + v * qxy,
+                            v * (qxx + 2.0 * qyy - ugH) + u * qyx], axis=1)  # (g, 2, nq)
+            div *= grp.qw[:, None, :]
+            out[:, grp.idx] = ((div @ grp.qmono) @ grp.Hinv.transpose(0, 2, 1)
+                               ).transpose(1, 0, 2)
         return disc.to_taylor(out)
 
     # -- time stepping --------------------------------------------------------

@@ -237,3 +237,57 @@ class TestEdgeSum:
         both = ops.edge_sum(np.stack([fhat, -2.0 * fhat]))
         assert np.array_equal(both[0], ops.edge_sum(fhat))
         assert np.array_equal(both[1], ops.edge_sum(-2.0 * fhat))
+
+
+def oracle_reconstruct(ops, Qbar):
+    """CWENO coefficients from four batched products, the separate `pinv` and
+    `res_q` of each stencil kind, on component-major (ncomp, n, nst) data."""
+    Qbar = np.atleast_2d(Qbar)
+    ncomp, nc = Qbar.shape
+    central, sector = ops.central, ops.sector
+    p_opt = np.zeros((ncomp, nc, ops.nk))
+    p_opt[:, :, 0] = Qbar
+    dT = (Qbar[:, central.members] - Qbar[:, central.cells][:, :, None]).transpose(1, 2, 0)
+    p_opt[:, :, 1:] = (central.pinv @ dT).transpose(2, 0, 1)
+    r = central.res_q @ dT
+    alpha0 = fvmod.LAMBDA_CENTRAL / (fvmod.EPS + (r * r).sum(axis=1).T) ** fvmod.POWER
+    dT = (Qbar[:, sector.members] - Qbar[:, sector.cells][:, :, None]).transpose(1, 2, 0)
+    slopes = (sector.pinv @ dT).transpose(2, 0, 1)
+    r = sector.res_q @ dT
+    sigma = slopes[..., 0] ** 2 + slopes[..., 1] ** 2 + (r * r).sum(axis=1).T
+    alpha = fvmod.LAMBDA_SECTOR / (fvmod.EPS + sigma) ** fvmod.POWER
+    denom = alpha0 + (ops._scatter @ alpha.T).T
+    coeffs = p_opt * (alpha0 / denom)[:, :, None]
+    npairs = len(sector.cells)
+    w = alpha / denom[:, sector.cells]
+    contrib = np.zeros((ncomp, npairs, 3))
+    contrib[:, :, 0] = Qbar[:, sector.cells]
+    contrib[:, :, 1:] = slopes
+    contrib *= w[:, :, None]
+    summed = ops._scatter @ contrib.transpose(1, 0, 2).reshape(npairs, -1)
+    coeffs[:, :, :3] += summed.reshape(nc, ncomp, 3).transpose(1, 0, 2)
+    return coeffs
+
+
+class TestReconstructOracle:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("periodic", [(False, False), (True, True)])
+    def test_stacked_operator_equals_four_products(self, k, periodic):
+        ops, m, g = voronoi_ops(k, n=70, seed=13, periodic=periodic)
+        Q = np.random.default_rng(k).standard_normal((3, m.n_cells))
+        got, want = ops.reconstruct(Q), oracle_reconstruct(ops, Q)
+        assert got.shape == (3, m.n_cells, ops.nk)
+        for row in range(3):
+            assert np.abs(got[row] - want[row]).max() <= 1e-13 * np.abs(want[row]).max()
+        # one row given as a 1-D array keeps its leading axis
+        one = ops.reconstruct(Q[1])
+        assert one.shape == (1, m.n_cells, ops.nk)
+        assert np.abs(one[0] - want[1]).max() <= 1e-13 * np.abs(want[1]).max()
+
+    def test_fits_and_residuals_are_views_of_one_operator(self):
+        ops, m, g = voronoi_ops(2, n=40, seed=13)
+        for grp in (ops.central, ops.sector):
+            assert np.shares_memory(grp.pinv, grp.op) and np.shares_memory(grp.res_q, grp.op)
+            nst = grp.members.shape[1]
+            assert grp.op.shape == (len(grp.cells), grp.pinv.shape[1] + nst, nst)
+            assert grp.res_q.shape == (len(grp.cells), nst, nst)

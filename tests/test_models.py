@@ -119,6 +119,13 @@ class TestSweStage:
             state = drv.step(state, dt)
         assert abs(np.sum(g.area * state.Q[0]) - mass0) < 1e-12 * abs(mass0)
 
+    def test_unknown_mass_update_raises(self):
+        drv, _, _ = wb_setup(n=40)
+        with pytest.raises(models.ModelError, match="unknown mass_update 'divergnce'"):
+            SweDriver(drv.disc, SweConfig(), drv.bcs, mass_update="divergnce")
+        for update in models.MASS_UPDATES:
+            assert SweDriver(drv.disc, SweConfig(), drv.bcs, mass_update=update).mass_update == update
+
     def test_dry_cell_error(self):
         drv, state, g = wb_setup(n=80)
         state.Q[0] = 0.1    # below the bump peak: dry somewhere
@@ -591,6 +598,43 @@ class TestFixedPattern:
                 ref[c, grp.idx] = np.linalg.solve(T, monoc[:, :, None])[:, :, 0]
         assert np.abs(ref).max() > 1e-2          # the state moves
         assert _rel(got, ref) <= 1e-13
+
+
+
+class TestNodeEvaluations:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_gradient_depth_weighted_matches_einsum_oracle(self, k):
+        drv, state = swe_pattern_setup(k, periodic=False)
+        disc = drv.disc
+        coeffs = disc.fvops.reconstruct(drv.initial_state(state).Q)
+        h_poly = disc.pi0_poly(disc.fv_to_vem(coeffs[0]) - drv.b_dofs)
+        grad = disc.gradient_coeffs(coeffs[1])
+        ref = np.empty((2, disc.mesh.n_cells))
+        for grp in disc.groups:
+            gx, gy = grad[:, grp.idx]
+            hvals = np.einsum("gqa,ga->gq", grp.qmono, h_poly[grp.idx])
+            for c, gc in enumerate((gx, gy)):
+                gv = np.einsum("gqa,ga->gq", grp.qmono, gc)
+                ref[c, grp.idx] = np.einsum("gq,gq->g", grp.qw * hvals, gv) / grp.area
+        assert np.abs(ref).max() > 1e-2
+        assert _rel(disc.gradient_depth_weighted(grad, h_poly), ref) <= 1e-13
+
+    def test_negative_depth_at_one_node_raises(self):
+        drv, state = swe_pattern_setup(2, periodic=True)
+        disc = drv.disc
+        full = drv.full_coeffs(disc.fvops.reconstruct(drv.initial_state(state).Q))
+        drv._convective_divergence_poly(full)             # wet everywhere
+        # a steep x slope in one cell keeps its mean (the Taylor constant)
+        # and dips below the bottom on its left
+        full[0, 7, 1:] = 0.0
+        full[0, 7, 1] = 40.0
+        grp = next(grp for grp in disc.groups if 7 in grp.idx)
+        mono = disc.to_monomial(full[0] - full[3])[grp.idx]
+        depth = np.einsum("gqa,ga->gq", grp.qmono, mono)
+        assert np.all(full[0, :, 0] - full[3, :, 0] > 0.5)
+        assert np.count_nonzero(depth <= 0.0) >= 1 and np.all(depth[grp.idx != 7] > 0.0)
+        with pytest.raises(DryStateError, match="convective"):
+            drv._convective_divergence_poly(full)
 
 
 # ---------------------------------------------------------------------------

@@ -159,3 +159,57 @@ def test_param_flag_beats_the_config_file(tmp_path, monkeypatch):
                      "--param", "nu=0.02", "--tend", "0.4"]) == 0
     (case,) = seen
     assert case.nu == 0.02 and case.t_end == 0.4
+
+
+def test_config_file_unknown_key_exits_1(tmp_path, monkeypatch, capsys):
+    seen = cli_cases(monkeypatch)
+    cfg = tmp_path / "tgv.cfg"
+    cfg.write_text("ordr = 2\ntend = 0.3\n")
+    assert cli.main(["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet"]) == 1
+    assert "unknown key 'ordr'" in capsys.readouterr().err
+    assert seen == []
+
+
+@pytest.mark.parametrize("mesh, key", [("gen:hh=0.2", "hh"), ("gen:h=0.5,sed=3", "sed"),
+                                       ("gen:h", "h")])
+def test_mesh_gen_unknown_key_exits_1(monkeypatch, capsys, mesh, key):
+    seen = cli_cases(monkeypatch)
+    assert cli.main(["run", "--case", "ins_tgv", "--mesh", mesh, "--quiet"]) == 1
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert seen == []
+
+
+def test_mesh_gen_keys_set_the_case(monkeypatch):
+    seen = cli_cases(monkeypatch)
+    assert cli.main(["run", "--case", "ins_tgv", "--mesh", "gen:h=0.5,seed=3,n=40",
+                     "--quiet"]) == 0
+    (case,) = seen
+    assert (case.h, case.seed, case.n_cells) == (0.5, 3, 40)
+
+
+def test_cli_exits_2_on_a_failed_gate(capsys):
+    # k = 1 cannot hold the quadratic Poiseuille profile: Linf(u) is far
+    # above the 1e-10 gate
+    code = cli.main(["run", "--case", "ins_poiseuille", "--mesh", "gen:n=60",
+                     "--order", "1", "--tend", "0.05"])
+    assert code == 2
+    assert "gate: FAIL" in capsys.readouterr().out
+
+
+def test_cli_rejects_a_misspelt_mass_update(capsys):
+    code = cli.main(["run", "--case", "swe_vortex", "--mesh", "gen:h=0.9", "--tend", "0.01",
+                     "--quiet", "--param", "mass_update=divergnce"])
+    assert code == 1
+    assert "unknown mass_update 'divergnce'" in capsys.readouterr().err
+
+
+def test_config_file_keeps_every_param_line(tmp_path, monkeypatch, capsys):
+    seen = cli_cases(monkeypatch)
+    cfg = tmp_path / "tgv.cfg"
+    cfg.write_text("param = nu=0.05\nparam = seed=4\n")
+    assert cli.main(["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet"]) == 0
+    (case,) = seen
+    assert case.nu == 0.05 and case.seed == 4
+    cfg.write_text("tend = 0.3\ntend = 0.4\n")
+    assert cli.main(["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet"]) == 1
+    assert "key 'tend' given twice" in capsys.readouterr().err

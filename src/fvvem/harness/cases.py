@@ -26,9 +26,17 @@ def register(cls):
 
 
 def get_case(name: str, **params):
+    """The case `name` with its parameters overridden by `params`.  A mesh
+    size (`h`, `n_cells`) other than the one the case's mesh reads raises
+    ValueError, as the case would ignore it."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown case '{name}'; available: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](**params)
+    cls = _REGISTRY[name]
+    for key in ("h", "n_cells"):
+        if params.get(key) is not None and key != cls.mesh_param:
+            reads = f"'{cls.mesh_param}'" if cls.mesh_param else "no mesh parameter"
+            raise ValueError(f"case '{name}' reads {reads}, so it would ignore '{key}'")
+    return cls(**params)
 
 
 def case_names():
@@ -67,6 +75,7 @@ class CaseBase:
     mass_update: str = "divergence"
     params: dict = field(default_factory=dict)
 
+    mesh_param = "h"              # the mesh size make_mesh reads: "h", "n_cells" or None
     exact = None                  # override: exact(p, t) -> state rows
     gate = None                   # override: callable(report) -> (ok, message)
     dt_caps_cfl = False           # a given dt only caps the CFL step (else replaces it)
@@ -127,13 +136,13 @@ class SweWellBalanceCase(CaseBase):
     """Lake at rest over a smooth bump; delta perturbs the free surface."""
 
     name = "swe_wellbalance"
+    mesh_param = "n_cells"
     model = "swe"
     g0: float = 9.81
     delta: float = 0.0
     k: int = 2
     scheme: str = "LSDIRK222"
     t_end: float = 0.1
-    h: float = None
     n_cells: int = 2000
 
     def make_mesh(self):
@@ -296,6 +305,7 @@ class SweCylinderCase(CaseBase):
     """Low-Froude potential flow around a cylinder (graded mesh, k=4)."""
 
     name = "swe_cylinder"
+    mesh_param = "n_cells"
     model = "swe"
     g0: float = 9.81
     eta0: float = 1.0
@@ -303,7 +313,6 @@ class SweCylinderCase(CaseBase):
     k: int = 4
     scheme: str = "SP111"
     t_end: float = 10.0
-    h: float = None
     n_cells: int = 3000
     mass_update: str = "transfer"
 
@@ -354,6 +363,7 @@ class InsPoiseuilleCase(CaseBase):
     """Stationary channel flow driven by a linear pressure drop."""
 
     name = "ins_poiseuille"
+    mesh_param = "n_cells"
     model = "ins"
     nu: float = 1e-2
     pL: float = -1.0
@@ -361,7 +371,6 @@ class InsPoiseuilleCase(CaseBase):
     k: int = 2
     scheme: str = "SP111"          # stationary gate: time order is immaterial
     t_end: float = 5.0
-    h: float = None
     n_cells: int = 1900
     seed: int = 6                  # mesh with the mildest CFL constraint
 
@@ -448,13 +457,13 @@ class InsStokesFirstCase(CaseBase):
     """Impulsively started shear layer; erf profile in x."""
 
     name = "ins_stokes1"
+    mesh_param = None             # a fixed rectangle grid
     model = "ins"
     nu: float = 1e-3
     v0: float = 0.1
     k: int = 2
     scheme: str = "LSDIRK222"
     t_end: float = 1.0
-    h: float = None
 
     def make_mesh(self):
         return generate_rect((-0.5, 0.5, -0.1, 0.1), 100, 2, periodic=(False, True))
@@ -607,13 +616,13 @@ class InsCylinderCase(CaseBase):
     """Laminar flow past a cylinder with vortex shedding (qualitative)."""
 
     name = "ins_cylinder"
+    mesh_param = "n_cells"
     model = "ins"
     inflow: float = 0.5
     reynolds: float = 100.0
     k: int = 2
     scheme: str = "LSDIRK222"
     t_end: float = 50.0
-    h: float = None
     n_cells: int = 6000
 
     @property

@@ -10,18 +10,22 @@ global one.
 Cell loops are flat from the generator to the PolyMesh: offsets `cell_ptr`
 and loop-ordered arrays with one entry per cell corner, which `ragged_rows`
 gathers for one cell or stacks for cells of equal vertex count.
+
+`generate_voronoi` builds Lloyd-relaxed (centroidal) Voronoi tessellations
+from seeds reflected across the box sides, as PolyMesher does.  Each Lloyd
+iterate reads its Voronoi cells off one Delaunay triangulation (qhull): a
+cell is the loop of circumcentres of its seed's triangles.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Voronoi, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 from scipy.special import roots_jacobi, roots_legendre
 
 
@@ -145,7 +149,8 @@ def polygon_areas_centroids(pts: np.ndarray, sizes) -> tuple[np.ndarray, np.ndar
         idx = np.flatnonzero(sizes == n)
         p = pts[start[idx, None] + np.arange(n)]
         x, y = p[..., 0], p[..., 1]
-        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+        nxt = (np.arange(n) + 1) % n
+        xn, yn = x[:, nxt], y[:, nxt]
         cross = x * yn - xn * y
         a = 0.5 * np.sum(cross, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -420,14 +425,26 @@ def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius
     boundary; corners get the images of both axes.  A circular hole is
     realised by radial mirror seeds plus chord clipping.
 
-    qhull first gets only the images inside the box grown by a band of 2.5
-    mean seed spacings, as PolyMesher reflects only the seeds near the
-    boundary.  That diagram is accepted when every base region is bounded
-    and, around each vertex v of a base region, the disc through v's seed
-    lies inside the grown box: an image left out could only cut a region by
-    lying inside one of those empty discs, so the accepted regions are
-    exactly those of the full image set.  Otherwise (unrelaxed first
-    iterates, clustered seeds) the diagram is rebuilt from the full set.
+    The regions come from one Delaunay triangulation of the seeds and their
+    images.  A base region is bounded when its seed is not on the convex
+    hull, and its vertices are the circumcentres of the seed's triangles, in
+    counter-clockwise order by their angle about the seed (one lexsort over
+    every seed-triangle incidence) from the angle -pi on.
+    Cocircular seeds, which the mirror images make at every non-periodic
+    side and lattice seeds make everywhere, give one Voronoi vertex as two
+    or more circumcentres equal only to roundoff; areas and centroids do
+    not mind, and `_assemble_mesh` merges them.  A seed that is no vertex of
+    the triangulation (qhull keeps a point within roundoff of another as
+    coplanar) and a flat triangle at a seed raise MeshError.
+
+    The triangulation first gets only the images inside the box grown by a
+    band of 2.5 mean seed spacings, as PolyMesher reflects only the seeds
+    near the boundary.  Its regions are accepted when every base region is
+    bounded and, around each vertex v of a base region, the disc through v's
+    seed lies inside the grown box: an image left out could only cut a
+    region by lying inside one of those empty discs, so the accepted regions
+    are exactly those of the full image set.  Otherwise (unrelaxed first
+    iterates, clustered seeds) the triangulation is rebuilt from the full set.
     Region vertices within 1e-9 of the box size of a non-periodic side are
     snapped onto it before clipping, so that the clip neither keeps them off
     the side nor splits the side at them.
@@ -451,40 +468,55 @@ def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius
     lo, hi = np.array([xlo, ylo]), np.array([xhi, yhi])
     for band in (2.5 * np.sqrt(lx * ly / n), np.inf):
         kept = np.all((images >= lo - band) & (images <= hi + band), axis=-1)
-        vor = Voronoi(np.vstack([seeds, images[kept], hole_mirrors]))
-        regions = [vor.regions[r] for r in vor.point_region[:n]]
-        if any(-1 in reg or len(reg) < 3 for reg in regions):
+        tri = Delaunay(np.vstack([seeds, images[kept], hole_mirrors]))
+        lost = tri.coplanar[tri.coplanar[:, 0] < n, 0]
+        if len(lost):
+            raise MeshError(f"seed {lost[0]} is no vertex of the Delaunay triangulation "
+                            "(it coincides with another point to roundoff)")
+        if np.any(tri.convex_hull < n):
             continue
-        flat = np.fromiter(itertools.chain.from_iterable(regions), dtype=np.int64)
-        counts = np.fromiter((len(reg) for reg in regions), dtype=np.int64, count=n)
-        verts = vor.vertices[flat]
-        radius = np.hypot(*(verts - np.repeat(seeds, counts, axis=0)).T)[:, None]
-        if np.all((verts - radius >= lo - band) & (verts + radius <= hi + band)):
+        # circumcentre of each triangle, from its first corner; a flat
+        # triangle gives a non-finite one
+        corners = tri.points[tri.simplices]
+        u, v = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+        uu, vv = np.sum(u * u, axis=1), np.sum(v * v, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            centres = corners[:, 0] + np.column_stack(
+                [v[:, 1] * uu - u[:, 1] * vv, u[:, 0] * vv - v[:, 0] * uu]
+            ) / (2.0 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]))[:, None]
+        # (seed, triangle) incidences of the base seeds
+        owner = tri.simplices.ravel()
+        incident = np.flatnonzero(owner < n)
+        owner, incident = owner[incident], incident // 3
+        pts = centres[incident]
+        if not np.all(np.isfinite(pts)):
+            raise MeshError("flat Delaunay triangle at seed "
+                            f"{owner[~np.isfinite(pts).all(axis=1)][0]}")
+        d = pts - seeds[owner]
+        order = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), owner))
+        pts, d = pts[order], d[order]
+        counts = np.bincount(owner, minlength=n)
+        radius = np.hypot(d[:, 0], d[:, 1])[:, None]
+        if np.all((pts - radius >= lo - band) & (pts + radius <= hi + band)):
             break
     else:
         raise MeshError("unbounded Voronoi cell; mirror construction failed")
     tol = 1e-9 * max(lx, ly)
-    vertices = vor.vertices
     for axis, ends in enumerate(((xlo, xhi), (ylo, yhi))):
         if not periodic[axis]:
             for side in ends:
-                vertices[np.abs(vertices[:, axis] - side) <= tol, axis] = side
+                pts[np.abs(pts[:, axis] - side) <= tol, axis] = side
     start = np.cumsum(counts) - counts
-    # clockwise regions are reversed
-    pos = np.arange(len(flat))
-    reverse = np.repeat(polygon_areas_centroids(vertices[flat], counts)[0] < 0.0, counts)
-    flat = flat[np.where(reverse, np.repeat(2 * start + counts - 1, counts) - pos, pos)]
-    pts = vertices[flat]
     # (n, c) of the half-planes n.x <= c of the non-periodic sides; a polygon
     # with no vertex outside any of them passes every clip unchanged, so it
     # skips them
     sides = [(np.array(nrm), c) for nrm, c, axis in (
         ([-1.0, 0.0], -xlo, 0), ([1.0, 0.0], xhi, 0), ([0.0, -1.0], -ylo, 1),
         ([0.0, 1.0], yhi, 1)) if not periodic[axis]]
-    inside = np.ones(len(vertices), dtype=bool)
+    inside = np.ones(len(pts), dtype=bool)
     for nrm, c in sides:
-        inside &= vertices @ nrm - c <= 0.0
-    unclipped = np.logical_and.reduceat(inside[flat], start)
+        inside &= pts @ nrm - c <= 0.0
+    unclipped = np.logical_and.reduceat(inside, start)
     todo = ~unclipped | (hole_center is not None)
     kept = ~np.repeat(todo, counts)
     clipped = [np.empty((0, 2))]
@@ -596,23 +628,30 @@ def _vertex_constraints(p, box, periodic, tol, hole_center, hole_radius):
     return cons
 
 
+def _vertex_images(vertices, ids, pts, box, periodic) -> np.ndarray:
+    """The coordinates of the vertices ids (N,) in the frames of the points
+    pts (N, 2): on periodic axes, the lattice image nearest each point."""
+    size = np.array([box[1] - box[0], box[3] - box[2]])
+    return vertices[ids] + np.where(periodic, np.round((pts - vertices[ids]) / size) * size, 0.0)
+
+
 def _collapse_short_edges(ids, pts, sizes, vertices, box, periodic, tol,
                           hole_center, hole_radius, theta=0.06, passes=4):
     """Merge polygon vertices joined by edges shorter than theta*h_cell.
 
     The loops are concatenated: vertex ids (N,), frame coordinates (N, 2) and
     loop sizes.  Short edges are found for all cells at once, and only they
-    are merged one by one.  Targets respect boundary constraints so box sides
-    and the hole stay exact.  Moves are applied through shared vertex ids, so
-    the tessellation stays conforming and gap-free.  Frame coordinates of
-    periodic cells are rebuilt as the lattice image nearest the old position.
+    are merged one by one, in an order set by the geometry alone.  Targets
+    respect boundary constraints so box sides and the hole stay exact.  Moves
+    are applied through shared vertex ids, so the tessellation stays
+    conforming and gap-free.  Frame coordinates of periodic cells are rebuilt
+    as the lattice image nearest the old position.
     """
-    size = np.array([box[1] - box[0], box[3] - box[2]])
     for _ in range(passes):
         nxt = _next_in_loop(sizes)
         d = pts[nxt] - pts
-        cell_h = np.sqrt(np.abs(polygon_areas_centroids(pts, sizes)[0]))
-        short = np.hypot(d[:, 0], d[:, 1]) < theta * np.repeat(cell_h, sizes)
+        area, centroid = polygon_areas_centroids(pts, sizes)
+        short = np.hypot(d[:, 0], d[:, 1]) < theta * np.repeat(np.sqrt(np.abs(area)), sizes)
         if not short.any():
             break
         parent = np.arange(len(vertices))
@@ -624,8 +663,15 @@ def _collapse_short_edges(ids, pts, sizes, vertices, box, periodic, tol,
                 v = parent[v]
             return v
 
+        # short edges go cell by cell, each cell's counter-clockwise from
+        # the angle -pi about its centroid, so that the target of a chain of
+        # them does not depend on where the loops start
+        rel = pts - np.repeat(centroid, sizes, axis=0)
+        cand = np.flatnonzero(short)
+        cand = cand[np.lexsort((np.arctan2(rel[cand, 1], rel[cand, 0]),
+                                np.repeat(np.arange(len(sizes)), sizes)[cand]))]
         target = {}
-        for a in np.flatnonzero(short):
+        for a in cand:
             b = nxt[a]
             ra, rb = find(ids[a]), find(ids[b])
             if ra == rb:
@@ -668,11 +714,9 @@ def _collapse_short_edges(ids, pts, sizes, vertices, box, periodic, tol,
             vertices[r] = target[r]
         root = np.array([find(v) for v in range(len(vertices))])
         new = root[ids]
-        # a moved or merged point goes to the lattice image of its vertex
-        # nearest its old position
-        shift = np.where(periodic, np.round((pts - vertices[new]) / size) * size, 0.0)
+        # a moved or merged point goes to its vertex
         remap = (new != ids) | np.isin(new, list(target))
-        pts = np.where(remap[:, None], vertices[new] + shift, pts)
+        pts = np.where(remap[:, None], _vertex_images(vertices, new, pts, box, periodic), pts)
         keep, sizes = _drop_repeats(new, sizes, "while removing short edges")
         ids, pts = new[keep], pts[keep]
     used, ids = np.unique(ids, return_inverse=True)
@@ -756,11 +800,15 @@ def _assemble_mesh(pts: np.ndarray, sizes: np.ndarray, box, periodic, scale: flo
     """Build the PolyMesh (topology + frames + edges) from concatenated
     polygons, points (N, 2) and loop sizes: merge their points into
     vertices, collapse short edges, match the edges (`_mesh_from_loops`) and
-    tag the boundary edges by side."""
+    tag the boundary edges by box side, the rest as `hole`."""
     xlo, xhi, ylo, yhi = box
     periodic = tuple(bool(p) for p in periodic)
     tol = 1e-8 * scale
     ids, vertices = _merge_vertices(pts, box, periodic, tol)
+    # every point takes its vertex's coordinates: the triangulation gives a
+    # Voronoi vertex of cocircular seeds as several circumcentres, equal
+    # only to roundoff
+    pts = _vertex_images(vertices, ids, pts, box, periodic)
     keep, sizes = _drop_repeats(ids, sizes, "during vertex merge")
     ids, pts, sizes, vertices = _collapse_short_edges(
         ids[keep], pts[keep], sizes, vertices, box, periodic, tol, hole_center, hole_radius)
@@ -771,7 +819,15 @@ def _assemble_mesh(pts: np.ndarray, sizes: np.ndarray, box, periodic, scale: flo
     on = [np.abs(m[:, 0] - xlo) < tol, np.abs(m[:, 0] - xhi) < tol,
           np.abs(m[:, 1] - ylo) < tol, np.abs(m[:, 1] - yhi) < tol]
     if hole_center is not None:
-        on.append(np.abs(np.hypot(*(m - hole_center).T) - hole_radius) < 0.3 * hole_radius)
+        # the hole's edges are bisectors towards its mirror seeds and chords
+        # of the circle clip, which need not lie near the circle: every
+        # boundary edge off the box sides is one
+        rest = ~np.any(on, axis=0)
+        if not rest.any():
+            raise MeshError(f"the hole (radius {hole_radius:g} at ({hole_center[0]:g}, "
+                            f"{hole_center[1]:g})) left no boundary: no seed lies near "
+                            "enough to carve it")
+        on.append(rest)
     tags = np.select(on, ["xmin", "xmax", "ymin", "ymax", "hole"][:len(on)], "")
     if np.any(tags == ""):
         raise MeshError(f"boundary edge {bnd[tags == ''][0]} lies on no tagged boundary")
@@ -785,11 +841,13 @@ def generate_voronoi(box, n_seeds: int, lloyd_iters: int = 20, seed: int = 0,
     """Clipped (optionally periodic) Lloyd-relaxed Voronoi tessellation of a box.
 
     Deterministic for a fixed rng seed with one numpy, scipy and qhull.
-    Cells come in seed order; vertex and edge numbers and the first vertex
-    of each cell loop follow qhull's output.  A diagram of the band images
-    equals that of the full image set only to roundoff, and Lloyd carries
-    such differences on, so other image sets or qhull builds move cell
-    centroids by up to about 1e-12 and may renumber vertices.  `density` is
+    Cells come in seed order.  Each cell loop starts at its first Voronoi
+    vertex counter-clockwise from the angle -pi about its seed (or where the
+    clip puts it), vertices are numbered in the order of their first corner
+    and edges in that of their first half-edge: none of these follow qhull's
+    output order.  A diagram of the band images equals that of the full image set only to
+    roundoff, and Lloyd carries such differences on, so other image sets or
+    qhull builds move cell centroids by up to about 1e-12.  `density` is
     an optional callable rho(x, y) weighting the Lloyd centroids (graded
     meshes).  `hole_*` carves a chord-polygon approximation of a circular
     obstacle.

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import Voronoi
+from scipy.spatial import Delaunay, Voronoi
 from scipy.special import roots_legendre
 
 from fvvem import mesh as fm
@@ -436,6 +436,32 @@ class TestVoronoi:
         # tangent-chord hole slightly circumscribes the unit disc
         assert 64.0 - 1.1 * np.pi < np.sum(g.area) < 64.0 - 0.95 * np.pi
 
+    @pytest.mark.parametrize("n", [6, 9, 12, 30, 60])
+    @pytest.mark.parametrize("radius", ["spacing", 0.03], ids=["spacing", "tiny"])
+    def test_small_hole_builds_or_names_the_hole(self, n, radius):
+        # a hole below about one seed spacing used to fail on an edge beyond
+        # 0.3 r of the circle, or to vanish without an error
+        r = 0.7 / np.sqrt(n) if radius == "spacing" else radius
+        for seed in range(4):
+            try:
+                m = fm.generate_voronoi((0, 1, 0, 1), n, lloyd_iters=3, seed=seed,
+                                        hole_center=(0.5, 0.5), hole_radius=r)
+            except fm.MeshError as exc:
+                assert str(exc).startswith(f"the hole (radius {r:g} at (0.5, 0.5))"), seed
+                continue
+            m.validate()
+            assert "hole" in m.boundary_tags.values(), seed
+
+    @pytest.mark.parametrize("name, seed", [("swe_cylinder", 5), ("ins_cylinder", 0)])
+    def test_cylinder_hole_edges_lie_near_the_circle(self, name, seed):
+        # every boundary edge off the box sides is tagged `hole`: on these
+        # meshes, the edges whose midpoint lies within 0.3 r of the circle
+        m = cases.get_case(name, seed=seed, n_cells=400).make_mesh()
+        mid = m.edge_coords.mean(axis=1)
+        near = (np.abs(np.hypot(mid[:, 0], mid[:, 1]) - 1.0) < 0.3) & (m.edge_cells[:, 1] < 0)
+        assert sorted(e for e, tag in m.boundary_tags.items() if tag == "hole") == \
+            np.flatnonzero(near).tolist()
+
     @pytest.mark.parametrize("radius, covers", [(0.82, True), (0.68, True), (0.6, False)])
     def test_hole_that_covers_the_box_raises(self, radius, covers):
         # seeds are resampled until they lie 1.05 r from the centre; at
@@ -521,9 +547,9 @@ class TestVoronoi:
 
         def counting(points):
             built.append(len(points))
-            return Voronoi(points)
+            return Delaunay(points)
 
-        monkeypatch.setattr(fm, "Voronoi", counting)
+        monkeypatch.setattr(fm, "Delaunay", counting)
         polys = fm._voronoi_polygons(seeds, (0, 1, 0, 1), periodic, None, 0.0)
         assert len(built) == 2 and built[1] == 9 * len(seeds) > built[0]
         assert_same_cells(polys, full_image_polygons(seeds, (0, 1, 0, 1), periodic, None, 0.0))
@@ -535,6 +561,61 @@ class TestVoronoi:
         polys = fm._voronoi_polygons(relaxed, (0, 1, 0, 1), periodic, None, 0.0)
         assert len(built) == 1 and built[0] < 9 * len(relaxed)
         assert_same_cells(polys, full_image_polygons(relaxed, (0, 1, 0, 1), periodic, None, 0.0))
+
+    # vertex and edge counts of a 6 x 6 lattice mesh on each domain
+    LATTICE = {"box": (49, 84), "torus": (36, 72), "one_axis": (42, 78)}
+
+    @pytest.mark.parametrize("domain", sorted(LATTICE))
+    def test_lattice_seeds_give_the_oracle_cells(self, domain):
+        # each lattice cell's corner is equidistant from four seeds, and the
+        # mirror images repeat that at the sides: the triangulation gives
+        # each Voronoi vertex as two circumcentres equal only to roundoff
+        box, periodic = DOMAINS[domain]["box"], DOMAINS[domain].get("periodic", (False, False))
+        xlo, xhi, ylo, yhi = box
+        gx = xlo + (np.arange(6) + 0.5) * (xhi - xlo) / 6
+        gy = ylo + (np.arange(6) + 0.5) * (yhi - ylo) / 6
+        seeds = np.column_stack([np.repeat(gx, 6), np.tile(gy, 6)])
+        polys = fm._voronoi_polygons(seeds, box, periodic, None, 0.0)
+        assert_same_cells(polys, full_image_polygons(seeds, box, periodic, None, 0.0))
+        m = fm._assemble_mesh(*polys, box, periodic, max(xhi - xlo, yhi - ylo))
+        m.validate(domain_area=(xhi - xlo) * (yhi - ylo))
+        assert m.n_cells == 36 and np.all(m.cell_sizes == 4)
+        assert (m.n_vertices, m.n_edges) == self.LATTICE[domain]
+        if not any(periodic):
+            assert_same_edge_tables(m, oracle_edge_tables(m.vertices, vertex_loops(m)))
+
+    @pytest.mark.parametrize("periodic", [(False, False), (True, True)], ids=["box", "torus"])
+    def test_seed_within_roundoff_of_another_raises(self, periodic):
+        # qhull keeps one of two points within roundoff as coplanar, not as
+        # a vertex of the triangulation
+        seeds = np.random.default_rng(5).uniform(0.1, 0.9, (30, 2))
+        seeds[7] = np.nextafter(seeds[3], 1.0)
+        with pytest.raises(fm.MeshError, match="seed [37] is no vertex of the Delaunay"):
+            fm._voronoi_polygons(seeds, (0, 1, 0, 1), periodic, None, 0.0)
+
+    @pytest.mark.parametrize("name, params, seed", [
+        ("swe_smooth_wave", dict(h=0.12), 29),
+        ("ins_tgv", dict(h=0.45), 13005),
+    ], ids=["wave_29", "tgv_13005"])
+    def test_collapse_does_not_depend_on_loop_starts(self, name, params, seed):
+        # polygons with chains of short edges, whose merged vertex used to
+        # land on the midpoint of the chain's last edge in loop order
+        real, calls = fm._assemble_mesh, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "_assemble_mesh", lambda *args: calls.append(args) or real(*args))
+            cases.get_case(name, seed=seed, **params).make_mesh()
+        pts, sizes, *rest = calls[-1]
+        start = np.cumsum(sizes) - sizes
+        meshes = []
+        for k in (0, 1, 2):
+            pos = np.concatenate([a + np.roll(np.arange(n), -k) for a, n in zip(start, sizes)])
+            meshes.append(real(pts[pos], sizes, *rest))
+        ref = meshes[0]
+        for m in meshes[1:]:
+            assert (m.n_vertices, m.n_edges) == (ref.n_vertices, ref.n_edges)
+            assert np.array_equal(m.cell_sizes, ref.cell_sizes)
+            assert np.abs(fm.build_geometry(m).barycenter
+                          - fm.build_geometry(ref).barycenter).max() <= 1e-12
 
     def test_boundary_vertices_lie_on_their_side(self):
         # a vertex within roundoff of a side used to be clipped as outside it,

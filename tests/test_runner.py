@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fvvem import models
-from fvvem.harness import cli, runner
+from fvvem.harness import cases, cli, runner
 from fvvem.harness.cases import case_names, get_case
 from fvvem.timeint import TimeIntError
 
@@ -181,10 +181,48 @@ def test_mesh_gen_unknown_key_exits_1(monkeypatch, capsys, mesh, key):
 
 def test_mesh_gen_keys_set_the_case(monkeypatch):
     seen = cli_cases(monkeypatch)
-    assert cli.main(["run", "--case", "ins_tgv", "--mesh", "gen:h=0.5,seed=3,n=40",
+    assert cli.main(["run", "--case", "ins_tgv", "--mesh", "gen:h=0.5,seed=3", "--quiet"]) == 0
+    assert cli.main(["run", "--case", "ins_poiseuille", "--mesh", "gen:n=40,seed=3",
                      "--quiet"]) == 0
-    (case,) = seen
-    assert (case.h, case.seed, case.n_cells) == (0.5, 3, 40)
+    assert [(case.h, case.seed, case.n_cells) for case in seen] == [(0.5, 3, None),
+                                                                    (None, 3, 40)]
+
+
+@pytest.mark.parametrize("case, flags, key", [
+    ("swe_vortex", ["--mesh", "gen:n=50"], "n_cells"),
+    ("ins_tgv", ["--mesh", "gen:h=0.5,n=40"], "n_cells"),
+    ("ins_poiseuille", ["--mesh", "gen:h=0.05"], "h"),
+    ("swe_cylinder", ["--param", "h=0.3"], "h"),
+    ("swe_smooth_wave", ["--param", "n_cells=300"], "n_cells"),
+    ("ins_stokes1", ["--mesh", "gen:h=0.1"], "h"),
+], ids=["gen_n_on_h_case", "gen_h_and_n", "gen_h_on_n_case", "param_h_on_n_case",
+        "param_n_on_h_case", "fixed_mesh"])
+def test_mesh_size_the_case_does_not_read_exits_1(monkeypatch, capsys, case, flags, key):
+    seen = cli_cases(monkeypatch)
+    assert cli.main(["run", "--case", case, *flags, "--quiet"]) == 1
+    assert f"would ignore '{key}'" in capsys.readouterr().err
+    assert seen == []
+
+
+@pytest.mark.parametrize("name", [n for n in case_names() if get_case(n).mesh_param])
+def test_each_case_reads_the_mesh_size_it_names(monkeypatch, name):
+    # the generators record the size they are asked for instead of meshing
+    asked = []
+
+    class Asked(Exception):
+        pass
+
+    def record(box, size, *args, **kwargs):
+        asked.append(size)
+        raise Asked
+
+    for fn in ("mesh_for_target_h", "generate_voronoi"):
+        monkeypatch.setattr(cases, fn, record)
+    param = get_case(name).mesh_param
+    size = {"h": 0.123, "n_cells": 321}[param]
+    with pytest.raises(Asked):
+        get_case(name, **{param: size}).make_mesh()
+    assert asked == [size]
 
 
 def test_cli_exits_2_on_a_failed_gate(capsys):

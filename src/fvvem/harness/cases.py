@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import erf
 
 from ..mesh import build_geometry, generate_rect, generate_voronoi
-from ..models import BoundaryCondition, BoundarySet
+from ..models import BoundaryCondition
 from .riemann import exact_riemann_swe
 
 _REGISTRY = {}
@@ -124,7 +124,7 @@ class SweVortexCase(CaseBase):
         return np.stack([eta, eta * (-y * f), eta * (x * f), np.zeros_like(eta)])
 
     def bcs(self):
-        return BoundarySet({})
+        return {}
 
     def error_variables(self):
         return ("eta", "u")
@@ -165,8 +165,8 @@ class SweWellBalanceCase(CaseBase):
 
     def bcs(self):
         still = lambda p, t: self.exact(p, 0.0) * np.array([1.0, 0, 0, 1.0])[:, None]
-        return BoundarySet({"xmin": BoundaryCondition("dirichlet", state=still),
-                            "xmax": BoundaryCondition("dirichlet", state=still)})
+        return {"xmin": BoundaryCondition("dirichlet", state=still),
+                "xmax": BoundaryCondition("dirichlet", state=still)}
 
     def error_variables(self):
         return ("eta", "Hu")
@@ -212,8 +212,8 @@ def _riemann_case(cname, etaL, uL, bL, etaR, uR, bR, xl, xr, tf, hdef):
             return np.stack([eta, q, z, b])
 
         def bcs(self):
-            return BoundarySet({"xmin": BoundaryCondition("wall"),
-                                "xmax": BoundaryCondition("wall")})
+            return {"xmin": BoundaryCondition("wall"),
+                    "xmax": BoundaryCondition("wall")}
 
         def error_variables(self):
             return ("eta", "u")
@@ -258,8 +258,8 @@ class SweCircularDamCase(CaseBase):
         return np.stack([eta, z, z, self.bathymetry()(p)])
 
     def bcs(self):
-        return BoundarySet({tag: BoundaryCondition("wall")
-                            for tag in ("xmin", "xmax", "ymin", "ymax")})
+        return {tag: BoundaryCondition("wall")
+                for tag in ("xmin", "xmax", "ymin", "ymax")}
 
     def error_variables(self):
         return ()
@@ -292,8 +292,8 @@ class SweSmoothWaveCase(CaseBase):
     def bcs(self):
         flat = lambda p, t: np.stack([np.ones(len(p)), np.zeros(len(p)),
                                       np.zeros(len(p)), np.zeros(len(p))])
-        return BoundarySet({tag: BoundaryCondition("dirichlet", state=flat)
-                            for tag in ("xmin", "xmax", "ymin", "ymax")})
+        return {tag: BoundaryCondition("dirichlet", state=flat)
+                for tag in ("xmin", "xmax", "ymin", "ymax")}
 
     def error_variables(self):
         return ()
@@ -347,7 +347,7 @@ class SweCylinderCase(CaseBase):
                  for tag in ("xmin", "ymin", "ymax")}
         table["xmax"] = BoundaryCondition("transmissive")
         table["hole"] = BoundaryCondition("wall")
-        return BoundarySet(table)
+        return table
 
     def error_variables(self):
         return ("eta", "u")
@@ -392,12 +392,12 @@ class InsPoiseuilleCase(CaseBase):
     def bcs(self):
         vel = lambda p, t: self.exact(p, t)
         pre = self.pressure_exact()
-        return BoundarySet({
-            "xmin": BoundaryCondition("dirichlet", state=vel, pressure=pre, static=True),
-            "xmax": BoundaryCondition("dirichlet", state=vel, pressure=pre, static=True),
+        return {
+            "xmin": BoundaryCondition("dirichlet", state=vel, pressure=pre),
+            "xmax": BoundaryCondition("dirichlet", state=vel, pressure=pre),
             "ymin": BoundaryCondition("wall"),
             "ymax": BoundaryCondition("wall"),
-        })
+        }
 
     def error_variables(self):
         return ("u",)
@@ -445,7 +445,7 @@ class InsTgvCase(CaseBase):
             np.cos(2.0 * p[:, 0]) + np.cos(2.0 * p[:, 1]))
 
     def bcs(self):
-        return BoundarySet({})
+        return {}
 
     def error_variables(self):
         return ("u", "p")
@@ -480,8 +480,8 @@ class InsStokesFirstCase(CaseBase):
 
     def bcs(self):
         vel = lambda p, t: self.exact(p, t)
-        return BoundarySet({"xmin": BoundaryCondition("dirichlet", state=vel),
-                            "xmax": BoundaryCondition("dirichlet", state=vel)})
+        return {"xmin": BoundaryCondition("dirichlet", state=vel),
+                "xmax": BoundaryCondition("dirichlet", state=vel)}
 
     def error_variables(self):
         return ("v",)
@@ -526,8 +526,8 @@ class InsWomersleyCase(CaseBase):
         return lambda t: (-self.amplitude * np.cos(self.omega * t), 0.0)
 
     def bcs(self):
-        return BoundarySet({"ymin": BoundaryCondition("wall"),
-                            "ymax": BoundaryCondition("wall")})
+        return {"ymin": BoundaryCondition("wall"),
+                "ymax": BoundaryCondition("wall")}
 
     def error_variables(self):
         return ("u",)
@@ -567,7 +567,7 @@ class InsDoubleShearCase(CaseBase):
         return lambda p, t: np.ones(len(p))
 
     def bcs(self):
-        return BoundarySet({})
+        return {}
 
     def error_variables(self):
         return ()
@@ -601,10 +601,10 @@ class InsCavityCase(CaseBase):
 
     def bcs(self):
         lid = lambda p, t: np.stack([np.ones(len(p)), np.zeros(len(p))])
-        return BoundarySet({"ymax": BoundaryCondition("dirichlet", state=lid, static=True),
-                            "xmin": BoundaryCondition("wall"),
-                            "xmax": BoundaryCondition("wall"),
-                            "ymin": BoundaryCondition("wall")})
+        return {"ymax": BoundaryCondition("dirichlet", state=lid),
+                "xmin": BoundaryCondition("wall"),
+                "xmax": BoundaryCondition("wall"),
+                "ymin": BoundaryCondition("wall")}
 
     def error_variables(self):
         return ()
@@ -648,14 +648,13 @@ class InsCylinderCase(CaseBase):
                                         np.zeros(len(p))])
         # the outflow pins the pressure at its initial value: else the
         # projection is a pure Neumann problem with an incompatible rhs
-        return BoundarySet({
-            "xmin": BoundaryCondition("dirichlet", state=inflow, static=True),
-            "xmax": BoundaryCondition("transmissive", pressure=self.pressure_exact(),
-                                      static=True),
+        return {
+            "xmin": BoundaryCondition("dirichlet", state=inflow),
+            "xmax": BoundaryCondition("transmissive", pressure=self.pressure_exact()),
             "ymin": BoundaryCondition("transmissive"),
             "ymax": BoundaryCondition("transmissive"),
             "hole": BoundaryCondition("wall"),
-        })
+        }
 
     def error_variables(self):
         return ()

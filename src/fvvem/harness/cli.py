@@ -111,7 +111,8 @@ def main(argv=None) -> int:
     study_p = sub.add_parser("study", help="convergence study over meshes")
     common(study_p)
     study_p.add_argument("--meshes", required=True,
-                         help="comma-separated target h values")
+                         help="comma-separated mesh sizes: target h values, or "
+                              "cell counts n for the cases that read n_cells")
 
     args = parser.parse_args(argv)
     try:
@@ -127,14 +128,20 @@ def main(argv=None) -> int:
             result = run_case(case, out_prefix=args.out, quiet=args.quiet,
                               mesh_file=mesh_file)
             return 0 if result.gate_passed else 2
-        hs = [float(s) for s in args.meshes.split(",")]
+        # sweep the mesh size the case reads, through its --mesh gen: key
+        param = case_lib.get_case(args.case).mesh_param
+        if param is None:
+            raise ValueError(f"case '{args.case}' has a fixed mesh: "
+                             "it has no mesh size to sweep")
+        key = next(k for k, v in GEN_KEYS.items() if v == param)
+        sizes = args.meshes.split(",")
 
-        def factory(h):
-            args.mesh = f"gen:h={h}"
+        def factory(size):
+            args.mesh = f"gen:{key}={size}"
             case, _ = _build_case(args)
             return case
 
-        convergence_study(factory, hs, out_prefix=args.out, quiet=args.quiet)
+        convergence_study(factory, sizes, out_prefix=args.out, quiet=args.quiet)
         return 0
     except Exception as exc:                      # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)

@@ -22,54 +22,33 @@ class RiemannSolution:
     g: float
 
     def sample(self, xi):
-        """State (H, u) along rays xi = x/t."""
+        """State (H, u) along rays xi = x/t: the left wave's on the rays
+        xi <= u_star, the right wave's beyond."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        g = self.g
-        hl, ul = self.left
-        hr, ur = self.right
-        hs, us = self.h_star, self.u_star
-        H = np.empty_like(xi)
-        U = np.empty_like(xi)
-        cl, cr, cs = np.sqrt(g * hl), np.sqrt(g * hr), np.sqrt(g * hs)
-        for i, s in enumerate(xi):
-            if s <= us:
-                # left wave
-                if hs > hl:      # shock
-                    ql = np.sqrt(0.5 * ((hs + hl) * hs / hl ** 2))
-                    sl = ul - cl * ql
-                    if s <= sl:
-                        H[i], U[i] = hl, ul
-                    else:
-                        H[i], U[i] = hs, us
-                else:            # rarefaction
-                    head, tail = ul - cl, us - cs
-                    if s <= head:
-                        H[i], U[i] = hl, ul
-                    elif s >= tail:
-                        H[i], U[i] = hs, us
-                    else:
-                        U[i] = (ul + 2.0 * cl + 2.0 * s) / 3.0
-                        c = (ul + 2.0 * cl - s) / 3.0
-                        H[i] = c * c / g
-            else:
-                # right wave
-                if hs > hr:      # shock
-                    qr = np.sqrt(0.5 * ((hs + hr) * hs / hr ** 2))
-                    sr = ur + cr * qr
-                    if s >= sr:
-                        H[i], U[i] = hr, ur
-                    else:
-                        H[i], U[i] = hs, us
-                else:            # rarefaction
-                    head, tail = ur + cr, us + cs
-                    if s >= head:
-                        H[i], U[i] = hr, ur
-                    elif s <= tail:
-                        H[i], U[i] = hs, us
-                    else:
-                        U[i] = (ur - 2.0 * cr + 2.0 * s) / 3.0
-                        c = (-ur + 2.0 * cr + s) / 3.0
-                        H[i] = c * c / g
+        Hl, Ul = self._wave(xi, *self.left, -1.0)
+        Hr, Ur = self._wave(xi, *self.right, 1.0)
+        left = xi <= self.u_star
+        return np.where(left, Hl, Hr), np.where(left, Ul, Ur)
+
+    def _wave(self, xi, h, u, sign):
+        """(H, u) on the rays xi of the wave between the side state (h, u)
+        and the star state: a shock when the star state is deeper, else a
+        rarefaction.  sign is -1 for the left wave and +1 for the right one,
+        so sign * xi grows away from the star state."""
+        g, hs, us = self.g, self.h_star, self.u_star
+        c = np.sqrt(g * h)
+        if hs > h:
+            speed = u + sign * c * np.sqrt(0.5 * ((hs + h) * hs / h ** 2))
+            outside = sign * xi >= sign * speed
+            fan = np.zeros(xi.shape, dtype=bool)
+        else:
+            head, tail = u + sign * c, us + sign * np.sqrt(g * hs)
+            outside = sign * xi >= sign * head
+            fan = ~outside & (sign * xi > sign * tail)
+        # the rarefaction fan: u - sign * 2 c_fan is the side state's invariant
+        c_fan = (-sign * u + 2.0 * c + sign * xi) / 3.0
+        H = np.select([outside, fan], [h, c_fan * c_fan / g], hs)
+        U = np.select([outside, fan], [u, (u - sign * 2.0 * c + 2.0 * xi) / 3.0], us)
         return H, U
 
 

@@ -49,7 +49,7 @@ def design_ledger(case, disc, driver, extra=None) -> dict:
         "interior_quadrature_degree": 2 * disc.k,
         "coefficient_quadrature_degree": 2 * disc.k + 2,
         "solver": "preconditioned conjugate gradients, increment form",
-        "solver_tol": driver.tol,
+        "solver_tol": DEFAULT_TOL,
         "stiffness_stabilization": "dimensionless dof-dof (|P| factor dropped; mass keeps |P|)",
         "swe_wave_equation_form": "SPD (M + dt^2 g K), printed signs treated as typos",
         "ins_helmholtz_viscosity": "nu restored in (M + dt nu K)",
@@ -71,11 +71,9 @@ def build_driver(case, disc):
     if case.model == "swe":
         cfg = SweConfig(g=case.g0)
         return SweDriver(disc, cfg, case.bcs(), scheme=case.scheme, cfl=case.cfl,
-                         bathymetry=case.bathymetry(), tol=DEFAULT_TOL,
-                         mass_update=case.mass_update)
+                         bathymetry=case.bathymetry(), mass_update=case.mass_update)
     cfg = InsConfig(nu=case.nu, body_force=case.body_force())
-    return InsDriver(disc, cfg, case.bcs(), scheme=case.scheme, cfl=case.cfl,
-                     tol=DEFAULT_TOL)
+    return InsDriver(disc, cfg, case.bcs(), scheme=case.scheme, cfl=case.cfl)
 
 
 def initial_state(case, driver):
@@ -212,17 +210,17 @@ def run_case(case, out_prefix: str | None = None, quiet: bool = False,
     return result
 
 
-def convergence_study(case_factory, hs, out_prefix: str | None = None,
+def convergence_study(case_factory, sizes, out_prefix: str | None = None,
                       quiet: bool = False) -> list:
-    """Run the case on a mesh sequence; report errors and observed orders."""
+    """Run the case on a mesh sequence, `case_factory(size)` for each mesh
+    size; report errors and observed orders."""
     reports = []
-    for h in hs:
-        case = case_factory(h)
-        res = run_case(case, quiet=quiet)
+    for size in sizes:
+        res = run_case(case_factory(size), quiet=quiet)
         reports.append(res.report)
     observed_orders(reports)
     if reports and out_prefix:
-        case = case_factory(hs[0])
+        case = case_factory(sizes[0])
         write_error_csv(f"{out_prefix}_{case.name}_convergence.csv", reports,
                         case.error_variables())
     if not quiet:

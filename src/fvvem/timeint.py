@@ -30,13 +30,36 @@ class ButcherPair:
 _SQRT2 = np.sqrt(2.0)
 _GAMMA_222 = 1.0 - 1.0 / _SQRT2
 _BETA_222 = 1.0 / (2.0 * _GAMMA_222)
-_GAMMA_343 = 0.435866
+
+
+def _sadirk343():
+    """gamma, tau2, b1, b2 and the explicit (a31, a32, a41, a43) of SADIRK343.
+
+    gamma is the root in (0.4, 0.5) of 6 g^3 - 18 g^2 + 9 g - 1 (Newton from
+    the printed 0.435866), tau2 = (1 + gamma) / 2, and b1, b2 complete the
+    stiffly accurate third-order implicit table.  With a42 = 1/2 the
+    explicit entries solve a31 + a32 = tau2, a41 + a43 = 1/2, b . Ae[:, 0] = 0
+    and b . Ae . c = 1/6.
+    """
+    g = 0.435866
+    for _ in range(4):
+        g -= (((6.0 * g - 18.0) * g + 9.0) * g - 1.0) / ((18.0 * g - 36.0) * g + 9.0)
+    t2 = 0.5 * (1.0 + g)
+    b1 = -(6.0 * g * g - 16.0 * g + 1.0) / 4.0
+    b2 = (6.0 * g * g - 20.0 * g + 5.0) / 4.0
+    expl = np.linalg.solve([[1.0, 1.0, 0.0, 0.0],
+                            [0.0, 0.0, 1.0, 1.0],
+                            [b2, 0.0, g, 0.0],
+                            [0.0, b2 * g, 0.0, g * t2]],
+                           [t2, 0.5, -b1 * g, 1.0 / 6.0 - 0.5 * g * g])
+    return g, t2, b1, b2, expl
 
 
 def tableau(name: str) -> ButcherPair:
     """IMEX pairs: SP111 (order 1), LSDIRK222 (order 2), SADIRK343 (order 3).
 
-    Constants carry the full printed precision; c columns come from row sums.
+    Constants come from closed forms (SADIRK343: `_sadirk343`); c columns
+    come from row sums.
     """
     if name == "SP111":
         Ae = np.array([[0.0]])
@@ -50,16 +73,16 @@ def tableau(name: str) -> ButcherPair:
                        [1.0 - g, g]])
         b = np.array([1.0 - g, g])
     elif name == "SADIRK343":
-        g = _GAMMA_343
+        g, t2, b1, b2, (a31, a32, a41, a43) = _sadirk343()
         Ae = np.array([[0.0, 0.0, 0.0, 0.0],
                        [g, 0.0, 0.0, 0.0],
-                       [1.437745, -0.719812, 0.0, 0.0],
-                       [0.916993, 0.5, -0.416993, 0.0]])
+                       [a31, a32, 0.0, 0.0],
+                       [a41, 0.5, a43, 0.0]])
         Ai = np.array([[g, 0.0, 0.0, 0.0],
                        [0.0, g, 0.0, 0.0],
-                       [0.0, 0.282066, g, 0.0],
-                       [0.0, 1.208496, -0.644363, g]])
-        b = np.array([0.0, 1.208496, -0.644363, g])
+                       [0.0, t2 - g, g, 0.0],
+                       [0.0, b1, b2, g]])
+        b = Ai[-1].copy()               # stiffly accurate
     else:
         raise TimeIntError(f"unknown IMEX scheme '{name}'")
     return ButcherPair(name, Ae, Ai, b, Ae.sum(axis=1), Ai.sum(axis=1))
@@ -94,9 +117,9 @@ def imex_advance(state, pair: ButcherPair, stage_solver, dt: float):
     stage_solver(state_E, state_I, tau, t_stage) must return the stage state
     solving  Q = state_I + tau * H(state_E, Q),  i.e. one semi-implicit update
     with effective step tau = a_ii * dt.  States are objects exposing
-    .Q (array), .time, .copy(), and a model-owned .lincomb API used to form
-    the accumulated stage inputs.  A single stage flux set is kept:
-    k_i = (Q_i - state_I_base) / tau, reused by both tableaux.
+    .time and the model-owned .lincomb (the accumulated stage inputs),
+    .flux_from (the stage fluxes) and .adopt_auxiliary.  A single stage flux
+    set is kept: k_i = (Q_i - state_I_base) / tau, reused by both tableaux.
     """
     s = pair.stages
     if s == 1:

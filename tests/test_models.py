@@ -8,7 +8,7 @@ from fvvem import models
 from fvvem import vem
 from fvvem.harness import cases, runner
 from fvvem.linalg import SparseMatrix
-from fvvem.models import (BoundaryCondition, BoundarySet, Discretization,
+from fvvem.models import (BoundaryCondition, Discretization,
                           DryStateError, FlowState, InsConfig, InsDriver,
                           InsModel, SweConfig, SweDriver, SweModel,
                           evaluate_bathymetry)
@@ -36,6 +36,63 @@ class TestModelEigenvalue:
             compute_dt(np.ones(1), lam, 0.9)
 
 
+@pytest.fixture(scope="module")
+def box_disc():
+    m = fm.generate_voronoi((0, 1, 0, 1), 20, lloyd_iters=3, seed=1)
+    return Discretization(m, fm.build_geometry(m), k=1)
+
+
+# each driver, its state rows and its momentum rows
+GHOST_FLOWS = {"swe": (SweDriver, SweConfig(), 4, [1, 2]),
+               "ins": (InsDriver, InsConfig(), 2, [0, 1])}
+
+
+@pytest.mark.parametrize("flow", sorted(GHOST_FLOWS))
+class TestGhost:
+    """The FV exterior state at boundary edge points, per boundary kind."""
+
+    def ghost(self, disc, flow, bc):
+        driver, config, nrows, momentum = GHOST_FLOWS[flow]
+        drv = driver(disc, config, {"xmin": bc})
+        rng = np.random.default_rng(7)
+        angle = rng.uniform(0.0, 2.0 * np.pi, 6)
+        normals = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        pts = rng.uniform(0.0, 1.0, (6, 2))
+        wL = rng.uniform(0.5, 1.5, (nrows, 6))
+        before = wL.copy()
+        w = drv._ghost("xmin", pts, normals, wL, 0.3)
+        assert np.array_equal(wL, before)
+        return w, wL, pts, normals, momentum
+
+    def test_transmissive_copies_the_interior_trace(self, box_disc, flow):
+        w, wL, *_ = self.ghost(box_disc, flow, BoundaryCondition("transmissive"))
+        assert np.array_equal(w, wL)
+
+    def test_wall_reflects_the_momentum_rows(self, box_disc, flow):
+        w, wL, _, n, momentum = self.ghost(box_disc, flow, BoundaryCondition("wall"))
+        others = [r for r in range(len(wL)) if r not in momentum]
+        assert np.array_equal(w[others], wL[others])
+        t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+        (qx, qy), (gx, gy) = wL[momentum], w[momentum]
+        assert np.allclose(gx * n[:, 0] + gy * n[:, 1], -(qx * n[:, 0] + qy * n[:, 1]),
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(gx * t[:, 0] + gy * t[:, 1], qx * t[:, 0] + qy * t[:, 1],
+                           rtol=0.0, atol=1e-15)
+
+    def test_dirichlet_takes_the_prescribed_state(self, box_disc, flow):
+        nrows = GHOST_FLOWS[flow][2]
+
+        def state(p, t):
+            return np.stack([p[:, 0] + r * p[:, 1] + t for r in range(nrows)])
+
+        w, _, pts, *_ = self.ghost(box_disc, flow, BoundaryCondition("dirichlet", state=state))
+        assert np.array_equal(w, state(pts, 0.3))
+
+    def test_unknown_kind_raises(self, box_disc, flow):
+        with pytest.raises(models.ModelError, match="unknown boundary kind 'slip'"):
+            self.ghost(box_disc, flow, BoundaryCondition("slip"))
+
+
 def wb_setup(n=150, k=2, delta=0.0, seed=3):
     m = fm.generate_voronoi((-2, 1, -0.5, 0.5), n, lloyd_iters=8, seed=seed,
                             periodic=(False, True))
@@ -52,8 +109,8 @@ def wb_setup(n=150, k=2, delta=0.0, seed=3):
         z = np.zeros(len(p))
         return np.stack([eta, z, z, bump(p)])
 
-    bcs = BoundarySet({"xmin": BoundaryCondition("dirichlet", state=state),
-                       "xmax": BoundaryCondition("dirichlet", state=state)})
+    bcs = {"xmin": BoundaryCondition("dirichlet", state=state),
+           "xmax": BoundaryCondition("dirichlet", state=state)}
     drv = SweDriver(disc, SweConfig(g=9.81), bcs, scheme="LSDIRK222", bathymetry=bump)
     return drv, drv.initial_state(state), g
 
@@ -75,7 +132,7 @@ class TestSweStage:
                                 periodic=(True, True))
         g = fm.build_geometry(m)
         disc = Discretization(m, g, k=1)
-        drv = SweDriver(disc, SweConfig(g=9.81), BoundarySet({}), scheme="SP111")
+        drv = SweDriver(disc, SweConfig(g=9.81), {}, scheme="SP111")
         z = np.zeros(m.n_cells)
         state = FlowState(np.stack([np.full(m.n_cells, 2.0), z, z]), 0.0, {})
         out = drv.step(state, 0.05)
@@ -96,7 +153,7 @@ class TestSweStage:
                                 periodic=(True, True))
         gg = fm.build_geometry(m)
         disc = Discretization(m, gg, k=3)
-        drv = SweDriver(disc, SweConfig(g=g0), BoundarySet({}), scheme="SP111")
+        drv = SweDriver(disc, SweConfig(g=g0), {}, scheme="SP111")
         state = drv.initial_state(exact)
         out = drv.step(state.copy(), 1e-3)
         drift = np.sqrt(np.sum(gg.area * (out.Q[0] - state.Q[0]) ** 2))
@@ -107,8 +164,8 @@ class TestSweStage:
                                 periodic=(False, True))
         g = fm.build_geometry(m)
         disc = Discretization(m, g, k=1)
-        bcs = BoundarySet({"xmin": BoundaryCondition("wall"),
-                           "xmax": BoundaryCondition("wall")})
+        bcs = {"xmin": BoundaryCondition("wall"),
+               "xmax": BoundaryCondition("wall")}
         drv = SweDriver(disc, SweConfig(g=9.81), bcs, scheme="LSDIRK222")
         eta = np.where(g.barycenter[:, 0] <= 0.0, 1.0, 2.0)
         z = np.zeros(m.n_cells)
@@ -192,7 +249,7 @@ def tgv_setup(n=220, k=2, nu=1e-2, seed=4, scheme="LSDIRK222"):
         # consistent with the velocity orientation (momentum balance)
         return np.exp(-4 * nu * t) / 4 * (np.cos(2 * p[:, 0]) + np.cos(2 * p[:, 1]))
 
-    drv = InsDriver(disc, InsConfig(nu=nu), BoundarySet({}), scheme=scheme)
+    drv = InsDriver(disc, InsConfig(nu=nu), {}, scheme=scheme)
     return drv, drv.initial_state(vel, pres), vel, pres, g
 
 
@@ -213,7 +270,7 @@ class TestInsStages:
                                 periodic=(True, True))
         g = fm.build_geometry(m)
         disc = Discretization(m, g, k=1)
-        drv = InsDriver(disc, InsConfig(nu=1e-3), BoundarySet({}), scheme="SP111")
+        drv = InsDriver(disc, InsConfig(nu=1e-3), {}, scheme="SP111")
         state = drv.initial_state(
             lambda p, t: np.stack([np.full(len(p), 0.4), np.full(len(p), -0.2)]),
             lambda p, t: np.ones(len(p)))
@@ -334,8 +391,8 @@ class TestInsStages:
         def state4(p, t):
             return vel(p, t)
 
-        bcs = BoundarySet({"xmin": BoundaryCondition("dirichlet", state=state4),
-                           "xmax": BoundaryCondition("dirichlet", state=state4)})
+        bcs = {"xmin": BoundaryCondition("dirichlet", state=state4),
+               "xmax": BoundaryCondition("dirichlet", state=state4)}
         drv = InsDriver(disc, InsConfig(nu=nu), bcs, scheme="SP111")
         state = drv.initial_state(vel, lambda p, t: np.ones(len(p)))
         dt = 0.05
@@ -377,7 +434,7 @@ class TestApBehaviour:
         counts, errs, dts, iters = [], [], [], []
         for H0 in (1.0, 1e3):      # Fr ~ 1e-1 and 1e-2
             exact = make(H0)
-            drv = SweDriver(disc, SweConfig(g=g0), BoundarySet({}), scheme="SP111",
+            drv = SweDriver(disc, SweConfig(g=g0), {}, scheme="SP111",
                             mass_update="transfer")
             state = drv.initial_state(exact)
             ns = 0
@@ -455,7 +512,7 @@ def variable_stiffness_oracle(disc, coeff_dofs):
 def tagged_dirichlet_oracle(disc, bcs, tags, sampler, t):
     """Tag by tag in sorted order, 'wall' tags last; a later tag overwrites."""
     values = {}
-    for tag in sorted(tags, key=lambda tag: (bcs.table[tag].kind == "wall", tag)):
+    for tag in sorted(tags, key=lambda tag: (bcs[tag].kind == "wall", tag)):
         dofs = vem.dirichlet_dofs(disc.mesh, disc.layout, {tag})
         for d, v in zip(dofs, sampler(tag, disc.layout.dof_coords[dofs], t)):
             values[int(d)] = float(v)
@@ -487,7 +544,7 @@ def swe_pattern_setup(k, periodic, n=30):
                          -0.1 * eta * np.sin(2 * np.pi * x), np.zeros(len(p))])
 
     tags = [] if periodic else sorted(set(m.boundary_tags.values()))
-    bcs = BoundarySet({tag: BoundaryCondition("dirichlet", state=state) for tag in tags})
+    bcs = {tag: BoundaryCondition("dirichlet", state=state) for tag in tags}
     return SweDriver(disc, SweConfig(g=9.81), bcs, scheme="SADIRK343"), state
 
 
@@ -507,7 +564,7 @@ class TestFixedPattern:
         load = np.random.default_rng(k).standard_normal(disc.layout.n_dofs)
         rhs = system.rhs(load, 0, 0.25)
         fixed, vals = tagged_dirichlet_oracle(
-            disc, drv.bcs, list(drv.bcs.table), lambda tag, p, t: state(p, t)[0], 0.25)
+            disc, drv.bcs, list(drv.bcs), lambda tag, p, t: state(p, t)[0], 0.25)
         assert np.array_equal(system.fixed, fixed) and (len(fixed) == 0) == periodic
         Mref = dense_scatter(disc, [grp.mass for grp in disc.groups])
         Aref, rhs_ref = dirichlet_oracle(Mref + c * Kref, load, fixed, vals)
@@ -517,20 +574,20 @@ class TestFixedPattern:
     def test_wall_wins_at_corners(self):
         m = fm.generate_voronoi((0, 1, 0, 1), 30, lloyd_iters=5, seed=6)
         disc = Discretization(m, fm.build_geometry(m), k=2)
-        bcs = BoundarySet({"xmin": BoundaryCondition("dirichlet"),
-                           "xmax": BoundaryCondition("dirichlet"),
-                           "ymin": BoundaryCondition("wall"),
-                           "ymax": BoundaryCondition("dirichlet")})
+        bcs = {"xmin": BoundaryCondition("dirichlet"),
+               "xmax": BoundaryCondition("dirichlet"),
+               "ymin": BoundaryCondition("wall"),
+               "ymax": BoundaryCondition("dirichlet")}
 
         def sample(tag, pts, t):
-            if bcs.table[tag].kind == "wall":
+            if bcs[tag].kind == "wall":
                 return np.zeros(len(pts))
             return 2.0 + pts[:, 0] + len(tag) * pts[:, 1] + t
 
-        system = models._ConstrainedSystem(disc, bcs, sorted(bcs.table), [sample],
-                                           static=False)
+        system = models._ConstrainedSystem(disc, bcs, sorted(bcs),
+                                           lambda tag, pts, t: sample(tag, pts, t)[None])
         for t in (0.0, 0.5):
-            dofs, vals = tagged_dirichlet_oracle(disc, bcs, sorted(bcs.table), sample, t)
+            dofs, vals = tagged_dirichlet_oracle(disc, bcs, sorted(bcs), sample, t)
             assert np.array_equal(system.fixed, dofs)
             assert np.array_equal(system.values(0, t), vals)
         corners = disc.layout.dof_coords[dofs][:, 1] == 0.0
@@ -700,7 +757,7 @@ def periodic_flow(flow, scheme, seed=5):
     free-surface bump at rest (swe) or the Taylor-Green vortex (ins)."""
     if flow == "ins":
         drv, state, _, _, _ = tgv_setup(n=60, k=1, seed=seed, scheme=scheme)
-        return lambda: InsDriver(drv.disc, InsConfig(nu=1e-2), BoundarySet({}),
+        return lambda: InsDriver(drv.disc, InsConfig(nu=1e-2), {},
                                  scheme=scheme), state
     m = fm.generate_voronoi((0, 1, 0, 1), 60, lloyd_iters=6, seed=seed,
                             periodic=(True, True))
@@ -710,7 +767,7 @@ def periodic_flow(flow, scheme, seed=5):
     z = np.zeros(m.n_cells)
     state = FlowState(np.stack([2.0 + 0.1 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
                                 z, z]), 0.0, {})
-    return lambda: SweDriver(disc, SweConfig(g=9.81), BoundarySet({}), scheme=scheme), state
+    return lambda: SweDriver(disc, SweConfig(g=9.81), {}, scheme=scheme), state
 
 
 class TestStageInputs:

@@ -51,3 +51,64 @@ def test_flat_riemann_case_reference(name, walls):
     assert end[0, 1] == pytest.approx(sol.h_star, rel=1e-14)
     assert end[1, 1] == pytest.approx(sol.h_star * sol.u_star, rel=1e-14)
     assert not np.any(end[2:])                     # qy and the flat bottom
+
+
+def sample_oracle(sol, xi):
+    """RiemannSolution.sample as a loop over the rays, one wave type per
+    branch."""
+    g = sol.g
+    hl, ul = sol.left
+    hr, ur = sol.right
+    hs, us = sol.h_star, sol.u_star
+    H = np.empty_like(xi)
+    U = np.empty_like(xi)
+    cl, cr, cs = np.sqrt(g * hl), np.sqrt(g * hr), np.sqrt(g * hs)
+    for i, s in enumerate(xi):
+        if s <= us:
+            if hs > hl:      # left shock
+                sl = ul - cl * np.sqrt(0.5 * ((hs + hl) * hs / hl ** 2))
+                H[i], U[i] = (hl, ul) if s <= sl else (hs, us)
+            else:            # left rarefaction
+                head, tail = ul - cl, us - cs
+                if s <= head:
+                    H[i], U[i] = hl, ul
+                elif s >= tail:
+                    H[i], U[i] = hs, us
+                else:
+                    U[i] = (ul + 2.0 * cl + 2.0 * s) / 3.0
+                    c = (ul + 2.0 * cl - s) / 3.0
+                    H[i] = c * c / g
+        else:
+            if hs > hr:      # right shock
+                sr = ur + cr * np.sqrt(0.5 * ((hs + hr) * hs / hr ** 2))
+                H[i], U[i] = (hr, ur) if s >= sr else (hs, us)
+            else:            # right rarefaction
+                head, tail = ur + cr, us + cs
+                if s >= head:
+                    H[i], U[i] = hr, ur
+                elif s <= tail:
+                    H[i], U[i] = hs, us
+                else:
+                    U[i] = (ur - 2.0 * cr + 2.0 * s) / 3.0
+                    c = (-ur + 2.0 * cr + s) / 3.0
+                    H[i] = c * c / g
+    return H, U
+
+
+@pytest.mark.parametrize("hl, ul, hr, ur", [
+    (1.0, 0.0, 2.0, 0.0), (1e3, 0.0, 1.0, 0.0), (2.0, 0.0, 1.0, 0.0),
+    (1.0, -1.0, 1.0, 1.0), (1.0, 1.0, 1.0, -1.0)],
+    ids=["deeper_right", "deep_left", "deeper_left", "two_rarefactions", "two_shocks"])
+def test_sample_equals_the_loop_over_rays(hl, ul, hr, ur):
+    sol = exact_riemann_swe(hl, ul, hr, ur, g=G)
+    hs, us = sol.h_star, sol.u_star
+    cl, cr, cs = np.sqrt(G * hl), np.sqrt(G * hr), np.sqrt(G * hs)
+    # every wave's head, tail and shock speed, exactly as sample forms them
+    edges = [us, ul - cl, us - cs, ur + cr, us + cs,
+             ul - cl * np.sqrt(0.5 * ((hs + hl) * hs / hl ** 2)),
+             ur + cr * np.sqrt(0.5 * ((hs + hr) * hs / hr ** 2))]
+    xi = np.concatenate([edges, np.linspace(min(edges) - 1.0, max(edges) + 1.0, 401)])
+    H, U = sol.sample(xi)
+    Href, Uref = sample_oracle(sol, xi)
+    assert np.array_equal(H, Href) and np.array_equal(U, Uref)
+    assert np.array_equal(sol.sample(xi[3])[0], Href[3:4])

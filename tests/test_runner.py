@@ -251,3 +251,30 @@ def test_config_file_keeps_every_param_line(tmp_path, monkeypatch, capsys):
     cfg.write_text("tend = 0.3\ntend = 0.4\n")
     assert cli.main(["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet"]) == 1
     assert "key 'tend' given twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, meshes, sizes", [
+    ("ins_poiseuille", "40,80", [(None, 40), (None, 80)]),
+    ("ins_tgv", "0.9,0.7", [(0.9, None), (0.7, None)]),
+])
+def test_study_sweeps_the_mesh_size_the_case_reads(monkeypatch, case, meshes, sizes):
+    ran = []
+    real = runner.run_case
+
+    def record(case, **kw):
+        ran.append((case.h, case.n_cells))
+        return real(case, **kw)
+
+    monkeypatch.setattr(runner, "run_case", record)
+    assert cli.main(["study", "--case", case, "--meshes", meshes, "--tend", "0.02",
+                     "--quiet"]) == 0
+    assert ran == sizes
+
+
+def test_study_of_a_fixed_mesh_exits_1(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(runner, "run_case", lambda case, **kw: seen.append(case))
+    assert cli.main(["study", "--case", "ins_stokes1", "--meshes", "0.1,0.05",
+                     "--quiet"]) == 1
+    assert "no mesh size to sweep" in capsys.readouterr().err
+    assert seen == []

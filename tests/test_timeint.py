@@ -23,19 +23,59 @@ class TestTableaux:
 
     def test_sadirk343_constants(self):
         p = tableau("SADIRK343")
-        assert p.A_impl[0, 0] == pytest.approx(0.435866, abs=1e-12)
-        assert p.A_expl[2, 0] == pytest.approx(1.437745, abs=1e-12)
-        assert p.A_expl[2, 1] == pytest.approx(-0.719812, abs=1e-12)
-        assert p.b[1] == pytest.approx(1.208496, abs=1e-12)
+        Ae, Ai = p.A_expl, p.A_impl
+        # gamma: the root in (0.4, 0.5) of 6 g^3 - 18 g^2 + 9 g - 1, here by
+        # the trigonometric form of the cubic's roots
+        gamma = 1.0 + np.sqrt(2.0) * np.cos((np.arccos(2.0 * np.sqrt(2.0) / 3.0)
+                                             - 2.0 * np.pi) / 3.0)
+        g = Ai[0, 0]
+        assert g == pytest.approx(gamma, abs=1e-15)
+        assert abs(6.0 * g ** 3 - 18.0 * g ** 2 + 9.0 * g - 1.0) <= 1e-15
+        tau2 = 0.5 * (1.0 + g)
+        b1 = -(6.0 * g * g - 16.0 * g + 1.0) / 4.0
+        b2 = (6.0 * g * g - 20.0 * g + 5.0) / 4.0
+        closed = [(np.diag(Ai), g), (Ae[1, 0], g), (Ai[2, 1], tau2 - g),
+                  (Ai[3, 1:3], [b1, b2]), (p.b, Ai[3]), (Ae[3, 1], 0.5),
+                  (Ae[2, 0] + Ae[2, 1], tau2), (Ae[3, 0] + Ae[3, 2], 0.5),
+                  (b2 * Ae[2, 0] + g * Ae[3, 0], -b1 * g),
+                  (b2 * g * Ae[2, 1] + g * tau2 * Ae[3, 2], 1.0 / 6.0 - g * g / 2.0)]
+        for value, form in closed:
+            assert np.abs(np.asarray(value) - form).max() <= 1e-15
+        # the printed six-digit constants
+        printed = [(g, 0.435866), (Ae[2, 0], 1.437745), (Ae[2, 1], -0.719812),
+                   (Ae[3, 0], 0.916993), (Ae[3, 2], -0.416993), (Ai[2, 1], 0.282066),
+                   (p.b[1], 1.208496), (p.b[2], -0.644363)]
+        for value, six_digits in printed:
+            assert value == pytest.approx(six_digits, abs=1e-6)
 
     @pytest.mark.parametrize("name", ["SP111", "LSDIRK222", "SADIRK343"])
     def test_row_sums_and_weights(self, name):
         p = tableau(name)
-        assert np.abs(p.A_expl.sum(axis=1) - p.c_expl).max() < 1e-6
-        assert np.abs(p.A_impl.sum(axis=1) - p.c_impl).max() < 1e-6
-        assert p.b.sum() == pytest.approx(1.0, abs=2e-6)
+        assert np.abs(p.A_expl.sum(axis=1) - p.c_expl).max() < 1e-14
+        assert np.abs(p.A_impl.sum(axis=1) - p.c_impl).max() < 1e-14
+        assert p.b.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.all(np.triu(p.A_expl) == 0.0)       # strictly lower
         assert np.all(np.triu(p.A_impl, 1) == 0.0)    # lower with diagonal
+
+    @pytest.mark.parametrize("name, order", [("SP111", 1), ("LSDIRK222", 2),
+                                             ("SADIRK343", 3)])
+    def test_order_conditions(self, name, order):
+        # b^T Phi(c) = 1/(tree density) for every tree up to `order`, with
+        # each node's tableau and abscissae drawn from either partition:
+        # the coupling conditions of the pair included
+        p = tableau(name)
+        parts = [(p.A_expl, p.c_expl), (p.A_impl, p.c_impl)]
+        b = p.b
+        assert abs(b.sum() - 1.0) <= 1e-14
+        for _, c in parts:
+            if order >= 2:
+                assert abs(b @ c - 0.5) <= 1e-14
+        if order < 3:
+            return
+        for (_, c), (_, d) in [(x, y) for x in parts for y in parts]:
+            assert abs(b @ (c * d) - 1.0 / 3.0) <= 1e-14
+        for (A, _), (_, c) in [(x, y) for x in parts for y in parts]:
+            assert abs(b @ A @ c - 1.0 / 6.0) <= 1e-14
 
     def test_unknown_name(self):
         with pytest.raises(TimeIntError):
@@ -123,6 +163,15 @@ class TestImexAdvance:
             errs.append(abs(integrate("SADIRK343", lam / 2, lam / 2, dt, 1.0) - exact))
         ratio = errs[0] / errs[1]
         assert 7.0 <= ratio <= 9.0
+
+    def test_sadirk343_third_order_at_small_steps(self):
+        # the partitioned decay keeps order 3 where the error is 1e-7 to
+        # 1e-9, below the size of a six-digit truncation of the constants
+        exact = np.exp(-1.0)
+        for coarse in (0.05, 0.02):
+            errs = [abs(integrate("SADIRK343", -0.5, -0.5, dt, 1.0) - exact)
+                    for dt in (coarse, coarse / 2)]
+            assert 2.9 <= np.log2(errs[0] / errs[1]) <= 3.1, (coarse, errs)
 
     def test_lsdirk222_partitioned_also_second_order(self):
         lam = -2.0

@@ -8,7 +8,7 @@ overridden per run (e.g. H0, nu, delta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -27,13 +27,16 @@ def register(cls):
 
 def get_case(name: str, **params):
     """The case `name` with its parameters overridden by `params`.  A mesh
-    size (`h`, `n_cells`) other than the one the case's mesh reads raises
-    ValueError, as the case would ignore it."""
+    size (`h`, `n_cells`) of None keeps the case's default; one other than
+    the one the case's mesh reads raises ValueError, as the case would
+    ignore it."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown case '{name}'; available: {sorted(_REGISTRY)}")
     cls = _REGISTRY[name]
     for key in ("h", "n_cells"):
-        if params.get(key) is not None and key != cls.mesh_param:
+        if params.get(key) is None:
+            params.pop(key, None)
+        elif key != cls.mesh_param:
             reads = f"'{cls.mesh_param}'" if cls.mesh_param else "no mesh parameter"
             raise ValueError(f"case '{name}' reads {reads}, so it would ignore '{key}'")
     return cls(**params)
@@ -43,20 +46,15 @@ def case_names():
     return sorted(_REGISTRY)
 
 
-def mesh_for_target_h(box, h_target, seed, periodic=(False, False), density=None,
-                      hole_center=None, hole_radius=0.0, lloyd=10):
+def mesh_for_target_h(box, h_target, seed, periodic=(False, False)):
     """Generate a Voronoi mesh whose max cell size matches h_target (~2%)."""
     area = (box[1] - box[0]) * (box[3] - box[2])
     n = max(8, int(round(1.55 * area / h_target ** 2)))
-    mesh = generate_voronoi(box, n, lloyd_iters=lloyd, seed=seed, periodic=periodic,
-                            density=density, hole_center=hole_center,
-                            hole_radius=hole_radius)
+    mesh = generate_voronoi(box, n, lloyd_iters=10, seed=seed, periodic=periodic)
     h = build_geometry(mesh).h.max()
     n2 = max(8, int(round(n * (h / h_target) ** 2)))
     if abs(n2 - n) > max(2, 0.02 * n):
-        mesh = generate_voronoi(box, n2, lloyd_iters=lloyd, seed=seed,
-                                periodic=periodic, density=density,
-                                hole_center=hole_center, hole_radius=hole_radius)
+        mesh = generate_voronoi(box, n2, lloyd_iters=10, seed=seed, periodic=periodic)
     return mesh
 
 
@@ -73,7 +71,6 @@ class CaseBase:
     h: float = None               # target mesh size; None -> case default
     n_cells: int = None
     mass_update: str = "divergence"
-    params: dict = field(default_factory=dict)
 
     mesh_param = "h"              # the mesh size make_mesh reads: "h", "n_cells" or None
     exact = None                  # override: exact(p, t) -> state rows
@@ -110,7 +107,6 @@ class SweVortexCase(CaseBase):
     scheme: str = "LSDIRK222"
     t_end: float = 0.1
     h: float = 0.5
-    mass_update: str = "divergence"
 
     def make_mesh(self):
         return mesh_for_target_h((-5, 5, -5, 5), self.h, self.seed,
@@ -146,8 +142,7 @@ class SweWellBalanceCase(CaseBase):
     n_cells: int = 2000
 
     def make_mesh(self):
-        n = self.n_cells or 2000
-        return generate_voronoi((-2, 1, -0.5, 0.5), n, lloyd_iters=10,
+        return generate_voronoi((-2, 1, -0.5, 0.5), self.n_cells, lloyd_iters=10,
                                 seed=self.seed, periodic=(False, True))
 
     def bump(self, p):
@@ -320,7 +315,7 @@ class SweCylinderCase(CaseBase):
         def density(x, y):
             r = np.hypot(x, y)
             return 1.0 / np.clip(0.05 + 0.45 * (r - 1.0) / 15.0, 0.05, 0.5) ** 2
-        return generate_voronoi((-16, 16, -16, 16), self.n_cells or 3000,
+        return generate_voronoi((-16, 16, -16, 16), self.n_cells,
                                 lloyd_iters=8, seed=self.seed, density=density,
                                 hole_center=(0.0, 0.0), hole_radius=1.0)
 
@@ -375,8 +370,7 @@ class InsPoiseuilleCase(CaseBase):
     seed: int = 6                  # mesh with the mildest CFL constraint
 
     def make_mesh(self):
-        return generate_voronoi((0, 3, 0, 1), self.n_cells or 1949,
-                                lloyd_iters=30, seed=self.seed)
+        return generate_voronoi((0, 3, 0, 1), self.n_cells, lloyd_iters=30, seed=self.seed)
 
     def dpdx(self):
         return (self.pR - self.pL) / 3.0
@@ -633,7 +627,7 @@ class InsCylinderCase(CaseBase):
         def density(x, y):
             r = np.hypot(x, y)
             return 1.0 / np.clip(0.3 + 0.15 * (r - 1.0), 0.3, 2.0) ** 2
-        return generate_voronoi((-10, 40, -7, 7), self.n_cells or 6000,
+        return generate_voronoi((-10, 40, -7, 7), self.n_cells,
                                 lloyd_iters=6, seed=self.seed, density=density,
                                 hole_center=(0.0, 0.0), hole_radius=1.0)
 

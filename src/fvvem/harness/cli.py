@@ -135,9 +135,14 @@ def main(argv=None) -> int:
                              "it has no mesh size to sweep")
         key = next(k for k, v in GEN_KEYS.items() if v == param)
         sizes = args.meshes.split(",")
+        mesh = args.mesh or "gen:"
+        if not mesh.startswith("gen:"):
+            raise ValueError(f"study sweeps generated meshes: the mesh file '{mesh}' "
+                             "has no size to sweep")
 
         def factory(size):
-            args.mesh = f"gen:{key}={size}"
+            # the swept size goes on top of the other --mesh gen: keys
+            args.mesh = f"{mesh},{key}={size}"
             case, _ = _build_case(args)
             return case
 

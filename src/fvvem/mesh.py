@@ -12,7 +12,9 @@ and loop-ordered arrays with one entry per cell corner, which `ragged_rows`
 gathers for one cell or stacks for cells of equal vertex count.
 
 `generate_voronoi` builds Lloyd-relaxed (centroidal) Voronoi tessellations
-from seeds reflected across the box sides, as PolyMesher does.  Each Lloyd
+from seeds reflected across the box sides and radially about a hole, as
+PolyMesher does.  The mirrors alone bound every cell, so no polygon is
+clipped; corners off a side by roundoff are snapped onto it.  Each Lloyd
 iterate reads its Voronoi cells off one Delaunay triangulation (qhull): a
 cell is the loop of circumcentres of its seed's triangles.
 """
@@ -361,69 +363,17 @@ def validate_regularity(mesh: PolyMesh, geom: GeometryCache, rho: float) -> Regu
 # Voronoi generator
 # ---------------------------------------------------------------------------
 
-def _clip_to_halfplane(pts: np.ndarray, n: np.ndarray, c: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a polygon against n.x <= c."""
-    out = []
-    m = len(pts)
-    d = pts @ n - c
-    for a in range(m):
-        b = (a + 1) % m
-        if d[a] <= 0.0:
-            out.append(pts[a])
-            if d[b] > 0.0:
-                t = d[a] / (d[a] - d[b])
-                out.append(pts[a] + t * (pts[b] - pts[a]))
-        elif d[b] <= 0.0:
-            t = d[a] / (d[a] - d[b])
-            out.append(pts[a] + t * (pts[b] - pts[a]))
-    return np.array(out) if out else np.empty((0, 2))
-
-
-def _clip_cell_outside_circle(pts: np.ndarray, center, radius) -> np.ndarray:
-    """Replace the polygon chain inside the circle by the chord between crossings."""
-    d = pts - center
-    r = np.hypot(d[:, 0], d[:, 1])
-    inside = r < radius * (1.0 - 1e-12)
-    if not np.any(inside):
-        return pts
-    out = []
-    m = len(pts)
-    for a in range(m):
-        b = (a + 1) % m
-        pa, pb = pts[a], pts[b]
-        if not inside[a]:
-            out.append(pa)
-        if inside[a] != inside[b]:
-            out.append(_circle_crossing(pa, pb, center, radius))
-    res = np.array(out)
-    if len(res) < 3 or polygon_areas_centroids(res, [len(res)])[0][0] <= 0.0:
-        raise MeshError("hole clipping produced a degenerate cell")
-    return res
-
-
-def _circle_crossing(pa, pb, center, radius):
-    d = pb - pa
-    f = pa - center
-    a = d @ d
-    b = 2.0 * (f @ d)
-    c = f @ f - radius * radius
-    disc = max(b * b - 4 * a * c, 0.0)
-    sq = np.sqrt(disc)
-    for t in ((-b - sq) / (2 * a), (-b + sq) / (2 * a)):
-        if -1e-12 <= t <= 1.0 + 1e-12:
-            return pa + min(max(t, 0.0), 1.0) * d
-    return 0.5 * (pa + pb)
-
-
 def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius):
-    """The clipped polygon of each base seed, concatenated: points (N, 2) and
+    """The Voronoi polygon of each base seed, concatenated: points (N, 2) and
     the loop sizes (n,).
 
     The full image set holds, besides the seeds, their images across each
     side: translates along periodic axes (cells may straddle those sides) and
     mirrors across non-periodic ones, so that such a side is an exact Voronoi
-    boundary; corners get the images of both axes.  A circular hole is
-    realised by radial mirror seeds plus chord clipping.
+    boundary; corners get the images of both axes.  A circular hole gets the
+    radial mirror of each seed within 2.5 radii of its centre, so that the
+    tangent to the circle on the seed's ray is their bisector.  The mirrors
+    alone bound every cell: no polygon is clipped.
 
     The regions come from one Delaunay triangulation of the seeds and their
     images.  A base region is bounded when its seed is not on the convex
@@ -445,9 +395,9 @@ def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius
     region by lying inside one of those empty discs, so the accepted regions
     are exactly those of the full image set.  Otherwise (unrelaxed first
     iterates, clustered seeds) the triangulation is rebuilt from the full set.
-    Region vertices within 1e-9 of the box size of a non-periodic side are
-    snapped onto it before clipping, so that the clip neither keeps them off
-    the side nor splits the side at them.
+    Region vertices within 1e-9 of the box size of a non-periodic side, off
+    it by roundoff only, are snapped onto it: `_assemble_mesh` tags the
+    boundary edges by the side they lie on.
     """
     xlo, xhi, ylo, yhi = box
     lx, ly = xhi - xlo, yhi - ylo
@@ -506,42 +456,15 @@ def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius
         if not periodic[axis]:
             for side in ends:
                 pts[np.abs(pts[:, axis] - side) <= tol, axis] = side
-    start = np.cumsum(counts) - counts
-    # (n, c) of the half-planes n.x <= c of the non-periodic sides; a polygon
-    # with no vertex outside any of them passes every clip unchanged, so it
-    # skips them
-    sides = [(np.array(nrm), c) for nrm, c, axis in (
-        ([-1.0, 0.0], -xlo, 0), ([1.0, 0.0], xhi, 0), ([0.0, -1.0], -ylo, 1),
-        ([0.0, 1.0], yhi, 1)) if not periodic[axis]]
-    inside = np.ones(len(pts), dtype=bool)
-    for nrm, c in sides:
-        inside &= pts @ nrm - c <= 0.0
-    unclipped = np.logical_and.reduceat(inside, start)
-    todo = ~unclipped | (hole_center is not None)
-    kept = ~np.repeat(todo, counts)
-    clipped = [np.empty((0, 2))]
-    for ci in np.flatnonzero(todo):
-        poly = pts[start[ci]:start[ci] + counts[ci]]
-        if not unclipped[ci]:
-            for nrm, c in sides:
-                poly = _clip_to_halfplane(poly, nrm, c)
-            if len(poly) < 3:
-                raise MeshError("cell vanished while clipping to the box")
-        if hole_center is not None:
-            poly = _clip_cell_outside_circle(poly, np.asarray(hole_center), hole_radius)
-        clipped.append(poly)
-        counts[ci] = len(poly)
-    # each clipped polygon goes in after the kept points of the cells before it
-    at = np.repeat((np.cumsum(kept) - kept)[start[todo]], counts[todo])
-    return np.insert(pts[kept], at, np.concatenate(clipped), axis=0), counts
+    return pts, counts
 
 
 def _weighted_centroid(poly: np.ndarray, centroid: np.ndarray, density) -> np.ndarray:
     """Density-weighted centroid, by a degree-2 fan rule about `centroid`.
 
-    Edges shorter than 1e-12 of the longest are dropped first: the box clip
-    repeats a vertex that lies on a clip line (or emits a near-copy of it),
-    and the fan triangle on such an edge can flip.
+    Edges shorter than 1e-12 of the longest are dropped first: cocircular
+    seeds give one Voronoi vertex as several circumcentres equal only to
+    roundoff, and the fan triangle on the edge between two of them can flip.
     """
     d = np.roll(poly, -1, axis=0) - poly
     length = np.hypot(d[:, 0], d[:, 1])
@@ -800,7 +723,8 @@ def _assemble_mesh(pts: np.ndarray, sizes: np.ndarray, box, periodic, scale: flo
     """Build the PolyMesh (topology + frames + edges) from concatenated
     polygons, points (N, 2) and loop sizes: merge their points into
     vertices, collapse short edges, match the edges (`_mesh_from_loops`) and
-    tag the boundary edges by box side, the rest as `hole`."""
+    tag the boundary edges by box side, the rest as `hole`.  A corner inside
+    the hole, where no mirror seed bounds its cell, raises MeshError."""
     xlo, xhi, ylo, yhi = box
     periodic = tuple(bool(p) for p in periodic)
     tol = 1e-8 * scale
@@ -809,6 +733,16 @@ def _assemble_mesh(pts: np.ndarray, sizes: np.ndarray, box, periodic, scale: flo
     # Voronoi vertex of cocircular seeds as several circumcentres, equal
     # only to roundoff
     pts = _vertex_images(vertices, ids, pts, box, periodic)
+    # a corner repeating the vertex before it at another lattice image ends
+    # a side across a whole period, which dropping the repeat would lose
+    nxt = _next_in_loop(sizes)
+    span = np.flatnonzero((ids[nxt] == ids) & np.any(pts[nxt] != pts, axis=1))
+    if len(span):
+        a = span[0]
+        axis = "xy"[np.argmax(pts[nxt[a]] != pts[a])]
+        raise MeshError(f"cell {np.searchsorted(np.cumsum(sizes), a, side='right')} spans the "
+                        f"whole period of the periodic {axis} axis: its side joins vertex "
+                        f"{ids[a]} to its own lattice image")
     keep, sizes = _drop_repeats(ids, sizes, "during vertex merge")
     ids, pts, sizes, vertices = _collapse_short_edges(
         ids[keep], pts[keep], sizes, vertices, box, periodic, tol, hole_center, hole_radius)
@@ -819,15 +753,19 @@ def _assemble_mesh(pts: np.ndarray, sizes: np.ndarray, box, periodic, scale: flo
     on = [np.abs(m[:, 0] - xlo) < tol, np.abs(m[:, 0] - xhi) < tol,
           np.abs(m[:, 1] - ylo) < tol, np.abs(m[:, 1] - yhi) < tol]
     if hole_center is not None:
-        # the hole's edges are bisectors towards its mirror seeds and chords
-        # of the circle clip, which need not lie near the circle: every
-        # boundary edge off the box sides is one
+        # the hole's edges are bisectors towards its mirror seeds, which need
+        # not lie near the circle: every boundary edge off the box sides is one
+        hole = f"the hole (radius {hole_radius:g} at ({hole_center[0]:g}, {hole_center[1]:g}))"
         rest = ~np.any(on, axis=0)
         if not rest.any():
-            raise MeshError(f"the hole (radius {hole_radius:g} at ({hole_center[0]:g}, "
-                            f"{hole_center[1]:g})) left no boundary: no seed lies near "
-                            "enough to carve it")
+            raise MeshError(f"{hole} left no boundary: no seed lies near enough to carve it")
         on.append(rest)
+        d = mesh.loop_coords - np.asarray(hole_center)
+        inside = np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) < hole_radius * (1.0 - 1e-12))
+        if len(inside):
+            raise MeshError(f"{hole} holds a corner of cell "
+                            f"{np.searchsorted(mesh.cell_ptr, inside[0], side='right') - 1}: "
+                            "no mirror seed bounds that cell")
     tags = np.select(on, ["xmin", "xmax", "ymin", "ymax", "hole"][:len(on)], "")
     if np.any(tags == ""):
         raise MeshError(f"boundary edge {bnd[tags == ''][0]} lies on no tagged boundary")
@@ -838,19 +776,20 @@ def _assemble_mesh(pts: np.ndarray, sizes: np.ndarray, box, periodic, scale: flo
 def generate_voronoi(box, n_seeds: int, lloyd_iters: int = 20, seed: int = 0,
                      periodic=(False, False), density=None,
                      hole_center=None, hole_radius: float = 0.0) -> PolyMesh:
-    """Clipped (optionally periodic) Lloyd-relaxed Voronoi tessellation of a box.
+    """Lloyd-relaxed Voronoi tessellation of a box (optionally periodic).
 
     Deterministic for a fixed rng seed with one numpy, scipy and qhull.
     Cells come in seed order.  Each cell loop starts at its first Voronoi
-    vertex counter-clockwise from the angle -pi about its seed (or where the
-    clip puts it), vertices are numbered in the order of their first corner
-    and edges in that of their first half-edge: none of these follow qhull's
-    output order.  A diagram of the band images equals that of the full image set only to
-    roundoff, and Lloyd carries such differences on, so other image sets or
-    qhull builds move cell centroids by up to about 1e-12.  `density` is
-    an optional callable rho(x, y) weighting the Lloyd centroids (graded
-    meshes).  `hole_*` carves a chord-polygon approximation of a circular
-    obstacle.
+    vertex counter-clockwise from the angle -pi about its seed, vertices are
+    numbered in the order of their first corner and edges in that of their
+    first half-edge: none of these follow qhull's output order.  A diagram
+    of the band images equals that of the full image set only to roundoff,
+    and Lloyd carries such differences on, so other image sets or qhull
+    builds move cell centroids by up to about 1e-12.  `density` is an
+    optional callable rho(x, y) weighting the Lloyd centroids (graded
+    meshes).  `hole_*` carves a circular obstacle, bounded by the tangents
+    that its radial mirror seeds make.  The mirror seeds alone bound every
+    cell: no polygon is clipped.
     """
     if n_seeds < 4:
         raise MeshError("need at least 4 seeds")

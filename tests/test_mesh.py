@@ -298,7 +298,7 @@ class TestEdgeGaussLobatto:
 def full_image_polygons(seeds, box, periodic, hole_center, hole_radius):
     """Oracle for fm._voronoi_polygons: the diagram of the seeds with every
     periodic tile, every mirror across a non-periodic side (corners included)
-    and the hole mirrors, its base regions oriented and clipped."""
+    and the hole mirrors, its base regions oriented."""
     xlo, xhi, ylo, yhi = box
     lx, ly = xhi - xlo, yhi - ylo
     sx = (-lx, 0.0, lx) if periodic[0] else (0.0,)
@@ -316,9 +316,6 @@ def full_image_polygons(seeds, box, periodic, hole_center, hole_radius):
         scale = 2.0 * hole_radius / r[near] - 1.0
         pts = np.vstack([pts, hole_center + (seeds[near] - hole_center) * scale[:, None]])
     vor = Voronoi(pts)
-    sides = [(np.array(nrm), c) for nrm, c, axis in (
-        ([-1.0, 0.0], -xlo, 0), ([1.0, 0.0], xhi, 0), ([0.0, -1.0], -ylo, 1),
-        ([0.0, 1.0], yhi, 1)) if not periodic[axis]]
     polys = []
     for i in range(len(seeds)):
         region = vor.regions[vor.point_region[i]]
@@ -327,10 +324,6 @@ def full_image_polygons(seeds, box, periodic, hole_center, hole_radius):
         poly = vor.vertices[region]
         if fm.polygon_areas_centroids(poly, [len(poly)])[0][0] < 0.0:
             poly = poly[::-1]
-        for nrm, c in sides:
-            poly = fm._clip_to_halfplane(poly, nrm, c)
-        if hole_center is not None:
-            poly = fm._clip_cell_outside_circle(poly, np.asarray(hole_center), hole_radius)
         polys.append(poly)
     return polys
 
@@ -433,7 +426,7 @@ class TestVoronoi:
                                 hole_center=(0.0, 0.0), hole_radius=1.0)
         g = fm.build_geometry(m)
         assert "hole" in set(m.boundary_tags.values())
-        # tangent-chord hole slightly circumscribes the unit disc
+        # the hole's polygon of tangents slightly circumscribes the unit disc
         assert 64.0 - 1.1 * np.pi < np.sum(g.area) < 64.0 - 0.95 * np.pi
 
     @pytest.mark.parametrize("n", [6, 9, 12, 30, 60])
@@ -533,6 +526,42 @@ class TestVoronoi:
                     real(seeds, box, periodic, *hole)
                 continue
             assert_same_cells(real(seeds, box, periodic, *hole), oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["box", "one_axis", "hole"]), st.integers(min_value=8, max_value=80),
+           st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10_000))
+    def test_mirror_seeds_alone_bound_every_cell(self, domain, n, lloyd, seed):
+        # no polygon is clipped: every corner of every diagram lies in the
+        # closed box across its non-periodic sides, and no corner of a built
+        # mesh lies inside the hole
+        args = DOMAINS[domain]
+        box, periodic = args["box"], args.get("periodic", (False, False))
+        n += 60 if "hole_center" in args else 0
+        polys, real = [], fm._voronoi_polygons
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "_voronoi_polygons", lambda *a: polys.append(real(*a)) or polys[-1])
+            try:
+                m = fm.generate_voronoi(n_seeds=n, lloyd_iters=lloyd, seed=seed, **args)
+            except fm.MeshError:
+                m = None      # each diagram up to the failing one is still checked
+        assert polys
+        for pts, _ in polys:
+            for axis in (0, 1):
+                if not periodic[axis]:
+                    assert box[2 * axis] <= pts[:, axis].min()
+                    assert pts[:, axis].max() <= box[2 * axis + 1]
+        if m is not None and "hole_center" in args:
+            r = np.hypot(*(m.loop_coords - args["hole_center"]).T)
+            assert r.min() >= args["hole_radius"] * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("h, seed, cell", [(0.08, 0, 9), (0.06, 4, 3)])
+    def test_cell_spanning_a_period_is_named(self, h, seed, cell):
+        # the cell's side on x = 0.5 joins a vertex to its own image across
+        # the 0.1 y-period; dropping that repeated vertex used to leave a
+        # boundary edge off every side
+        with pytest.raises(fm.MeshError, match=f"^cell {cell} spans the whole period "
+                                               "of the periodic y axis"):
+            cases.get_case("swe_rp1", seed=seed, h=h).make_mesh()
 
     @pytest.mark.parametrize("periodic, low, high", [
         ((False, False), 0.4, 0.6),   # no image in the band: unbounded regions
@@ -639,8 +668,8 @@ class TestVoronoi:
     ], ids=[*(f"ins_cylinder_400_seed{s}" for s in range(8)), "ins_cylinder_1500_seed0",
             "swe_cylinder_400_seed5", "box_density_seed2"])
     def test_graded_mesh_builds(self, make):
-        # the box clip repeats vertices on the clip lines; the density
-        # centroids used to fail on their zero-length fan triangles
+        # cocircular seeds give one Voronoi vertex as near-copies; the
+        # density centroids used to fail on their zero-length fan triangles
         m = make()
         m.validate()
         assert fm.validate_regularity(m, fm.build_geometry(m), 0.05).all_passed

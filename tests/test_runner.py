@@ -6,6 +6,7 @@ import pytest
 from fvvem import models
 from fvvem.harness import cases, cli, runner
 from fvvem.harness.cases import case_names, get_case
+from fvvem.mesh import write_mesh
 from fvvem.timeint import TimeIntError
 
 # the CWENO constants the ledger reports, as recorded before they became
@@ -278,3 +279,89 @@ def test_study_of_a_fixed_mesh_exits_1(monkeypatch, capsys):
                      "--quiet"]) == 1
     assert "no mesh size to sweep" in capsys.readouterr().err
     assert seen == []
+
+
+def test_study_keeps_the_other_mesh_gen_keys(monkeypatch):
+    # the swept size goes on top of the other --mesh gen: keys
+    ran = []
+    real = runner.run_case
+
+    def record(case, **kw):
+        ran.append((case.h, case.seed))
+        return real(case, **kw)
+
+    monkeypatch.setattr(runner, "run_case", record)
+    assert cli.main(["study", "--case", "ins_tgv", "--mesh", "gen:seed=3,h=0.5",
+                     "--meshes", "0.9,0.7", "--tend", "0.02", "--quiet"]) == 0
+    assert ran == [(0.9, 3), (0.7, 3)]
+
+
+def test_study_of_a_mesh_file_exits_1(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(runner, "run_case", lambda case, **kw: seen.append(case))
+    assert cli.main(["study", "--case", "ins_tgv", "--mesh", "tgv.msh", "--meshes", "0.9,0.7",
+                     "--quiet"]) == 1
+    assert "the mesh file 'tgv.msh' has no size to sweep" in capsys.readouterr().err
+    assert seen == []
+
+
+def test_study_writes_one_csv_row_per_mesh(tmp_path, monkeypatch):
+    reports = []
+    real = runner.run_case
+
+    def record(case, **kw):
+        res = real(case, **kw)
+        reports.append(res.report)
+        return res
+
+    monkeypatch.setattr(runner, "run_case", record)
+    assert cli.main(["study", "--case", "ins_tgv", "--meshes", "0.9,0.7", "--tend", "0.02",
+                     "--quiet", "--out", str(tmp_path / "study")]) == 0
+    header, *rows = (tmp_path / "study_ins_tgv_convergence.csv").read_text().splitlines()
+    assert header == "h,L2_u,order_u,L2_p,order_p"
+    assert len(rows) == len(reports) == 2
+    for row, rep in zip(rows, reports):
+        h, l2_u, _, l2_p, _ = map(float, row.split(","))
+        assert (h, l2_u, l2_p) == (rep.h, rep.l2("u"), rep.l2("p"))
+    assert rows[0].split(",")[2::2] == ["nan", "nan"]
+    assert [float(v) for v in rows[1].split(",")[2::2]] == [reports[1].orders["u"],
+                                                             reports[1].orders["p"]]
+
+
+def test_run_reads_the_mesh_file(tmp_path):
+    mesh = get_case("swe_smooth_wave", h=0.5).make_mesh()
+    path = str(tmp_path / "wave.msh")
+    write_mesh(mesh, path)
+    assert cli.main(["run", "--case", "swe_smooth_wave", "--mesh", path, "--tend", "0.002",
+                     "--quiet", "--out", str(tmp_path / "run")]) == 0
+    ledger = (tmp_path / "run_swe_smooth_wave_ledger.txt").read_text().splitlines()
+    assert f"mesh_cells = {mesh.n_cells}" in ledger
+
+
+def test_swe_run_reports_errors_ledger_and_fields(tmp_path):
+    res = runner.run_case(get_case("swe_vortex", h=1.5), quiet=True,
+                          out_prefix=str(tmp_path / "run"))
+    assert sorted(res.report.errors) == ["eta", "u"]
+    assert np.all(np.isfinite(list(res.report.errors.values())))
+    assert res.ledger["swe_mass_update"] == "divergence"
+    assert res.ledger["gravity"] == 10.0
+    Q, b = res.state.Q, res.driver.b_coeffs[:, 0]
+    data = read_vtk_cell_data(res.outputs[0])
+    assert sorted(data) == ["b", "eta", "qx", "qy", "u", "v"]
+    for name, written in (("eta", Q[0]), ("qx", Q[1]), ("qy", Q[2]), ("b", b),
+                          ("u", Q[1] / (Q[0] - b)), ("v", Q[2] / (Q[0] - b))):
+        assert np.array_equal(data[name], written), name
+
+
+def test_lake_at_rest_errors_are_roundoff():
+    res = runner.run_case(get_case("swe_wellbalance", n_cells=100), quiet=True)
+    assert res.report.steps > 0
+    assert sorted(res.report.errors) == ["Hu", "eta"]
+    for name, (l2, linf) in res.report.errors.items():
+        assert l2 <= 1e-10 and linf <= 1e-10, name
+
+
+@pytest.mark.parametrize("name", [n for n in case_names() if get_case(n).mesh_param])
+def test_mesh_size_none_keeps_the_default(name):
+    param = get_case(name).mesh_param
+    assert getattr(get_case(name, **{param: None}), param) == getattr(get_case(name), param)

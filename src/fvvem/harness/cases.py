@@ -1,14 +1,19 @@
 """Benchmark case library: domains, initial/exact solutions, boundary data.
 
-Each case bundles a mesh recipe, physics configuration, boundary conditions
-and (when available) the analytic solution used for error reporting.  Cases
-are looked up by name through `get_case`; numeric parameters can be
-overridden per run (e.g. H0, nu, delta).
+Each case is a dataclass that declares data.  Its class attributes are its
+`name` (which registers it), `model` ("swe" or "ins", from `SweCase` or
+`InsCase`), the `box` and `periodic` axes that `CaseBase.make_mesh` meshes
+to the target size `h` (cases with another mesh override `make_mesh`), and
+the `error_variables` its report measures.  Its dataclass fields are the
+numeric parameters with their defaults, each of which can be overridden per
+run (e.g. H0, reynolds, delta).  Its methods give the exact or initial
+solution, the boundary conditions (`bcs`), the bathymetry, the body force
+and the exact pressure.  Cases are looked up by name through `get_case`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erf
@@ -20,16 +25,11 @@ from .riemann import exact_riemann_swe
 _REGISTRY = {}
 
 
-def register(cls):
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
 def get_case(name: str, **params):
     """The case `name` with its parameters overridden by `params`.  A mesh
     size (`h`, `n_cells`) of None keeps the case's default; one other than
     the one the case's mesh reads raises ValueError, as the case would
-    ignore it."""
+    ignore it, and so does a key that is not a parameter of the case."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown case '{name}'; available: {sorted(_REGISTRY)}")
     cls = _REGISTRY[name]
@@ -39,6 +39,11 @@ def get_case(name: str, **params):
         elif key != cls.mesh_param:
             reads = f"'{cls.mesh_param}'" if cls.mesh_param else "no mesh parameter"
             raise ValueError(f"case '{name}' reads {reads}, so it would ignore '{key}'")
+    known = [f.name for f in fields(cls)]
+    for key in params:
+        if key not in known:
+            raise ValueError(f"case '{name}' has no parameter '{key}' "
+                             f"(it has {', '.join(sorted(known))})")
     return cls(**params)
 
 
@@ -60,22 +65,40 @@ def mesh_for_target_h(box, h_target, seed, periodic=(False, False)):
 
 @dataclass
 class CaseBase:
-    """Shared per-case defaults; subclasses fill the physics."""
+    """The fields and hooks every case shares.  A subclass that defines a
+    `name` is registered under it, and its `mesh_param` is the mesh size it
+    gives a default: "h", "n_cells" or None (a fixed mesh)."""
 
     k: int = 2
-    scheme: str = "SADIRK343"
+    scheme: str = "LSDIRK222"
     cfl: float = 0.9
     t_end: float = 1.0
     dt: float = None
     seed: int = 0
     h: float = None               # target mesh size; None -> case default
     n_cells: int = None
-    mass_update: str = "divergence"
 
-    mesh_param = "h"              # the mesh size make_mesh reads: "h", "n_cells" or None
+    mesh_param = None             # the mesh size make_mesh reads
+    box = None                    # (x0, x1, y0, y1) that make_mesh meshes
+    periodic = (False, False)     # the periodic axes of box
+    error_variables = ()          # the fields the error report measures
     exact = None                  # override: exact(p, t) -> state rows
+    initial = None                # override: initial(p, t) where it is not exact
     gate = None                   # override: callable(report) -> (ok, message)
     dt_caps_cfl = False           # a given dt only caps the CFL step (else replaces it)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "name" in cls.__dict__:
+            _REGISTRY[cls.name] = cls
+            cls.mesh_param = next((key for key in ("h", "n_cells")
+                                   if getattr(cls, key) is not None), None)
+
+    def make_mesh(self):
+        return mesh_for_target_h(self.box, self.h, self.seed, periodic=self.periodic)
+
+    def bcs(self):
+        return {}
 
     def bathymetry(self):
         return None
@@ -87,30 +110,44 @@ class CaseBase:
         return None
 
 
+@dataclass
+class SweCase(CaseBase):
+    """A shallow-water case: state rows (eta, Hu, Hv, b), gravity g0 and the
+    driver's cell-mean update of eta, one of `models.MASS_UPDATES`."""
+
+    model = "swe"
+    g0: float = 9.81
+    mass_update: str = "divergence"
+
+
+@dataclass
+class InsCase(CaseBase):
+    """An incompressible Navier-Stokes case: state rows (u, v), and a
+    viscosity `nu` that each case gives as a field or a property."""
+
+    model = "ins"
+
+
 # ---------------------------------------------------------------------------
 # shallow water cases
 # ---------------------------------------------------------------------------
 
-@register
 @dataclass
-class SweVortexCase(CaseBase):
+class SweVortexCase(SweCase):
     """Steady rotating vortex in a periodic box; exact solution available.
 
     The Froude number is set through the asymptotic depth H0 at fixed g=10.
     """
 
     name = "swe_vortex"
-    model = "swe"
+    box = (-5, 5, -5, 5)
+    periodic = (True, True)
+    error_variables = ("eta", "u")
     g0: float = 10.0
     H0: float = 1.0
     k: int = 1
-    scheme: str = "LSDIRK222"
     t_end: float = 0.1
     h: float = 0.5
-
-    def make_mesh(self):
-        return mesh_for_target_h((-5, 5, -5, 5), self.h, self.seed,
-                                 periodic=(True, True))
 
     def exact(self, p, t):
         x, y = p[:, 0], p[:, 1]
@@ -119,25 +156,14 @@ class SweVortexCase(CaseBase):
         f = np.exp(-(r2 - 1.0) / 2.0)
         return np.stack([eta, eta * (-y * f), eta * (x * f), np.zeros_like(eta)])
 
-    def bcs(self):
-        return {}
 
-    def error_variables(self):
-        return ("eta", "u")
-
-
-@register
 @dataclass
-class SweWellBalanceCase(CaseBase):
+class SweWellBalanceCase(SweCase):
     """Lake at rest over a smooth bump; delta perturbs the free surface."""
 
     name = "swe_wellbalance"
-    mesh_param = "n_cells"
-    model = "swe"
-    g0: float = 9.81
+    error_variables = ("eta", "Hu")
     delta: float = 0.0
-    k: int = 2
-    scheme: str = "LSDIRK222"
     t_end: float = 0.1
     n_cells: int = 2000
 
@@ -163,27 +189,20 @@ class SweWellBalanceCase(CaseBase):
         return {"xmin": BoundaryCondition("dirichlet", state=still),
                 "xmax": BoundaryCondition("dirichlet", state=still)}
 
-    def error_variables(self):
-        return ("eta", "Hu")
-
 
 def _riemann_case(cname, etaL, uL, bL, etaR, uR, bR, xl, xr, tf, hdef):
-    @register
+    width = (xr - xl) / 10.0
+
     @dataclass
-    class _RP(CaseBase):
+    class _RP(SweCase):
         name = cname
-        model = "swe"
+        box = (xl, xr, -width / 2, width / 2)
+        periodic = (False, True)
+        error_variables = ("eta", "u")
         dt_caps_cfl = True
-        g0: float = 9.81
         k: int = 1
-        scheme: str = "LSDIRK222"
         t_end: float = tf
         h: float = hdef
-
-        def make_mesh(self):
-            width = (xr - xl) / 10.0
-            return mesh_for_target_h((xl, xr, -width / 2, width / 2), self.h,
-                                     self.seed, periodic=(False, True))
 
         def bathymetry(self):
             if bL == 0.0 and bR == 0.0:
@@ -209,9 +228,6 @@ def _riemann_case(cname, etaL, uL, bL, etaR, uR, bR, xl, xr, tf, hdef):
         def bcs(self):
             return {"xmin": BoundaryCondition("wall"),
                     "xmax": BoundaryCondition("wall")}
-
-        def error_variables(self):
-            return ("eta", "u")
     _RP.__name__ = cname
     return _RP
 
@@ -222,23 +238,17 @@ _riemann_case("swe_rp3", 1.0, 0.0, 0.2, 0.5, 0.0, 0.0, -5.0, 5.0, 1.0, 10.0 / 12
 _riemann_case("swe_rp4", 1.46184, 0.0, 0.0, 0.30873, 0.0, 0.2, -5.0, 5.0, 1.0, 10.0 / 120)
 
 
-@register
 @dataclass
-class SweCircularDamCase(CaseBase):
+class SweCircularDamCase(SweCase):
     """Circular dam break over a bottom step; wall boundary on the box."""
 
     name = "swe_circular_dam"
-    model = "swe"
-    g0: float = 9.81
+    # square box circumscribing the r<=2 disc; walls are far enough that
+    # no wave reaches them by t_end
+    box = (-2, 2, -2, 2)
     k: int = 1
-    scheme: str = "LSDIRK222"
     t_end: float = 0.2
     h: float = 1.0 / 16
-
-    def make_mesh(self):
-        # square box circumscribing the r<=2 disc; walls are far enough that
-        # no wave reaches them by t_end
-        return mesh_for_target_h((-2, 2, -2, 2), self.h, self.seed)
 
     def bathymetry(self):
         # smoothed step at r=1 (chord-resolution transition)
@@ -256,27 +266,18 @@ class SweCircularDamCase(CaseBase):
         return {tag: BoundaryCondition("wall")
                 for tag in ("xmin", "xmax", "ymin", "ymax")}
 
-    def error_variables(self):
-        return ()
 
-
-@register
 @dataclass
-class SweSmoothWaveCase(CaseBase):
+class SweSmoothWaveCase(SweCase):
     """Radially symmetric smooth hump steepening into a shock."""
 
     name = "swe_smooth_wave"
-    model = "swe"
-    g0: float = 9.81
+    box = (-1, 1, -1, 1)
     sigma: float = 0.1
-    k: int = 2
     scheme: str = "SADIRK343"
     t_end: float = 0.15
     dt: float = 1e-3
     h: float = 1.0 / 25
-
-    def make_mesh(self):
-        return mesh_for_target_h((-1, 1, -1, 1), self.h, self.seed)
 
     def exact(self, p, t):
         r2 = p[:, 0] ** 2 + p[:, 1] ** 2
@@ -290,19 +291,13 @@ class SweSmoothWaveCase(CaseBase):
         return {tag: BoundaryCondition("dirichlet", state=flat)
                 for tag in ("xmin", "xmax", "ymin", "ymax")}
 
-    def error_variables(self):
-        return ()
 
-
-@register
 @dataclass
-class SweCylinderCase(CaseBase):
+class SweCylinderCase(SweCase):
     """Low-Froude potential flow around a cylinder (graded mesh, k=4)."""
 
     name = "swe_cylinder"
-    mesh_param = "n_cells"
-    model = "swe"
-    g0: float = 9.81
+    error_variables = ("eta", "u")
     eta0: float = 1.0
     vm: float = 1e-2
     k: int = 4
@@ -344,26 +339,20 @@ class SweCylinderCase(CaseBase):
         table["hole"] = BoundaryCondition("wall")
         return table
 
-    def error_variables(self):
-        return ("eta", "u")
-
 
 # ---------------------------------------------------------------------------
 # incompressible Navier-Stokes cases
 # ---------------------------------------------------------------------------
 
-@register
 @dataclass
-class InsPoiseuilleCase(CaseBase):
+class InsPoiseuilleCase(InsCase):
     """Stationary channel flow driven by a linear pressure drop."""
 
     name = "ins_poiseuille"
-    mesh_param = "n_cells"
-    model = "ins"
+    error_variables = ("u",)
     nu: float = 1e-2
     pL: float = -1.0
     pR: float = -5.8
-    k: int = 2
     scheme: str = "SP111"          # stationary gate: time order is immaterial
     t_end: float = 5.0
     n_cells: int = 1900
@@ -393,40 +382,28 @@ class InsPoiseuilleCase(CaseBase):
             "ymax": BoundaryCondition("wall"),
         }
 
-    def error_variables(self):
-        return ("u",)
-
     def gate(self, report):
         ok = report.linf("u") <= 1e-10
         return ok, f"Linf(u) = {report.linf('u'):.3e} (gate 1e-10)"
 
 
-@register
 @dataclass
-class InsTgvCase(CaseBase):
+class InsTgvCase(InsCase):
     """Decaying Taylor-Green vortex on the periodic square.
 
-    reynolds (if set) overrides nu as 1/Re: the dimensionless system at unit
-    scales coincides with the dimensional one.
+    nu is 1/reynolds: the dimensionless system at unit scales coincides with
+    the dimensional one.
     """
 
     name = "ins_tgv"
-    model = "ins"
-    nu: float = 1e-2
-    reynolds: float = None
+    box = (0, 2.0 * np.pi, 0, 2.0 * np.pi)
+    periodic = (True, True)
+    error_variables = ("u", "p")
+    nu = property(lambda self: 1.0 / self.reynolds)
+    reynolds: float = 100.0
     k: int = 1
-    scheme: str = "LSDIRK222"
     t_end: float = 0.2
     h: float = 0.32
-
-    def __post_init__(self):
-        if self.reynolds is not None:
-            self.nu = 1.0 / self.reynolds
-
-    def make_mesh(self):
-        L = 2.0 * np.pi
-        return mesh_for_target_h((0, L, 0, L), self.h, self.seed,
-                                 periodic=(True, True))
 
     def exact(self, p, t):
         f = np.exp(-2.0 * self.nu * t)
@@ -438,26 +415,16 @@ class InsTgvCase(CaseBase):
         return lambda p, t: np.exp(-4.0 * self.nu * t) / 4.0 * (
             np.cos(2.0 * p[:, 0]) + np.cos(2.0 * p[:, 1]))
 
-    def bcs(self):
-        return {}
 
-    def error_variables(self):
-        return ("u", "p")
-
-
-@register
 @dataclass
-class InsStokesFirstCase(CaseBase):
-    """Impulsively started shear layer; erf profile in x."""
+class InsStokesFirstCase(InsCase):
+    """Impulsively started shear layer; erf profile in x (a fixed 100 x 2
+    rectangle grid)."""
 
     name = "ins_stokes1"
-    mesh_param = None             # a fixed rectangle grid
-    model = "ins"
+    error_variables = ("v",)
     nu: float = 1e-3
     v0: float = 0.1
-    k: int = 2
-    scheme: str = "LSDIRK222"
-    t_end: float = 1.0
 
     def make_mesh(self):
         return generate_rect((-0.5, 0.5, -0.1, 0.1), 100, 2, periodic=(False, True))
@@ -477,29 +444,20 @@ class InsStokesFirstCase(CaseBase):
         return {"xmin": BoundaryCondition("dirichlet", state=vel),
                 "xmax": BoundaryCondition("dirichlet", state=vel)}
 
-    def error_variables(self):
-        return ("v",)
 
-
-@register
 @dataclass
-class InsWomersleyCase(CaseBase):
+class InsWomersleyCase(InsCase):
     """Oscillatory flow between flat plates driven by a sinusoidal gradient."""
 
     name = "ins_womersley"
-    model = "ins"
+    box = (-0.5, 0.5, -0.5, 0.5)
+    periodic = (True, False)
+    error_variables = ("u",)
     nu: float = 2e-2
     amplitude: float = 1.0
     omega: float = 2.0 * np.pi
-    k: int = 2
-    scheme: str = "LSDIRK222"
-    t_end: float = 1.0
     dt: float = 0.01
     h: float = 1.0 / 20
-
-    def make_mesh(self):
-        return mesh_for_target_h((-0.5, 0.5, -0.5, 0.5), self.h, self.seed,
-                                 periodic=(True, False))
 
     def exact(self, p, t):
         R = 0.5
@@ -523,32 +481,20 @@ class InsWomersleyCase(CaseBase):
         return {"ymin": BoundaryCondition("wall"),
                 "ymax": BoundaryCondition("wall")}
 
-    def error_variables(self):
-        return ("u",)
 
-
-@register
 @dataclass
-class InsDoubleShearCase(CaseBase):
+class InsDoubleShearCase(InsCase):
     """Double shear layer roll-up at Re=5000 (qualitative)."""
 
     name = "ins_double_shear"
-    model = "ins"
+    box = (0, 1, 0, 1)
+    periodic = (True, True)
+    nu = property(lambda self: 1.0 / self.reynolds)
     reynolds: float = 5000.0
     theta: float = 30.0
     delta: float = 0.05
-    k: int = 2
-    scheme: str = "LSDIRK222"
     t_end: float = 1.8
     h: float = 1.0 / 40
-
-    @property
-    def nu(self):
-        return 1.0 / self.reynolds
-
-    def make_mesh(self):
-        return mesh_for_target_h((0, 1, 0, 1), self.h, self.seed,
-                                 periodic=(True, True))
 
     def exact(self, p, t):
         y = p[:, 1]
@@ -560,32 +506,18 @@ class InsDoubleShearCase(CaseBase):
     def pressure_exact(self):
         return lambda p, t: np.ones(len(p))
 
-    def bcs(self):
-        return {}
 
-    def error_variables(self):
-        return ()
-
-
-@register
 @dataclass
-class InsCavityCase(CaseBase):
+class InsCavityCase(InsCase):
     """Lid-driven cavity (qualitative; reynolds selects 100 or 400)."""
 
     name = "ins_cavity"
-    model = "ins"
+    box = (-0.5, 0.5, -0.5, 0.5)
+    nu = property(lambda self: 1.0 / self.reynolds)
     reynolds: float = 100.0
-    k: int = 2
     scheme: str = "SP111"
     t_end: float = 25.0
     h: float = 1.0 / 24
-
-    @property
-    def nu(self):
-        return 1.0 / self.reynolds
-
-    def make_mesh(self):
-        return mesh_for_target_h((-0.5, 0.5, -0.5, 0.5), self.h, self.seed)
 
     def exact(self, p, t):
         return np.stack([np.zeros(len(p)), np.zeros(len(p))])
@@ -600,28 +532,17 @@ class InsCavityCase(CaseBase):
                 "xmax": BoundaryCondition("wall"),
                 "ymin": BoundaryCondition("wall")}
 
-    def error_variables(self):
-        return ()
 
-
-@register
 @dataclass
-class InsCylinderCase(CaseBase):
+class InsCylinderCase(InsCase):
     """Laminar flow past a cylinder with vortex shedding (qualitative)."""
 
     name = "ins_cylinder"
-    mesh_param = "n_cells"
-    model = "ins"
+    nu = property(lambda self: self.inflow * 2.0 / self.reynolds)
     inflow: float = 0.5
     reynolds: float = 100.0
-    k: int = 2
-    scheme: str = "LSDIRK222"
     t_end: float = 50.0
     n_cells: int = 6000
-
-    @property
-    def nu(self):
-        return self.inflow * 2.0 / self.reynolds
 
     def make_mesh(self):
         def density(x, y):
@@ -649,6 +570,3 @@ class InsCylinderCase(CaseBase):
             "ymax": BoundaryCondition("transmissive"),
             "hole": BoundaryCondition("wall"),
         }
-
-    def error_variables(self):
-        return ()

@@ -77,7 +77,7 @@ def build_driver(case, disc):
 
 
 def initial_state(case, driver):
-    init = getattr(case, "initial", None) or case.exact
+    init = case.initial or case.exact
     if case.model == "swe":
         return driver.initial_state(init)
     pexact = case.pressure_exact() or (lambda p, t: np.zeros(len(p)))
@@ -96,11 +96,8 @@ def next_dt(case, driver, state) -> float:
 def _swe_error_fields(case, disc, driver, state):
     coeffs = disc.fvops.reconstruct(state.Q)
     fields, exacts = {}, {}
-    names = case.error_variables()
-    if not names:
-        return fields, exacts
     b0 = driver.b_coeffs[:, 0]
-    for name in names:
+    for name in case.error_variables:
         if name == "eta":
             fields[name] = coeffs[0]
             exacts[name] = lambda p, t: case.exact(p, t)[0]
@@ -117,7 +114,7 @@ def _swe_error_fields(case, disc, driver, state):
 def _ins_error_fields(case, disc, driver, state):
     coeffs = disc.fvops.reconstruct(state.Q)
     fields, exacts = {}, {}
-    for name in case.error_variables():
+    for name in case.error_variables:
         if name == "u":
             fields[name] = coeffs[0]
             exacts[name] = lambda p, t: case.exact(p, t)[0]
@@ -181,9 +178,9 @@ def run_case(case, out_prefix: str | None = None, quiet: bool = False,
         "solver_last_residual": driver.stats.last_residual,
     })
     result = RunResult(case, report, state, driver, disc, ledger)
-    gate = getattr(case, "gate", None)
-    if gate is not None and fields:
-        result.gate_passed, result.gate_message = gate(report)
+    gated = case.gate is not None and bool(fields)
+    if gated:
+        result.gate_passed, result.gate_message = case.gate(report)
     if out_prefix:
         data = {}
         if case.model == "swe":
@@ -204,7 +201,7 @@ def run_case(case, out_prefix: str | None = None, quiet: bool = False,
               f"iters={driver.stats.iterations}")
         for name, (l2, linf) in report.errors.items():
             print(f"  L2({name}) = {l2:.6e}   Linf({name}) = {linf:.6e}")
-        if gate is not None and fields:
+        if gated:
             print(f"  gate: {'PASS' if result.gate_passed else 'FAIL'} "
                   f"({result.gate_message})")
     return result
@@ -222,7 +219,7 @@ def convergence_study(case_factory, sizes, out_prefix: str | None = None,
     if reports and out_prefix:
         case = case_factory(sizes[0])
         write_error_csv(f"{out_prefix}_{case.name}_convergence.csv", reports,
-                        case.error_variables())
+                        case.error_variables)
     if not quiet:
         for rep in reports:
             cols = "  ".join(

@@ -559,8 +559,9 @@ def _vertex_images(vertices, ids, pts, box, periodic) -> np.ndarray:
 
 
 def _collapse_short_edges(ids, pts, sizes, vertices, box, periodic, tol,
-                          hole_center, hole_radius, theta=0.06, passes=4):
-    """Merge polygon vertices joined by edges shorter than theta*h_cell.
+                          hole_center, hole_radius):
+    """Merge polygon vertices joined by edges shorter than 0.06*h_cell, in
+    at most 4 passes.
 
     The loops are concatenated: vertex ids (N,), frame coordinates (N, 2) and
     loop sizes.  Short edges are found for all cells at once, and only they
@@ -570,11 +571,11 @@ def _collapse_short_edges(ids, pts, sizes, vertices, box, periodic, tol,
     conforming and gap-free.  Frame coordinates of periodic cells are rebuilt
     as the lattice image nearest the old position.
     """
-    for _ in range(passes):
+    for _ in range(4):
         nxt = _next_in_loop(sizes)
         d = pts[nxt] - pts
         area, centroid = polygon_areas_centroids(pts, sizes)
-        short = np.hypot(d[:, 0], d[:, 1]) < theta * np.repeat(np.sqrt(np.abs(area)), sizes)
+        short = np.hypot(d[:, 0], d[:, 1]) < 0.06 * np.repeat(np.sqrt(np.abs(area)), sizes)
         if not short.any():
             break
         parent = np.arange(len(vertices))

@@ -4,7 +4,9 @@ mesh, discretization, driver and initial state, and steps to a finite state.
 The small meshes cover every mesh path of the generators: box, periodic
 (ins_tgv, ins_double_shear), one-axis periodic (the Riemann problems,
 swe_wellbalance), a hole with density grading (the cylinders) and the
-structured rectangle (ins_stokes1)."""
+structured rectangle (ins_stokes1).  The registry holds every case and no
+base class, each case reads the mesh size it always read, and `get_case`
+names a parameter the case does not have."""
 
 import time
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from fvvem.harness import runner
-from fvvem.harness.cases import case_names, get_case
+from fvvem.harness.cases import CaseBase, InsCase, SweCase, case_names, get_case
 from fvvem.mesh import build_geometry
 from fvvem.models import Discretization, DryStateError
 
@@ -41,8 +43,42 @@ SMALL = {
 DRIES = {"swe_rp2", "swe_rp4"}
 
 
+# the mesh size each case reads, as it read it when each case named its own
+MESH_PARAM = {
+    **dict.fromkeys(["swe_vortex", "swe_rp1", "swe_rp2", "swe_rp3", "swe_rp4",
+                     "swe_circular_dam", "swe_smooth_wave", "ins_tgv", "ins_womersley",
+                     "ins_double_shear", "ins_cavity"], "h"),
+    **dict.fromkeys(["swe_wellbalance", "swe_cylinder", "ins_poiseuille", "ins_cylinder"],
+                    "n_cells"),
+    "ins_stokes1": None,
+}
+
+
 def test_every_case_has_a_small_mesh():
     assert sorted(SMALL) == case_names()
+
+
+def test_the_registry_holds_the_cases_and_no_base():
+    assert len(case_names()) == 16
+    assert not {"CaseBase", "SweCase", "InsCase"} & {type(get_case(n)).__name__
+                                                    for n in case_names()}
+    for base in (CaseBase, SweCase, InsCase):
+        assert "name" not in vars(base)
+
+
+def test_each_case_reads_its_mesh_size():
+    assert {name: get_case(name).mesh_param for name in case_names()} == MESH_PARAM
+
+
+def test_a_parameter_the_case_does_not_have_raises():
+    with pytest.raises(ValueError, match="case 'ins_cavity' has no parameter 'mass_update'"):
+        get_case("ins_cavity", mass_update="transfer")
+    assert get_case("swe_vortex", mass_update="transfer").mass_update == "transfer"
+
+
+def test_tgv_viscosity_is_the_inverse_reynolds_number():
+    assert get_case("ins_tgv").nu == 0.01
+    assert get_case("ins_tgv", reynolds=10.0).nu == 0.1
 
 
 @pytest.mark.parametrize("name", [

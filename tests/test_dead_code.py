@@ -1,13 +1,16 @@
-"""Every function and method defined in src/fvvem is named somewhere, and
-every name a src/fvvem module imports is used there.
+"""Every function and method defined in src/fvvem is named somewhere, every
+defaulted parameter of one is set by some call, and every name a src/fvvem
+module imports is used there.
 
 A definition counts as used when its name appears in src/, tests/ or
 perfbench/ (this module aside, whose allowlist names functions without
 calling them) as a name, an attribute, an imported name or a string (a
-`getattr` or a monkeypatch target).  An imported name counts as used when
-its module names it or lists it in `__all__`; `from __future__` imports are
-exempt.  The sources are read with the standard library's `ast`; no linter
-is needed.
+`getattr` or a monkeypatch target).  A call sets a defaulted parameter of
+every function of its callee's name (a class call: of the class's
+`__init__`) by keyword, by position or through `*`/`**`.  An imported name
+counts as used when its module names it or lists it in `__all__`;
+`from __future__` imports are exempt.  The sources are read with the
+standard library's `ast`; no linter is needed.
 """
 
 import ast
@@ -69,6 +72,97 @@ def test_allowlist_names_no_function_with_a_caller():
     used, _ = names_and_definitions()
     stale = sorted(f"src/fvvem/{rel} {name}" for rel, name in ALLOWED if name in used)
     assert not stale, "allowed functions that something now names:\n" + "\n".join(stale)
+
+
+def callee(call: ast.Call):
+    """The name a call calls: `f(...)` and `x.f(...)` both call `f`."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def call_settings(modules) -> dict:
+    """Callee name -> what its calls set: positional indices, keyword names,
+    "*" where a call passes `*args` and "**" where it passes `**kwargs`."""
+    sets = {}
+    for module in modules:
+        for node in ast.walk(module):
+            if isinstance(node, ast.Call) and callee(node):
+                got = sets.setdefault(callee(node), set())
+                for i, arg in enumerate(node.args):
+                    got.add("*" if isinstance(arg, ast.Starred) else i)
+                got.update(kw.arg or "**" for kw in node.keywords)
+    return sets
+
+
+def defaulted_parameters(module: ast.Module):
+    """(callee name, function name, line, parameter, positional index or
+    None) of every parameter with a default.  A method's index leaves out
+    its `self`, and its `__init__` is called by its class's name."""
+    out = []
+    methods = {id(f): cls for cls in ast.walk(module) if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, ast.FunctionDef)}
+    for func in ast.walk(module):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = methods.get(id(func))
+        static = any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+        skip = 1 if cls is not None and not static else 0
+        name = cls.name if cls is not None and func.name == "__init__" else func.name
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [(name, func.name, func.lineno, arg.arg, i - skip)
+                for i, arg in enumerate(positional) if i >= first]
+        out += [(name, func.name, func.lineno, arg.arg, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+    return out
+
+
+def unset_parameters(source_modules, calling_modules) -> list:
+    """(path, line, function, parameter) of each defaulted parameter that no
+    call sets; source_modules maps a path to its parsed module."""
+    sets = call_settings(calling_modules)
+    unset = []
+    for path, module in source_modules.items():
+        for name, fname, line, param, index in defaulted_parameters(module):
+            got = sets.get(name, set())
+            if not ({param, "**"} & got or index is not None and {index, "*"} & got):
+                unset.append((path, line, fname, param))
+    return unset
+
+
+def parsed(trees) -> dict:
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for tree in trees for path in sorted((ROOT / tree).rglob("*.py"))
+            if path != Path(__file__).resolve()}
+
+
+def test_every_defaulted_parameter_is_set_by_a_call():
+    calling = parsed(TREES)
+    source = {path: module for path, module in calling.items()
+              if path.is_relative_to(ROOT / "src" / "fvvem")}
+    unset = [f"{path.relative_to(ROOT).as_posix()}:{line} {fname}({param})"
+             for path, line, fname, param in unset_parameters(source, calling.values())
+             if (path.relative_to(ROOT / "src" / "fvvem").as_posix(), fname) not in ALLOWED]
+    assert not unset, "defaulted parameters that no call sets:\n" + "\n".join(unset)
+
+
+def test_unset_parameter_rule():
+    module = ast.parse(
+        "def f(a, b=1, *, c=2): pass\n"
+        "def g(a, b=1): pass\n"
+        "def h(a=1, b=2): pass\n"
+        "class C:\n"
+        "    def __init__(self, a=1): pass\n"
+        "    def m(self, a=1, b=2): pass\n"
+        "f(0, 1)\n"
+        "x.g(*args)\n"
+        "h(**kw)\n"
+        "C(5)\n"
+        "obj.m(b=3)\n")
+    unset = [(fname, param) for _, _, fname, param in unset_parameters({"m": module}, [module])]
+    assert unset == [("f", "c"), ("m", "a")]
 
 
 def unused_imports(module: ast.Module) -> list:

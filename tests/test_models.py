@@ -53,7 +53,9 @@ class TestGhost:
 
     def ghost(self, disc, flow, bc):
         driver, config, nrows, momentum = GHOST_FLOWS[flow]
-        drv = driver(disc, config, {"xmin": bc})
+        # every tag needs a condition: walls on the others
+        walls = {tag: BoundaryCondition("wall") for tag in disc.fvops.by_tag}
+        drv = driver(disc, config, {**walls, "xmin": bc})
         rng = np.random.default_rng(7)
         angle = rng.uniform(0.0, 2.0 * np.pi, 6)
         normals = np.stack([np.cos(angle), np.sin(angle)], axis=1)
@@ -91,6 +93,12 @@ class TestGhost:
     def test_unknown_kind_raises(self, box_disc, flow):
         with pytest.raises(models.ModelError, match="unknown boundary kind 'slip'"):
             self.ghost(box_disc, flow, BoundaryCondition("slip"))
+
+    def test_a_tag_without_a_condition_raises(self, box_disc, flow):
+        driver, config, *_ = GHOST_FLOWS[flow]
+        with pytest.raises(models.ModelError,
+                           match="boundary tag 'xmax' has no boundary condition"):
+            driver(box_disc, config, {"xmin": BoundaryCondition("wall")})
 
 
 def wb_setup(n=150, k=2, delta=0.0, seed=3):

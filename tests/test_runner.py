@@ -146,20 +146,20 @@ def cli_cases(monkeypatch) -> list:
 def test_config_file_param_is_applied(tmp_path, monkeypatch):
     seen = cli_cases(monkeypatch)
     cfg = tmp_path / "tgv.cfg"
-    cfg.write_text("param = nu=0.05\ntend = 0.3\n")
+    cfg.write_text("param = reynolds=20\ntend = 0.3\n")
     assert cli.main(["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet"]) == 0
     (case,) = seen
-    assert case.nu == 0.05 and case.t_end == 0.3
+    assert case.reynolds == 20 and case.t_end == 0.3
 
 
 def test_param_flag_beats_the_config_file(tmp_path, monkeypatch):
     seen = cli_cases(monkeypatch)
     cfg = tmp_path / "tgv.cfg"
-    cfg.write_text("param = nu=0.05\ntend = 0.3\n")
+    cfg.write_text("param = reynolds=20\ntend = 0.3\n")
     assert cli.main(["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet",
-                     "--param", "nu=0.02", "--tend", "0.4"]) == 0
+                     "--param", "reynolds=50", "--tend", "0.4"]) == 0
     (case,) = seen
-    assert case.nu == 0.02 and case.t_end == 0.4
+    assert case.reynolds == 50 and case.t_end == 0.4
 
 
 def test_config_file_unknown_key_exits_1(tmp_path, monkeypatch, capsys):
@@ -235,6 +235,22 @@ def test_cli_exits_2_on_a_failed_gate(capsys):
     assert "gate: FAIL" in capsys.readouterr().out
 
 
+def test_cli_rejects_a_parameter_the_case_does_not_have(monkeypatch, capsys):
+    seen = cli_cases(monkeypatch)
+    assert cli.main(["run", "--case", "ins_tgv", "--param", "nu=0.05", "--quiet"]) == 1
+    assert "case 'ins_tgv' has no parameter 'nu'" in capsys.readouterr().err
+    assert seen == []
+
+
+def test_cli_rejects_a_mesh_tag_without_a_condition(tmp_path, capsys):
+    # a box mesh has four wall tags; the periodic Taylor-Green vortex has no
+    # condition for any of them
+    path = str(tmp_path / "box.msh")
+    write_mesh(get_case("swe_smooth_wave", h=0.5).make_mesh(), path)
+    assert cli.main(["run", "--case", "ins_tgv", "--mesh", path, "--quiet"]) == 1
+    assert "boundary tag 'xmax' has no boundary condition" in capsys.readouterr().err
+
+
 def test_cli_rejects_a_misspelt_mass_update(capsys):
     code = cli.main(["run", "--case", "swe_vortex", "--mesh", "gen:h=0.9", "--tend", "0.01",
                      "--quiet", "--param", "mass_update=divergnce"])
@@ -245,10 +261,10 @@ def test_cli_rejects_a_misspelt_mass_update(capsys):
 def test_config_file_keeps_every_param_line(tmp_path, monkeypatch, capsys):
     seen = cli_cases(monkeypatch)
     cfg = tmp_path / "tgv.cfg"
-    cfg.write_text("param = nu=0.05\nparam = seed=4\n")
+    cfg.write_text("param = reynolds=20\nparam = seed=4\n")
     assert cli.main(["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet"]) == 0
     (case,) = seen
-    assert case.nu == 0.05 and case.seed == 4
+    assert case.reynolds == 20 and case.seed == 4
     cfg.write_text("tend = 0.3\ntend = 0.4\n")
     assert cli.main(["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet"]) == 1
     assert "key 'tend' given twice" in capsys.readouterr().err

@@ -97,7 +97,7 @@ def rusanov_flux(wL, wR, n, model):
     FL = model.explicit_flux_normal(wL, n)
     FR = model.explicit_flux_normal(wR, n)
     smax = np.maximum(model.max_eig(wL, n), model.max_eig(wR, n))
-    jump = model.explicit_components(wR) - model.explicit_components(wL)
+    jump = wR[model.momentum] - wL[model.momentum]
     return 0.5 * (FL + FR) - 0.5 * smax * jump
 
 
@@ -452,6 +452,5 @@ def explicit_operator(ops: FvOperators, model, coeffs_E: np.ndarray,
         wR[:, edges] = ext.reshape(wL.shape[0], len(edges), -1)
     # normals broadcast against the (NE, ng) point layout
     flux = rusanov_flux(wL, wR, geom.edge_normal[:, None, :], model)   # (nexp, NE, ng)
-    expl = model.explicit_components(Qbar_I)
-    return expl - dt / geom.area[None, :] * ops.edge_sum(flux)
+    return Qbar_I[model.momentum] - dt / geom.area[None, :] * ops.edge_sum(flux)
 

@@ -14,6 +14,7 @@ and the exact pressure.  Cases are looked up by name through `get_case`.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import erf
@@ -24,12 +25,19 @@ from .riemann import exact_riemann_swe
 
 _REGISTRY = {}
 
+# the values a parameter of each declared type takes; a bool is no number
+_TAKES = {"int": lambda v: isinstance(v, Integral) and not isinstance(v, bool),
+          "float": lambda v: isinstance(v, Real) and not isinstance(v, bool),
+          "str": lambda v: isinstance(v, str)}
+
 
 def get_case(name: str, **params):
     """The case `name` with its parameters overridden by `params`.  A mesh
     size (`h`, `n_cells`) of None keeps the case's default; one other than
     the one the case's mesh reads raises ValueError, as the case would
-    ignore it, and so does a key that is not a parameter of the case."""
+    ignore it, and so does a key that is not a parameter of the case or a
+    value its declared type does not take (None only where the default is
+    None)."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown case '{name}'; available: {sorted(_REGISTRY)}")
     cls = _REGISTRY[name]
@@ -39,11 +47,15 @@ def get_case(name: str, **params):
         elif key != cls.mesh_param:
             reads = f"'{cls.mesh_param}'" if cls.mesh_param else "no mesh parameter"
             raise ValueError(f"case '{name}' reads {reads}, so it would ignore '{key}'")
-    known = [f.name for f in fields(cls)]
-    for key in params:
+    known = {f.name: f for f in fields(cls)}
+    for key, value in params.items():
         if key not in known:
             raise ValueError(f"case '{name}' has no parameter '{key}' "
                              f"(it has {', '.join(sorted(known))})")
+        f = known[key]
+        if not (_TAKES[f.type](value) or value is None and f.default is None):
+            raise ValueError(f"case '{name}': parameter '{key}' of type {f.type} cannot take "
+                             f"{value!r}")
     return cls(**params)
 
 
@@ -112,12 +124,10 @@ class CaseBase:
 
 @dataclass
 class SweCase(CaseBase):
-    """A shallow-water case: state rows (eta, Hu, Hv, b), gravity g0 and the
-    driver's cell-mean update of eta, one of `models.MASS_UPDATES`."""
+    """A shallow-water case: state rows (eta, Hu, Hv, b) and gravity g0."""
 
     model = "swe"
     g0: float = 9.81
-    mass_update: str = "divergence"
 
 
 @dataclass
@@ -304,7 +314,6 @@ class SweCylinderCase(SweCase):
     scheme: str = "SP111"
     t_end: float = 10.0
     n_cells: int = 3000
-    mass_update: str = "transfer"
 
     def make_mesh(self):
         def density(x, y):

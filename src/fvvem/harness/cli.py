@@ -75,7 +75,9 @@ def _coerce(val: str):
 def _build_case(args):
     params = {}
     for spec in args.param or []:
-        key, val = spec.split("=", 1)
+        key, sep, val = spec.partition("=")
+        if not sep:
+            raise ValueError(f"--param '{spec}': expected key=value")
         params[key] = _coerce(val)
     mesh_file, gen = _parse_mesh_arg(args.mesh)
     params.update(gen)

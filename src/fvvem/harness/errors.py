@@ -15,8 +15,6 @@ class ErrorReport:
 
     h: float
     errors: dict           # name -> (L2, Linf)
-    runtime: float = 0.0
-    solver_iterations: int = 0
     steps: int = 0
     orders: dict = field(default_factory=dict)   # name -> observed order
 

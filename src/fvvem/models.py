@@ -5,8 +5,12 @@ A stage couples the explicit FV convective operator with implicit VEM solves
 projection for INS) through the FV<->VEM transfer operators.  Both drivers
 share one skeleton, `_Driver`: the IMEX step, the FV ghost states and the
 explicit half of a stage (the CWENO reconstructions of the stage inputs and
-the Rusanov-flux operator); each driver adds its implicit half.  Boundary
-conditions are a plain dict tag -> `BoundaryCondition`.  The
+the Rusanov-flux operator); each driver adds its implicit half.  A driver
+takes its physics as plain keyword arguments (SWE: gravity `g` and the
+bathymetry; INS: viscosity `nu` and a body force) and rejects a nonphysical
+one with ModelError.  The SWE stage updates the cell means of eta from the
+divergence of the single-valued edge discharges, so it conserves mass.
+Boundary conditions are a plain dict tag -> `BoundaryCondition`.  The
 Discretization object precomputes everything mesh-dependent, grouped by cell
 vertex count so per-stage work is batched numpy.  Every global operator is
 gathered from per-cell blocks through a `vem.AssemblyPattern`: the transfers
@@ -78,9 +82,6 @@ class SweModel:
             raise DryStateError("dry cell: eta - b <= 0")
         return w[1] / H, w[2] / H
 
-    def explicit_components(self, w):
-        return w[self.momentum]
-
     def explicit_flux_normal(self, w, n):
         u, v = self.velocity(w)
         vn = u * n[..., 0] + v * n[..., 1]
@@ -96,9 +97,6 @@ class InsModel:
 
     momentum = slice(0, 2)           # the rows (u, v)
 
-    def explicit_components(self, w):
-        return w[self.momentum]
-
     def explicit_flux_normal(self, w, n):
         vn = w[0] * n[..., 0] + w[1] * n[..., 1]
         return np.stack([w[0] * vn, w[1] * vn])
@@ -108,27 +106,8 @@ class InsModel:
 
 
 # ---------------------------------------------------------------------------
-# configuration and boundary conditions
+# boundary conditions
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SweConfig:
-    g: float = 9.81
-
-    def __post_init__(self):
-        if self.g <= 0.0:
-            raise ModelError("gravity must be positive")
-
-
-@dataclass
-class InsConfig:
-    nu: float = 1e-2
-    body_force: object = None        # callable t -> (fx, fy), explicit source
-
-    def __post_init__(self):
-        if self.nu < 0.0:
-            raise ModelError("viscosity must be nonnegative")
-
 
 @dataclass
 class BoundaryCondition:
@@ -465,16 +444,6 @@ class SolveStats:
         self.last_residual = report.residual
 
 
-# the SWE cell-mean update of eta: the divergence of the single-valued
-# implicit discharge on the edges, or the cell means of the transferred
-# VEM solution.  Only "divergence" conserves mass: "transfer" drifts by a
-# relative 3e-7 in four steps of the smooth wave at h=0.12 (1e-9 with
-# "divergence"), and by 1.8e-4 on swe_circular_dam at h=0.25 before a
-# non-finite flux at t=0.162.  swe_cylinder keeps "transfer" for its
-# smaller eta error there
-MASS_UPDATES = ("divergence", "transfer")
-
-
 class _Driver:
     """The skeleton of both steppers: the IMEX step over the driver's
     `stage`, the FV ghost states of the boundary conditions and the explicit
@@ -482,14 +451,12 @@ class _Driver:
     BoundaryCondition, and each driver names its flux `model` as a class
     attribute."""
 
-    def __init__(self, disc: Discretization, config, bcs: dict, scheme: str,
-                 cfl: float):
+    def __init__(self, disc: Discretization, bcs: dict, scheme: str, cfl: float):
         missing = [tag for tag in disc.fvops.by_tag if tag not in bcs]
         if missing:
             raise ModelError(f"boundary tag '{missing[0]}' has no boundary condition "
                              f"(conditions given for: {', '.join(sorted(bcs)) or 'none'})")
         self.disc = disc
-        self.config = config
         self.bcs = bcs
         self.pair = tableau(scheme)
         self.cfl = cfl
@@ -542,14 +509,12 @@ class SweDriver(_Driver):
     # M + tau^2 g K_H follows the state: refilled in the fixed pattern every stage
     preconditioners = {"free-surface": FROZEN_FACTOR}
 
-    def __init__(self, disc: Discretization, config: SweConfig, bcs: dict,
-                 scheme: str = "LSDIRK222", cfl: float = 0.9,
-                 bathymetry=None, mass_update: str = "divergence"):
-        if mass_update not in MASS_UPDATES:
-            raise ModelError(f"unknown mass_update '{mass_update}' "
-                             f"(expected one of {', '.join(MASS_UPDATES)})")
-        super().__init__(disc, config, bcs, scheme, cfl)
-        self.mass_update = mass_update
+    def __init__(self, disc: Discretization, bcs: dict, g: float = 9.81,
+                 scheme: str = "LSDIRK222", cfl: float = 0.9, bathymetry=None):
+        if g <= 0.0:
+            raise ModelError("gravity must be positive")
+        super().__init__(disc, bcs, scheme, cfl)
+        self.g = g
         b_fun = bathymetry or (lambda p: np.zeros(len(p)))
         self.b_coeffs, self.b_dofs = evaluate_bathymetry(disc, b_fun)
         walls = self.tags_of_kind("wall")
@@ -569,7 +534,7 @@ class SweDriver(_Driver):
 
     def stage(self, QE: FlowState, QI: FlowState, tau: float, t: float) -> FlowState:
         disc = self.disc
-        g = self.config.g
+        g = self.g
         if np.any(QE.Q[0] - self.b_coeffs[:, 0] <= 0.0):
             raise DryStateError("dry cell in stage input")
         coeffs_E, coeffs_I, full_E, Fq = self._explicit(QE, QI, tau, t)
@@ -590,20 +555,17 @@ class SweDriver(_Driver):
         if x0 is None:
             x0 = disc.fv_to_vem(coeffs_I[0])
         eta_dofs = self._free_surface.solve(rhs, x0, self.stats, "free-surface")
-        eta_poly = disc.vem_to_fv(eta_dofs)
-        grad_eta = disc.gradient_coeffs(eta_poly)
+        grad_eta = disc.gradient_coeffs(disc.vem_to_fv(eta_dofs))
         q_new = Fq - tau * g * disc.gradient_depth_weighted(grad_eta, h_poly)
-        if self.mass_update == "divergence":
-            # the single-valued implicit flux q^{new} . n = trace(Fq_vem)
-            # - tau g * avg(H grad eta^{new}) . n; walls carry no discharge
-            n = disc.geom.edge_normal
-            fq_hat = (disc.vem_edge_trace(fq_dofs[0]) * n[:, None, 0]
-                      + disc.vem_edge_trace(fq_dofs[1]) * n[:, None, 1])
-            q_hat = fq_hat - tau * g * self._depth_gradient_trace(grad_eta, h_poly)
-            q_hat[self._wall_edges] = 0.0
-            eta_new = QI.Q[0] - tau * (disc.fvops.edge_sum(q_hat) / disc.geom.area)
-        else:
-            eta_new = eta_poly[:, 0]          # transferred Pi0 cell means
+        # eta's cell means from the divergence of the single-valued implicit
+        # discharge q^{new} . n = trace(Fq_vem) - tau g * avg(H grad eta^{new}) . n,
+        # so mass is conserved; walls carry no discharge
+        n = disc.geom.edge_normal
+        fq_hat = (disc.vem_edge_trace(fq_dofs[0]) * n[:, None, 0]
+                  + disc.vem_edge_trace(fq_dofs[1]) * n[:, None, 1])
+        q_hat = fq_hat - tau * g * self._depth_gradient_trace(grad_eta, h_poly)
+        q_hat[self._wall_edges] = 0.0
+        eta_new = QI.Q[0] - tau * (disc.fvops.edge_sum(q_hat) / disc.geom.area)
         Qn = np.vstack([eta_new[None], q_new])
         return FlowState(Qn, t, {"eta_dofs": eta_dofs})
 
@@ -667,7 +629,7 @@ class SweDriver(_Driver):
         H = state.Q[0] - self.b_coeffs[:, 0]
         if np.any(H <= 0.0):
             raise DryStateError("dry cell in dt computation")
-        full = 0.5 * conv + np.sqrt(self.config.g * H)
+        full = 0.5 * conv + np.sqrt(self.g * H)
         return compute_dt(self.disc.geom.h, conv, self.cfl, full)
 
 
@@ -756,9 +718,13 @@ class InsDriver(_Driver):
     preconditioners = {"viscous": FROZEN_FACTOR,
                        "pressure": "sparse LU of the fixed operator, factored once"}
 
-    def __init__(self, disc: Discretization, config: InsConfig, bcs: dict,
-                 scheme: str = "LSDIRK222", cfl: float = 0.9):
-        super().__init__(disc, config, bcs, scheme, cfl)
+    def __init__(self, disc: Discretization, bcs: dict, nu: float = 1e-2,
+                 body_force=None, scheme: str = "LSDIRK222", cfl: float = 0.9):
+        if nu < 0.0:
+            raise ModelError("viscosity must be nonnegative")
+        super().__init__(disc, bcs, scheme, cfl)
+        self.nu = nu
+        self.body_force = body_force     # callable t -> (fx, fy), explicit source
         self.p_dirichlet = [tag for tag, bc in sorted(bcs.items()) if bc.pressure is not None]
         self.div_residuals = []
         self._viscous = _ConstrainedSystem(
@@ -778,10 +744,10 @@ class InsDriver(_Driver):
 
     def stage(self, QE: FlowState, QI: FlowState, tau: float, t: float) -> FlowState:
         disc = self.disc
-        nu = self.config.nu
+        nu = self.nu
         _, coeffs_I, _, Fv = self._explicit(QE, QI, tau, t)
-        if self.config.body_force is not None:
-            fx, fy = self.config.body_force(t)
+        if self.body_force is not None:
+            fx, fy = self.body_force(t)
             Fv = Fv + tau * np.array([[fx], [fy]])
         p_dofs = QI.aux["p_dofs"]
         p_coeffs = QI.aux["p_coeffs"]
@@ -852,8 +818,8 @@ class InsDriver(_Driver):
     def compute_dt(self, state: FlowState) -> float:
         conv = self.max_conv_eig(state)
         full = None
-        if self.config.nu > 0.0:
-            full = conv + 2.0 * self.config.nu / self.disc.geom.h
+        if self.nu > 0.0:
+            full = conv + 2.0 * self.nu / self.disc.geom.h
         return compute_dt(self.disc.geom.h, conv, self.cfl, full)
 
 

@@ -6,7 +6,7 @@ The small meshes cover every mesh path of the generators: box, periodic
 swe_wellbalance), a hole with density grading (the cylinders) and the
 structured rectangle (ins_stokes1).  The registry holds every case and no
 base class, each case reads the mesh size it always read, and `get_case`
-names a parameter the case does not have."""
+names a parameter the case does not have or a value of another type."""
 
 import time
 
@@ -71,9 +71,35 @@ def test_each_case_reads_its_mesh_size():
 
 
 def test_a_parameter_the_case_does_not_have_raises():
-    with pytest.raises(ValueError, match="case 'ins_cavity' has no parameter 'mass_update'"):
-        get_case("ins_cavity", mass_update="transfer")
-    assert get_case("swe_vortex", mass_update="transfer").mass_update == "transfer"
+    for name in ("ins_cavity", "swe_vortex", "swe_cylinder"):
+        with pytest.raises(ValueError, match=f"case '{name}' has no parameter 'mass_update'"):
+            get_case(name, mass_update="transfer")
+
+
+@pytest.mark.parametrize("name, key, value, kind", [
+    ("ins_tgv", "k", "two", "int"),
+    ("ins_tgv", "k", 2.0, "int"),
+    ("ins_tgv", "seed", 1.5, "int"),
+    ("ins_tgv", "k", True, "int"),
+    ("swe_vortex", "H0", "deep", "float"),
+    ("swe_vortex", "H0", False, "float"),
+    ("ins_tgv", "scheme", 2, "str"),
+    ("ins_womersley", "dt", None, "float"),
+])
+def test_a_value_of_another_type_raises(name, key, value, kind):
+    with pytest.raises(ValueError, match=f"case '{name}': parameter '{key}' of type {kind} "
+                                         f"cannot take {value!r}"):
+        get_case(name, **{key: value})
+
+
+def test_values_of_the_declared_type_pass():
+    # numpy scalars, an int for a float, and None where the default is None
+    case = get_case("swe_vortex", k=np.int64(2), seed=np.int32(3), H0=1000,
+                    cfl=np.float64(0.5), t_end=np.float32(0.25), scheme=np.str_("SP111"),
+                    dt=None)
+    assert (case.k, case.seed, case.H0, case.cfl, case.scheme, case.dt) == (
+        2, 3, 1000, 0.5, "SP111", None)
+    assert case.t_end == np.float32(0.25)
 
 
 def test_tgv_viscosity_is_the_inverse_reynolds_number():

@@ -1,13 +1,16 @@
 """Every function and method defined in src/fvvem is named somewhere, every
-defaulted parameter of one is set by some call, and every name a src/fvvem
-module imports is used there.
+defaulted parameter of one is set by some call, every attribute a src/fvvem
+module stores is read somewhere, and every name a src/fvvem module imports is
+used there.
 
 A definition counts as used when its name appears in src/, tests/ or
 perfbench/ (this module aside, whose allowlist names functions without
 calling them) as a name, an attribute, an imported name or a string (a
 `getattr` or a monkeypatch target).  A call sets a defaulted parameter of
 every function of its callee's name (a class call: of the class's
-`__init__`) by keyword, by position or through `*`/`**`.  An imported name
+`__init__`) by keyword, by position or through `*`/`**`.  An attribute is
+stored by an assignment to `x.attr` or as an annotated class field, and read
+as a loaded attribute, a loaded name or a string.  An imported name
 counts as used when its module names it or lists it in `__all__`;
 `from __future__` imports are exempt.  The sources are read with the
 standard library's `ast`; no linter is needed.
@@ -24,6 +27,14 @@ TREES = ("src", "tests", "perfbench")
 ALLOWED = {
     # the 1D reference waits on the stepped-bottom Riemann oracles
     ("harness/riemann.py", "reference_fv_1d"),
+}
+
+
+# (module path under src/fvvem, attribute) stored without a reader in the
+# scanned trees; an entry that gains a reader must leave the list
+ALLOWED_ATTRIBUTES = {
+    # scipy reads it: the data refilled on a canonical CSR pattern stays canonical
+    ("linalg.py", "has_canonical_format"),
 }
 
 
@@ -188,3 +199,67 @@ def test_every_import_is_used():
         rel = path.relative_to(ROOT).as_posix()
         unused += [f"{rel}:{line} {name}" for line, name in unused_imports(module)]
     assert not unused, "imported names that nothing uses:\n" + "\n".join(unused)
+
+
+def stored_attributes(module: ast.Module) -> list:
+    """(line, attribute) of each `x.attr = ...` target (augmented ones
+    included) and each annotated class field of a module."""
+    out = [(node.lineno, node.attr) for node in ast.walk(module)
+           if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)]
+    out += [(node.lineno, node.target.id) for cls in ast.walk(module)
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    return out
+
+
+def read_names(modules) -> set:
+    """Every loaded attribute, loaded name and string constant of the modules."""
+    read = set()
+    for module in modules:
+        for node in ast.walk(module):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return read
+
+
+def unread_attributes() -> list:
+    """(module path under src/fvvem, line, attribute) of each stored
+    attribute that nothing reads."""
+    modules = parsed(TREES)
+    read = read_names(modules.values())
+    return [(path.relative_to(ROOT / "src" / "fvvem").as_posix(), line, attr)
+            for path, module in modules.items()
+            if path.is_relative_to(ROOT / "src" / "fvvem")
+            for line, attr in stored_attributes(module) if attr not in read]
+
+
+def test_every_stored_attribute_is_read():
+    unread = [f"src/fvvem/{rel}:{line} {attr}" for rel, line, attr in unread_attributes()
+              if (rel, attr) not in ALLOWED_ATTRIBUTES]
+    assert not unread, "attributes that nothing reads:\n" + "\n".join(unread)
+
+
+def test_attribute_allowlist_names_unread_attributes():
+    unread = {(rel, attr) for rel, _, attr in unread_attributes()}
+    assert ALLOWED_ATTRIBUTES <= unread, "allowed attributes that are read or not stored"
+
+
+def test_stored_attribute_rule():
+    module = ast.parse(
+        "class C:\n"
+        "    a: int = 0\n"
+        "    b: int = 0\n"
+        "    plain = 1\n"
+        "    def f(self):\n"
+        "        self.c = self.d = 1\n"
+        "        self.e, obj.g = 1, 2\n"
+        "        self.h += 1\n"
+        "        c = self.b\n"
+        "        return getattr(self, 'e')\n")
+    read = read_names([module])
+    assert sorted(attr for _, attr in stored_attributes(module) if attr not in read) == [
+        "a", "c", "d", "g", "h"]

@@ -251,11 +251,41 @@ def test_cli_rejects_a_mesh_tag_without_a_condition(tmp_path, capsys):
     assert "boundary tag 'xmax' has no boundary condition" in capsys.readouterr().err
 
 
-def test_cli_rejects_a_misspelt_mass_update(capsys):
+def test_cli_rejects_a_misspelt_mass_update(monkeypatch, capsys):
+    # the SWE cases lost the parameter with the second mass update
+    seen = cli_cases(monkeypatch)
     code = cli.main(["run", "--case", "swe_vortex", "--mesh", "gen:h=0.9", "--tend", "0.01",
                      "--quiet", "--param", "mass_update=divergnce"])
     assert code == 1
-    assert "unknown mass_update 'divergnce'" in capsys.readouterr().err
+    assert "case 'swe_vortex' has no parameter 'mass_update'" in capsys.readouterr().err
+    assert seen == []
+
+
+@pytest.mark.parametrize("case, flags, message", [
+    ("ins_tgv", ["--param", "reynolds"], "--param 'reynolds': expected key=value"),
+    ("ins_tgv", ["--param", "k=two"],
+     "case 'ins_tgv': parameter 'k' of type int cannot take 'two'"),
+    ("swe_vortex", ["--param", "H0=deep", "--mesh", "gen:h=1.5", "--tend", "0.01"],
+     "case 'swe_vortex': parameter 'H0' of type float cannot take 'deep'"),
+    ("ins_tgv", ["--param", "k=2.0"], "case 'ins_tgv': parameter 'k' of type int cannot take 2.0"),
+    ("ins_tgv", ["--param", "seed=1.5"],
+     "case 'ins_tgv': parameter 'seed' of type int cannot take 1.5"),
+], ids=["no_equals", "word_for_int", "word_for_float", "float_for_int", "float_seed"])
+def test_cli_names_a_mistyped_parameter(monkeypatch, capsys, case, flags, message):
+    # each fails before the case reaches the run, so before any mesh is built
+    seen = cli_cases(monkeypatch)
+    assert cli.main(["run", "--case", case, *flags, "--quiet"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert seen == []
+
+
+def test_config_file_names_a_mistyped_order(tmp_path, monkeypatch, capsys):
+    seen = cli_cases(monkeypatch)
+    cfg = tmp_path / "tgv.cfg"
+    cfg.write_text("order = two\n")
+    assert cli.main(["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet"]) == 1
+    assert "parameter 'k' of type int cannot take 'two'" in capsys.readouterr().err
+    assert seen == []
 
 
 def test_config_file_keeps_every_param_line(tmp_path, monkeypatch, capsys):

@@ -30,14 +30,20 @@ _TAKES = {"int": lambda v: isinstance(v, Integral) and not isinstance(v, bool),
           "float": lambda v: isinstance(v, Real) and not isinstance(v, bool),
           "str": lambda v: isinstance(v, str)}
 
+# the values the shared parameters admit, beyond their type; None (the
+# default mesh size, the CFL-limited dt) is always admitted
+_BOUNDS = {**dict.fromkeys(("t_end", "h", "dt"), (lambda v: v > 0.0, "must be positive")),
+           "cfl": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+           "seed": (lambda v: v >= 0, "must be nonnegative")}
+
 
 def get_case(name: str, **params):
     """The case `name` with its parameters overridden by `params`.  A mesh
     size (`h`, `n_cells`) of None keeps the case's default; one other than
     the one the case's mesh reads raises ValueError, as the case would
-    ignore it, and so does a key that is not a parameter of the case or a
+    ignore it, and so does a key that is not a parameter of the case, a
     value its declared type does not take (None only where the default is
-    None)."""
+    None) or a shared parameter out of its bounds (`_BOUNDS`)."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown case '{name}'; available: {sorted(_REGISTRY)}")
     cls = _REGISTRY[name]
@@ -56,7 +62,12 @@ def get_case(name: str, **params):
         if not (_TAKES[f.type](value) or value is None and f.default is None):
             raise ValueError(f"case '{name}': parameter '{key}' of type {f.type} cannot take "
                              f"{value!r}")
-    return cls(**params)
+    case = cls(**params)
+    for key, (admits, bound) in _BOUNDS.items():
+        value = getattr(case, key)
+        if value is not None and not admits(value):
+            raise ValueError(f"case '{name}': parameter '{key}' {bound}, not {value!r}")
+    return case
 
 
 def case_names():

@@ -54,7 +54,12 @@ def _parse_mesh_arg(arg: str):
             if key not in GEN_KEYS or not sep:
                 raise ValueError(f"--mesh gen: unknown key '{key}' "
                                  f"(expected one of {', '.join(GEN_KEYS)}, as key=value)")
-            opts[GEN_KEYS[key]] = float(val) if key == "h" else int(val)
+            kind = float if key == "h" else int
+            try:
+                opts[GEN_KEYS[key]] = kind(val)
+            except ValueError:
+                raise ValueError(f"--mesh gen: key '{key}' takes {kind.__name__} values, "
+                                 f"not '{val}'") from None
         return None, opts
     return arg, {}
 
@@ -142,13 +147,15 @@ def main(argv=None) -> int:
             raise ValueError(f"study sweeps generated meshes: the mesh file '{mesh}' "
                              "has no size to sweep")
 
-        def factory(size):
+        def build(size):
             # the swept size goes on top of the other --mesh gen: keys
             args.mesh = f"{mesh},{key}={size}"
             case, _ = _build_case(args)
             return case
 
-        convergence_study(factory, sizes, out_prefix=args.out, quiet=args.quiet)
+        # every size is checked before the first run
+        studied = {size: build(size) for size in sizes}
+        convergence_study(studied.__getitem__, sizes, out_prefix=args.out, quiet=args.quiet)
         return 0
     except Exception as exc:                      # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)

@@ -81,15 +81,16 @@ class SparseMatrix:
         return self._m.toarray()
 
 
-def pcg(A: SparseMatrix, b: np.ndarray, precond=None, x0: np.ndarray | None = None,
+def pcg(A: SparseMatrix, b: np.ndarray, precond=None,
         tol: float = DEFAULT_TOL, maxiter: int = 10_000) -> tuple[np.ndarray, SolverReport]:
     """Preconditioned conjugate gradients for a symmetric positive (semi-)definite A.
 
     `precond(r)` applies an SPD approximation of A^{-1} (None: identity).
-    Stops when the true residual satisfies ||b - A x||_2 <= tol ||b||_2; the
-    recursive residual is replaced by the true one whenever it claims
-    convergence.  Returns x0 immediately when it already satisfies the
-    tolerance.  A search direction with p^T A p <= 0 raises SolverError.
+    Starts from x = 0, so r = b; a warm start solves for the increment
+    instead (`models.solve_implicit`).  Stops when the true residual
+    satisfies ||b - A x||_2 <= tol ||b||_2; the recursive residual is
+    replaced by the true one whenever it claims convergence.  A search
+    direction with p^T A p <= 0 raises SolverError.
     """
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
@@ -101,9 +102,9 @@ def pcg(A: SparseMatrix, b: np.ndarray, precond=None, x0: np.ndarray | None = No
     if nb == 0.0:
         return np.zeros(n), SolverReport(0, 0.0, True)
     Asp = A.to_scipy()
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - Asp @ x
-    res = float(np.linalg.norm(r))
+    x = np.zeros(n)
+    r = b
+    res = nb
     it = 0
     while res > tol * nb:
         if it == maxiter:

@@ -15,12 +15,12 @@ Discretization object precomputes everything mesh-dependent, grouped by cell
 vertex count so per-stage work is batched numpy.  Every global operator is
 gathered from per-cell blocks through a `vem.AssemblyPattern`: the transfers
 and loads on rectangular patterns, and every implicit operator on one fixed
-dof pattern, where a stage refills its data (the free surface
-M + tau^2 g K(H) in every stage, the viscous M + tau nu K when tau changes)
-and never rebuilds its structure.  Each
-implicit system is preconditioned by the sparse LU factor of its first
-operator, kept across refills until a solve takes more than
-REFACTOR_ITERATIONS CG iterations (`_ConstrainedSystem`).
+dof pattern, where it is refilled from its data and its structure is never
+rebuilt: the free surface M + tau^2 g K(H) and the viscous M + tau nu K in
+every stage, the pressure K once, when its driver is built.  Each implicit
+system is preconditioned by the sparse LU factor of its first operator,
+kept across refills until a solve takes more than REFACTOR_ITERATIONS CG
+iterations (`_ConstrainedSystem.refill`).
 
 Per-cell polynomials live in two bases: the FV Taylor basis and the scaled
 monomials of the VEM element (gradients, Pi0 polynomials, L2 projections).
@@ -136,18 +136,6 @@ class FlowState:
 
     def copy(self) -> "FlowState":
         return FlowState(self.Q.copy(), self.time, dict(self.aux))
-
-    def lincomb(self, a, terms) -> "FlowState":
-        Q = a * self.Q
-        for c, k in terms:
-            Q = Q + c * k.Q
-        return FlowState(Q, self.time, dict(self.aux))
-
-    def flux_from(self, base: "FlowState", tau: float) -> "FlowState":
-        return FlowState((self.Q - base.Q) / tau, self.time, {})
-
-    def adopt_auxiliary(self, other: "FlowState"):
-        self.aux = dict(other.aux)
 
 
 # ---------------------------------------------------------------------------
@@ -279,22 +267,18 @@ class Discretization:
     # -- field plumbing (sparse transfer operators) ---------------------------
 
     def fv_to_vem(self, coeffs):
+        """VEM dofs (..., ndof) of fields given by their Taylor coefficients
+        (..., ncell, nk); any leading axes, as `to_taylor` takes."""
         coeffs = np.asarray(coeffs)
-        squeeze = coeffs.ndim == 2
-        if squeeze:
-            coeffs = coeffs[None]
         nck = self.mesh.n_cells * self.nk
-        out = (self._Vglob @ coeffs.reshape(-1, nck).T).T
-        return out[0] if squeeze else out
+        return (self._Vglob @ coeffs.reshape(-1, nck).T).T.reshape(*coeffs.shape[:-2], -1)
 
     def vem_to_fv(self, dofs):
+        """Taylor coefficients (..., ncell, nk) of VEM fields given by their
+        dofs (..., ndof); the inverse direction of `fv_to_vem`."""
         dofs = np.asarray(dofs)
-        squeeze = dofs.ndim == 1
-        if squeeze:
-            dofs = dofs[None]
-        out = (self._Cglob @ dofs.T).T.reshape(dofs.shape[0], self.mesh.n_cells,
-                                               self.nk)
-        return out[0] if squeeze else out
+        flat = dofs.reshape(-1, dofs.shape[-1])
+        return (self._Cglob @ flat.T).T.reshape(*dofs.shape[:-1], self.mesh.n_cells, self.nk)
 
     def field_mean(self, dofs: np.ndarray) -> float:
         return float(self.ones @ (self.M.to_scipy() @ dofs)) / self.area_total
@@ -542,7 +526,7 @@ class SweDriver(_Driver):
         eta_E_dofs = disc.fv_to_vem(coeffs_E[0])
         h_poly = disc.pi0_poly(eta_E_dofs - self.b_dofs)
         Kn = disc.variable_stiffness_global(h_poly)
-        self._free_surface.operator(None, lambda: disc.M.data + tau * tau * g * Kn.data)
+        self._free_surface.refill(disc.M.data + tau * tau * g * Kn.data)
         # rhs: (eta_I - tau * div Fq, Pi0 phi), with Fq as the smooth field
         # q_I(x) - tau * P(div(v (x) q))(x) projected onto the VEM space; its
         # weak divergence is integrated by parts inside the E-matrix operator
@@ -641,15 +625,15 @@ class _ConstrainedSystem:
     corners) and their positions in the Discretization's assembly pattern.
     One function `sample(tag, pts, t) -> (ncomp, npts)` gives the boundary
     values of every component; they are sampled per right-hand side.
-    `operator(key, build)` refills the operator from `build()`, its data on
-    the pattern, when `key` changes or is None, and keeps the unconstrained
-    matrix (for the right-hand sides).
+    `refill(data)` sets the operator to `data` on the pattern, Dirichlet
+    dofs eliminated (`A`), and keeps the unconstrained matrix (`full`, for
+    the right-hand sides).
 
     Preconditioner: the sparse LU factor (`linalg.factorized`) of the
-    Dirichlet-eliminated operator, taken when the operator is first built
-    and kept across refills.  A refill refactors only when the last `solve`
-    took more than REFACTOR_ITERATIONS CG iterations, so the rule depends on
-    iteration counts alone and reruns are reproducible.  An operator that
+    Dirichlet-eliminated operator, taken at the first refill and kept
+    across refills.  A refill refactors only when the last `solve` took more
+    than REFACTOR_ITERATIONS CG iterations, so the rule depends on iteration
+    counts alone and reruns are reproducible.  An operator that
     `annihilates_constants` (a stiffness matrix) is singular when no dof is
     fixed: its factor then pins the dof where the constant field is largest.
     """
@@ -669,21 +653,17 @@ class _ConstrainedSystem:
         self.dirichlet = DirichletSet(disc.pattern, self.fixed) if len(self.fixed) else None
         self.pin = (int(np.argmax(np.abs(disc.ones)))
                     if annihilates_constants and not len(self.fixed) else None)
-        self.key = None
         self.A = self.full = self.precond = None
         self.last_iterations = 0
 
-    def operator(self, key, build) -> SparseMatrix:
-        if self.A is None or key is None or key != self.key:
-            self.key = key
-            self.A = self.full = self.disc.pattern.matrix(build())
-            if self.dirichlet is not None:
-                self.A = apply_dirichlet(self.full, self.dirichlet)
-            if self.precond is None or self.last_iterations > REFACTOR_ITERATIONS:
-                self.precond = None         # one factor in memory at a time
-                self.precond = factorized(self.A, self.pin)
-                self.last_iterations = 0
-        return self.A
+    def refill(self, data: np.ndarray):
+        self.A = self.full = self.disc.pattern.matrix(data)
+        if self.dirichlet is not None:
+            self.A = apply_dirichlet(self.full, self.dirichlet)
+        if self.precond is None or self.last_iterations > REFACTOR_ITERATIONS:
+            self.precond = None         # one factor in memory at a time
+            self.precond = factorized(self.A, self.pin)
+            self.last_iterations = 0
 
     def solve(self, b, x0, stats: SolveStats, what: str, atol: float = 0.0) -> np.ndarray:
         """`solve_implicit` to DEFAULT_TOL on the current operator with the
@@ -713,8 +693,9 @@ class InsDriver(_Driver):
     """Projection-method INS stepper on a Discretization."""
 
     model = InsModel()
-    # M + tau nu K follows the CFL-limited tau; K never changes, so its
-    # exact factor takes one iteration and is never refactored
+    # M + tau nu K follows the CFL-limited tau: refilled in every stage; K
+    # never changes, so it is refilled and factored once, here, and its
+    # exact factor takes one iteration
     preconditioners = {"viscous": FROZEN_FACTOR,
                        "pressure": "sparse LU of the fixed operator, factored once"}
 
@@ -734,6 +715,7 @@ class InsDriver(_Driver):
         self._pressure = _ConstrainedSystem(
             disc, bcs, self.p_dirichlet, lambda tag, pts, t: bcs[tag].pressure(pts, t)[None],
             annihilates_constants=True)
+        self._pressure.refill(disc.K.data)
 
     def initial_state(self, velocity_fun, pressure_fun) -> FlowState:
         disc = self.disc
@@ -751,9 +733,9 @@ class InsDriver(_Driver):
             Fv = Fv + tau * np.array([[fx], [fy]])
         p_dofs = QI.aux["p_dofs"]
         p_coeffs = QI.aux["p_coeffs"]
-        # Helmholtz operator for the provisional velocity, refilled when tau
-        # changes (the Dirichlet dof set is geometric and fixed)
-        self._viscous.operator(round(tau, 14), lambda: disc.M.data + tau * nu * disc.K.data)
+        # Helmholtz operator for the provisional velocity (the Dirichlet dof
+        # set is geometric and fixed)
+        self._viscous.refill(disc.M.data + tau * nu * disc.K.data)
         # loads of f - tau grad p, with f the implicit stage field carrying
         # the explicit cell means Fv
         f_field = coeffs_I.copy()
@@ -779,30 +761,25 @@ class InsDriver(_Driver):
         self.last_compatibility = float(disc.ones @ rhs_p) / disc.area_total
         # pure-Neumann/periodic (no fixed dofs): CG solves the singular
         # consistent system and the gauge is fixed afterwards (mean of p held)
-        Ap = self._pressure.operator("K", lambda: disc.K.data)
         bp = self._pressure.rhs(rhs_p, 0, t)
         pfixed = self._pressure.fixed
-        r0 = np.linalg.norm(bp - Ap.to_scipy() @ p_dofs)
+        r0 = np.linalg.norm(bp - self._pressure.A.to_scipy() @ p_dofs)
         scale = 1.0 + np.linalg.norm(Kp_old) + np.linalg.norm(p_dofs)
         # near-stationary skip: an increment within 25x of the stopping
         # tolerance is solver-stagnation noise; the recomputed weak-divergence
         # residual stays far inside the 100*delta_0 certification band
-        p_skipped = r0 <= 1e-13 * scale or r0 <= 25.0 * DEFAULT_TOL * np.linalg.norm(bp)
-        if p_skipped:
-            p_new = p_dofs.copy()
+        if r0 <= 1e-13 * scale or r0 <= 25.0 * DEFAULT_TOL * np.linalg.norm(bp):
+            p_new = p_dofs
         else:
             p_new = self._pressure.solve(bp, p_dofs, self.stats, "pressure")
         if not self.p_dirichlet:
             p_new = p_new + (disc.field_mean(p_dofs) - disc.field_mean(p_new))
-        # weak divergence residual of the corrected velocity (free dofs)
-        if p_skipped:
-            resid = div.copy()                          # p unchanged
-        else:
-            resid = tau * (Ksp @ p_new) + div - tau * Kp_old
+        # weak divergence residual of the corrected velocity (free dofs),
+        # div + tau K (p_new - p_old): exactly div when p is unchanged
+        resid = div + tau * (Ksp @ (p_new - p_dofs))
         resid[pfixed] = 0.0
-        rhs_norm = np.linalg.norm(np.delete(rhs_p, pfixed)) if len(pfixed) \
-            else np.linalg.norm(rhs_p)
-        self.div_residuals.append((float(np.linalg.norm(resid)), float(rhs_norm)))
+        self.div_residuals.append((float(np.linalg.norm(resid)),
+                                   float(np.linalg.norm(np.delete(rhs_p, pfixed)))))
         # velocity correction from the transferred pressure increment
         dp_coeffs = disc.vem_to_fv(p_new - p_dofs)
         vstar_coeffs = disc.vem_to_fv(vstar)
@@ -825,7 +802,8 @@ class InsDriver(_Driver):
 
 def solve_implicit(A: SparseMatrix, b: np.ndarray, x0, tol, restart, precond,
                    stats: SolveStats, what: str, atol: float = 0.0) -> np.ndarray:
-    """Preconditioned CG (`linalg.pcg`) in increment form.
+    """Preconditioned CG (`linalg.pcg`, which starts from zero) in increment
+    form: the one warm start of every implicit solve.
 
     Solves A d = b - A x0 to the tolerance that guarantees the ORIGINAL
     stopping criterion ||b - A x|| <= max(tol * ||b||, atol); when the warm

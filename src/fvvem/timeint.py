@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,7 +13,8 @@ class TimeIntError(Exception):
 
 @dataclass
 class ButcherPair:
-    """Explicit/implicit tableau pair sharing the weights b."""
+    """Explicit/implicit tableau pair sharing the weights b, which are the
+    last implicit row: every pair is stiffly accurate."""
 
     name: str
     A_expl: np.ndarray     # strictly lower triangular
@@ -59,19 +60,17 @@ def tableau(name: str) -> ButcherPair:
     """IMEX pairs: SP111 (order 1), LSDIRK222 (order 2), SADIRK343 (order 3).
 
     Constants come from closed forms (SADIRK343: `_sadirk343`); c columns
-    come from row sums.
+    come from row sums, and b is the last implicit row.
     """
     if name == "SP111":
         Ae = np.array([[0.0]])
         Ai = np.array([[1.0]])
-        b = np.array([1.0])
     elif name == "LSDIRK222":
         g, be = _GAMMA_222, _BETA_222
         Ae = np.array([[0.0, 0.0],
                        [be, 0.0]])
         Ai = np.array([[g, 0.0],
                        [1.0 - g, g]])
-        b = np.array([1.0 - g, g])
     elif name == "SADIRK343":
         g, t2, b1, b2, (a31, a32, a41, a43) = _sadirk343()
         Ae = np.array([[0.0, 0.0, 0.0, 0.0],
@@ -82,10 +81,9 @@ def tableau(name: str) -> ButcherPair:
                        [0.0, g, 0.0, 0.0],
                        [0.0, t2 - g, g, 0.0],
                        [0.0, b1, b2, g]])
-        b = Ai[-1].copy()               # stiffly accurate
     else:
         raise TimeIntError(f"unknown IMEX scheme '{name}'")
-    return ButcherPair(name, Ae, Ai, b, Ae.sum(axis=1), Ai.sum(axis=1))
+    return ButcherPair(name, Ae, Ai, Ai[-1].copy(), Ae.sum(axis=1), Ai.sum(axis=1))
 
 
 def compute_dt(h: np.ndarray, max_eig_conv: np.ndarray, cfl: float,
@@ -112,31 +110,33 @@ def compute_dt(h: np.ndarray, max_eig_conv: np.ndarray, cfl: float,
 
 
 def imex_advance(state, pair: ButcherPair, stage_solver, dt: float):
-    """One IMEX step of Eq-style stage machinery.
+    """One IMEX step: the state of its last stage, at time state.time + dt.
 
     stage_solver(state_E, state_I, tau, t_stage) must return the stage state
     solving  Q = state_I + tau * H(state_E, Q),  i.e. one semi-implicit update
-    with effective step tau = a_ii * dt.  States are objects exposing
-    .time and the model-owned .lincomb (the accumulated stage inputs),
-    .flux_from (the stage fluxes) and .adopt_auxiliary.  A single stage flux
-    set is kept: k_i = (Q_i - state_I_base) / tau, reused by both tableaux.
+    with effective step tau = a_ii * dt.  States are dataclasses with the
+    fields Q and time.  The stage inputs are `state` with
+    Q = state.Q + dt * sum_j a_ij k_j over the earlier stages' fluxes
+    k_j = (Q_j - Q_I,j) / tau_j, one set reused by both tableaux.  Every
+    pair is stiffly accurate, so the step needs no recombination: the last
+    stage is the step, auxiliary fields included.
     """
-    s = pair.stages
-    if s == 1:
+    if pair.stages == 1:
         # reduces exactly (bitwise) to one first-order semi-implicit stage
         out = stage_solver(state, state, dt * pair.A_impl[0, 0], state.time)
-        out.time = state.time + dt
-        return out
-    ks = []
-    for i in range(s):
-        QE = state.lincomb(1.0, [(dt * pair.A_expl[i, j], ks[j]) for j in range(i)])
-        QI = state.lincomb(1.0, [(dt * pair.A_impl[i, j], ks[j]) for j in range(i)])
-        tau = dt * pair.A_impl[i, i]
-        t_stage = state.time + pair.c_impl[i] * dt
-        out = stage_solver(QE, QI, tau, t_stage)
-        ks.append(out.flux_from(QI, tau))
-    new = state.lincomb(1.0, [(dt * pair.b[i], ks[i]) for i in range(s)])
-    new.time = state.time + dt
-    # stiffly accurate pairs: adopt the last stage's auxiliary fields
-    new.adopt_auxiliary(out)
-    return new
+    else:
+        ks = []
+        for i in range(pair.stages):
+            QE, QI = (replace(state, Q=_stage_input(state.Q, dt * A[i, :i], ks))
+                      for A in (pair.A_expl, pair.A_impl))
+            tau = dt * pair.A_impl[i, i]
+            out = stage_solver(QE, QI, tau, state.time + pair.c_impl[i] * dt)
+            ks.append((out.Q - QI.Q) / tau)
+    out.time = state.time + dt
+    return out
+
+
+def _stage_input(Q: np.ndarray, coeffs, ks) -> np.ndarray:
+    for c, k in zip(coeffs, ks):
+        Q = Q + c * k
+    return Q

@@ -6,8 +6,10 @@ The small meshes cover every mesh path of the generators: box, periodic
 swe_wellbalance), a hole with density grading (the cylinders) and the
 structured rectangle (ins_stokes1).  The registry holds every case and no
 base class, each case reads the mesh size it always read, and `get_case`
-names a parameter the case does not have or a value of another type."""
+names a parameter the case does not have, a value of another type or a
+shared parameter out of its bounds."""
 
+import re
 import time
 
 import numpy as np
@@ -100,6 +102,32 @@ def test_values_of_the_declared_type_pass():
     assert (case.k, case.seed, case.H0, case.cfl, case.scheme, case.dt) == (
         2, 3, 1000, 0.5, "SP111", None)
     assert case.t_end == np.float32(0.25)
+
+
+@pytest.mark.parametrize("name, key, value, bound", [
+    ("ins_poiseuille", "t_end", 0.0, "must be positive"),
+    ("ins_poiseuille", "t_end", -1.0, "must be positive"),
+    ("ins_tgv", "h", -1.0, "must be positive"),
+    ("ins_tgv", "h", 0.0, "must be positive"),
+    ("ins_poiseuille", "dt", 0.0, "must be positive"),
+    ("ins_poiseuille", "dt", -0.1, "must be positive"),
+    ("ins_poiseuille", "cfl", 1.5, "must lie in (0, 1]"),
+    ("swe_vortex", "cfl", 0.0, "must lie in (0, 1]"),
+    ("ins_poiseuille", "seed", -1, "must be nonnegative"),
+    ("swe_vortex", "t_end", float("nan"), "must be positive"),
+])
+def test_a_shared_parameter_out_of_bounds_raises(name, key, value, bound):
+    message = f"case '{name}': parameter '{key}' {bound}, not {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        get_case(name, **{key: value})
+
+
+def test_every_default_is_within_bounds():
+    # the bounds hold at the edges and None passes where the default is None
+    for name in case_names():
+        get_case(name)
+    case = get_case("ins_tgv", cfl=1.0, seed=0, dt=None)
+    assert (case.cfl, case.seed, case.dt) == (1.0, 0, None)
 
 
 def test_tgv_viscosity_is_the_inverse_reynolds_number():

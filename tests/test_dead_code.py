@@ -1,12 +1,14 @@
-"""Every function and method defined in src/fvvem is named somewhere, every
-defaulted parameter of one is set by some call, every attribute a src/fvvem
-module stores is read somewhere, and every name a src/fvvem module imports is
-used there.
+"""Every function and method defined in src/fvvem is named somewhere, and
+outside the tests unless `TEST_ONLY` says why not; every defaulted parameter
+of one is set by some call; every attribute a src/fvvem module stores is read
+somewhere; and every name a src/fvvem module imports is used there.
 
 A definition counts as used when its name appears in src/, tests/ or
 perfbench/ (this module aside, whose allowlist names functions without
 calling them) as a name, an attribute, an imported name or a string (a
-`getattr` or a monkeypatch target).  A call sets a defaulted parameter of
+`getattr` or a monkeypatch target).  It counts as reachable when it is used
+outside tests/ and perfbench/tests, in the product: src/ and the
+benchmark.  A call sets a defaulted parameter of
 every function of its callee's name (a class call: of the class's
 `__init__`) by keyword, by position or through `*`/`**`.  An attribute is
 stored by an assignment to `x.attr` or as an annotated class field, and read
@@ -17,16 +19,31 @@ standard library's `ast`; no linter is needed.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "perfbench")
+TEST_TREES = ("tests", "perfbench/tests")
 
 # (module path under src/fvvem, function name) kept without a caller; an
 # entry that gains a caller must leave the list
 ALLOWED = {
     # the 1D reference waits on the stepped-bottom Riemann oracles
     ("harness/riemann.py", "reference_fv_1d"),
+}
+
+
+# (module path under src/fvvem, function name) -> why it is kept with the
+# tests as its only callers; an entry that gains a product caller must leave
+# the list
+TEST_ONLY = {
+    ("fv.py", "res_q"): "the residual half of a stencil fit's stacked operator, "
+                        "which the set-up golden of test_discretization fingerprints",
+    ("linalg.py", "to_dense"): "the tests compare sparse operators with dense oracles",
+    ("mesh.py", "validate_regularity"): "the tests check the generated meshes against "
+                                        "the paper's mesh regularity assumptions",
+    ("mesh.py", "write_mesh"): "the inverse the tests round-trip read_mesh against",
 }
 
 
@@ -43,31 +60,38 @@ def is_hook(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def names_and_definitions():
-    used, defined = set(), []
-    for tree in TREES:
-        for path in sorted((ROOT / tree).rglob("*.py")):
-            if path == Path(__file__).resolve():
-                continue
-            module = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(module):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    used.add(node.name.rsplit(".", 1)[-1])
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    used.add(node.value)
-                elif (tree == "src" and isinstance(node, (ast.FunctionDef,
-                                                          ast.AsyncFunctionDef))):
-                    rel = path.relative_to(ROOT / "src" / "fvvem").as_posix()
-                    defined.append((rel, node.name, node.lineno))
-    return used, defined
+def is_test(path: Path) -> bool:
+    return any(path.is_relative_to(ROOT / tree) for tree in TEST_TREES)
+
+
+def names_and_definitions(modules):
+    """The names the modules (path -> parsed module) use, those that the
+    product (every module outside the tests) uses, and the (module path
+    under src/fvvem, name, line) of each function src/fvvem defines."""
+    used, product, defined = set(), set(), []
+    src = ROOT / "src" / "fvvem"
+    for path, module in modules.items():
+        names = set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            elif (path.is_relative_to(src)
+                  and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))):
+                defined.append((path.relative_to(src).as_posix(), node.name, node.lineno))
+        used |= names
+        if not is_test(path):
+            product |= names
+    return used, product, defined
 
 
 def test_every_function_has_a_caller():
-    used, defined = names_and_definitions()
+    used, _, defined = names_and_definitions(parsed(TREES))
     assert defined
     dead = [f"src/fvvem/{rel}:{line} {name}" for rel, name, line in defined
             if name not in used and not is_hook(name) and (rel, name) not in ALLOWED]
@@ -75,14 +99,45 @@ def test_every_function_has_a_caller():
 
 
 def test_allowlist_names_real_functions():
-    _, defined = names_and_definitions()
-    assert ALLOWED <= {(rel, name) for rel, name, _ in defined}
+    _, _, defined = names_and_definitions(parsed(TREES))
+    assert ALLOWED | set(TEST_ONLY) <= {(rel, name) for rel, name, _ in defined}
 
 
 def test_allowlist_names_no_function_with_a_caller():
-    used, _ = names_and_definitions()
+    used, _, _ = names_and_definitions(parsed(TREES))
     stale = sorted(f"src/fvvem/{rel} {name}" for rel, name in ALLOWED if name in used)
     assert not stale, "allowed functions that something now names:\n" + "\n".join(stale)
+
+
+def functions_only_tests_name(modules) -> list:
+    """(module path under src/fvvem, name, line) of each function that only
+    the tests name."""
+    used, product, defined = names_and_definitions(modules)
+    return [(rel, name, line) for rel, name, line in defined
+            if name in used and name not in product and not is_hook(name)]
+
+
+def test_every_function_is_reachable_from_the_product():
+    unreached = [f"src/fvvem/{rel}:{line} {name}"
+                 for rel, name, line in functions_only_tests_name(parsed(TREES))
+                 if (rel, name) not in TEST_ONLY]
+    assert not unreached, "functions that only the tests name:\n" + "\n".join(unreached)
+
+
+def test_test_only_allowlist_names_no_function_with_a_product_caller():
+    _, product, _ = names_and_definitions(parsed(TREES))
+    stale = sorted(f"src/fvvem/{rel} {name}" for rel, name in TEST_ONLY if name in product)
+    assert not stale, "test-only functions that the product now names:\n" + "\n".join(stale)
+
+
+def test_reachability_rule():
+    src, tests = ROOT / "src" / "fvvem" / "m.py", ROOT / "perfbench" / "tests" / "t.py"
+    modules = {src: ast.parse("def used(): pass\n"
+                              "def tested(): pass\n"
+                              "def dead(): pass\n"
+                              "used()\n"),
+               tests: ast.parse("tested()\nused()\n")}
+    assert [name for _, name, _ in functions_only_tests_name(modules)] == ["tested"]
 
 
 def callee(call: ast.Call):
@@ -143,7 +198,9 @@ def unset_parameters(source_modules, calling_modules) -> list:
     return unset
 
 
+@functools.cache
 def parsed(trees) -> dict:
+    """Path -> parsed module of every scanned file; parsed once per run."""
     return {path: ast.parse(path.read_text(), filename=str(path))
             for tree in trees for path in sorted((ROOT / tree).rglob("*.py"))
             if path != Path(__file__).resolve()}

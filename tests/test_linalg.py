@@ -69,13 +69,6 @@ class TestPcg:
         assert np.array_equal(x, np.zeros(10))
         assert rep.converged
 
-    def test_x0_early_exit(self):
-        A = identity(12)
-        b = np.ones(12)
-        x, rep = pcg(A, b, x0=b.copy())
-        assert rep.iterations == 0
-        assert np.array_equal(x, b)
-
     def test_spd_tridiagonal_vs_lu(self):
         n = 100
         A = laplace_1d(n)

@@ -378,11 +378,15 @@ class TestInsStages:
     def test_pressure_factored_once_per_driver(self, monkeypatch):
         factors = count_factors(monkeypatch)
         drv, state, vel, pres, g = tgv_setup(n=120, k=1)
+        # the pressure operator is factored by the driver's constructor,
+        # pinned (periodic) ...
+        pin = int(np.argmax(np.abs(drv.disc.ones)))
+        assert factors == [pin] and drv._pressure.precond is not None
         for _ in range(3):
             state = drv.step(state, drv.compute_dt(state))
-        # the viscous operator once, unpinned, then the pressure operator once,
-        # pinned (periodic); tau changes every step
-        assert factors == [None, int(np.argmax(np.abs(drv.disc.ones)))]
+        # ... and the viscous operator at its first refill, unpinned; tau
+        # changes every step
+        assert factors == [pin, None]
 
     def test_changing_dt_matches_fresh_driver(self):
         # the Helmholtz operator M + tau nu K must follow dt.  Its factor is
@@ -582,7 +586,8 @@ class TestFixedPattern:
         assert _rel(K.to_dense(), Kref) <= 1e-14
         c = 0.37
         system = drv._free_surface
-        A = system.operator(None, lambda: disc.M.data + c * K.data)
+        system.refill(disc.M.data + c * K.data)
+        A = system.A
         load = np.random.default_rng(k).standard_normal(disc.layout.n_dofs)
         rhs = system.rhs(load, 0, 0.25)
         fixed, vals = tagged_dirichlet_oracle(
@@ -747,6 +752,23 @@ class TestFrozenFactor:
         for _ in range(2):
             drv.stage(state, state, tau, state.time + tau)
             assert factors == [None, None] and system.last_iterations == 1
+
+    def test_slow_viscous_solve_refactors_at_the_next_stage(self, monkeypatch):
+        factors = count_factors(monkeypatch)
+        drv, state, vel, pres, g = tgv_setup(n=120, k=1)
+        pin = int(np.argmax(np.abs(drv.disc.ones)))
+        dt = drv.compute_dt(state)
+        state = drv.step(state, dt)
+        system = drv._viscous
+        assert factors == [pin, None] and system.last_iterations <= models.REFACTOR_ITERATIONS
+        # tau x 30: the refill keeps the factor and the solve is slow ...
+        tau = 30 * dt
+        drv.stage(state, state, tau, state.time + tau)
+        assert factors == [pin, None] and system.last_iterations > models.REFACTOR_ITERATIONS
+        # ... so the next stage refactors at the same tau: CG then takes one
+        # iteration
+        drv.stage(state, state, tau, state.time + tau)
+        assert factors == [pin, None, None] and system.last_iterations == 1
 
     def test_fixed_seed_rerun_is_bitwise_identical(self, monkeypatch):
         iters = []

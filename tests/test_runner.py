@@ -279,6 +279,49 @@ def test_cli_names_a_mistyped_parameter(monkeypatch, capsys, case, flags, messag
     assert seen == []
 
 
+@pytest.mark.parametrize("case, flags, message", [
+    ("ins_poiseuille", ["--tend", "0", "--mesh", "gen:n=200"],
+     "case 'ins_poiseuille': parameter 't_end' must be positive, not 0.0"),
+    ("ins_poiseuille", ["--tend", "-1", "--mesh", "gen:n=200"],
+     "case 'ins_poiseuille': parameter 't_end' must be positive, not -1.0"),
+    ("ins_tgv", ["--mesh", "gen:h=-1"], "case 'ins_tgv': parameter 'h' must be positive, not -1.0"),
+    ("ins_tgv", ["--mesh", "gen:h=0"], "case 'ins_tgv': parameter 'h' must be positive, not 0.0"),
+    ("ins_poiseuille", ["--dt", "0"],
+     "case 'ins_poiseuille': parameter 'dt' must be positive, not 0.0"),
+    ("ins_poiseuille", ["--dt", "-0.1"],
+     "case 'ins_poiseuille': parameter 'dt' must be positive, not -0.1"),
+    ("ins_poiseuille", ["--cfl", "1.5"],
+     "case 'ins_poiseuille': parameter 'cfl' must lie in (0, 1], not 1.5"),
+    ("ins_poiseuille", ["--mesh", "gen:seed=-1"],
+     "case 'ins_poiseuille': parameter 'seed' must be nonnegative, not -1"),
+], ids=["tend_zero", "tend_negative", "h_negative", "h_zero", "dt_zero", "dt_negative",
+        "cfl_above_one", "seed_negative"])
+def test_cli_names_a_parameter_out_of_bounds(monkeypatch, capsys, case, flags, message):
+    # each fails before the case reaches the run, so before any mesh is built
+    seen = cli_cases(monkeypatch)
+    assert cli.main(["run", "--case", case, *flags, "--quiet"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert seen == []
+
+
+@pytest.mark.parametrize("command, message", [
+    (["run", "--case", "ins_tgv", "--mesh", "gen:h=abc"],
+     "--mesh gen: key 'h' takes float values, not 'abc'"),
+    (["run", "--case", "ins_poiseuille", "--mesh", "gen:seed=1.5"],
+     "--mesh gen: key 'seed' takes int values, not '1.5'"),
+    (["study", "--case", "ins_tgv", "--meshes", "1.0,x"],
+     "--mesh gen: key 'h' takes float values, not 'x'"),
+], ids=["word_for_h", "float_for_seed", "study_size"])
+def test_cli_names_a_mistyped_mesh_gen_value(monkeypatch, capsys, command, message):
+    # a study checks every size before its first run
+    seen = []
+    monkeypatch.setattr(runner, "run_case", lambda case, **kw: seen.append(case))
+    monkeypatch.setattr(cli, "run_case", lambda case, **kw: seen.append(case))
+    assert cli.main([*command, "--quiet"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert seen == []
+
+
 def test_config_file_names_a_mistyped_order(tmp_path, monkeypatch, capsys):
     seen = cli_cases(monkeypatch)
     cfg = tmp_path / "tgv.cfg"

@@ -77,6 +77,11 @@ class TestTableaux:
         for (A, _), (_, c) in [(x, y) for x in parts for y in parts]:
             assert abs(b @ A @ c - 1.0 / 6.0) <= 1e-14
 
+    @pytest.mark.parametrize("name", ["SP111", "LSDIRK222", "SADIRK343"])
+    def test_every_pair_is_stiffly_accurate(self, name):
+        p = tableau(name)
+        assert np.array_equal(p.b, p.A_impl[-1])
+
     def test_unknown_name(self):
         with pytest.raises(TimeIntError):
             tableau("ARS222")
@@ -181,3 +186,30 @@ class TestImexAdvance:
             errs.append(abs(integrate("LSDIRK222", lam / 2, lam / 2, dt, 0.5) - exact))
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
+
+    @pytest.mark.parametrize("name", ["SP111", "LSDIRK222", "SADIRK343"])
+    def test_step_is_the_last_stage(self, name):
+        pair = tableau(name)
+        dt, lam_e, lam_i = 0.3, 0.4, -1.1
+        state = FlowState(np.array([[0.8, -0.2]]), 0.5, {"p": np.zeros(2)})
+        exact = ode_stage_solver(lam_e, lam_i)
+        calls = []
+
+        def recording(QE, QI, tau, t):
+            out = exact(QE, QI, tau, t)
+            out.aux = {"stage": len(calls)}
+            calls.append((QE, QI, tau, out))
+            return out
+
+        new = imex_advance(state, pair, recording, dt)
+        assert len(calls) == pair.stages
+        # the last stage's state itself, its aux included, at the step's end
+        assert new is calls[-1][3] and new.aux == {"stage": pair.stages - 1}
+        assert new.time == state.time + dt
+        # stage inputs: Q + dt * sum_j a_ij k_j over k_j = (Q_j - Q_I,j) / tau_j
+        ks = [(out.Q - QI.Q) / tau for _, QI, tau, out in calls]
+        for i, (QE, QI, _, _) in enumerate(calls):
+            for A, Q in ((pair.A_expl, QE), (pair.A_impl, QI)):
+                want = state.Q + dt * sum(A[i, j] * ks[j] for j in range(i))
+                assert np.allclose(Q.Q, want, rtol=1e-15, atol=1e-15)
+                assert Q.time == state.time and Q.aux is state.aux

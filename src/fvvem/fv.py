@@ -111,22 +111,11 @@ class _StencilGroup:
     common width; padded members repeat the first member and get zero
     weights.  `op` stacks, per stencil, the pseudo-inverse P (ncols rows)
     over the residual factor A P - I (nst rows), so that one product with
-    the member differences gives the fit and its residual; `pinv` and
-    `res_q` are views of it."""
+    the member differences gives the fit and its residual."""
 
     cells: np.ndarray        # (n,) owner cell of each stencil
     members: np.ndarray      # (n, nst) stencil member cell ids
     op: np.ndarray           # (n, ncols + nst, nst)
-
-    @property
-    def pinv(self) -> np.ndarray:
-        """(n, ncols, nst) pseudo-inverses of the fits."""
-        return self.op[:, :self.op.shape[1] - self.op.shape[2]]
-
-    @property
-    def res_q(self) -> np.ndarray:
-        """(n, nst, nst) residual factors A P - I."""
-        return self.op[:, self.op.shape[1] - self.op.shape[2]:]
 
     def apply(self, Qt: np.ndarray) -> np.ndarray:
         """(n, ncols + nst, ncomp) fits over residuals of cell-major data

@@ -21,6 +21,7 @@ from scipy.special import erf
 
 from ..mesh import build_geometry, generate_rect, generate_voronoi
 from ..models import BoundaryCondition
+from ..vem import MAX_ORDER
 from .riemann import exact_riemann_swe
 
 _REGISTRY = {}
@@ -30,11 +31,14 @@ _TAKES = {"int": lambda v: isinstance(v, Integral) and not isinstance(v, bool),
           "float": lambda v: isinstance(v, Real) and not isinstance(v, bool),
           "str": lambda v: isinstance(v, str)}
 
-# the values the shared parameters admit, beyond their type; None (the
-# default mesh size, the CFL-limited dt) is always admitted
+# the values the shared parameters admit, beyond their type: the orders of
+# the VEM space and at least the 4 seeds of the smallest Voronoi mesh; None
+# (the default mesh size, the CFL-limited dt) is always admitted
 _BOUNDS = {**dict.fromkeys(("t_end", "h", "dt"), (lambda v: v > 0.0, "must be positive")),
            "cfl": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-           "seed": (lambda v: v >= 0, "must be nonnegative")}
+           "seed": (lambda v: v >= 0, "must be nonnegative"),
+           "k": (lambda v: 1 <= v <= MAX_ORDER, f"must lie in 1..{MAX_ORDER}"),
+           "n_cells": (lambda v: v >= 4, "must be at least 4")}
 
 
 def get_case(name: str, **params):

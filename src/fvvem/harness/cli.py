@@ -1,8 +1,9 @@
 """Command-line driver: `fvvem run ...` and `fvvem study ...`.
 
-Exit codes: 0 on success (gates pass), 2 on an acceptance-gate failure,
-1 on any error.  A config file with `key = value` lines supplies the same
-options; command-line flags override the file.
+Exit codes: 0 on success (gates pass) and for --help, 2 on an
+acceptance-gate failure, 1 on any error, a usage error included.  A config
+file with `key = value` lines supplies the same options but the case;
+command-line flags override the file.
 """
 
 from __future__ import annotations
@@ -121,11 +122,18 @@ def main(argv=None) -> int:
                          help="comma-separated mesh sizes: target h values, or "
                               "cell counts n for the cases that read n_cells")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here is a failed gate's code
+        return 1 if exc.code else 0
     try:
         # a file key applies where no flag was given
         overrides = _parse_config_file(args.config) if args.config else {}
         for key, val in overrides.items():
+            if key == "case":
+                raise ValueError(f"{args.config}: a config file cannot set the case; "
+                                 "--case does")
             if key in ("command", "config") or not hasattr(args, key):
                 raise ValueError(f"{args.config}: unknown key '{key}'")
             if getattr(args, key) in (None, False):

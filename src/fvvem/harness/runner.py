@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class RunResult:
     ledger: dict
     gate_passed: bool = True
     gate_message: str = ""
-    outputs: list = field(default_factory=list)
 
 
 def design_ledger(case, disc, driver, extra=None) -> dict:
@@ -180,7 +179,6 @@ def run_case(case, out_prefix: str | None = None, quiet: bool = False,
     if gated:
         result.gate_passed, result.gate_message = case.gate(report)
     if out_prefix:
-        data = {}
         if case.model == "swe":
             b0 = driver.b_coeffs[:, 0]
             data = {"eta": state.Q[0], "qx": state.Q[1], "qy": state.Q[2],
@@ -189,11 +187,8 @@ def run_case(case, out_prefix: str | None = None, quiet: bool = False,
         else:
             data = {"u": state.Q[0], "v": state.Q[1],
                     "p": state.aux["p_coeffs"][:, 0]}
-        vtk = f"{out_prefix}_{case.name}.vtk"
-        write_vtk(vtk, mesh, data, title=case.name)
-        lpath = f"{out_prefix}_{case.name}_ledger.txt"
-        write_ledger(lpath, ledger)
-        result.outputs = [vtk, lpath]
+        write_vtk(f"{out_prefix}_{case.name}.vtk", mesh, data, title=case.name)
+        write_ledger(f"{out_prefix}_{case.name}_ledger.txt", ledger)
     if not quiet:
         print(f"[{case.name}] steps={steps} setup={setup_s:.1f}s stepping={steps_s:.1f}s "
               f"iters={driver.stats.iterations}")

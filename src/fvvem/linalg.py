@@ -77,9 +77,6 @@ class SparseMatrix:
     def to_scipy(self) -> sp.csr_matrix:
         return self._m
 
-    def to_dense(self) -> np.ndarray:
-        return self._m.toarray()
-
 
 def pcg(A: SparseMatrix, b: np.ndarray, precond=None,
         tol: float = DEFAULT_TOL, maxiter: int = 10_000) -> tuple[np.ndarray, SolverReport]:

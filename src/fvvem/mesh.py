@@ -218,16 +218,17 @@ class PolyMesh:
     periodic: tuple = (False, False)
 
     @staticmethod
-    def from_loops(vertices, loops, boundary_tags=None) -> "PolyMesh":
+    def from_loops(vertices, loops) -> "PolyMesh":
         """Non-periodic mesh of vertex coordinates (NV, 2) and one CCW loop of
-        vertex ids per cell.  The half-edges of one edge share both vertex
-        coordinates, so any positive tolerance matches them."""
+        vertex ids per cell, with no boundary tags yet.  The half-edges of one
+        edge share both vertex coordinates, so any positive tolerance matches
+        them."""
         vertices = np.asarray(vertices, dtype=float)
         ids = np.concatenate(loops).astype(np.int64)
         lo, hi = vertices[ids].min(axis=0), vertices[ids].max(axis=0)
         return _mesh_from_loops(vertices, ids, vertices[ids], np.array([len(c) for c in loops]),
                                 (lo[0], hi[0], lo[1], hi[1]), (False, False),
-                                1e-8 * max(hi - lo), boundary_tags)
+                                1e-8 * max(hi - lo))
 
     @property
     def n_vertices(self) -> int:
@@ -257,7 +258,7 @@ class PolyMesh:
         all have n vertices."""
         return ragged_rows(self.cell_ptr, self.loop_coords, cells)
 
-    def validate(self, domain_area: float | None = None):
+    def validate(self):
         """Check the PolyMesh invariants; raise MeshError on violation."""
         area, _ = polygon_areas_centroids(self.loop_coords, self.cell_sizes)
         for ci in np.flatnonzero((area <= 0.0) | _self_crossing(self.loop_coords,
@@ -270,9 +271,6 @@ class PolyMesh:
                 raise MeshError(f"boundary edge {e} carries no tag")
             if self.edge_cells[e, 1] >= 0 and e in self.boundary_tags:
                 raise MeshError(f"interior edge {e} carries a boundary tag")
-        if domain_area is not None:
-            if abs(area.sum() - domain_area) > 1e-12 * max(domain_area, 1.0):
-                raise MeshError(f"cell areas sum to {area.sum()!r}, expected {domain_area!r}")
 
 
 def _orient(o, d, c) -> np.ndarray:
@@ -333,30 +331,6 @@ def build_geometry(mesh: PolyMesh) -> GeometryCache:
     # -90 degrees gives the left-outward normal
     normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
     return GeometryCache(area, bary, np.sqrt(area), length, normal)
-
-
-@dataclass
-class RegularityReport:
-    """Per-cell pass/fail of the mesh regularity assumptions."""
-
-    passed: np.ndarray          # (NP,) bool
-    min_edge_ratio: np.ndarray  # (NP,) min |e| / h_P
-    star_shaped: np.ndarray     # (NP,) bool
-    worst_edge_ratio: float
-    all_passed: bool
-
-
-def validate_regularity(mesh: PolyMesh, geom: GeometryCache, rho: float) -> RegularityReport:
-    """Flag cells with edges shorter than rho*h_P or a barycenter outside the kernel."""
-    sizes = mesh.cell_sizes
-    pts = mesh.loop_coords
-    d = pts[_next_in_loop(sizes)] - pts
-    rel = np.repeat(geom.barycenter, sizes, axis=0) - pts
-    ratio = np.minimum.reduceat(np.hypot(d[:, 0], d[:, 1]), mesh.cell_ptr[:-1]) / geom.h
-    star = np.logical_and.reduceat(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] > 0.0,
-                                   mesh.cell_ptr[:-1])
-    passed = (ratio >= rho) & star
-    return RegularityReport(passed, ratio, star, float(ratio.min()), bool(passed.all()))
 
 
 # ---------------------------------------------------------------------------
@@ -710,12 +684,12 @@ def _match_edges(ids: np.ndarray, pts: np.ndarray, sizes: np.ndarray, n_vertices
                 loop_edges=edge, loop_signs=np.where(made, 1, -1))
 
 
-def _mesh_from_loops(vertices, ids, pts, sizes, box, periodic, tol,
-                     boundary_tags=None) -> PolyMesh:
+def _mesh_from_loops(vertices, ids, pts, sizes, box, periodic, tol) -> PolyMesh:
     """The PolyMesh of concatenated vertex loops: ids (N,), frame coordinates
-    (N, 2) and loop sizes, with the edge tables of `_match_edges`."""
+    (N, 2) and loop sizes, with the edge tables of `_match_edges` and no
+    boundary tags yet."""
     return PolyMesh(vertices, np.concatenate([[0], np.cumsum(sizes)]), ids, pts,
-                    boundary_tags=boundary_tags or {}, periodic=periodic,
+                    periodic=periodic,
                     **_match_edges(ids, pts, sizes, len(vertices), box, periodic, tol))
 
 

@@ -194,8 +194,7 @@ class Discretization:
         self.nkm2 = n_poly(k - 2)
         # d/dx and d/dy of the monomials at h = 1: coefficient rows map
         # c -> c @ D, and a cell of size h divides by h
-        ref = vemod.MonomialBasis(k, np.zeros(2), 1.0)
-        self.derivative_maps = np.stack([ref.derivative_coeffs(0), ref.derivative_coeffs(1)])
+        self.derivative_maps = vemod.derivative_table(k)
         self.layout = vemod.build_dof_layout(mesh, geom, k)
         self.fvops = fvmod.FvOperators(mesh, geom, k)
         self.groups, stiffness = [], []
@@ -296,19 +295,14 @@ class Discretization:
                 out[grp.dofs[:, -self.nkm2:]] = moms          # the last dofs of a cell
         return out
 
-    def project_field(self, func, degree=None) -> np.ndarray:
-        """Per-cell L2 projection of an analytic function onto Taylor coeffs."""
+    def project_field(self, func, degree: int) -> np.ndarray:
+        """Per-cell L2 projection of an analytic function onto Taylor coeffs,
+        its moments by a rule of the given degree."""
         coeffs = np.empty((self.mesh.n_cells, self.nk))
         for grp in self.groups:
-            if degree is None:
-                nodes, qw, qmono = grp.qnodes, grp.qw, grp.qmono
-            else:
-                rule = polygon_quadrature(self.mesh.cell_coords(grp.idx),
-                                          grp.basis.center, degree)
-                nodes, qw = rule.nodes, rule.weights
-                qmono = grp.basis.values(nodes)
-            vals = sample_at(func, nodes)
-            mom = np.einsum("gq,gqa->ga", vals * qw, qmono)
+            rule = polygon_quadrature(self.mesh.cell_coords(grp.idx), grp.basis.center, degree)
+            vals = sample_at(func, rule.nodes)
+            mom = np.einsum("gq,gqa->ga", vals * rule.weights, grp.basis.values(rule.nodes))
             coeffs[grp.idx] = np.linalg.solve(grp.Hm, mom[:, :, None])[:, :, 0]
         return self.to_taylor(coeffs)
 

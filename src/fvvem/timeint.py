@@ -13,19 +13,18 @@ class TimeIntError(Exception):
 
 @dataclass
 class ButcherPair:
-    """Explicit/implicit tableau pair sharing the weights b, which are the
-    last implicit row: every pair is stiffly accurate."""
+    """Explicit/implicit tableau pair sharing the weights, which are the last
+    implicit row A_impl[-1]: every pair is stiffly accurate, so a step is its
+    last stage."""
 
     name: str
     A_expl: np.ndarray     # strictly lower triangular
     A_impl: np.ndarray     # lower triangular, nonzero diagonal
-    b: np.ndarray
-    c_expl: np.ndarray
-    c_impl: np.ndarray
+    c_impl: np.ndarray     # stage times, the implicit row sums
 
     @property
     def stages(self) -> int:
-        return len(self.b)
+        return len(self.A_impl)
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -59,8 +58,8 @@ def _sadirk343():
 def tableau(name: str) -> ButcherPair:
     """IMEX pairs: SP111 (order 1), LSDIRK222 (order 2), SADIRK343 (order 3).
 
-    Constants come from closed forms (SADIRK343: `_sadirk343`); c columns
-    come from row sums, and b is the last implicit row.
+    Constants come from closed forms (SADIRK343: `_sadirk343`), and the
+    stage times from the implicit row sums.
     """
     if name == "SP111":
         Ae = np.array([[0.0]])
@@ -83,7 +82,7 @@ def tableau(name: str) -> ButcherPair:
                        [0.0, b1, b2, g]])
     else:
         raise TimeIntError(f"unknown IMEX scheme '{name}'")
-    return ButcherPair(name, Ae, Ai, Ai[-1].copy(), Ae.sum(axis=1), Ai.sum(axis=1))
+    return ButcherPair(name, Ae, Ai, Ai.sum(axis=1))
 
 
 def compute_dt(h: np.ndarray, max_eig_conv: np.ndarray, cfl: float,

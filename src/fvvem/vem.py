@@ -16,7 +16,8 @@ scaled monomial basis centred at its barycenter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +46,30 @@ def multi_indices(k: int) -> list[tuple[int, int]]:
     return out
 
 
+@functools.cache
+def derivative_table(k: int) -> np.ndarray:
+    """(2, n, n) maps of the scaled monomials of degree <= k at h = 1:
+    d m_alpha/dx = sum_beta D[0, alpha, beta] m_beta, and D[1] for d/dy.
+    Memoized: every call with one order returns the same read-only array."""
+    indices = multi_indices(k)
+    pos = {idx: i for i, idx in enumerate(indices)}
+    D = np.zeros((2, len(indices), len(indices)))
+    for i, (a, b) in enumerate(indices):
+        if a > 0:
+            D[0, i, pos[(a - 1, b)]] = a
+        if b > 0:
+            D[1, i, pos[(a, b - 1)]] = b
+    D.flags.writeable = False
+    return D
+
+
 class MonomialBasis:
     """Scaled monomials ((x - xc)/h)^kappa up to total degree k.
 
     One cell (center (2,), scalar h; points (npts, 2)) or a stack of cells
     (centers (g, 2), sizes (g,); points (g, npts, 2)).  Values and maps carry
-    the same leading axes.
+    the same leading axes; every map is the h = 1 `derivative_table` over
+    powers of h.
     """
 
     def __init__(self, k: int, center: np.ndarray, h):
@@ -75,37 +94,17 @@ class MonomialBasis:
     def gradients(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(..., npts, n) arrays of d m_alpha / dx and / dy."""
         vals = self.values(pts)
-        gx = np.zeros_like(vals)
-        gy = np.zeros_like(vals)
-        pos = {idx: i for i, idx in enumerate(self.indices)}
-        for i, (a, b) in enumerate(self.indices):
-            if a > 0:
-                gx[..., i] = (a / self.h)[..., None] * vals[..., pos[(a - 1, b)]]
-            if b > 0:
-                gy[..., i] = (b / self.h)[..., None] * vals[..., pos[(a, b - 1)]]
-        return gx, gy
+        return tuple(vals @ np.swapaxes(self.derivative_coeffs(axis), -1, -2)
+                     for axis in (0, 1))
 
     def laplacian_coeffs(self) -> np.ndarray:
         """(..., n, n) map L with Delta m_alpha = sum_beta L[alpha, beta] m_beta."""
-        L = np.zeros((self.n, self.n))
-        pos = {idx: i for i, idx in enumerate(self.indices)}
-        for i, (a, b) in enumerate(self.indices):
-            if a >= 2:
-                L[i, pos[(a - 2, b)]] += a * (a - 1)
-            if b >= 2:
-                L[i, pos[(a, b - 2)]] += b * (b - 1)
-        return L / (self.h ** 2)[..., None, None]
+        Dx, Dy = derivative_table(self.k)
+        return (Dx @ Dx + Dy @ Dy) / (self.h ** 2)[..., None, None]
 
     def derivative_coeffs(self, axis: int) -> np.ndarray:
         """(..., n, n) map Dx with d m_alpha/dx = sum_beta Dx[alpha, beta] m_beta."""
-        D = np.zeros((self.n, self.n))
-        pos = {idx: i for i, idx in enumerate(self.indices)}
-        for i, (a, b) in enumerate(self.indices):
-            if axis == 0 and a > 0:
-                D[i, pos[(a - 1, b)]] = a
-            if axis == 1 and b > 0:
-                D[i, pos[(a, b - 1)]] = b
-        return D / self.h[..., None, None]
+        return derivative_table(self.k)[axis] / self.h[..., None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +181,10 @@ class ElementVem:
 
     Every array is stacked along a leading axis over `cells` (the shapes below
     are those of one cell); `basis` is the stacked monomial basis and `area`
-    the (g,) cell areas.  An element built for a single cell id carries the
-    unstacked arrays of that cell.
+    the (g,) cell areas.
     """
 
     k: int
-    n_dof: int
     cells: np.ndarray        # (g,) cell ids
     basis: MonomialBasis
     area: np.ndarray         # (g,)
@@ -203,16 +200,6 @@ class ElementVem:
     mass: np.ndarray         # (N_dof, N_dof) stabilized M^h
     stiffness: np.ndarray    # (N_dof, N_dof) stabilized K^h
     stab_nabla: np.ndarray   # (N_dof, N_dof) (I - Pi_nabla)^T (I - Pi_nabla)
-
-    def cell(self, i: int) -> "ElementVem":
-        """The unstacked element of the i-th cell of the group."""
-        parts = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name, value in parts.items():
-            if isinstance(value, np.ndarray):
-                parts[name] = value[i]
-        parts["basis"] = MonomialBasis(self.k, self.basis.center[i], self.basis.h[i])
-        parts["area"] = float(self.area[i])
-        return ElementVem(**parts)
 
 
 def solve_cells(A: np.ndarray, B: np.ndarray, cells, error, what: str) -> np.ndarray:
@@ -247,17 +234,15 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     """Construct every projector and stabilized matrix of a group of cells.
 
     `cells` is an array of ids of cells with equal vertex count; every array
-    is stacked over it.  A single integer id builds a batch of one and
-    returns that cell's element unstacked.
+    is stacked over it.
     """
     if not 1 <= k <= MAX_ORDER:
         raise VemError(f"order k={k} outside the supported range 1..{MAX_ORDER}")
-    idx = np.atleast_1d(cells)
-    pts = mesh.cell_coords(idx)                             # (g, nv, 2)
+    pts = mesh.cell_coords(cells)                           # (g, nv, 2)
     g, nv = pts.shape[:2]
-    area = geom.area[idx]
-    xc = geom.barycenter[idx]
-    basis = MonomialBasis(k, xc, geom.h[idx])
+    area = geom.area[cells]
+    xc = geom.barycenter[cells]
+    basis = MonomialBasis(k, xc, geom.h[cells])
     nk = basis.n
     nkm1, nkm2 = n_poly(k - 1), n_poly(k - 2)
     nb = nv * k                                             # boundary dofs
@@ -306,7 +291,7 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     else:
         B[:, 0, nb] = 1.0
 
-    pis_nabla = solve_cells(G, B, idx, VemError, "G matrix")
+    pis_nabla = solve_cells(G, B, cells, VemError, "G matrix")
     pi_nabla = D @ pis_nabla
 
     # C: known moments where available, elliptic projection above
@@ -314,7 +299,7 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     if nkm2:
         C[:, :nkm2, nb:] = ar * np.eye(nkm2)
     C[:, nkm2:] = H[:, nkm2:] @ pis_nabla
-    pis_0 = solve_cells(H, C, idx, VemError, "H matrix")
+    pis_0 = solve_cells(H, C, cells, VemError, "H matrix")
     pi_0 = D @ pis_0
     Hkm1 = H[:, :nkm1, :nkm1]
 
@@ -343,9 +328,8 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     stiffness = pis_nabla.transpose(0, 2, 1) @ Gt @ pis_nabla + stab_nabla
     stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
 
-    elem = ElementVem(k, ndof, idx, basis, area, D, G, B, H, C, pis_nabla, pis_0,
+    return ElementVem(k, cells, basis, area, D, G, B, H, C, pis_nabla, pis_0,
                       pis_0x, pis_0y, mass, stiffness, stab_nabla)
-    return elem.cell(0) if np.ndim(cells) == 0 else elem
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,10 @@ def test_values_of_the_declared_type_pass():
     ("swe_vortex", "cfl", 0.0, "must lie in (0, 1]"),
     ("ins_poiseuille", "seed", -1, "must be nonnegative"),
     ("swe_vortex", "t_end", float("nan"), "must be positive"),
+    ("ins_tgv", "k", 0, "must lie in 1..4"),
+    ("swe_vortex", "k", 5, "must lie in 1..4"),
+    ("ins_poiseuille", "n_cells", 3, "must be at least 4"),
+    ("swe_wellbalance", "n_cells", -5, "must be at least 4"),
 ])
 def test_a_shared_parameter_out_of_bounds_raises(name, key, value, bound):
     message = f"case '{name}': parameter '{key}' {bound}, not {value!r}"

@@ -1,14 +1,18 @@
 """Every function and method defined in src/fvvem is named somewhere, and
 outside the tests unless `TEST_ONLY` says why not; every defaulted parameter
-of one is set by some call; every attribute a src/fvvem module stores is read
-somewhere; and every name a src/fvvem module imports is used there.
+of one is set by some call, and by a product call unless `TEST_SET` says why
+not; every attribute a src/fvvem module stores is read somewhere, and by the
+product unless `TEST_READ` says why not; and every name a src/fvvem module
+imports is used there.
 
 A definition counts as used when its name appears in src/, tests/ or
 perfbench/ (this module aside, whose allowlist names functions without
 calling them) as a name, an attribute, an imported name or a string (a
-`getattr` or a monkeypatch target).  It counts as reachable when it is used
-outside tests/ and perfbench/tests, in the product: src/ and the
-benchmark.  A call sets a defaulted parameter of
+`getattr` or a monkeypatch target).  A name that an import from outside
+fvvem binds (`np`, `roots_legendre`), and every attribute of a chain rooted
+at one (`np.linalg.pinv`), names nothing in src/fvvem.  A definition counts
+as reachable when it is used outside tests/ and perfbench/tests, in the
+product: src/ and the benchmark.  A call sets a defaulted parameter of
 every function of its callee's name (a class call: of the class's
 `__init__`) by keyword, by position or through `*`/`**`.  An attribute is
 stored by an assignment to `x.attr` or as an annotated class field, and read
@@ -38,12 +42,17 @@ ALLOWED = {
 # tests as its only callers; an entry that gains a product caller must leave
 # the list
 TEST_ONLY = {
-    ("fv.py", "res_q"): "the residual half of a stencil fit's stacked operator, "
-                        "which the set-up golden of test_discretization fingerprints",
-    ("linalg.py", "to_dense"): "the tests compare sparse operators with dense oracles",
-    ("mesh.py", "validate_regularity"): "the tests check the generated meshes against "
-                                        "the paper's mesh regularity assumptions",
     ("mesh.py", "write_mesh"): "the inverse the tests round-trip read_mesh against",
+}
+
+
+# (module path under src/fvvem, function name, parameter) -> why only test
+# calls set that defaulted parameter; an entry that a product call sets must
+# leave the list
+TEST_SET = {
+    ("harness/runner.py", "run_case", "max_steps"): "the tests trigger the step-limit guard",
+    ("harness/cli.py", "main", "argv"): "the tests pass the command line that the console "
+                                        "script reads from sys.argv",
 }
 
 
@@ -52,6 +61,16 @@ TEST_ONLY = {
 ALLOWED_ATTRIBUTES = {
     # scipy reads it: the data refilled on a canonical CSR pattern stays canonical
     ("linalg.py", "has_canonical_format"),
+}
+
+
+# (module path under src/fvvem, attribute) -> why only the tests read it; an
+# entry that the product reads must leave the list
+TEST_READ = {
+    ("models.py", "last_compatibility"): "the tests check the pure-Neumann pressure "
+                                         "compatibility until a per-step trace reports it",
+    ("mesh.py", "writeable"): "numpy reads it: the memoized quadrature rules are read-only",
+    ("vem.py", "writeable"): "numpy reads it: the memoized derivative tables are read-only",
 }
 
 
@@ -64,21 +83,50 @@ def is_test(path: Path) -> bool:
     return any(path.is_relative_to(ROOT / tree) for tree in TEST_TREES)
 
 
+def imports(path: Path, module: ast.Module):
+    """(bound name, imported name, whether fvvem's) of each name a module's
+    imports bind: `np` of `import numpy as np` is numpy's, `fm` of `from
+    fvvem import mesh as fm` fvvem's `mesh`.  A relative import is fvvem's
+    in src/fvvem."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                top = a.name.split(".")[0]
+                yield a.asname or top, a.name.rsplit(".", 1)[-1], top == "fvvem"
+        elif isinstance(node, ast.ImportFrom):
+            ours = (path.is_relative_to(ROOT / "src" / "fvvem") if node.level
+                    else node.module.split(".")[0] == "fvvem")
+            for a in node.names:
+                yield a.asname or a.name, a.name, ours
+
+
+def chain_root(node: ast.Attribute):
+    """The name an attribute chain starts from (`np` of `np.linalg.pinv`),
+    or None where it starts from an expression."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def names_and_definitions(modules):
     """The names the modules (path -> parsed module) use, those that the
     product (every module outside the tests) uses, and the (module path
-    under src/fvvem, name, line) of each function src/fvvem defines."""
+    under src/fvvem, name, line) of each function src/fvvem defines.  What
+    an import from outside fvvem binds, and the attributes of a chain rooted
+    at such a name, name nothing."""
     used, product, defined = set(), set(), []
     src = ROOT / "src" / "fvvem"
     for path, module in modules.items():
-        names = set()
+        bound = list(imports(path, module))
+        foreign = {name for name, _, ours in bound if not ours}
+        names = {name for _, name, ours in bound if ours}
         for node in ast.walk(module):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                if node.id not in foreign:
+                    names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rsplit(".", 1)[-1])
+                if chain_root(node) not in foreign:
+                    names.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
             elif (path.is_relative_to(src)
@@ -138,6 +186,28 @@ def test_reachability_rule():
                               "used()\n"),
                tests: ast.parse("tested()\nused()\n")}
     assert [name for _, name, _ in functions_only_tests_name(modules)] == ["tested"]
+
+
+def test_a_foreign_name_names_nothing():
+    src, tests = ROOT / "src" / "fvvem" / "m.py", ROOT / "tests" / "t.py"
+    modules = {src: ast.parse("import numpy as np\n"
+                              "import scipy.sparse\n"
+                              "from scipy.special import erf\n"
+                              "from .mesh import ragged_rows\n"
+                              "def pinv(): pass\n"
+                              "def sparse(): pass\n"
+                              "def erf(): pass\n"
+                              "def ragged_rows(): pass\n"
+                              "def solve(): pass\n"
+                              "def own(): pass\n"
+                              "np.linalg.pinv(erf(0.0))\n"
+                              "scipy.sparse.csr_matrix(np.asarray(0).solve)\n"),
+               tests: ast.parse("import fvvem.m\n"
+                                "from fvvem import m as fm\n"
+                                "fvvem.m.own()\n")}
+    used, _, _ = names_and_definitions(modules)
+    assert {"pinv", "sparse", "erf", "linalg", "csr_matrix"}.isdisjoint(used)
+    assert {"ragged_rows", "solve", "own", "m"} <= used
 
 
 def callee(call: ast.Call):
@@ -216,6 +286,43 @@ def test_every_defaulted_parameter_is_set_by_a_call():
     assert not unset, "defaulted parameters that no call sets:\n" + "\n".join(unset)
 
 
+def parameters_only_tests_set(modules) -> list:
+    """(module path under src/fvvem, line, function, parameter) of each
+    defaulted parameter that test calls set and no product call does."""
+    src = ROOT / "src" / "fvvem"
+    source = {path: module for path, module in modules.items() if path.is_relative_to(src)}
+    unset_by_all = set(unset_parameters(source, modules.values()))
+    return [(path.relative_to(src).as_posix(), line, fname, param)
+            for path, line, fname, param in unset_parameters(
+                source, [m for path, m in modules.items() if not is_test(path)])
+            if (path, line, fname, param) not in unset_by_all]
+
+
+def test_every_defaulted_parameter_is_set_by_the_product():
+    test_set = [f"src/fvvem/{rel}:{line} {fname}({param})"
+                for rel, line, fname, param in parameters_only_tests_set(parsed(TREES))
+                if (rel, fname, param) not in TEST_SET]
+    assert not test_set, "defaulted parameters that only test calls set:\n" + "\n".join(test_set)
+
+
+def test_test_set_allowlist_names_parameters_only_tests_set():
+    found = {(rel, fname, param) for rel, _, fname, param in parameters_only_tests_set(
+        parsed(TREES))}
+    stale = sorted(f"src/fvvem/{rel} {fname}({param})" for rel, fname, param in TEST_SET
+                   if (rel, fname, param) not in found)
+    assert not stale, ("allowed parameters that a product call sets or that no longer "
+                       "exist:\n" + "\n".join(stale))
+
+
+def test_test_set_parameter_rule():
+    src, tests = ROOT / "src" / "fvvem" / "m.py", ROOT / "tests" / "t.py"
+    modules = {src: ast.parse("def f(a, b=1, c=2, d=3): pass\n"
+                              "f(0, 1)\n"),
+               tests: ast.parse("f(0, c=5)\n")}
+    assert [(fname, param) for _, _, fname, param in parameters_only_tests_set(modules)] == [
+        ("f", "c")]
+
+
 def test_unset_parameter_rule():
     module = ast.parse(
         "def f(a, b=1, *, c=2): pass\n"
@@ -283,15 +390,25 @@ def read_names(modules) -> set:
     return read
 
 
+def attribute_readers(modules) -> list:
+    """(module path under src/fvvem, line, attribute, reader) of each stored
+    attribute of the modules (path -> parsed module): reader is "product"
+    where the product reads it, "tests" where only the tests do and None
+    where nothing does."""
+    src = ROOT / "src" / "fvvem"
+    product = read_names(m for path, m in modules.items() if not is_test(path))
+    tests = read_names(m for path, m in modules.items() if is_test(path))
+    return [(path.relative_to(src).as_posix(), line, attr,
+             "product" if attr in product else "tests" if attr in tests else None)
+            for path, module in modules.items() if path.is_relative_to(src)
+            for line, attr in stored_attributes(module)]
+
+
 def unread_attributes() -> list:
     """(module path under src/fvvem, line, attribute) of each stored
     attribute that nothing reads."""
-    modules = parsed(TREES)
-    read = read_names(modules.values())
-    return [(path.relative_to(ROOT / "src" / "fvvem").as_posix(), line, attr)
-            for path, module in modules.items()
-            if path.is_relative_to(ROOT / "src" / "fvvem")
-            for line, attr in stored_attributes(module) if attr not in read]
+    return [(rel, line, attr) for rel, line, attr, reader in attribute_readers(parsed(TREES))
+            if reader is None]
 
 
 def test_every_stored_attribute_is_read():
@@ -320,3 +437,32 @@ def test_stored_attribute_rule():
     read = read_names([module])
     assert sorted(attr for _, attr in stored_attributes(module) if attr not in read) == [
         "a", "c", "d", "g", "h"]
+
+
+def test_every_stored_attribute_is_read_by_the_product():
+    test_read = [f"src/fvvem/{rel}:{line} {attr}"
+                 for rel, line, attr, reader in attribute_readers(parsed(TREES))
+                 if reader == "tests" and (rel, attr) not in TEST_READ]
+    assert not test_read, "attributes that only the tests read:\n" + "\n".join(test_read)
+
+
+def test_test_read_allowlist_names_attributes_only_tests_read():
+    found = {(rel, attr) for rel, _, attr, reader in attribute_readers(parsed(TREES))
+             if reader == "tests"}
+    stale = sorted(f"src/fvvem/{rel} {attr}" for rel, attr in TEST_READ
+                   if (rel, attr) not in found)
+    assert not stale, ("allowed attributes that the product reads or that no module "
+                       "stores:\n" + "\n".join(stale))
+
+
+def test_test_read_attribute_rule():
+    src, tests = ROOT / "src" / "fvvem" / "m.py", ROOT / "perfbench" / "tests" / "t.py"
+    modules = {src: ast.parse("class C:\n"
+                              "    a: int = 0\n"
+                              "    b: int = 0\n"
+                              "    def f(self):\n"
+                              "        self.c = self.d = 1\n"
+                              "        return self.a\n"),
+               tests: ast.parse("x = obj.b + obj.c + obj.a\n")}
+    readers = {attr: reader for _, _, attr, reader in attribute_readers(modules)}
+    assert readers == {"a": "product", "b": "tests", "c": "tests", "d": None}

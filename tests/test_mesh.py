@@ -1,4 +1,5 @@
 import signal
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,18 @@ MESHES = Path(__file__).parent / "meshes"
 
 
 def unit_square():
-    return fm.PolyMesh.from_loops(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-                                  [np.array([0, 1, 2, 3])],
-                                  boundary_tags={0: "ymin", 1: "xmax", 2: "ymax", 3: "xmin"})
+    m = fm.PolyMesh.from_loops(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                               [np.array([0, 1, 2, 3])])
+    m.boundary_tags = {0: "ymin", 1: "xmax", 2: "ymax", 3: "xmin"}
+    return m
+
+
+def assert_tiles(m, domain_area):
+    """The mesh passes `PolyMesh.validate` and its cell areas sum to the
+    domain's area."""
+    m.validate()
+    area = fm.build_geometry(m).area.sum()
+    assert abs(area - domain_area) <= 1e-12 * max(domain_area, 1.0), (area, domain_area)
 
 
 def regular_polygon(n, radius=1.0, center=(0.0, 0.0)):
@@ -35,8 +45,7 @@ class TestGeometry:
 
     def test_regular_hexagon_area(self):
         pts = regular_polygon(6)
-        m = fm.PolyMesh.from_loops(pts, [np.arange(6)],
-                                   boundary_tags={e: "outer" for e in range(6)})
+        m = fm.PolyMesh.from_loops(pts, [np.arange(6)])
         g = fm.build_geometry(m)
         assert g.area[0] == pytest.approx(3.0 * np.sqrt(3.0) / 2.0, rel=1e-14)
 
@@ -45,8 +54,7 @@ class TestGeometry:
         ang = np.sort(rng.uniform(0, 2 * np.pi, 5))
         r = rng.uniform(0.5, 1.5, 5)
         pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-        m = fm.PolyMesh.from_loops(pts, [np.arange(5)],
-                                   boundary_tags={e: "outer" for e in range(5)})
+        m = fm.PolyMesh.from_loops(pts, [np.arange(5)])
         g = fm.build_geometry(m)
         # independent shoelace evaluation
         x, y = pts[:, 0], pts[:, 1]
@@ -145,6 +153,30 @@ def is_simple(pts) -> bool:
     return n >= 3
 
 
+@dataclass
+class RegularityReport:
+    """Per-cell pass/fail of the mesh regularity assumptions."""
+
+    passed: np.ndarray          # (NP,) bool
+    min_edge_ratio: np.ndarray  # (NP,) min |e| / h_P
+    star_shaped: np.ndarray     # (NP,) bool
+    worst_edge_ratio: float
+    all_passed: bool
+
+
+def validate_regularity(mesh, geom, rho: float) -> RegularityReport:
+    """Flag cells with edges shorter than rho*h_P or a barycenter outside the kernel."""
+    sizes = mesh.cell_sizes
+    pts = mesh.loop_coords
+    d = pts[fm._next_in_loop(sizes)] - pts
+    rel = np.repeat(geom.barycenter, sizes, axis=0) - pts
+    ratio = np.minimum.reduceat(np.hypot(d[:, 0], d[:, 1]), mesh.cell_ptr[:-1]) / geom.h
+    star = np.logical_and.reduceat(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] > 0.0,
+                                   mesh.cell_ptr[:-1])
+    passed = (ratio >= rho) & star
+    return RegularityReport(passed, ratio, star, float(ratio.min()), bool(passed.all()))
+
+
 class TestRegularity:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(3, 9), min_size=1, max_size=12), st.integers(0, 10 ** 6))
@@ -160,7 +192,7 @@ class TestRegularity:
     def test_report_equals_the_per_cell_loop(self, periodic):
         m = fm.generate_voronoi((0, 1, 0, 1), 60, lloyd_iters=2, seed=3, periodic=periodic)
         g = fm.build_geometry(m)
-        rep = fm.validate_regularity(m, g, 0.1)
+        rep = validate_regularity(m, g, 0.1)
         for ci in range(m.n_cells):
             pts = m.cell_coords(ci)
             d = np.roll(pts, -1, axis=0) - pts
@@ -171,23 +203,22 @@ class TestRegularity:
     def test_square_passes(self):
         m = unit_square()
         g = fm.build_geometry(m)
-        rep = fm.validate_regularity(m, g, 0.1)
+        rep = validate_regularity(m, g, 0.1)
         assert rep.all_passed
 
     def test_short_edge_fails(self):
         eps = 1e-9
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0 - eps], [1.0 - eps, 1.0], [0.0, 1.0]])
-        m = fm.PolyMesh.from_loops(pts, [np.arange(5)],
-                                   boundary_tags={e: "outer" for e in range(5)})
+        m = fm.PolyMesh.from_loops(pts, [np.arange(5)])
         g = fm.build_geometry(m)
-        rep = fm.validate_regularity(m, g, 0.1)
+        rep = validate_regularity(m, g, 0.1)
         assert not rep.all_passed
         assert rep.worst_edge_ratio < 1e-8
 
     def test_lloyd_mesh_passes(self):
         m = fm.generate_voronoi((0, 1, 0, 1), 100, lloyd_iters=25, seed=11)
         g = fm.build_geometry(m)
-        rep = fm.validate_regularity(m, g, 0.05)
+        rep = validate_regularity(m, g, 0.05)
         assert rep.all_passed
 
 
@@ -208,8 +239,7 @@ class TestInteriorQuadrature:
 
     def test_x3y2_on_hexagon_vs_refined_oracle(self):
         pts = regular_polygon(6)
-        m = fm.PolyMesh.from_loops(pts, [np.arange(6)],
-                                   boundary_tags={e: "outer" for e in range(6)})
+        m = fm.PolyMesh.from_loops(pts, [np.arange(6)])
         g = fm.build_geometry(m)
         rule = fm.polygon_quadrature(m.cell_coords(0), g.barycenter[0], 5)
         val = np.sum(rule.weights * rule.nodes[:, 0] ** 3 * rule.nodes[:, 1] ** 2)
@@ -222,8 +252,7 @@ class TestInteriorQuadrature:
         ang = np.sort(rng.uniform(0, 2 * np.pi, 7))
         r = rng.uniform(0.85, 1.15, 7)
         pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-        m = fm.PolyMesh.from_loops(pts, [np.arange(7)],
-                                   boundary_tags={e: "outer" for e in range(7)})
+        m = fm.PolyMesh.from_loops(pts, [np.arange(7)])
         g = fm.build_geometry(m)
         for d in range(0, 9):
             rule = fm.polygon_quadrature(m.cell_coords(0), g.barycenter[0], d)
@@ -391,7 +420,7 @@ class TestVoronoi:
         m = fm.generate_voronoi((0, 3, 0, 2), 77, lloyd_iters=4, seed=9)
         g = fm.build_geometry(m)
         assert np.sum(g.area) == pytest.approx(6.0, rel=1e-12)
-        m.validate(domain_area=6.0)
+        assert_tiles(m, 6.0)
 
     def test_lloyd_uniformity(self):
         m = fm.generate_voronoi((0, 1, 0, 1), 100, lloyd_iters=50, seed=4)
@@ -479,7 +508,7 @@ class TestVoronoi:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_voronoi_invariants_property(self, seed):
         m = fm.generate_voronoi((0, 1, 0, 1), 24, lloyd_iters=3, seed=seed)
-        m.validate(domain_area=1.0)
+        assert_tiles(m, 1.0)
 
     # cell count, per-cell areas and centroids (meshes/voronoi_goldens.npz)
     # and edge counts of the generator before its diagrams took band-limited
@@ -607,7 +636,7 @@ class TestVoronoi:
         polys = fm._voronoi_polygons(seeds, box, periodic, None, 0.0)
         assert_same_cells(polys, full_image_polygons(seeds, box, periodic, None, 0.0))
         m = fm._assemble_mesh(*polys, box, periodic, max(xhi - xlo, yhi - ylo))
-        m.validate(domain_area=(xhi - xlo) * (yhi - ylo))
+        assert_tiles(m, (xhi - xlo) * (yhi - ylo))
         assert m.n_cells == 36 and np.all(m.cell_sizes == 4)
         assert (m.n_vertices, m.n_edges) == self.LATTICE[domain]
         if not any(periodic):
@@ -672,7 +701,7 @@ class TestVoronoi:
         # density centroids used to fail on their zero-length fan triangles
         m = make()
         m.validate()
-        assert fm.validate_regularity(m, fm.build_geometry(m), 0.05).all_passed
+        assert validate_regularity(m, fm.build_geometry(m), 0.05).all_passed
 
     def test_weighted_centroid_ignores_repeated_vertex(self):
         pts = regular_polygon(6, radius=2.0, center=(1.0, -1.0))
@@ -692,7 +721,7 @@ class TestRect:
         m = fm.generate_rect((0, 1, 0, 1), 4, 3)
         assert m.n_cells == 12
         assert m.n_vertices == 20
-        m.validate(domain_area=1.0)
+        assert_tiles(m, 1.0)
 
     def test_rect_periodic_y(self):
         m = fm.generate_rect((0, 1, 0, 1), 5, 4, periodic=(False, True))

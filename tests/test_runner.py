@@ -124,7 +124,7 @@ def test_vtk_round_trip(tmp_path):
     res = runner.run_case(get_case("ins_tgv", h=0.9, t_end=0.1, dt=0.05), quiet=True,
                           out_prefix=str(tmp_path / "run"))
     assert res.report.steps == 2
-    data = read_vtk_cell_data(res.outputs[0])
+    data = read_vtk_cell_data(tmp_path / "run_ins_tgv.vtk")
     assert sorted(data) == ["p", "u", "v"]
     for name, written in (("u", res.state.Q[0]), ("v", res.state.Q[1]),
                           ("p", res.state.aux["p_coeffs"][:, 0])):
@@ -160,6 +160,57 @@ def test_param_flag_beats_the_config_file(tmp_path, monkeypatch):
                      "--param", "reynolds=50", "--tend", "0.4"]) == 0
     (case,) = seen
     assert case.reynolds == 50 and case.t_end == 0.4
+
+
+def test_config_file_case_line_exits_1(tmp_path, monkeypatch, capsys):
+    # the required --case used to win silently over the file's case
+    seen = cli_cases(monkeypatch)
+    cfg = tmp_path / "vortex.cfg"
+    cfg.write_text("case = swe_vortex\n")
+    assert cli.main(["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet"]) == 1
+    assert "a config file cannot set the case; --case does" in capsys.readouterr().err
+    assert seen == []
+
+
+@pytest.mark.parametrize("line, flags, read, from_file, from_flag", [
+    ("tend = 0.3", ["--tend", "0.4"], lambda case, kw: case.t_end, 0.3, 0.4),
+    ("order = 1", ["--order", "3"], lambda case, kw: case.k, 1, 3),
+    ("scheme = SP111", ["--scheme", "SADIRK343"], lambda case, kw: case.scheme,
+     "SP111", "SADIRK343"),
+    ("cfl = 0.5", ["--cfl", "0.7"], lambda case, kw: case.cfl, 0.5, 0.7),
+    ("dt = 0.01", ["--dt", "0.02"], lambda case, kw: case.dt, 0.01, 0.02),
+    ("mesh = gen:h=0.8,seed=2", ["--mesh", "gen:h=0.6"], lambda case, kw: (case.h, case.seed),
+     (0.8, 2), (0.6, 0)),
+    ("mesh = box.msh", ["--mesh", "gen:h=0.6"], lambda case, kw: kw["mesh_file"], "box.msh",
+     None),
+    ("out = from_file", ["--out", "from_flag"], lambda case, kw: kw["out_prefix"],
+     "from_file", "from_flag"),
+], ids=["tend", "order", "scheme", "cfl", "dt", "mesh_gen", "mesh_file", "out"])
+def test_a_flag_beats_the_config_file(tmp_path, monkeypatch, line, flags, read, from_file,
+                                      from_flag):
+    # a file key applies where its flag is not given
+    seen = []
+    monkeypatch.setattr(cli, "run_case", lambda case, **kw: seen.append(read(case, kw))
+                        or SimpleNamespace(gate_passed=True))
+    cfg = tmp_path / "tgv.cfg"
+    cfg.write_text(line + "\n")
+    command = ["run", "--case", "ins_tgv", "--config", str(cfg), "--quiet"]
+    assert cli.main(command) == 0
+    assert cli.main([*command, *flags]) == 0
+    assert seen == [from_file, from_flag]
+
+
+def test_quiet_flag_beats_the_config_file(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_case", lambda case, **kw: seen.append(kw["quiet"])
+                        or SimpleNamespace(gate_passed=True))
+    cfg = tmp_path / "tgv.cfg"
+    command = ["run", "--case", "ins_tgv", "--config", str(cfg)]
+    for line, flags in (("quiet = true", []), ("quiet = false", []),
+                        ("quiet = false", ["--quiet"])):
+        cfg.write_text(line + "\n")
+        assert cli.main([*command, *flags]) == 0
+    assert seen == [True, False, True]
 
 
 def test_config_file_unknown_key_exits_1(tmp_path, monkeypatch, capsys):
@@ -235,6 +286,27 @@ def test_cli_exits_2_on_a_failed_gate(capsys):
     assert "gate: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--case", "bogus"], "argument --case: invalid choice: 'bogus'"),
+    (["run"], "the following arguments are required: --case"),
+    (["run", "--case", "ins_tgv", "--cfl", "abc"], "argument --cfl: invalid float value: 'abc'"),
+    (["study", "--case", "ins_tgv"], "the following arguments are required: --meshes"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown_case", "no_case", "word_for_cfl", "study_without_meshes", "no_command"])
+def test_cli_exits_1_on_a_usage_error(monkeypatch, capsys, argv, message):
+    # 2 is the code of a failed gate, so a typo must not exit with it
+    seen = cli_cases(monkeypatch)
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert seen == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["fvvem", "run"])
+def test_cli_help_exits_0(capsys, argv):
+    assert cli.main(argv) == 0
+    assert "usage: fvvem" in capsys.readouterr().out
+
+
 def test_cli_rejects_a_parameter_the_case_does_not_have(monkeypatch, capsys):
     seen = cli_cases(monkeypatch)
     assert cli.main(["run", "--case", "ins_tgv", "--param", "nu=0.05", "--quiet"]) == 1
@@ -294,8 +366,18 @@ def test_cli_names_a_mistyped_parameter(monkeypatch, capsys, case, flags, messag
      "case 'ins_poiseuille': parameter 'cfl' must lie in (0, 1], not 1.5"),
     ("ins_poiseuille", ["--mesh", "gen:seed=-1"],
      "case 'ins_poiseuille': parameter 'seed' must be nonnegative, not -1"),
+    ("ins_poiseuille", ["--order", "0"],
+     "case 'ins_poiseuille': parameter 'k' must lie in 1..4, not 0"),
+    ("ins_tgv", ["--order", "5"], "case 'ins_tgv': parameter 'k' must lie in 1..4, not 5"),
+    ("ins_poiseuille", ["--mesh", "gen:n=3"],
+     "case 'ins_poiseuille': parameter 'n_cells' must be at least 4, not 3"),
+    ("ins_poiseuille", ["--mesh", "gen:n=0"],
+     "case 'ins_poiseuille': parameter 'n_cells' must be at least 4, not 0"),
+    ("swe_cylinder", ["--mesh", "gen:n=-5"],
+     "case 'swe_cylinder': parameter 'n_cells' must be at least 4, not -5"),
 ], ids=["tend_zero", "tend_negative", "h_negative", "h_zero", "dt_zero", "dt_negative",
-        "cfl_above_one", "seed_negative"])
+        "cfl_above_one", "seed_negative", "order_zero", "order_above_four", "n_three",
+        "n_zero", "n_negative"])
 def test_cli_names_a_parameter_out_of_bounds(monkeypatch, capsys, case, flags, message):
     # each fails before the case reaches the run, so before any mesh is built
     seen = cli_cases(monkeypatch)
@@ -435,7 +517,7 @@ def test_swe_run_reports_errors_ledger_and_fields(tmp_path):
     assert res.ledger["swe_mass_update"] == "divergence"
     assert res.ledger["gravity"] == 10.0
     Q, b = res.state.Q, res.driver.b_coeffs[:, 0]
-    data = read_vtk_cell_data(res.outputs[0])
+    data = read_vtk_cell_data(tmp_path / "run_swe_vortex.vtk")
     assert sorted(data) == ["b", "eta", "qx", "qy", "u", "v"]
     for name, written in (("eta", Q[0]), ("qx", Q[1]), ("qy", Q[2]), ("b", b),
                           ("u", Q[1] / (Q[0] - b)), ("v", Q[2] / (Q[0] - b))):

@@ -69,16 +69,12 @@ def oracle_moments(disc, f):
     return out.ravel()
 
 
-def oracle_projection(disc, f, degree=None):
+def oracle_projection(disc, f, degree):
     out = np.empty((disc.mesh.n_cells, disc.nk))
     for grp in disc.groups:
-        nodes, qw, qmono = grp.qnodes, grp.qw, grp.qmono
-        if degree is not None:
-            rule = fm.polygon_quadrature(disc.mesh.cell_coords(grp.idx),
-                                         grp.basis.center, degree)
-            nodes, qw = rule.nodes, rule.weights
-            qmono = grp.basis.values(nodes)
-        mom = np.einsum("gq,gqa->ga", per_cell(f, nodes) * qw, qmono)
+        rule = fm.polygon_quadrature(disc.mesh.cell_coords(grp.idx), grp.basis.center, degree)
+        mom = np.einsum("gq,gqa->ga", per_cell(f, rule.nodes) * rule.weights,
+                        grp.basis.values(rule.nodes))
         monoc = np.linalg.solve(grp.Hm, mom[:, :, None])[:, :, 0]
         T = taylor_to_monomial(disc.fvops.taylor, grp.idx)
         out[grp.idx] = np.linalg.solve(T, monoc[:, :, None])[:, :, 0]
@@ -128,7 +124,8 @@ def test_grouped_sampler_equals_the_per_cell_loop(name):
         assert np.array_equal(dofs[:nb], f(disc.layout.dof_coords[:nb])), what
         assert_close(dofs[nb:], oracle_moments(disc, f), scale, what)
 
-        for degree in (None, 2 * case.k + 8):       # evaluate_bathymetry's degree
+        # the degree of the Discretization's own rule, and evaluate_bathymetry's
+        for degree in (2 * case.k + 2, 2 * case.k + 8):
             coeffs = disc.project_field(f, degree=degree)
             want = oracle_projection(disc, f, degree)
             assert_close(coeffs, want, np.abs(want).max(), f"{what} degree {degree}")

@@ -9,7 +9,6 @@ class TestTableaux:
     def test_sp111_constants(self):
         p = tableau("SP111")
         assert p.A_impl[0, 0] == 1.0
-        assert p.b[0] == 1.0
         assert p.A_expl[0, 0] == 0.0
 
     def test_lsdirk222_constants(self):
@@ -19,7 +18,7 @@ class TestTableaux:
         assert p.A_impl[0, 0] == pytest.approx(gamma, abs=1e-15)
         assert gamma == pytest.approx(0.29289322, abs=1e-8)
         assert p.A_expl[1, 0] == pytest.approx(beta, abs=1e-15)
-        assert p.b[1] == pytest.approx(gamma, abs=1e-15)
+        assert p.A_impl[1, 1] == pytest.approx(gamma, abs=1e-15)
 
     def test_sadirk343_constants(self):
         p = tableau("SADIRK343")
@@ -35,7 +34,7 @@ class TestTableaux:
         b1 = -(6.0 * g * g - 16.0 * g + 1.0) / 4.0
         b2 = (6.0 * g * g - 20.0 * g + 5.0) / 4.0
         closed = [(np.diag(Ai), g), (Ae[1, 0], g), (Ai[2, 1], tau2 - g),
-                  (Ai[3, 1:3], [b1, b2]), (p.b, Ai[3]), (Ae[3, 1], 0.5),
+                  (Ai[3, 1:3], [b1, b2]), (Ae[3, 1], 0.5),
                   (Ae[2, 0] + Ae[2, 1], tau2), (Ae[3, 0] + Ae[3, 2], 0.5),
                   (b2 * Ae[2, 0] + g * Ae[3, 0], -b1 * g),
                   (b2 * g * Ae[2, 1] + g * tau2 * Ae[3, 2], 1.0 / 6.0 - g * g / 2.0)]
@@ -44,16 +43,15 @@ class TestTableaux:
         # the printed six-digit constants
         printed = [(g, 0.435866), (Ae[2, 0], 1.437745), (Ae[2, 1], -0.719812),
                    (Ae[3, 0], 0.916993), (Ae[3, 2], -0.416993), (Ai[2, 1], 0.282066),
-                   (p.b[1], 1.208496), (p.b[2], -0.644363)]
+                   (Ai[3, 1], 1.208496), (Ai[3, 2], -0.644363)]
         for value, six_digits in printed:
             assert value == pytest.approx(six_digits, abs=1e-6)
 
     @pytest.mark.parametrize("name", ["SP111", "LSDIRK222", "SADIRK343"])
     def test_row_sums_and_weights(self, name):
         p = tableau(name)
-        assert np.abs(p.A_expl.sum(axis=1) - p.c_expl).max() < 1e-14
         assert np.abs(p.A_impl.sum(axis=1) - p.c_impl).max() < 1e-14
-        assert p.b.sum() == pytest.approx(1.0, abs=1e-14)
+        assert p.A_impl[-1].sum() == pytest.approx(1.0, abs=1e-14)
         assert np.all(np.triu(p.A_expl) == 0.0)       # strictly lower
         assert np.all(np.triu(p.A_impl, 1) == 0.0)    # lower with diagonal
 
@@ -62,10 +60,11 @@ class TestTableaux:
     def test_order_conditions(self, name, order):
         # b^T Phi(c) = 1/(tree density) for every tree up to `order`, with
         # each node's tableau and abscissae drawn from either partition:
-        # the coupling conditions of the pair included
+        # the coupling conditions of the pair included; the weights b are
+        # the last implicit row
         p = tableau(name)
-        parts = [(p.A_expl, p.c_expl), (p.A_impl, p.c_impl)]
-        b = p.b
+        parts = [(p.A_expl, p.A_expl.sum(axis=1)), (p.A_impl, p.c_impl)]
+        b = p.A_impl[-1]
         assert abs(b.sum() - 1.0) <= 1e-14
         for _, c in parts:
             if order >= 2:
@@ -79,8 +78,11 @@ class TestTableaux:
 
     @pytest.mark.parametrize("name", ["SP111", "LSDIRK222", "SADIRK343"])
     def test_every_pair_is_stiffly_accurate(self, name):
+        # the weights are the last implicit row, so the last stage ends the
+        # step: it sits at t + dt
         p = tableau(name)
-        assert np.array_equal(p.b, p.A_impl[-1])
+        assert p.stages == len(p.A_expl) == len(p.c_impl)
+        assert p.c_impl[-1] == pytest.approx(1.0, abs=1e-15)
 
     def test_unknown_name(self):
         with pytest.raises(TimeIntError):

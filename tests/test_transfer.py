@@ -143,7 +143,7 @@ class TestVemToFv:
         dofs = np.zeros(disc.layout.n_dofs)
         for ci in range(m.n_cells):
             ids = disc.layout.cell_dofs(ci)
-            dofs[ids] = c * vem.build_element(m, g, ci, 3).D[:, 0]
+            dofs[ids] = c * vem.build_element(m, g, np.array([ci]), 3).D[0, :, 0]
         back = disc.vem_to_fv(dofs)
         assert np.abs(back[:, 0] - c).max() < 1e-12
         # the other coefficients are roundoff of C_P applied to the dofs
@@ -179,8 +179,8 @@ class TestVemToFv:
         back = disc.vem_to_fv(dofs)
         for ci in range(m.n_cells):
             ids = disc.layout.cell_dofs(ci)
-            elem = vem.build_element(m, g, ci, 2)
-            pi0 = elem.pis_0 @ dofs[ids]
+            elem = vem.build_element(m, g, np.array([ci]), 2)
+            pi0 = elem.pis_0[0] @ dofs[ids]
             rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci], 4)
-            mean = (rule.weights @ (elem.basis.values(rule.nodes) @ pi0)) / g.area[ci]
+            mean = (rule.weights @ (elem.basis.values(rule.nodes)[0] @ pi0)) / g.area[ci]
             assert back[ci, 0] == pytest.approx(mean, abs=1e-12)

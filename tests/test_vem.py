@@ -1,3 +1,6 @@
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,18 +12,28 @@ from fvvem.models import Discretization, DryStateError
 
 def single_cell_mesh(pts):
     n = len(pts)
-    return fm.PolyMesh.from_loops(np.asarray(pts, float), [np.arange(n)],
-                                  boundary_tags={e: "outer" for e in range(n)})
+    m = fm.PolyMesh.from_loops(np.asarray(pts, float), [np.arange(n)])
+    m.boundary_tags = {e: "outer" for e in range(n)}
+    return m
 
 
 def unit_square_mesh():
     return single_cell_mesh([[0, 0], [1, 0], [1, 1], [0, 1]])
 
 
+def cell_element(m, g, ci, k):
+    """The element of cell ci alone: the arrays of a group of one, unstacked."""
+    elem = vem.build_element(m, g, np.array([ci]), k)
+    arrays = {f.name: getattr(elem, f.name)[0] for f in fields(elem)
+              if isinstance(getattr(elem, f.name), np.ndarray)}
+    basis = vem.MonomialBasis(k, elem.basis.center[0], elem.basis.h[0])
+    return SimpleNamespace(**arrays, basis=basis)
+
+
 def build_one(pts, k):
     m = single_cell_mesh(pts)
     g = fm.build_geometry(m)
-    return vem.build_element(m, g, 0, k), m, g
+    return cell_element(m, g, 0, k), m, g
 
 
 def random_star_polygon(rng):
@@ -34,9 +47,10 @@ def random_star_polygon(rng):
         scale = rng.uniform(0.5, 2.0)
         pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)]) * scale
         pts += rng.uniform(-5, 5, 2)
-        m = single_cell_mesh(pts)
-        g = fm.build_geometry(m)
-        if fm.validate_regularity(m, g, 0.0).all_passed:
+        # star-shaped with respect to its barycenter: left of every side
+        d = np.roll(pts, -1, axis=0) - pts
+        rel = fm.build_geometry(single_cell_mesh(pts)).barycenter[0] - pts
+        if np.all(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] > 0.0):
             return pts
 
 
@@ -89,8 +103,7 @@ class TestDofLayout:
     def test_two_squares_shared_edge_k2(self):
         verts = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], float)
         cells = [np.array([0, 1, 4, 5]), np.array([1, 2, 3, 4])]
-        m = fm.PolyMesh.from_loops(verts, cells,
-                                   boundary_tags={e: "outer" for e in range(7)})
+        m = fm.PolyMesh.from_loops(verts, cells)
         m.boundary_tags = {e: "outer" for e in range(m.n_edges)
                            if m.edge_cells[e, 1] < 0}
         g = fm.build_geometry(m)
@@ -120,7 +133,7 @@ class TestDofLayout:
                            if m.edge_cells[e, 1] < 0}
         g = fm.build_geometry(m)
         layout = vem.build_dof_layout(m, g, 3)
-        e0, e1 = vem.build_element(m, g, 0, 3), vem.build_element(m, g, 1, 3)
+        e0, e1 = cell_element(m, g, 0, 3), cell_element(m, g, 1, 3)
         # dofs of the global function x interpolate position: check consistency
         for elem, ci in ((e0, 0), (e1, 1)):
             dofs = layout.cell_dofs(ci)
@@ -131,6 +144,41 @@ class TestDofLayout:
                 [0, elem.basis.h, 0, 0, 0, 0, 0, 0, 0, 0]))[interior] \
                 + elem.basis.center[0]
             assert np.allclose(dof_x, xvals, atol=1e-13)
+
+
+class TestDerivativeTable:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_maps_equal_the_per_monomial_formulas(self, k):
+        # d/dx ((x - xc)/h)^a ((y - yc)/h)^b = a/h ((x - xc)/h)^(a-1) ((y - yc)/h)^b
+        rng = np.random.default_rng(k)
+        center, h = rng.uniform(-2, 2, (3, 2)), rng.uniform(0.1, 2.0, 3)
+        pts = center[:, None] + rng.uniform(-1, 1, (3, 7, 2)) * h[:, None, None]
+        basis = vem.MonomialBasis(k, center, h)
+        xi, et = ((pts[..., i] - center[:, None, i]) / h[:, None] for i in (0, 1))
+
+        def mono(a, b):
+            return xi ** a * et ** b if a >= 0 and b >= 0 else np.zeros_like(xi)
+
+        idx = vem.multi_indices(k)
+        hh = h[:, None]
+        want_x = np.stack([a * mono(a - 1, b) / hh for a, b in idx], axis=-1)
+        want_y = np.stack([b * mono(a, b - 1) / hh for a, b in idx], axis=-1)
+        want_lap = np.stack([(a * (a - 1) * mono(a - 2, b) + b * (b - 1) * mono(a, b - 2))
+                             / hh ** 2 for a, b in idx], axis=-1)
+        vals = basis.values(pts)
+        got_x, got_y = basis.gradients(pts)
+        for got, want in ((got_x, want_x), (got_y, want_y),
+                          (vals @ basis.derivative_coeffs(0).transpose(0, 2, 1), want_x),
+                          (vals @ basis.derivative_coeffs(1).transpose(0, 2, 1), want_y),
+                          (vals @ basis.laplacian_coeffs().transpose(0, 2, 1), want_lap)):
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_read_only_table_per_order(self, k):
+        table = vem.derivative_table(k)
+        assert table is vem.derivative_table(k) and not table.flags.writeable
+        assert table.shape == (2, vem.n_poly(k), vem.n_poly(k))
+        assert small_disc(k).derivative_maps is table
 
 
 class TestProjectors:
@@ -225,7 +273,7 @@ def scatter_loads(m, g, k, layout, f):
     rule of degree 2k."""
     out = np.zeros(layout.n_dofs)
     for ci in range(m.n_cells):
-        elem = vem.build_element(m, g, ci, k)
+        elem = cell_element(m, g, ci, k)
         rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci],
                                      max(2 * k, 2))
         moments = elem.basis.values(rule.nodes).T @ (rule.weights * f(rule.nodes))
@@ -236,15 +284,15 @@ def scatter_loads(m, g, k, layout, f):
 def discretization_load(disc, f):
     """(f, Pi0 phi_i) through the Discretization: L2 projection onto the
     cells' polynomials, then their load."""
-    return disc.load_from_taylor(disc.project_field(f))
+    return disc.load_from_taylor(disc.project_field(f, degree=2 * disc.k + 2))
 
 
 class TestVariableStiffness:
     def test_unit_coeff_k1_matches_constant(self):
         disc = small_disc(1)
         K = disc.variable_stiffness_global(disc.pi0_poly(np.ones(disc.layout.n_dofs)))
-        K = K.to_dense()
-        K0 = disc.K.to_dense()
+        K = K.to_scipy().toarray()
+        K0 = disc.K.to_scipy().toarray()
         assert np.abs(K - K0).max() < 1e-12 * max(1.0, np.abs(K0).max())
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -257,8 +305,8 @@ class TestVariableStiffness:
     def test_linearity_in_coefficient(self):
         disc = small_disc(1)
         ones = np.ones(disc.layout.n_dofs)
-        K1 = disc.variable_stiffness_global(disc.pi0_poly(ones)).to_dense()
-        K3 = disc.variable_stiffness_global(disc.pi0_poly(3.0 * ones)).to_dense()
+        K1 = disc.variable_stiffness_global(disc.pi0_poly(ones)).to_scipy().toarray()
+        K3 = disc.variable_stiffness_global(disc.pi0_poly(3.0 * ones)).to_scipy().toarray()
         assert np.abs(K3 - 3.0 * K1).max() < 1e-12 * max(1.0, np.abs(K1).max())
 
     def test_dry_cell_error(self):
@@ -333,15 +381,15 @@ class TestGlobalAssembly:
         assert A.shape == shape
         assert all(np.all(np.diff(A.indices[A.indptr[i]:A.indptr[i + 1]]) > 0)
                    for i in range(shape[0]))
-        assert np.abs(A.to_dense() - dense).max() <= 1e-15 * np.abs(dense).max()
+        assert np.abs(A.to_scipy().toarray() - dense).max() <= 1e-15 * np.abs(dense).max()
 
     def test_one_cell_equals_element(self):
         m = unit_square_mesh()
         g = fm.build_geometry(m)
         layout = vem.build_dof_layout(m, g, 2)
-        elem = vem.build_element(m, g, 0, 2)
+        elem = cell_element(m, g, 0, 2)
         A = vem.scatter_matrix(dof_pattern(layout, [0]), [elem.stiffness])
-        assert np.abs(A.to_dense() - elem.stiffness).max() < 1e-15
+        assert np.abs(A.to_scipy().toarray() - elem.stiffness).max() < 1e-15
 
     def test_two_cell_additivity(self):
         verts = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], float)
@@ -351,10 +399,10 @@ class TestGlobalAssembly:
                            if m.edge_cells[e, 1] < 0}
         g = fm.build_geometry(m)
         layout = vem.build_dof_layout(m, g, 1)
-        e0 = vem.build_element(m, g, 0, 1)
-        e1 = vem.build_element(m, g, 1, 1)
+        e0 = cell_element(m, g, 0, 1)
+        e1 = cell_element(m, g, 1, 1)
         A = vem.scatter_matrix(dof_pattern(layout, [0, 1]),
-                               [e0.stiffness, e1.stiffness]).to_dense()
+                               [e0.stiffness, e1.stiffness]).to_scipy().toarray()
         d0, d1 = layout.cell_dofs(0), layout.cell_dofs(1)
         expect = np.zeros_like(A)
         expect[np.ix_(d0, d0)] += e0.stiffness
@@ -403,7 +451,7 @@ class TestGlobalAssembly:
             # L2 error via Pi0 of the solution against dense quadrature
             total = 0.0
             for ci in range(m.n_cells):
-                elem = vem.build_element(m, g, ci, k)
+                elem = cell_element(m, g, ci, k)
                 rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci],
                                              2 * k + 2)
                 coeff = elem.pis_0 @ x[layout.cell_dofs(ci)]

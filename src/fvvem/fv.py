@@ -8,7 +8,9 @@ vertex-count group of cells, edge basis tables over all edges at once, the
 CWENO stencils of every cell from one table of neighbour arcs (a
 breadth-first search advanced one layer at a time for all cells, and a join
 on shared vertices for the sectors), and the least-squares stencil fits over
-all (cell, member, shift) triples, with one pseudo-inverse per stencil size.
+all (cell, member, shift) triples, with one pseudo-inverse per stencil size
+(each row a binomial transform of the member's own monomial means, with no
+quadrature per member).
 Each stencil kind, central and sector, is one stack zero-padded to its
 widest stencil, with its fit and residual factors stacked into one operator,
 so a reconstruction makes one batched product per kind on cell-major
@@ -20,6 +22,7 @@ edge-to-cell sum goes through one incidence matrix (`FvOperators.edge_sum`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -27,11 +30,7 @@ import scipy.sparse as sp
 from scipy.special import roots_legendre
 
 from .mesh import GeometryCache, PolyMesh, polygon_quadrature
-from .vem import MonomialBasis, n_poly
-
-# stencil member quadrature evaluations per batch: bounds the (pairs, nodes,
-# basis) temporary of the fit rows at a few MB
-_FIT_CHUNK = 2048
+from .vem import MonomialBasis, multi_indices, n_poly
 
 
 class FvError(Exception):
@@ -172,9 +171,6 @@ class FvOperators:
         self.nk = n_poly(k)
         self.taylor = TaylorBasis(mesh, geom, k)
         self._edge_tables()
-        self._member_rules = [
-            (idx, polygon_quadrature(mesh.cell_coords(idx), geom.barycenter[idx], k))
-            for idx in mesh.vertex_count_groups]
         arcs = self._arcs()
         self._central_stencils(arcs)
         self._sector_stencils(arcs)
@@ -229,29 +225,37 @@ class FvOperators:
     # -- stencil fits ---------------------------------------------------------
 
     def _fit_rows(self, owner: np.ndarray, members: np.ndarray,
-                  shifts: np.ndarray) -> np.ndarray:
-        """LSQ rows (n, nk-1): the mean over cell members[i], moved by
-        -shifts[i] into owner[i]'s frame, of owner[i]'s Taylor basis l >= 2.
+                  shifts: np.ndarray, ncols: int) -> np.ndarray:
+        """LSQ rows (n, ncols): the mean over cell members[i], moved by
+        -shifts[i] into owner[i]'s frame, of owner[i]'s Taylor basis l = 2..ncols+1.
 
-        Members are taken by vertex-count group, so that each batch reads
-        the stacked member rules of one group."""
-        rows = np.empty((len(members), self.nk - 1))
-        for idx, rule in self._member_rules:
-            sel = np.flatnonzero(np.isin(members, idx))
-            for chunk in np.array_split(sel, max(1, -(-len(sel) // _FIT_CHUNK))):
-                local = np.searchsorted(idx, members[chunk])
-                nodes = rule.nodes[local] - shifts[chunk, None, :]
-                vals = self.taylor.values(owner[chunk], nodes)[..., 1:]
-                means = (rule.weights[local][:, None, :] @ vals)[:, 0]
-                rows[chunk] = means / self.geom.area[members[chunk], None]
-        return rows
+        No quadrature: with r = h_m / h_o and e = (x_m - shift - x_o) / h_o,
+        the owner's monomial (a, b) is (r xi + e_x)^a (r eta + e_y)^b in the
+        member's scaled coordinates, so its mean is the sum over i <= a, j <= b
+        of C(a, i) C(b, j) r^(i+j) e_x^(a-i) e_y^(b-j) mu_ij, the member's own
+        monomial means (its Taylor corrections, mu_00 = 1)."""
+        k, geom, corr = self.k, self.geom, self.taylor.corrections
+        e = (geom.barycenter[members] - shifts - geom.barycenter[owner]) / geom.h[owner, None]
+        pw = [np.ones((3, len(members))), np.vstack([geom.h[members] / geom.h[owner], e.T])]
+        for _ in range(k - 1):                           # powers of r, e_x, e_y
+            pw.append(pw[-1] * pw[1])
+        mu = corr[members].T
+        mu[0] = 1.0
+        rows = np.zeros((ncols, len(members)))
+        indices = multi_indices(k)
+        for l, (a, b) in enumerate(indices[1:ncols + 1]):
+            for m, (i, j) in enumerate(indices):
+                if i <= a and j <= b:
+                    rows[l] += (comb(a, i) * comb(b, j) * pw[i + j][0] * pw[a - i][1]
+                                * pw[b - j][2] * mu[m])
+        return rows.T - corr[owner, 1:ncols + 1]
 
     def _fit(self, cells, sizes, members, shifts, ncols: int) -> _StencilGroup:
         """Fit each stencil, sizes[i] consecutive (member, shift) entries of
         the flat arrays owned by cells[i], to the first `ncols` non-constant
         Taylor functions; one pseudo-inverse runs on the stack of each
         stencil size, each matrix with its own rcond cutoff."""
-        rows = self._fit_rows(np.repeat(cells, sizes), members, shifts)[:, :ncols]
+        rows = self._fit_rows(np.repeat(cells, sizes), members, shifts, ncols)
         start = np.cumsum(sizes) - sizes
         n, width = len(cells), sizes.max()
         padded = np.empty((n, width), dtype=np.int64)

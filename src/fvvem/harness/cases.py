@@ -79,7 +79,9 @@ def case_names():
 
 
 def mesh_for_target_h(box, h_target, seed, periodic=(False, False)):
-    """Generate a Voronoi mesh whose max cell size matches h_target (~2%)."""
+    """A Voronoi mesh of 1.55 area / h_target^2 seeds, regenerated once at the
+    count its max h predicts.  Max h is near h_target, not matched to it: 6 %
+    below to 12 % above it on 16 seeds of the benchmark's two mesh sizes."""
     area = (box[1] - box[0]) * (box[3] - box[2])
     n = max(8, int(round(1.55 * area / h_target ** 2)))
     mesh = generate_voronoi(box, n, lloyd_iters=10, seed=seed, periodic=periodic)

@@ -7,8 +7,9 @@ share one skeleton, `_Driver`: the IMEX step, the FV ghost states and the
 explicit half of a stage (the CWENO reconstructions of the stage inputs and
 the Rusanov-flux operator); each driver adds its implicit half.  A driver
 takes its physics as plain keyword arguments (SWE: gravity `g` and the
-bathymetry; INS: viscosity `nu` and a body force) and rejects a nonphysical
-one with ModelError.  The SWE stage updates the cell means of eta from the
+bathymetry, by default a flat bottom of exact zeros that is never sampled;
+INS: viscosity `nu` and a body force) and rejects a nonphysical one with
+ModelError.  The SWE stage updates the cell means of eta from the
 divergence of the single-valued edge discharges, so it conserves mass.
 Boundary conditions are a plain dict tag -> `BoundaryCondition`.  The
 Discretization object precomputes everything mesh-dependent, grouped by cell
@@ -493,8 +494,11 @@ class SweDriver(_Driver):
             raise ModelError("gravity must be positive")
         super().__init__(disc, bcs, scheme, cfl)
         self.g = g
-        b_fun = bathymetry or (lambda p: np.zeros(len(p)))
-        self.b_coeffs, self.b_dofs = evaluate_bathymetry(disc, b_fun)
+        if bathymetry is None:
+            self.b_coeffs = np.zeros((disc.mesh.n_cells, disc.nk))
+            self.b_dofs = np.zeros(disc.layout.n_dofs)
+        else:
+            self.b_coeffs, self.b_dofs = evaluate_bathymetry(disc, bathymetry)
         walls = self.tags_of_kind("wall")
         self._wall_edges = np.concatenate(
             [edges for tag, edges in disc.fvops.by_tag.items() if tag in walls]

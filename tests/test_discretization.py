@@ -286,14 +286,20 @@ def oracle_stencils(mesh, k):
     return central, sectors
 
 
-def oracle_fit(ops, ci, members, ncols):
-    """Per-cell least-squares fit: rows, pinv and residual factor."""
+def oracle_rows(ops, ci, members, ncols):
+    """Per-member quadrature of ci's Taylor basis over each shifted member."""
     rows = np.empty((len(members), ncols))
     for r, (cj, s) in enumerate(members):
         rule = fm.polygon_quadrature(ops.mesh.cell_coords(cj),
                                      ops.geom.barycenter[cj], max(ops.k, 1))
         vals = ops.taylor.values(ci, rule.nodes, shift=-s)
         rows[r] = (rule.weights @ vals[:, 1:1 + ncols]) / ops.geom.area[cj]
+    return rows
+
+
+def oracle_fit(ops, ci, members, ncols):
+    """Per-cell least-squares fit: rows, pinv and residual factor."""
+    rows = oracle_rows(ops, ci, members, ncols)
     P = np.linalg.pinv(rows, rcond=1e-10)
     return P, rows @ P - np.eye(len(members))
 
@@ -332,6 +338,24 @@ class RecordedFits(fvmod.FvOperators):
     def _fit(self, cells, sizes, members, shifts, ncols):
         self.fits = getattr(self, "fits", []) + [(cells, sizes, members, shifts)]
         return super()._fit(cells, sizes, members, shifts, ncols)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", [{}, {"periodic": (True, True)},
+                                  {"hole_center": (0.5, 0.5), "hole_radius": 0.2}],
+                         ids=["box", "torus", "hole"])
+def test_fit_rows_equal_the_member_quadrature(k, kind):
+    # the rows come from the members' own monomial means; each must match
+    # the quadrature of the owner's basis over the shifted member, at k = 4
+    # too, where the pinv comparison above sits at its roundoff floor
+    m = fm.generate_voronoi((0, 1, 0, 1), 40, lloyd_iters=5, seed=12, **kind)
+    ops = RecordedFits(m, fm.build_geometry(m), k)
+    for cells, sizes, members, shifts in ops.fits:
+        owners = np.repeat(cells, sizes)
+        rows = ops._fit_rows(owners, members, shifts, ops.nk - 1)
+        for i in range(len(members)):
+            want = oracle_rows(ops, owners[i], [(members[i], shifts[i])], ops.nk - 1)[0]
+            assert np.abs(rows[i] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def assert_stencils_equal(fit, owners, stencils):

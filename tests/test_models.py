@@ -222,6 +222,29 @@ class TestEvaluateBathymetry:
         assert np.abs(coeffs).max() == 0.0
         assert np.abs(dofs).max() == 0.0
 
+    def test_flat_bottom_is_exact_zeros_without_sampling(self, monkeypatch):
+        # bathymetry=None is b = 0 set directly; stepping it equals stepping
+        # a sampled zero bottom bit for bit
+        case = cases.get_case("swe_smooth_wave", seed=2, h=0.25)
+        m = case.make_mesh()
+        disc = Discretization(m, fm.build_geometry(m), k=case.k)
+        runs = []
+        for bottom in (lambda p: np.zeros(len(p)), None):
+            if bottom is None:
+                def refuse(*args):
+                    raise AssertionError("a flat bottom is not sampled")
+                monkeypatch.setattr(models, "evaluate_bathymetry", refuse)
+            drv = SweDriver(disc, case.bcs(), g=case.g0, scheme="SADIRK343",
+                            bathymetry=bottom)
+            state = runner.initial_state(case, drv)
+            for _ in range(3):
+                state = drv.step(state, 1e-3)
+            runs.append((drv, state.Q))
+        (sampled, q_sampled), (flat, q_flat) = runs
+        assert flat.b_coeffs.shape == sampled.b_coeffs.shape and not flat.b_coeffs.any()
+        assert flat.b_dofs.shape == sampled.b_dofs.shape and not flat.b_dofs.any()
+        assert np.array_equal(q_flat, q_sampled)
+
     def test_wb_bump_peak_value(self):
         m = fm.generate_voronoi((-2, 1, -0.5, 0.5), 2200, lloyd_iters=8, seed=5,
                                 periodic=(False, True))

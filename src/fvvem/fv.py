@@ -15,8 +15,9 @@ Each stencil kind, central and sector, is one stack zero-padded to its
 widest stencil, with its fit and residual factors stacked into one operator,
 so a reconstruction makes one batched product per kind on cell-major
 (stencil, member, component) differences.
-Per-stage work is batched numpy over cells and edges; every signed
-edge-to-cell sum goes through one incidence matrix (`FvOperators.edge_sum`).
+Per-stage work is batched numpy over cells and edges.  Every signed
+edge-to-cell sum goes through `FvOperators.edge_sum`, whose incidence matrix
+is the mesh's signed cell loops as CSR; ghost states are set per boundary tag.
 """
 
 from __future__ import annotations
@@ -202,25 +203,16 @@ class FvOperators:
         self.edge_points = pts                                    # (NE, ng, 2)
         self.edge_weights = 0.5 * geom.edge_length[:, None] * w[None, :]
         self.interior = np.where(mesh.edge_cells[:, 1] >= 0)[0]
-        self.boundary = np.where(mesh.edge_cells[:, 1] < 0)[0]
-        ne = mesh.n_edges
-        L = mesh.edge_cells[:, 0]
-        R = mesh.edge_cells[:, 1]
+        L, R = mesh.edge_cells.T
         inte = self.interior
         self.basis_L = self.taylor.values(L, pts)                 # (NE, ng, nk)
         self.basis_R = np.zeros_like(self.basis_L)
         self.basis_R[inte] = self.taylor.values(R[inte], pts[inte],
                                                 shift=mesh.edge_shift[inte, None, :])
-        self.by_tag = {}
-        for e in self.boundary:
-            self.by_tag.setdefault(mesh.boundary_tags[int(e)], []).append(int(e))
-        self.by_tag = {tag: np.array(es, dtype=np.int64)
-                       for tag, es in sorted(self.by_tag.items())}
-        rows = np.concatenate([L, R[inte]])
-        cols = np.concatenate([np.arange(ne), inte])
-        sgn = np.concatenate([np.ones(ne), -np.ones(len(inte))])
-        self._edge_incidence = sp.coo_matrix((sgn, (rows, cols)),
-                                             shape=(mesh.n_cells, ne)).tocsr()
+        # the mesh's signed loops in CSR form; a sorted copy keeps their order
+        self._edge_incidence = sp.csr_matrix(
+            (mesh.loop_signs.astype(float), mesh.loop_edges, mesh.cell_ptr),
+            shape=(mesh.n_cells, mesh.n_edges)).sorted_indices()
 
     # -- stencil fits ---------------------------------------------------------
 
@@ -437,7 +429,7 @@ def explicit_operator(ops: FvOperators, model, coeffs_E: np.ndarray,
         raise FvError("explicit operator requires dt > 0")
     mesh, geom = ops.mesh, ops.geom
     wL, wR = ops.edge_states(coeffs_E)
-    for tag, edges in ops.by_tag.items():
+    for tag, edges in mesh.boundary_tags.items():
         pts = ops.edge_points[edges].reshape(-1, 2)
         nrm = np.repeat(ops.geom.edge_normal[edges], ops.edge_points.shape[1], axis=0)
         ext = boundary_state(tag, pts,

@@ -196,7 +196,8 @@ class PolyMesh:
                   x + edge_shift in the right cell's frame.
     loop_edges, loop_signs : (N,) the edge of side a (corner a to a + 1) of
                   each cell, and +1 where the cell is its left cell, else -1.
-    boundary_tags : edge index -> label for boundary-condition selection.
+    boundary_tags : tag -> ascending int64 ids of its boundary edges, tags
+                  sorted; the one table the FV and VEM boundaries read.
 
     Every mesh is built by `_mesh_from_loops`, which gets the edge tables
     from one half-edge matcher (`_match_edges`): the generators call it with
@@ -258,6 +259,11 @@ class PolyMesh:
         all have n vertices."""
         return ragged_rows(self.cell_ptr, self.loop_coords, cells)
 
+    def tagged_edges(self, tags) -> np.ndarray:
+        """The boundary edges carrying any of `tags`, tag after tag."""
+        return np.concatenate([np.zeros(0, np.int64)] + [
+            edges for tag, edges in self.boundary_tags.items() if tag in tags])
+
     def validate(self):
         """Check the PolyMesh invariants; raise MeshError on violation."""
         area, _ = polygon_areas_centroids(self.loop_coords, self.cell_sizes)
@@ -266,11 +272,14 @@ class PolyMesh:
             if area[ci] <= 0.0:
                 raise MeshError(f"cell {ci} is not counter-clockwise (signed area {area[ci]:.3e})")
             raise MeshError(f"cell {ci} vertex loop self-intersects")
-        for e in range(self.n_edges):
-            if self.edge_cells[e, 1] < 0 and e not in self.boundary_tags:
+        count = np.bincount(self.tagged_edges(self.boundary_tags), minlength=self.n_edges)
+        boundary = self.edge_cells[:, 1] < 0
+        for e in np.flatnonzero(count != boundary)[:1]:
+            if count[e] > 1:
+                raise MeshError(f"edge {e} carries {count[e]} boundary tags")
+            if boundary[e]:
                 raise MeshError(f"boundary edge {e} carries no tag")
-            if self.edge_cells[e, 1] >= 0 and e in self.boundary_tags:
-                raise MeshError(f"interior edge {e} carries a boundary tag")
+            raise MeshError(f"interior edge {e} carries a boundary tag")
 
 
 def _orient(o, d, c) -> np.ndarray:
@@ -744,7 +753,7 @@ def _assemble_mesh(pts: np.ndarray, sizes: np.ndarray, box, periodic, scale: flo
     tags = np.select(on, ["xmin", "xmax", "ymin", "ymax", "hole"][:len(on)], "")
     if np.any(tags == ""):
         raise MeshError(f"boundary edge {bnd[tags == ''][0]} lies on no tagged boundary")
-    mesh.boundary_tags = dict(zip(bnd.tolist(), tags.tolist()))
+    mesh.boundary_tags = {str(tag): bnd[tags == tag] for tag in np.unique(tags)}
     return mesh
 
 
@@ -863,7 +872,7 @@ def write_mesh(mesh: PolyMesh, path: str):
         for x, y in mesh.vertices:
             f.write(f"{x:.17g} {y:.17g}\n")
         f.write(format_loops(mesh.cell_ptr, mesh.loop_vertices))
-        tags = sorted(mesh.boundary_tags.items())
+        tags = sorted((int(e), t) for t, es in mesh.boundary_tags.items() for e in es)
         f.write(f"{len(tags)}\n")
         for e, tag in tags:
             a, b = mesh.edges[e]
@@ -926,6 +935,7 @@ def read_mesh(path: str) -> PolyMesh:
             fail(len(lines), f"file truncated: {nb} boundary tags announced, "
                              f"{len(lines) - pos - 1} lines left")
         lookup = {(min(a, b), max(a, b)): e for e, (a, b) in enumerate(mesh.edges.tolist())}
+        tagged, by_tag = {}, {}
         for lineno in range(pos + 2, pos + 2 + nb):
             parts = lines[lineno - 1].split()
             if len(parts) != 3:
@@ -934,7 +944,13 @@ def read_mesh(path: str) -> PolyMesh:
             key = (min(a, b), max(a, b))
             if key not in lookup:
                 fail(lineno, f"no edge between vertices {a} and {b}")
-            mesh.boundary_tags[lookup[key]] = parts[2]
+            e = lookup[key]
+            if e in tagged:
+                fail(lineno, f"edge {a}-{b} is already tagged on line {tagged[e]}")
+            tagged[e] = lineno
+            by_tag.setdefault(parts[2], []).append(e)
+        mesh.boundary_tags = {tag: np.sort(np.array(edges, dtype=np.int64))
+                              for tag, edges in sorted(by_tag.items())}
     try:
         mesh.validate()
     except MeshError as exc:

@@ -11,7 +11,9 @@ bathymetry, by default a flat bottom of exact zeros that is never sampled;
 INS: viscosity `nu` and a body force) and rejects a nonphysical one with
 ModelError.  The SWE stage updates the cell means of eta from the
 divergence of the single-valued edge discharges, so it conserves mass.
-Boundary conditions are a plain dict tag -> `BoundaryCondition`.  The
+Boundary conditions are a plain dict tag -> `BoundaryCondition` (its kind
+checked when built) over the tags of `PolyMesh.boundary_tags`; the INS state
+stores the pressure once, as its VEM dofs (`aux["p_dofs"]`).  The
 Discretization object precomputes everything mesh-dependent, grouped by cell
 vertex count so per-stage work is batched numpy.  Every global operator is
 gathered from per-cell blocks through a `vem.AssemblyPattern`: the transfers
@@ -118,6 +120,10 @@ class BoundaryCondition:
     kind: str                 # 'wall' | 'dirichlet' | 'transmissive'
     state: object = None      # callable (pts, t) -> full state rows (FV ghost)
     pressure: object = None   # callable (pts, t) -> pressure values (INS)
+
+    def __post_init__(self):
+        if self.kind not in ("wall", "dirichlet", "transmissive"):
+            raise ModelError(f"unknown boundary kind '{self.kind}'")
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +247,8 @@ class Discretization:
 
     def _build_edge_trace_tables(self):
         """VEM edge traces: Lagrange map from the k+1 Gauss-Lobatto edge dofs
-        to the edge-flux Gauss points (reference interval), and the dofs of
-        each edge's trace."""
+        (the rows of the layout's `edge_trace_dofs`) to the edge-flux Gauss
+        points (reference interval)."""
         from scipy.special import roots_legendre
         from .mesh import gauss_lobatto_reference
         k = self.k
@@ -254,15 +260,10 @@ class Discretization:
                 if m != j:
                     L[:, j] *= (tq - tgl[m]) / (tgl[j] - tgl[m])
         self.edge_lagrange = L                     # (ng, k+1)
-        ids = [self.layout.vertex_dof[self.mesh.edges[:, 0]][:, None]]
-        if k > 1:
-            ids.append(self.layout.edge_dofs)
-        ids.append(self.layout.vertex_dof[self.mesh.edges[:, 1]][:, None])
-        self.edge_trace_dofs = np.concatenate(ids, axis=1)   # (NE, k+1)
 
     def vem_edge_trace(self, dofs: np.ndarray) -> np.ndarray:
         """Single-valued (NE, ng) trace of a conforming field on all edges."""
-        return dofs[self.edge_trace_dofs] @ self.edge_lagrange.T
+        return dofs[self.layout.edge_trace_dofs] @ self.edge_lagrange.T
 
     # -- field plumbing (sparse transfer operators) ---------------------------
 
@@ -431,7 +432,7 @@ class _Driver:
     attribute."""
 
     def __init__(self, disc: Discretization, bcs: dict, scheme: str, cfl: float):
-        missing = [tag for tag in disc.fvops.by_tag if tag not in bcs]
+        missing = [tag for tag in disc.mesh.boundary_tags if tag not in bcs]
         if missing:
             raise ModelError(f"boundary tag '{missing[0]}' has no boundary condition "
                              f"(conditions given for: {', '.join(sorted(bcs)) or 'none'})")
@@ -457,9 +458,7 @@ class _Driver:
             qn = qx * normals[:, 0] + qy * normals[:, 1]
             w[self.model.momentum] -= 2.0 * qn * normals.T
             return w
-        if bc.kind == "dirichlet":
-            return bc.state(pts, t)
-        raise ModelError(f"unknown boundary kind '{bc.kind}'")
+        return bc.state(pts, t)
 
     def full_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """The state rows the fluxes read, from the reconstructed ones."""
@@ -499,10 +498,7 @@ class SweDriver(_Driver):
             self.b_dofs = np.zeros(disc.layout.n_dofs)
         else:
             self.b_coeffs, self.b_dofs = evaluate_bathymetry(disc, bathymetry)
-        walls = self.tags_of_kind("wall")
-        self._wall_edges = np.concatenate(
-            [edges for tag, edges in disc.fvops.by_tag.items() if tag in walls]
-            + [np.zeros(0, dtype=np.int64)])
+        self._wall_edges = disc.mesh.tagged_edges(self.tags_of_kind("wall"))
         self._free_surface = _ConstrainedSystem(
             disc, bcs, self.tags_of_kind("dirichlet"),
             lambda tag, pts, t: bcs[tag].state(pts, t)[:1])
@@ -704,14 +700,14 @@ class InsDriver(_Driver):
         super().__init__(disc, bcs, scheme, cfl)
         self.nu = nu
         self.body_force = body_force     # callable t -> (fx, fy), explicit source
-        self.p_dirichlet = [tag for tag, bc in sorted(bcs.items()) if bc.pressure is not None]
         self.div_residuals = []
         self._viscous = _ConstrainedSystem(
             disc, bcs, self.tags_of_kind("dirichlet", "wall"),
             lambda tag, pts, t: (np.zeros((2, len(pts))) if bcs[tag].kind == "wall"
                                  else bcs[tag].state(pts, t)))
         self._pressure = _ConstrainedSystem(
-            disc, bcs, self.p_dirichlet, lambda tag, pts, t: bcs[tag].pressure(pts, t)[None],
+            disc, bcs, [tag for tag, bc in sorted(bcs.items()) if bc.pressure is not None],
+            lambda tag, pts, t: bcs[tag].pressure(pts, t)[None],
             annihilates_constants=True)
         self._pressure.refill(disc.K.data)
 
@@ -719,8 +715,7 @@ class InsDriver(_Driver):
         disc = self.disc
         rows = [disc.cell_means(lambda p: velocity_fun(p, 0.0)[i]) for i in range(2)]
         p_dofs = disc.interpolate_dofs(lambda p: pressure_fun(p, 0.0))
-        aux = {"p_dofs": p_dofs, "p_coeffs": disc.vem_to_fv(p_dofs)}
-        return FlowState(np.stack(rows), 0.0, aux)
+        return FlowState(np.stack(rows), 0.0, {"p_dofs": p_dofs})
 
     def stage(self, QE: FlowState, QI: FlowState, tau: float, t: float) -> FlowState:
         disc = self.disc
@@ -730,7 +725,6 @@ class InsDriver(_Driver):
             fx, fy = self.body_force(t)
             Fv = Fv + tau * np.array([[fx], [fy]])
         p_dofs = QI.aux["p_dofs"]
-        p_coeffs = QI.aux["p_coeffs"]
         # Helmholtz operator for the provisional velocity (the Dirichlet dof
         # set is geometric and fixed)
         self._viscous.refill(disc.M.data + tau * nu * disc.K.data)
@@ -738,7 +732,7 @@ class InsDriver(_Driver):
         # the explicit cell means Fv
         f_field = coeffs_I.copy()
         f_field[:, :, 0] = Fv
-        f_field -= tau * disc.to_taylor(disc.gradient_coeffs(p_coeffs))
+        f_field -= tau * disc.to_taylor(disc.gradient_coeffs(disc.vem_to_fv(p_dofs)))
         loads = [disc.load_from_taylor(f) for f in f_field]
         # one absolute scale for both components so a quiescent component is
         # not iterated down relative to its own roundoff
@@ -770,7 +764,7 @@ class InsDriver(_Driver):
             p_new = p_dofs
         else:
             p_new = self._pressure.solve(bp, p_dofs, self.stats, "pressure")
-        if not self.p_dirichlet:
+        if not len(pfixed):
             p_new = p_new + (disc.field_mean(p_dofs) - disc.field_mean(p_new))
         # weak divergence residual of the corrected velocity (free dofs),
         # div + tau K (p_new - p_old): exactly div when p is unchanged
@@ -783,8 +777,7 @@ class InsDriver(_Driver):
         vstar_coeffs = disc.vem_to_fv(vstar)
         grad_dp = disc.gradient_cell_means(dp_coeffs)
         Qn = vstar_coeffs[:, :, 0] - tau * grad_dp
-        aux = {"p_dofs": p_new, "p_coeffs": disc.vem_to_fv(p_new),
-               "vstar0": vstar[0], "vstar1": vstar[1]}
+        aux = {"p_dofs": p_new, "vstar0": vstar[0], "vstar1": vstar[1]}
         return FlowState(Qn, t, aux)
 
     def max_conv_eig(self, state: FlowState) -> np.ndarray:

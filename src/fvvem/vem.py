@@ -6,7 +6,7 @@ behind one offset array, as the mesh stores its loops), the assembly pattern
 (the CSR pattern of a gather of dense per-cell blocks, square or rectangular,
 with the scatter of the blocks into it: every global operator of the
 Discretization in models.py goes through one) and the Dirichlet dofs of
-tagged boundaries.
+tagged boundaries (rows of `VemDofLayout.edge_trace_dofs` on tagged edges).
 Orders k = 1..4 are supported.  Elements are built per group of cells with
 equal vertex count: every element array is stacked along a leading cell
 axis, so that one batched product or solve serves the whole group.  All
@@ -113,11 +113,13 @@ class MonomialBasis:
 
 @dataclass
 class VemDofLayout:
-    """Global numbering: vertex dofs, (k-1) per edge, n_{k-2} moments per cell.
+    """Global numbering: vertex v's dof is v, then (k-1) dofs per edge, then
+    n_{k-2} moments per cell.
 
-    Edge interior dofs are ordered along the edge's canonical direction; cells
-    traversing an edge backwards see them reversed.  Moments are scaled by
-    1/|P| so the first moment dof of a function is its cell mean.  Cell c's
+    Row e of edge_trace_dofs is edge e's dofs: its first vertex, k - 1
+    interior dofs along the edge, its second vertex; cells traversing an edge
+    backwards see them reversed.  Moments are scaled by 1/|P| so the first
+    moment dof of a function is its cell mean.  Cell c's
     dofs are dof_ids[dof_ptr[c]:dof_ptr[c + 1]]: its vertex dofs and the k - 1
     interior dofs of each side, both in loop order, then its moments.
     """
@@ -127,8 +129,7 @@ class VemDofLayout:
     dof_ptr: np.ndarray      # (NP + 1,) offsets into dof_ids
     dof_ids: np.ndarray      # (sum of N_dof,) global ids, cell after cell
     dof_coords: np.ndarray   # (n_dofs, 2); moment dofs carry the barycenter
-    edge_dofs: np.ndarray    # (NE, k-1) global ids of edge interior dofs
-    vertex_dof: np.ndarray   # (NV,) global ids
+    edge_trace_dofs: np.ndarray  # (NE, k+1) global ids, first vertex to second
     moment_base: int
 
     def cell_dofs(self, cells) -> np.ndarray:
@@ -142,16 +143,16 @@ def build_dof_layout(mesh: PolyMesh, geom: GeometryCache, k: int) -> VemDofLayou
         raise VemError(f"order k={k} outside the supported range 1..{MAX_ORDER}")
     nv, ne, nc = mesh.n_vertices, mesh.n_edges, mesh.n_cells
     nkm2 = n_poly(k - 2)
-    vertex_dof = np.arange(nv, dtype=np.int64)
-    edge_dofs = (nv + np.arange(ne * (k - 1), dtype=np.int64).reshape(ne, k - 1)
-                 if k > 1 else np.zeros((ne, 0), dtype=np.int64))
+    edge_trace_dofs = np.column_stack([mesh.edges[:, 0],
+                                       nv + np.arange(ne * (k - 1)).reshape(ne, k - 1),
+                                       mesh.edges[:, 1]])
     moment_base = nv + ne * (k - 1)
     n_dofs = moment_base + nc * nkm2
     coords = np.zeros((n_dofs, 2))
     coords[:nv] = mesh.vertices
     t_int = gauss_lobatto_reference(k)[0][1:-1]
     va, vb = mesh.edge_coords[:, :1], mesh.edge_coords[:, 1:]
-    coords[edge_dofs] = va + (0.5 * (t_int + 1.0))[:, None] * (vb - va)
+    coords[edge_trace_dofs[:, 1:-1]] = va + (0.5 * (t_int + 1.0))[:, None] * (vb - va)
     coords[moment_base:] = np.repeat(geom.barycenter, nkm2, axis=0)
     # corner a of a cell with n corners: its vertex dof at a, the interior
     # dofs of side a (reversed in the edge's right cell) at n + a (k - 1)
@@ -161,14 +162,13 @@ def build_dof_layout(mesh: PolyMesh, geom: GeometryCache, k: int) -> VemDofLayou
     corner = np.arange(len(cell)) - mesh.cell_ptr[cell]
     at = dof_ptr[cell] + corner
     dof_ids = np.empty(dof_ptr[-1], dtype=np.int64)
-    dof_ids[at] = vertex_dof[mesh.loop_vertices]
-    side = edge_dofs[mesh.loop_edges]
+    dof_ids[at] = mesh.loop_vertices
+    side = edge_trace_dofs[mesh.loop_edges, 1:-1]
     side = np.where(mesh.loop_signs[:, None] > 0, side, side[:, ::-1])
     dof_ids[(at + sizes[cell] + corner * (k - 2))[:, None] + np.arange(k - 1)] = side
     dof_ids[(dof_ptr[1:] - nkm2)[:, None] + np.arange(nkm2)] = (
         moment_base + np.arange(nc * nkm2).reshape(nc, nkm2))
-    return VemDofLayout(k, n_dofs, dof_ptr, dof_ids, coords, edge_dofs,
-                        vertex_dof, moment_base)
+    return VemDofLayout(k, n_dofs, dof_ptr, dof_ids, coords, edge_trace_dofs, moment_base)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,5 @@ def scatter_matrix(pattern: AssemblyPattern, blocks) -> SparseMatrix:
 
 
 def dirichlet_dofs(mesh: PolyMesh, layout: VemDofLayout, tags) -> np.ndarray:
-    """Vertex and edge dofs on boundary edges whose tag is in `tags`."""
-    edges = np.array([e for e, tag in mesh.boundary_tags.items() if tag in tags], dtype=np.int64)
-    return np.unique(np.concatenate([layout.vertex_dof[mesh.edges[edges]].ravel(),
-                                     layout.edge_dofs[edges].ravel()]))
+    """The dofs of the traces of the boundary edges whose tag is in `tags`."""
+    return np.unique(layout.edge_trace_dofs[mesh.tagged_edges(tags)])

@@ -31,13 +31,14 @@ FINGERPRINT_MESHES = {
 def load_mesh(name) -> fm.PolyMesh:
     """The frozen mesh meshes/<name>.npz."""
     f = np.load(Path(__file__).parent / "meshes" / f"{name}.npz")
+    edges, names = f["tag_edges"].astype(np.int64), f["tag_names"]
     return fm.PolyMesh(f["vertices"], np.concatenate([[0], np.cumsum(f["cell_sizes"])]),
                        f["cells"], f["cell_coords"],
                        edges=f["edges"], edge_coords=f["edge_coords"],
                        edge_cells=f["edge_cells"], edge_shift=f["edge_shift"],
                        loop_edges=f["cell_edges"], loop_signs=f["cell_edge_sign"],
-                       boundary_tags=dict(zip(f["tag_edges"].tolist(),
-                                              f["tag_names"].tolist())),
+                       boundary_tags={str(tag): np.sort(edges[names == tag])
+                                      for tag in np.unique(names)},
                        periodic=tuple(f["periodic"].tolist()))
 
 
@@ -162,7 +163,7 @@ def disjoint_cells_mesh(polys):
     start = np.cumsum([0] + [len(p) for p in polys])
     cells = [np.arange(a, b) for a, b in zip(start[:-1], start[1:])]
     m = fm.PolyMesh.from_loops(np.vstack(polys), cells)
-    m.boundary_tags = {e: "outer" for e in range(m.n_edges)}
+    m.boundary_tags = {"outer": np.arange(m.n_edges)}
     return m
 
 
@@ -474,7 +475,7 @@ class TestDegenerateCellErrors:
                  for ci in range(grid.n_cells)]
         m = fm.PolyMesh.from_loops(np.vstack([grid.vertices, far]),
                                    loops[:4] + [np.arange(nv, nv + 4)] + loops[4:])
-        m.boundary_tags = {e: "outer" for e in range(m.n_edges) if m.edge_cells[e, 1] < 0}
+        m.boundary_tags = {"outer": np.flatnonzero(m.edge_cells[:, 1] < 0)}
         assert len(m.vertex_count_groups) == 1
         with pytest.raises(fvmod.FvError, match="^cell 4: stencil of 0 cells"):
             fvmod.FvOperators(m, fm.build_geometry(m), 1)

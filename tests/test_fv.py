@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fvvem import fv as fvmod
 from fvvem import mesh as fm
+from fvvem.harness import cases
 from fvvem.models import Discretization, InsModel, SweModel
 
 
@@ -125,7 +127,7 @@ class TestCweno:
     def test_too_small_mesh_raises(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         m = fm.PolyMesh.from_loops(pts, [np.arange(4)])
-        m.boundary_tags = {e: "o" for e in range(4)}
+        m.boundary_tags = {"o": np.arange(4)}
         g = fm.build_geometry(m)
         with pytest.raises(fvmod.FvError):
             fvmod.FvOperators(m, g, 2)
@@ -223,7 +225,45 @@ def oracle_divergence_update(ops, fhat):
     return out / ops.geom.area
 
 
+def edge_table_incidence(mesh):
+    """The signed cell-edge incidence from the edge table alone: +1 at each
+    edge's left cell, -1 at its right one."""
+    L, R = mesh.edge_cells.T
+    inte = np.flatnonzero(R >= 0)
+    rows = np.concatenate([L, R[inte]])
+    cols = np.concatenate([np.arange(mesh.n_edges), inte])
+    sgn = np.concatenate([np.ones(mesh.n_edges), -np.ones(len(inte))])
+    return sp.coo_matrix((sgn, (rows, cols)), shape=(mesh.n_cells, mesh.n_edges)).tocsr()
+
+
+INCIDENCE_MESHES = {
+    "box": lambda: fm.generate_voronoi((0, 1, 0, 1), 60, lloyd_iters=4, seed=7),
+    "torus": lambda: fm.generate_voronoi((0, 1, 0, 1), 60, lloyd_iters=4, seed=7,
+                                         periodic=(True, True)),
+    "one_axis": lambda: fm.generate_voronoi((0, 2, 0, 1), 60, lloyd_iters=4, seed=7,
+                                            periodic=(False, True)),
+    "rect_torus": lambda: fm.generate_rect((0, 1, 0, 1), 3, 3, periodic=(True, True)),
+    # the benchmark's meshes
+    **{f"wave_{s}": lambda s=s: cases.get_case("swe_smooth_wave", seed=s, h=0.12).make_mesh()
+       for s in (3000, 3001)},
+    **{f"tgv_{s}": lambda s=s: cases.get_case("ins_tgv", seed=s, h=0.45).make_mesh()
+       for s in (3000, 3001)},
+}
+
+
 class TestEdgeSum:
+    @pytest.mark.parametrize("name", sorted(INCIDENCE_MESHES))
+    def test_incidence_equals_the_edge_table_build(self, name):
+        m = INCIDENCE_MESHES[name]()
+        loop_edges, loop_signs = m.loop_edges.copy(), m.loop_signs.copy()
+        got = fvmod.FvOperators(m, fm.build_geometry(m), 1)._edge_incidence
+        want = edge_table_incidence(m)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+        # the sorted incidence leaves the mesh's loop order alone
+        assert np.array_equal(m.loop_edges, loop_edges)
+        assert np.array_equal(m.loop_signs, loop_signs)
+
     @pytest.mark.parametrize("k, periodic", [(1, (True, True)), (2, (False, False)),
                                              (3, (True, False))])
     def test_equals_the_per_edge_scatter(self, k, periodic):

@@ -17,7 +17,8 @@ MESHES = Path(__file__).parent / "meshes"
 def unit_square():
     m = fm.PolyMesh.from_loops(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
                                [np.array([0, 1, 2, 3])])
-    m.boundary_tags = {0: "ymin", 1: "xmax", 2: "ymax", 3: "xmin"}
+    m.boundary_tags = {"xmax": np.array([1]), "xmin": np.array([3]),
+                       "ymax": np.array([2]), "ymin": np.array([0])}
     return m
 
 
@@ -372,8 +373,8 @@ def spurious_side_vertices(m, box) -> list:
     cell: points that split a side without a neighbouring cell's edge there."""
     xlo, xhi, ylo, yhi = box
     cells = {}
-    for e, tag in m.boundary_tags.items():
-        for v in m.edges[e] if tag != "hole" else ():
+    for e in m.tagged_edges(m.boundary_tags.keys() - {"hole"}):
+        for v in m.edges[e]:
             cells.setdefault(int(v), []).append(int(m.edge_cells[e, 0]))
     return [v for v, c in cells.items() if len(c) == 2 and c[0] == c[1]
             and not (m.vertices[v, 0] in (xlo, xhi) and m.vertices[v, 1] in (ylo, yhi))]
@@ -447,14 +448,13 @@ class TestVoronoi:
         m = fm.generate_voronoi((0, 2, 0, 1), 30, lloyd_iters=6, seed=8, periodic=(False, True))
         g = fm.build_geometry(m)
         assert np.sum(g.area) == pytest.approx(2.0, rel=1e-12)
-        tags = set(m.boundary_tags.values())
-        assert tags == {"xmin", "xmax"}
+        assert set(m.boundary_tags) == {"xmin", "xmax"}
 
     def test_hole_mesh(self):
         m = fm.generate_voronoi((-4, 4, -4, 4), 300, lloyd_iters=10, seed=12,
                                 hole_center=(0.0, 0.0), hole_radius=1.0)
         g = fm.build_geometry(m)
-        assert "hole" in set(m.boundary_tags.values())
+        assert "hole" in m.boundary_tags
         # the hole's polygon of tangents slightly circumscribes the unit disc
         assert 64.0 - 1.1 * np.pi < np.sum(g.area) < 64.0 - 0.95 * np.pi
 
@@ -472,7 +472,7 @@ class TestVoronoi:
                 assert str(exc).startswith(f"the hole (radius {r:g} at (0.5, 0.5))"), seed
                 continue
             m.validate()
-            assert "hole" in m.boundary_tags.values(), seed
+            assert "hole" in m.boundary_tags, seed
 
     @pytest.mark.parametrize("name, seed", [("swe_cylinder", 5), ("ins_cylinder", 0)])
     def test_cylinder_hole_edges_lie_near_the_circle(self, name, seed):
@@ -481,8 +481,7 @@ class TestVoronoi:
         m = cases.get_case(name, seed=seed, n_cells=400).make_mesh()
         mid = m.edge_coords.mean(axis=1)
         near = (np.abs(np.hypot(mid[:, 0], mid[:, 1]) - 1.0) < 0.3) & (m.edge_cells[:, 1] < 0)
-        assert sorted(e for e, tag in m.boundary_tags.items() if tag == "hole") == \
-            np.flatnonzero(near).tolist()
+        assert m.boundary_tags["hole"].tolist() == np.flatnonzero(near).tolist()
 
     @pytest.mark.parametrize("radius, covers", [(0.82, True), (0.68, True), (0.6, False)])
     def test_hole_that_covers_the_box_raises(self, radius, covers):
@@ -682,10 +681,10 @@ class TestVoronoi:
         for seed in range(40):
             m = fm.generate_voronoi((0, 1, 0, 1), 40, lloyd_iters=5, seed=seed)
             assert not spurious_side_vertices(m, (0, 1, 0, 1)), seed
-            for e, tag in m.boundary_tags.items():
+            for tag, edges in m.boundary_tags.items():
                 axis, value = sides[tag]
-                assert np.all(m.vertices[m.edges[e], axis] == value), seed
-                assert np.all(m.edge_coords[e][:, axis] == value), seed
+                assert np.all(m.vertices[m.edges[edges], axis] == value), seed
+                assert np.all(m.edge_coords[edges][..., axis] == value), seed
 
     @pytest.mark.parametrize("make", [
         *(lambda s=s: cases.get_case("ins_cylinder", seed=s, n_cells=400).make_mesh()
@@ -727,7 +726,7 @@ class TestRect:
         m = fm.generate_rect((0, 1, 0, 1), 5, 4, periodic=(False, True))
         g = fm.build_geometry(m)
         assert np.sum(g.area) == pytest.approx(1.0, rel=1e-13)
-        assert set(m.boundary_tags.values()) == {"xmin", "xmax"}
+        assert set(m.boundary_tags) == {"xmin", "xmax"}
 
 
     def test_rect_torus_two_by_two(self):
@@ -757,8 +756,10 @@ class TestRect:
         # seam: two boundary edges, not one edge shared by the two cells
         m = fm.generate_rect((0, 1, 0, 1), 1, 2, periodic=(False, True))
         assert m.n_vertices == 4 and m.n_edges == 6
-        assert sorted(m.boundary_tags.values()) == ["xmax", "xmax", "xmin", "xmin"]
-        assert np.all(m.edge_cells[[e for e in range(6) if e not in m.boundary_tags], 1] >= 0)
+        assert {tag: len(edges) for tag, edges in m.boundary_tags.items()} == {"xmax": 2,
+                                                                             "xmin": 2}
+        untagged = np.setdiff1d(np.arange(6), m.tagged_edges(m.boundary_tags))
+        assert np.all(m.edge_cells[untagged, 1] >= 0)
 
 
 def oracle_edge_tables(vertices, cells) -> dict:
@@ -848,6 +849,39 @@ class TestEdgeTables:
             fm.PolyMesh.from_loops(vertices, cells)
 
 
+def assert_tag_partition(m):
+    """The tags are sorted, each one's edges ascending int64, and the edge
+    arrays are disjoint with the boundary edges as their union."""
+    assert list(m.boundary_tags) == sorted(m.boundary_tags)
+    for edges in m.boundary_tags.values():
+        assert edges.dtype == np.int64 and len(edges) and np.all(np.diff(edges) > 0)
+    tagged = np.concatenate([np.zeros(0, np.int64), *m.boundary_tags.values()])
+    assert len(np.unique(tagged)) == len(tagged)
+    assert np.array_equal(np.sort(tagged), np.flatnonzero(m.edge_cells[:, 1] < 0))
+
+
+PARTITION_MESHES = {
+    **{name: lambda kwargs=kwargs: fm.generate_voronoi(**kwargs)
+       for name, (kwargs, *_) in GOLDEN_MESHES.items()},
+    "rect": lambda: fm.generate_rect((0, 1, 0, 1), 4, 3),
+    "rect_one_axis": lambda: fm.generate_rect((0, 1, 0, 1), 1, 2, periodic=(False, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_MESHES))
+def test_boundary_tags_partition_the_boundary(name, tmp_path):
+    m = PARTITION_MESHES[name]()
+    assert_tag_partition(m)
+    if not any(m.periodic):
+        path = tmp_path / "mesh.msh"
+        fm.write_mesh(m, str(path))
+        m2 = fm.read_mesh(str(path))
+        assert_tag_partition(m2)
+        assert list(m2.boundary_tags) == list(m.boundary_tags)
+        for tag, edges in m.boundary_tags.items():
+            assert np.array_equal(m2.boundary_tags[tag], edges)
+
+
 class TestMeshIO:
     def test_round_trip_single_cell(self, tmp_path):
         m = unit_square()
@@ -857,7 +891,9 @@ class TestMeshIO:
         assert np.array_equal(m.vertices, m2.vertices)
         assert np.array_equal(m.cell_ptr, m2.cell_ptr)
         assert np.array_equal(m.loop_vertices, m2.loop_vertices)
-        assert m2.boundary_tags == m.boundary_tags
+        assert list(m2.boundary_tags) == list(m.boundary_tags)
+        for tag, edges in m.boundary_tags.items():
+            assert np.array_equal(m2.boundary_tags[tag], edges)
 
     def test_bad_vertex_index(self, tmp_path):
         path = tmp_path / "bad.msh"
@@ -891,6 +927,17 @@ class TestMeshIO:
         with pytest.raises(fm.MeshError, match="interior edge 1 carries a boundary tag"):
             fm.read_mesh(str(path))
 
+    @pytest.mark.parametrize("tags, message", [
+        ({"a": [0, 1], "b": [1, 2, 3]}, "edge 1 carries 2 boundary tags"),
+        ({"a": [0, 1, 2, 3], "b": [3]}, "edge 3 carries 2 boundary tags"),
+        ({"a": [0, 1, 3]}, "boundary edge 2 carries no tag"),
+    ])
+    def test_validate_checks_the_tag_partition(self, tags, message):
+        m = unit_square()
+        m.boundary_tags = {tag: np.array(edges) for tag, edges in tags.items()}
+        with pytest.raises(fm.MeshError, match=f"^{message}$"):
+            m.validate()
+
     def test_bow_tie_rejected(self, tmp_path):
         # the loop crosses itself at (2, 2); its lobes' signed areas, 4 and
         # -1, sum to a positive 3
@@ -909,8 +956,11 @@ class TestMeshIO:
         ("3 1\n0 0\n1 0\n0 1\n3 0 1 2\nthree\n", 6, "tag count 'three' is not an integer"),
         ("3 1\n0 0\n1 0\n0 1\n3 0 1 2\n5\n0 1 s\n1 2 s\n", 8,
          "5 boundary tags announced, 2 lines left"),
+        # a second tag line for one edge, which would otherwise overwrite the first
+        ("3 1\n0 0\n1 0\n0 1\n3 0 1 2\n4\n0 1 s\n1 2 s\n2 0 s\n1 0 w\n", 10,
+         "edge 1-0 is already tagged on line 7"),
     ], ids=["vertex_token", "cell_count_token", "cell_vertex_token", "tag_vertex_token",
-            "tag_count_token", "tag_count_past_the_end"])
+            "tag_count_token", "tag_count_past_the_end", "edge_tagged_twice"])
     def test_malformed_input_names_path_and_line(self, tmp_path, text, line, what):
         path = tmp_path / "bad.msh"
         path.write_text(text)

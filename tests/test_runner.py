@@ -127,7 +127,7 @@ def test_vtk_round_trip(tmp_path):
     data = read_vtk_cell_data(tmp_path / "run_ins_tgv.vtk")
     assert sorted(data) == ["p", "u", "v"]
     for name, written in (("u", res.state.Q[0]), ("v", res.state.Q[1]),
-                          ("p", res.state.aux["p_coeffs"][:, 0])):
+                          ("p", res.disc.vem_to_fv(res.state.aux["p_dofs"])[:, 0])):
         assert np.array_equal(data[name], written), name
 
 

@@ -13,7 +13,7 @@ from fvvem.models import Discretization, DryStateError
 def single_cell_mesh(pts):
     n = len(pts)
     m = fm.PolyMesh.from_loops(np.asarray(pts, float), [np.arange(n)])
-    m.boundary_tags = {e: "outer" for e in range(n)}
+    m.boundary_tags = {"outer": np.arange(n)}
     return m
 
 
@@ -62,10 +62,11 @@ def oracle_cell_dofs(m, layout) -> list:
     out = []
     for ci in range(m.n_cells):
         loop = fm.ragged_rows(m.cell_ptr, m.loop_vertices, ci)
-        ids = list(layout.vertex_dof[loop])
+        ids = list(loop)
         for e, s in zip(fm.ragged_rows(m.cell_ptr, m.loop_edges, ci),
                         fm.ragged_rows(m.cell_ptr, m.loop_signs, ci)):
-            ids += list(layout.edge_dofs[e] if s > 0 else layout.edge_dofs[e][::-1])
+            inner = layout.edge_trace_dofs[e, 1:-1]
+            ids += list(inner if s > 0 else inner[::-1])
         ids += list(layout.moment_base + ci * nkm2 + np.arange(nkm2))
         out.append(np.array(ids, dtype=np.int64))
     return out
@@ -87,6 +88,30 @@ class TestDofLayout:
         moments = layout.dof_coords[layout.moment_base:]
         assert np.array_equal(moments, np.repeat(g.barycenter, vem.n_poly(k - 2), axis=0))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("periodic", [(False, False), (True, True)])
+    def test_edge_trace_dofs_equal_the_per_edge_oracle(self, k, periodic):
+        # edge e: its first vertex, its k - 1 interior dofs in order, its
+        # second vertex; each cell side reads them in its loop direction
+        m = fm.generate_voronoi((0, 1, 0, 1), 30, lloyd_iters=3, seed=5, periodic=periodic)
+        g = fm.build_geometry(m)
+        layout = vem.build_dof_layout(m, g, k)
+        nv = m.n_vertices
+        oracle = [[a, *(nv + e * (k - 1) + np.arange(k - 1)), b]
+                  for e, (a, b) in enumerate(m.edges)]
+        assert layout.edge_trace_dofs.dtype == np.int64
+        assert np.array_equal(layout.edge_trace_dofs, np.array(oracle).reshape(-1, k + 1))
+        for ci in range(m.n_cells):
+            dofs = layout.cell_dofs(ci)
+            n = m.cell_sizes[ci]
+            sides = zip(fm.ragged_rows(m.cell_ptr, m.loop_edges, ci),
+                        fm.ragged_rows(m.cell_ptr, m.loop_signs, ci))
+            for a, (e, s) in enumerate(sides):
+                side = [dofs[a], *dofs[n + a * (k - 1):n + (a + 1) * (k - 1)],
+                        dofs[(a + 1) % n]]
+                row = layout.edge_trace_dofs[e]
+                assert np.array_equal(side, row if s > 0 else row[::-1])
+
     def test_square_k1(self):
         m = unit_square_mesh()
         g = fm.build_geometry(m)
@@ -104,8 +129,7 @@ class TestDofLayout:
         verts = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], float)
         cells = [np.array([0, 1, 4, 5]), np.array([1, 2, 3, 4])]
         m = fm.PolyMesh.from_loops(verts, cells)
-        m.boundary_tags = {e: "outer" for e in range(m.n_edges)
-                           if m.edge_cells[e, 1] < 0}
+        m.boundary_tags = {"outer": np.flatnonzero(m.edge_cells[:, 1] < 0)}
         g = fm.build_geometry(m)
         layout = vem.build_dof_layout(m, g, 2)
         assert layout.n_dofs == 15
@@ -129,8 +153,7 @@ class TestDofLayout:
         verts = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], float)
         cells = [np.array([0, 1, 4, 5]), np.array([1, 2, 3, 4])]
         m = fm.PolyMesh.from_loops(verts, cells)
-        m.boundary_tags = {e: "outer" for e in range(m.n_edges)
-                           if m.edge_cells[e, 1] < 0}
+        m.boundary_tags = {"outer": np.flatnonzero(m.edge_cells[:, 1] < 0)}
         g = fm.build_geometry(m)
         layout = vem.build_dof_layout(m, g, 3)
         e0, e1 = cell_element(m, g, 0, 3), cell_element(m, g, 1, 3)
@@ -355,8 +378,7 @@ class TestGlobalAssembly:
         pattern = dof_pattern(layout, groups)
         A = vem.scatter_matrix(pattern, mats)
         b = scatter_loads(m, g, k, layout, rhs_f)
-        fixed = DirichletSet(pattern, vem.dirichlet_dofs(m, layout,
-                                                         set(m.boundary_tags.values())))
+        fixed = DirichletSet(pattern, vem.dirichlet_dofs(m, layout, set(m.boundary_tags)))
         b = fixed.rhs(A, b, exact(layout.dof_coords[fixed.dofs]))
         x, rep = pcg(apply_dirichlet(A, fixed), b, tol=1e-15, maxiter=8000)
         return x, layout
@@ -395,8 +417,7 @@ class TestGlobalAssembly:
         verts = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], float)
         cells = [np.array([0, 1, 4, 5]), np.array([1, 2, 3, 4])]
         m = fm.PolyMesh.from_loops(verts, cells)
-        m.boundary_tags = {e: "outer" for e in range(m.n_edges)
-                           if m.edge_cells[e, 1] < 0}
+        m.boundary_tags = {"outer": np.flatnonzero(m.edge_cells[:, 1] < 0)}
         g = fm.build_geometry(m)
         layout = vem.build_dof_layout(m, g, 1)
         e0 = cell_element(m, g, 0, 1)

@@ -54,7 +54,7 @@ class TaylorBasis:
     beta_1 = 1; for l >= 2, beta_l = m_l - mean(m_l), so the cell average of
     any expansion equals its first coefficient.  The means (`corrections`)
     of each vertex-count group come from one monomial evaluation on the
-    stacked fan rules of its cells.
+    stacked degree-k fan rules of its cells, which are exact for them.
     """
 
     def __init__(self, mesh: PolyMesh, geom: GeometryCache, k: int):
@@ -64,7 +64,7 @@ class TaylorBasis:
         self.geom = geom
         self.corrections = np.zeros((mesh.n_cells, self.nk))
         for idx in mesh.vertex_count_groups:
-            rule = polygon_quadrature(mesh.cell_coords(idx), geom.barycenter[idx], max(2 * k, 2))
+            rule = polygon_quadrature(mesh.cell_coords(idx), geom.barycenter[idx], k)
             vals = self.cell_basis(idx).values(rule.nodes)
             means = (rule.weights[:, None, :] @ vals)[:, 0] / geom.area[idx, None]
             self.corrections[idx, 1:] = means[:, 1:]

@@ -2,13 +2,14 @@
 
 Each case is a dataclass that declares data.  Its class attributes are its
 `name` (which registers it), `model` ("swe" or "ins", from `SweCase` or
-`InsCase`), the `box` and `periodic` axes that `CaseBase.make_mesh` meshes
-to the target size `h` (cases with another mesh override `make_mesh`), and
-the `error_variables` its report measures.  Its dataclass fields are the
-numeric parameters with their defaults, each of which can be overridden per
-run (e.g. H0, reynolds, delta).  Its methods give the exact or initial
-solution, the boundary conditions (`bcs`), the bathymetry, the body force
-and the exact pressure.  Cases are looked up by name through `get_case`.
+`InsCase`), the `box`, `periodic` axes, `lloyd_iters`, optional `hole` and
+`density` method of the Voronoi mesh that `CaseBase.make_mesh` generates
+(`ins_stokes1` overrides it) and the `error_variables` its report measures.
+Its dataclass fields are the numeric parameters with their defaults, each
+of which can be overridden per run (e.g. h, H0, reynolds).  Its methods give
+the exact or initial solution, the boundary conditions (`bcs`), the
+bathymetry, the body force and the exact pressure.  Cases are looked up by
+name through `get_case`.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ _TAKES = {"int": lambda v: isinstance(v, Integral) and not isinstance(v, bool),
           "float": lambda v: isinstance(v, Real) and not isinstance(v, bool),
           "str": lambda v: isinstance(v, str)}
 
-# the values the shared parameters admit, beyond their type: the orders of
-# the VEM space and at least the 4 seeds of the smallest Voronoi mesh; None
-# (the default mesh size, the CFL-limited dt) is always admitted
-_BOUNDS = {**dict.fromkeys(("t_end", "h", "dt"), (lambda v: v > 0.0, "must be positive")),
-           "cfl": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-           "seed": (lambda v: v >= 0, "must be nonnegative"),
-           "k": (lambda v: 1 <= v <= MAX_ORDER, f"must lie in 1..{MAX_ORDER}"),
-           "n_cells": (lambda v: v >= 4, "must be at least 4")}
+# the rules, checked in turn, that the shared parameters' values pass beyond
+# their type (the VEM orders, at least the 4 seeds of the smallest Voronoi
+# mesh); None (the default mesh size, the CFL-limited dt) always passes
+_BOUNDS = {**dict.fromkeys(("t_end", "h", "dt"), ((lambda v: v > 0.0, "must be positive"),
+                                                  (np.isfinite, "must be finite"))),
+           "cfl": ((lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),),
+           "seed": ((lambda v: v >= 0, "must be nonnegative"),),
+           "k": ((lambda v: 1 <= v <= MAX_ORDER, f"must lie in 1..{MAX_ORDER}"),),
+           "n_cells": ((lambda v: v >= 4, "must be at least 4"),)}
 
 
 def get_case(name: str, **params):
@@ -67,10 +69,11 @@ def get_case(name: str, **params):
             raise ValueError(f"case '{name}': parameter '{key}' of type {f.type} cannot take "
                              f"{value!r}")
     case = cls(**params)
-    for key, (admits, bound) in _BOUNDS.items():
+    for key, rules in _BOUNDS.items():
         value = getattr(case, key)
-        if value is not None and not admits(value):
-            raise ValueError(f"case '{name}': parameter '{key}' {bound}, not {value!r}")
+        for admits, bound in rules if value is not None else ():
+            if not admits(value):
+                raise ValueError(f"case '{name}': parameter '{key}' {bound}, not {value!r}")
     return case
 
 
@@ -78,25 +81,12 @@ def case_names():
     return sorted(_REGISTRY)
 
 
-def mesh_for_target_h(box, h_target, seed, periodic=(False, False)):
-    """A Voronoi mesh of 1.55 area / h_target^2 seeds, regenerated once at the
-    count its max h predicts.  Max h is near h_target, not matched to it: 6 %
-    below to 12 % above it on 16 seeds of the benchmark's two mesh sizes."""
-    area = (box[1] - box[0]) * (box[3] - box[2])
-    n = max(8, int(round(1.55 * area / h_target ** 2)))
-    mesh = generate_voronoi(box, n, lloyd_iters=10, seed=seed, periodic=periodic)
-    h = build_geometry(mesh).h.max()
-    n2 = max(8, int(round(n * (h / h_target) ** 2)))
-    if abs(n2 - n) > max(2, 0.02 * n):
-        mesh = generate_voronoi(box, n2, lloyd_iters=10, seed=seed, periodic=periodic)
-    return mesh
-
-
 @dataclass
 class CaseBase:
     """The fields and hooks every case shares.  A subclass that defines a
     `name` is registered under it, and its `mesh_param` is the mesh size it
-    gives a default: "h", "n_cells" or None (a fixed mesh)."""
+    gives a default: "h", "n_cells" or None (a fixed mesh).  The rest of its
+    mesh is class data, not fields: a run sets only the size."""
 
     k: int = 2
     scheme: str = "LSDIRK222"
@@ -110,6 +100,9 @@ class CaseBase:
     mesh_param = None             # the mesh size make_mesh reads
     box = None                    # (x0, x1, y0, y1) that make_mesh meshes
     periodic = (False, False)     # the periodic axes of box
+    lloyd_iters = 10              # the Lloyd iterations of make_mesh
+    hole = None                   # ((xc, yc), r): a circular hole in box
+    density = None                # override: density(x, y) grading the seeds
     error_variables = ()          # the fields the error report measures
     exact = None                  # override: exact(p, t) -> state rows
     initial = None                # override: initial(p, t) where it is not exact
@@ -124,7 +117,16 @@ class CaseBase:
                                    if getattr(cls, key) is not None), None)
 
     def make_mesh(self):
-        return mesh_for_target_h(self.box, self.h, self.seed, periodic=self.periodic)
+        """The case's Voronoi mesh of `n_cells` seeds or, for a case that
+        reads `h`, of 1.55 box area / h^2 (at least 8), generated once."""
+        n = self.n_cells
+        if self.mesh_param == "h":
+            x0, x1, y0, y1 = self.box
+            n = max(8, round(1.55 * ((x1 - x0) * (y1 - y0)) / self.h ** 2))
+        center, radius = self.hole or (None, 0.0)
+        return generate_voronoi(self.box, n, lloyd_iters=self.lloyd_iters, seed=self.seed,
+                                periodic=self.periodic, density=self.density,
+                                hole_center=center, hole_radius=radius)
 
     def bcs(self):
         return {}
@@ -189,14 +191,12 @@ class SweWellBalanceCase(SweCase):
     """Lake at rest over a smooth bump; delta perturbs the free surface."""
 
     name = "swe_wellbalance"
+    box = (-2, 1, -0.5, 0.5)
+    periodic = (False, True)
     error_variables = ("eta", "Hu")
     delta: float = 0.0
     t_end: float = 0.1
     n_cells: int = 2000
-
-    def make_mesh(self):
-        return generate_voronoi((-2, 1, -0.5, 0.5), self.n_cells, lloyd_iters=10,
-                                seed=self.seed, periodic=(False, True))
 
     def bump(self, p):
         return 0.5 * np.exp(-5.0 * (p[:, 0] + 0.1) ** 2 - 50.0 * p[:, 1] ** 2)
@@ -324,6 +324,9 @@ class SweCylinderCase(SweCase):
     """Low-Froude potential flow around a cylinder (graded mesh, k=4)."""
 
     name = "swe_cylinder"
+    box = (-16, 16, -16, 16)
+    lloyd_iters = 8
+    hole = ((0.0, 0.0), 1.0)
     error_variables = ("eta", "u")
     eta0: float = 1.0
     vm: float = 1e-2
@@ -332,13 +335,9 @@ class SweCylinderCase(SweCase):
     t_end: float = 10.0
     n_cells: int = 3000
 
-    def make_mesh(self):
-        def density(x, y):
-            r = np.hypot(x, y)
-            return 1.0 / np.clip(0.05 + 0.45 * (r - 1.0) / 15.0, 0.05, 0.5) ** 2
-        return generate_voronoi((-16, 16, -16, 16), self.n_cells,
-                                lloyd_iters=8, seed=self.seed, density=density,
-                                hole_center=(0.0, 0.0), hole_radius=1.0)
+    def density(self, x, y):
+        r = np.hypot(x, y)
+        return 1.0 / np.clip(0.05 + 0.45 * (r - 1.0) / 15.0, 0.05, 0.5) ** 2
 
     def exact(self, p, t):
         x, y = p[:, 0], p[:, 1]
@@ -375,6 +374,8 @@ class InsPoiseuilleCase(InsCase):
     """Stationary channel flow driven by a linear pressure drop."""
 
     name = "ins_poiseuille"
+    box = (0, 3, 0, 1)
+    lloyd_iters = 30
     error_variables = ("u",)
     nu: float = 1e-2
     pL: float = -1.0
@@ -383,9 +384,6 @@ class InsPoiseuilleCase(InsCase):
     t_end: float = 5.0
     n_cells: int = 1900
     seed: int = 6                  # mesh with the mildest CFL constraint
-
-    def make_mesh(self):
-        return generate_voronoi((0, 3, 0, 1), self.n_cells, lloyd_iters=30, seed=self.seed)
 
     def dpdx(self):
         return (self.pR - self.pL) / 3.0
@@ -564,19 +562,18 @@ class InsCylinderCase(InsCase):
     """Laminar flow past a cylinder with vortex shedding (qualitative)."""
 
     name = "ins_cylinder"
+    box = (-10, 40, -7, 7)
+    lloyd_iters = 6
+    hole = ((0.0, 0.0), 1.0)
     nu = property(lambda self: self.inflow * 2.0 / self.reynolds)
     inflow: float = 0.5
     reynolds: float = 100.0
     t_end: float = 50.0
     n_cells: int = 6000
 
-    def make_mesh(self):
-        def density(x, y):
-            r = np.hypot(x, y)
-            return 1.0 / np.clip(0.3 + 0.15 * (r - 1.0), 0.3, 2.0) ** 2
-        return generate_voronoi((-10, 40, -7, 7), self.n_cells,
-                                lloyd_iters=6, seed=self.seed, density=density,
-                                hole_center=(0.0, 0.0), hole_radius=1.0)
+    def density(self, x, y):
+        r = np.hypot(x, y)
+        return 1.0 / np.clip(0.3 + 0.15 * (r - 1.0), 0.3, 2.0) ** 2
 
     def exact(self, p, t):
         return np.stack([np.full(len(p), self.inflow), np.zeros(len(p))])

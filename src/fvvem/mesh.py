@@ -820,10 +820,7 @@ def generate_voronoi(box, n_seeds: int, lloyd_iters: int = 20, seed: int = 0,
             start = np.cumsum(sizes) - sizes
             new = np.array([_weighted_centroid(polys[a:a + n], c, density)
                             for a, n, c in zip(start, sizes, new)])
-        if periodic[0]:
-            new[:, 0] = xlo + np.mod(new[:, 0] - xlo, xhi - xlo)
-        if periodic[1]:
-            new[:, 1] = ylo + np.mod(new[:, 1] - ylo, yhi - ylo)
+        new = _canon(new, box, periodic)
         if hole_center is not None:
             d = new - hole_center
             r = np.hypot(d[:, 0], d[:, 1])

@@ -427,15 +427,19 @@ class SolveStats:
 class _Driver:
     """The skeleton of both steppers: the IMEX step over the driver's
     `stage`, the FV ghost states of the boundary conditions and the explicit
-    FV half of a stage.  `bcs` maps each boundary tag to its
-    BoundaryCondition, and each driver names its flux `model` as a class
-    attribute."""
+    FV half of a stage.  `bcs` maps each boundary tag of the mesh, and no
+    other, to its BoundaryCondition, and each driver names its flux `model`
+    as a class attribute."""
 
     def __init__(self, disc: Discretization, bcs: dict, scheme: str, cfl: float):
         missing = [tag for tag in disc.mesh.boundary_tags if tag not in bcs]
         if missing:
             raise ModelError(f"boundary tag '{missing[0]}' has no boundary condition "
                              f"(conditions given for: {', '.join(sorted(bcs)) or 'none'})")
+        unknown = sorted(set(bcs) - set(disc.mesh.boundary_tags))
+        if unknown:
+            raise ModelError(f"boundary condition on '{unknown[0]}', a tag the mesh lacks "
+                             f"(mesh tags: {', '.join(disc.mesh.boundary_tags) or 'none'})")
         self.disc = disc
         self.bcs = bcs
         self.pair = tableau(scheme)

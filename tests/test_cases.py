@@ -5,9 +5,10 @@ The small meshes cover every mesh path of the generators: box, periodic
 (ins_tgv, ins_double_shear), one-axis periodic (the Riemann problems,
 swe_wellbalance), a hole with density grading (the cylinders) and the
 structured rectangle (ins_stokes1).  The registry holds every case and no
-base class, each case reads the mesh size it always read, and `get_case`
-names a parameter the case does not have, a value of another type or a
-shared parameter out of its bounds."""
+base class, each case reads the mesh size it always read and generates its
+Voronoi mesh with one `generate_voronoi` call, and `get_case` names a
+parameter the case does not have, a value of another type or a shared
+parameter out of its bounds."""
 
 import re
 import time
@@ -15,9 +16,9 @@ import time
 import numpy as np
 import pytest
 
-from fvvem.harness import runner
+from fvvem.harness import cases, runner
 from fvvem.harness.cases import CaseBase, InsCase, SweCase, case_names, get_case
-from fvvem.mesh import build_geometry
+from fvvem.mesh import build_geometry, generate_voronoi
 from fvvem.models import Discretization, DryStateError
 
 # case parameters of the small meshes; ins_tgv and swe_vortex get a later end
@@ -72,6 +73,19 @@ def test_each_case_reads_its_mesh_size():
     assert {name: get_case(name).mesh_param for name in case_names()} == MESH_PARAM
 
 
+@pytest.mark.parametrize("name", [name for name in sorted(SMALL) if MESH_PARAM[name]])
+def test_each_generated_mesh_takes_one_generate_voronoi_call(monkeypatch, name):
+    seeds = []
+
+    def counted(box, n_seeds, **kwargs):
+        seeds.append(n_seeds)
+        return generate_voronoi(box, n_seeds, **kwargs)
+
+    monkeypatch.setattr(cases, "generate_voronoi", counted)
+    mesh = get_case(name, seed=0, **SMALL[name]).make_mesh()
+    assert len(seeds) == 1 and mesh.n_cells == seeds[0]
+
+
 def test_a_parameter_the_case_does_not_have_raises():
     for name in ("ins_cavity", "swe_vortex", "swe_cylinder"):
         with pytest.raises(ValueError, match=f"case '{name}' has no parameter 'mass_update'"):
@@ -115,6 +129,9 @@ def test_values_of_the_declared_type_pass():
     ("swe_vortex", "cfl", 0.0, "must lie in (0, 1]"),
     ("ins_poiseuille", "seed", -1, "must be nonnegative"),
     ("swe_vortex", "t_end", float("nan"), "must be positive"),
+    ("ins_poiseuille", "t_end", float("inf"), "must be finite"),
+    ("ins_tgv", "h", float("inf"), "must be finite"),
+    ("ins_poiseuille", "dt", float("inf"), "must be finite"),
     ("ins_tgv", "k", 0, "must lie in 1..4"),
     ("swe_vortex", "k", 5, "must lie in 1..4"),
     ("ins_poiseuille", "n_cells", 3, "must be at least 4"),

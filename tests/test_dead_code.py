@@ -17,9 +17,11 @@ every function of its callee's name (a class call: of the class's
 `__init__`) by keyword, by position or through `*`/`**`.  An attribute is
 stored by an assignment to `x.attr` or as an annotated class field, and read
 as a loaded attribute, a loaded name or a string.  An imported name
-counts as used when its module names it or lists it in `__all__`;
-`from __future__` imports are exempt.  The sources are read with the
-standard library's `ast`; no linter is needed.
+counts as used when its module names it or lists it in `__all__`, or when a
+row of the benchmark's `LAYERS` (perfbench/layers.py) rebinds it on that
+module, whose spans then read it there; `from __future__` imports are
+exempt.  The sources are read with the standard library's `ast`; no linter
+is needed.
 """
 
 import ast
@@ -340,8 +342,9 @@ def test_unset_parameter_rule():
     assert unset == [("f", "c"), ("m", "a")]
 
 
-def unused_imports(module: ast.Module) -> list:
-    """(line, name) of each name the module imports and never uses."""
+def unused_imports(module: ast.Module, rebound=frozenset()) -> list:
+    """(line, name) of each name the module imports and never uses; a name
+    in `rebound`, which the benchmark rebinds on the module, is used."""
     imported, used = [], set()
     for node in ast.walk(module):
         if isinstance(node, ast.Import):
@@ -353,16 +356,49 @@ def unused_imports(module: ast.Module) -> list:
         elif (isinstance(node, ast.Assign)
               and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used.update(ast.literal_eval(node.value))
-    return [(line, name) for line, name in imported if name not in used]
+    return [(line, name) for line, name in imported if name not in used | rebound]
+
+
+def rebound_names(layers: ast.Module) -> dict:
+    """Owner (a dotted chain such as `fvvem.harness.cases`) -> the names
+    that the rows (span, owner, attribute) of a benchmark's `LAYERS` rebind
+    on it."""
+    out = {}
+    for node in ast.walk(layers):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)):
+            for row in node.value.elts:
+                _, owner, attr = row.elts
+                out.setdefault(ast.unparse(owner), set()).add(attr.value)
+    return out
 
 
 def test_every_import_is_used():
+    rebound = rebound_names(parsed(TREES)[ROOT / "perfbench" / "layers.py"])
     unused = []
     for path in sorted((ROOT / "src" / "fvvem").rglob("*.py")):
         module = ast.parse(path.read_text(), filename=str(path))
         rel = path.relative_to(ROOT).as_posix()
-        unused += [f"{rel}:{line} {name}" for line, name in unused_imports(module)]
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        owner = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        unused += [f"{rel}:{line} {name}"
+                   for line, name in unused_imports(module, rebound.get(owner, set()))]
     assert not unused, "imported names that nothing uses:\n" + "\n".join(unused)
+
+
+def test_a_name_the_benchmark_rebinds_is_used():
+    layers = ast.parse("import fvvem.m\n"
+                       "LAYERS = (\n"
+                       "    ('mesh.spanned', fvvem.m, 'spanned'),\n"
+                       "    ('fv.setup', fvvem.m.C, '__init__'),\n"
+                       ")\n"
+                       "OTHER = (('x.y', fvvem.m, 'unused'),)\n")
+    rebound = rebound_names(layers)
+    assert rebound == {"fvvem.m": {"spanned"}, "fvvem.m.C": {"__init__"}}
+    module = ast.parse("from .mesh import called, spanned, unused\n"
+                       "called()\n")
+    assert [name for _, name in unused_imports(module)] == ["spanned", "unused"]
+    assert [name for _, name in unused_imports(module, rebound["fvvem.m"])] == ["unused"]
 
 
 def stored_attributes(module: ast.Module) -> list:

@@ -258,23 +258,24 @@ def test_mesh_size_the_case_does_not_read_exits_1(monkeypatch, capsys, case, fla
 
 @pytest.mark.parametrize("name", [n for n in case_names() if get_case(n).mesh_param])
 def test_each_case_reads_the_mesh_size_it_names(monkeypatch, name):
-    # the generators record the size they are asked for instead of meshing
+    # the generator records the seed count it is asked for instead of meshing
     asked = []
 
     class Asked(Exception):
         pass
 
-    def record(box, size, *args, **kwargs):
-        asked.append(size)
+    def record(box, n_seeds, **kwargs):
+        asked.append(n_seeds)
         raise Asked
 
-    for fn in ("mesh_for_target_h", "generate_voronoi"):
-        monkeypatch.setattr(cases, fn, record)
-    param = get_case(name).mesh_param
-    size = {"h": 0.123, "n_cells": 321}[param]
+    monkeypatch.setattr(cases, "generate_voronoi", record)
+    case = get_case(name)
+    x0, x1, y0, y1 = case.box
+    size, n_seeds = {"h": (0.123, round(1.55 * ((x1 - x0) * (y1 - y0)) / 0.123 ** 2)),
+                     "n_cells": (321, 321)}[case.mesh_param]
     with pytest.raises(Asked):
-        get_case(name, **{param: size}).make_mesh()
-    assert asked == [size]
+        get_case(name, **{case.mesh_param: size}).make_mesh()
+    assert asked == [n_seeds]
 
 
 def test_cli_exits_2_on_a_failed_gate(capsys):
@@ -356,6 +357,8 @@ def test_cli_names_a_mistyped_parameter(monkeypatch, capsys, case, flags, messag
      "case 'ins_poiseuille': parameter 't_end' must be positive, not 0.0"),
     ("ins_poiseuille", ["--tend", "-1", "--mesh", "gen:n=200"],
      "case 'ins_poiseuille': parameter 't_end' must be positive, not -1.0"),
+    ("ins_poiseuille", ["--tend", "inf", "--mesh", "gen:n=200"],
+     "case 'ins_poiseuille': parameter 't_end' must be finite, not inf"),
     ("ins_tgv", ["--mesh", "gen:h=-1"], "case 'ins_tgv': parameter 'h' must be positive, not -1.0"),
     ("ins_tgv", ["--mesh", "gen:h=0"], "case 'ins_tgv': parameter 'h' must be positive, not 0.0"),
     ("ins_poiseuille", ["--dt", "0"],
@@ -375,7 +378,7 @@ def test_cli_names_a_mistyped_parameter(monkeypatch, capsys, case, flags, messag
      "case 'ins_poiseuille': parameter 'n_cells' must be at least 4, not 0"),
     ("swe_cylinder", ["--mesh", "gen:n=-5"],
      "case 'swe_cylinder': parameter 'n_cells' must be at least 4, not -5"),
-], ids=["tend_zero", "tend_negative", "h_negative", "h_zero", "dt_zero", "dt_negative",
+], ids=["tend_zero", "tend_negative", "tend_infinite", "h_negative", "h_zero", "dt_zero", "dt_negative",
         "cfl_above_one", "seed_negative", "order_zero", "order_above_four", "n_three",
         "n_zero", "n_negative"])
 def test_cli_names_a_parameter_out_of_bounds(monkeypatch, capsys, case, flags, message):

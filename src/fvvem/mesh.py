@@ -16,7 +16,8 @@ from seeds reflected across the box sides and radially about a hole, as
 PolyMesher does.  The mirrors alone bound every cell, so no polygon is
 clipped; corners off a side by roundoff are snapped onto it.  Each Lloyd
 iterate reads its Voronoi cells off one Delaunay triangulation (qhull): a
-cell is the loop of circumcentres of its seed's triangles.
+cell is the loop of circumcentres of its seed's triangles.  Polygon
+integrals, the density-weighted Lloyd centroids among them, take one fan rule.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class QuadRule:
 
     nodes: np.ndarray      # (n, 2)
     weights: np.ndarray    # (n,)
-    degree: int
 
 
 _MAX_TRI_DEGREE = 30
@@ -77,6 +77,17 @@ def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, w
 
 
+def _fan_rule(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int):
+    """Nodes (..., nq, 2) and signed weights (..., nq) of the degree-`degree`
+    rule on each triangle (c, a, b) of the points (..., 2)."""
+    ref_pts, ref_w = triangle_rule(degree)
+    e1, e2 = a - c, b - c
+    j = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+    nodes = (c[..., None, :] + ref_pts[:, :1] * e1[..., None, :]
+             + ref_pts[:, 1:] * e2[..., None, :])
+    return nodes, j[..., None] * ref_w
+
+
 def polygon_quadrature(vertices: np.ndarray, barycenter: np.ndarray, degree: int) -> QuadRule:
     """Interior rule on star-shaped polygons via the barycenter fan.
 
@@ -87,20 +98,13 @@ def polygon_quadrature(vertices: np.ndarray, barycenter: np.ndarray, degree: int
     Exact for polynomials up to `degree`; each polygon's weights sum to its
     area.
     """
-    ref_pts, ref_w = triangle_rule(degree)
-    center = np.asarray(barycenter)[..., None, :]
-    e1 = vertices - center
-    e2 = np.roll(vertices, -1, axis=-2) - center
-    j = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
-    flipped = np.any(j <= 0.0, axis=-1)
+    nodes, w = _fan_rule(vertices, np.roll(vertices, -1, axis=-2),
+                         np.asarray(barycenter)[..., None, :], degree)
+    flipped = np.any(w[..., 0] <= 0.0, axis=-1)
     if np.any(flipped):
         where = f" (polygon {np.flatnonzero(flipped)[0]} of the stack)" if flipped.ndim else ""
         raise MeshError(f"cell not star-shaped w.r.t. barycenter (fan triangle flipped){where}")
-    nodes = (center[..., None, :] + ref_pts[:, :1] * e1[..., None, :]
-             + ref_pts[:, 1:] * e2[..., None, :])
-    lead = j.shape[:-1]
-    return QuadRule(nodes.reshape(*lead, -1, 2),
-                    (j[..., None] * ref_w).reshape(*lead, -1), degree)
+    return QuadRule(nodes.reshape(*w.shape[:-2], -1, 2), w.reshape(*w.shape[:-2], -1))
 
 
 def sample_at(func, nodes: np.ndarray) -> np.ndarray:
@@ -144,12 +148,12 @@ def polygon_areas_centroids(pts: np.ndarray, sizes) -> tuple[np.ndarray, np.ndar
     others (Lloyd amplifies roundoff about tenfold).
     """
     sizes = np.asarray(sizes)
-    start = np.cumsum(sizes) - sizes
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
     area = np.empty(len(sizes))
     centroid = np.empty((len(sizes), 2))
     for n in np.unique(sizes):
         idx = np.flatnonzero(sizes == n)
-        p = pts[start[idx, None] + np.arange(n)]
+        p = ragged_rows(ptr, pts, idx)
         x, y = p[..., 0], p[..., 1]
         nxt = (np.arange(n) + 1) % n
         xn, yn = x[:, nxt], y[:, nxt]
@@ -291,12 +295,12 @@ def _self_crossing(pts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Mask of the concatenated loops, points (N, 2) and sizes (NP,), with
     fewer than 3 points or two non-adjacent sides that cross."""
     out = sizes < 3
-    start = np.cumsum(sizes) - sizes
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
     for n in np.unique(sizes[sizes > 3]):
         idx = np.flatnonzero(sizes == n)
         a, b = np.triu_indices(n, 2)
         a, b = a[(b + 1) % n != a], b[(b + 1) % n != a]
-        p = pts[start[idx, None] + np.arange(n)]
+        p = ragged_rows(ptr, pts, idx)
         q = np.roll(p, -1, axis=1)
         pa, qa, pb, qb = p[:, a], q[:, a], p[:, b], q[:, b]
         out[idx] = np.any((_orient(pb, qb, pa) != _orient(pb, qb, qa))
@@ -442,18 +446,19 @@ def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius
     return pts, counts
 
 
-def _weighted_centroid(poly: np.ndarray, centroid: np.ndarray, density) -> np.ndarray:
-    """Density-weighted centroid, by a degree-2 fan rule about `centroid`.
-
-    Edges shorter than 1e-12 of the longest are dropped first: cocircular
-    seeds give one Voronoi vertex as several circumcentres equal only to
-    roundoff, and the fan triangle on the edge between two of them can flip.
-    """
-    d = np.roll(poly, -1, axis=0) - poly
-    length = np.hypot(d[:, 0], d[:, 1])
-    rule = polygon_quadrature(poly[length > 1e-12 * length.max()], centroid, 2)
-    w = rule.weights * np.maximum(density(rule.nodes[:, 0], rule.nodes[:, 1]), 1e-14)
-    return (rule.nodes * w[:, None]).sum(axis=0) / w.sum()
+def _lloyd_centroids(polys, sizes, centres, density) -> np.ndarray:
+    """Density-weighted centroids (NP, 2) of concatenated loops, points (N, 2)
+    and sizes (NP,): a degree-2 fan about each loop's centre, one `density`
+    call (floored at 1e-14) at every node.  The weights are signed, so the fan
+    triangle on a roundoff-length edge (cocircular seeds give one Voronoi
+    vertex as near-copies) adds a roundoff weight."""
+    cell = np.repeat(np.arange(len(sizes)), sizes)
+    nodes, w = _fan_rule(polys, polys[_next_in_loop(sizes)], centres[cell], 2)
+    owner = np.repeat(cell, w.shape[1])
+    x, y = nodes.reshape(-1, 2).T
+    w = w.ravel() * np.maximum(density(x, y), 1e-14)
+    mass, mx, my = (np.bincount(owner, w * f, len(sizes)) for f in (1.0, x, y))
+    return np.column_stack([mx, my]) / mass[:, None]
 
 
 def _canon(p, box, periodic) -> np.ndarray:
@@ -771,9 +776,9 @@ def generate_voronoi(box, n_seeds: int, lloyd_iters: int = 20, seed: int = 0,
     and Lloyd carries such differences on, so other image sets or qhull
     builds move cell centroids by up to about 1e-12.  `density` is an
     optional callable rho(x, y) weighting the Lloyd centroids (graded
-    meshes).  `hole_*` carves a circular obstacle, bounded by the tangents
-    that its radial mirror seeds make.  The mirror seeds alone bound every
-    cell: no polygon is clipped.
+    meshes), sampled once per iterate.  `hole_*` carves a circular obstacle,
+    bounded by the tangents that its radial mirror seeds make.  The mirror
+    seeds alone bound every cell: no polygon is clipped.
     """
     if n_seeds < 4:
         raise MeshError("need at least 4 seeds")
@@ -817,9 +822,7 @@ def generate_voronoi(box, n_seeds: int, lloyd_iters: int = 20, seed: int = 0,
         polys, sizes = _voronoi_polygons(pts, box, periodic, hole_center, hole_radius)
         _, new = polygon_areas_centroids(polys, sizes)
         if density is not None:
-            start = np.cumsum(sizes) - sizes
-            new = np.array([_weighted_centroid(polys[a:a + n], c, density)
-                            for a, n, c in zip(start, sizes, new)])
+            new = _lloyd_centroids(polys, sizes, new, density)
         new = _canon(new, box, periodic)
         if hole_center is not None:
             d = new - hole_center

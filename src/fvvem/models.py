@@ -608,10 +608,7 @@ class SweDriver(_Driver):
 
     def compute_dt(self, state: FlowState) -> float:
         conv = self.max_conv_eig(state)
-        H = state.Q[0] - self.b_coeffs[:, 0]
-        if np.any(H <= 0.0):
-            raise DryStateError("dry cell in dt computation")
-        full = 0.5 * conv + np.sqrt(self.g * H)
+        full = 0.5 * conv + np.sqrt(self.g * (state.Q[0] - self.b_coeffs[:, 0]))
         return compute_dt(self.disc.geom.h, conv, self.cfl, full)
 
 

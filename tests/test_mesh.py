@@ -84,7 +84,7 @@ def edge_gauss_lobatto(va: np.ndarray, vb: np.ndarray, k: int) -> fm.QuadRule:
     t, w = fm.gauss_lobatto_reference(k)
     nodes = va[None, :] + 0.5 * (t[:, None] + 1.0) * (vb - va)[None, :]
     length = float(np.hypot(*(vb - va)))
-    return fm.QuadRule(nodes, 0.5 * length * w, 2 * k - 1)
+    return fm.QuadRule(nodes, 0.5 * length * w)
 
 
 def monomial_integral_greens(vertices: np.ndarray, p: int, q: int) -> float:
@@ -390,6 +390,20 @@ DOMAINS = {
 
 def graded_density(x, y):
     return 1.0 / np.clip(0.05 + 0.45 * (np.hypot(x, y) - 1.0) / 15.0, 0.05, 0.5) ** 2
+
+
+def weighted_centroid(poly: np.ndarray, centroid: np.ndarray, density) -> np.ndarray:
+    """Density-weighted centroid, by a degree-2 fan rule about `centroid`.
+
+    Edges shorter than 1e-12 of the longest are dropped first: cocircular
+    seeds give one Voronoi vertex as several circumcentres equal only to
+    roundoff, and the fan triangle on the edge between two of them can flip.
+    """
+    d = np.roll(poly, -1, axis=0) - poly
+    length = np.hypot(d[:, 0], d[:, 1])
+    rule = fm.polygon_quadrature(poly[length > 1e-12 * length.max()], centroid, 2)
+    w = rule.weights * np.maximum(density(rule.nodes[:, 0], rule.nodes[:, 1]), 1e-14)
+    return (rule.nodes * w[:, None]).sum(axis=0) / w.sum()
 
 
 # name -> (generate_voronoi arguments, edge count of the generator before its
@@ -702,13 +716,30 @@ class TestVoronoi:
         m.validate()
         assert validate_regularity(m, fm.build_geometry(m), 0.05).all_passed
 
-    def test_weighted_centroid_ignores_repeated_vertex(self):
+    def test_lloyd_centroid_ignores_repeated_vertex(self):
+        # the fan triangle on the roundoff-length edge has a roundoff weight
         pts = regular_polygon(6, radius=2.0, center=(1.0, -1.0))
         repeated = np.insert(pts, 2, pts[2] + [1e-17, 0.0], axis=0)
         dens = lambda x, y: 1.0 + x * x
-        c = np.array([1.0, -1.0])
-        assert np.array_equal(fm._weighted_centroid(repeated, c, dens),
-                              fm._weighted_centroid(pts, c, dens))
+        c = np.array([[1.0, -1.0]])
+        assert np.abs(fm._lloyd_centroids(repeated, np.array([7]), c, dens)
+                      - fm._lloyd_centroids(pts, np.array([6]), c, dens)).max() <= 1e-15
+
+    @pytest.mark.parametrize("make", [
+        lambda: fm.generate_voronoi(**GOLDEN_MESHES["density"][0]),
+        lambda: cases.get_case("swe_cylinder", seed=0, n_cells=400).make_mesh(),
+    ], ids=["density_golden", "swe_cylinder_400"])
+    def test_lloyd_centroids_equal_the_per_cell_oracle(self, make):
+        real, calls = fm._lloyd_centroids, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "_lloyd_centroids", lambda *args: calls.append(args) or real(*args))
+            make()
+        polys, sizes, centres, density = calls[0]
+        start = np.cumsum(sizes) - sizes
+        oracle = np.array([weighted_centroid(polys[a:a + n], c, density)
+                           for a, n, c in zip(start, sizes, centres)])
+        size = np.ptp(polys, axis=0).max()
+        assert np.abs(real(polys, sizes, centres, density) - oracle).max() <= 1e-13 * size
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(fm.MeshError):

@@ -228,6 +228,17 @@ class TestSweStage:
         with pytest.raises(DryStateError):
             drv.step(state, 1e-3)
 
+    def test_dt_of_one_dry_cell_raises(self):
+        # every cell is the left cell of an edge, so the convective
+        # eigenvalues see each cell's depth before the celerity does
+        drv, state, g = wb_setup(n=60)
+        drv.compute_dt(state)
+        for c in range(len(g.area)):
+            dry = state.Q.copy()
+            dry[0, c] = drv.b_coeffs[c, 0]
+            with pytest.raises(DryStateError):
+                drv.compute_dt(FlowState(dry, 0.0, {}))
+
 
 class TestEvaluateBathymetry:
     def test_zero_bottom(self):

@@ -35,13 +35,14 @@ take Taylor coefficients only; gradients (`gradient_coeffs`) are the
 h = 1 derivative maps applied to monomial coefficients, over h; and the
 cell mean of a polynomial is its Taylor constant.
 
-Work at the quadrature nodes (the convective polynomial, H grad(eta) and the
-positivity check of K(h)) runs per vertex-count group: the monomial
-coefficients of the fields are stacked cell-major, (g, nk, nfields), and one
-product with the group's node values `qmono` (g, nq, nk) evaluates them all;
-pointwise terms then run on field-major (nfields, g, nq) arrays, and an L2
-projection multiplies by qmono^T and H^-1.  The node temporaries live for
-one group at a time.
+Per-cell work runs per vertex-count group (`_Group`, which holds only what a
+stage reads).  Pi0 polynomials of VEM fields go through `vem_to_fv`, products
+of polynomials (H grad(eta)) through the monomial Gram matrix `Hm`.  Only
+non-polynomial integrands (the convective polynomial) and the positivity
+check of K(h) run at the quadrature nodes: the fields' monomial coefficients
+are stacked cell-major, (g, nk, nfields), one product with the node values
+`qmono` (g, nq, nk) evaluates them all, pointwise terms run field-major
+(nfields, g, nq), and an L2 projection multiplies by qmono^T and H^-1.
 """
 
 from __future__ import annotations
@@ -150,36 +151,30 @@ class FlowState:
 # ---------------------------------------------------------------------------
 
 class _Group:
-    """Cells with equal vertex count, stacked for batched linear algebra.
+    """Cells with equal vertex count, stacked for batched linear algebra:
+    what a stage reads of the group's VEM element `elem`, with the 2k+2
+    quadrature pack and the variable-stiffness tensor `Hc`."""
 
-    Built from the group's stacked VEM element `elem`, its Taylor-to-monomial
-    changes of basis T and its transfer operators Vp/Cp.
-    """
-
-    def __init__(self, elem, T, Vp, Cp, layout, mesh, k):
+    def __init__(self, elem, layout, mesh, k):
         idx = self.idx = elem.cells
         nkm1 = n_poly(k - 1)
         self.dofs = layout.cell_dofs(idx)
         self.area = elem.area
-        self.Vp, self.Cp = Vp, Cp
-        self.CT = elem.C.transpose(0, 2, 1) @ T                   # (g, ndof, nk)
-        self.pis0 = elem.pis_0
         self.pis0x = elem.pis_0x
         self.pis0y = elem.pis_0y
-        self.cp_km1 = elem.C[:, :nkm1]                              # (g, nkm1, ndof)
         self.stab = elem.stab_nabla
-        self.mass = elem.mass
-        self.const_dofs = elem.D[:, :, 0]                           # dofs of the constant 1
         self.basis = elem.basis
         self.Hm = elem.H
         rule = polygon_quadrature(mesh.cell_coords(idx), elem.basis.center, 2 * k + 2)
         self.qnodes = rule.nodes
         self.qw = rule.weights
         self.qmono = elem.basis.values(rule.nodes)                 # (g, nq, nk)
-        # variable stiffness: Hc[a * nkm1 + b, c] = sum_q w_q m_a m_b m_c (a, b < nkm1)
+        # variable stiffness, a block of rows per a: Hc[a * nkm1 + b, c] =
+        # sum_q w_q m_a m_b m_c (a, b < nkm1)
         mk = self.qmono[:, :, :nkm1]
-        wmm = (mk * self.qw[..., None])[:, :, :, None] * mk[:, :, None, :]   # (g, nq, a, b)
-        self.Hc = wmm.reshape(len(idx), -1, nkm1 * nkm1).transpose(0, 2, 1) @ self.qmono
+        wm = mk * self.qw[..., None]
+        self.Hc = np.concatenate([(wm[:, :, a, None] * mk).transpose(0, 2, 1) @ self.qmono
+                                  for a in range(nkm1)], axis=1)
         # monomial moments -> monomial coefficients of the L2 projection
         self.Hinv = np.linalg.inv(self.Hm)
 
@@ -187,8 +182,9 @@ class _Group:
 class Discretization:
     """Mesh + order bundle: VEM elements, FV operators, transfers, tables.
 
-    Everything is built per vertex-count group of cells (`groups`), as stacked
-    arrays: one VEM element build, one transfer build and one _Group each.
+    Everything is built per vertex-count group of cells, as stacked arrays:
+    one VEM element and one transfer build each, gathered into the global
+    operators and then dropped, and one _Group (`groups`) each.
     An order outside 1..4 raises `vem.VemError` before any FV set-up.
     """
 
@@ -204,13 +200,13 @@ class Discretization:
         self.derivative_maps = vemod.derivative_table(k)
         self.layout = vemod.build_dof_layout(mesh, geom, k)
         self.fvops = fvmod.FvOperators(mesh, geom, k)
-        self.groups, stiffness = [], []
+        self.groups, elems, transfers = [], [], []
         for idx in mesh.vertex_count_groups:
-            elem = vemod.build_element(mesh, geom, idx, k)
+            elems.append(vemod.build_element(mesh, geom, idx, k))
             T = trmod.taylor_to_monomial(self.fvops.taylor, idx)
-            Vp, Cp = trmod.build_transfer(elem, T)
-            self.groups.append(_Group(elem, T, Vp, Cp, self.layout, mesh, k))
-            stiffness.append(elem.stiffness)
+            transfers.append(trmod.build_transfer(elems[-1], T))
+            self.groups.append(_Group(elems[-1], self.layout, mesh, k))
+        Vp, Cp, CT = zip(*transfers)
         # every global operator is gathered from the groups' stacked blocks
         # through a vem.AssemblyPattern: the dof pattern (M, K, the divergence
         # load and every implicit operator refilled on it), and the pattern of
@@ -219,29 +215,29 @@ class Discretization:
         dofs = [grp.dofs for grp in self.groups]
         modes = [grp.idx[:, None] * self.nk + np.arange(self.nk) for grp in self.groups]
         self.pattern = vemod.AssemblyPattern(dofs, dofs, (nd, nd))
-        self.M = vemod.scatter_matrix(self.pattern, [grp.mass for grp in self.groups])
-        self.K = vemod.scatter_matrix(self.pattern, stiffness)
+        self.M = vemod.scatter_matrix(self.pattern, [elem.mass for elem in elems])
+        self.K = vemod.scatter_matrix(self.pattern, [elem.stiffness for elem in elems])
         # fv_to_vem: dofs = Vglob @ coeffs.ravel(), where a dof shared by
         # several cells takes the mean of their candidates; the load of
-        # Taylor coefficients against Pi0 phi (CTglob)
+        # Taylor coefficients against Pi0 phi (CTglob), the transfer's moments
         multiplicity = np.bincount(self.layout.dof_ids, minlength=nd)
         to_vem = vemod.AssemblyPattern(dofs, modes, (nd, nck))
         self._Vglob, self._CTglob = (
             vemod.scatter_matrix(to_vem, blocks).to_scipy() for blocks in (
-                [grp.Vp / multiplicity[grp.dofs][:, :, None] for grp in self.groups],
-                [grp.CT for grp in self.groups]))
+                [v / multiplicity[grp.dofs][:, :, None] for v, grp in zip(Vp, self.groups)],
+                CT))
         # vem_to_fv: coeffs.ravel() = Cglob @ dofs
         self._Cglob = vemod.scatter_matrix(vemod.AssemblyPattern(modes, dofs, (nck, nd)),
-                                           [grp.Cp for grp in self.groups]).to_scipy()
+                                           Cp).to_scipy()
         # divergence load: out = DIVglob @ [vx, vy], each half on the dof
         # pattern with blocks (Pi0_{k-1} d phi_j / dx, Pi0 phi_i) (and d / dy)
         DX, DY = (vemod.scatter_matrix(self.pattern, [
-            np.einsum("gai,gaj->gij", grp.cp_km1, getattr(grp, pis)) for grp in self.groups])
-            for pis in ("pis0x", "pis0y"))
+            np.einsum("gai,gaj->gij", elem.C[:, :self.nkm1], getattr(grp, pis))
+            for elem, grp in zip(elems, self.groups)]) for pis in ("pis0x", "pis0y"))
         self._DIVglob = sp.hstack([DX.to_scipy(), DY.to_scipy()]).tocsr()
         self.ones = np.zeros(nd)                    # the dofs of the constant 1
-        for grp in self.groups:
-            self.ones[grp.dofs] = grp.const_dofs
+        for elem, grp in zip(elems, self.groups):
+            self.ones[grp.dofs] = elem.D[:, :, 0]
         self.area_total = float(np.sum(geom.area))
         self._build_edge_trace_tables()
 
@@ -314,10 +310,10 @@ class Discretization:
 
     def to_taylor(self, mono_coeffs: np.ndarray) -> np.ndarray:
         """Taylor coefficients (..., ncell, nk) of per-cell polynomials given
-        by their monomial coefficients, such as `gradient_coeffs` and
-        `pi0_poly` return.  The Taylor function l >= 1 is the monomial l less
-        its cell mean (`TaylorBasis.corrections`), so only the constant
-        changes: c_0 = m_0 + sum_{l >= 1} corrections_l m_l, the cell mean."""
+        by their monomial coefficients, such as `gradient_coeffs` returns.
+        The Taylor function l >= 1 is the monomial l less its cell mean
+        (`TaylorBasis.corrections`), so only the constant changes:
+        c_0 = m_0 + sum_{l >= 1} corrections_l m_l, the cell mean."""
         out = np.array(mono_coeffs, dtype=float)
         out[..., 0] += np.einsum("...cl,cl->...c", out[..., 1:],
                                  self.fvops.taylor.corrections[:, 1:])
@@ -357,8 +353,8 @@ class Discretization:
     def variable_stiffness_global(self, coeff_poly: np.ndarray) -> SparseMatrix:
         """K^{n,h} of a positive VEM coefficient field (e.g. depth), on the
         assembly pattern, from the monomial coefficients c (ncell, nk) of the
-        field's Pi0 projection (`pi0_poly`).  Per cell the Gram matrix of the
-        degree-(k-1) monomials weighted by it is W = Hc . c, and
+        field's Pi0 projection (`to_monomial(vem_to_fv(dofs))`).  Per cell the
+        Gram matrix of the degree-(k-1) monomials weighted by it is W = Hc . c, and
         K_E = Pi0x^T W Pi0x + Pi0y^T W Pi0y + mean(c) S_E."""
         cmean = self.to_taylor(coeff_poly)[:, 0]
         blocks = []
@@ -376,22 +372,13 @@ class Discretization:
     def gradient_depth_weighted(self, grad_coeffs: np.ndarray,
                                 h_poly: np.ndarray) -> np.ndarray:
         """Cell averages of H * grad(eta), from the monomial coefficients of
-        grad(eta) (`gradient_coeffs`) and of H's Pi0 polynomial (`pi0_poly`)."""
-        # cell-major (ncell, nk, 3): H, d eta / dx, d eta / dy
-        fields = np.stack([h_poly, grad_coeffs[0], grad_coeffs[1]], axis=-1)
+        grad(eta) (`gradient_coeffs`) and of H's Pi0 polynomial h: per cell,
+        h^T Hm g / |P| through the monomial Gram matrix."""
         out = np.empty((2, self.mesh.n_cells))
         for grp in self.groups:
-            vals = grp.qmono @ np.take(fields, grp.idx, axis=0)            # (g, nq, 3)
-            wh = (grp.qw * vals[:, :, 0])[:, None, :]
-            out[:, grp.idx] = (wh @ vals[:, :, 1:])[:, 0].T / grp.area
-        return out
-
-    def pi0_poly(self, dofs: np.ndarray) -> np.ndarray:
-        """Monomial coefficients (ncell, nk) of the Pi0 polynomial of a field."""
-        out = np.empty((self.mesh.n_cells, self.nk))
-        for grp in self.groups:
-            out[grp.idx] = np.einsum("gad,gd->ga", grp.pis0, dofs[grp.dofs])
-        return out
+            hH = h_poly[grp.idx][:, None, :] @ grp.Hm                    # (g, 1, nk)
+            out[:, grp.idx] = (hH @ grad_coeffs[:, grp.idx].transpose(1, 2, 0))[:, 0].T
+        return out / self.geom.area
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +509,7 @@ class SweDriver(_Driver):
         coeffs_E, coeffs_I, full_E, Fq = self._explicit(QE, QI, tau, t)
         # depth coefficient as a VEM field from the explicitly extrapolated state
         eta_E_dofs = disc.fv_to_vem(coeffs_E[0])
-        h_poly = disc.pi0_poly(eta_E_dofs - self.b_dofs)
+        h_poly = disc.to_monomial(disc.vem_to_fv(eta_E_dofs - self.b_dofs))
         Kn = disc.variable_stiffness_global(h_poly)
         self._free_surface.refill(disc.M.data + tau * tau * g * Kn.data)
         # rhs: (eta_I - tau * div Fq, Pi0 phi), with Fq as the smooth field

@@ -2,7 +2,7 @@
 
 Built per vertex-count group: for the g cells of a group, V_P is a
 (g, N_dof, n_k) stack and C_P a (g, n_k, N_dof) stack.  The Discretization
-assembles them into the sparse operators that apply the transfers.
+assembles them, and the Taylor load blocks C^T T, into sparse operators.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ def _solve_refined(A: np.ndarray, B: np.ndarray, cells, what: str) -> np.ndarray
     return X
 
 
-def build_transfer(elem: ElementVem, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V_P (g, N_dof, n_k) and C_P (g, n_k, N_dof) of a group, with C_P V_P = I.
+def build_transfer(elem: ElementVem, T: np.ndarray) -> tuple[np.ndarray, ...]:
+    """V_P (g, N_dof, n_k) and C_P (g, n_k, N_dof) of a group, with C_P V_P = I,
+    and V_P's right-hand side C^T T (g, N_dof, n_k), the Taylor load blocks.
 
     V_P maps FV modal (Taylor) coefficients to VEM dofs in the L2 sense; C_P
     maps VEM dofs back to modal coefficients.  `elem` is the group's stacked
@@ -47,4 +48,4 @@ def build_transfer(elem: ElementVem, T: np.ndarray) -> tuple[np.ndarray, np.ndar
     # consistency enforcement: replace C_P by the exact left inverse of V_P on
     # the modal space; the adjustment is O(conditioning roundoff), below the
     # operators' own truncation level
-    return Vp, np.linalg.solve(Cp @ Vp, Cp)
+    return Vp, np.linalg.solve(Cp @ Vp, Cp), moments

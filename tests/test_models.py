@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import erf
 
+from element_blocks import group_blocks
 from fvvem import mesh as fm
 from fvvem import models
 from fvvem import vem
@@ -570,12 +571,12 @@ def dense_scatter(disc, blocks):
     return out
 
 
-def variable_stiffness_oracle(disc, coeff_dofs):
-    """K(h) from the values of h's Pi0 polynomial at the quadrature nodes."""
+def variable_stiffness_oracle(disc, h_poly):
+    """K(h) from the values at the quadrature nodes of the polynomial h
+    (monomial coefficients) that the product takes."""
     blocks = []
     for grp in disc.groups:
-        cpoly = np.einsum("gad,gd->ga", grp.pis0, coeff_dofs[grp.dofs])
-        wH = grp.qw * np.einsum("gqa,ga->gq", grp.qmono, cpoly)
+        wH = grp.qw * np.einsum("gqa,ga->gq", grp.qmono, h_poly[grp.idx])
         mk = grp.qmono[:, :, :disc.nkm1]
         HH = np.einsum("gqa,gq,gqb->gab", mk, wH, mk)
         cbar = wH.sum(axis=1) / grp.area
@@ -631,8 +632,9 @@ class TestFixedPattern:
         drv, state = swe_pattern_setup(k, periodic)
         disc = drv.disc
         h = disc.interpolate_dofs(lambda p: 1.5 + 0.3 * np.sin(3 * p[:, 0]) * p[:, 1])
-        K = disc.variable_stiffness_global(disc.pi0_poly(h))
-        Kref = variable_stiffness_oracle(disc, h)
+        h_poly = disc.to_monomial(disc.vem_to_fv(h))
+        K = disc.variable_stiffness_global(h_poly)
+        Kref = variable_stiffness_oracle(disc, h_poly)
         assert _rel(K.to_scipy().toarray(), Kref) <= 1e-14
         c = 0.37
         system = drv._free_surface
@@ -643,7 +645,7 @@ class TestFixedPattern:
         fixed, vals = tagged_dirichlet_oracle(
             disc, drv.bcs, list(drv.bcs), lambda tag, p, t: state(p, t)[0], 0.25)
         assert np.array_equal(system.fixed, fixed) and (len(fixed) == 0) == periodic
-        Mref = dense_scatter(disc, [grp.mass for grp in disc.groups])
+        Mref = dense_scatter(disc, [elem.mass for _, elem, _, _ in group_blocks(disc)])
         Aref, rhs_ref = dirichlet_oracle(Mref + c * Kref, load, fixed, vals)
         assert _rel(A.to_scipy().toarray(), Aref) <= 1e-14
         assert _rel(rhs, rhs_ref) <= 1e-14
@@ -736,12 +738,12 @@ class TestFixedPattern:
 
 
 class TestNodeEvaluations:
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_gradient_depth_weighted_matches_einsum_oracle(self, k):
         drv, state = swe_pattern_setup(k, periodic=False)
         disc = drv.disc
         coeffs = disc.fvops.reconstruct(drv.initial_state(state).Q)
-        h_poly = disc.pi0_poly(disc.fv_to_vem(coeffs[0]) - drv.b_dofs)
+        h_poly = disc.to_monomial(disc.vem_to_fv(disc.fv_to_vem(coeffs[0]) - drv.b_dofs))
         grad = disc.gradient_coeffs(coeffs[1])
         ref = np.empty((2, disc.mesh.n_cells))
         for grp in disc.groups:

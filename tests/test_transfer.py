@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from element_blocks import group_blocks
 from fvvem import mesh as fm
 from fvvem import vem
 from fvvem.transfer import taylor_to_monomial
@@ -18,8 +19,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_cp_vp_identity(self, k):
         m, g, disc = make_setup(k)
-        for grp in disc.groups:
-            P = grp.Cp @ grp.Vp
+        for _, _, Vp, Cp in group_blocks(disc):
+            P = Cp @ Vp
             assert np.abs(P - np.eye(disc.nk)).max() < 1e-11
 
     def test_constant_round_trip(self):
@@ -40,9 +41,9 @@ class TestRoundTrip:
         # per-cell polynomial with the cell's own scaled-m2 coefficient
         coeffs = np.zeros((m.n_cells, 6))
         coeffs[:, 3] = rng.uniform(0.5, 1.5, m.n_cells)
-        for grp in disc.groups:
+        for grp, _, Vp, Cp in group_blocks(disc):
             c = coeffs[grp.idx, :, None]
-            back = grp.Cp @ (grp.Vp @ c)
+            back = Cp @ (Vp @ c)
             assert np.abs(back - c).max() < 1e-11
 
 
@@ -147,7 +148,8 @@ class TestVemToFv:
         back = disc.vem_to_fv(dofs)
         assert np.abs(back[:, 0] - c).max() < 1e-12
         # the other coefficients are roundoff of C_P applied to the dofs
-        cp_norm = max(np.linalg.norm(grp.Cp, ord=2, axis=(1, 2)).max() for grp in disc.groups)
+        cp_norm = max(np.linalg.norm(Cp, ord=2, axis=(1, 2)).max()
+                      for _, _, _, Cp in group_blocks(disc))
         assert np.abs(back[:, 1:]).max() < 5.5 * np.finfo(float).eps * abs(c) * cp_norm
 
     def test_linear_field_gradient(self):
@@ -184,3 +186,37 @@ class TestVemToFv:
             rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci], 4)
             mean = (rule.weights @ (elem.basis.values(rule.nodes)[0] @ pi0)) / g.area[ci]
             assert back[ci, 0] == pytest.approx(mean, abs=1e-12)
+
+
+# the meshes of the Pi0 check: a box, a torus and a box with a hole
+PI0_MESHES = {
+    "box": ((0, 1, 0, 1), 40, {}),
+    "torus": ((0, 1, 0, 1), 40, {"periodic": (True, True)}),
+    "hole": ((-4, 4, -4, 4), 120, {"hole_center": (0.0, 0.0), "hole_radius": 1.0}),
+}
+# largest difference relative to the largest coefficient over mesh seeds
+# 0-15, both fields and all three meshes: 4.2e-15, 8.4e-14, 5.5e-13 and
+# 2.1e-11 at k = 1..4 (smooth field); each bound is about 5 times that
+PI0_BOUND = {1: 2e-14, 2: 4e-13, 3: 3e-12, 4: 1e-10}
+
+
+class TestPi0Polynomial:
+    @pytest.mark.parametrize("mesh_kind", sorted(PI0_MESHES))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equals_the_element_projector(self, k, mesh_kind):
+        # to_monomial(vem_to_fv(d)) is the Pi0 polynomial of the field:
+        # before its left-inverse fix C_P is T^-1 H^-1 C = T^-1 Pi0*
+        box, n, kw = PI0_MESHES[mesh_kind]
+        m = fm.generate_voronoi(box, n, lloyd_iters=8, seed=3, **kw)
+        disc = Discretization(m, fm.build_geometry(m), k=k)
+        smooth = disc.interpolate_dofs(
+            lambda p: 1.3 + np.sin(1.1 * p[:, 0] + 0.4) * np.cos(0.9 * p[:, 1])
+            + 0.2 * p[:, 0] * p[:, 1])
+        noise = np.random.default_rng(k).standard_normal(disc.layout.n_dofs)
+        blocks = list(group_blocks(disc))
+        for dofs in (smooth, noise):
+            got = disc.to_monomial(disc.vem_to_fv(dofs))
+            ref = np.empty_like(got)
+            for grp, elem, _, _ in blocks:
+                ref[grp.idx] = np.einsum("gad,gd->ga", elem.pis_0, dofs[grp.dofs])
+            assert np.abs(got - ref).max() <= PI0_BOUND[k] * np.abs(ref).max()

@@ -310,10 +310,15 @@ def discretization_load(disc, f):
     return disc.load_from_taylor(disc.project_field(f, degree=2 * disc.k + 2))
 
 
+def pi0_of(disc, dofs):
+    """Monomial coefficients (ncell, nk) of the Pi0 polynomial of a VEM field."""
+    return disc.to_monomial(disc.vem_to_fv(dofs))
+
+
 class TestVariableStiffness:
     def test_unit_coeff_k1_matches_constant(self):
         disc = small_disc(1)
-        K = disc.variable_stiffness_global(disc.pi0_poly(np.ones(disc.layout.n_dofs)))
+        K = disc.variable_stiffness_global(pi0_of(disc, np.ones(disc.layout.n_dofs)))
         K = K.to_scipy().toarray()
         K0 = disc.K.to_scipy().toarray()
         assert np.abs(K - K0).max() < 1e-12 * max(1.0, np.abs(K0).max())
@@ -322,14 +327,14 @@ class TestVariableStiffness:
     def test_constants_in_kernel_any_coeff(self, k):
         disc = small_disc(k, seed=3 + k)
         coeff = disc.interpolate_dofs(lambda p: 2.0 + np.sin(p[:, 0]) * np.cos(p[:, 1]))
-        K = disc.variable_stiffness_global(disc.pi0_poly(coeff))
+        K = disc.variable_stiffness_global(pi0_of(disc, coeff))
         assert np.abs(K.to_scipy() @ disc.ones).max() < 1e-11 * max(1.0, np.abs(K.data).max())
 
     def test_linearity_in_coefficient(self):
         disc = small_disc(1)
         ones = np.ones(disc.layout.n_dofs)
-        K1 = disc.variable_stiffness_global(disc.pi0_poly(ones)).to_scipy().toarray()
-        K3 = disc.variable_stiffness_global(disc.pi0_poly(3.0 * ones)).to_scipy().toarray()
+        K1 = disc.variable_stiffness_global(pi0_of(disc, ones)).to_scipy().toarray()
+        K3 = disc.variable_stiffness_global(pi0_of(disc, 3.0 * ones)).to_scipy().toarray()
         assert np.abs(K3 - 3.0 * K1).max() < 1e-12 * max(1.0, np.abs(K1).max())
 
     def test_dry_cell_error(self):
@@ -337,7 +342,7 @@ class TestVariableStiffness:
         coeff = np.ones(disc.layout.n_dofs)
         coeff[disc.layout.cell_dofs(0)] = -0.1
         with pytest.raises(DryStateError, match="dry"):
-            disc.variable_stiffness_global(disc.pi0_poly(coeff))
+            disc.variable_stiffness_global(pi0_of(disc, coeff))
 
 
 class TestProjectLoad:

@@ -197,6 +197,7 @@ class FvOperators:
         mesh, geom, k = self.mesh, self.geom, self.k
         ng = k + 1
         t, w = roots_legendre(ng)
+        self.edge_gauss_nodes = t                                 # (ng,) on [-1, 1]
         va = mesh.edge_coords[:, 0, :]
         vb = mesh.edge_coords[:, 1, :]
         pts = va[:, None, :] + 0.5 * (t[None, :, None] + 1.0) * (vb - va)[:, None, :]

@@ -166,16 +166,19 @@ class SweVortexCase(SweCase):
     """Steady rotating vortex in a periodic box; exact solution available.
 
     The Froude number is set through the asymptotic depth H0 at fixed g=10.
+    One CFL step of the default mesh passes t_end; dt caps it to 10 steps.
     """
 
     name = "swe_vortex"
     box = (-5, 5, -5, 5)
     periodic = (True, True)
     error_variables = ("eta", "u")
+    dt_caps_cfl = True
     g0: float = 10.0
     H0: float = 1.0
     k: int = 1
     t_end: float = 0.1
+    dt: float = 0.01
     h: float = 0.5
 
     def exact(self, p, t):

@@ -45,8 +45,7 @@ def design_ledger(case, disc, driver, extra=None) -> dict:
         "cweno_stencil_target": f"max({fv.GROWTH}*nk, nk+2)",
         "cweno_central_indicator": "stencil-fit residual (exact polynomial reproduction)",
         "edge_flux_gauss_points": disc.k + 1,
-        "interior_quadrature_degree": 2 * disc.k,
-        "coefficient_quadrature_degree": 2 * disc.k + 2,
+        "cell_quadrature_degree": 2 * disc.k + 2,
         "solver": "preconditioned conjugate gradients, increment form",
         "solver_tol": DEFAULT_TOL,
         "stiffness_stabilization": "dimensionless dof-dof (|P| factor dropped; mass keeps |P|)",

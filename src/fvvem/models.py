@@ -36,8 +36,11 @@ h = 1 derivative maps applied to monomial coefficients, over h; and the
 cell mean of a polynomial is its Taylor constant.
 
 Per-cell work runs per vertex-count group (`_Group`, which holds only what a
-stage reads).  Pi0 polynomials of VEM fields go through `vem_to_fv`, products
-of polynomials (H grad(eta)) through the monomial Gram matrix `Hm`.  Only
+stage reads), with one cell rule (its VEM element's), one edge rule (the FV
+edge Gauss points, which the VEM edge traces take) and one Pi0 solve (the
+element's, which the transfers take).  Pi0 polynomials of VEM fields go
+through `vem_to_fv`, products of polynomials (H grad(eta)) through the
+monomial Gram matrix `Hm`.  Only
 non-polynomial integrands (the convective polynomial) and the positivity
 check of K(h) run at the quadrature nodes: the fields' monomial coefficients
 are stacked cell-major, (g, nk, nfields), one product with the node values
@@ -57,7 +60,7 @@ from . import transfer as trmod
 from . import vem as vemod
 from .linalg import (DEFAULT_TOL, DirichletSet, SolverReport, SparseMatrix,
                      apply_dirichlet, factorized, pcg)
-from .mesh import GeometryCache, PolyMesh, polygon_quadrature, sample_at
+from .mesh import GeometryCache, PolyMesh, gauss_lobatto_reference, polygon_quadrature, sample_at
 from .timeint import compute_dt, imex_advance, tableau
 from .vem import n_poly
 
@@ -152,10 +155,10 @@ class FlowState:
 
 class _Group:
     """Cells with equal vertex count, stacked for batched linear algebra:
-    what a stage reads of the group's VEM element `elem`, with the 2k+2
-    quadrature pack and the variable-stiffness tensor `Hc`."""
+    what a stage reads of the group's VEM element `elem`, its one cell rule
+    among them, and the variable-stiffness tensor `Hc`."""
 
-    def __init__(self, elem, layout, mesh, k):
+    def __init__(self, elem, layout, k):
         idx = self.idx = elem.cells
         nkm1 = n_poly(k - 1)
         self.dofs = layout.cell_dofs(idx)
@@ -165,10 +168,7 @@ class _Group:
         self.stab = elem.stab_nabla
         self.basis = elem.basis
         self.Hm = elem.H
-        rule = polygon_quadrature(mesh.cell_coords(idx), elem.basis.center, 2 * k + 2)
-        self.qnodes = rule.nodes
-        self.qw = rule.weights
-        self.qmono = elem.basis.values(rule.nodes)                 # (g, nq, nk)
+        self.qnodes, self.qw, self.qmono = elem.qnodes, elem.qw, elem.qmono
         # variable stiffness, a block of rows per a: Hc[a * nkm1 + b, c] =
         # sum_q w_q m_a m_b m_c (a, b < nkm1)
         mk = self.qmono[:, :, :nkm1]
@@ -183,8 +183,8 @@ class Discretization:
     """Mesh + order bundle: VEM elements, FV operators, transfers, tables.
 
     Everything is built per vertex-count group of cells, as stacked arrays:
-    one VEM element and one transfer build each, gathered into the global
-    operators and then dropped, and one _Group (`groups`) each.
+    one VEM element and one transfer build each, of which the gathers keep
+    only the blocks they read, and one _Group (`groups`) each.
     An order outside 1..4 raises `vem.VemError` before any FV set-up.
     """
 
@@ -200,13 +200,16 @@ class Discretization:
         self.derivative_maps = vemod.derivative_table(k)
         self.layout = vemod.build_dof_layout(mesh, geom, k)
         self.fvops = fvmod.FvOperators(mesh, geom, k)
-        self.groups, elems, transfers = [], [], []
+        self.groups, kept = [], []
         for idx in mesh.vertex_count_groups:
-            elems.append(vemod.build_element(mesh, geom, idx, k))
+            elem = vemod.build_element(mesh, geom, idx, k)
             T = trmod.taylor_to_monomial(self.fvops.taylor, idx)
-            transfers.append(trmod.build_transfer(elems[-1], T))
-            self.groups.append(_Group(elems[-1], self.layout, mesh, k))
-        Vp, Cp, CT = zip(*transfers)
+            # only the blocks the gathers read outlive the element: its mass,
+            # stiffness, C's degree-(k-1) rows and the dofs of the constant
+            kept.append((elem.mass, elem.stiffness, elem.C[:, :self.nkm1].copy(),
+                           elem.D[:, :, 0].copy(), *trmod.build_transfer(elem, T)))
+            self.groups.append(_Group(elem, self.layout, k))
+        mass, stiffness, c_km1, const_dofs, Vp, Cp, CT = zip(*kept)
         # every global operator is gathered from the groups' stacked blocks
         # through a vem.AssemblyPattern: the dof pattern (M, K, the divergence
         # load and every implicit operator refilled on it), and the pattern of
@@ -215,8 +218,8 @@ class Discretization:
         dofs = [grp.dofs for grp in self.groups]
         modes = [grp.idx[:, None] * self.nk + np.arange(self.nk) for grp in self.groups]
         self.pattern = vemod.AssemblyPattern(dofs, dofs, (nd, nd))
-        self.M = vemod.scatter_matrix(self.pattern, [elem.mass for elem in elems])
-        self.K = vemod.scatter_matrix(self.pattern, [elem.stiffness for elem in elems])
+        self.M = vemod.scatter_matrix(self.pattern, mass)
+        self.K = vemod.scatter_matrix(self.pattern, stiffness)
         # fv_to_vem: dofs = Vglob @ coeffs.ravel(), where a dof shared by
         # several cells takes the mean of their candidates; the load of
         # Taylor coefficients against Pi0 phi (CTglob), the transfer's moments
@@ -232,30 +235,20 @@ class Discretization:
         # divergence load: out = DIVglob @ [vx, vy], each half on the dof
         # pattern with blocks (Pi0_{k-1} d phi_j / dx, Pi0 phi_i) (and d / dy)
         DX, DY = (vemod.scatter_matrix(self.pattern, [
-            np.einsum("gai,gaj->gij", elem.C[:, :self.nkm1], getattr(grp, pis))
-            for elem, grp in zip(elems, self.groups)]) for pis in ("pis0x", "pis0y"))
+            np.einsum("gai,gaj->gij", c, getattr(grp, pis))
+            for c, grp in zip(c_km1, self.groups)]) for pis in ("pis0x", "pis0y"))
         self._DIVglob = sp.hstack([DX.to_scipy(), DY.to_scipy()]).tocsr()
         self.ones = np.zeros(nd)                    # the dofs of the constant 1
-        for elem, grp in zip(elems, self.groups):
-            self.ones[grp.dofs] = elem.D[:, :, 0]
+        for ones, grp in zip(const_dofs, self.groups):
+            self.ones[grp.dofs] = ones
         self.area_total = float(np.sum(geom.area))
-        self._build_edge_trace_tables()
-
-    def _build_edge_trace_tables(self):
-        """VEM edge traces: Lagrange map from the k+1 Gauss-Lobatto edge dofs
-        (the rows of the layout's `edge_trace_dofs`) to the edge-flux Gauss
-        points (reference interval)."""
-        from scipy.special import roots_legendre
-        from .mesh import gauss_lobatto_reference
-        k = self.k
-        tgl, _ = gauss_lobatto_reference(k)
-        tq, _ = roots_legendre(k + 1)
-        L = np.ones((k + 1, k + 1))
-        for j in range(k + 1):
-            for m in range(k + 1):
-                if m != j:
-                    L[:, j] *= (tq - tgl[m]) / (tgl[j] - tgl[m])
-        self.edge_lagrange = L                     # (ng, k+1)
+        # VEM edge traces: the Lagrange map L (ng, k+1) from the Gauss-Lobatto
+        # edge dofs (rows of the layout's `edge_trace_dofs`) to the FV edge Gauss
+        # points, L V_gl = V_g for the Vandermonde matrices of t^0..t^k at both
+        powers = np.arange(k + 1)
+        vgl, vg = (t[:, None] ** powers for t in (gauss_lobatto_reference(k)[0],
+                                                   self.fvops.edge_gauss_nodes))
+        self.edge_lagrange = np.linalg.solve(vgl.T, vg.T).T
 
     def vem_edge_trace(self, dofs: np.ndarray) -> np.ndarray:
         """Single-valued (NE, ng) trace of a conforming field on all edges."""

@@ -3,6 +3,8 @@
 Built per vertex-count group: for the g cells of a group, V_P is a
 (g, N_dof, n_k) stack and C_P a (g, n_k, N_dof) stack.  The Discretization
 assembles them, and the Taylor load blocks C^T T, into sparse operators.
+C_P is the left inverse of V_P built on the element's Pi0*, with no Gram
+solve of its own.
 """
 
 from __future__ import annotations
@@ -24,15 +26,6 @@ def taylor_to_monomial(taylor: TaylorBasis, cells) -> np.ndarray:
     return T
 
 
-def _solve_refined(A: np.ndarray, B: np.ndarray, cells, what: str) -> np.ndarray:
-    """Stacked dense solve with one step of iterative refinement (k=4 Gram
-    matrices are ill-conditioned enough that plain LU loses a digit past
-    1e-11); a singular matrix raises TransferError naming its cell."""
-    X = solve_cells(A, B, cells, TransferError, what)
-    X += np.linalg.solve(A, B - A @ X)
-    return X
-
-
 def build_transfer(elem: ElementVem, T: np.ndarray) -> tuple[np.ndarray, ...]:
     """V_P (g, N_dof, n_k) and C_P (g, n_k, N_dof) of a group, with C_P V_P = I,
     and V_P's right-hand side C^T T (g, N_dof, n_k), the Taylor load blocks.
@@ -41,11 +34,13 @@ def build_transfer(elem: ElementVem, T: np.ndarray) -> tuple[np.ndarray, ...]:
     maps VEM dofs back to modal coefficients.  `elem` is the group's stacked
     element and T its Taylor-to-monomial changes of basis.
     """
-    Tt = T.transpose(0, 2, 1)
     moments = elem.C.transpose(0, 2, 1) @ T         # integral of Pi0 phi_i * beta_l
-    Vp = _solve_refined(elem.mass, moments, elem.cells, "VEM mass matrix")
-    Cp = _solve_refined(Tt @ elem.H @ T, Tt @ elem.C, elem.cells, "Taylor Gram matrix")
-    # consistency enforcement: replace C_P by the exact left inverse of V_P on
-    # the modal space; the adjustment is O(conditioning roundoff), below the
-    # operators' own truncation level
-    return Vp, np.linalg.solve(Cp @ Vp, Cp), moments
+    # one step of iterative refinement: at k = 4 the mass matrices are
+    # ill-conditioned enough that plain LU loses a digit past 1e-11
+    Vp = solve_cells(elem.mass, moments, elem.cells, TransferError, "VEM mass matrix")
+    Vp += np.linalg.solve(elem.mass, moments - elem.mass @ Vp)
+    # C_P is the L2 projection T^-1 Pi0*, made the exact left inverse of V_P
+    # on the modal space (an adjustment at the conditioning roundoff, below
+    # the operators' own truncation level): (T^-1 Pi0* V_P)^-1 T^-1 Pi0*, in
+    # which T^-1 cancels
+    return Vp, np.linalg.solve(elem.pis_0 @ Vp, elem.pis_0), moments

@@ -11,7 +11,10 @@ Orders k = 1..4 are supported.  Elements are built per group of cells with
 equal vertex count: every element array is stacked along a leading cell
 axis, so that one batched product or solve serves the whole group.  All
 element quantities are computed in each cell's own coordinate frame with the
-scaled monomial basis centred at its barycenter.
+scaled monomial basis centred at its barycenter.  A group's one cell rule is
+the degree-(2k + 2) fan rule: H comes from it, G from H through the
+derivative maps (Dx H Dx^T + Dy H Dy^T), and B and E from the monomial
+values at the sides' Gauss-Lobatto nodes.
 """
 
 from __future__ import annotations
@@ -90,12 +93,6 @@ class MonomialBasis:
             pow_x.append(pow_x[-1] * xi)
             pow_y.append(pow_y[-1] * et)
         return np.stack([pow_x[a] * pow_y[b] for a, b in self.indices], axis=-1)
-
-    def gradients(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(..., npts, n) arrays of d m_alpha / dx and / dy."""
-        vals = self.values(pts)
-        return tuple(vals @ np.swapaxes(self.derivative_coeffs(axis), -1, -2)
-                     for axis in (0, 1))
 
     def laplacian_coeffs(self) -> np.ndarray:
         """(..., n, n) map L with Delta m_alpha = sum_beta L[alpha, beta] m_beta."""
@@ -188,6 +185,9 @@ class ElementVem:
     cells: np.ndarray        # (g,) cell ids
     basis: MonomialBasis
     area: np.ndarray         # (g,)
+    qnodes: np.ndarray       # (nq, 2) the degree-(2k + 2) cell rule's nodes
+    qw: np.ndarray           # (nq,) and weights
+    qmono: np.ndarray        # (nq, n_k) monomial values at the nodes
     D: np.ndarray            # (N_dof, n_k) dofs of monomials
     G: np.ndarray            # (n_k, n_k)
     B: np.ndarray            # (n_k, N_dof)
@@ -249,10 +249,10 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     ndof = nb + nkm2
     ar = area[:, None, None]
 
-    rule = polygon_quadrature(pts, xc, max(2 * k, 2))
+    # the one cell rule; 2k + 2 is exact for models._Group's triple products
+    rule = polygon_quadrature(pts, xc, 2 * k + 2)
     qm = basis.values(rule.nodes)                           # (g, nq, nk)
-    w = rule.weights[..., None]
-    H = qm.transpose(0, 2, 1) @ (qm * w)
+    H = qm.transpose(0, 2, 1) @ (qm * rule.weights[..., None])
 
     # Gauss-Lobatto nodes per side; node 0 / node k are the side's endpoints
     tgl, wgl = gauss_lobatto_reference(k)
@@ -263,8 +263,7 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     tangents = side / side_len[..., None]
     normals = np.stack([tangents[..., 1], -tangents[..., 0]], axis=-1)
     wside = 0.5 * side_len[..., None] * wgl                              # (g, nv, k+1)
-    gl_flat = gl.reshape(g, -1, 2)
-    mgl = basis.values(gl_flat).reshape(g, nv, k + 1, nk)
+    mgl = basis.values(gl.reshape(g, -1, 2)).reshape(g, nv, k + 1, nk)
 
     # D: dofs of the monomials
     D = np.zeros((g, ndof, nk))
@@ -273,17 +272,17 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     if nkm2:
         D[:, nb:] = H[:, :nkm2] / ar
 
-    # G: P0 row plus gradient Gram rows
-    gx, gy = basis.gradients(rule.nodes)
-    G = gx.transpose(0, 2, 1) @ (gx * w) + gy.transpose(0, 2, 1) @ (gy * w)
+    # G: P0 row plus the gradient Gram rows, Dx H Dx^T + Dy H Dy^T
+    Dx, Dy = basis.derivative_coeffs(0), basis.derivative_coeffs(1)
+    G = sum(Da @ H @ Da.transpose(0, 2, 1) for Da in (Dx, Dy))
     G[:, 0] = D[:, :nv].mean(axis=1) if k == 1 else H[:, 0] / area[:, None]
 
     # B rows alpha >= 1 via integration by parts
     B = np.zeros((g, nk, ndof))
     if nkm2:
         B[:, :, nb:] -= basis.laplacian_coeffs()[:, :, :nkm2] * ar     # -(Delta m_alpha, phi_i)
-    gxs, gys = (v.reshape(g, nv, k + 1, nk) for v in basis.gradients(gl_flat))
-    dn = gxs * normals[:, :, None, 0:1] + gys * normals[:, :, None, 1:2]
+    dn = sum((mgl @ Da.transpose(0, 2, 1)[:, None]) * normals[:, :, None, a, None]
+             for a, Da in enumerate((Dx, Dy)))
     B[:, :, :nb] += _fold_sides(dn * wside[..., None]).transpose(0, 2, 1)
     B[:, 0] = 0.0
     if k == 1:
@@ -307,8 +306,8 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     Ex = np.zeros((g, nkm1, ndof))
     Ey = np.zeros((g, nkm1, ndof))
     if nkm2:
-        Ex[:, :, nb:] -= basis.derivative_coeffs(0)[:, :nkm1, :nkm2] * ar
-        Ey[:, :, nb:] -= basis.derivative_coeffs(1)[:, :nkm1, :nkm2] * ar
+        Ex[:, :, nb:] -= Dx[:, :nkm1, :nkm2] * ar
+        Ey[:, :, nb:] -= Dy[:, :nkm1, :nkm2] * ar
     mk = mgl[..., :nkm1]
     for E, n in ((Ex, normals[..., 0]), (Ey, normals[..., 1])):
         E[:, :, :nb] += _fold_sides(mk * (wside * n[..., None])[..., None]).transpose(0, 2, 1)
@@ -328,8 +327,8 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     stiffness = pis_nabla.transpose(0, 2, 1) @ Gt @ pis_nabla + stab_nabla
     stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
 
-    return ElementVem(k, cells, basis, area, D, G, B, H, C, pis_nabla, pis_0,
-                      pis_0x, pis_0y, mass, stiffness, stab_nabla)
+    return ElementVem(k, cells, basis, area, rule.nodes, rule.weights, qm, D, G, B, H, C,
+                      pis_nabla, pis_0, pis_0x, pis_0y, mass, stiffness, stab_nabla)
 
 
 # ---------------------------------------------------------------------------

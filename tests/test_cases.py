@@ -112,10 +112,11 @@ def test_values_of_the_declared_type_pass():
     # numpy scalars, an int for a float, and None where the default is None
     case = get_case("swe_vortex", k=np.int64(2), seed=np.int32(3), H0=1000,
                     cfl=np.float64(0.5), t_end=np.float32(0.25), scheme=np.str_("SP111"),
-                    dt=None)
+                    dt=np.float64(0.02))
     assert (case.k, case.seed, case.H0, case.cfl, case.scheme, case.dt) == (
-        2, 3, 1000, 0.5, "SP111", None)
+        2, 3, 1000, 0.5, "SP111", 0.02)
     assert case.t_end == np.float32(0.25)
+    assert get_case("ins_tgv", dt=None).dt is None
 
 
 @pytest.mark.parametrize("name, key, value, bound", [
@@ -172,3 +173,12 @@ def test_two_steps(name):
     assert np.all(np.isfinite(state.Q))
     assert all(np.all(np.isfinite(v)) for v in state.aux.values()
                if isinstance(v, np.ndarray))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_swe_vortex_defaults_take_ten_steps(seed):
+    # one CFL step of the default mesh passes t_end; the dt cap keeps the
+    # case from reporting the errors of a single step
+    res = runner.run_case(get_case("swe_vortex", seed=seed), quiet=True)
+    assert res.ledger["steps"] >= 10
+    assert res.state.time == pytest.approx(res.case.t_end, abs=1e-13)

@@ -15,8 +15,9 @@ as reachable when it is used outside tests/ and perfbench/tests, in the
 product: src/ and the benchmark.  A call sets a defaulted parameter of
 every function of its callee's name (a class call: of the class's
 `__init__`) by keyword, by position or through `*`/`**`.  An attribute is
-stored by an assignment to `x.attr` or as an annotated class field, and read
-as a loaded attribute, a loaded name or a string.  An imported name
+stored by an assignment to `x.attr`, as an annotated class field or as the
+receiver of an `.append` or `.extend` call, and read as any other loaded
+attribute, a loaded name or a string.  An imported name
 counts as used when its module names it or lists it in `__all__`, or when a
 row of the benchmark's `LAYERS` (perfbench/layers.py) rebinds it on that
 module, whose spans then read it there; `from __future__` imports are
@@ -71,6 +72,8 @@ ALLOWED_ATTRIBUTES = {
 TEST_READ = {
     ("models.py", "last_compatibility"): "the tests check the pure-Neumann pressure "
                                          "compatibility until a per-step trace reports it",
+    ("models.py", "div_residuals"): "the tests check the weak divergence residual of "
+                                    "each projection until a per-step trace reports it",
     ("mesh.py", "writeable"): "numpy reads it: the memoized quadrature rules are read-only",
     ("vem.py", "writeable"): "numpy reads it: the memoized derivative tables are read-only",
 }
@@ -401,11 +404,22 @@ def test_a_name_the_benchmark_rebinds_is_used():
     assert [name for _, name in unused_imports(module, rebound["fvvem.m"])] == ["unused"]
 
 
+def appended_to(module: ast.Module) -> set:
+    """The ids of the nodes that are the receiver `x` of an `x.append(...)`
+    or `x.extend(...)` call: such a load stores into x, it does not read it."""
+    return {id(node.func.value) for node in ast.walk(module)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("append", "extend")}
+
+
 def stored_attributes(module: ast.Module) -> list:
     """(line, attribute) of each `x.attr = ...` target (augmented ones
-    included) and each annotated class field of a module."""
+    included), each `x.attr` receiver of `.append` or `.extend` and each
+    annotated class field of a module."""
+    receivers = appended_to(module)
     out = [(node.lineno, node.attr) for node in ast.walk(module)
-           if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)]
+           if isinstance(node, ast.Attribute)
+           and (isinstance(node.ctx, ast.Store) or id(node) in receivers)]
     out += [(node.lineno, node.target.id) for cls in ast.walk(module)
             if isinstance(cls, ast.ClassDef) for node in cls.body
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
@@ -413,10 +427,14 @@ def stored_attributes(module: ast.Module) -> list:
 
 
 def read_names(modules) -> set:
-    """Every loaded attribute, loaded name and string constant of the modules."""
+    """Every loaded attribute, loaded name and string constant of the
+    modules, less the receivers of `.append` and `.extend`."""
     read = set()
     for module in modules:
+        receivers = appended_to(module)
         for node in ast.walk(module):
+            if id(node) in receivers:
+                continue
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -502,3 +520,22 @@ def test_test_read_attribute_rule():
                tests: ast.parse("x = obj.b + obj.c + obj.a\n")}
     readers = {attr: reader for _, _, attr, reader in attribute_readers(modules)}
     assert readers == {"a": "product", "b": "tests", "c": "tests", "d": None}
+
+
+def test_an_appended_attribute_is_stored_not_read():
+    src, tests = ROOT / "src" / "fvvem" / "m.py", ROOT / "tests" / "t.py"
+    modules = {src: ast.parse("class C:\n"
+                              "    def f(self):\n"
+                              "        self.log = []\n"
+                              "        self.log.append(1)\n"
+                              "        self.seen = []\n"
+                              "        self.seen.extend([1])\n"
+                              "        self.used = []\n"
+                              "        self.used.append(len(self.used))\n"
+                              "        self.grown = obj.append\n"),
+               tests: ast.parse("x = obj.seen\n")}
+    assert sorted(stored_attributes(modules[src])) == [
+        (3, "log"), (4, "log"), (5, "seen"), (6, "seen"), (7, "used"), (8, "used"),
+        (9, "grown")]
+    readers = {attr: reader for _, _, attr, reader in attribute_readers(modules)}
+    assert readers == {"log": None, "seen": "tests", "used": "product", "grown": None}

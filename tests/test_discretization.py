@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import roots_legendre
 
 from fvvem import fv as fvmod
 from fvvem import mesh as fm
@@ -188,6 +189,51 @@ class TestBatchedElements:
                     a, b = getattr(group, name)[i], getattr(one, name)[0]
                     assert a.shape == b.shape, name
                     assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), (name, ci)
+
+
+class TestOneRulePerGroup:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_each_group_reads_its_elements_rule(self, monkeypatch, k):
+        # a group's nodes, weights and monomial values are its element's
+        # arrays, the degree-(2k + 2) fan rule, and no second rule is built
+        built = []
+        real = vem.build_element
+
+        def recording(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(vem, "build_element", recording)
+        m, g, _, _ = voronoi_group()
+        disc = Discretization(m, g, k)
+        assert len(built) == len(disc.groups)
+        for grp, elem in zip(disc.groups, built):
+            assert grp.qnodes is elem.qnodes and grp.qw is elem.qw
+            assert grp.qmono is elem.qmono and grp.Hm is elem.H
+            rule = fm.polygon_quadrature(m.cell_coords(grp.idx), g.barycenter[grp.idx],
+                                         2 * k + 2)
+            assert np.array_equal(grp.qnodes, rule.nodes)
+            assert np.array_equal(grp.qw, rule.weights)
+
+
+def lagrange_product_oracle(k):
+    """The Lagrange basis of the k + 1 Gauss-Lobatto nodes at the k + 1
+    Gauss points, (ng, k + 1), by the product formula."""
+    tgl, _ = fm.gauss_lobatto_reference(k)
+    tq, _ = roots_legendre(k + 1)
+    L = np.ones((k + 1, k + 1))
+    for j in range(k + 1):
+        for m in range(k + 1):
+            if m != j:
+                L[:, j] *= (tq - tgl[m]) / (tgl[j] - tgl[m])
+    return L
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_edge_lagrange_equals_the_product_formula(k):
+    m, g, _, _ = voronoi_group()
+    disc = Discretization(m, g, k)
+    assert np.abs(disc.edge_lagrange - lagrange_product_oracle(k)).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +502,7 @@ class TestDegenerateCellErrors:
         with pytest.raises(vem.VemError, match=f"^cell {bad}: singular H matrix$"):
             vem.build_element(m, g, idx, 1)
 
-    @pytest.mark.parametrize("array, what", [("mass", "VEM mass matrix"),
-                                             ("H", "Taylor Gram matrix")])
+    @pytest.mark.parametrize("array, what", [("mass", "VEM mass matrix")])
     def test_singular_transfer_matrix_names_the_cell(self, array, what):
         m, g, idx, bad = voronoi_group()
         elem = vem.build_element(m, g, idx, 2)

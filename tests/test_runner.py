@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fvvem import models
+from fvvem import models, vem
 from fvvem.harness import cases, cli, runner
 from fvvem.harness.cases import case_names, get_case
 from fvvem.mesh import write_mesh
@@ -37,6 +37,24 @@ def test_ledger_records_solver_and_phase_times():
     assert led["setup_s"] > 0.0 and led["steps_s"] > 0.0
     assert "runtime_s" not in led
     assert {key: v for key, v in led.items() if key.startswith("cweno_")} == CWENO_LEDGER
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_ledger_reports_the_cell_rule_the_discretization_builds(monkeypatch, k):
+    # the VEM element integrates its cells with one rule, whose degree the
+    # ledger reports under one key
+    degrees = []
+    real = vem.polygon_quadrature
+
+    def spy(vertices, barycenter, degree):
+        degrees.append(degree)
+        return real(vertices, barycenter, degree)
+
+    monkeypatch.setattr(vem, "polygon_quadrature", spy)
+    case = get_case("ins_tgv", h=0.9, t_end=0.05, k=k)
+    led = runner.run_case(case, quiet=True).ledger
+    assert degrees and set(degrees) == {led["cell_quadrature_degree"]}
+    assert not {"interior_quadrature_degree", "coefficient_quadrature_degree"} & set(led)
 
 
 def test_step_limit_raises():
@@ -97,9 +115,10 @@ def test_dt_caps_cfl_takes_the_smaller_step(monkeypatch):
         assert taken == cfl_dt < case.dt
 
 
-def test_only_the_riemann_cases_cap_dt():
+def test_the_riemann_cases_and_swe_vortex_cap_dt():
     for name in case_names():
-        assert get_case(name).dt_caps_cfl == name.startswith("swe_rp"), name
+        assert get_case(name).dt_caps_cfl == (name.startswith("swe_rp")
+                                              or name == "swe_vortex"), name
 
 
 def read_vtk_cell_data(path: str) -> dict:

@@ -53,8 +53,9 @@ def design_ledger(case, disc, driver, extra=None) -> dict:
         "ins_helmholtz_viscosity": "nu restored in (M + dt nu K)",
         "tgv_pressure_sign": "momentum-consistent (+) orientation",
     }
-    for system, precond in driver.preconditioners.items():
-        led[f"solver_preconditioner_{system.replace('-', '_')}"] = precond
+    for key, rules in (("preconditioner", driver.preconditioners), ("atol", driver.atols)):
+        for system, rule in rules.items():
+            led[f"solver_{key}_{system.replace('-', '_')}"] = rule
     if isinstance(driver, SweDriver):
         # the one update of eta's cell means, kept as a key for comparable ledgers
         led["swe_mass_update"] = "divergence"

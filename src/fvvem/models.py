@@ -23,13 +23,17 @@ rebuilt: the free surface M + tau^2 g K(H) and the viscous M + tau nu K in
 every stage, the pressure K once, when its driver is built.  Each implicit
 system is preconditioned by the sparse LU factor of its first operator,
 kept across refills until a solve takes more than REFACTOR_ITERATIONS CG
-iterations (`_ConstrainedSystem.refill`).
+iterations (`_ConstrainedSystem.refill`).  Every implicit solve, the INS
+pressure projection included, goes through `_ConstrainedSystem.solve`: one
+skip rule, `solve_implicit`'s, with each system's `atol` stated beside its
+preconditioner, and one record in the driver's `SolveStats`.
 
 Per-cell polynomials live in two bases: the FV Taylor basis and the scaled
 monomials of the VEM element (gradients, Pi0 polynomials, L2 projections).
 The Taylor functions are the monomials less their cell means, so the two
 differ in the constant coefficient alone, and one shift pair changes between
-them: `Discretization.to_taylor` and its inverse `to_monomial`.  Edge traces
+them: `Discretization.to_taylor` and its inverse `to_monomial`, whose
+transpose `transfer.build_transfer` applies to the moments.  Edge traces
 (`FvOperators.edge_states`) and loads (`Discretization.load_from_taylor`)
 take Taylor coefficients only; gradients (`gradient_coeffs`) are the
 h = 1 derivative maps applied to monomial coefficients, over h; and the
@@ -203,11 +207,11 @@ class Discretization:
         self.groups, kept = [], []
         for idx in mesh.vertex_count_groups:
             elem = vemod.build_element(mesh, geom, idx, k)
-            T = trmod.taylor_to_monomial(self.fvops.taylor, idx)
             # only the blocks the gathers read outlive the element: its mass,
             # stiffness, C's degree-(k-1) rows and the dofs of the constant
             kept.append((elem.mass, elem.stiffness, elem.C[:, :self.nkm1].copy(),
-                           elem.D[:, :, 0].copy(), *trmod.build_transfer(elem, T)))
+                         elem.D[:, :, 0].copy(),
+                         *trmod.build_transfer(elem, self.fvops.taylor.corrections[idx])))
             self.groups.append(_Group(elem, self.layout, k))
         mass, stiffness, c_km1, const_dofs, Vp, Cp, CT = zip(*kept)
         # every global operator is gathered from the groups' stacked blocks
@@ -470,6 +474,8 @@ class SweDriver(_Driver):
     model = SweModel()
     # M + tau^2 g K_H follows the state: refilled in the fixed pattern every stage
     preconditioners = {"free-surface": FROZEN_FACTOR}
+    # each solve stops at max(DEFAULT_TOL ||b||, atol), or skips from its start
+    atols = {"free-surface": "0: DEFAULT_TOL relative to ||b|| alone"}
 
     def __init__(self, disc: Discretization, bcs: dict, g: float = 9.81,
                  scheme: str = "LSDIRK222", cfl: float = 0.9, bathymetry=None):
@@ -610,7 +616,9 @@ class _ConstrainedSystem:
     than REFACTOR_ITERATIONS CG iterations, so the rule depends on iteration
     counts alone and reruns are reproducible.  An operator that
     `annihilates_constants` (a stiffness matrix) is singular when no dof is
-    fixed: its factor then pins the dof where the constant field is largest.
+    fixed: its factor then pins the dof where the constant field is largest,
+    and the system owns the gauge of the pure-Neumann problem, which fixes
+    its solution up to a constant: `solve` keeps the mean of its start x0.
     """
 
     def __init__(self, disc: Discretization, bcs: dict, tags, sample,
@@ -642,11 +650,14 @@ class _ConstrainedSystem:
 
     def solve(self, b, x0, stats: SolveStats, what: str, atol: float = 0.0) -> np.ndarray:
         """`solve_implicit` to DEFAULT_TOL on the current operator with the
-        system's factor; records the CG iterations the refactor rule reads."""
+        system's factor; records the CG iterations the refactor rule reads.
+        A pinned system keeps the mean of its start x0."""
         before = stats.iterations
         x = solve_implicit(self.A, b, x0, DEFAULT_TOL, None, self.precond, stats, what,
                            atol=atol)
         self.last_iterations = stats.iterations - before
+        if self.pin is not None:
+            x = x + (self.disc.field_mean(x0) - self.disc.field_mean(x))
         return x
 
     def values(self, comp: int, t: float) -> np.ndarray:
@@ -673,6 +684,10 @@ class InsDriver(_Driver):
     # exact factor takes one iteration
     preconditioners = {"viscous": FROZEN_FACTOR,
                        "pressure": "sparse LU of the fixed operator, factored once"}
+    atols = {"viscous": "DEFAULT_TOL max(||load_u||, ||load_v||), one scale for both "
+                        "components",
+             "pressure": "max(1e-13 (1 + ||K p_old|| + ||p_old||), 25 DEFAULT_TOL ||b||): "
+                         "the near-stationary skip"}
 
     def __init__(self, disc: Discretization, bcs: dict, nu: float = 1e-2,
                  body_force=None, scheme: str = "LSDIRK222", cfl: float = 0.9):
@@ -681,7 +696,6 @@ class InsDriver(_Driver):
         super().__init__(disc, bcs, scheme, cfl)
         self.nu = nu
         self.body_force = body_force     # callable t -> (fx, fy), explicit source
-        self.div_residuals = []
         self._viscous = _ConstrainedSystem(
             disc, bcs, self.tags_of_kind("dirichlet", "wall"),
             lambda tag, pts, t: (np.zeros((2, len(pts))) if bcs[tag].kind == "wall"
@@ -725,34 +739,16 @@ class InsDriver(_Driver):
                 x0 = disc.fv_to_vem(coeffs_I[comp])
             vstar[comp] = self._viscous.solve(self._viscous.rhs(loads[comp], comp, t), x0,
                                               self.stats, "viscous", atol=atol)
-        # pressure projection: K p = K p_old - Div(v*)/tau  (gauge-fixed)
-        div = disc.divergence_load(vstar[0], vstar[1])
-        Ksp = disc.K.to_scipy()
-        Kp_old = Ksp @ p_dofs
-        rhs_p = Kp_old - div / tau
-        # solvability of the pure-Neumann problem: rhs must annihilate constants
-        self.last_compatibility = float(disc.ones @ rhs_p) / disc.area_total
-        # pure-Neumann/periodic (no fixed dofs): CG solves the singular
-        # consistent system and the gauge is fixed afterwards (mean of p held)
-        bp = self._pressure.rhs(rhs_p, 0, t)
-        pfixed = self._pressure.fixed
-        r0 = np.linalg.norm(bp - self._pressure.A.to_scipy() @ p_dofs)
-        scale = 1.0 + np.linalg.norm(Kp_old) + np.linalg.norm(p_dofs)
+        # pressure projection: K p = K p_old - Div(v*)/tau, from p_old; on a
+        # pure-Neumann/periodic box the pinned system keeps p_old's mean
+        Kp_old = disc.K.to_scipy() @ p_dofs
+        bp = self._pressure.rhs(Kp_old - disc.divergence_load(vstar[0], vstar[1]) / tau, 0, t)
         # near-stationary skip: an increment within 25x of the stopping
-        # tolerance is solver-stagnation noise; the recomputed weak-divergence
-        # residual stays far inside the 100*delta_0 certification band
-        if r0 <= 1e-13 * scale or r0 <= 25.0 * DEFAULT_TOL * np.linalg.norm(bp):
-            p_new = p_dofs
-        else:
-            p_new = self._pressure.solve(bp, p_dofs, self.stats, "pressure")
-        if not len(pfixed):
-            p_new = p_new + (disc.field_mean(p_dofs) - disc.field_mean(p_new))
-        # weak divergence residual of the corrected velocity (free dofs),
-        # div + tau K (p_new - p_old): exactly div when p is unchanged
-        resid = div + tau * (Ksp @ (p_new - p_dofs))
-        resid[pfixed] = 0.0
-        self.div_residuals.append((float(np.linalg.norm(resid)),
-                                   float(np.linalg.norm(np.delete(rhs_p, pfixed)))))
+        # tolerance is solver-stagnation noise, and so is a residual at the
+        # roundoff of the old pressure's scale
+        atol = max(1e-13 * (1.0 + np.linalg.norm(Kp_old) + np.linalg.norm(p_dofs)),
+                   25.0 * DEFAULT_TOL * np.linalg.norm(bp))
+        p_new = self._pressure.solve(bp, p_dofs, self.stats, "pressure", atol=atol)
         # velocity correction from the transferred pressure increment
         dp_coeffs = disc.vem_to_fv(p_new - p_dofs)
         vstar_coeffs = disc.vem_to_fv(vstar)
@@ -779,11 +775,12 @@ def solve_implicit(A: SparseMatrix, b: np.ndarray, x0, tol, restart, precond,
 
     Solves A d = b - A x0 to the tolerance that guarantees the ORIGINAL
     stopping criterion ||b - A x|| <= max(tol * ||b||, atol); when the warm
-    start already satisfies it the solve is skipped.  `atol` carries the
-    problem scale so degenerate (roundoff-level) right-hand sides are not
-    ground down relative to themselves.  Plateaus within 100x of the
-    tolerance are accepted (double-precision conditioning floor) and show in
-    the statistics.
+    start already satisfies it the solve is skipped, and recorded in `stats`
+    as a solve of 0 iterations.  `atol` carries the problem scale so
+    degenerate (roundoff-level) right-hand sides are not ground down
+    relative to themselves.  Plateaus within 100x of the tolerance are
+    accepted (double-precision conditioning floor) and show in the
+    statistics.
 
     `precond` is a callable r -> M^{-1} r, such as the `linalg.factorized`
     operator a `_ConstrainedSystem` keeps; anything else (None, or the True

@@ -1,7 +1,18 @@
 """The per-group VEM blocks a Discretization gathers into its global
-operators and then drops, rebuilt from its mesh for the test oracles."""
+operators and then drops, rebuilt from its mesh for the test oracles, and
+the dense change of basis the Discretization applies as a shift."""
+
+import numpy as np
 
 from fvvem import transfer, vem
+
+
+def taylor_to_monomial(taylor, cells) -> np.ndarray:
+    """Changes of basis T (g, n_k, n_k) of a `TaylorBasis` on `cells`, with
+    beta_l = sum_a T[a, l] m_a."""
+    T = np.tile(np.eye(taylor.nk), (len(cells), 1, 1))
+    T[:, 0, 1:] = -taylor.corrections[cells, 1:]
+    return T
 
 
 def group_blocks(disc):
@@ -9,6 +20,5 @@ def group_blocks(disc):
     built as the Discretization builds them."""
     for grp in disc.groups:
         elem = vem.build_element(disc.mesh, disc.geom, grp.idx, disc.k)
-        T = transfer.taylor_to_monomial(disc.fvops.taylor, grp.idx)
-        Vp, Cp, _ = transfer.build_transfer(elem, T)
+        Vp, Cp, _ = transfer.build_transfer(elem, disc.fvops.taylor.corrections[grp.idx])
         yield grp, elem, Vp, Cp

@@ -70,10 +70,6 @@ ALLOWED_ATTRIBUTES = {
 # (module path under src/fvvem, attribute) -> why only the tests read it; an
 # entry that the product reads must leave the list
 TEST_READ = {
-    ("models.py", "last_compatibility"): "the tests check the pure-Neumann pressure "
-                                         "compatibility until a per-step trace reports it",
-    ("models.py", "div_residuals"): "the tests check the weak divergence residual of "
-                                    "each projection until a per-step trace reports it",
     ("mesh.py", "writeable"): "numpy reads it: the memoized quadrature rules are read-only",
     ("vem.py", "writeable"): "numpy reads it: the memoized derivative tables are read-only",
 }

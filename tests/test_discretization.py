@@ -507,9 +507,9 @@ class TestDegenerateCellErrors:
         m, g, idx, bad = voronoi_group()
         elem = vem.build_element(m, g, idx, 2)
         getattr(elem, array)[idx == bad] = 0.0
-        T = trmod.taylor_to_monomial(fvmod.TaylorBasis(m, g, 2), idx)
+        corrections = fvmod.TaylorBasis(m, g, 2).corrections[idx]
         with pytest.raises(trmod.TransferError, match=f"^cell {bad}: singular {what}$"):
-            trmod.build_transfer(elem, T)
+            trmod.build_transfer(elem, corrections)
 
     def test_isolated_cell_stencil_names_the_cell(self):
         # a 3 x 3 grid of unit squares with a detached square as cell 4

@@ -39,6 +39,17 @@ def test_ledger_records_solver_and_phase_times():
     assert {key: v for key, v in led.items() if key.startswith("cweno_")} == CWENO_LEDGER
 
 
+@pytest.mark.parametrize("name, kw", [("swe_smooth_wave", dict(h=0.6)),
+                                      ("ins_tgv", dict(h=0.9))])
+def test_ledger_states_the_stopping_rule_of_each_preconditioned_system(name, kw):
+    led = runner.run_case(get_case(name, t_end=1e-3, **kw), quiet=True).ledger
+    systems = [key.removeprefix("solver_preconditioner_") for key in led
+               if key.startswith("solver_preconditioner_")]
+    assert systems
+    assert sorted(key for key in led if key.startswith("solver_atol_")) == sorted(
+        f"solver_atol_{system}" for system in systems)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_ledger_reports_the_cell_rule_the_discretization_builds(monkeypatch, k):
     # the VEM element integrates its cells with one rule, whose degree the

@@ -6,11 +6,11 @@ once per cell, for the functions of every registered case."""
 import numpy as np
 import pytest
 
+from element_blocks import taylor_to_monomial
 from fvvem import mesh as fm
 from fvvem.harness import cases
 from fvvem.harness.errors import error_norms
 from fvvem.models import Discretization
-from fvvem.transfer import taylor_to_monomial
 
 # a mesh of at most about 200 cells for every case
 SMALL = {"swe_vortex": dict(h=1.4), "swe_wellbalance": dict(n_cells=80),

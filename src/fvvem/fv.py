@@ -361,7 +361,8 @@ class FvOperators:
         (ncomp, ncell), or (ncell,) for one component.
 
         Exact on globally polynomial data of degree <= k; conservative by
-        construction (first coefficient equals the cell average).  The member
+        construction: the first coefficient is the cell average itself, not
+        a sum with weights that add up to one only to roundoff.  The member
         differences of each stencil kind are gathered cell-major, as
         (stencils, nst, ncomp), and one product with the kind's stacked
         operator gives the fits and their residuals; the smoothness
@@ -383,14 +384,11 @@ class FvOperators:
         w0 = alpha0 / denom
         w = alpha / denom[sector.cells]                                      # (np, ncomp)
         coeffs = np.empty((nc, self.nk, ncomp))
-        coeffs[:, 0] = Qt * w0
+        coeffs[:, 0] = Qt                                                   # the cell mean
         coeffs[:, 1:] = fit[:, :ncols] * w0[:, None]
-        # each sector's linear polynomial, weighted, summed into its owner
-        contrib = np.empty((len(w), 3, ncomp))
-        contrib[:, 0] = Qt[sector.cells]
-        contrib[:, 1:] = sfit[:, :2]
-        contrib *= w[:, None]
-        coeffs[:, :3] += (self._scatter @ contrib.reshape(len(w), -1)).reshape(nc, 3, ncomp)
+        # each sector's slopes, weighted, summed into its owner
+        contrib = sfit[:, :2] * w[:, None]
+        coeffs[:, 1:3] += (self._scatter @ contrib.reshape(len(w), -1)).reshape(nc, 2, ncomp)
         return np.ascontiguousarray(coeffs.transpose(2, 0, 1))
 
     def edge_states(self, coeffs: np.ndarray):

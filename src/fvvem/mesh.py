@@ -380,8 +380,9 @@ def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius
     bounded and, around each vertex v of a base region, the disc through v's
     seed lies inside the grown box: an image left out could only cut a
     region by lying inside one of those empty discs, so the accepted regions
-    are exactly those of the full image set.  Otherwise (unrelaxed first
-    iterates, clustered seeds) the triangulation is rebuilt from the full set.
+    are exactly those of the full image set.  Otherwise the band grows once,
+    to 5 spacings (enough for the unrelaxed first iterates of graded
+    meshes), and then the triangulation takes the full set (clustered seeds).
     Region vertices within 1e-9 of the box size of a non-periodic side, off
     it by roundoff only, are snapped onto it: `_assemble_mesh` tags the
     boundary edges by the side they lie on.
@@ -403,7 +404,7 @@ def _voronoi_polygons(seeds: np.ndarray, box, periodic, hole_center, hole_radius
         scale = 2.0 * hole_radius / r[near] - 1.0
         hole_mirrors = hole_center + (seeds[near] - hole_center) * scale[:, None]
     lo, hi = np.array([xlo, ylo]), np.array([xhi, yhi])
-    for band in (2.5 * np.sqrt(lx * ly / n), np.inf):
+    for band in np.array([2.5, 5.0, np.inf]) * np.sqrt(lx * ly / n):
         kept = np.all((images >= lo - band) & (images <= hi + band), axis=-1)
         tri = Delaunay(np.vstack([seeds, images[kept], hole_mirrors]))
         lost = tri.coplanar[tri.coplanar[:, 0] < n, 0]

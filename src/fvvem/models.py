@@ -36,8 +36,8 @@ them: `Discretization.to_taylor` and its inverse `to_monomial`, whose
 transpose `transfer.build_transfer` applies to the moments.  Edge traces
 (`FvOperators.edge_states`) and loads (`Discretization.load_from_taylor`)
 take Taylor coefficients only; gradients (`gradient_coeffs`) are the
-h = 1 derivative maps applied to monomial coefficients, over h; and the
-cell mean of a polynomial is its Taylor constant.
+h = 1 derivative maps, with zero constant rows, applied to them, over h;
+and the cell mean of a polynomial is its Taylor constant.
 
 Per-cell work runs per vertex-count group (`_Group`, which holds only what a
 stage reads), with one cell rule (its VEM element's), one edge rule (the FV
@@ -47,9 +47,9 @@ through `vem_to_fv`, products of polynomials (H grad(eta)) through the
 monomial Gram matrix `Hm`.  Only
 non-polynomial integrands (the convective polynomial) and the positivity
 check of K(h) run at the quadrature nodes: the fields' monomial coefficients
-are stacked cell-major, (g, nk, nfields), one product with the node values
-`qmono` (g, nq, nk) evaluates them all, pointwise terms run field-major
-(nfields, g, nq), and an L2 projection multiplies by qmono^T and H^-1.
+are stacked field-major, (nfields, ncell, nk), one product with qmono^T
+(g, nk, nq) evaluates them all, pointwise terms read each field's (g, nq)
+view of it, and an L2 projection multiplies by qmono^T and H^-1.
 """
 
 from __future__ import annotations
@@ -160,15 +160,15 @@ class FlowState:
 class _Group:
     """Cells with equal vertex count, stacked for batched linear algebra:
     what a stage reads of the group's VEM element `elem`, its one cell rule
-    among them, and the variable-stiffness tensor `Hc`."""
+    and its Pi0-gradient stack `pis0grad` (g, 2, n_{k-1}, ndof) among them,
+    and the variable-stiffness tensor `Hc`."""
 
     def __init__(self, elem, layout, k):
         idx = self.idx = elem.cells
         nkm1 = n_poly(k - 1)
         self.dofs = layout.cell_dofs(idx)
         self.area = elem.area
-        self.pis0x = elem.pis_0x
-        self.pis0y = elem.pis_0y
+        self.pis0grad = elem.pis_0grad
         self.stab = elem.stab_nabla
         self.basis = elem.basis
         self.Hm = elem.H
@@ -239,8 +239,8 @@ class Discretization:
         # divergence load: out = DIVglob @ [vx, vy], each half on the dof
         # pattern with blocks (Pi0_{k-1} d phi_j / dx, Pi0 phi_i) (and d / dy)
         DX, DY = (vemod.scatter_matrix(self.pattern, [
-            np.einsum("gai,gaj->gij", c, getattr(grp, pis))
-            for c, grp in zip(c_km1, self.groups)]) for pis in ("pis0x", "pis0y"))
+            np.einsum("gai,gaj->gij", c, grp.pis0grad[:, d])
+            for c, grp in zip(c_km1, self.groups)]) for d in range(2))
         self._DIVglob = sp.hstack([DX.to_scipy(), DY.to_scipy()]).tocsr()
         self.ones = np.zeros(nd)                    # the dofs of the constant 1
         for ones, grp in zip(const_dofs, self.groups):
@@ -328,9 +328,9 @@ class Discretization:
     def gradient_coeffs(self, taylor_coeffs: np.ndarray) -> np.ndarray:
         """Monomial coefficients (2, ..., ncell, nk) of the x and y
         derivatives of per-cell polynomials given by their Taylor
-        coefficients (..., ncell, nk)."""
-        mono = self.to_monomial(taylor_coeffs)
-        return np.stack([mono @ D for D in self.derivative_maps]) / self.geom.h[:, None]
+        coefficients (..., ncell, nk), which the maps take as they are:
+        the maps' constant rows are zero, and only the constants differ."""
+        return np.stack([taylor_coeffs @ D for D in self.derivative_maps]) / self.geom.h[:, None]
 
     def cell_means(self, func, time=None) -> np.ndarray:
         f = (lambda p: func(p, time)) if time is not None else func
@@ -352,7 +352,7 @@ class Discretization:
         assembly pattern, from the monomial coefficients c (ncell, nk) of the
         field's Pi0 projection (`to_monomial(vem_to_fv(dofs))`).  Per cell the
         Gram matrix of the degree-(k-1) monomials weighted by it is W = Hc . c, and
-        K_E = Pi0x^T W Pi0x + Pi0y^T W Pi0y + mean(c) S_E."""
+        K_E = P^T (I_2 (x) W) P + mean(c) S_E, with P the stack (Pi0x; Pi0y)."""
         cmean = self.to_taylor(coeff_poly)[:, 0]
         blocks = []
         for grp in self.groups:
@@ -361,9 +361,9 @@ class Discretization:
                 raise DryStateError("coefficient not strictly positive at "
                                     "quadrature nodes (dry cell)")
             W = (grp.Hc @ cpoly).reshape(len(cpoly), self.nkm1, self.nkm1)
-            px, py = grp.pis0x, grp.pis0y
-            blocks.append(px.transpose(0, 2, 1) @ W @ px + py.transpose(0, 2, 1) @ W @ py
-                          + cmean[grp.idx, None, None] * grp.stab)
+            P = grp.pis0grad.reshape(len(cpoly), 2 * self.nkm1, -1)     # (Pi0x; Pi0y)
+            WP = (W[:, None] @ grp.pis0grad).reshape(P.shape)
+            blocks.append(P.transpose(0, 2, 1) @ WP + cmean[grp.idx, None, None] * grp.stab)
         return self.pattern.matrix(self.pattern.scatter(blocks))
 
     def gradient_depth_weighted(self, grad_coeffs: np.ndarray,
@@ -557,22 +557,21 @@ class SweDriver(_Driver):
         polynomials at the 2k+2 quadrature pack, differentiated via the
         product/chain rule, and L2-projected back onto degree-k polynomials.
         The depth H = eta - b is formed on the coefficients; per group, one
-        product of the node values `qmono` with the cell-major stack of the
-        9 fields (H, qx, qy and their x and y derivatives) evaluates them
-        all, laid out field-major for the pointwise terms.
+        product of the field-major stack of the 9 fields (H, qx, qy and their
+        x and y derivatives) with the node values `qmono` evaluates them all,
+        and each field's node values are a view of that product.
         """
         disc = self.disc
         rows = np.concatenate([(full_coeffs[0] - full_coeffs[3])[None], full_coeffs[1:3]])
         # monomial coefficients of (H, qx, qy), then their x and y
-        # derivatives, cell-major: (ncell, nk, 9)
-        fields = np.concatenate([disc.to_monomial(rows)[None], disc.gradient_coeffs(rows)])
-        fields = np.ascontiguousarray(fields.reshape(9, disc.mesh.n_cells, disc.nk)
-                                      .transpose(1, 2, 0))
+        # derivatives, field-major: (9, ncell, nk)
+        fields = np.concatenate([disc.to_monomial(rows)[None], disc.gradient_coeffs(rows)]
+                                ).reshape(9, disc.mesh.n_cells, disc.nk)
         out = np.empty((2, disc.mesh.n_cells, disc.nk))
         for grp in disc.groups:
-            vals = grp.qmono @ np.take(fields, grp.idx, axis=0)            # (g, nq, 9)
-            H, qx, qy, Hx, qxx, qyx, Hy, qxy, qyy = np.ascontiguousarray(
-                vals.transpose(2, 0, 1))
+            # (g, 9, nk) @ (g, nk, nq); each field is a (g, nq) view
+            vals = fields[:, grp.idx].transpose(1, 0, 2) @ grp.qmono.transpose(0, 2, 1)
+            H, qx, qy, Hx, qxx, qyx, Hy, qxy, qyy = vals.transpose(1, 0, 2)
             if np.any(H <= 0.0):
                 raise DryStateError("dry cell in convective field evaluation")
             # div components of q (x) q / H, with the velocity (u, v) = q / H

@@ -195,8 +195,7 @@ class ElementVem:
     C: np.ndarray            # (n_k, N_dof)
     pis_nabla: np.ndarray    # (n_k, N_dof)   Pi*nabla
     pis_0: np.ndarray        # (n_k, N_dof)   Pi*0_k
-    pis_0x: np.ndarray       # (n_{k-1}, N_dof) projected x-derivative
-    pis_0y: np.ndarray       # (n_{k-1}, N_dof)
+    pis_0grad: np.ndarray    # (2, n_{k-1}, N_dof) projected x- and y-derivatives
     mass: np.ndarray         # (N_dof, N_dof) stabilized M^h
     stiffness: np.ndarray    # (N_dof, N_dof) stabilized K^h
     stab_nabla: np.ndarray   # (N_dof, N_dof) (I - Pi_nabla)^T (I - Pi_nabla)
@@ -302,17 +301,14 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     pi_0 = D @ pis_0
     Hkm1 = H[:, :nkm1, :nkm1]
 
-    # E matrices: moments of the first derivatives of the basis functions
-    Ex = np.zeros((g, nkm1, ndof))
-    Ey = np.zeros((g, nkm1, ndof))
-    if nkm2:
-        Ex[:, :, nb:] -= Dx[:, :nkm1, :nkm2] * ar
-        Ey[:, :, nb:] -= Dy[:, :nkm1, :nkm2] * ar
+    # E matrices: moments of the x and y derivatives of the basis functions
+    E = np.zeros((g, 2, nkm1, ndof))
     mk = mgl[..., :nkm1]
-    for E, n in ((Ex, normals[..., 0]), (Ey, normals[..., 1])):
-        E[:, :, :nb] += _fold_sides(mk * (wside * n[..., None])[..., None]).transpose(0, 2, 1)
-    pis_0x = np.linalg.solve(Hkm1, Ex)
-    pis_0y = np.linalg.solve(Hkm1, Ey)
+    for a, Da in enumerate((Dx, Dy)):
+        E[:, a, :, nb:] -= Da[:, :nkm1, :nkm2] * ar
+        wn = wside * normals[..., a, None]
+        E[:, a, :, :nb] += _fold_sides(mk * wn[..., None]).transpose(0, 2, 1)
+    pis_0grad = np.linalg.solve(Hkm1[:, None], E)
 
     eye = np.eye(ndof)
     d0 = eye - pi_0
@@ -328,7 +324,7 @@ def build_element(mesh: PolyMesh, geom: GeometryCache, cells, k: int) -> Element
     stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
 
     return ElementVem(k, cells, basis, area, rule.nodes, rule.weights, qm, D, G, B, H, C,
-                      pis_nabla, pis_0, pis_0x, pis_0y, mass, stiffness, stab_nabla)
+                      pis_nabla, pis_0, pis_0grad, mass, stiffness, stab_nabla)
 
 
 # ---------------------------------------------------------------------------

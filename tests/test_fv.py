@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from fvvem import fv as fvmod
 from fvvem import mesh as fm
 from fvvem.harness import cases
-from fvvem.models import Discretization, InsModel, SweModel
+from fvvem.models import BoundaryCondition, Discretization, InsModel, SweDriver, SweModel
 
 
 def voronoi_mesh(n, seed, periodic, box):
@@ -111,6 +111,23 @@ class TestCweno:
             rule = fm.polygon_quadrature(m.cell_coords(ci), g.barycenter[ci], 6)
             vals = ops.taylor.values(ci, rule.nodes) @ coeffs[0, ci]
             assert rule.weights @ vals / g.area[ci] == pytest.approx(Q[ci], abs=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("domain", [
+        dict(box=(0, 1, 0, 1)), dict(box=(0, 1, 0, 1), periodic=(True, True)),
+        dict(box=(-2, 2, -2, 2), hole_center=(0.0, 0.0), hole_radius=0.5),
+    ], ids=["box", "torus", "hole"])
+    def test_constant_is_the_cell_mean_bitwise(self, domain, k):
+        # one SWE step past a smooth wave; the weights of the polynomials sum
+        # to one only to roundoff, so a sum of weighted means would not be Qbar
+        m = fm.generate_voronoi(n_seeds=90, lloyd_iters=8, seed=4, **domain)
+        disc = Discretization(m, fm.build_geometry(m), k)
+        drv = SweDriver(disc, {tag: BoundaryCondition("wall") for tag in m.boundary_tags})
+        bump = lambda p, t: np.stack([1.0 + 0.1 * np.sin(2.0 * p[:, 0]) * np.cos(p[:, 1]),
+                                      np.zeros(len(p)), np.zeros(len(p))])
+        state = drv.initial_state(bump)
+        state = drv.step(state, drv.compute_dt(state))
+        assert np.array_equal(disc.fvops.reconstruct(state.Q)[..., 0], state.Q)
 
     def test_step_data_stays_in_stencil_bounds(self):
         # dam-break style initial data: edge-extrapolated values bounded by

@@ -325,10 +325,9 @@ class TestEdgeGaussLobatto:
             fm.gauss_lobatto_reference(0)
 
 
-def full_image_polygons(seeds, box, periodic, hole_center, hole_radius):
-    """Oracle for fm._voronoi_polygons: the diagram of the seeds with every
-    periodic tile, every mirror across a non-periodic side (corners included)
-    and the hole mirrors, its base regions oriented."""
+def every_image(seeds, box, periodic):
+    """The seeds, then every periodic tile and every mirror across a
+    non-periodic side (corners included)."""
     xlo, xhi, ylo, yhi = box
     lx, ly = xhi - xlo, yhi - ylo
     sx = (-lx, 0.0, lx) if periodic[0] else (0.0,)
@@ -340,6 +339,13 @@ def full_image_polygons(seeds, box, periodic, hole_center, hole_radius):
             low[:, axis] = 2.0 * lo - pts[:, axis]
             high[:, axis] = 2.0 * hi - pts[:, axis]
             pts = np.vstack([pts, low, high])
+    return pts
+
+
+def full_image_polygons(seeds, box, periodic, hole_center, hole_radius):
+    """Oracle for fm._voronoi_polygons: the diagram of the seeds with
+    `every_image` and the hole mirrors, its base regions oriented."""
+    pts = every_image(seeds, box, periodic)
     if hole_center is not None:
         r = np.hypot(*(seeds - hole_center).T)
         near = (r < 2.5 * hole_radius) & (r > hole_radius)
@@ -606,14 +612,15 @@ class TestVoronoi:
             cases.get_case("swe_rp1", seed=seed, h=h).make_mesh()
 
     @pytest.mark.parametrize("periodic, low, high", [
-        ((False, False), 0.4, 0.6),   # no image in the band: unbounded regions
-        ((True, True), 0.0, 0.25),    # bounded regions that a left-out image cuts
+        ((False, False), 0.45, 0.55),   # no image in either band: unbounded regions
+        ((True, True), 0.0, 0.25),      # bounded regions that a left-out image cuts
     ], ids=["centre_cluster_box", "corner_cluster_torus"])
     def test_clustered_seeds_fall_back_to_every_image(self, monkeypatch, periodic, low, high):
         # most seeds packed in a small square, four spread over the box: the
-        # band of 2.5 mean spacings is too narrow for the sparse cells
+        # bands of 2.5 and 5 mean spacings are both too narrow for the sparse
+        # cells, so the third triangulation takes every image
         rng = np.random.default_rng(0)
-        seeds = np.vstack([rng.uniform(low, high, (36, 2)), rng.uniform(0.0, 1.0, (4, 2))])
+        seeds = np.vstack([rng.uniform(low, high, (60, 2)), rng.uniform(0.0, 1.0, (4, 2))])
         built = []
 
         def counting(points):
@@ -622,7 +629,10 @@ class TestVoronoi:
 
         monkeypatch.setattr(fm, "Delaunay", counting)
         polys = fm._voronoi_polygons(seeds, (0, 1, 0, 1), periodic, None, 0.0)
-        assert len(built) == 2 and built[1] == 9 * len(seeds) > built[0]
+        pts, spacing = every_image(seeds, (0, 1, 0, 1), periodic), np.sqrt(1.0 / len(seeds))
+        in_band = [int(np.all((pts >= -b) & (pts <= 1.0 + b), axis=1).sum())
+                   for b in (2.5 * spacing, 5.0 * spacing)]
+        assert built == [*in_band, 9 * len(seeds)] and in_band[0] < in_band[1] < built[2]
         assert_same_cells(polys, full_image_polygons(seeds, (0, 1, 0, 1), periodic, None, 0.0))
         # relaxed seeds take the band images alone
         built.clear()
@@ -715,6 +725,24 @@ class TestVoronoi:
         m = make()
         m.validate()
         assert validate_regularity(m, fm.build_geometry(m), 0.05).all_passed
+
+    @pytest.mark.parametrize("name, seed, size", [
+        ("swe_cylinder", 0, dict(n_cells=400)), ("swe_cylinder", 1, dict(n_cells=400)),
+        ("ins_tgv", 0, {}),
+    ], ids=["swe_cylinder_400_seed0", "swe_cylinder_400_seed1", "ins_tgv_seed0"])
+    def test_unrelaxed_iterates_keep_a_band(self, monkeypatch, name, seed, size):
+        # the first Lloyd iterates fail the band of 2.5 spacings here; the band
+        # of 5 takes them, with no triangulation of every image (6.3-6.8 times
+        # the points of the first)
+        built = []
+
+        def counting(points):
+            built.append(len(points))
+            return Delaunay(points)
+
+        monkeypatch.setattr(fm, "Delaunay", counting)
+        cases.get_case(name, seed=seed, **size).make_mesh()
+        assert max(built) <= 2 * built[0]
 
     def test_lloyd_centroid_ignores_repeated_vertex(self):
         # the fan triangle on the roundoff-length edge has a roundoff weight

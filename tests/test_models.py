@@ -638,8 +638,9 @@ def variable_stiffness_oracle(disc, h_poly):
         mk = grp.qmono[:, :, :disc.nkm1]
         HH = np.einsum("gqa,gq,gqb->gab", mk, wH, mk)
         cbar = wH.sum(axis=1) / grp.area
-        blocks.append(np.einsum("gad,gab,gbe->gde", grp.pis0x, HH, grp.pis0x)
-                      + np.einsum("gad,gab,gbe->gde", grp.pis0y, HH, grp.pis0y)
+        pis0x, pis0y = grp.pis0grad[:, 0], grp.pis0grad[:, 1]
+        blocks.append(np.einsum("gad,gab,gbe->gde", pis0x, HH, pis0x)
+                      + np.einsum("gad,gab,gbe->gde", pis0y, HH, pis0y)
                       + cbar[:, None, None] * grp.stab)
     return dense_scatter(disc, blocks)
 

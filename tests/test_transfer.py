@@ -81,6 +81,19 @@ class TestToTaylor:
                 want = np.einsum("gab,cga->cgb", grp.basis.derivative_coeffs(axis), mono)
                 assert np.abs(got[axis][:, grp.idx] - want).max() <= 1e-14 * scale
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_gradient_ignores_the_constant(self, k):
+        # the derivative maps' constant rows are zero, so the Taylor and the
+        # monomial coefficients, which differ in the constant alone, need no
+        # shift between them
+        m, g, disc = make_setup(k, periodic=(True, False))
+        rng = np.random.default_rng(k)
+        taylor = rng.standard_normal((3, m.n_cells, disc.nk))
+        moved = taylor.copy()
+        moved[..., 0] = 1e3 * rng.standard_normal((3, m.n_cells))
+        assert all(not D[0].any() for D in disc.derivative_maps)
+        assert np.array_equal(disc.gradient_coeffs(moved), disc.gradient_coeffs(taylor))
+
     def test_edge_traces_of_monomial_coefficients(self):
         # the FV Taylor edge tables, through to_taylor, against the cells'
         # monomials evaluated at the edge points in each side's frame

@@ -102,8 +102,7 @@ def _swe_error_fields(case, disc, driver, state):
             exacts[name] = lambda p, t: case.exact(p, t)[0]
         elif name == "u":
             fields[name] = state.Q[1] / (state.Q[0] - b0)
-            exacts[name] = lambda p, t: (case.exact(p, t)[1]
-                                         / (case.exact(p, t)[0] - case.exact(p, t)[3]))
+            exacts[name] = lambda p, t: (lambda w: w[1] / (w[0] - w[3]))(case.exact(p, t))
         elif name == "Hu":
             fields[name] = coeffs[1]
             exacts[name] = lambda p, t: case.exact(p, t)[1]

@@ -108,9 +108,10 @@ def polygon_quadrature(vertices: np.ndarray, barycenter: np.ndarray, degree: int
 
 
 def sample_at(func, nodes: np.ndarray) -> np.ndarray:
-    """Values (...,) of a pointwise function of (n, 2) points at the stacked
-    points (..., 2), such as the rules of a vertex-count group: one call."""
-    return func(nodes.reshape(-1, 2)).reshape(nodes.shape[:-1])
+    """Values (r..., ...) of a pointwise function of (n, 2) points returning
+    (r..., n) rows at the stacked points (..., 2), such as a group's rules: one call."""
+    vals = func(nodes.reshape(-1, 2))
+    return vals.reshape(vals.shape[:-1] + nodes.shape[:-1])
 
 
 # Gauss-Lobatto nodes/weights on [-1, 1], indexed by point count: the k + 1

@@ -16,8 +16,9 @@ checked when built) over the tags of `PolyMesh.boundary_tags`; the INS state
 stores the pressure once, as its VEM dofs (`aux["p_dofs"]`).  The
 Discretization object precomputes everything mesh-dependent, grouped by cell
 vertex count so per-stage work is batched numpy.  Every global operator is
-gathered from per-cell blocks through a `vem.AssemblyPattern`: the transfers
-and loads on rectangular patterns, and every implicit operator on one fixed
+gathered from per-cell blocks through a `vem.AssemblyPattern`: the three
+transfers (V_P, the VEM interpolant D T; C^T T; and C_P, gathered transposed)
+on one dofs-by-modes pattern, and every implicit operator on one fixed
 dof pattern, where it is refilled from its data and its structure is never
 rebuilt: the free surface M + tau^2 g K(H) and the viscous M + tau nu K in
 every stage, the pressure K once, when its driver is built.  Each implicit
@@ -42,7 +43,7 @@ and the cell mean of a polynomial is its Taylor constant.
 Per-cell work runs per vertex-count group (`_Group`, which holds only what a
 stage reads), with one cell rule (its VEM element's), one edge rule (the FV
 edge Gauss points, which the VEM edge traces take) and one Pi0 solve (the
-element's, which the transfers take).  Pi0 polynomials of VEM fields go
+element's, which C_P takes; V_P needs none).  Pi0 polynomials of VEM fields go
 through `vem_to_fv`, products of polynomials (H grad(eta)) through the
 monomial Gram matrix `Hm`.  Only
 non-polynomial integrands (the convective polynomial) and the positivity
@@ -161,7 +162,7 @@ class _Group:
     """Cells with equal vertex count, stacked for batched linear algebra:
     what a stage reads of the group's VEM element `elem`, its one cell rule
     and its Pi0-gradient stack `pis0grad` (g, 2, n_{k-1}, ndof) among them,
-    and the variable-stiffness tensor `Hc`."""
+    and the variable-stiffness tensor `Hc`, built over chunks of cells."""
 
     def __init__(self, elem, layout, k):
         idx = self.idx = elem.cells
@@ -173,12 +174,16 @@ class _Group:
         self.basis = elem.basis
         self.Hm = elem.H
         self.qnodes, self.qw, self.qmono = elem.qnodes, elem.qw, elem.qmono
-        # variable stiffness, a block of rows per a: Hc[a * nkm1 + b, c] =
-        # sum_q w_q m_a m_b m_c (a, b < nkm1)
+        # variable stiffness: Hc[a * nkm1 + b, c] = sum_q w_q m_a m_b m_c
+        # (a, b < nkm1), one batched product per chunk of 128 cells, which
+        # bounds its (chunk, nq, a, b) temporary
         mk = self.qmono[:, :, :nkm1]
         wm = mk * self.qw[..., None]
-        self.Hc = np.concatenate([(wm[:, :, a, None] * mk).transpose(0, 2, 1) @ self.qmono
-                                  for a in range(nkm1)], axis=1)
+        self.Hc = np.empty((len(idx), nkm1 * nkm1, self.qmono.shape[2]))
+        for start in range(0, len(idx), 128):
+            c = slice(start, start + 128)
+            wmm = (wm[c, :, :, None] * mk[c, :, None, :]).reshape(-1, wm.shape[1], nkm1 ** 2)
+            np.matmul(wmm.transpose(0, 2, 1), self.qmono[c], out=self.Hc[c])
         # monomial moments -> monomial coefficients of the L2 projection
         self.Hinv = np.linalg.inv(self.Hm)
 
@@ -208,16 +213,15 @@ class Discretization:
         for idx in mesh.vertex_count_groups:
             elem = vemod.build_element(mesh, geom, idx, k)
             # only the blocks the gathers read outlive the element: its mass,
-            # stiffness, C's degree-(k-1) rows and the dofs of the constant
+            # stiffness, C's degree-(k-1) rows and the transfer blocks
             kept.append((elem.mass, elem.stiffness, elem.C[:, :self.nkm1].copy(),
-                         elem.D[:, :, 0].copy(),
                          *trmod.build_transfer(elem, self.fvops.taylor.corrections[idx])))
             self.groups.append(_Group(elem, self.layout, k))
-        mass, stiffness, c_km1, const_dofs, Vp, Cp, CT = zip(*kept)
+        mass, stiffness, c_km1, Vp, Cp, CT = zip(*kept)
         # every global operator is gathered from the groups' stacked blocks
         # through a vem.AssemblyPattern: the dof pattern (M, K, the divergence
         # load and every implicit operator refilled on it), and the pattern of
-        # dofs against the ids cell * nk + l of the Taylor coefficients
+        # dofs against the ids cell * nk + l of the Taylor coefficients (transfers)
         nd, nck = self.layout.n_dofs, mesh.n_cells * self.nk
         dofs = [grp.dofs for grp in self.groups]
         modes = [grp.idx[:, None] * self.nk + np.arange(self.nk) for grp in self.groups]
@@ -226,16 +230,16 @@ class Discretization:
         self.K = vemod.scatter_matrix(self.pattern, stiffness)
         # fv_to_vem: dofs = Vglob @ coeffs.ravel(), where a dof shared by
         # several cells takes the mean of their candidates; the load of
-        # Taylor coefficients against Pi0 phi (CTglob), the transfer's moments
+        # Taylor coefficients against Pi0 phi (CTglob), the transfer's moments;
+        # vem_to_fv: coeffs.ravel() = Cglob @ dofs, gathered as C_P^T on the
+        # same pattern and transposed (each (dof, mode) pair is one cell's)
         multiplicity = np.bincount(self.layout.dof_ids, minlength=nd)
         to_vem = vemod.AssemblyPattern(dofs, modes, (nd, nck))
-        self._Vglob, self._CTglob = (
+        self._Vglob, self._CTglob, Cglob_t = (
             vemod.scatter_matrix(to_vem, blocks).to_scipy() for blocks in (
                 [v / multiplicity[grp.dofs][:, :, None] for v, grp in zip(Vp, self.groups)],
-                CT))
-        # vem_to_fv: coeffs.ravel() = Cglob @ dofs
-        self._Cglob = vemod.scatter_matrix(vemod.AssemblyPattern(modes, dofs, (nck, nd)),
-                                           Cp).to_scipy()
+                CT, [c.transpose(0, 2, 1) for c in Cp]))
+        self._Cglob = Cglob_t.T.tocsr()
         # divergence load: out = DIVglob @ [vx, vy], each half on the dof
         # pattern with blocks (Pi0_{k-1} d phi_j / dx, Pi0 phi_i) (and d / dy)
         DX, DY = (vemod.scatter_matrix(self.pattern, [
@@ -243,8 +247,8 @@ class Discretization:
             for c, grp in zip(c_km1, self.groups)]) for d in range(2))
         self._DIVglob = sp.hstack([DX.to_scipy(), DY.to_scipy()]).tocsr()
         self.ones = np.zeros(nd)                    # the dofs of the constant 1
-        for ones, grp in zip(const_dofs, self.groups):
-            self.ones[grp.dofs] = ones
+        for v, grp in zip(Vp, self.groups):
+            self.ones[grp.dofs] = v[:, :, 0]
         self.area_total = float(np.sum(geom.area))
         # VEM edge traces: the Lagrange map L (ng, k+1) from the Gauss-Lobatto
         # edge dofs (rows of the layout's `edge_trace_dofs`) to the FV edge Gauss
@@ -333,10 +337,13 @@ class Discretization:
         return np.stack([taylor_coeffs @ D for D in self.derivative_maps]) / self.geom.h[:, None]
 
     def cell_means(self, func, time=None) -> np.ndarray:
+        """Cell means (r..., ncell) of func((n, 2) points[, time]) -> (r..., n) rows."""
         f = (lambda p: func(p, time)) if time is not None else func
-        out = np.empty(self.mesh.n_cells)
-        for grp in self.groups:
-            out[grp.idx] = np.einsum("gq,gq->g", sample_at(f, grp.qnodes), grp.qw) / grp.area
+        means = [np.einsum("...gq,gq->...g", sample_at(f, grp.qnodes), grp.qw) / grp.area
+                 for grp in self.groups]
+        out = np.empty(means[0].shape[:-1] + (self.mesh.n_cells,))
+        for mean, grp in zip(means, self.groups):
+            out[..., grp.idx] = mean
         return out
 
     def divergence_load(self, vx_dofs: np.ndarray, vy_dofs: np.ndarray) -> np.ndarray:
@@ -494,8 +501,7 @@ class SweDriver(_Driver):
             lambda tag, pts, t: bcs[tag].state(pts, t)[:1])
 
     def initial_state(self, state_fun) -> FlowState:
-        rows = [self.disc.cell_means(lambda p: state_fun(p, 0.0)[i]) for i in range(3)]
-        return FlowState(np.stack(rows), 0.0, {})
+        return FlowState(self.disc.cell_means(lambda p: state_fun(p, 0.0)[:3]), 0.0, {})
 
     def full_coeffs(self, coeffs3: np.ndarray) -> np.ndarray:
         return np.concatenate([coeffs3, self.b_coeffs[None]], axis=0)
@@ -706,10 +712,9 @@ class InsDriver(_Driver):
         self._pressure.refill(disc.K.data)
 
     def initial_state(self, velocity_fun, pressure_fun) -> FlowState:
-        disc = self.disc
-        rows = [disc.cell_means(lambda p: velocity_fun(p, 0.0)[i]) for i in range(2)]
-        p_dofs = disc.interpolate_dofs(lambda p: pressure_fun(p, 0.0))
-        return FlowState(np.stack(rows), 0.0, {"p_dofs": p_dofs})
+        p_dofs = self.disc.interpolate_dofs(lambda p: pressure_fun(p, 0.0))
+        return FlowState(self.disc.cell_means(lambda p: velocity_fun(p, 0.0)[:2]), 0.0,
+                         {"p_dofs": p_dofs})
 
     def stage(self, QE: FlowState, QI: FlowState, tau: float, t: float) -> FlowState:
         disc = self.disc

@@ -2,22 +2,20 @@
 
 Built per vertex-count group: for the g cells of a group, V_P is a
 (g, N_dof, n_k) stack and C_P a (g, n_k, N_dof) stack.  The Discretization
-assembles them, and the Taylor load blocks C^T T, into sparse operators.
-T, the change from the Taylor basis to the element's monomials, differs
-from the identity in its constant row alone, so C^T T is a shift of the
-moment columns and no dense T is formed.  C_P is the left inverse of V_P
-built on the element's Pi0*, with no Gram solve of its own.
+assembles them, and the Taylor load blocks C^T T, on one pattern.  The
+stabilised mass is exact on P_k (Pi0* D = I, so M_E D = C^T), so the L2
+projection of a cell polynomial is its VEM interpolant: V_P = M_E^-1 C^T T
+= D T, with no mass solve.  T, the change from the Taylor basis to the
+element's monomials, differs from the identity in its constant row alone,
+so D T and C^T T are shifts of the columns and no dense T is formed.  C_P
+is the left inverse of V_P built on the element's Pi0*.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .vem import ElementVem, solve_cells
-
-
-class TransferError(Exception):
-    pass
+from .vem import ElementVem
 
 
 def build_transfer(elem: ElementVem, corrections: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -28,16 +26,12 @@ def build_transfer(elem: ElementVem, corrections: np.ndarray) -> tuple[np.ndarra
     maps VEM dofs back to modal coefficients.  `elem` is the group's stacked
     element and `corrections` (g, n_k) its cells' `TaylorBasis.corrections`.
     """
-    # integral of Pi0 phi_i * beta_l: the Taylor function beta_l = m_l -
-    # corrections_l m_0 (l >= 1) shifts the monomial moments C^T
-    moments = elem.C.transpose(0, 2, 1).copy()
-    moments[..., 1:] -= moments[..., :1] * corrections[:, None, 1:]
-    # one step of iterative refinement: at k = 4 the mass matrices are
-    # ill-conditioned enough that plain LU loses a digit past 1e-11
-    Vp = solve_cells(elem.mass, moments, elem.cells, TransferError, "VEM mass matrix")
-    Vp += np.linalg.solve(elem.mass, moments - elem.mass @ Vp)
+    # the Taylor function beta_l = m_l - corrections_l m_0 (l >= 1) shifts
+    # the monomial dofs D into V_P = D T and the moments C^T into C^T T
+    Vp, moments = elem.D.copy(), elem.C.transpose(0, 2, 1).copy()
+    for blk in (Vp, moments):
+        blk[..., 1:] -= blk[..., :1] * corrections[:, None, 1:]
     # C_P is the L2 projection T^-1 Pi0*, made the exact left inverse of V_P
-    # on the modal space (an adjustment at the conditioning roundoff, below
-    # the operators' own truncation level): (T^-1 Pi0* V_P)^-1 T^-1 Pi0*, in
-    # which T^-1 cancels
+    # on the modal space (Pi0* D - I is roundoff, up to 1e-11 at k = 4):
+    # (T^-1 Pi0* V_P)^-1 T^-1 Pi0*, in which T^-1 cancels
     return Vp, np.linalg.solve(elem.pis_0 @ Vp, elem.pis_0), moments

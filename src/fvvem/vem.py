@@ -341,9 +341,9 @@ class AssemblyPattern:
     K, the variable stiffness K(h) and their combinations share one
     `indptr`/`indices`.  `positions` sends each entry of the stacks, group
     after group, to its slot in the pattern's data, so an assembly is one
-    `np.bincount` that sums repeated (row, col) pairs.  The transfers and
-    loads gather dofs against the Taylor coefficient ids on rectangular
-    patterns.
+    `np.bincount` that sums repeated (row, col) pairs.  The three transfers
+    gather dofs against the Taylor coefficient ids on one rectangular
+    pattern, C_P as its transpose.
     """
 
     def __init__(self, rows, cols, shape):

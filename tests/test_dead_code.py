@@ -2,8 +2,10 @@
 outside the tests unless `TEST_ONLY` says why not; every defaulted parameter
 of one is set by some call, and by a product call unless `TEST_SET` says why
 not; every attribute a src/fvvem module stores is read somewhere, and by the
-product unless `TEST_READ` says why not; and every name a src/fvvem module
-imports is used there.
+product unless `TEST_READ` says why not; every class src/fvvem defines is
+named by the product, except the cases its registry names (`CaseBase`
+subclasses that define `name`); and every name a src/fvvem module imports is
+used there.
 
 A definition counts as used when its name appears in src/, tests/ or
 perfbench/ (this module aside, whose allowlist names functions without
@@ -145,6 +147,56 @@ def test_every_function_has_a_caller():
     dead = [f"src/fvvem/{rel}:{line} {name}" for rel, name, line in defined
             if name not in used and not is_hook(name) and (rel, name) not in ALLOWED]
     assert not dead, "functions that nothing names:\n" + "\n".join(dead)
+
+
+def defines_name(cls: ast.ClassDef) -> bool:
+    """Whether a class body assigns `name`."""
+    return any(isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "name" for t in node.targets)
+               or isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "name"
+               for node in cls.body)
+
+
+def unnamed_classes(modules) -> list:
+    """(module path under src/fvvem, name, line) of each class src/fvvem
+    defines that the product does not name, less the `CaseBase` subclasses
+    (direct or not) that define `name`, which the case registry names."""
+    _, product, _ = names_and_definitions(modules)
+    src = ROOT / "src" / "fvvem"
+    classes = [(path.relative_to(src).as_posix(), node) for path, module in modules.items()
+               if path.is_relative_to(src)
+               for node in ast.walk(module) if isinstance(node, ast.ClassDef)]
+    bases = {node.name: [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
+             for _, node in classes}
+
+    def is_case(name):
+        return name == "CaseBase" or any(is_case(b) for b in bases.get(name, ()))
+
+    return [(rel, node.name, node.lineno) for rel, node in classes
+            if node.name not in product and not (is_case(node.name) and defines_name(node))]
+
+
+def test_every_class_is_named_by_the_product():
+    unnamed = [f"src/fvvem/{rel}:{line} {name}"
+               for rel, name, line in unnamed_classes(parsed(TREES))]
+    assert not unnamed, "classes that nothing in src/ or perfbench/ names:\n" + "\n".join(unnamed)
+
+
+def test_class_rule():
+    src, tests = ROOT / "src" / "fvvem" / "m.py", ROOT / "tests" / "t.py"
+    modules = {src: ast.parse("class CaseBase: pass\n"
+                              "class Family(CaseBase): pass\n"
+                              "class Registered(Family):\n"
+                              "    name = 'registered'\n"
+                              "class Nameless(Family): pass\n"
+                              "class Raised(Exception): pass\n"
+                              "class Tested(Exception): pass\n"
+                              "class Dead(Exception): pass\n"
+                              "def f():\n"
+                              "    raise Raised\n"),
+               tests: ast.parse("import pytest\n"
+                                "pytest.raises(Tested)\n")}
+    assert [name for _, name, _ in unnamed_classes(modules)] == ["Nameless", "Tested", "Dead"]
 
 
 def test_allowlist_names_real_functions():

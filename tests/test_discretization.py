@@ -12,7 +12,6 @@ from scipy.special import roots_legendre
 
 from fvvem import fv as fvmod
 from fvvem import mesh as fm
-from fvvem import transfer as trmod
 from fvvem import vem
 from fvvem.models import Discretization
 
@@ -501,15 +500,6 @@ class TestDegenerateCellErrors:
         monkeypatch.setattr(vem, "polygon_quadrature", collapsed)
         with pytest.raises(vem.VemError, match=f"^cell {bad}: singular H matrix$"):
             vem.build_element(m, g, idx, 1)
-
-    @pytest.mark.parametrize("array, what", [("mass", "VEM mass matrix")])
-    def test_singular_transfer_matrix_names_the_cell(self, array, what):
-        m, g, idx, bad = voronoi_group()
-        elem = vem.build_element(m, g, idx, 2)
-        getattr(elem, array)[idx == bad] = 0.0
-        corrections = fvmod.TaylorBasis(m, g, 2).corrections[idx]
-        with pytest.raises(trmod.TransferError, match=f"^cell {bad}: singular {what}$"):
-            trmod.build_transfer(elem, corrections)
 
     def test_isolated_cell_stencil_names_the_cell(self):
         # a 3 x 3 grid of unit squares with a detached square as cell 4

@@ -1,7 +1,8 @@
 """The grouped sampler: `Discretization.cell_means`, `interpolate_dofs`,
 `project_field` and `harness.errors.error_norms` call an analytic function
 once per vertex-count group; each must equal a per-cell loop that calls it
-once per cell, for the functions of every registered case."""
+once per cell, for the functions of every registered case, and the cell
+means of a function of stacked rows must be those of each row."""
 
 import numpy as np
 import pytest
@@ -112,9 +113,10 @@ def test_grouped_sampler_equals_the_per_cell_loop(name):
     assert mesh.n_cells <= 200
     disc = Discretization(mesh, fm.build_geometry(mesh), case.k)
     nb = disc.layout.moment_base
+    row_means = {}
     for fname, f in case_functions(case).items():
         what = f"{name} {fname}"
-        means = disc.cell_means(f)
+        means = row_means[fname] = disc.cell_means(f)
         scale = np.abs(means).max()
         assert_close(means, oracle_cell_means(disc, f), scale, what)
         # cell_means passes `time` on to a function of (p, t)
@@ -135,3 +137,12 @@ def test_grouped_sampler_equals_the_per_cell_loop(name):
             (l2, linf), (l2_f, linf_f) = oracle_errors(disc, values, f)
             assert abs(report.l2(fname) - l2) <= REL * l2_f, what
             assert abs(report.linf(fname) - linf) <= REL * linf_f, what
+
+    # a function of stacked rows, sampled once per group: each row of its
+    # cell means is bitwise that row's own
+    for kind in ("exact", "initial"):
+        state = getattr(case, kind, None)
+        if state is not None:
+            rows = disc.cell_means(lambda p: state(p, T))
+            assert all(np.array_equal(row, row_means[f"{kind}[{i}]"])
+                       for i, row in enumerate(rows)), f"{name} stacked {kind}"
